@@ -10,7 +10,7 @@ import argparse
 
 import numpy as np
 
-from dickesim import evolution, measurement, observables, repro
+from dickesim import measurement, observables, repro
 from dickesim.certification import ghz_excluded
 from dickesim.spin_algebra import half_excited_x
 

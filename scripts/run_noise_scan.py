@@ -12,7 +12,7 @@ import pathlib
 
 import numpy as np
 
-from dickesim import cli, evolution, model, observables
+from dickesim import cli, evolution, observables
 from dickesim.dark_state import dark_coefficients
 from dickesim.spin_algebra import dicke_state
 
@@ -36,7 +36,7 @@ def main():
         elif wr == 0:
             psi = dicke_state(args.n, args.n)
         else:
-            psi = dark_coefficients(args.n, wr, wb).spin_vector.astype(complex)
+            psi = dark_coefficients(args.n, wr, wb).chain_vector.astype(complex)
         mom = observables.spin_moments(psi)
         rows.append((theta, mom.var_jx, mom.var_jy, mom.var_jz))
     path = outdir / f"noise_analytic_n{args.n}.csv"

@@ -35,10 +35,7 @@ def main():
             traj = evolution.integrate_full(schedule, params)
         rows = []
         for i, t in enumerate(traj.times):
-            if tag == "full":
-                rho = observables.spin_density_from_full(traj.states[i], args.n, params.n_max)
-            else:
-                rho = observables.spin_density_from_chain(traj.states[i])
+            rho = cli._spin_marginal(traj.states[i], tag, params)
             mom = observables.spin_moments(rho)
             rows.append((t, float(np.sum(jz * np.real(np.diag(rho)))),
                          mom.var_jx, mom.var_jy, mom.var_jz))

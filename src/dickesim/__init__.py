@@ -22,14 +22,12 @@ from .evolution import (
     truncated_scan,
 )
 from .measurement import MeasurementRecord, ShotConfig, sample_populations, simulated_experiment
-from .model import FullHamiltonian, ReducedHamiltonian, SystemParams, reduced_hamiltonian
+from .model import FullHamiltonian, SystemParams, reduced_hamiltonian
 from .observables import (
     ParityScan,
-    PopulationsX,
     SpinMoments,
     direct_fidelity,
     parity_scan,
-    populations_x,
     spin_moments,
     witness,
 )

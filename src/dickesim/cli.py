@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -115,10 +114,9 @@ def _build_run(ns):
     return schedule, params
 
 
-def _spin_marginal(traj: evolution.Trajectory, index: int) -> np.ndarray:
-    state = traj.states[index]
-    if traj.model_tag == "full":
-        return observables.spin_density_from_full(state, traj.n_ions, traj.params.n_max)
+def _spin_marginal(state: np.ndarray, model_tag: str, params: model.SystemParams) -> np.ndarray:
+    if model_tag == "full":
+        return observables.spin_density_from_full(state, params.n_ions, params.n_max)
     return observables.spin_density_from_chain(state)
 
 
@@ -153,7 +151,7 @@ def cmd_evolve(ns) -> int:
 
     rows = []
     for i, t in enumerate(traj.times):
-        rho = _spin_marginal(traj, i)
+        rho = _spin_marginal(traj.states[i], traj.model_tag, traj.params)
         mom = observables.spin_moments(rho)
         rows.append((t, float(np.sum(jz * np.real(np.diag(rho)))),
                      mom.var_jx, mom.var_jy, mom.var_jz, dark_fid[i]))
@@ -185,11 +183,7 @@ def cmd_scan_noise(ns) -> int:
     states = evolution.truncated_scan(schedule, params, list(cut_times), model=ns.model)
     rows = []
     for tau, state in states:
-        if ns.model == "full":
-            rho = observables.spin_density_from_full(state, ns.n, params.n_max)
-        else:
-            rho = observables.spin_density_from_chain(state)
-        mom = observables.spin_moments(rho)
+        mom = observables.spin_moments(_spin_marginal(state, ns.model, params))
         rows.append((tau, mom.var_jx, mom.var_jy, mom.var_jz))
     header = _provenance("scan-noise", {
         "n": ns.n, "model": ns.model, "preset": ns.adiabatic_preset,
@@ -204,7 +198,7 @@ def cmd_parity(ns) -> int:
     if ns.n != 2:
         raise PhysicsConfigError("parity oscillation analysis is a two-ion protocol")
     if ns.source == "ideal":
-        state = dark_coefficients(2, 1.0, 1.0).spin_vector.astype(complex)
+        state = dark_coefficients(2, 1.0, 1.0).chain_vector.astype(complex)
     else:
         traj = repro.strict_trajectory(2)
         state = observables.spin_density_from_chain(traj.midpoint_state())
@@ -213,7 +207,7 @@ def cmd_parity(ns) -> int:
 
     if ns.shots is not None:
         config = measurement.ShotConfig(n_shots=ns.shots, seed=ns.seed)
-        parities = _sample_parity_curve(state, phases, config)
+        parities = measurement.sample_parities(scan.parities, config)
         fit = observables.fit_parity_curve(phases, parities)
         pop = measurement.sample_populations(state, config.substream(10_000), "z")
         p_lower, p_upper = pop.frequencies[0], pop.frequencies[-1]
@@ -236,31 +230,6 @@ def cmd_parity(ns) -> int:
         "fidelity": fidelity,
     }, path=ns.summary)
     return EXIT_OK
-
-
-def _sample_parity_curve(state, phases, config: measurement.ShotConfig) -> np.ndarray:
-    from scipy.linalg import expm
-
-    from .spin_algebra import full_space_oracle, symmetric_isometry
-
-    jx = full_space_oracle(2, "jx").matrix
-    jy = full_space_oracle(2, "jy").matrix
-    state = np.asarray(state, dtype=complex)
-    if state.shape[0] == 3:
-        iso = symmetric_isometry(2)
-        state = iso @ state @ iso.conj().T if state.ndim == 2 else iso @ state
-    parity_sign = np.array([(-1.0) ** (2 - bin(k).count("1")) for k in range(4)])
-    out = np.empty(len(phases))
-    for k, phi in enumerate(phases):
-        pulse = expm(-1j * (np.pi / 2) * (np.cos(phi) * jx + np.sin(phi) * jy))
-        if state.ndim == 1:
-            probs = np.abs(pulse @ state) ** 2
-        else:
-            probs = np.real(np.diag(pulse @ state @ pulse.conj().T))
-        p_plus = float(np.sum(probs[parity_sign > 0]) / np.sum(probs))
-        draws = config.substream(100 + k).generator().binomial(config.n_shots, p_plus)
-        out[k] = 2 * draws / config.n_shots - 1
-    return out
 
 
 def cmd_witness(ns) -> int:
@@ -319,25 +288,19 @@ def cmd_bounds(ns) -> int:
 
 def cmd_sweep(ns) -> int:
     times = [float(tok) for tok in ns.eta_omega_t_list.split(",")]
-
-    def one(total_time: float):
+    params = model.SystemParams(n_ions=ns.n, eta=1.0, delta=ns.delta_ratio)
+    jz = np.arange(ns.n + 1) - ns.n / 2
+    rows = []
+    for total_time in times:
         schedule = evolution.PulseSchedule(total_time=total_time, omega_bar=1.0,
                                            shape=ns.schedule)
-        params = model.SystemParams(n_ions=ns.n, eta=1.0, delta=ns.delta_ratio)
         traj = evolution.integrate_reduced(schedule, params)
-        jz = np.arange(ns.n + 1) - ns.n / 2
         final_jz = float(np.sum(jz * np.abs(traj.final_state()) ** 2))
-        mid_fid = evolution.dark_fidelity_series(traj)[traj.index_of(total_time / 2)]
-        return total_time, final_jz, mid_fid
-
-    if ns.workers > 1:
-        with ThreadPoolExecutor(max_workers=ns.workers) as pool:
-            rows = list(pool.map(one, times))
-    else:
-        rows = [one(t) for t in times]
+        mid_fid = evolution.dark_fidelity_at(traj, traj.index_of(total_time / 2))
+        rows.append((total_time, final_jz, mid_fid))
     header = _provenance("sweep", {
         "n": ns.n, "schedule": ns.schedule, "delta_ratio": ns.delta_ratio,
-        "eta_omega_t_list": ns.eta_omega_t_list, "workers": ns.workers, "seed": "none",
+        "eta_omega_t_list": ns.eta_omega_t_list, "seed": "none",
     })
     _emit(ns.output, header, ("eta_omega_t", "final_jz", "midpoint_dark_fidelity"), rows)
     return EXIT_OK
@@ -434,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-ratio", type=float, default=20.0)
     p.add_argument("--eta-omega-t-list", default="20,40,80,160",
                    help="comma-separated ramp lengths")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_sweep)
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ReducedHamiltonian
 from .spin_algebra import _frozen, build_collective, collective_coupling, dicke_state, rotation_y
 
 FULL_CHECK_MAX_IONS = 10
@@ -39,14 +38,13 @@ class DarkState:
 
     @property
     def chain_vector(self) -> np.ndarray:
-        """Amplitudes embedded in the chain basis, zeros on the odd slots."""
+        """Amplitudes embedded in the chain basis, zeros on the odd slots.
+
+        The chain pairs even Dicke levels with phonon vacuum, so the same
+        vector is also the spin state in the Dicke basis."""
         vec = np.zeros(self.n_ions + 1)
         vec[0::2] = self.amplitudes
         return vec
-
-    # the chain pairs even Dicke levels with phonon vacuum, so the spin part
-    # reads identically
-    spin_vector = chain_vector
 
 
 def dark_coefficients(n_ions: int, omega_r: float, omega_b: float) -> DarkState:
@@ -75,18 +73,18 @@ def dark_coefficients(n_ions: int, omega_r: float, omega_b: float) -> DarkState:
     )
 
 
-def verify_dark(state: DarkState, hamiltonian: ReducedHamiltonian) -> float:
+def verify_dark(state: DarkState, hamiltonian: np.ndarray) -> float:
     """Residual ||H psi|| of the dark state against a chain Hamiltonian.
 
     Stays below 1e-10 for any valid dark state built from the same
     amplitudes, independent of the detuning.
     """
     vec = state.chain_vector
-    if hamiltonian.matrix.shape[0] != vec.shape[0]:
+    if hamiltonian.shape[0] != vec.shape[0]:
         raise ValueError(
-            f"dimension mismatch: state {vec.shape[0]}, hamiltonian {hamiltonian.matrix.shape[0]}"
+            f"dimension mismatch: state {vec.shape[0]}, hamiltonian {hamiltonian.shape[0]}"
         )
-    return float(np.linalg.norm(hamiltonian.matrix @ vec))
+    return float(np.linalg.norm(hamiltonian @ vec))
 
 
 def jx_annihilation_check(n_ions: int) -> float:
@@ -99,7 +97,7 @@ def jx_annihilation_check(n_ions: int) -> float:
         raise ValueError("equal-amplitude dark states need an even ion number")
     if n_ions > FULL_CHECK_MAX_IONS:
         raise ValueError(f"check limited to n_ions <= {FULL_CHECK_MAX_IONS}")
-    psi = dark_coefficients(n_ions, 1.0, 1.0).spin_vector
+    psi = dark_coefficients(n_ions, 1.0, 1.0).chain_vector
     jx = build_collective(n_ions, "jx").matrix
     residual = float(np.linalg.norm(jx @ psi))
     rotated = rotation_y(n_ions, np.pi / 2).matrix @ dicke_state(n_ions, n_ions // 2)

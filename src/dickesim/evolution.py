@@ -13,7 +13,7 @@ reproducible.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -133,7 +133,6 @@ class Trajectory:
     n_ions: int
     params: SystemParams
     schedule: PulseSchedule
-    coupling_scale: float = 1.0
     max_norm_drift: float = 0.0
     truncation_leak: float = 0.0  # peak population of the top Fock level
 
@@ -189,7 +188,7 @@ def _plan_steps(total_time: float, dt: float) -> int:
     return n + (n % 2)  # even so the midpoint lands on the grid
 
 
-def _check_norms(times, states, eta_omega: float) -> float:
+def _check_norms(states: np.ndarray) -> float:
     norms = np.linalg.norm(states, axis=1)
     drift = float(np.max(np.abs(norms - 1.0)))
     if drift > NORM_DRIFT_LIMIT:
@@ -206,8 +205,41 @@ def _warn_adiabaticity(schedule: PulseSchedule, eta: float) -> None:
             f"eta*omega_bar*T = {value:.2f} is below {ADIABATICITY_WARN_BELOW}; "
             "the ramp is unlikely to be adiabatic",
             UserWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
+
+
+def _integrate(h_at, dimension: int, schedule: PulseSchedule, params: SystemParams,
+               dt: float | None, guard: float, coarse: str,
+               initial_state: np.ndarray | None,
+               capture_times: list[float] | None) -> tuple[np.ndarray, np.ndarray, float]:
+    """RK4 from |D^0>|0> (basis index 0) or ``initial_state``, sampled on the
+    capture grid plus the steps nearest ``capture_times``; returns
+    (times, states, max norm drift).
+
+    ``dt`` defaults to the model's stability ``guard`` and may not exceed it;
+    ``coarse`` completes the error message when it does.
+    """
+    if dt is None:
+        dt = guard
+    elif dt > guard * (1 + 1e-9):
+        raise PhysicsConfigError(f"dt = {dt:.3e} too coarse{coarse}")
+    _warn_adiabaticity(schedule, params.eta)
+
+    psi0 = np.zeros(dimension, dtype=complex)
+    psi0[0] = 1.0
+    if initial_state is not None:
+        psi0 = np.asarray(initial_state, dtype=complex)
+        if psi0.shape != (dimension,):
+            raise ValueError(f"initial state must have length {dimension}")
+
+    n_steps = _plan_steps(schedule.total_time, dt)
+    extra = set()
+    if capture_times is not None:
+        extra = {int(round(t / (schedule.total_time / n_steps))) for t in capture_times}
+    capture = _capture_steps(n_steps, extra)
+    times, states = _rk4(h_at, psi0, schedule.total_time, n_steps, capture)
+    return times, states, _check_norms(states)
 
 
 def integrate_reduced(schedule: PulseSchedule, params: SystemParams,
@@ -218,36 +250,17 @@ def integrate_reduced(schedule: PulseSchedule, params: SystemParams,
     n = params.n_ions
     rate = params.delta + n * params.eta * schedule.omega_bar
     guard = 0.1 / rate if rate > 0 else schedule.total_time / 200
-    if dt is None:
-        dt = guard
-    elif dt > guard * (1 + 1e-9):
-        raise PhysicsConfigError(
-            f"dt = {dt:.3e} too coarse: need dt*(delta + N*eta*omega_bar) <= 0.1"
-        )
-    _warn_adiabaticity(schedule, params.eta)
-
     kr, kb, dmat = reduced_coupling_parts(n, params.eta, coupling_scale)
     dmat = params.delta * dmat
 
     def h_at(t):
         return schedule.omega_r(t) * kr + schedule.omega_b(t) * kb + dmat
 
-    psi0 = np.zeros(n + 1, dtype=complex)
-    psi0[0] = 1.0
-    if initial_state is not None:
-        psi0 = np.asarray(initial_state, dtype=complex)
-        if psi0.shape != (n + 1,):
-            raise ValueError(f"initial state must have length {n + 1}")
-
-    n_steps = _plan_steps(schedule.total_time, dt)
-    extra = set()
-    if capture_times is not None:
-        extra = {int(round(t / (schedule.total_time / n_steps))) for t in capture_times}
-    capture = _capture_steps(n_steps, extra)
-    times, states = _rk4(h_at, psi0, schedule.total_time, n_steps, capture)
-    drift = _check_norms(times, states, params.eta * schedule.omega_bar)
-    return Trajectory(times, states, "reduced", n, params, schedule,
-                      coupling_scale=coupling_scale, max_norm_drift=drift)
+    times, states, drift = _integrate(
+        h_at, n + 1, schedule, params, dt, guard,
+        ": need dt*(delta + N*eta*omega_bar) <= 0.1", initial_state, capture_times,
+    )
+    return Trajectory(times, states, "reduced", n, params, schedule, max_norm_drift=drift)
 
 
 def integrate_full(schedule: PulseSchedule, params: SystemParams,
@@ -265,30 +278,14 @@ def integrate_full(schedule: PulseSchedule, params: SystemParams,
     ham = FullHamiltonian(params)
     rate = max(params.delta / 0.05, (params.delta + n * params.eta * schedule.omega_bar) / 0.1)
     guard = 1.0 / rate if rate > 0 else schedule.total_time / 200
-    if dt is None:
-        dt = guard
-    elif dt > guard * (1 + 1e-9):
-        raise PhysicsConfigError(f"dt = {dt:.3e} too coarse for delta = {params.delta}")
-    _warn_adiabaticity(schedule, params.eta)
 
     def h_at(t):
         return ham.at(t, schedule.omega_r(t), schedule.omega_b(t))
 
-    psi0 = np.zeros(ham.dimension, dtype=complex)
-    psi0[0] = 1.0  # |D^0> x |0>
-    if initial_state is not None:
-        psi0 = np.asarray(initial_state, dtype=complex)
-        if psi0.shape != (ham.dimension,):
-            raise ValueError(f"initial state must have length {ham.dimension}")
-
-    n_steps = _plan_steps(schedule.total_time, dt)
-    extra = set()
-    if capture_times is not None:
-        extra = {int(round(t / (schedule.total_time / n_steps))) for t in capture_times}
-    capture = _capture_steps(n_steps, extra)
-    times, states = _rk4(h_at, psi0, schedule.total_time, n_steps, capture)
-    drift = _check_norms(times, states, params.eta * schedule.omega_bar)
-
+    times, states, drift = _integrate(
+        h_at, ham.dimension, schedule, params, dt, guard, f" for delta = {params.delta}",
+        initial_state, capture_times,
+    )
     top = np.abs(states[:, params.n_max::(params.n_max + 1)]) ** 2
     leak = float(np.max(np.sum(top, axis=1)))
     if leak > LEAK_WARN_LEVEL:
@@ -303,7 +300,7 @@ def integrate_full(schedule: PulseSchedule, params: SystemParams,
 
 def truncated_scan(schedule: PulseSchedule, params: SystemParams,
                    cut_times: list[float], model: str = "reduced",
-                   dt: float | None = None, coupling_scale: float = 1.0):
+                   dt: float | None = None):
     """States at pulse-truncation times from a single integration pass.
 
     Truncating the drive at tau_c and measuring immediately is the same as
@@ -314,8 +311,7 @@ def truncated_scan(schedule: PulseSchedule, params: SystemParams,
         if not 0 <= tc <= schedule.total_time:
             raise ValueError(f"cut time {tc} outside [0, {schedule.total_time}]")
     if model == "reduced":
-        traj = integrate_reduced(schedule, params, dt=dt, coupling_scale=coupling_scale,
-                                 capture_times=list(cut_times))
+        traj = integrate_reduced(schedule, params, dt=dt, capture_times=list(cut_times))
     elif model == "full":
         traj = integrate_full(schedule, params, dt=dt, capture_times=list(cut_times))
     else:
@@ -327,23 +323,24 @@ def truncated_scan(schedule: PulseSchedule, params: SystemParams,
     return out
 
 
-def dark_fidelity_series(traj: Trajectory) -> np.ndarray:
-    """Instantaneous overlap with the analytic dark state along a trajectory.
+def dark_fidelity_at(traj: Trajectory, index: int) -> float:
+    """Overlap of sample ``index`` with the analytic dark state of its drive.
 
-    Entries are nan where both tones are off (no dark state defined) or the
-    ion number is odd.
+    nan where both tones are off (no dark state defined) or the ion number
+    is odd.
     """
-    out = np.full(len(traj.times), np.nan)
-    if traj.n_ions % 2 != 0:
-        return out
-    for i, t in enumerate(traj.times):
-        wr, wb = traj.schedule.omega_r(t), traj.schedule.omega_b(t)
-        if wr == 0 and wb == 0:
-            continue
-        target = dark_coefficients(traj.n_ions, wr, wb).chain_vector
-        state = traj.states[i]
-        if traj.model_tag == "full":
-            state = interaction_to_chain_frame(state, t, traj.params)
-            target = embed_chain_state(target, traj.n_ions, traj.params.n_max)
-        out[i] = abs(np.vdot(target, state)) ** 2
-    return out
+    t = traj.times[index]
+    wr, wb = traj.schedule.omega_r(t), traj.schedule.omega_b(t)
+    if traj.n_ions % 2 != 0 or (wr == 0 and wb == 0):
+        return np.nan
+    target = dark_coefficients(traj.n_ions, wr, wb).chain_vector
+    state = traj.states[index]
+    if traj.model_tag == "full":
+        state = interaction_to_chain_frame(state, t, traj.params)
+        target = embed_chain_state(target, traj.n_ions, traj.params.n_max)
+    return abs(np.vdot(target, state)) ** 2
+
+
+def dark_fidelity_series(traj: Trajectory) -> np.ndarray:
+    """``dark_fidelity_at`` over every sample of a trajectory."""
+    return np.array([dark_fidelity_at(traj, i) for i in range(len(traj.times))])

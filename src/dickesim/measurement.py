@@ -92,6 +92,15 @@ def sample_populations(state: np.ndarray, config: ShotConfig, axis: str) -> Meas
     return _record(axis, projections, _draw(probs, config), config)
 
 
+def sample_parities(parities: np.ndarray, config: ShotConfig) -> np.ndarray:
+    """Shot-sampled two-ion parity curve from its exact values: at phase k,
+    a binomial count of the even-parity outcome on substream 100 + k."""
+    p_even = np.clip((1 + np.asarray(parities, dtype=float)) / 2, 0.0, 1.0)
+    draws = [config.substream(100 + k).generator().binomial(config.n_shots, p)
+             for k, p in enumerate(p_even)]
+    return 2 * np.array(draws) / config.n_shots - 1
+
+
 def sample_azimuth_square(state: np.ndarray, config: ShotConfig,
                           phi: float) -> tuple[float, float]:
     """Sampled mean and standard error of J_phi^2 at one analysis azimuth."""

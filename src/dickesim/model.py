@@ -23,12 +23,12 @@ full-vs-reduced consistency checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PhysicsConfigError
-from .spin_algebra import DickeBasis, _frozen, _jp_matrix, collective_coupling
+from .spin_algebra import _jp_matrix, collective_coupling
 
 #: coupling_scale under which the chain matches the full model's resonant block
 CALIBRATED_COUPLING_SCALE = 0.5
@@ -88,30 +88,6 @@ def chain_phonon_numbers(n_ions: int) -> np.ndarray:
     return np.arange(n_ions + 1) % 2
 
 
-@dataclass(frozen=True)
-class ReducedHamiltonian:
-    """Real symmetric tridiagonal Hamiltonian on the alternating chain."""
-
-    basis: DickeBasis
-    matrix: np.ndarray
-    coupling_scale: float = 1.0
-
-    def __post_init__(self):
-        mat = np.array(self.matrix, dtype=float)
-        d = self.basis.dimension
-        if mat.shape != (d, d):
-            raise ValueError(f"matrix shape {mat.shape} does not match dimension {d}")
-        object.__setattr__(self, "matrix", _frozen(mat))
-
-    @property
-    def n_ions(self) -> int:
-        return self.basis.n_ions
-
-    @property
-    def phonon_numbers(self) -> np.ndarray:
-        return chain_phonon_numbers(self.n_ions)
-
-
 def reduced_coupling_parts(n_ions: int, eta: float = 1.0, coupling_scale: float = 1.0):
     """Constant matrices (K_r, K_b, D) with H = Omega_r*K_r + Omega_b*K_b + delta*D.
 
@@ -128,18 +104,18 @@ def reduced_coupling_parts(n_ions: int, eta: float = 1.0, coupling_scale: float 
     return kr, kb, d
 
 
-def reduced_hamiltonian(params: SystemParams, coupling_scale: float = 1.0) -> ReducedHamiltonian:
-    """Rotating-frame chain Hamiltonian for fixed sideband amplitudes."""
+def reduced_hamiltonian(params: SystemParams, coupling_scale: float = 1.0) -> np.ndarray:
+    """Rotating-frame chain Hamiltonian for fixed sideband amplitudes, as a
+    real symmetric tridiagonal matrix on the alternating chain."""
     kr, kb, d = reduced_coupling_parts(params.n_ions, params.eta, coupling_scale)
-    mat = params.omega_r * kr + params.omega_b * kb + params.delta * d
-    return ReducedHamiltonian(DickeBasis(params.n_ions), mat, coupling_scale)
+    return params.omega_r * kr + params.omega_b * kb + params.delta * d
 
 
 class FullHamiltonian:
     """Interaction-picture spin-phonon Hamiltonian with explicit phases.
 
-    Precomputes the two sideband jump operators so that evaluating H(t) or
-    applying it to a state costs a handful of dense matvecs.
+    Precomputes the two sideband jump operators so that evaluating H(t)
+    costs a handful of scaled matrix additions.
     """
 
     def __init__(self, params: SystemParams):
@@ -170,26 +146,6 @@ class FullHamiltonian:
             cr * (phase * self._red + np.conj(phase) * self._red_dag)
             + cb * (np.conj(phase) * self._blue + phase * self._blue_dag)
         )
-
-    def apply(self, t: float, psi: np.ndarray, omega_r: float | None = None,
-              omega_b: float | None = None) -> np.ndarray:
-        """H(t) @ psi without materializing the matrix."""
-        p = self.params
-        wr = p.omega_r if omega_r is None else omega_r
-        wb = p.omega_b if omega_b is None else omega_b
-        phase = np.exp(-1j * p.delta * t)
-        cr = p.eta * wr / 2
-        cb = p.eta * wb / 2
-        out = cr * phase * (self._red @ psi)
-        out += cr * np.conj(phase) * (self._red_dag @ psi)
-        out += cb * np.conj(phase) * (self._blue @ psi)
-        out += cb * phase * (self._blue_dag @ psi)
-        return out
-
-
-def full_hamiltonian_at(t: float, params: SystemParams) -> np.ndarray:
-    """One-shot H(t) on the product space (see FullHamiltonian for batch use)."""
-    return FullHamiltonian(params).at(t)
 
 
 def embed_chain_state(chain_vec: np.ndarray, n_ions: int, n_max: int) -> np.ndarray:

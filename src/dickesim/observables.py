@@ -15,13 +15,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import expm
 
-from .spin_algebra import (
-    _frozen,
-    build_collective,
-    full_space_oracle,
-    rotation_y,
-    symmetric_isometry,
-)
+from .spin_algebra import build_collective, full_space_oracle, symmetric_isometry
 
 #: witness value above which a four-ion state is genuinely four-partite entangled
 WITNESS_THRESHOLD_FOUR_ION = 5.23
@@ -133,32 +127,17 @@ def direct_fidelity(state: np.ndarray, target: np.ndarray) -> float:
 # basis populations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PopulationsX:
-    """Probabilities of the collective-spin x projections i = -N/2 .. N/2."""
-
-    n_ions: int
-    probabilities: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "probabilities", _frozen(np.array(self.probabilities, dtype=float))
-        )
-
-    @property
-    def projections(self) -> np.ndarray:
-        return np.arange(self.n_ions + 1) - self.n_ions / 2
-
-
 def azimuthal_spin(n_ions: int, phi: float) -> np.ndarray:
     """Equatorial spin component J_phi = cos(phi) Jx + sin(phi) Jy."""
     return np.cos(phi) * _jmat(n_ions, "jx") + np.sin(phi) * _jmat(n_ions, "jy")
 
 
-def _axis_eigenbasis(n_ions: int, op: np.ndarray) -> np.ndarray:
-    # columns ordered by ascending projection eigenvalue, matching m = 0..N
-    _, vecs = np.linalg.eigh(op)
-    return vecs
+def _eigenbasis_populations(state: np.ndarray, op: np.ndarray) -> np.ndarray:
+    # eigh orders the columns by ascending projection eigenvalue, matching m = 0..N
+    _, basis = np.linalg.eigh(op)
+    if state.ndim == 1:
+        return np.abs(basis.conj().T @ state) ** 2
+    return np.real(np.diag(basis.conj().T @ state @ basis)).copy()
 
 
 def populations_along(state: np.ndarray, axis: str) -> np.ndarray:
@@ -169,70 +148,15 @@ def populations_along(state: np.ndarray, axis: str) -> np.ndarray:
         if state.ndim == 1:
             return np.abs(state) ** 2
         return np.real(np.diag(state)).copy()
-    if axis == "x":
-        basis = _axis_eigenbasis(n_ions, _jmat(n_ions, "jx"))
-    elif axis == "y":
-        basis = _axis_eigenbasis(n_ions, _jmat(n_ions, "jy"))
-    else:
+    if axis not in ("x", "y"):
         raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
-    if state.ndim == 1:
-        return np.abs(basis.conj().T @ state) ** 2
-    return np.real(np.diag(basis.conj().T @ state @ basis)).copy()
+    return _eigenbasis_populations(state, _jmat(n_ions, "j" + axis))
 
 
 def populations_azimuth(state: np.ndarray, phi: float) -> np.ndarray:
     """Populations of the J_phi eigenvalues, ascending order."""
     state = _check_normalized(state)
-    n_ions = _state_dim(state) - 1
-    basis = _axis_eigenbasis(n_ions, azimuthal_spin(n_ions, phi))
-    if state.ndim == 1:
-        return np.abs(basis.conj().T @ state) ** 2
-    return np.real(np.diag(basis.conj().T @ state @ basis)).copy()
-
-
-def populations_x(state: np.ndarray) -> PopulationsX:
-    """Populations of |D^m> along x via a pi/2 rotation and z readout."""
-    state = _check_normalized(state)
-    n_ions = _state_dim(state) - 1
-    ry = rotation_y(n_ions, np.pi / 2).matrix
-    if state.ndim == 1:
-        probs = np.abs(ry.conj().T @ state) ** 2
-    else:
-        probs = np.real(np.diag(ry.conj().T @ state @ ry))
-    return PopulationsX(n_ions, probs)
-
-
-# ---------------------------------------------------------------------------
-# squared-spin azimuth scan (witness measurement protocol)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SquaredSpinScan:
-    """<J_phi^2> over an azimuth grid; the peak estimates <Jy^2> for states
-    squeezed along x.  Both the grid maximum and the value at phi = pi/2
-    (the nominal y azimuth) are reported."""
-
-    phases: np.ndarray
-    values: np.ndarray
-    max_value: float
-    max_phase: float
-    value_at_half_pi: float
-
-
-def squared_spin_scan(state: np.ndarray, phases: np.ndarray | None = None) -> SquaredSpinScan:
-    state = _check_normalized(state)
-    n_ions = _state_dim(state) - 1
-    if phases is None:
-        phases = np.linspace(0.0, np.pi, 13)
-    phases = np.asarray(phases, dtype=float)
-    values = np.empty_like(phases)
-    for k, phi in enumerate(phases):
-        jphi = azimuthal_spin(n_ions, phi)
-        values[k] = expectation(state, jphi @ jphi)
-    jy = azimuthal_spin(n_ions, np.pi / 2)
-    at_half_pi = expectation(state, jy @ jy)
-    imax = int(np.argmax(values))
-    return SquaredSpinScan(phases, values, float(values[imax]), float(phases[imax]), at_half_pi)
+    return _eigenbasis_populations(state, azimuthal_spin(_state_dim(state) - 1, phi))
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +198,9 @@ def fit_parity_curve(phases: np.ndarray, parities: np.ndarray) -> ParityFit:
     fixed (two-ion coherence oscillates at twice the analysis phase)."""
     phases = np.asarray(phases, dtype=float)
     design = np.column_stack([np.cos(2 * phases), np.sin(2 * phases), np.ones_like(phases)])
+    rank = np.linalg.matrix_rank(design)
+    if rank < 3:
+        raise ValueError(f"parity fit is underdetermined: {len(phases)} phases give rank {rank} < 3")
     (a, b, c), *_ = np.linalg.lstsq(design, np.asarray(parities, dtype=float), rcond=None)
     return ParityFit(
         amplitude=float(np.hypot(a, b)),

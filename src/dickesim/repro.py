@@ -201,7 +201,7 @@ def criterion_5() -> CriterionResult:
         if wb == 0:
             psi = spin_algebra.dicke_state(4, 0)
         else:
-            psi = dark_state.dark_coefficients(4, wr, wb).spin_vector.astype(complex)
+            psi = dark_state.dark_coefficients(4, wr, wb).chain_vector.astype(complex)
         var_x[k] = observables.spin_moments(psi).var_jx
     idx_min = int(np.argmin(var_x))
     idx_half = int(np.argmin(np.abs(thetas - np.pi / 2)))
@@ -302,7 +302,7 @@ def criterion_8() -> CriterionResult:
 def criterion_9() -> CriterionResult:
     """Two-ion parity pipeline: exact on the ideal state, >= 0.99 on the
     strict-preset midpoint."""
-    ideal = dark_state.dark_coefficients(2, 1.0, 1.0).spin_vector.astype(complex)
+    ideal = dark_state.dark_coefficients(2, 1.0, 1.0).chain_vector.astype(complex)
     scan_ideal = observables.parity_scan(ideal)
     rho = observables.spin_density_from_chain(strict_trajectory(2).midpoint_state())
     scan_mid = observables.parity_scan(rho)

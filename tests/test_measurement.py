@@ -118,3 +118,23 @@ def test_sampled_interval_covers_truth_for_imperfect_state():
         if rec.f_lower - 3 * rec.sigma_lower <= truth <= rec.f_upper + 3 * rec.sigma_upper:
             covered += 1
     assert covered >= 47
+
+
+def _two_ion_states():
+    bell = np.array([1.0, 0.0, -1.0], dtype=complex) / np.sqrt(2)
+    # partly dephased Bell state with some |D^1> admixture: a mixed state
+    mixed = 0.8 * np.outer(bell, bell.conj()) + 0.15 * np.diag([0.5, 0.0, 0.5])
+    mixed[1, 1] += 0.05
+    return [bell, mixed]
+
+
+@pytest.mark.parametrize("state", _two_ion_states(), ids=["ideal", "mixed"])
+def test_sampled_parity_matches_exact_curve(state):
+    phases = np.linspace(0.0, 2 * np.pi, 40, endpoint=False)
+    exact = obs.parity_scan(state, phases).parities
+    config = meas.ShotConfig(n_shots=10**6, seed=2024)
+    sampled = meas.sample_parities(exact, config)
+    p_even = np.clip((1 + exact) / 2, 0.0, 1.0)
+    sigma = 2 * np.sqrt(p_even * (1 - p_even) / config.n_shots)
+    assert np.all(np.abs(sampled - exact) <= 5 * sigma + 1e-12)
+    assert np.array_equal(sampled, meas.sample_parities(exact, config))

@@ -29,7 +29,7 @@ def test_validity_flag():
 
 def test_reduced_matrix_two_ions():
     params = model.SystemParams(n_ions=2, omega_r=1, omega_b=1, delta=10)
-    h = model.reduced_hamiltonian(params).matrix
+    h = model.reduced_hamiltonian(params)
     s2 = np.sqrt(2)
     expected = np.array([[0, s2, 0], [s2, 10, s2], [0, s2, 0]])
     assert np.max(np.abs(h - expected)) < 1e-14
@@ -37,14 +37,14 @@ def test_reduced_matrix_two_ions():
 
 def test_reduced_matrix_symmetric_real():
     params = model.SystemParams(n_ions=6, omega_r=0.3, omega_b=1.7, delta=4.0)
-    h = model.reduced_hamiltonian(params).matrix
+    h = model.reduced_hamiltonian(params)
     assert np.array_equal(h, h.T)
     assert np.isrealobj(h)
 
 
 def test_blue_off_leaves_ground_dark():
     params = model.SystemParams(n_ions=6, omega_r=1.3, omega_b=0.0, delta=8.0)
-    h = model.reduced_hamiltonian(params).matrix
+    h = model.reduced_hamiltonian(params)
     ground = np.zeros(7)
     ground[0] = 1.0
     assert np.max(np.abs(h @ ground)) == 0.0
@@ -52,7 +52,7 @@ def test_blue_off_leaves_ground_dark():
 
 def test_dark_vector_is_null_eigenvector():
     params = model.SystemParams(n_ions=4, omega_r=1.0, omega_b=1.0, delta=12.0)
-    h = model.reduced_hamiltonian(params).matrix
+    h = model.reduced_hamiltonian(params)
     psi = dark_coefficients(4, 1.0, 1.0).chain_vector
     assert np.linalg.norm(h @ psi) < 1e-10
 
@@ -61,15 +61,15 @@ def test_updown_symmetry_of_chain():
     # reversing the chain index swaps the roles of the two sidebands
     pa = model.SystemParams(n_ions=4, omega_r=0.4, omega_b=1.1, delta=6.0)
     pb = model.SystemParams(n_ions=4, omega_r=1.1, omega_b=0.4, delta=6.0)
-    ha = model.reduced_hamiltonian(pa).matrix
-    hb = model.reduced_hamiltonian(pb).matrix
+    ha = model.reduced_hamiltonian(pa)
+    hb = model.reduced_hamiltonian(pb)
     assert np.max(np.abs(ha[::-1, ::-1] - hb)) < 1e-14
 
 
 def test_coupling_scale():
     params = model.SystemParams(n_ions=2, omega_r=1, omega_b=1, delta=10)
-    h1 = model.reduced_hamiltonian(params, coupling_scale=1.0).matrix
-    h2 = model.reduced_hamiltonian(params, coupling_scale=0.5).matrix
+    h1 = model.reduced_hamiltonian(params, coupling_scale=1.0)
+    h2 = model.reduced_hamiltonian(params, coupling_scale=0.5)
     off = ~np.eye(3, dtype=bool)
     assert np.allclose(h2[off], h1[off] / 2)
     assert np.allclose(np.diag(h2), np.diag(h1))
@@ -81,7 +81,7 @@ def test_coupling_scale():
 
 def test_full_zero_amplitudes_zero_matrix():
     params = model.SystemParams(n_ions=2, delta=10.0)
-    assert np.max(np.abs(model.full_hamiltonian_at(0.3, params))) == 0.0
+    assert np.max(np.abs(model.FullHamiltonian(params).at(0.3))) == 0.0
 
 
 def test_full_hermitian_at_sampled_times():
@@ -94,7 +94,7 @@ def test_full_hermitian_at_sampled_times():
 
 def test_full_red_matrix_element():
     params = model.SystemParams(n_ions=2, eta=0.8, omega_r=1.4, omega_b=0.0, delta=5.0)
-    h = model.full_hamiltonian_at(0.0, params)
+    h = model.FullHamiltonian(params).at(0.0)
     n_levels = params.n_max + 1
     bra = np.zeros(3 * n_levels)
     bra[1 * n_levels + 0] = 1.0  # |D^1, 0>
@@ -109,14 +109,6 @@ def test_full_periodicity():
     ham = model.FullHamiltonian(params)
     t = 0.31
     assert np.max(np.abs(ham.at(t + 2 * np.pi / params.delta) - ham.at(t))) < 1e-12
-
-
-def test_full_apply_matches_matrix():
-    params = model.SystemParams(n_ions=2, omega_r=0.9, omega_b=0.4, delta=7.0)
-    ham = model.FullHamiltonian(params)
-    rng = np.random.default_rng(0)
-    psi = rng.normal(size=ham.dimension) + 1j * rng.normal(size=ham.dimension)
-    assert np.max(np.abs(ham.apply(0.42, psi) - ham.at(0.42) @ psi)) < 1e-12
 
 
 def test_full_n_max_guard():

@@ -5,7 +5,6 @@ from dickesim import observables as obs
 from dickesim.dark_state import dark_coefficients
 from dickesim.spin_algebra import (
     dicke_state,
-    dicke_state_full,
     half_excited_x,
     rotation_y,
     symmetric_isometry,
@@ -29,7 +28,7 @@ def test_moments_half_excited_x():
 
 def test_dark_state_squeezing_off_midpoint():
     theta = np.pi / 4
-    psi = dark_coefficients(4, 1 + np.cos(theta), 1 - np.cos(theta)).spin_vector
+    psi = dark_coefficients(4, 1 + np.cos(theta), 1 - np.cos(theta)).chain_vector
     m = obs.spin_moments(psi.astype(complex))
     transverse = sorted([m.var_jx, m.var_jy])
     assert transverse[0] < 1.0      # squeezed
@@ -97,19 +96,29 @@ def test_direct_fidelity():
         obs.direct_fidelity(dicke_state(4, 0), dicke_state(2, 0))
 
 
-def test_populations_x_eigenstate():
-    pops = obs.populations_x(half_excited_x(4))
-    assert pops.probabilities[2] == pytest.approx(1.0, abs=1e-12)
-    assert np.sum(pops.probabilities) == pytest.approx(1.0, abs=1e-10)
-    assert np.array_equal(pops.projections, [-2, -1, 0, 1, 2])
+def test_populations_along_x_eigenstate():
+    pops = obs.populations_along(half_excited_x(4), "x")
+    assert pops[2] == pytest.approx(1.0, abs=1e-12)
+    assert np.sum(pops) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_populations_x_pole_is_binomial():
-    pops = obs.populations_x(dicke_state(4, 0))
-    assert np.max(np.abs(pops.probabilities - np.array([1, 4, 6, 4, 1]) / 16)) < 1e-12
+def test_populations_along_x_pole_is_binomial():
+    pops = obs.populations_along(dicke_state(4, 0), "x")
+    assert np.max(np.abs(pops - np.array([1, 4, 6, 4, 1]) / 16)) < 1e-12
 
 
-def test_populations_x_oracle_cross_check():
+@pytest.mark.parametrize("n", range(2, 9))
+def test_populations_along_x_matches_rotated_z_readout(n):
+    # the eigh route agrees with a pi/2 rotation about y followed by z readout
+    rng = np.random.default_rng(n)
+    psi = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    psi /= np.linalg.norm(psi)
+    ry = rotation_y(n, np.pi / 2).matrix
+    rotated = np.abs(ry.conj().T @ psi) ** 2
+    assert np.max(np.abs(obs.populations_along(psi, "x") - rotated)) < 1e-12
+
+
+def test_populations_along_x_oracle_cross_check():
     # same populations from the full 2^N space
     psi = dicke_state(4, 0)
     iso = symmetric_isometry(4)
@@ -117,7 +126,7 @@ def test_populations_x_oracle_cross_check():
 
     full = iso @ psi
     pops_full = [np.sum(np.abs(b.conj().T @ full) ** 2) for b in _projection_blocks(4, "x")]
-    assert np.max(np.abs(obs.populations_x(psi).probabilities - pops_full)) < 1e-10
+    assert np.max(np.abs(obs.populations_along(psi, "x") - pops_full)) < 1e-10
 
 
 def test_populations_along_axes():
@@ -137,11 +146,13 @@ def test_azimuthal_operator_limits():
     assert np.max(np.abs(jy - obs._jmat(4, "jy"))) < 1e-12
 
 
-def test_squared_spin_scan_peak_is_jy():
-    scan = obs.squared_spin_scan(half_excited_x(4))
-    assert scan.max_value == pytest.approx(3.0, abs=1e-10)
-    assert scan.value_at_half_pi == pytest.approx(3.0, abs=1e-10)
-    assert scan.max_phase == pytest.approx(np.pi / 2, abs=1e-12)
+def test_azimuth_square_peak_is_jy():
+    psi = half_excited_x(4)
+    phases = np.linspace(0.0, np.pi, 13)
+    values = [obs.expectation(psi, obs.azimuthal_spin(4, phi) @ obs.azimuthal_spin(4, phi))
+              for phi in phases]
+    assert max(values) == pytest.approx(3.0, abs=1e-10)
+    assert phases[int(np.argmax(values))] == pytest.approx(np.pi / 2, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +160,7 @@ def test_squared_spin_scan_peak_is_jy():
 # ---------------------------------------------------------------------------
 
 def test_parity_ideal_bell():
-    bell = dark_coefficients(2, 1.0, 1.0).spin_vector.astype(complex)
+    bell = dark_coefficients(2, 1.0, 1.0).chain_vector.astype(complex)
     scan = obs.parity_scan(bell)
     assert scan.amplitude == pytest.approx(1.0, abs=1e-10)
     assert scan.fidelity == pytest.approx(1.0, abs=1e-10)
@@ -165,7 +176,7 @@ def test_parity_product_state_at_separability_boundary():
 
 
 def test_parity_accepts_density_and_full_space():
-    bell = dark_coefficients(2, 1.0, 1.0).spin_vector.astype(complex)
+    bell = dark_coefficients(2, 1.0, 1.0).chain_vector.astype(complex)
     rho = np.outer(bell, bell.conj())
     assert obs.parity_scan(rho).fidelity == pytest.approx(1.0, abs=1e-10)
     full = symmetric_isometry(2) @ bell
@@ -189,6 +200,14 @@ def test_fit_parity_curve_recovers_parameters():
     assert fit.amplitude == pytest.approx(0.8, abs=1e-12)
     assert fit.phase_offset == pytest.approx(0.3, abs=1e-12)
     assert fit.offset == pytest.approx(0.05, abs=1e-12)
+
+
+@pytest.mark.parametrize("n_phases", [0, 1, 2, 4])
+def test_fit_parity_curve_rejects_underdetermined_phases(n_phases):
+    # at 4 equispaced phases sin(2 phi) vanishes everywhere: the design has rank 2
+    phases = np.linspace(0, 2 * np.pi, n_phases, endpoint=False)
+    with pytest.raises(ValueError, match="underdetermined"):
+        obs.fit_parity_curve(phases, np.cos(2 * phases))
 
 
 # ---------------------------------------------------------------------------
