@@ -10,6 +10,7 @@ seed).  Exit codes: 0 success, 1 usage, 2 violated physics precondition,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -28,6 +29,24 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(EXIT_USAGE)
+
+
+def positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"{value} is not positive")
+    return value
+
+
+def positive_float_list(text: str) -> str:
+    """argparse type for a comma-separated list of positive finite numbers;
+    the text is kept as written, since the provenance header echoes it."""
+    for tok in text.split(","):
+        value = float(tok)
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{tok.strip()} is not a positive finite number")
+    return text
 
 
 def _provenance(subcommand: str, config: dict) -> list[str]:
@@ -365,14 +384,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("scan-noise", help="spin noise versus pulse truncation time")
     add_run_flags(p)
-    p.add_argument("--cuts", type=int, default=41, help="number of truncation times")
+    p.add_argument("--cuts", type=positive_int, default=41, help="number of truncation times")
     p.set_defaults(func=cmd_scan_noise)
 
     p = add_parser("parity", help="two-ion parity oscillation and fidelity")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--source", choices=("ideal", "simulated"), default="ideal")
     p.add_argument("--phases", type=int, default=40, help="analysis phases over 2*pi")
-    p.add_argument("--shots", type=int, default=None, help="shots per phase (default exact)")
+    p.add_argument("--shots", type=positive_int, default=None,
+                   help="shots per phase (default exact)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--output", default=None)
     p.add_argument("--summary", default=None, help="key-value summary file")
@@ -395,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--schedule", choices=evolution.SCHEDULE_SHAPES, default="linear")
     p.add_argument("--delta-ratio", type=float, default=20.0)
-    p.add_argument("--eta-omega-t-list", default="20,40,80,160",
+    p.add_argument("--eta-omega-t-list", type=positive_float_list, default="20,40,80,160",
                    help="comma-separated ramp lengths")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_sweep)

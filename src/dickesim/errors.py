@@ -11,3 +11,7 @@ class NumericalError(RuntimeError):
 
 class TruncationWarning(UserWarning):
     """Phonon population is leaking into the top retained Fock level."""
+
+
+class ReducedModelWarning(UserWarning):
+    """The reduced chain runs outside the regime where it matches the full model."""

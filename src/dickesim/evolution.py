@@ -7,7 +7,10 @@ amplitudes Omega_b = omega_bar*(1 - cos theta), Omega_r = omega_bar*(1 + cos the
 Integration is a fixed-step classical 4th-order Runge-Kutta with the
 Hamiltonian sampled at the substage times; unitarity is checked after the
 fact rather than enforced by construction, keeping runs deterministic and
-reproducible.
+reproducible.  H(t) does not depend on the state, so the Hamiltonians at t,
+t + dt/2 and t + dt are built as (k, d, d) stacks for a block of k steps at
+once; the RK4 arithmetic is the same per-step matrix-vector update as with
+one Hamiltonian at a time, and gives the same bits.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .dark_state import dark_coefficients
-from .errors import NumericalError, PhysicsConfigError, TruncationWarning
+from .errors import NumericalError, PhysicsConfigError, ReducedModelWarning, TruncationWarning
 from .model import (
     FullHamiltonian,
     SystemParams,
@@ -36,6 +39,11 @@ ADIABATICITY_WARN_BELOW = 5.0
 
 NORM_DRIFT_LIMIT = 1e-6
 LEAK_WARN_LEVEL = 1e-3
+
+#: bytes of the three complex Hamiltonian stacks (t, t + dt/2, t + dt) that
+#: the integrator builds at once; sets how many steps share one block.  The
+#: reduced chain's build briefly holds about 1.5 times this.
+H_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -64,22 +72,40 @@ class PulseSchedule:
         if self.truncation_time is not None and not 0 <= self.truncation_time <= self.total_time:
             raise ValueError("truncation_time must lie within [0, total_time]")
 
-    def theta(self, t: float) -> float:
+    def _thetas(self, t: np.ndarray) -> np.ndarray:
         if self.theta_fn is not None:
-            return self.theta_fn(t)
-        x = min(max(t / self.total_time, 0.0), 1.0)
+            return np.array([self.theta_fn(s) for s in t.tolist()], dtype=float)
+        x = np.clip(t / self.total_time, 0.0, 1.0)
         if self.shape == "smoothstep":
-            x = 3 * x**2 - 2 * x**3
+            # per element in Python floats: numpy's array x**2 and x**3 round
+            # differently from float.__pow__ in the last bit
+            x = np.array([3 * s**2 - 2 * s**3 for s in x.tolist()])
         return np.pi * x
 
-    def _on(self, t: float) -> bool:
-        return self.truncation_time is None or t <= self.truncation_time
+    def theta(self, t: float) -> float:
+        return self._thetas(np.array([t], dtype=float))[0]
+
+    def amplitudes(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(Omega_r, Omega_b) at each time of the 1-D array ``t``.
+
+        The one amplitude formula: the scalar ``omega_r``/``omega_b`` and the
+        integrator's block builder both evaluate it, element by element in
+        the same floating-point operations.
+        """
+        t = np.asarray(t, dtype=float)
+        cos = np.cos(self._thetas(t))
+        omega_r = self.omega_bar * (1 + cos)
+        omega_b = self.omega_bar * (1 - cos)
+        if self.truncation_time is not None:
+            on = t <= self.truncation_time
+            omega_r, omega_b = np.where(on, omega_r, 0.0), np.where(on, omega_b, 0.0)
+        return omega_r, omega_b
 
     def omega_r(self, t: float) -> float:
-        return self.omega_bar * (1 + np.cos(self.theta(t))) if self._on(t) else 0.0
+        return self.amplitudes([t])[0][0]
 
     def omega_b(self, t: float) -> float:
-        return self.omega_bar * (1 - np.cos(self.theta(t))) if self._on(t) else 0.0
+        return self.amplitudes([t])[1][0]
 
     def adiabaticity(self, eta: float = 1.0) -> float:
         """Dimensionless eta * omega_bar * total_time."""
@@ -157,29 +183,34 @@ def _capture_steps(n_steps: int, extra: set[int], target_samples: int = 2001) ->
     return np.array(sorted(steps), dtype=int)
 
 
-def _rk4(h_at, psi0: np.ndarray, total_time: float, n_steps: int,
+def _rk4(h_stack, psi0: np.ndarray, total_time: float, n_steps: int,
          capture: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed-step RK4; ``h_stack(ts)`` returns the (len(ts), d, d) Hamiltonians."""
     dt = total_time / n_steps
     psi = psi0.astype(complex)
     states = np.empty((len(capture), len(psi0)), dtype=complex)
     times = capture * dt
+    block = max(1, H_BLOCK_BYTES // (3 * 16 * len(psi0) ** 2))
     pos = 0
     if capture[pos] == 0:
         states[pos] = psi
         pos += 1
-    for step in range(n_steps):
-        t = step * dt
-        h1 = h_at(t)
-        h2 = h_at(t + dt / 2)
-        h3 = h_at(t + dt)
-        k1 = -1j * (h1 @ psi)
-        k2 = -1j * (h2 @ (psi + (dt / 2) * k1))
-        k3 = -1j * (h2 @ (psi + (dt / 2) * k2))
-        k4 = -1j * (h3 @ (psi + dt * k3))
-        psi = psi + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if pos < len(capture) and capture[pos] == step + 1:
-            states[pos] = psi
-            pos += 1
+    for start in range(0, n_steps, block):
+        # each step's own t = step*dt: (step + 1)*dt can differ in the last
+        # bit from step*dt + dt, so the t + dt stack is not reused
+        t = np.arange(start, min(start + block, n_steps)) * dt
+        n = len(t)
+        stack = h_stack(np.concatenate((t, t + dt / 2, t + dt)))
+        for j in range(n):
+            h1, h2, h3 = stack[j], stack[n + j], stack[2 * n + j]
+            k1 = -1j * (h1 @ psi)
+            k2 = -1j * (h2 @ (psi + (dt / 2) * k1))
+            k3 = -1j * (h2 @ (psi + (dt / 2) * k2))
+            k4 = -1j * (h3 @ (psi + dt * k3))
+            psi = psi + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+            if pos < len(capture) and capture[pos] == start + j + 1:
+                states[pos] = psi
+                pos += 1
     return times, states
 
 
@@ -209,7 +240,7 @@ def _warn_adiabaticity(schedule: PulseSchedule, eta: float) -> None:
         )
 
 
-def _integrate(h_at, dimension: int, schedule: PulseSchedule, params: SystemParams,
+def _integrate(h_stack, dimension: int, schedule: PulseSchedule, params: SystemParams,
                dt: float | None, guard: float, coarse: str,
                initial_state: np.ndarray | None,
                capture_times: list[float] | None) -> tuple[np.ndarray, np.ndarray, float]:
@@ -238,7 +269,7 @@ def _integrate(h_at, dimension: int, schedule: PulseSchedule, params: SystemPara
     if capture_times is not None:
         extra = {int(round(t / (schedule.total_time / n_steps))) for t in capture_times}
     capture = _capture_steps(n_steps, extra)
-    times, states = _rk4(h_at, psi0, schedule.total_time, n_steps, capture)
+    times, states = _rk4(h_stack, psi0, schedule.total_time, n_steps, capture)
     return times, states, _check_norms(states)
 
 
@@ -246,20 +277,37 @@ def integrate_reduced(schedule: PulseSchedule, params: SystemParams,
                       dt: float | None = None, coupling_scale: float = 1.0,
                       initial_state: np.ndarray | None = None,
                       capture_times: list[float] | None = None) -> Trajectory:
-    """Integrate the chain model under a schedule, starting from |D^0>|0>."""
+    """Integrate the chain model under a schedule, starting from |D^0>|0>.
+
+    Warns with a ReducedModelWarning when the tones the ramp reaches leave
+    the regime of ``SystemParams.reduced_model_trusted``.
+    """
     n = params.n_ions
     rate = params.delta + n * params.eta * schedule.omega_bar
     guard = 0.1 / rate if rate > 0 else schedule.total_time / 200
     kr, kb, dmat = reduced_coupling_parts(n, params.eta, coupling_scale)
     dmat = params.delta * dmat
+    peak = np.zeros(2)  # largest (Omega_r, Omega_b) the ramp reaches
 
-    def h_at(t):
-        return schedule.omega_r(t) * kr + schedule.omega_b(t) * kb + dmat
+    def h_stack(ts):
+        wr, wb = schedule.amplitudes(ts)
+        np.maximum(peak, (wr.max(), wb.max()), out=peak)
+        # exact cast: matmul against the complex state would cast every step
+        return (wr[:, None, None] * kr + wb[:, None, None] * kb + dmat).astype(complex)
 
     times, states, drift = _integrate(
-        h_at, n + 1, schedule, params, dt, guard,
+        h_stack, n + 1, schedule, params, dt, guard,
         ": need dt*(delta + N*eta*omega_bar) <= 0.1", initial_state, capture_times,
     )
+    if not params.with_amplitudes(*peak).reduced_model_trusted:
+        warnings.warn(
+            f"eta*Omega peaks at {params.eta * peak.max():.3g} against delta = "
+            f"{params.delta:.3g}: the reduced chain needs 2*delta > "
+            "10*eta*max(Omega_r, Omega_b) to neglect the off-resonant transitions "
+            "that the full model keeps",
+            ReducedModelWarning,
+            stacklevel=2,
+        )
     return Trajectory(times, states, "reduced", n, params, schedule, max_norm_drift=drift)
 
 
@@ -279,11 +327,11 @@ def integrate_full(schedule: PulseSchedule, params: SystemParams,
     rate = max(params.delta / 0.05, (params.delta + n * params.eta * schedule.omega_bar) / 0.1)
     guard = 1.0 / rate if rate > 0 else schedule.total_time / 200
 
-    def h_at(t):
-        return ham.at(t, schedule.omega_r(t), schedule.omega_b(t))
+    def h_stack(ts):
+        return ham.at(ts, *schedule.amplitudes(ts))
 
     times, states, drift = _integrate(
-        h_at, ham.dimension, schedule, params, dt, guard, f" for delta = {params.delta}",
+        h_stack, ham.dimension, schedule, params, dt, guard, f" for delta = {params.delta}",
         initial_state, capture_times,
     )
     top = np.abs(states[:, params.n_max::(params.n_max + 1)]) ** 2
@@ -330,7 +378,7 @@ def dark_fidelity_at(traj: Trajectory, index: int) -> float:
     is odd.
     """
     t = traj.times[index]
-    wr, wb = traj.schedule.omega_r(t), traj.schedule.omega_b(t)
+    wr, wb = (tone[0] for tone in traj.schedule.amplitudes([t]))
     if traj.n_ions % 2 != 0 or (wr == 0 and wb == 0):
         return np.nan
     target = dark_coefficients(traj.n_ions, wr, wb).chain_vector

@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from dickesim import cli
+from dickesim import cli, errors
 
 PAPER_CFG = """\
 W = 5.46
@@ -205,3 +207,38 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["not-a-command"])
     assert excinfo.value.code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--eta-omega-t-list", "6,abc"],
+    ["sweep", "--eta-omega-t-list", "0"],
+    ["sweep", "--eta-omega-t-list", "6,nan"],
+    ["parity", "--shots", "-5"],
+    ["parity", "--shots", "0"],
+    ["scan-noise", "--cuts", "-1"],
+    ["scan-noise", "--cuts", "0"],
+])
+def test_malformed_input_exits_usage(argv):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    assert excinfo.value.code == cli.EXIT_USAGE
+
+
+def test_evolve_outside_reduced_regime_warns(capsys):
+    # the peak tone 2*omega_bar is not small against delta = 0.5*eta*omega_bar
+    with pytest.warns(errors.ReducedModelWarning, match="full model"):
+        assert cli.main(["evolve", "--n", "2", "--eta-omega-t", "10",
+                         "--delta-ratio", "0.5"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--n", "2", "--eta-omega-t", "10"],
+    ["evolve", "--n", "4", "--adiabatic-preset", "fast"],
+    ["evolve", "--n", "2", "--adiabatic-preset", "paper"],
+    ["scan-noise", "--n", "2", "--eta-omega-t", "10", "--cuts", "5"],
+    ["sweep", "--n", "2", "--eta-omega-t-list", "6,12"],
+])
+def test_default_and_preset_runs_are_silent(argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", errors.ReducedModelWarning)
+        assert cli.main(argv) == 0
