@@ -31,14 +31,6 @@ from .observables import (
     spin_moments,
     witness,
 )
-from .spin_algebra import (
-    CollectiveOperator,
-    DickeBasis,
-    FullSpaceOperator,
-    build_collective,
-    collective_coupling,
-    full_space_oracle,
-    rotation_y,
-)
+from .spin_algebra import build_collective, collective_coupling, full_space_oracle, rotation_y
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -148,18 +148,9 @@ def propagate_uncertainty(j_max: int, sigma_witness: float,
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _full_ops(n_ions: int):
-    jx = full_space_oracle(n_ions, "jx").matrix
-    jy = full_space_oracle(n_ions, "jy").matrix
-    jz = full_space_oracle(n_ions, "jz").matrix
-    return jx, jy, jz
-
-
-@lru_cache(maxsize=None)
 def _projection_blocks(n_ions: int, axis: str):
     """Eigenvector blocks of the full-space spin projection, keyed by jz."""
-    ops = dict(zip("xyz", _full_ops(n_ions)))
-    vals, vecs = np.linalg.eigh(ops[axis])
+    vals, vecs = np.linalg.eigh(full_space_oracle(n_ions, "j" + axis))
     blocks = []
     for jz in range(-n_ions // 2, n_ions // 2 + 1):
         cols = np.abs(vals - jz) < 1e-9
@@ -172,12 +163,11 @@ def half_excited_full(n_ions: int, axis: str = "x") -> np.ndarray:
     """Half-excited Dicke state along an axis, in the full 2^N space."""
     if n_ions % 2 != 0:
         raise ValueError("half-excited states need an even number of ions")
-    jx, jy, _ = _full_ops(n_ions)
     target = dicke_state_full(n_ions, n_ions // 2)
     if axis == "x":
-        target = expm(-1j * (np.pi / 2) * jy) @ target
+        target = expm(-1j * (np.pi / 2) * full_space_oracle(n_ions, "jy")) @ target
     elif axis == "y":
-        target = expm(+1j * (np.pi / 2) * jx) @ target
+        target = expm(+1j * (np.pi / 2) * full_space_oracle(n_ions, "jx")) @ target
     elif axis != "z":
         raise ValueError(f"axis must be x, y or z, got {axis!r}")
     return _frozen(target)
@@ -209,9 +199,7 @@ def certify_from_state(state: np.ndarray, axis: str = "x") -> CertificationRecor
     if n_ions > CERTIFY_MAX_IONS:
         raise ValueError(f"certification limited to n_ions <= {CERTIFY_MAX_IONS}")
 
-    ops = dict(zip("xyz", _full_ops(n_ions)))
-    b_axis, c_axis = AXIS_COMPLEMENTS[axis]
-    wb, wc = ops[b_axis], ops[c_axis]
+    wb, wc = (full_space_oracle(n_ions, "j" + b) for b in AXIS_COMPLEMENTS[axis])
 
     if state.ndim == 1:
         w_value = np.real(np.vdot(state, wb @ (wb @ state)) + np.vdot(state, wc @ (wc @ state)))

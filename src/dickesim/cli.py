@@ -39,13 +39,27 @@ def positive_int(text: str) -> int:
     return value
 
 
+def positive_float(text: str) -> float:
+    """argparse type for rates and times that must be positive and finite."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise ValueError(f"{text} is not a positive finite number")
+    return value
+
+
+def nonnegative_float(text: str) -> float:
+    """argparse type for ratios that must be nonnegative and finite."""
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{text} is not a nonnegative finite number")
+    return value
+
+
 def positive_float_list(text: str) -> str:
     """argparse type for a comma-separated list of positive finite numbers;
     the text is kept as written, since the provenance header echoes it."""
     for tok in text.split(","):
-        value = float(tok)
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{tok.strip()} is not a positive finite number")
+        positive_float(tok)
     return text
 
 
@@ -199,7 +213,8 @@ def cmd_evolve(ns) -> int:
 def cmd_scan_noise(ns) -> int:
     schedule, params = _build_run(ns)
     cut_times = np.linspace(0.0, schedule.total_time, ns.cuts)
-    states = evolution.truncated_scan(schedule, params, list(cut_times), model=ns.model)
+    states = evolution.truncated_scan(schedule, params, list(cut_times), model=ns.model,
+                                      dt=ns.dt)
     rows = []
     for tau, state in states:
         mom = observables.spin_moments(_spin_marginal(state, ns.model, params))
@@ -207,7 +222,7 @@ def cmd_scan_noise(ns) -> int:
     header = _provenance("scan-noise", {
         "n": ns.n, "model": ns.model, "preset": ns.adiabatic_preset,
         "total_time": schedule.total_time, "delta": params.delta,
-        "cuts": ns.cuts, "seed": "none",
+        "cuts": ns.cuts, "dt": ns.dt, "seed": "none",
     })
     _emit(ns.output, header, ("tau_c", "var_jx", "var_jy", "var_jz"), rows)
     return EXIT_OK
@@ -356,21 +371,21 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     def add_run_flags(p):
-        p.add_argument("--n", type=int, default=4, help="number of ions")
+        p.add_argument("--n", type=positive_int, default=4, help="number of ions")
         p.add_argument("--model", choices=("reduced", "full"), default="reduced")
         p.add_argument("--schedule", choices=evolution.SCHEDULE_SHAPES, default="linear")
-        p.add_argument("--eta-omega-t", type=float, default=40.0,
+        p.add_argument("--eta-omega-t", type=positive_float, default=40.0,
                        help="dimensionless ramp length eta*omega_bar*T")
-        p.add_argument("--delta-ratio", type=float, default=20.0,
+        p.add_argument("--delta-ratio", type=nonnegative_float, default=20.0,
                        help="detuning over eta*omega_bar")
         p.add_argument("--adiabatic-preset", choices=evolution.PRESET_NAMES, default=None,
                        help="overrides the explicit ramp flags")
-        p.add_argument("--dt", type=float, default=None, help="integrator step")
+        p.add_argument("--dt", type=positive_float, default=None, help="integrator step")
         p.add_argument("--output", default=None, help="CSV path (default stdout)")
         p.add_argument("--summary", default=None, help="key-value summary file")
 
     p = add_parser("darkstate", help="closed-form dark-state amplitudes")
-    p.add_argument("--n", type=int, default=4)
+    p.add_argument("--n", type=positive_int, default=4)
     p.add_argument("--theta", type=float, default=None,
                    help="ramp angle in radians; sets omega_r/b = 1 +- cos(theta)")
     p.add_argument("--omega-r", type=float, default=1.0)
@@ -388,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_scan_noise)
 
     p = add_parser("parity", help="two-ion parity oscillation and fidelity")
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=positive_int, default=2)
     p.add_argument("--source", choices=("ideal", "simulated"), default="ideal")
     p.add_argument("--phases", type=int, default=40, help="analysis phases over 2*pi")
     p.add_argument("--shots", type=positive_int, default=None,
@@ -399,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_parity)
 
     p = add_parser("witness", help="two-axis squared-spin witness values")
-    p.add_argument("--n", type=int, default=4)
+    p.add_argument("--n", type=positive_int, default=4)
     p.add_argument("--source", choices=("ideal", "simulated"), default="ideal")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_witness)
@@ -412,9 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bounds)
 
     p = add_parser("sweep", help="transfer quality over a list of ramp lengths")
-    p.add_argument("--n", type=int, default=4)
+    p.add_argument("--n", type=positive_int, default=4)
     p.add_argument("--schedule", choices=evolution.SCHEDULE_SHAPES, default="linear")
-    p.add_argument("--delta-ratio", type=float, default=20.0)
+    p.add_argument("--delta-ratio", type=nonnegative_float, default=20.0)
     p.add_argument("--eta-omega-t-list", type=positive_float_list, default="20,40,80,160",
                    help="comma-separated ramp lengths")
     p.add_argument("--output", default=None)

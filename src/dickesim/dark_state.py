@@ -98,9 +98,9 @@ def jx_annihilation_check(n_ions: int) -> float:
     if n_ions > FULL_CHECK_MAX_IONS:
         raise ValueError(f"check limited to n_ions <= {FULL_CHECK_MAX_IONS}")
     psi = dark_coefficients(n_ions, 1.0, 1.0).chain_vector
-    jx = build_collective(n_ions, "jx").matrix
+    jx = build_collective(n_ions, "jx")
     residual = float(np.linalg.norm(jx @ psi))
-    rotated = rotation_y(n_ions, np.pi / 2).matrix @ dicke_state(n_ions, n_ions // 2)
+    rotated = rotation_y(n_ions, np.pi / 2) @ dicke_state(n_ions, n_ions // 2)
     fidelity = abs(np.vdot(rotated, psi)) ** 2
     if abs(fidelity - 1.0) > 1e-10:
         raise AssertionError(

@@ -101,32 +101,32 @@ def sample_parities(parities: np.ndarray, config: ShotConfig) -> np.ndarray:
     return 2 * np.array(draws) / config.n_shots - 1
 
 
-def sample_azimuth_square(state: np.ndarray, config: ShotConfig,
-                          phi: float) -> tuple[float, float]:
-    """Sampled mean and standard error of J_phi^2 at one analysis azimuth."""
-    probs = observables.populations_azimuth(state, phi)
+def _sample_square(probs: np.ndarray, config: ShotConfig) -> tuple[float, float]:
+    """Sampled mean and standard error of J^2 along the axis whose
+    projection populations, m - N/2 ascending, are ``probs``."""
     n_ions = len(probs) - 1
-    projections = np.arange(n_ions + 1) - n_ions / 2
+    squares = (np.arange(n_ions + 1) - n_ions / 2) ** 2
     counts = _draw(probs, config)
-    squares = projections**2
     mean = float(np.sum(counts * squares) / config.n_shots)
-    if config.n_shots > 1:
-        var = np.sum(counts * (squares - mean) ** 2) / (config.n_shots - 1)
-    else:
-        var = 0.0
+    var = np.sum(counts * (squares - mean) ** 2) / max(config.n_shots - 1, 1)
     return mean, float(np.sqrt(var / config.n_shots))
 
 
+def sample_azimuth_square(state: np.ndarray, config: ShotConfig,
+                          phi: float) -> tuple[float, float]:
+    """Sampled mean and standard error of J_phi^2 at one analysis azimuth."""
+    return _sample_square(observables.populations_azimuth(state, phi), config)
+
+
 def simulated_experiment(state: np.ndarray, config: ShotConfig,
-                         phi_grid: np.ndarray | None = None,
                          exact: bool = False) -> CertificationRecord:
     """Four-ion certification pipeline from sampled global measurements.
 
     Populations are sampled along x; <Jz^2> is sampled without an analysis
-    pulse; <Jy^2> is the peak of a sampled J_phi^2 azimuth scan.  Streams
-    are partitioned per setting, so one config reproduces the whole record.
-    With ``exact=True`` the sampling is bypassed and the record matches
-    exact moments (infinite-shot limit).
+    pulse; <Jy^2> is the peak of a sampled J_phi^2 scan over 13 azimuths in
+    [0, pi].  Streams are partitioned per setting, so one config reproduces
+    the whole record.  With ``exact=True`` the sampling is bypassed and the
+    record matches exact moments (infinite-shot limit).
     """
     state = np.asarray(state, dtype=complex)
     n_ions = observables._state_dim(state) - 1
@@ -136,35 +136,23 @@ def simulated_experiment(state: np.ndarray, config: ShotConfig,
 
     if exact:
         pops = observables.populations_along(state, "x")
-        jy = observables._jmat(n_ions, "jy")
-        jz = observables._jmat(n_ions, "jz")
-        w_value = observables.expectation(state, jy @ jy) + observables.expectation(state, jz @ jz)
+        w_value = observables.witness(state, ("y", "z"))
         return CertificationRecord(
             j_max=j_max,
             axis="x",
-            witness_value=float(w_value),
+            witness_value=w_value,
             populations=pops,
             f_lower=fidelity_lower(w_value, pops, j_max),
             f_upper=fidelity_upper(pops),
         )
 
-    if phi_grid is None:
-        phi_grid = np.linspace(0.0, np.pi, 13)
-
     pop_rec = sample_populations(state, config.substream(0), "x")
     pops = pop_rec.frequencies
-
-    probs_z = observables.populations_along(state, "z")
-    proj = np.arange(n_ions + 1) - n_ions / 2
-    counts_z = _draw(probs_z, config.substream(1))
-    jz2_mean = float(np.sum(counts_z * proj**2) / config.n_shots)
-    var_z = np.sum(counts_z * (proj**2 - jz2_mean) ** 2) / max(config.n_shots - 1, 1)
-    jz2_err = float(np.sqrt(var_z / config.n_shots))
-
+    jz2_mean, jz2_err = _sample_square(observables.populations_along(state, "z"),
+                                       config.substream(1))
     scan = [sample_azimuth_square(state, config.substream(2 + k), phi)
-            for k, phi in enumerate(phi_grid)]
-    best = int(np.argmax([m for m, _ in scan]))
-    jy2_mean, jy2_err = scan[best]
+            for k, phi in enumerate(np.linspace(0.0, np.pi, 13))]
+    jy2_mean, jy2_err = max(scan, key=lambda ms: ms[0])
 
     w_value = jy2_mean + jz2_mean
     sigma_w = float(np.hypot(jy2_err, jz2_err))

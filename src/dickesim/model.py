@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PhysicsConfigError
-from .spin_algebra import _jp_matrix, collective_coupling
+from .spin_algebra import build_collective, collective_coupling
 
 #: coupling_scale under which the chain matches the full model's resonant block
 CALIBRATED_COUPLING_SCALE = 0.5
@@ -61,16 +61,18 @@ class SystemParams:
         if self.n_max is None:
             object.__setattr__(self, "n_max", default_n_max(self.n_ions))
         for name in ("eta", "omega_r", "omega_b", "delta"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
         if int(self.n_max) != self.n_max or self.n_max < 0:
             raise ValueError(f"n_max must be a nonnegative integer, got {self.n_max}")
 
     @property
     def reduced_model_trusted(self) -> bool:
         """Whether the detuning dominates the sidebands enough to neglect
-        phonon-number-changing (two-photon off-resonant) transitions."""
-        return 2 * self.delta > 10 * self.eta * max(self.omega_r, self.omega_b)
+        phonon-number-changing (two-photon off-resonant) transitions; an
+        undriven chain neglects nothing."""
+        drive = self.eta * max(self.omega_r, self.omega_b)
+        return drive == 0 or 2 * self.delta > 10 * drive
 
     def with_amplitudes(self, omega_r: float, omega_b: float) -> "SystemParams":
         return SystemParams(
@@ -129,7 +131,7 @@ class FullHamiltonian:
             )
         self.params = params
         a = np.diag(np.sqrt(np.arange(1, n_max + 1)), 1).astype(complex)
-        jp = _jp_matrix(n)
+        jp = build_collective(n, "j+")
         # red: spin up, phonon down; blue: spin up, phonon up
         red = np.kron(jp, a)
         blue = np.kron(jp, a.conj().T)

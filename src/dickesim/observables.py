@@ -25,11 +25,6 @@ AXES = ("x", "y", "z")
 NORM_TOL = 1e-8
 
 
-@lru_cache(maxsize=None)
-def _jmat(n_ions: int, kind: str) -> np.ndarray:
-    return build_collective(n_ions, kind).matrix
-
-
 def _state_dim(state: np.ndarray) -> int:
     state = np.asarray(state)
     if state.ndim == 1:
@@ -80,7 +75,7 @@ def spin_moments(state: np.ndarray) -> SpinMoments:
     n_ions = _state_dim(state) - 1
     means, variances = [], []
     for axis in AXES:
-        j = _jmat(n_ions, "j" + axis)
+        j = build_collective(n_ions, "j" + axis)
         mean = expectation(state, j)
         second = expectation(state, j @ j)
         means.append(mean)
@@ -97,8 +92,8 @@ def witness(state: np.ndarray, axes: tuple[str, str] = ("y", "z")) -> float:
         raise ValueError("witness axes must be two different (orthogonal) directions")
     state = _check_normalized(state)
     n_ions = _state_dim(state) - 1
-    ji = _jmat(n_ions, "j" + i)
-    jj = _jmat(n_ions, "j" + j)
+    ji = build_collective(n_ions, "j" + i)
+    jj = build_collective(n_ions, "j" + j)
     return expectation(state, ji @ ji) + expectation(state, jj @ jj)
 
 
@@ -129,7 +124,8 @@ def direct_fidelity(state: np.ndarray, target: np.ndarray) -> float:
 
 def azimuthal_spin(n_ions: int, phi: float) -> np.ndarray:
     """Equatorial spin component J_phi = cos(phi) Jx + sin(phi) Jy."""
-    return np.cos(phi) * _jmat(n_ions, "jx") + np.sin(phi) * _jmat(n_ions, "jy")
+    jx, jy = build_collective(n_ions, "jx"), build_collective(n_ions, "jy")
+    return np.cos(phi) * jx + np.sin(phi) * jy
 
 
 def _eigenbasis_populations(state: np.ndarray, op: np.ndarray) -> np.ndarray:
@@ -150,7 +146,7 @@ def populations_along(state: np.ndarray, axis: str) -> np.ndarray:
         return np.real(np.diag(state)).copy()
     if axis not in ("x", "y"):
         raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
-    return _eigenbasis_populations(state, _jmat(n_ions, "j" + axis))
+    return _eigenbasis_populations(state, build_collective(n_ions, "j" + axis))
 
 
 def populations_azimuth(state: np.ndarray, phi: float) -> np.ndarray:
@@ -211,8 +207,7 @@ def fit_parity_curve(phases: np.ndarray, parities: np.ndarray) -> ParityFit:
 
 @lru_cache(maxsize=None)
 def _two_ion_analysis_ops():
-    jx = full_space_oracle(2, "jx").matrix
-    jy = full_space_oracle(2, "jy").matrix
+    jx, jy = full_space_oracle(2, "jx"), full_space_oracle(2, "jy")
     parity = np.diag([(-1.0) ** (2 - bin(k).count("1")) for k in range(4)]).astype(complex)
     return jx, jy, parity
 

@@ -103,7 +103,7 @@ def criterion_2() -> CriterionResult:
     """Closed-form couplings equal full 2^N-space matrix elements to 1e-12."""
     worst = 0.0
     for n in range(1, 9):
-        jp = spin_algebra.full_space_oracle(n, "j+").matrix
+        jp = spin_algebra.full_space_oracle(n, "j+")
         for m in range(n):
             bra = spin_algebra.dicke_state_full(n, m + 1)
             ket = spin_algebra.dicke_state_full(n, m)
@@ -332,7 +332,7 @@ def _record_csv(rec) -> bytes:
 def criterion_10() -> CriterionResult:
     """Shot statistics within 3 sigma at 1e6 shots; seeded replay gives a
     byte-identical CSV record."""
-    state = spin_algebra.rotation_y(4, np.pi / 2).matrix @ spin_algebra.dicke_state(4, 0)
+    state = spin_algebra.rotation_y(4, np.pi / 2) @ spin_algebra.dicke_state(4, 0)
     exact = observables.populations_along(state, "z")
     config = measurement.ShotConfig(n_shots=10**6, seed=20260810)
     rec = measurement.sample_populations(state, config, "z")

@@ -3,7 +3,9 @@
 N exchange-symmetric qubits live on the (N+1)-dimensional ladder of Dicke
 states |m>, m = 0..N excitations, ordered ascending from all-spins-down.
 Everything here is dense complex numpy; dimensions never exceed 2^10, so
-sparsity machinery is not worth its weight.
+sparsity machinery is not worth its weight.  Operators are plain arrays:
+the collective ones are cached and read-only, so every caller shares one
+copy and none can change it.
 
 A brute-force realization on the full 2^N product space is included so
 that every symmetric-sector matrix element can be validated against a
@@ -12,13 +14,11 @@ first-principles sum of single-site Pauli operators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 import numpy as np
 from scipy.linalg import expm
-
-HERMITICITY_TOL = 1e-12
 
 #: largest ion number for which full 2^N-space operators may be built
 FULL_SPACE_MAX_IONS = 10
@@ -31,71 +31,14 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class DickeBasis:
-    """Excitation-number basis of the symmetric sector of ``n_ions`` qubits."""
-
-    n_ions: int
-
-    def __post_init__(self):
-        if int(self.n_ions) != self.n_ions or self.n_ions < 1:
-            raise ValueError(f"n_ions must be a positive integer, got {self.n_ions}")
-
-    @property
-    def dimension(self) -> int:
-        return self.n_ions + 1
-
-    @property
-    def excitations(self) -> np.ndarray:
-        return np.arange(self.dimension)
-
-    @property
-    def jz_values(self) -> np.ndarray:
-        """Eigenvalues m - N/2 of the collective z projection, in basis order."""
-        return self.excitations - self.n_ions / 2
+def _operator(mat: np.ndarray) -> np.ndarray:
+    """Read-only complex copy; cached operators are shared by every caller."""
+    return _frozen(np.array(mat, dtype=complex))
 
 
-@dataclass(frozen=True)
-class CollectiveOperator:
-    """A dense operator on the symmetric sector.
-
-    ``hermitian`` records whether the operator is an observable; it is
-    checked against the matrix at construction time.
-    """
-
-    basis: DickeBasis
-    matrix: np.ndarray
-    hermitian: bool = True
-
-    def __post_init__(self):
-        mat = np.array(self.matrix, dtype=complex)
-        d = self.basis.dimension
-        if mat.shape != (d, d):
-            raise ValueError(f"matrix shape {mat.shape} does not match basis dimension {d}")
-        if self.hermitian:
-            defect = np.max(np.abs(mat - mat.conj().T))
-            if defect >= HERMITICITY_TOL:
-                raise ValueError(f"matrix marked hermitian but ||M - M^dag||_max = {defect:.3e}")
-        object.__setattr__(self, "matrix", _frozen(mat))
-
-    @property
-    def n_ions(self) -> int:
-        return self.basis.n_ions
-
-
-@dataclass(frozen=True)
-class FullSpaceOperator:
-    """Brute-force collective operator on the full 2^N product space."""
-
-    n_ions: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = np.array(self.matrix, dtype=complex)
-        d = 2**self.n_ions
-        if mat.shape != (d, d):
-            raise ValueError(f"matrix shape {mat.shape} does not match 2^{self.n_ions}")
-        object.__setattr__(self, "matrix", _frozen(mat))
+def _check_n_ions(n_ions: int) -> None:
+    if int(n_ions) != n_ions or n_ions < 1:
+        raise ValueError(f"n_ions must be a positive integer, got {n_ions}")
 
 
 def collective_coupling(n_ions: int, m: int) -> float:
@@ -104,65 +47,59 @@ def collective_coupling(n_ions: int, m: int) -> float:
     Equals (N - m) * sqrt(C(N, m) / C(N, m+1)); the collective enhancement
     over a single spin flip.
     """
-    if int(n_ions) != n_ions or n_ions < 1:
-        raise ValueError(f"n_ions must be a positive integer, got {n_ions}")
+    _check_n_ions(n_ions)
     if int(m) != m or not 0 <= m <= n_ions - 1:
         raise ValueError(f"m must lie in [0, {n_ions - 1}], got {m}")
     return (n_ions - m) * np.sqrt(comb(n_ions, m) / comb(n_ions, m + 1))
 
 
-def _jp_matrix(n_ions: int) -> np.ndarray:
-    mat = np.zeros((n_ions + 1, n_ions + 1), dtype=complex)
-    for m in range(n_ions):
-        mat[m + 1, m] = collective_coupling(n_ions, m)
-    return mat
-
-
-def build_collective(n_ions: int, kind: str) -> CollectiveOperator:
-    """Construct J+, J-, Jx, Jy, Jz or J^2 on the symmetric sector.
+@lru_cache(maxsize=None)
+def build_collective(n_ions: int, kind: str) -> np.ndarray:
+    """J+, J-, Jx, Jy, Jz or J^2 on the symmetric sector, as a cached
+    read-only (N+1) x (N+1) complex array.
 
     J+ raises the excitation number with the collective couplings on its
     single lower band; Jz is diagonal with eigenvalues m - N/2; J^2 is
     j(j+1) times the identity with j = N/2.
     """
-    basis = DickeBasis(n_ions)
+    _check_n_ions(n_ions)
     kind = kind.lower()
-    jp = _jp_matrix(n_ions)
+    if kind not in COLLECTIVE_KINDS:
+        raise ValueError(f"kind must be one of {COLLECTIVE_KINDS}, got {kind!r}")
     if kind == "j+":
-        return CollectiveOperator(basis, jp, hermitian=False)
-    if kind == "j-":
-        return CollectiveOperator(basis, jp.conj().T, hermitian=False)
-    if kind == "jx":
-        return CollectiveOperator(basis, (jp + jp.conj().T) / 2)
-    if kind == "jy":
-        return CollectiveOperator(basis, (jp - jp.conj().T) / 2j)
+        jp = np.zeros((n_ions + 1, n_ions + 1), dtype=complex)
+        for m in range(n_ions):
+            jp[m + 1, m] = collective_coupling(n_ions, m)
+        return _operator(jp)
     if kind == "jz":
-        return CollectiveOperator(basis, np.diag(basis.jz_values.astype(complex)))
+        return _operator(np.diag((np.arange(n_ions + 1) - n_ions / 2).astype(complex)))
     if kind == "j2":
-        jx = (jp + jp.conj().T) / 2
-        jy = (jp - jp.conj().T) / 2j
-        jz = np.diag(basis.jz_values.astype(complex))
-        return CollectiveOperator(basis, jx @ jx + jy @ jy + jz @ jz)
-    raise ValueError(f"kind must be one of {COLLECTIVE_KINDS}, got {kind!r}")
+        jx, jy, jz = (build_collective(n_ions, k) for k in ("jx", "jy", "jz"))
+        return _operator(jx @ jx + jy @ jy + jz @ jz)
+    jp = build_collective(n_ions, "j+")
+    if kind == "j-":
+        return _operator(jp.conj().T)
+    if kind == "jx":
+        return _operator((jp + jp.conj().T) / 2)
+    return _operator((jp - jp.conj().T) / 2j)
 
 
-def rotation_y(n_ions: int, angle: float) -> CollectiveOperator:
-    """Global rotation exp(-i * angle * Jy) on the symmetric sector.
+def rotation_y(n_ions: int, angle: float) -> np.ndarray:
+    """Global rotation exp(-i * angle * Jy) on the symmetric sector, read-only.
 
     No extra phase convention is applied beyond the matrix exponential.
     """
     if not np.isfinite(angle):
         raise ValueError("rotation angle must be finite")
-    jy = build_collective(n_ions, "jy").matrix
-    return CollectiveOperator(DickeBasis(n_ions), expm(-1j * angle * jy), hermitian=False)
+    return _operator(expm(-1j * angle * build_collective(n_ions, "jy")))
 
 
 def dicke_state(n_ions: int, m: int) -> np.ndarray:
     """Unit vector of the m-excitation Dicke state in the symmetric basis."""
-    basis = DickeBasis(n_ions)
+    _check_n_ions(n_ions)
     if not 0 <= m <= n_ions:
         raise ValueError(f"excitation number m must lie in [0, {n_ions}], got {m}")
-    vec = np.zeros(basis.dimension, dtype=complex)
+    vec = np.zeros(n_ions + 1, dtype=complex)
     vec[m] = 1.0
     return vec
 
@@ -171,7 +108,7 @@ def half_excited_x(n_ions: int) -> np.ndarray:
     """Half-excited Dicke state along x: Ry(pi/2) applied to |m = N/2>."""
     if n_ions % 2 != 0:
         raise ValueError("half-excited states need an even number of ions")
-    return rotation_y(n_ions, np.pi / 2).matrix @ dicke_state(n_ions, n_ions // 2)
+    return rotation_y(n_ions, np.pi / 2) @ dicke_state(n_ions, n_ions // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +116,7 @@ def half_excited_x(n_ions: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _check_full_space_size(n_ions: int) -> None:
-    if int(n_ions) != n_ions or n_ions < 1:
-        raise ValueError(f"n_ions must be a positive integer, got {n_ions}")
+    _check_n_ions(n_ions)
     if n_ions > FULL_SPACE_MAX_IONS:
         raise ValueError(
             f"full-space construction limited to n_ions <= {FULL_SPACE_MAX_IONS}, got {n_ions}"
@@ -198,23 +134,25 @@ def _full_jp(n_ions: int) -> np.ndarray:
     return mat
 
 
-def full_space_oracle(n_ions: int, kind: str) -> FullSpaceOperator:
-    """Collective operator built as a sum of single-site Paulis on 2^N space."""
+@lru_cache(maxsize=None)
+def full_space_oracle(n_ions: int, kind: str) -> np.ndarray:
+    """Collective operator built as a sum of single-site Paulis on 2^N space,
+    as a cached read-only 2^N x 2^N complex array."""
     _check_full_space_size(n_ions)
     kind = kind.lower()
     dim = 2**n_ions
     if kind == "jz":
         diag = np.array([bin(idx).count("1") - n_ions / 2 for idx in range(dim)], dtype=complex)
-        return FullSpaceOperator(n_ions, np.diag(diag))
+        return _operator(np.diag(diag))
     jp = _full_jp(n_ions)
     if kind == "j+":
-        return FullSpaceOperator(n_ions, jp)
+        return _operator(jp)
     if kind == "j-":
-        return FullSpaceOperator(n_ions, jp.conj().T)
+        return _operator(jp.conj().T)
     if kind == "jx":
-        return FullSpaceOperator(n_ions, (jp + jp.conj().T) / 2)
+        return _operator((jp + jp.conj().T) / 2)
     if kind == "jy":
-        return FullSpaceOperator(n_ions, (jp - jp.conj().T) / 2j)
+        return _operator((jp - jp.conj().T) / 2j)
     raise ValueError(f"kind must be one of ('j+', 'j-', 'jx', 'jy', 'jz'), got {kind!r}")
 
 

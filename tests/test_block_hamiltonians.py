@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dickesim import evolution, model
-from dickesim.spin_algebra import _jp_matrix
+from dickesim.spin_algebra import build_collective
 
 
 def _reference_theta(schedule, t):
@@ -25,8 +25,6 @@ def _reference_theta(schedule, t):
 
 def _reference_amplitudes(schedule, t):
     """Per-time (Omega_r, Omega_b) in Python floats, as the scalar loop had it."""
-    if schedule.truncation_time is not None and t > schedule.truncation_time:
-        return 0.0, 0.0
     cos = np.cos(_reference_theta(schedule, t))
     return schedule.omega_bar * (1 + cos), schedule.omega_bar * (1 - cos)
 
@@ -35,7 +33,7 @@ def _reference_full(params, t, omega_r, omega_b):
     """Dense sum of the four phase-scaled sideband operators."""
     n, n_max = params.n_ions, params.n_max
     a = np.diag(np.sqrt(np.arange(1, n_max + 1)), 1).astype(complex)
-    jp = _jp_matrix(n)
+    jp = build_collective(n, "j+")
     red = np.kron(jp, a)
     blue = np.kron(jp, a.conj().T)
     phase = np.exp(-1j * params.delta * t)
@@ -63,7 +61,6 @@ def _schedules_and_times(draw):
         omega_bar=draw(st.floats(0.0, 3.0)),
         shape=draw(st.sampled_from(evolution.SCHEDULE_SHAPES)),
         theta_fn=theta_fn,
-        truncation_time=draw(st.none() | st.floats(0.0, total_time)),
     )
     if draw(st.booleans()):
         schedule = schedule.reversed()
@@ -72,8 +69,6 @@ def _schedules_and_times(draw):
     # float.__pow__ show on a few percent of arbitrary arguments
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     times = np.array([0.0, *inner, *rng.uniform(0.0, total_time, 100), total_time])
-    if schedule.truncation_time is not None:
-        times = np.append(times, schedule.truncation_time)
     return schedule, times
 
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from dickesim import certification as cert
 from dickesim import observables as obs
-from dickesim.spin_algebra import dicke_state_full, symmetric_isometry
+from dickesim.spin_algebra import dicke_state_full, full_space_oracle, symmetric_isometry
 
 PAPER_P = [0.00, 0.03, 0.88, 0.03, 0.03]
 PAPER_SIG_P = [0.00, 0.02, 0.03, 0.02, 0.02]
@@ -100,7 +100,7 @@ def test_propagation_rejects_negative():
 
 def test_target_states_are_zero_projection_eigenvectors():
     for n in (2, 4):
-        ops = dict(zip("xyz", cert._full_ops(n)))
+        ops = {axis: full_space_oracle(n, "j" + axis) for axis in "xyz"}
         for axis in "xyz":
             target = cert.half_excited_full(n, axis)
             assert np.linalg.norm(ops[axis] @ target) < 1e-12

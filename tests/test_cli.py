@@ -217,11 +217,32 @@ def test_usage_error_exit_code():
     ["parity", "--shots", "0"],
     ["scan-noise", "--cuts", "-1"],
     ["scan-noise", "--cuts", "0"],
+    ["evolve", "--eta-omega-t", "inf"],
+    ["evolve", "--eta-omega-t", "0"],
+    ["evolve", "--eta-omega-t", "nan"],
+    ["evolve", "--dt", "0"],
+    ["evolve", "--dt", "-0.1"],
+    ["evolve", "--dt", "inf"],
+    ["evolve", "--delta-ratio", "nan"],
+    ["evolve", "--delta-ratio", "-1"],
+    ["sweep", "--delta-ratio", "inf"],
+    ["evolve", "--n", "0"],
+    ["scan-noise", "--n", "-2"],
+    ["darkstate", "--n", "0"],
+    ["parity", "--n", "0"],
+    ["witness", "--n", "2.5"],
+    ["sweep", "--n", "0"],
 ])
 def test_malformed_input_exits_usage(argv):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(argv)
     assert excinfo.value.code == cli.EXIT_USAGE
+
+
+def test_scan_noise_honours_dt():
+    # the same step is too coarse for evolve, which exits 2 on it
+    assert cli.main(["scan-noise", "--n", "2", "--eta-omega-t", "10", "--cuts", "5",
+                     "--dt", "1"]) == cli.EXIT_PHYSICS
 
 
 def test_evolve_outside_reduced_regime_warns(capsys):

@@ -9,7 +9,7 @@ from dickesim.spin_algebra import dicke_state, half_excited_x, rotation_y, symme
 
 def _binomial_profile_state():
     # pole state viewed along x: populations (1, 4, 6, 4, 1)/16
-    return rotation_y(4, np.pi / 2).matrix @ dicke_state(4, 0)
+    return rotation_y(4, np.pi / 2) @ dicke_state(4, 0)
 
 
 def test_shot_config_validation():
@@ -107,7 +107,7 @@ def test_interval_width_at_paper_scale_shots():
 def test_sampled_interval_covers_truth_for_imperfect_state():
     # mildly rotated state: exact bounds strictly bracket the true fidelity,
     # and sampled bounds stay within a few sigma of the exact ones
-    state = rotation_y(4, 0.12).matrix @ half_excited_x(4)
+    state = rotation_y(4, 0.12) @ half_excited_x(4)
     target = half_excited_x(4)
     truth = obs.direct_fidelity(state, target)
     exact = meas.simulated_experiment(state, meas.ShotConfig(n_shots=10, seed=0), exact=True)

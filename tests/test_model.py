@@ -13,6 +13,10 @@ def test_params_validation():
         model.SystemParams(n_ions=2, eta=-0.1)
     with pytest.raises(ValueError):
         model.SystemParams(n_ions=2, delta=-1.0)
+    for name in ("eta", "omega_r", "omega_b", "delta"):
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                model.SystemParams(n_ions=2, **{name: value})
 
 
 def test_params_default_n_max():

@@ -32,17 +32,17 @@ def test_coupling_domain_errors():
 
 
 def test_jz_diagonal():
-    jz = sa.build_collective(2, "jz").matrix
+    jz = sa.build_collective(2, "jz")
     assert np.allclose(jz, np.diag([-1.0, 0.0, 1.0]))
 
 
 def test_j2_is_casimir_identity():
-    j2 = sa.build_collective(4, "j2").matrix
+    j2 = sa.build_collective(4, "j2")
     assert np.max(np.abs(j2 - 6 * np.eye(5))) < 1e-12
 
 
 def test_jplus_band_entries():
-    jp = sa.build_collective(4, "j+").matrix
+    jp = sa.build_collective(4, "j+")
     band = np.diag(jp, -1)
     assert np.allclose(band, [2, np.sqrt(6), np.sqrt(6), 2])
     # strictly one nonzero band
@@ -51,28 +51,28 @@ def test_jplus_band_entries():
 
 def test_jplus_dagger_is_jminus():
     for n in (2, 5):
-        jp = sa.build_collective(n, "j+").matrix
-        jm = sa.build_collective(n, "j-").matrix
+        jp = sa.build_collective(n, "j+")
+        jm = sa.build_collective(n, "j-")
         assert np.array_equal(jp.conj().T, jm)
 
 
 @pytest.mark.parametrize("n", NS)
 def test_commutators(n):
-    jx = sa.build_collective(n, "jx").matrix
-    jy = sa.build_collective(n, "jy").matrix
-    jz = sa.build_collective(n, "jz").matrix
+    jx = sa.build_collective(n, "jx")
+    jy = sa.build_collective(n, "jy")
+    jz = sa.build_collective(n, "jz")
     for a, b, c in ((jx, jy, jz), (jy, jz, jx), (jz, jx, jy)):
         assert np.max(np.abs(a @ b - b @ a - 1j * c)) < 1e-12
 
 
 def test_rotation_zero_is_identity():
-    assert np.max(np.abs(sa.rotation_y(4, 0.0).matrix - np.eye(5))) < 1e-14
+    assert np.max(np.abs(sa.rotation_y(4, 0.0) - np.eye(5))) < 1e-14
 
 
 def test_rotation_unitary_and_inverse():
-    r = sa.rotation_y(5, 0.7).matrix
+    r = sa.rotation_y(5, 0.7)
     assert np.max(np.abs(r @ r.conj().T - np.eye(6))) < 1e-12
-    rinv = sa.rotation_y(5, -0.7).matrix
+    rinv = sa.rotation_y(5, -0.7)
     assert np.max(np.abs(r @ rinv - np.eye(6))) < 1e-12
 
 
@@ -82,15 +82,15 @@ def test_rotation_unitary_and_inverse():
     b=st.floats(-np.pi, np.pi, allow_nan=False),
 )
 def test_rotation_composition_law(a, b):
-    ra = sa.rotation_y(3, a).matrix
-    rb = sa.rotation_y(3, b).matrix
-    rab = sa.rotation_y(3, a + b).matrix
+    ra = sa.rotation_y(3, a)
+    rb = sa.rotation_y(3, b)
+    rab = sa.rotation_y(3, a + b)
     assert np.max(np.abs(ra @ rb - rab)) < 1e-10
 
 
 def test_rotation_half_pi_kills_x_moments():
-    state = sa.rotation_y(4, np.pi / 2).matrix @ sa.dicke_state(4, 2)
-    jx = sa.build_collective(4, "jx").matrix
+    state = sa.rotation_y(4, np.pi / 2) @ sa.dicke_state(4, 2)
+    jx = sa.build_collective(4, "jx")
     assert abs(np.vdot(state, jx @ state)) < 1e-12
     assert abs(np.vdot(state, jx @ (jx @ state))) < 1e-12
 
@@ -100,10 +100,14 @@ def test_rotation_rejects_nonfinite_angle():
         sa.rotation_y(2, np.inf)
 
 
-def test_collective_operator_hermitian_validation():
-    basis = sa.DickeBasis(2)
-    with pytest.raises(ValueError):
-        sa.CollectiveOperator(basis, np.triu(np.ones((3, 3))), hermitian=True)
+def test_cached_operators_are_hermitian_and_read_only():
+    for n in NS:
+        for kind in ("jx", "jy", "jz", "j2"):
+            op = sa.build_collective(n, kind)
+            assert op is sa.build_collective(n, kind)
+            assert np.array_equal(op, op.conj().T)
+            with pytest.raises(ValueError):
+                op[0, 0] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -124,14 +128,14 @@ def test_two_ion_symmetric_sector_is_triplet():
 def test_conjugated_oracle_matches_collective(n):
     iso = sa.symmetric_isometry(n)
     for kind in ("j+", "jz"):
-        full = sa.full_space_oracle(n, kind).matrix
+        full = sa.full_space_oracle(n, kind)
         reduced = iso.conj().T @ full @ iso
-        assert np.max(np.abs(reduced - sa.build_collective(n, kind).matrix)) < 1e-12
+        assert np.max(np.abs(reduced - sa.build_collective(n, kind))) < 1e-12
 
 
 def test_coupling_matches_full_space_elements():
     for n in NS:
-        jp = sa.full_space_oracle(n, "j+").matrix
+        jp = sa.full_space_oracle(n, "j+")
         for m in range(n):
             bra = sa.dicke_state_full(n, m + 1)
             ket = sa.dicke_state_full(n, m)
@@ -150,7 +154,7 @@ def _swap_qubits(mat, n, i, j):
 
 
 def test_permutation_invariance():
-    full = sa.full_space_oracle(4, "j+").matrix
+    full = sa.full_space_oracle(4, "j+")
     for i, j in ((0, 1), (1, 3), (0, 2)):
         assert np.array_equal(_swap_qubits(full, 4, i, j), full)
 
