@@ -47,6 +47,22 @@ def positive_float(text: str) -> float:
     return value
 
 
+def nonnegative_int(text: str) -> int:
+    """argparse type for counts that may be 0."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"{value} is negative")
+    return value
+
+
+def finite_float(text: str) -> float:
+    """argparse type for angles and other values that must be finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
 def nonnegative_float(text: str) -> float:
     """argparse type for ratios that must be nonnegative and finite."""
     value = float(text)
@@ -117,19 +133,21 @@ def _apply_config_file(ns, argv) -> None:
     if getattr(ns, "config", None) is None:
         return
     values = _parse_keyvalue(ns.config)
+    parser = _SUBPARSERS[ns.subcommand]
     consumed = set()
-    for action in _SUBPARSERS[ns.subcommand]._actions:
+    for action in parser._actions:
         if action.dest not in values:
             continue
         consumed.add(action.dest)
         if any(opt in argv for opt in action.option_strings):
             continue  # flags override file values
         raw = values[action.dest]
-        value = action.type(raw) if action.type is not None else raw
+        try:
+            value = action.type(raw) if action.type is not None else raw
+        except ValueError as exc:
+            parser.error(f"config key {action.dest!r}: {exc}")  # exits with EXIT_USAGE
         if action.choices is not None and value not in action.choices:
-            raise ValueError(
-                f"config key {action.dest!r}: {value!r} not in {tuple(action.choices)}"
-            )
+            parser.error(f"config key {action.dest!r}: {value!r} not in {tuple(action.choices)}")
         setattr(ns, action.dest, value)
     unknown = set(values) - consumed
     if unknown:
@@ -147,9 +165,16 @@ def _build_run(ns):
     return schedule, params
 
 
-def _spin_marginal(state: np.ndarray, model_tag: str, params: model.SystemParams) -> np.ndarray:
-    if model_tag == "full":
-        return observables.spin_density_from_full(state, params.n_ions, params.n_max)
+def _spin_marginals(states: np.ndarray, model_tag: str, params: model.SystemParams) -> np.ndarray:
+    n_max = params.n_max if model_tag == "full" else None
+    return observables.spin_marginals(states, params.n_ions, n_max)
+
+
+def _strict_midpoint(n_ions: int) -> np.ndarray:
+    """Spin marginal at the midpoint of the strict preset's ramp; the ramp is
+    integrated only that far, since no later state is read."""
+    schedule, params = evolution.adiabatic_preset("strict", n_ions)
+    [(_, state)] = evolution.truncated_scan(schedule, params, [schedule.total_time / 2])
     return observables.spin_density_from_chain(state)
 
 
@@ -180,14 +205,8 @@ def cmd_evolve(ns) -> int:
     else:
         traj = evolution.integrate_full(schedule, params, dt=ns.dt)
     dark_fid = evolution.dark_fidelity_series(traj)
-    jz = np.arange(ns.n + 1) - ns.n / 2
-
-    rows = []
-    for i, t in enumerate(traj.times):
-        rho = _spin_marginal(traj.states[i], traj.model_tag, traj.params)
-        mom = observables.spin_moments(rho)
-        rows.append((t, float(np.sum(jz * np.real(np.diag(rho)))),
-                     mom.var_jx, mom.var_jy, mom.var_jz, dark_fid[i]))
+    spin = observables.spin_readout(_spin_marginals(traj.states, traj.model_tag, traj.params))
+    rows = list(zip(traj.times, *spin, dark_fid))
 
     header = _provenance("evolve", {
         "n": ns.n, "model": ns.model, "schedule": schedule.shape,
@@ -215,10 +234,10 @@ def cmd_scan_noise(ns) -> int:
     cut_times = np.linspace(0.0, schedule.total_time, ns.cuts)
     states = evolution.truncated_scan(schedule, params, list(cut_times), model=ns.model,
                                       dt=ns.dt)
-    rows = []
-    for tau, state in states:
-        mom = observables.spin_moments(_spin_marginal(state, ns.model, params))
-        rows.append((tau, mom.var_jx, mom.var_jy, mom.var_jz))
+    taus = [tau for tau, _ in states]
+    _, *variances = observables.spin_readout(
+        _spin_marginals(np.array([state for _, state in states]), ns.model, params))
+    rows = list(zip(taus, *variances))
     header = _provenance("scan-noise", {
         "n": ns.n, "model": ns.model, "preset": ns.adiabatic_preset,
         "total_time": schedule.total_time, "delta": params.delta,
@@ -234,8 +253,7 @@ def cmd_parity(ns) -> int:
     if ns.source == "ideal":
         state = dark_coefficients(2, 1.0, 1.0).chain_vector.astype(complex)
     else:
-        traj = repro.strict_trajectory(2)
-        state = observables.spin_density_from_chain(traj.midpoint_state())
+        state = _strict_midpoint(2)
     phases = np.linspace(0.0, 2 * np.pi, ns.phases, endpoint=False)
     scan = observables.parity_scan(state, phases)
 
@@ -271,8 +289,7 @@ def cmd_witness(ns) -> int:
         from .spin_algebra import half_excited_x
         state = half_excited_x(ns.n)
     else:
-        traj = repro.strict_trajectory(ns.n)
-        state = observables.spin_density_from_chain(traj.midpoint_state())
+        state = _strict_midpoint(ns.n)
     rows = []
     for axes in (("y", "z"), ("z", "x"), ("x", "y")):
         value = observables.witness(state, axes)
@@ -330,7 +347,7 @@ def cmd_sweep(ns) -> int:
                                            shape=ns.schedule)
         traj = evolution.integrate_reduced(schedule, params)
         final_jz = float(np.sum(jz * np.abs(traj.final_state()) ** 2))
-        mid_fid = evolution.dark_fidelity_at(traj, traj.index_of(total_time / 2))
+        [mid_fid] = evolution.dark_fidelity_series(traj, [traj.index_of(total_time / 2)])
         rows.append((total_time, final_jz, mid_fid))
     header = _provenance("sweep", {
         "n": ns.n, "schedule": ns.schedule, "delta_ratio": ns.delta_ratio,
@@ -386,10 +403,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("darkstate", help="closed-form dark-state amplitudes")
     p.add_argument("--n", type=positive_int, default=4)
-    p.add_argument("--theta", type=float, default=None,
+    p.add_argument("--theta", type=finite_float, default=None,
                    help="ramp angle in radians; sets omega_r/b = 1 +- cos(theta)")
-    p.add_argument("--omega-r", type=float, default=1.0)
-    p.add_argument("--omega-b", type=float, default=1.0)
+    p.add_argument("--omega-r", type=nonnegative_float, default=1.0)
+    p.add_argument("--omega-b", type=nonnegative_float, default=1.0)
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_darkstate)
 
@@ -405,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("parity", help="two-ion parity oscillation and fidelity")
     p.add_argument("--n", type=positive_int, default=2)
     p.add_argument("--source", choices=("ideal", "simulated"), default="ideal")
-    p.add_argument("--phases", type=int, default=40, help="analysis phases over 2*pi")
+    p.add_argument("--phases", type=nonnegative_int, default=40, help="analysis phases over 2*pi")
     p.add_argument("--shots", type=positive_int, default=None,
                    help="shots per phase (default exact)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)

@@ -38,38 +38,62 @@ class DarkState:
 
     @property
     def chain_vector(self) -> np.ndarray:
-        """Amplitudes embedded in the chain basis, zeros on the odd slots.
-
-        The chain pairs even Dicke levels with phonon vacuum, so the same
-        vector is also the spin state in the Dicke basis."""
-        vec = np.zeros(self.n_ions + 1)
-        vec[0::2] = self.amplitudes
-        return vec
+        return chain_vector(self.amplitudes)
 
 
-def dark_coefficients(n_ions: int, omega_r: float, omega_b: float) -> DarkState:
-    """Closed-form dark state of the chain for given sideband amplitudes."""
+def chain_vector(amplitudes: np.ndarray) -> np.ndarray:
+    """Dark-state amplitudes embedded in the chain basis, zeros on the odd slots.
+
+    The chain pairs even Dicke levels with phonon vacuum, so the same vector
+    is also the spin state in the Dicke basis."""
+    vec = np.zeros(2 * len(amplitudes) - 1)
+    vec[0::2] = amplitudes
+    return vec
+
+
+def closed_form_coefficients(n_ions: int) -> np.ndarray:
+    """C_0 .. C_{N/2} of the closed form, sign-alternating with C_0 = 1."""
     if n_ions % 2 != 0 or n_ions < 2:
         raise ValueError(f"dark states exist only for even n_ions >= 2, got {n_ions}")
-    if omega_r < 0 or omega_b < 0:
-        raise ValueError("sideband amplitudes must be nonnegative")
-    if omega_r == 0 and omega_b == 0:
-        raise ValueError("at least one sideband amplitude must be nonzero")
     half = n_ions // 2
     coeffs = np.ones(half + 1)
     for i in range(1, half + 1):
         coeffs[i] = -coeffs[i - 1] * (
             collective_coupling(n_ions, 2 * i - 2) / collective_coupling(n_ions, 2 * i - 1)
         )
+    return coeffs
+
+
+def normalized_amplitudes(coeffs: np.ndarray, omega_r: float,
+                          omega_b: float) -> tuple[float, np.ndarray]:
+    """(norm, amplitudes) with amplitudes = C_i * Omega_b^i * Omega_r^(N/2-i) / norm.
+
+    ``coeffs`` comes from ``closed_form_coefficients``, so a ramp evaluates
+    them once and calls this for each of its samples.
+    """
+    half = len(coeffs) - 1
     raw = np.array([coeffs[i] * omega_b**i * omega_r ** (half - i) for i in range(half + 1)])
     norm = np.linalg.norm(raw)
+    return norm, raw / norm
+
+
+def dark_coefficients(n_ions: int, omega_r: float, omega_b: float) -> DarkState:
+    """Closed-form dark state of the chain for given sideband amplitudes."""
+    coeffs = closed_form_coefficients(n_ions)
+    if not (np.isfinite(omega_r) and np.isfinite(omega_b)):
+        raise ValueError("sideband amplitudes must be finite")
+    if omega_r < 0 or omega_b < 0:
+        raise ValueError("sideband amplitudes must be nonnegative")
+    if omega_r == 0 and omega_b == 0:
+        raise ValueError("at least one sideband amplitude must be nonzero")
+    norm, amplitudes = normalized_amplitudes(coeffs, omega_r, omega_b)
     return DarkState(
         n_ions=n_ions,
         omega_r=omega_r,
         omega_b=omega_b,
         coeffs=coeffs,
         norm_a=1.0 / norm,
-        amplitudes=raw / norm,
+        amplitudes=amplitudes,
     )
 
 

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dark_state import dark_coefficients
+from . import dark_state
 from .errors import NumericalError, PhysicsConfigError, ReducedModelWarning, TruncationWarning
 from .model import (
     FullHamiltonian,
@@ -141,7 +141,11 @@ def adiabatic_preset(name: str, n_ions: int):
 
 @dataclass
 class Trajectory:
-    """Sampled state history of one integration run."""
+    """Sampled state history of one integration run.
+
+    A run given capture times ends at the latest of them, so its last sample
+    is that state and not the end of the ramp.
+    """
 
     times: np.ndarray
     states: np.ndarray            # (n_samples, dim), unit norm rows
@@ -175,8 +179,11 @@ def _capture_steps(n_steps: int, extra: set[int]) -> np.ndarray:
 
 def _rk4(h_stack, psi0: np.ndarray, total_time: float, n_steps: int,
          capture: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-step RK4; ``h_stack(ts)`` returns the (len(ts), d, d) Hamiltonians."""
+    """Fixed-step RK4 over the ``n_steps`` grid of [0, total_time], stopping at
+    the last captured step; ``h_stack(ts)`` returns the (len(ts), d, d)
+    Hamiltonians."""
     dt = total_time / n_steps
+    stop = capture[-1]
     psi = psi0.astype(complex)
     states = np.empty((len(capture), len(psi0)), dtype=complex)
     times = capture * dt
@@ -185,13 +192,15 @@ def _rk4(h_stack, psi0: np.ndarray, total_time: float, n_steps: int,
     if capture[pos] == 0:
         states[pos] = psi
         pos += 1
-    for start in range(0, n_steps, block):
+    for start in range(0, stop, block):
         # each step's own t = step*dt: (step + 1)*dt can differ in the last
-        # bit from step*dt + dt, so the t + dt stack is not reused
+        # bit from step*dt + dt, so the t + dt stack is not reused.  The
+        # blocks are those of the whole ramp even where the run stops early,
+        # so every Hamiltonian is built in the same array as in a full run.
         t = np.arange(start, min(start + block, n_steps)) * dt
         n = len(t)
         stack = h_stack(np.concatenate((t, t + dt / 2, t + dt)))
-        for j in range(n):
+        for j in range(min(n, stop - start)):
             h1, h2, h3 = stack[j], stack[n + j], stack[2 * n + j]
             k1 = -1j * (h1 @ psi)
             k2 = -1j * (h2 @ (psi + (dt / 2) * k1))
@@ -235,8 +244,8 @@ def _integrate(h_stack, dimension: int, schedule: PulseSchedule, params: SystemP
                initial_state: np.ndarray | None,
                capture_times: list[float] | None) -> tuple[np.ndarray, np.ndarray, float]:
     """RK4 from |D^0>|0> (basis index 0) or ``initial_state``, sampled on the
-    capture grid plus the steps nearest ``capture_times``; returns
-    (times, states, max norm drift).
+    capture grid plus the steps nearest ``capture_times``, and stopped at the
+    latest of those; returns (times, states, max norm drift).
 
     ``dt`` defaults to the model's stability ``guard`` and may not exceed it;
     ``coarse`` completes the error message when it does.
@@ -259,6 +268,7 @@ def _integrate(h_stack, dimension: int, schedule: PulseSchedule, params: SystemP
     if capture_times is not None:
         extra = {int(round(t / (schedule.total_time / n_steps))) for t in capture_times}
     capture = _capture_steps(n_steps, extra)
+    capture = capture[capture <= max(extra, default=n_steps)]
     times, states = _rk4(h_stack, psi0, schedule.total_time, n_steps, capture)
     return times, states, _check_norms(states)
 
@@ -269,8 +279,10 @@ def integrate_reduced(schedule: PulseSchedule, params: SystemParams,
                       capture_times: list[float] | None = None) -> Trajectory:
     """Integrate the chain model under a schedule, starting from |D^0>|0>.
 
-    Warns with a ReducedModelWarning when the tones the ramp reaches leave
-    the regime of ``SystemParams.reduced_model_trusted``.
+    With ``capture_times`` the run also samples the steps nearest those times
+    and stops at the latest of them.  Warns with a ReducedModelWarning when
+    the tones the ramp reaches leave the regime of
+    ``SystemParams.reduced_model_trusted``.
     """
     n = params.n_ions
     rate = params.delta + n * params.eta * schedule.omega_bar
@@ -310,7 +322,7 @@ def integrate_full(schedule: PulseSchedule, params: SystemParams,
     The state is kept in the interaction picture; use
     ``model.interaction_to_chain_frame`` before comparing against chain
     states.  Population reaching the top Fock level beyond 1e-3 raises a
-    TruncationWarning.
+    TruncationWarning.  ``capture_times`` work as in ``integrate_reduced``.
     """
     n = params.n_ions
     ham = FullHamiltonian(params)
@@ -342,8 +354,9 @@ def truncated_scan(schedule: PulseSchedule, params: SystemParams,
     """States at pulse-truncation times from a single integration pass.
 
     Truncating the drive at tau_c and measuring immediately is the same as
-    sampling the running state at tau_c, so one pass serves every cut.
-    Returned times are snapped to the integration grid.
+    sampling the running state at tau_c, so one pass serves every cut, and
+    it stops at the last cut.  Returned times are snapped to the whole
+    ramp's integration grid.
     """
     for tc in cut_times:
         if not 0 <= tc <= schedule.total_time:
@@ -361,24 +374,29 @@ def truncated_scan(schedule: PulseSchedule, params: SystemParams,
     return out
 
 
-def dark_fidelity_at(traj: Trajectory, index: int) -> float:
-    """Overlap of sample ``index`` with the analytic dark state of its drive.
+def dark_fidelity_series(traj: Trajectory,
+                         indices: list[int] | np.ndarray | None = None) -> np.ndarray:
+    """Overlap of each sample, or of the samples at ``indices``, with the
+    analytic dark state of its drive.
 
     nan where both tones are off (no dark state defined) or the ion number
     is odd.
     """
-    t = traj.times[index]
-    wr, wb = (tone[0] for tone in traj.schedule.amplitudes([t]))
-    if traj.n_ions % 2 != 0 or (wr == 0 and wb == 0):
-        return np.nan
-    target = dark_coefficients(traj.n_ions, wr, wb).chain_vector
-    state = traj.states[index]
-    if traj.model_tag == "full":
-        state = interaction_to_chain_frame(state, t, traj.params)
-        target = embed_chain_state(target, traj.n_ions, traj.params.n_max)
-    return abs(np.vdot(target, state)) ** 2
-
-
-def dark_fidelity_series(traj: Trajectory) -> np.ndarray:
-    """``dark_fidelity_at`` over every sample of a trajectory."""
-    return np.array([dark_fidelity_at(traj, i) for i in range(len(traj.times))])
+    if indices is None:
+        indices = np.arange(len(traj.times))
+    times = traj.times[indices]
+    out = np.full(len(times), np.nan)
+    n = traj.n_ions
+    if n % 2 != 0:
+        return out
+    coeffs = dark_state.closed_form_coefficients(n)
+    for k, (t, wr, wb) in enumerate(zip(times, *traj.schedule.amplitudes(times))):
+        if wr == 0 and wb == 0:
+            continue
+        target = dark_state.chain_vector(dark_state.normalized_amplitudes(coeffs, wr, wb)[1])
+        state = traj.states[indices[k]]
+        if traj.model_tag == "full":
+            state = interaction_to_chain_frame(state, t, traj.params)
+            target = embed_chain_state(target, n, traj.params.n_max)
+        out[k] = abs(np.vdot(target, state)) ** 2
+    return out

@@ -257,17 +257,52 @@ def parity_scan(state: np.ndarray, phases: np.ndarray | None = None) -> ParitySc
 # spin marginals
 # ---------------------------------------------------------------------------
 
+def spin_marginals(states: np.ndarray, n_ions: int, n_max: int | None = None) -> np.ndarray:
+    """(S, N+1, N+1) spin marginals of a (S, d) stack of states: chain states
+    when ``n_max`` is None, else spin-phonon product-space states.
+
+    On the chain the paired phonon number erases coherence between even and
+    odd Dicke levels; in the product space the phonon factor is traced out.
+    """
+    states = np.asarray(states, dtype=complex)
+    if n_max is not None:
+        mats = states.reshape(len(states), n_ions + 1, n_max + 1)
+        return mats @ mats.conj().transpose(0, 2, 1)
+    parity = np.arange(n_ions + 1) % 2
+    rhos = states[:, :, None] * states.conj()[:, None, :]
+    return rhos * (parity[:, None] == parity[None, :])
+
+
 def spin_density_from_chain(chain_state: np.ndarray) -> np.ndarray:
-    """Spin marginal of a chain state; the paired phonon number erases
-    coherence between even and odd Dicke levels."""
-    psi = np.asarray(chain_state, dtype=complex)
-    rho = np.outer(psi, psi.conj())
-    parity = np.arange(len(psi)) % 2
-    return rho * (parity[:, None] == parity[None, :])
+    """Spin marginal of one chain state."""
+    chain_state = np.asarray(chain_state)
+    return spin_marginals(chain_state[None], len(chain_state) - 1)[0]
 
 
 def spin_density_from_full(psi: np.ndarray, n_ions: int, n_max: int) -> np.ndarray:
-    """Spin marginal of a spin-phonon product-space state."""
-    psi = np.asarray(psi, dtype=complex)
-    mat = psi.reshape(n_ions + 1, n_max + 1)
-    return mat @ mat.conj().T
+    """Spin marginal of one spin-phonon product-space state."""
+    return spin_marginals(np.asarray(psi)[None], n_ions, n_max)[0]
+
+
+def spin_readout(rhos: np.ndarray) -> tuple[list[float], list[float], list[float], list[float]]:
+    """<Jz>, Var(Jx), Var(Jy) and Var(Jz) of each density matrix of a
+    (S, N+1, N+1) stack, as Python floats.
+
+    Each value takes the same floating-point operations as ``spin_moments``
+    on one matrix, and <Jz> those of the diagonal populations weighted by
+    m - N/2, so a stack gives the same bits as its matrices one at a time.
+    """
+    rhos = np.asarray(rhos, dtype=complex)
+    traces = np.trace(rhos, axis1=1, axis2=2).real
+    off = np.flatnonzero(np.abs(traces - 1.0) > NORM_TOL)
+    if off.size:
+        raise ValueError(f"density matrix trace {traces[off[0]]} is not 1")
+    n_ions = rhos.shape[-1] - 1
+    jz = np.arange(n_ions + 1) - n_ions / 2
+    columns = [np.sum(jz * np.diagonal(rhos, axis1=1, axis2=2).real, axis=1).tolist()]
+    for axis in AXES:
+        j = build_collective(n_ions, "j" + axis)
+        means = np.trace(rhos @ j, axis1=1, axis2=2).real.tolist()
+        seconds = np.trace(rhos @ (j @ j), axis1=1, axis2=2).real.tolist()
+        columns.append([max(s - m**2, 0.0) for m, s in zip(means, seconds)])
+    return tuple(columns)

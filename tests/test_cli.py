@@ -176,6 +176,19 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     assert len(rows2) == 3
 
 
+@pytest.mark.parametrize("subcommand, text", [
+    ("darkstate", "n = 0\n"),
+    ("darkstate", "theta = nan\n"),
+    ("evolve", "model = bogus\n"),
+])
+def test_config_value_failing_its_flag_exits_usage(tmp_path, subcommand, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main([subcommand, "--config", str(cfg)])
+    assert excinfo.value.code == cli.EXIT_USAGE
+
+
 def test_config_file_unknown_key(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("bogus = 1\n")
@@ -232,6 +245,11 @@ def test_usage_error_exit_code():
     ["parity", "--n", "0"],
     ["witness", "--n", "2.5"],
     ["sweep", "--n", "0"],
+    ["darkstate", "--theta", "nan"],
+    ["darkstate", "--omega-r", "nan"],
+    ["darkstate", "--omega-r", "inf", "--omega-b", "1"],
+    ["darkstate", "--omega-b", "-1"],
+    ["parity", "--phases", "-3"],
 ])
 def test_malformed_input_exits_usage(argv):
     with pytest.raises(SystemExit) as excinfo:

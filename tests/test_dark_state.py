@@ -46,6 +46,9 @@ def test_rejects_odd_and_degenerate_input():
         dark_coefficients(4, 0.0, 0.0)
     with pytest.raises(ValueError):
         dark_coefficients(4, -1.0, 1.0)
+    for omega_r, omega_b in ((np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (0.0, np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            dark_coefficients(4, omega_r, omega_b)
 
 
 @settings(max_examples=30, deadline=None)

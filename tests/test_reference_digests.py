@@ -26,6 +26,9 @@ REFERENCE = ROOT / "bench" / "reference.json"
     "witness --source ideal --n 8",
     "parity --source ideal --shots 1000 --seed 1",
     "bounds --input data/paper_fourion.cfg",
+    "witness --source simulated --n 2",
+    "parity --source simulated --shots 200 --seed 1",
+    "evolve --model full --n 4 --eta-omega-t 40",
 ])
 def test_output_matches_reference_digest(command, capsys, monkeypatch):
     monkeypatch.chdir(ROOT)  # the bounds input is a path relative to the repository
