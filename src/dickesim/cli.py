@@ -425,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phases", type=nonnegative_int, default=40, help="analysis phases over 2*pi")
     p.add_argument("--shots", type=positive_int, default=None,
                    help="shots per phase (default exact)")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=nonnegative_int, default=DEFAULT_SEED)
     p.add_argument("--output", default=None)
     p.add_argument("--summary", default=None, help="key-value summary file")
     p.set_defaults(func=cmd_parity)
@@ -466,6 +466,9 @@ def main(argv=None) -> int:
     try:
         _apply_config_file(ns, list(argv))
         return ns.func(ns)
+    except OSError as exc:  # a missing or unreadable --config/--input file
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (PhysicsConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PHYSICS

@@ -61,6 +61,15 @@ def test_bounds_missing_key(tmp_path):
     assert cli.main(["bounds", "--input", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("flag", ["--config", "--input"])
+def test_missing_input_file_exits_usage(tmp_path, flag, capsys):
+    subcommand = "darkstate" if flag == "--config" else "bounds"
+    missing = str(tmp_path / "nonexistent.cfg")
+    assert cli.main([subcommand, flag, missing]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and missing in err and err.count("\n") == 1
+
+
 def test_parity_ideal(tmp_path, capsys):
     out = tmp_path / "parity.csv"
     assert cli.main(["parity", "--n", "2", "--output", str(out)]) == 0
@@ -250,6 +259,7 @@ def test_usage_error_exit_code():
     ["darkstate", "--omega-r", "inf", "--omega-b", "1"],
     ["darkstate", "--omega-b", "-1"],
     ["parity", "--phases", "-3"],
+    ["parity", "--shots", "10", "--seed", "-1"],
 ])
 def test_malformed_input_exits_usage(argv):
     with pytest.raises(SystemExit) as excinfo:

@@ -47,6 +47,13 @@ def test_schedule_validation():
         evolution.PulseSchedule(total_time=0.0)
     with pytest.raises(ValueError):
         evolution.PulseSchedule(total_time=1.0, shape="bogus")
+    for total_time in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            evolution.PulseSchedule(total_time=total_time)
+    for omega_bar in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            evolution.PulseSchedule(total_time=1.0, omega_bar=omega_bar)
+    evolution.PulseSchedule(total_time=1.0, omega_bar=0.0)
 
 
 def test_preset_names():
@@ -85,6 +92,15 @@ def test_zero_amplitude_schedule_is_identity():
         warnings.simplefilter("error", ReducedModelWarning)
         traj = evolution.integrate_reduced(sch, params, initial_state=np.array([0, 1, 0.0]))
     assert np.max(np.abs(traj.final_state() - np.array([0, 1, 0]))) < 1e-12
+
+
+def test_subnormal_detuning_integrates():
+    # 0.1/delta overflows the step-size guard to inf; the run still takes steps
+    sch = evolution.PulseSchedule(total_time=1.0, omega_bar=0.0)
+    params = model.SystemParams(n_ions=2, eta=1.0, delta=5e-324)
+    traj = evolution.integrate_reduced(sch, params)
+    assert traj.times[-1] == 1.0
+    assert traj.final_state()[0] == 1.0
 
 
 def test_nan_initial_state_fails_norm_check():
