@@ -55,6 +55,13 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
+def seed_int(text: str) -> int:
+    """argparse type for generator seeds, which are unsigned 64-bit integers."""
+    if not 0 <= (value := int(text)) < 2**64:
+        raise ValueError(f"{value} is not an unsigned 64-bit integer")
+    return value
+
+
 def finite_float(text: str) -> float:
     """argparse type for angles and other values that must be finite."""
     value = float(text)
@@ -161,7 +168,7 @@ def _build_run(ns):
     schedule = evolution.PulseSchedule(
         total_time=ns.eta_omega_t, omega_bar=1.0, shape=ns.schedule
     )
-    params = model.SystemParams(n_ions=ns.n, eta=1.0, delta=ns.delta_ratio)
+    params = model.SystemParams(n_ions=ns.n, delta=ns.delta_ratio)
     return schedule, params
 
 
@@ -212,7 +219,7 @@ def cmd_evolve(ns) -> int:
         "n": ns.n, "model": ns.model, "schedule": schedule.shape,
         "preset": ns.adiabatic_preset, "total_time": schedule.total_time,
         "omega_bar": schedule.omega_bar, "delta": params.delta,
-        "eta_omega_bar_T": schedule.adiabaticity(params.eta),
+        "eta_omega_bar_T": schedule.adiabaticity(),
         "dt": ns.dt, "seed": "none",
     })
     _emit(ns.output, header, ("t", "jz_mean", "var_jx", "var_jy", "var_jz", "dark_fidelity"),
@@ -220,7 +227,7 @@ def cmd_evolve(ns) -> int:
     _print_summary({
         "final_jz": rows[-1][1],
         "midpoint_dark_fidelity": dark_fid[traj.index_of(schedule.total_time / 2)],
-        "eta_omega_bar_T": schedule.adiabaticity(params.eta),
+        "eta_omega_bar_T": schedule.adiabaticity(),
         "max_norm_drift": traj.max_norm_drift,
         "truncation_leak": traj.truncation_leak,
     }, path=ns.summary)
@@ -339,7 +346,7 @@ def cmd_bounds(ns) -> int:
 
 def cmd_sweep(ns) -> int:
     times = [float(tok) for tok in ns.eta_omega_t_list.split(",")]
-    params = model.SystemParams(n_ions=ns.n, eta=1.0, delta=ns.delta_ratio)
+    params = model.SystemParams(n_ions=ns.n, delta=ns.delta_ratio)
     jz = np.arange(ns.n + 1) - ns.n / 2
     rows = []
     for total_time in times:
@@ -425,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phases", type=nonnegative_int, default=40, help="analysis phases over 2*pi")
     p.add_argument("--shots", type=positive_int, default=None,
                    help="shots per phase (default exact)")
-    p.add_argument("--seed", type=nonnegative_int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=seed_int, default=DEFAULT_SEED)
     p.add_argument("--output", default=None)
     p.add_argument("--summary", default=None, help="key-value summary file")
     p.set_defaults(func=cmd_parity)

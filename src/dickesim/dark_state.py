@@ -12,6 +12,7 @@ amplitudes this is the half-excited Dicke state along x, annihilated by Jx.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,15 +67,21 @@ def closed_form_coefficients(n_ions: int) -> np.ndarray:
 
 def normalized_amplitudes(coeffs: np.ndarray, omega_r: float,
                           omega_b: float) -> tuple[float, np.ndarray]:
-    """(norm, amplitudes) with amplitudes = C_i * Omega_b^i * Omega_r^(N/2-i) / norm.
+    """(A, amplitudes) with amplitudes = A * C_i * Omega_b^i * Omega_r^(N/2-i).
 
     ``coeffs`` comes from ``closed_form_coefficients``, so a ramp evaluates
-    them once and calls this for each of its samples.
+    them once and calls this for each of its samples.  Amplitudes whose
+    powers leave the float range are divided by the larger one first.
     """
     half = len(coeffs) - 1
+    big = max(omega_r, omega_b)
+    if big > 0 and half * abs(math.log2(big)) > 400:  # A rounds to 0 or inf
+        norm_a, amplitudes = normalized_amplitudes(coeffs, omega_r / big, omega_b / big)
+        with np.errstate(over="ignore", under="ignore"):
+            return norm_a * np.float64(big) ** -half, amplitudes
     raw = np.array([coeffs[i] * omega_b**i * omega_r ** (half - i) for i in range(half + 1)])
     norm = np.linalg.norm(raw)
-    return norm, raw / norm
+    return 1.0 / norm, raw / norm
 
 
 def dark_coefficients(n_ions: int, omega_r: float, omega_b: float) -> DarkState:
@@ -86,13 +93,13 @@ def dark_coefficients(n_ions: int, omega_r: float, omega_b: float) -> DarkState:
         raise ValueError("sideband amplitudes must be nonnegative")
     if omega_r == 0 and omega_b == 0:
         raise ValueError("at least one sideband amplitude must be nonzero")
-    norm, amplitudes = normalized_amplitudes(coeffs, omega_r, omega_b)
+    norm_a, amplitudes = normalized_amplitudes(coeffs, omega_r, omega_b)
     return DarkState(
         n_ions=n_ions,
         omega_r=omega_r,
         omega_b=omega_b,
         coeffs=coeffs,
-        norm_a=1.0 / norm,
+        norm_a=norm_a,
         amplitudes=amplitudes,
     )
 
@@ -108,7 +115,7 @@ def verify_dark(state: DarkState, hamiltonian: np.ndarray) -> float:
         raise ValueError(
             f"dimension mismatch: state {vec.shape[0]}, hamiltonian {hamiltonian.shape[0]}"
         )
-    return float(np.linalg.norm(hamiltonian @ vec))
+    return math.hypot(*np.abs(hamiltonian @ vec))  # no overflow in the squares
 
 
 def jx_annihilation_check(n_ions: int) -> float:

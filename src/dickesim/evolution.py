@@ -26,6 +26,7 @@ import numpy as np
 
 from . import dark_state
 from .errors import NumericalError, PhysicsConfigError, ReducedModelWarning, TruncationWarning
+from .spin_algebra import collective_coupling
 from .model import (
     FullHamiltonian,
     SystemParams,
@@ -53,6 +54,7 @@ H_BLOCK_BYTES = 1 << 20
 class PulseSchedule:
     """Two-tone sideband ramp parameterized by a monotone mixing angle.
 
+    ``omega_bar`` is the sideband Rabi rate eta*Omega_bar, the one drive scale.
     ``shape`` selects the built-in theta maps ("linear" or "smoothstep");
     ``theta_fn`` overrides them with an arbitrary map [0, T] -> radians
     (useful for reversed or experimental ramps; no endpoint check is applied
@@ -86,24 +88,16 @@ class PulseSchedule:
         return self._thetas(np.array([t], dtype=float))[0]
 
     def amplitudes(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(Omega_r, Omega_b) at each time of the 1-D array ``t``.
-
-        The one amplitude formula: the scalar ``omega_r``/``omega_b`` and the
-        integrator's block builder both evaluate it, element by element in
-        the same floating-point operations.
+        """(Omega_r, Omega_b) at each time of the 1-D array ``t``: the one
+        amplitude formula, evaluated element by element in the same
+        floating-point operations whatever the length of ``t``.
         """
         cos = np.cos(self._thetas(np.asarray(t, dtype=float)))
         return self.omega_bar * (1 + cos), self.omega_bar * (1 - cos)
 
-    def omega_r(self, t: float) -> float:
-        return self.amplitudes([t])[0][0]
-
-    def omega_b(self, t: float) -> float:
-        return self.amplitudes([t])[1][0]
-
-    def adiabaticity(self, eta: float = 1.0) -> float:
-        """Dimensionless eta * omega_bar * total_time."""
-        return eta * self.omega_bar * self.total_time
+    def adiabaticity(self) -> float:
+        """The paper's dimensionless eta*Omega_bar*T."""
+        return self.omega_bar * self.total_time
 
     def reversed(self) -> "PulseSchedule":
         """Same ramp with theta -> pi - theta (blue first, red last)."""
@@ -138,7 +132,7 @@ def adiabatic_preset(name: str, n_ions: int):
     else:
         raise ValueError(f"preset must be one of {PRESET_NAMES}, got {name!r}")
     schedule = PulseSchedule(total_time=total_time, omega_bar=omega_bar)
-    params = SystemParams(n_ions=n_ions, eta=1.0, delta=20.0 * omega_bar)
+    params = SystemParams(n_ions=n_ions, delta=20.0 * omega_bar)
     return schedule, params
 
 
@@ -153,7 +147,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray            # (n_samples, dim), unit norm rows
     model_tag: str                # "reduced" | "full"
-    n_ions: int
     params: SystemParams
     schedule: PulseSchedule
     max_norm_drift: float = 0.0
@@ -258,18 +251,7 @@ def _check_norms(states: np.ndarray) -> float:
     return drift
 
 
-def _warn_adiabaticity(schedule: PulseSchedule, eta: float) -> None:
-    value = schedule.adiabaticity(eta)
-    if 0 < value < ADIABATICITY_WARN_BELOW:
-        warnings.warn(
-            f"eta*omega_bar*T = {value:.2f} is below {ADIABATICITY_WARN_BELOW}; "
-            "the ramp is unlikely to be adiabatic",
-            UserWarning,
-            stacklevel=4,
-        )
-
-
-def _integrate(h_stack, dimension: int, schedule: PulseSchedule, params: SystemParams,
+def _integrate(h_stack, dimension: int, schedule: PulseSchedule,
                dt: float | None, guard: float, coarse: str,
                initial_state: np.ndarray | None,
                capture_times: list[float] | None) -> tuple[np.ndarray, np.ndarray, float]:
@@ -284,7 +266,13 @@ def _integrate(h_stack, dimension: int, schedule: PulseSchedule, params: SystemP
         dt = guard
     elif dt > guard * (1 + 1e-9):
         raise PhysicsConfigError(f"dt = {dt:.3e} too coarse{coarse}")
-    _warn_adiabaticity(schedule, params.eta)
+    if 0 < schedule.adiabaticity() < ADIABATICITY_WARN_BELOW:
+        warnings.warn(
+            f"eta*omega_bar*T = {schedule.adiabaticity():.2f} is below "
+            f"{ADIABATICITY_WARN_BELOW}; the ramp is unlikely to be adiabatic",
+            UserWarning,
+            stacklevel=3,
+        )
 
     psi0 = np.zeros(dimension, dtype=complex)
     psi0[0] = 1.0
@@ -315,9 +303,12 @@ def integrate_reduced(schedule: PulseSchedule, params: SystemParams,
     ``SystemParams.reduced_model_trusted``.
     """
     n = params.n_ions
-    rate = params.delta + n * params.eta * schedule.omega_bar
+    kr, kb, dmat = reduced_coupling_parts(n, coupling_scale)
+    # (Omega_r + Omega_b) * max coupling bounds the drive's norm; near delta = 0
+    # RK4 keeps the norm to the readout's 1e-8 only with dt*drive <= 0.1/3
+    drive = 2 * schedule.omega_bar * max(kr.max(), kb.max())
+    rate = max(params.delta + n * schedule.omega_bar, 3 * drive)
     guard = 0.1 / rate if rate > 0 else schedule.total_time / 200
-    kr, kb, dmat = reduced_coupling_parts(n, params.eta, coupling_scale)
     dmat = params.delta * dmat
     peak = np.zeros(2)  # largest (Omega_r, Omega_b) the ramp reaches
 
@@ -328,19 +319,20 @@ def integrate_reduced(schedule: PulseSchedule, params: SystemParams,
         return (wr[:, None, None] * kr + wb[:, None, None] * kb + dmat).astype(complex)
 
     times, states, drift = _integrate(
-        h_stack, n + 1, schedule, params, dt, guard,
-        ": need dt*(delta + N*eta*omega_bar) <= 0.1", initial_state, capture_times,
+        h_stack, n + 1, schedule, dt, guard,
+        ": need dt*max(delta + N*omega_bar, 6*omega_bar*max coupling) <= 0.1",
+        initial_state, capture_times,
     )
-    if not params.with_amplitudes(*peak).reduced_model_trusted:
+    if not params.reduced_model_trusted(peak.max()):
         warnings.warn(
-            f"eta*Omega peaks at {params.eta * peak.max():.3g} against delta = "
+            f"the sideband rate peaks at {peak.max():.3g} against delta = "
             f"{params.delta:.3g}: the reduced chain needs 2*delta > "
-            "10*eta*max(Omega_r, Omega_b) to neglect the off-resonant transitions "
+            "10*max(Omega_r, Omega_b) to neglect the off-resonant transitions "
             "that the full model keeps",
             ReducedModelWarning,
             stacklevel=2,
         )
-    return Trajectory(times, states, "reduced", n, params, schedule, max_norm_drift=drift)
+    return Trajectory(times, states, "reduced", params, schedule, max_norm_drift=drift)
 
 
 def integrate_full(schedule: PulseSchedule, params: SystemParams,
@@ -356,14 +348,18 @@ def integrate_full(schedule: PulseSchedule, params: SystemParams,
     """
     n = params.n_ions
     ham = FullHamiltonian(params)
-    rate = max(params.delta / 0.05, (params.delta + n * params.eta * schedule.omega_bar) / 0.1)
+    # |a J+| = sqrt(n_max) * max R_k; the bound counts Fock levels that a
+    # run seldom fills, so dt*drive <= 0.05 suffices
+    drive = (2 * schedule.omega_bar * np.sqrt(params.n_max)
+             * max(collective_coupling(n, k) for k in range(n)))
+    rate = max(params.delta / 0.05, (params.delta + n * schedule.omega_bar) / 0.1, drive / 0.05)
     guard = 1.0 / rate if rate > 0 else schedule.total_time / 200
 
     def h_stack(ts):
         return ham.at(ts, *schedule.amplitudes(ts))
 
     times, states, drift = _integrate(
-        h_stack, ham.dimension, schedule, params, dt, guard, f" for delta = {params.delta}",
+        h_stack, ham.dimension, schedule, dt, guard, f" for delta = {params.delta}",
         initial_state, capture_times,
     )
     top = np.abs(states[:, params.n_max::(params.n_max + 1)]) ** 2
@@ -374,7 +370,7 @@ def integrate_full(schedule: PulseSchedule, params: SystemParams,
             TruncationWarning,
             stacklevel=2,
         )
-    return Trajectory(times, states, "full", n, params, schedule,
+    return Trajectory(times, states, "full", params, schedule,
                       max_norm_drift=drift, truncation_leak=leak)
 
 
@@ -416,7 +412,7 @@ def dark_fidelity_series(traj: Trajectory,
         indices = np.arange(len(traj.times))
     times = traj.times[indices]
     out = np.full(len(times), np.nan)
-    n = traj.n_ions
+    n = traj.params.n_ions
     if n % 2 != 0:
         return out
     coeffs = dark_state.closed_form_coefficients(n)

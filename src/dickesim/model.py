@@ -2,8 +2,8 @@
 
 The full model is the interaction-picture two-tone sideband Hamiltonian
 
-    H(t) = (eta*Omega_r/2) (a J+ e^{-i delta t} + a^dag J- e^{+i delta t})
-         + (eta*Omega_b/2) (a^dag J+ e^{+i delta t} + a J- e^{-i delta t})
+    H(t) = (Omega_r/2) (a J+ e^{-i delta t} + a^dag J- e^{+i delta t})
+         + (Omega_b/2) (a^dag J+ e^{+i delta t} + a J- e^{-i delta t})
 
 on the (N+1)(n_max+1)-dimensional Dicke (x) Fock product space, with the
 oscillating phases kept explicit (no second rotating-frame transform).
@@ -11,8 +11,9 @@ oscillating phases kept explicit (no second rotating-frame transform).
 The reduced model keeps the resonant ladder only: the alternating chain
 |D^0>|0>, |D^1>|1>, |D^2>|0>, ..., |D^N>|0 or 1>, on which the rotating-frame
 Hamiltonian is real symmetric tridiagonal with detuning delta on the
-odd (one-phonon) sites and couplings R_k * eta * Omega_{b,r} alternating
-blue/red along the chain.
+odd (one-phonon) sites and couplings R_k * Omega_{b,r} alternating
+blue/red along the chain.  Omega_{r,b} are sideband Rabi rates (eta times
+the carrier rates); their scale lives only in ``evolution.PulseSchedule``.
 
 Convention note: the reduced chain couplings are implemented without the
 1/2 prefactors of the interaction Hamiltonian; ``coupling_scale`` rescales
@@ -41,17 +42,11 @@ def default_n_max(n_ions: int) -> int:
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Static chain and drive parameters.
-
-    omega_r and omega_b are the red/blue sideband Rabi amplitudes (real,
-    nonnegative by convention), eta the Lamb-Dicke factor, delta the
-    common sideband detuning and n_max the phonon truncation level.
-    """
+    """Ion number, common sideband detuning delta and phonon truncation
+    n_max; the drive comes from ``evolution.PulseSchedule`` or is passed to
+    the Hamiltonian builders."""
 
     n_ions: int
-    eta: float = 1.0
-    omega_r: float = 0.0
-    omega_b: float = 0.0
     delta: float = 0.0
     n_max: int | None = None
 
@@ -60,29 +55,17 @@ class SystemParams:
             raise ValueError(f"n_ions must be a positive integer, got {self.n_ions}")
         if self.n_max is None:
             object.__setattr__(self, "n_max", default_n_max(self.n_ions))
-        for name in ("eta", "omega_r", "omega_b", "delta"):
-            if not 0 <= getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite and nonnegative")
+        if not 0 <= self.delta < np.inf:
+            raise ValueError("delta must be finite and nonnegative")
         if int(self.n_max) != self.n_max or self.n_max < 0:
             raise ValueError(f"n_max must be a nonnegative integer, got {self.n_max}")
 
-    @property
-    def reduced_model_trusted(self) -> bool:
-        """Whether the detuning dominates the sidebands enough to neglect
-        phonon-number-changing (two-photon off-resonant) transitions; an
-        undriven chain neglects nothing."""
-        drive = self.eta * max(self.omega_r, self.omega_b)
+    def reduced_model_trusted(self, drive: float) -> bool:
+        """Whether the detuning dominates a peak sideband rate ``drive`` =
+        max(Omega_r, Omega_b) enough to neglect phonon-number-changing
+        (two-photon off-resonant) transitions; an undriven chain neglects
+        nothing."""
         return drive == 0 or 2 * self.delta > 10 * drive
-
-    def with_amplitudes(self, omega_r: float, omega_b: float) -> "SystemParams":
-        return SystemParams(
-            n_ions=self.n_ions,
-            eta=self.eta,
-            omega_r=omega_r,
-            omega_b=omega_b,
-            delta=self.delta,
-            n_max=self.n_max,
-        )
 
 
 def chain_phonon_numbers(n_ions: int) -> np.ndarray:
@@ -90,7 +73,7 @@ def chain_phonon_numbers(n_ions: int) -> np.ndarray:
     return np.arange(n_ions + 1) % 2
 
 
-def reduced_coupling_parts(n_ions: int, eta: float = 1.0, coupling_scale: float = 1.0):
+def reduced_coupling_parts(n_ions: int, coupling_scale: float = 1.0):
     """Constant matrices (K_r, K_b, D) with H = Omega_r*K_r + Omega_b*K_b + delta*D.
 
     Splitting the tridiagonal this way lets time-dependent drives rebuild the
@@ -101,16 +84,17 @@ def reduced_coupling_parts(n_ions: int, eta: float = 1.0, coupling_scale: float 
     kb = np.zeros((n + 1, n + 1))
     for k in range(n):
         target = kb if k % 2 == 0 else kr
-        target[k, k + 1] = target[k + 1, k] = coupling_scale * eta * collective_coupling(n, k)
+        target[k, k + 1] = target[k + 1, k] = coupling_scale * collective_coupling(n, k)
     d = np.diag((np.arange(n + 1) % 2).astype(float))
     return kr, kb, d
 
 
-def reduced_hamiltonian(params: SystemParams, coupling_scale: float = 1.0) -> np.ndarray:
-    """Rotating-frame chain Hamiltonian for fixed sideband amplitudes, as a
-    real symmetric tridiagonal matrix on the alternating chain."""
-    kr, kb, d = reduced_coupling_parts(params.n_ions, params.eta, coupling_scale)
-    return params.omega_r * kr + params.omega_b * kb + params.delta * d
+def reduced_hamiltonian(params: SystemParams, omega_r: float, omega_b: float,
+                        coupling_scale: float = 1.0) -> np.ndarray:
+    """Rotating-frame chain Hamiltonian for fixed sideband rates, as a real
+    symmetric tridiagonal matrix on the alternating chain."""
+    kr, kb, d = reduced_coupling_parts(params.n_ions, coupling_scale)
+    return omega_r * kr + omega_b * kb + params.delta * d
 
 
 class FullHamiltonian:
@@ -144,20 +128,17 @@ class FullHamiltonian:
         self._red, self._red_dag, self._blue, self._blue_dag = (op[picked] for op in ops)
         self.dimension = (n + 1) * (n_max + 1)
 
-    def at(self, t: float | np.ndarray, omega_r: float | np.ndarray | None = None,
-           omega_b: float | np.ndarray | None = None) -> np.ndarray:
-        """Dense Hermitian H(t); amplitudes default to the static params.
+    def at(self, t: float | np.ndarray, omega_r: float | np.ndarray,
+           omega_b: float | np.ndarray) -> np.ndarray:
+        """Dense Hermitian H(t) at sideband rates ``omega_r``, ``omega_b``.
 
         A scalar ``t`` gives one (d, d) matrix; an array of k times, with
         amplitude arrays of the same length, gives the (k, d, d) stack.
         """
-        p = self.params
         t = np.asarray(t, dtype=float)
-        wr = np.asarray(p.omega_r if omega_r is None else omega_r, dtype=float)[..., None]
-        wb = np.asarray(p.omega_b if omega_b is None else omega_b, dtype=float)[..., None]
-        phase = np.exp(-1j * p.delta * t)[..., None]
-        cr = p.eta * wr / 2
-        cb = p.eta * wb / 2
+        phase = np.exp(-1j * self.params.delta * t)[..., None]
+        cr = np.asarray(omega_r, dtype=float)[..., None] / 2
+        cb = np.asarray(omega_b, dtype=float)[..., None] / 2
         values = (
             cr * (phase * self._red + np.conj(phase) * self._red_dag)
             + cb * (np.conj(phase) * self._blue + phase * self._blue_dag)

@@ -62,7 +62,7 @@ def fast_trajectory(n_ions: int) -> evolution.Trajectory:
 
 
 def _transfer_numbers(traj: evolution.Trajectory):
-    n = traj.n_ions
+    n = traj.params.n_ions
     jz = np.arange(n + 1) - n / 2
     final_jz = float(np.sum(jz * np.abs(traj.final_state()) ** 2))
     target = dark_state.dark_coefficients(n, 1.0, 1.0).chain_vector
@@ -77,10 +77,10 @@ def criterion_1() -> CriterionResult:
     worst_jx = 0.0
     grid = np.linspace(0.2, 2.0, 10)
     for n in (2, 4, 6):
+        params = model.SystemParams(n_ions=n, delta=7.0)
         for wr in grid:
             for wb in grid:
-                params = model.SystemParams(n_ions=n, omega_r=wr, omega_b=wb, delta=7.0)
-                h = model.reduced_hamiltonian(params)
+                h = model.reduced_hamiltonian(params, wr, wb)
                 psi = dark_state.dark_coefficients(n, wr, wb)
                 worst_h = max(worst_h, dark_state.verify_dark(psi, h))
         worst_jx = max(worst_jx, dark_state.jx_annihilation_check(n))
@@ -142,7 +142,7 @@ def criterion_3_stated() -> CriterionResult:
 
 def _model_agreement(n_ions: int, delta: float) -> float:
     schedule = evolution.PulseSchedule(total_time=40.0, omega_bar=1.0)
-    params = model.SystemParams(n_ions=n_ions, eta=1.0, delta=delta)
+    params = model.SystemParams(n_ions=n_ions, delta=delta)
     reduced = evolution.integrate_reduced(
         schedule, params, coupling_scale=model.CALIBRATED_COUPLING_SCALE
     )
@@ -157,7 +157,7 @@ def calibrate_coupling_scale(n_ions: int = 2) -> tuple[float, float]:
     """Scan the chain coupling scale against the full model; returns the
     best scale on the scan grid and its midpoint agreement."""
     schedule = evolution.PulseSchedule(total_time=40.0, omega_bar=1.0)
-    params = model.SystemParams(n_ions=n_ions, eta=1.0, delta=20.0)
+    params = model.SystemParams(n_ions=n_ions, delta=20.0)
     full = evolution.integrate_full(schedule, params)
     full_mid = model.interaction_to_chain_frame(
         full.midpoint_state(), schedule.total_time / 2, params

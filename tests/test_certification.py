@@ -144,6 +144,31 @@ def test_sandwich_on_random_states_other_sizes(n):
         assert rec.f_lower - 1e-9 <= fid <= rec.f_upper + 1e-9
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.sampled_from([2, 4, 6]),
+    axis=st.sampled_from("xyz"),
+    components=st.integers(1, 8),
+    target_weight=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sandwich_holds_on_random_states(n, axis, components, target_weight, seed):
+    # pure states, mixtures of `components` pure states, and their blends
+    # with the target, where the bounds close in on F = 1
+    rng = np.random.default_rng(seed)
+    target = cert.half_excited_full(n, axis)
+    if components == 1:
+        state = cert.haar_random_pure(2**n, rng)
+        state = np.sqrt(target_weight) * target + np.sqrt(1 - target_weight) * state
+        state /= np.linalg.norm(state)
+    else:
+        state = cert.random_mixture(2**n, components, rng)
+        state = target_weight * np.outer(target, target.conj()) + (1 - target_weight) * state
+    rec = cert.certify_from_state(state, axis)
+    fid = obs.direct_fidelity(state, target)
+    assert rec.f_lower - 1e-9 <= fid <= rec.f_upper + 1e-9
+
+
 def test_certify_validation():
     with pytest.raises(ValueError):
         cert.certify_from_state(np.ones(5) / np.sqrt(5), "x")   # not a qubit space

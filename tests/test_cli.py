@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dickesim import cli, errors
+from dickesim import cli, errors, repro
 
 PAPER_CFG = """\
 W = 5.46
@@ -21,6 +21,11 @@ def _data_rows(path):
             continue
         rows.append(line.strip().split(","))
     return rows[0], rows[1:]
+
+
+def _summary(text):
+    pairs = (line.split(" = ") for line in text.splitlines() if " = " in line)
+    return {key: value for key, value in pairs}
 
 
 def test_darkstate_half_pi_amplitudes(tmp_path):
@@ -260,6 +265,7 @@ def test_usage_error_exit_code():
     ["darkstate", "--omega-b", "-1"],
     ["parity", "--phases", "-3"],
     ["parity", "--shots", "10", "--seed", "-1"],
+    ["parity", "--shots", "10", "--seed", str(2**64)],
 ])
 def test_malformed_input_exits_usage(argv):
     with pytest.raises(SystemExit) as excinfo:
@@ -271,6 +277,26 @@ def test_scan_noise_honours_dt():
     # the same step is too coarse for evolve, which exits 2 on it
     assert cli.main(["scan-noise", "--n", "2", "--eta-omega-t", "10", "--cuts", "5",
                      "--dt", "1"]) == cli.EXIT_PHYSICS
+
+
+def test_largest_seed_is_accepted(capsys):
+    assert cli.main(["parity", "--shots", "10", "--seed", str(2**64 - 1)]) == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_zero_detuning_default_step_keeps_the_norm(n, capsys):
+    # at delta = 0 the drive's norm, not delta + N*omega_bar, bounds the step
+    argv = ["evolve", "--n", str(n), "--delta-ratio", "0", "--eta-omega-t", "20"]
+    with pytest.warns(errors.ReducedModelWarning):
+        assert cli.main(argv + ["--model", "reduced"]) == cli.EXIT_OK
+    assert float(_summary(capsys.readouterr().out)["max_norm_drift"]) < 1e-8
+    # the full model pumps phonons past the truncation at resonance: the
+    # run fails on that leak (exit 3) and not on the readout's trace check
+    with pytest.warns(errors.TruncationWarning):
+        assert cli.main(argv + ["--model", "full"]) == cli.EXIT_NUMERICAL
+    out, err = capsys.readouterr()
+    assert float(_summary(out)["max_norm_drift"]) < 1e-8
+    assert "phonon truncation leak" in err
 
 
 def test_evolve_outside_reduced_regime_warns(capsys):
@@ -291,3 +317,16 @@ def test_default_and_preset_runs_are_silent(argv, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error", errors.ReducedModelWarning)
         assert cli.main(argv) == 0
+
+
+@pytest.mark.parametrize("verdicts, code", [
+    ([(True, False), (False, True)], cli.EXIT_OK),
+    ([(True, False), (False, False)], cli.EXIT_NUMERICAL),
+])
+def test_repro_exit_code_forgives_only_documented_shortfalls(monkeypatch, capsys,
+                                                             verdicts, code):
+    results = [repro.CriterionResult(str(k), "check", passed, ["detail"], shortfall)
+               for k, (passed, shortfall) in enumerate(verdicts)]
+    monkeypatch.setattr(repro, "run_all", lambda: results)
+    assert cli.main(["repro"]) == code
+    assert "FAIL" in capsys.readouterr().out

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dickesim import model
@@ -73,14 +73,31 @@ def test_residual_on_amplitude_grid():
     for n in (2, 6):
         for wr in grid:
             for wb in grid:
-                params = model.SystemParams(n_ions=n, omega_r=wr, omega_b=wb, delta=9.0)
-                h = model.reduced_hamiltonian(params)
+                params = model.SystemParams(n_ions=n, delta=9.0)
+                h = model.reduced_hamiltonian(params, wr, wb)
                 assert verify_dark(dark_coefficients(n, wr, wb), h) < 1e-10
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.sampled_from([2, 4, 6, 8]),
+    omega_r=st.floats(0.0, 1e300),
+    omega_b=st.floats(0.0, 1e300),
+    delta=st.floats(0.0, 1e300),
+)
+def test_dark_state_is_a_kernel_vector_at_random_drives(n, omega_r, omega_b, delta):
+    assume(omega_r > 0 or omega_b > 0)
+    h = model.reduced_hamiltonian(model.SystemParams(n_ions=n, delta=delta), omega_r, omega_b)
+    state = dark_coefficients(n, omega_r, omega_b)
+    assert np.sum(state.amplitudes**2) == pytest.approx(1.0, abs=1e-12)
+    # the residual scales with the drive, whatever delta; products of
+    # subnormal rates round to the nearest 5e-324
+    assert verify_dark(state, h) <= 1e-12 * max(omega_r, omega_b) + 1e-300
+
+
 def test_perturbed_state_fails_residual():
-    params = model.SystemParams(n_ions=4, omega_r=1, omega_b=1, delta=9.0)
-    h = model.reduced_hamiltonian(params)
+    params = model.SystemParams(n_ions=4, delta=9.0)
+    h = model.reduced_hamiltonian(params, 1, 1)
     good = dark_coefficients(4, 1.0, 1.0)
     vec = good.chain_vector.copy()
     vec[1] += 0.01  # populate the one-phonon slot
@@ -88,8 +105,8 @@ def test_perturbed_state_fails_residual():
 
 
 def test_verify_dark_dimension_mismatch():
-    params = model.SystemParams(n_ions=6, omega_r=1, omega_b=1, delta=9.0)
-    h = model.reduced_hamiltonian(params)
+    params = model.SystemParams(n_ions=6, delta=9.0)
+    h = model.reduced_hamiltonian(params, 1, 1)
     with pytest.raises(ValueError):
         verify_dark(dark_coefficients(4, 1.0, 1.0), h)
 
@@ -101,8 +118,8 @@ def test_jx_annihilation(n):
 
 def test_kernel_is_one_dimensional():
     for n in (2, 4, 6):
-        params = model.SystemParams(n_ions=n, omega_r=0.8, omega_b=1.3, delta=5.0)
-        h = model.reduced_hamiltonian(params)
+        params = model.SystemParams(n_ions=n, delta=5.0)
+        h = model.reduced_hamiltonian(params, 0.8, 1.3)
         rank = np.linalg.matrix_rank(h, tol=1e-12)
         assert rank == n  # exactly one null direction
         vals, vecs = np.linalg.eigh(h)

@@ -13,6 +13,12 @@ from dickesim.errors import (
 )
 
 
+def _tones(schedule, t):
+    """(Omega_r, Omega_b) at the one time t."""
+    omega_r, omega_b = schedule.amplitudes([t])
+    return omega_r[0], omega_b[0]
+
+
 def _jz_mean(state):
     n = len(state) - 1
     return float(np.sum((np.arange(n + 1) - n / 2) * np.abs(state) ** 2))
@@ -27,19 +33,19 @@ def test_schedule_endpoints():
         sch = evolution.PulseSchedule(total_time=10.0, shape=shape)
         assert sch.theta(0.0) == 0.0
         assert sch.theta(10.0) == pytest.approx(np.pi, abs=1e-14)
-        assert sch.omega_b(0.0) == pytest.approx(0.0, abs=1e-14)
-        assert sch.omega_r(10.0) == pytest.approx(0.0, abs=1e-12)
+        assert _tones(sch, 0.0)[1] == pytest.approx(0.0, abs=1e-14)
+        assert _tones(sch, 10.0)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_schedule_tone_convention():
     sch = evolution.PulseSchedule(total_time=8.0, omega_bar=1.5)
     t_mid = 4.0
     assert sch.theta(t_mid) == pytest.approx(np.pi / 2)
-    assert sch.omega_r(t_mid) == pytest.approx(1.5)
-    assert sch.omega_b(t_mid) == pytest.approx(1.5)
+    assert _tones(sch, t_mid)[0] == pytest.approx(1.5)
+    assert _tones(sch, t_mid)[1] == pytest.approx(1.5)
     # the tone sum is constant at 2*omega_bar
     for t in (0.0, 2.1, 5.5, 8.0):
-        assert sch.omega_r(t) + sch.omega_b(t) == pytest.approx(3.0, abs=1e-12)
+        assert sum(_tones(sch, t)) == pytest.approx(3.0, abs=1e-12)
 
 
 def test_schedule_validation():
@@ -65,11 +71,11 @@ def test_preset_names():
 
 
 def test_paper_preset_scale():
-    schedule, params = evolution.adiabatic_preset("paper", 4)
+    schedule, _ = evolution.adiabatic_preset("paper", 4)
     # peak tone rate of 2*pi*14 kHz over 340 us ~ 4.8 cycles
     peak_cycles = 2 * schedule.omega_bar / (2 * np.pi) * schedule.total_time
     assert peak_cycles == pytest.approx(4.76, abs=0.01)
-    assert schedule.adiabaticity(params.eta) == pytest.approx(np.pi * 14e3 * 340e-6)
+    assert schedule.adiabaticity() == pytest.approx(np.pi * 14e3 * 340e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -79,14 +85,14 @@ def test_paper_preset_scale():
 def test_frozen_red_only_schedule_is_stationary():
     # theta pinned at 0 keeps the blue tone off; |D^0>|0> stays dark
     sch = evolution.PulseSchedule(total_time=20.0, omega_bar=1.0, theta_fn=lambda t: 0.0)
-    params = model.SystemParams(n_ions=4, eta=1.0, delta=10.0)
+    params = model.SystemParams(n_ions=4, delta=10.0)
     traj = evolution.integrate_reduced(sch, params)
     assert abs(abs(traj.final_state()[0]) ** 2 - 1.0) < 1e-10
 
 
 def test_zero_amplitude_schedule_is_identity():
     sch = evolution.PulseSchedule(total_time=5.0, omega_bar=0.0)
-    params = model.SystemParams(n_ions=2, eta=1.0, delta=0.0)
+    params = model.SystemParams(n_ions=2, delta=0.0)
     with warnings.catch_warnings():
         # an undriven chain neglects nothing, even at delta = 0
         warnings.simplefilter("error", ReducedModelWarning)
@@ -97,7 +103,7 @@ def test_zero_amplitude_schedule_is_identity():
 def test_subnormal_detuning_integrates():
     # 0.1/delta overflows the step-size guard to inf; the run still takes steps
     sch = evolution.PulseSchedule(total_time=1.0, omega_bar=0.0)
-    params = model.SystemParams(n_ions=2, eta=1.0, delta=5e-324)
+    params = model.SystemParams(n_ions=2, delta=5e-324)
     traj = evolution.integrate_reduced(sch, params)
     assert traj.times[-1] == 1.0
     assert traj.final_state()[0] == 1.0
@@ -105,7 +111,7 @@ def test_subnormal_detuning_integrates():
 
 def test_nan_initial_state_fails_norm_check():
     sch = evolution.PulseSchedule(total_time=5.0, omega_bar=1.0)
-    params = model.SystemParams(n_ions=2, eta=1.0, delta=20.0)
+    params = model.SystemParams(n_ions=2, delta=20.0)
     with pytest.raises(NumericalError):
         evolution.integrate_reduced(sch, params, initial_state=np.array([np.nan, 1, 0]))
 
@@ -138,7 +144,7 @@ def test_adiabatic_octaves_monotone():
     mids, finals = [], []
     for total_time in (15.0, 30.0, 60.0, 120.0):
         sch = evolution.PulseSchedule(total_time=total_time, omega_bar=1.0)
-        params = model.SystemParams(n_ions=4, eta=1.0, delta=5.0)
+        params = model.SystemParams(n_ions=4, delta=5.0)
         traj = evolution.integrate_reduced(sch, params)
         target = dark_coefficients(4, 1.0, 1.0).chain_vector
         mids.append(1 - abs(np.vdot(target, traj.midpoint_state())) ** 2)
@@ -155,7 +161,7 @@ def test_dark_manifold_tracking_at_strict_settings():
 
 def test_low_adiabaticity_warns():
     sch = evolution.PulseSchedule(total_time=3.0, omega_bar=1.0)
-    params = model.SystemParams(n_ions=2, eta=1.0, delta=10.0)
+    params = model.SystemParams(n_ions=2, delta=10.0)
     with pytest.warns(UserWarning, match="adiabatic"):
         evolution.integrate_reduced(sch, params)
 
@@ -166,7 +172,7 @@ def test_low_adiabaticity_warns():
 
 def test_truncated_scan_endpoints_and_monotone_jz():
     sch = evolution.PulseSchedule(total_time=120.0, omega_bar=1.0)
-    params = model.SystemParams(n_ions=4, eta=1.0, delta=5.0)
+    params = model.SystemParams(n_ions=4, delta=5.0)
     cuts = list(np.linspace(0.0, 120.0, 25))
     states = evolution.truncated_scan(sch, params, cuts)
     assert states[0][0] == 0.0
@@ -183,7 +189,7 @@ def test_truncated_scan_endpoints_and_monotone_jz():
 
 def test_truncated_scan_rejects_out_of_range():
     sch = evolution.PulseSchedule(total_time=10.0, omega_bar=1.0)
-    params = model.SystemParams(n_ions=2, eta=1.0, delta=5.0)
+    params = model.SystemParams(n_ions=2, delta=5.0)
     with pytest.raises(ValueError):
         evolution.truncated_scan(sch, params, [11.0])
 
@@ -194,7 +200,7 @@ def test_truncated_scan_rejects_out_of_range():
 
 def test_full_transfer_two_ions():
     sch = evolution.PulseSchedule(total_time=320.0, omega_bar=1.0)
-    params = model.SystemParams(n_ions=2, eta=1.0, delta=20.0)
+    params = model.SystemParams(n_ions=2, delta=20.0)
     traj = evolution.integrate_full(sch, params)
     final = traj.final_state().reshape(3, params.n_max + 1)
     assert abs(final[2, 0]) ** 2 >= 0.95
@@ -210,17 +216,17 @@ def test_zero_detuning_pumps_phonons():
         final = traj.final_state().reshape(params.n_ions + 1, params.n_max + 1)
         return float(np.sum(np.arange(params.n_max + 1) * np.sum(np.abs(final) ** 2, axis=0)))
 
-    params0 = model.SystemParams(n_ions=2, eta=1.0, delta=0.0)
+    params0 = model.SystemParams(n_ions=2, delta=0.0)
     with pytest.warns(TruncationWarning):
         resonant = mean_phonon(evolution.integrate_full(sch, params0), params0)
-    params20 = model.SystemParams(n_ions=2, eta=1.0, delta=20.0)
+    params20 = model.SystemParams(n_ions=2, delta=20.0)
     detuned = mean_phonon(evolution.integrate_full(sch, params20), params20)
     assert resonant > 10 * detuned
 
 
 def test_full_zero_amplitude_identity():
     sch = evolution.PulseSchedule(total_time=5.0, omega_bar=0.0)
-    params = model.SystemParams(n_ions=2, eta=1.0, delta=10.0)
+    params = model.SystemParams(n_ions=2, delta=10.0)
     traj = evolution.integrate_full(sch, params)
     psi0 = np.zeros((3) * (params.n_max + 1))
     psi0[0] = 1.0
@@ -232,7 +238,7 @@ def test_phonon_truncation_convergence():
     sch = evolution.PulseSchedule(total_time=40.0, omega_bar=1.0)
     fids = []
     for n_max in (5, 7):
-        params = model.SystemParams(n_ions=2, eta=1.0, delta=20.0, n_max=n_max)
+        params = model.SystemParams(n_ions=2, delta=20.0, n_max=n_max)
         traj = evolution.integrate_full(sch, params)
         mid = model.interaction_to_chain_frame(traj.midpoint_state(), 20.0, params)
         target = model.embed_chain_state(dark_coefficients(2, 1, 1).chain_vector, 2, n_max)

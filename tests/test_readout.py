@@ -57,13 +57,14 @@ def _reference_dark_vector(n, omega_r, omega_b):
 def _reference_dark_fidelity(traj, index):
     t = traj.times[index]
     wr, wb = (tone[0] for tone in traj.schedule.amplitudes([t]))
-    if traj.n_ions % 2 != 0 or (wr == 0 and wb == 0):
+    n = traj.params.n_ions
+    if n % 2 != 0 or (wr == 0 and wb == 0):
         return np.nan
-    target = _reference_dark_vector(traj.n_ions, wr, wb)
+    target = _reference_dark_vector(n, wr, wb)
     state = traj.states[index]
     if traj.model_tag == "full":
         state = model.interaction_to_chain_frame(state, t, traj.params)
-        target = model.embed_chain_state(target, traj.n_ions, traj.params.n_max)
+        target = model.embed_chain_state(target, n, traj.params.n_max)
     return abs(np.vdot(target, state)) ** 2
 
 
@@ -79,7 +80,7 @@ def _bits(values):
 def _trajectories(draw):
     model_tag = draw(st.sampled_from(["reduced", "full"]))
     n = draw(st.integers(1, 8))
-    params = model.SystemParams(n_ions=n, eta=1.0, delta=draw(st.floats(0.0, 40.0)))
+    params = model.SystemParams(n_ions=n, delta=draw(st.floats(0.0, 40.0)))
     total_time = draw(st.floats(0.5, 500.0))
     schedule = evolution.PulseSchedule(
         total_time=total_time,
@@ -102,14 +103,14 @@ def _trajectories(draw):
     times[0] = 0.0
     if n_samples > 1:
         times[-1] = total_time
-    return evolution.Trajectory(times, states, model_tag, n, params, schedule)
+    return evolution.Trajectory(times, states, model_tag, params, schedule)
 
 
 @settings(max_examples=150, deadline=None)
 @given(_trajectories())
 def test_stacked_spin_readout_equals_per_sample_formulas(traj):
     n_max = traj.params.n_max if traj.model_tag == "full" else None
-    rhos = observables.spin_marginals(traj.states, traj.n_ions, n_max)
+    rhos = observables.spin_marginals(traj.states, traj.params.n_ions, n_max)
     columns = observables.spin_readout(rhos)
     for i, psi in enumerate(traj.states):
         rho = _reference_marginal(psi, traj.model_tag, traj.params)
@@ -151,7 +152,7 @@ def test_spin_readout_rejects_unnormalized_matrices():
 def test_run_stopped_at_a_cut_equals_the_whole_ramp(model_tag, n, total_time, shape,
                                                     cut_fraction):
     schedule = evolution.PulseSchedule(total_time=total_time, shape=shape)
-    params = model.SystemParams(n_ions=n, eta=1.0, delta=20.0)
+    params = model.SystemParams(n_ions=n, delta=20.0)
     integrate = evolution.integrate_reduced if model_tag == "reduced" else evolution.integrate_full
     cut = cut_fraction * total_time
     whole = integrate(schedule, params, capture_times=[cut, total_time])

@@ -123,7 +123,7 @@ def _runs(draw):
 @given(run=_runs())
 def test_step_matches_textbook_update(model_tag, n_ions, run):
     schedule, delta, capture_times, state_seed = run
-    params = model.SystemParams(n_ions=n_ions, eta=1.0, delta=delta)
+    params = model.SystemParams(n_ions=n_ions, delta=delta)
     _assert_same_bits(model_tag, schedule, params, capture_times, state_seed)
 
 
@@ -146,7 +146,7 @@ _SMOOTH = evolution.PulseSchedule(total_time=3.0, shape="smoothstep")
 ])
 def test_step_matches_textbook_update_at_edges(model_tag, schedule, n_ions, delta,
                                                capture_times, state_seed):
-    params = model.SystemParams(n_ions=n_ions, eta=1.0, delta=delta)
+    params = model.SystemParams(n_ions=n_ions, delta=delta)
     _assert_same_bits(model_tag, schedule, params, capture_times, state_seed)
 
 
