@@ -172,6 +172,20 @@ def _build_run(ns):
     return schedule, params
 
 
+def _integrate(ns, schedule, params, capture_times=None) -> evolution.Trajectory:
+    run = evolution.integrate_reduced if ns.model == "reduced" else evolution.integrate_full
+    return run(schedule, params, dt=ns.dt, capture_times=capture_times)
+
+
+def _run_record(traj: evolution.Trajectory) -> dict:
+    """What the integrator did, for the provenance header."""
+    record = {"propagator": "rk4", "n_steps": traj.n_steps, "dt": traj.dt,
+              "max_norm_drift": traj.max_norm_drift}
+    if traj.model_tag == "full":
+        record["truncation_leak"] = traj.truncation_leak
+    return record
+
+
 def _spin_marginals(states: np.ndarray, model_tag: str, params: model.SystemParams) -> np.ndarray:
     n_max = params.n_max if model_tag == "full" else None
     return observables.spin_marginals(states, params.n_ions, n_max)
@@ -207,10 +221,7 @@ def cmd_darkstate(ns) -> int:
 
 def cmd_evolve(ns) -> int:
     schedule, params = _build_run(ns)
-    if ns.model == "reduced":
-        traj = evolution.integrate_reduced(schedule, params, dt=ns.dt)
-    else:
-        traj = evolution.integrate_full(schedule, params, dt=ns.dt)
+    traj = _integrate(ns, schedule, params)
     dark_fid = evolution.dark_fidelity_series(traj)
     spin = observables.spin_readout(_spin_marginals(traj.states, traj.model_tag, traj.params))
     rows = list(zip(traj.times, *spin, dark_fid))
@@ -219,8 +230,7 @@ def cmd_evolve(ns) -> int:
         "n": ns.n, "model": ns.model, "schedule": schedule.shape,
         "preset": ns.adiabatic_preset, "total_time": schedule.total_time,
         "omega_bar": schedule.omega_bar, "delta": params.delta,
-        "eta_omega_bar_T": schedule.adiabaticity(),
-        "dt": ns.dt, "seed": "none",
+        "eta_omega_bar_T": schedule.adiabaticity(), "seed": "none", **_run_record(traj),
     })
     _emit(ns.output, header, ("t", "jz_mean", "var_jx", "var_jy", "var_jz", "dark_fidelity"),
           rows)
@@ -238,17 +248,15 @@ def cmd_evolve(ns) -> int:
 
 def cmd_scan_noise(ns) -> int:
     schedule, params = _build_run(ns)
-    cut_times = np.linspace(0.0, schedule.total_time, ns.cuts)
-    states = evolution.truncated_scan(schedule, params, list(cut_times), model=ns.model,
-                                      dt=ns.dt)
-    taus = [tau for tau, _ in states]
-    _, *variances = observables.spin_readout(
-        _spin_marginals(np.array([state for _, state in states]), ns.model, params))
+    cut_times = np.linspace(0.0, schedule.total_time, ns.cuts).tolist()
+    traj = _integrate(ns, schedule, params, capture_times=cut_times)
+    taus, states = traj.samples_at(cut_times)
+    _, *variances = observables.spin_readout(_spin_marginals(states, ns.model, params))
     rows = list(zip(taus, *variances))
     header = _provenance("scan-noise", {
         "n": ns.n, "model": ns.model, "preset": ns.adiabatic_preset,
         "total_time": schedule.total_time, "delta": params.delta,
-        "cuts": ns.cuts, "dt": ns.dt, "seed": "none",
+        "cuts": ns.cuts, "seed": "none", **_run_record(traj),
     })
     _emit(ns.output, header, ("tau_c", "var_jx", "var_jy", "var_jz"), rows)
     return EXIT_OK

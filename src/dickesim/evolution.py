@@ -11,9 +11,15 @@ reproducible.  H(t) does not depend on the state, so the Hamiltonians at t,
 t + dt/2 and t + dt are built as (k, d, d) stacks for a block of k steps at
 once.  Each step then makes four matrix-vector products y = H psi into
 preallocated buffers and carries the Schrodinger equation's -i in its scalar
-coefficients, not in H (see ``_rk4``).  The step gives the same bits as the
-textbook update with the slopes k = -i*H*psi, one Hamiltonian at a time,
-except for the sign of a zero where a product underflows.
+coefficients, not in H: 17 numpy calls a step, each at its cheapest entry
+point (see ``_rk4``).  The step gives the same bits as the textbook update
+with the slopes k = -i*H*psi, one Hamiltonian at a time, except for the sign
+of a zero where a product underflows.
+
+A run from |D^0>|0> fails with a ``NumericalError`` once its norm drifts so
+far that the readout's ``observables.NORM_TOL`` would reject a sample.  The
+``Trajectory`` records the steps taken, the step size, the largest norm
+drift and, on the full model, the phonon-truncation leak.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import numpy as np
 
 from . import dark_state
 from .errors import NumericalError, PhysicsConfigError, ReducedModelWarning, TruncationWarning
+from .observables import NORM_TOL
 from .spin_algebra import collective_coupling
 from .model import (
     FullHamiltonian,
@@ -41,8 +48,12 @@ PRESET_NAMES = ("strict", "fast", "paper")
 #: dimensionless eta*omega_bar*T below which adiabaticity is doubtful
 ADIABATICITY_WARN_BELOW = 5.0
 
-NORM_DRIFT_LIMIT = 1e-6
 LEAK_WARN_LEVEL = 1e-3
+
+#: norm drift allowed for a caller's own initial state.  The default step is
+#: sized for runs from |D^0>|0>, which keep the detuned levels nearly empty;
+#: a state that fills the chain's whole spectrum drifts faster at that step.
+CALLER_STATE_DRIFT_LIMIT = 1e-6
 
 #: bytes of the three complex Hamiltonian stacks (t, t + dt/2, t + dt) that
 #: the integrator builds at once; sets how many steps share one block.  The
@@ -151,12 +162,19 @@ class Trajectory:
     schedule: PulseSchedule
     max_norm_drift: float = 0.0
     truncation_leak: float = 0.0  # peak population of the top Fock level
+    n_steps: int = 0              # RK4 steps taken
+    dt: float = 0.0               # RK4 step size
 
     def index_of(self, t: float) -> int:
         return int(np.argmin(np.abs(self.times - t)))
 
     def state_at(self, t: float) -> np.ndarray:
         return self.states[self.index_of(t)]
+
+    def samples_at(self, times: list[float]) -> tuple[list[float], np.ndarray]:
+        """Times and states of the samples nearest each of ``times``."""
+        idx = [self.index_of(t) for t in times]
+        return self.times[idx].tolist(), self.states[idx]
 
     def midpoint_state(self) -> np.ndarray:
         return self.state_at(self.schedule.total_time / 2)
@@ -192,18 +210,28 @@ def _rk4(h_stack, psi0: np.ndarray, total_time: float, n_steps: int,
     (H near 1e-308), where the two can give that zero opposite signs.  The -i
     is not folded into H, because zgemv on a complex -i*H accumulates its
     products in another order and changes last bits.
+
+    A step is 17 numpy calls: four ``ndarray.dot`` and 13 ufunc calls.  How
+    each is called sets its cost, not its result.  ``h.dot(psi, out=y)`` runs
+    the same matrix product (zgemv) as ``np.dot``, without passing through
+    numpy's ``__array_function__`` dispatch.  The coefficients, and the 2 of
+    the final sum, are 0-d complex128 arrays: a ufunc turns a scalar operand
+    into just such an array on every call, so it multiplies the same values
+    in the same loop.  The doubling stays a multiplication: y + y can differ
+    from (2 + 0j)*y in the sign of a zero, since (2 + 0j)*(-0 - 1j) has real
+    part +0 and (-0 - 1j) + (-0 - 1j) has -0.  Each step reads its three
+    Hamiltonians as the rows of three slices of the block's stack, with no
+    index arithmetic.
     """
     dt = total_time / n_steps
-    # numpy scalars, which a ufunc takes faster than Python numbers
-    c_h, c_f, c_s = np.complex128(-0.5j * dt), np.complex128(-1j * dt), np.complex128(-1j * dt / 6)
-    two = np.complex128(2)
+    c_h, c_f, c_s, two = (np.array(c) for c in (-0.5j * dt, -1j * dt, -1j * dt / 6, 2 + 0j))
     times = capture * dt
     capture = capture.tolist()  # Python ints: no numpy scalar compare per step
     stop = capture[-1]
     psi = psi0.astype(complex)
     states = np.empty((len(capture), len(psi0)), dtype=complex)
     y1, y2, y3, y4, arg = np.empty((5, len(psi0)), dtype=complex)
-    dot, add, mul = np.dot, np.add, np.multiply  # looked up 17 times a step
+    add, mul = np.add, np.multiply  # looked up 13 times a step
     block = max(1, H_BLOCK_BYTES // (3 * 16 * len(psi0) ** 2))
     pos = 0
     if capture[pos] == 0:
@@ -216,21 +244,22 @@ def _rk4(h_stack, psi0: np.ndarray, total_time: float, n_steps: int,
         # so every Hamiltonian is built in the same array as in a full run.
         t = np.arange(start, min(start + block, n_steps)) * dt
         n = len(t)
+        m = min(n, stop - start)
         stack = h_stack(np.concatenate((t, t + dt / 2, t + dt)))
-        for j in range(min(n, stop - start)):
-            h2 = stack[n + j]
-            dot(stack[j], psi, out=y1)
+        for step, h1, h2, h3 in zip(range(start + 1, start + m + 1), stack[:m],
+                                    stack[n:n + m], stack[2 * n:2 * n + m]):
+            h1.dot(psi, out=y1)
             add(psi, mul(c_h, y1, out=arg), out=arg)
-            dot(h2, arg, out=y2)
+            h2.dot(arg, out=y2)
             add(psi, mul(c_h, y2, out=arg), out=arg)
-            dot(h2, arg, out=y3)
+            h2.dot(arg, out=y3)
             add(psi, mul(c_f, y3, out=arg), out=arg)
-            dot(stack[2 * n + j], arg, out=y4)
+            h3.dot(arg, out=y4)
             add(y1, mul(two, y2, out=y2), out=y1)
             add(y1, mul(two, y3, out=y3), out=y1)
             add(y1, y4, out=y1)
             add(psi, mul(c_s, y1, out=y1), out=psi)
-            if capture[pos] == start + j + 1:
+            if capture[pos] == step:
                 states[pos] = psi
                 pos += 1
     return times, states
@@ -241,23 +270,34 @@ def _plan_steps(total_time: float, dt: float) -> int:
     return n + (n % 2)  # even so the midpoint lands on the grid
 
 
-def _check_norms(states: np.ndarray) -> float:
+def _check_norms(states: np.ndarray, own_state: bool) -> float:
+    """Largest norm drift |‖psi‖ - 1| of the samples.
+
+    A run from |D^0>|0> fails where a sample's |psi|^2, the trace that the
+    readout checks, is further than ``observables.NORM_TOL`` from 1: a drift
+    that the readout would reject is a step-size failure and is reported
+    here.  A run from the caller's ``own_state`` fails where the norm drift
+    exceeds ``CALLER_STATE_DRIFT_LIMIT``.
+    """
     norms = np.linalg.norm(states, axis=1)
     drift = float(np.max(np.abs(norms - 1.0)))
-    if not drift <= NORM_DRIFT_LIMIT:  # a nan drift fails too
-        raise NumericalError(
-            f"norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT:.0e}; reduce the step size"
-        )
+    if own_state:
+        name, off, tol = "norm drift", drift, CALLER_STATE_DRIFT_LIMIT
+    else:
+        name, off, tol = "|psi|^2 drift", float(np.max(np.abs(norms**2 - 1.0))), NORM_TOL
+    if not off <= tol:  # a nan drift fails too
+        raise NumericalError(f"{name} {off:.3e} exceeds {tol:.0e}; reduce the step size")
     return drift
 
 
 def _integrate(h_stack, dimension: int, schedule: PulseSchedule,
                dt: float | None, guard: float, coarse: str,
                initial_state: np.ndarray | None,
-               capture_times: list[float] | None) -> tuple[np.ndarray, np.ndarray, float]:
+               capture_times: list[float] | None) -> tuple[np.ndarray, np.ndarray, dict]:
     """RK4 from |D^0>|0> (basis index 0) or ``initial_state``, sampled on the
     capture grid plus the steps nearest ``capture_times``, and stopped at the
-    latest of those; returns (times, states, max norm drift).
+    latest of those; returns (times, states, run record), the record being the
+    ``Trajectory`` fields max_norm_drift, n_steps and dt.
 
     ``dt`` defaults to the model's stability ``guard`` and may not exceed it;
     ``coarse`` completes the error message when it does.
@@ -288,7 +328,9 @@ def _integrate(h_stack, dimension: int, schedule: PulseSchedule,
     capture = _capture_steps(n_steps, extra)
     capture = capture[capture <= max(extra, default=n_steps)]
     times, states = _rk4(h_stack, psi0, schedule.total_time, n_steps, capture)
-    return times, states, _check_norms(states)
+    record = {"max_norm_drift": _check_norms(states, initial_state is not None),
+              "n_steps": int(capture[-1]), "dt": schedule.total_time / n_steps}
+    return times, states, record
 
 
 def integrate_reduced(schedule: PulseSchedule, params: SystemParams,
@@ -318,7 +360,7 @@ def integrate_reduced(schedule: PulseSchedule, params: SystemParams,
         # exact cast: matmul against the complex state would cast every step
         return (wr[:, None, None] * kr + wb[:, None, None] * kb + dmat).astype(complex)
 
-    times, states, drift = _integrate(
+    times, states, record = _integrate(
         h_stack, n + 1, schedule, dt, guard,
         ": need dt*max(delta + N*omega_bar, 6*omega_bar*max coupling) <= 0.1",
         initial_state, capture_times,
@@ -332,7 +374,7 @@ def integrate_reduced(schedule: PulseSchedule, params: SystemParams,
             ReducedModelWarning,
             stacklevel=2,
         )
-    return Trajectory(times, states, "reduced", params, schedule, max_norm_drift=drift)
+    return Trajectory(times, states, "reduced", params, schedule, **record)
 
 
 def integrate_full(schedule: PulseSchedule, params: SystemParams,
@@ -358,7 +400,7 @@ def integrate_full(schedule: PulseSchedule, params: SystemParams,
     def h_stack(ts):
         return ham.at(ts, *schedule.amplitudes(ts))
 
-    times, states, drift = _integrate(
+    times, states, record = _integrate(
         h_stack, ham.dimension, schedule, dt, guard, f" for delta = {params.delta}",
         initial_state, capture_times,
     )
@@ -370,8 +412,7 @@ def integrate_full(schedule: PulseSchedule, params: SystemParams,
             TruncationWarning,
             stacklevel=2,
         )
-    return Trajectory(times, states, "full", params, schedule,
-                      max_norm_drift=drift, truncation_leak=leak)
+    return Trajectory(times, states, "full", params, schedule, truncation_leak=leak, **record)
 
 
 def truncated_scan(schedule: PulseSchedule, params: SystemParams,
@@ -393,11 +434,7 @@ def truncated_scan(schedule: PulseSchedule, params: SystemParams,
         traj = integrate_full(schedule, params, dt=dt, capture_times=list(cut_times))
     else:
         raise ValueError(f"model must be 'reduced' or 'full', got {model!r}")
-    out = []
-    for tc in cut_times:
-        idx = traj.index_of(tc)
-        out.append((float(traj.times[idx]), traj.states[idx]))
-    return out
+    return list(zip(*traj.samples_at(cut_times)))
 
 
 def dark_fidelity_series(traj: Trajectory,

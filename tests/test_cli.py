@@ -299,6 +299,17 @@ def test_zero_detuning_default_step_keeps_the_norm(n, capsys):
     assert "phonon truncation leak" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--n", "1", "--delta-ratio", "0", "--eta-omega-t", "100"],
+    ["sweep", "--n", "1", "--delta-ratio", "0", "--eta-omega-t-list", "100"],
+])
+def test_drift_past_the_readout_tolerance_is_a_numerical_failure(argv, capsys):
+    # at odd N and delta = 0 the drift grows with T and passes the readout's
+    # 1e-8 at T = 100: the integrator reports it as a step-size failure
+    assert cli.main(argv) == cli.EXIT_NUMERICAL
+    assert "reduce the step size" in capsys.readouterr().err
+
+
 def test_evolve_outside_reduced_regime_warns(capsys):
     # the peak tone 2*omega_bar is not small against delta = 0.5*eta*omega_bar
     with pytest.warns(errors.ReducedModelWarning, match="full model"):
