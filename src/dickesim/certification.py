@@ -13,6 +13,10 @@ space, including all lower angular-momentum multiplets, because every
 projection population sums the degenerate sectors and the witness is
 diagonal in the total-angular-momentum basis.
 
+Exact certification of a 2^N state rotates each qubit into the eigenbasis
+of sigma_a (J_a = sum_q sigma_a^(q)/2) and sums the probabilities by Hamming
+weight into P_a(m); the witness is then exactly sum_m m^2 (P_b(m) + P_c(m)).
+
 Experimental populations may be fed in raw (unnormalized); nothing here
 renormalizes them.
 """
@@ -23,7 +27,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 
 from .spin_algebra import _frozen, dicke_state_full, full_space_oracle
 
@@ -148,14 +151,40 @@ def propagate_uncertainty(j_max: int, sigma_witness: float,
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _projection_blocks(n_ions: int, axis: str):
-    """Eigenvector blocks of the full-space spin projection, keyed by jz."""
-    vals, vecs = np.linalg.eigh(full_space_oracle(n_ions, "j" + axis))
-    blocks = []
-    for jz in range(-n_ions // 2, n_ions // 2 + 1):
-        cols = np.abs(vals - jz) < 1e-9
-        blocks.append(_frozen(vecs[:, cols].copy()))
-    return blocks
+def _qubit_rotations(axis: str) -> tuple[np.ndarray, np.ndarray]:
+    """(u, m) for one qubit: u's rows are sigma_axis's eigenvectors (down, up)
+    conjugated, and m[k, 2i + j] = u[k, i] conj(u[k, j]) maps a density
+    matrix's (row, column) index pair to the population of eigenvector k."""
+    u = _frozen(np.linalg.eigh(full_space_oracle(1, "j" + axis))[1].conj().T)
+    return u, _frozen((u[:, :, None] * u.conj()[:, None, :]).reshape(2, 4))
+
+
+@lru_cache(maxsize=None)
+def _hamming_weights(n_ions: int) -> np.ndarray:
+    """Spins up in each 2^N basis state."""
+    return _frozen(np.array([bin(idx).count("1") for idx in range(2**n_ions)]))
+
+
+def _on_each_qubit(x: np.ndarray, op: np.ndarray, n_ions: int) -> np.ndarray:
+    """Apply ``op`` to each qubit's index of ``x``: every pass acts on the
+    leading qubit and moves it to the back, so N passes restore the order."""
+    for _ in range(n_ions):
+        x = (op @ x.reshape(op.shape[1], -1)).T
+    return x.reshape(-1)
+
+
+def _projection_populations(state: np.ndarray, n_ions: int, axis: str) -> np.ndarray:
+    """Populations of J_axis = m - N/2, m = 0..N: rotate each qubit into
+    sigma_axis's eigenbasis, then sum the probabilities by Hamming weight."""
+    if axis == "z":
+        probs = np.abs(state) ** 2 if state.ndim == 1 else np.diagonal(state).real
+    elif state.ndim == 1:
+        probs = np.abs(_on_each_qubit(state, _qubit_rotations(axis)[0], n_ions)) ** 2
+    else:  # interleave each qubit's row and column bit into one index of size 4
+        pairs = state.reshape((2,) * (2 * n_ions)).transpose(
+            [a for q in range(n_ions) for a in (q, n_ions + q)])
+        probs = _on_each_qubit(pairs, _qubit_rotations(axis)[1], n_ions).real
+    return np.bincount(_hamming_weights(n_ions), weights=probs, minlength=n_ions + 1)
 
 
 @lru_cache(maxsize=None)
@@ -163,81 +192,54 @@ def half_excited_full(n_ions: int, axis: str = "x") -> np.ndarray:
     """Half-excited Dicke state along an axis, in the full 2^N space."""
     if n_ions % 2 != 0:
         raise ValueError("half-excited states need an even number of ions")
-    target = dicke_state_full(n_ions, n_ions // 2)
-    if axis == "x":
-        target = expm(-1j * (np.pi / 2) * full_space_oracle(n_ions, "jy")) @ target
-    elif axis == "y":
-        target = expm(+1j * (np.pi / 2) * full_space_oracle(n_ions, "jx")) @ target
-    elif axis != "z":
+    if axis not in AXIS_COMPLEMENTS:
         raise ValueError(f"axis must be x, y or z, got {axis!r}")
+    target = dicke_state_full(n_ions, n_ions // 2)
+    if axis != "z":
+        # exp(-i (pi/2) J_y) for x, exp(+i (pi/2) J_x) for y, one qubit at a time
+        sigma = 2 * full_space_oracle(1, "jy") if axis == "x" else -2 * full_space_oracle(1, "jx")
+        rotation = np.cos(np.pi / 4) * np.eye(2) - 1j * np.sin(np.pi / 4) * sigma
+        target = _on_each_qubit(target, rotation, n_ions)
     return _frozen(target)
-
-
-def _full_dim_to_n(dim: int) -> int:
-    n = int(round(np.log2(dim)))
-    if 2**n != dim:
-        raise ValueError(f"state dimension {dim} is not a power of two")
-    return n
 
 
 def certify_from_state(state: np.ndarray, axis: str = "x") -> CertificationRecord:
     """Exact witness and populations of a full-space state, plus the bounds.
 
     ``state`` is a vector or a density matrix on the 2^N space, N even and
-    at most 8.  Measurement operators are rotated to the requested axis;
-    states are never rotated.
+    at most 8.  The populations come from ``_projection_populations`` and
+    the witness from those along the two complementary axes.
     """
     if axis not in AXIS_COMPLEMENTS:
         raise ValueError(f"axis must be x, y or z, got {axis!r}")
     state = np.asarray(state, dtype=complex)
     dim = state.shape[0]
-    if state.ndim == 2 and state.shape != (dim, dim):
-        raise ValueError("density matrix must be square")
-    n_ions = _full_dim_to_n(dim)
+    if state.ndim > 2 or state.ndim == 2 and state.shape != (dim, dim):
+        raise ValueError("state must be a vector or a square density matrix")
+    n_ions = int(round(np.log2(dim)))
+    if 2**n_ions != dim:
+        raise ValueError(f"state dimension {dim} is not a power of two")
     if n_ions % 2 != 0:
         raise ValueError("certification is defined for even ion numbers")
     if n_ions > CERTIFY_MAX_IONS:
         raise ValueError(f"certification limited to n_ions <= {CERTIFY_MAX_IONS}")
 
-    wb, wc = (full_space_oracle(n_ions, "j" + b) for b in AXIS_COMPLEMENTS[axis])
-
-    if state.ndim == 1:
-        w_value = np.real(np.vdot(state, wb @ (wb @ state)) + np.vdot(state, wc @ (wc @ state)))
-        pops = np.array(
-            [np.sum(np.abs(block.conj().T @ state) ** 2)
-             for block in _projection_blocks(n_ions, axis)]
-        )
-    else:
-        w_value = np.real(np.trace(state @ (wb @ wb + wc @ wc)))
-        pops = np.array(
-            [np.real(np.trace(block.conj().T @ state @ block))
-             for block in _projection_blocks(n_ions, axis)]
-        )
-
     j_max = n_ions // 2
-    return CertificationRecord(
-        j_max=j_max,
-        axis=axis,
-        witness_value=float(w_value),
-        populations=pops,
-        f_lower=fidelity_lower(w_value, pops, j_max),
-        f_upper=fidelity_upper(pops),
-    )
+    pops = _projection_populations(state, n_ions, axis)
+    w_value = sum(np.arange(-j_max, j_max + 1) ** 2 @ _projection_populations(state, n_ions, b)
+                  for b in AXIS_COMPLEMENTS[axis])
+    return CertificationRecord(j_max=j_max, axis=axis, witness_value=float(w_value),
+                               populations=pops, f_lower=fidelity_lower(w_value, pops, j_max),
+                               f_upper=fidelity_upper(pops))
 
 
 # ---------------------------------------------------------------------------
 # random-state generators for oracle tests
 # ---------------------------------------------------------------------------
 
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 def haar_random_pure(dim: int, rng) -> np.ndarray:
     """Haar-distributed pure state of the given dimension."""
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)  # a Generator passes through unaltered
     vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return vec / np.linalg.norm(vec)
 
@@ -249,10 +251,7 @@ def random_mixture(dim: int, n_components: int, rng) -> np.ndarray:
     these states useful for exercising the bounds beyond the symmetric
     subspace.
     """
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)  # a Generator passes through unaltered
     weights = rng.dirichlet(np.ones(n_components))
-    rho = np.zeros((dim, dim), dtype=complex)
-    for w in weights:
-        vec = haar_random_pure(dim, rng)
-        rho += w * np.outer(vec, vec.conj())
-    return rho
+    vecs = np.array([haar_random_pure(dim, rng) for _ in weights])
+    return (vecs.T * weights) @ vecs.conj()

@@ -4,13 +4,14 @@ All angles are radians; times and rates are in the dimensionless units set
 by eta*omega_bar unless a preset supplies physical values.  Every output
 file begins with a provenance header (tool version, effective configuration,
 seed).  Exit codes: 0 success, 1 usage, 2 violated physics precondition,
-3 numerical failure.
+3 numerical failure, 141 (128 + SIGPIPE) when the reader closes stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -20,6 +21,7 @@ from .dark_state import dark_coefficients
 from .errors import NumericalError, PhysicsConfigError
 
 EXIT_OK, EXIT_USAGE, EXIT_PHYSICS, EXIT_NUMERICAL = 0, 1, 2, 3
+EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, what a shell reports for `cmd | head`
 
 DEFAULT_SEED = 12345
 
@@ -481,6 +483,11 @@ def main(argv=None) -> int:
     try:
         _apply_config_file(ns, list(argv))
         return ns.func(ns)
+    except BrokenPipeError:
+        # the reader went away (`| head`): say nothing, and point stdout at
+        # devnull so that the interpreter's final flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
     except OSError as exc:  # a missing or unreadable --config/--input file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

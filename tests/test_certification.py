@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -169,6 +171,44 @@ def test_sandwich_holds_on_random_states(n, axis, components, target_weight, see
     assert rec.f_lower - 1e-9 <= fid <= rec.f_upper + 1e-9
 
 
+@lru_cache(maxsize=None)
+def _eigh_projectors(n, axis):
+    vals, vecs = np.linalg.eigh(full_space_oracle(n, "j" + axis))
+    return np.rint(vals + n / 2).astype(int), vecs
+
+
+def eigh_populations(state, n, axis):
+    """Populations of J_axis = m - N/2 from the eigenvectors of the 2^N
+    oracle, independent of the per-qubit rotation in the library."""
+    excitations, vecs = _eigh_projectors(n, axis)
+    if state.ndim == 1:
+        probs = np.abs(vecs.conj().T @ state) ** 2
+    else:
+        probs = np.einsum("ik,ij,jk->k", vecs.conj(), state, vecs).real
+    return np.bincount(excitations, weights=probs, minlength=n + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([2, 4, 6, 8]),
+    axis=st.sampled_from("xyz"),
+    components=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_certify_matches_eigh_oracle(n, axis, components, seed):
+    rng = np.random.default_rng(seed)
+    if components == 1:
+        state = cert.haar_random_pure(2**n, rng)
+        rho = np.outer(state, state.conj())
+    else:
+        state = rho = cert.random_mixture(2**n, components, rng)
+    rec = cert.certify_from_state(state, axis)
+    assert np.max(np.abs(rec.populations - eigh_populations(state, n, axis))) < 1e-12
+    witness = sum(full_space_oracle(n, "j" + b) @ full_space_oracle(n, "j" + b)
+                  for b in cert.AXIS_COMPLEMENTS[axis])
+    assert abs(rec.witness_value - np.trace(rho @ witness).real) < 1e-12
+
+
 def test_certify_validation():
     with pytest.raises(ValueError):
         cert.certify_from_state(np.ones(5) / np.sqrt(5), "x")   # not a qubit space
@@ -176,6 +216,8 @@ def test_certify_validation():
         cert.certify_from_state(dicke_state_full(4, 2), "w")
     with pytest.raises(ValueError):
         cert.certify_from_state(np.ones(8) / np.sqrt(8), "x")   # odd ion number
+    with pytest.raises(ValueError):
+        cert.certify_from_state(np.ones((4, 2, 2)) / 4, "x")    # neither vector nor matrix
 
 
 def test_record_population_length_validation():
@@ -191,3 +233,12 @@ def test_random_mixture_is_density_matrix():
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
     vals = np.linalg.eigvalsh(rho)
     assert np.all(vals > -1e-12)
+
+
+def test_random_mixture_matches_outer_product_sum():
+    # the draw order is the Dirichlet weights, then one Haar vector per weight
+    rng = np.random.default_rng(7)
+    weights = rng.dirichlet(np.ones(5))
+    vecs = [cert.haar_random_pure(64, rng) for _ in weights]
+    rho = sum(w * np.outer(v, v.conj()) for w, v in zip(weights, vecs))
+    assert np.max(np.abs(cert.random_mixture(64, 5, 7) - rho)) < 1e-15

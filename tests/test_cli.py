@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -341,3 +345,17 @@ def test_repro_exit_code_forgives_only_documented_shortfalls(monkeypatch, capsys
     monkeypatch.setattr(repro, "run_all", lambda: results)
     assert cli.main(["repro"]) == code
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_closed_stdout_exits_quietly():
+    # `dickesim evolve ... | head -1`: the reader closes the pipe after one
+    # line, long before the ~250 kB of CSV are written
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dickesim.cli", "evolve", "--n", "2", "--eta-omega-t", "40"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"# dickesim ")
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == cli.EXIT_CLOSED_STDOUT == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()

@@ -123,10 +123,9 @@ def test_populations_along_x_oracle_cross_check():
     # same populations from the full 2^N space
     psi = dicke_state(4, 0)
     iso = symmetric_isometry(4)
-    from dickesim.certification import _projection_blocks
+    from test_certification import eigh_populations
 
-    full = iso @ psi
-    pops_full = [np.sum(np.abs(b.conj().T @ full) ** 2) for b in _projection_blocks(4, "x")]
+    pops_full = eigh_populations(iso @ psi, 4, "x")
     assert np.max(np.abs(obs.populations_along(psi, "x") - pops_full)) < 1e-10
 
 
