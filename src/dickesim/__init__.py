@@ -19,7 +19,6 @@ from .evolution import (
     adiabatic_preset,
     integrate_full,
     integrate_reduced,
-    truncated_scan,
 )
 from .measurement import MeasurementRecord, ShotConfig, sample_populations, simulated_experiment
 from .model import FullHamiltonian, SystemParams, reduced_hamiltonian

@@ -173,18 +173,24 @@ def _on_each_qubit(x: np.ndarray, op: np.ndarray, n_ions: int) -> np.ndarray:
     return x.reshape(-1)
 
 
-def _projection_populations(state: np.ndarray, n_ions: int, axis: str) -> np.ndarray:
-    """Populations of J_axis = m - N/2, m = 0..N: rotate each qubit into
-    sigma_axis's eigenbasis, then sum the probabilities by Hamming weight."""
-    if axis == "z":
-        probs = np.abs(state) ** 2 if state.ndim == 1 else np.diagonal(state).real
-    elif state.ndim == 1:
-        probs = np.abs(_on_each_qubit(state, _qubit_rotations(axis)[0], n_ions)) ** 2
-    else:  # interleave each qubit's row and column bit into one index of size 4
-        pairs = state.reshape((2,) * (2 * n_ions)).transpose(
-            [a for q in range(n_ions) for a in (q, n_ions + q)])
-        probs = _on_each_qubit(pairs, _qubit_rotations(axis)[1], n_ions).real
-    return np.bincount(_hamming_weights(n_ions), weights=probs, minlength=n_ions + 1)
+def _projection_populations(state: np.ndarray, n_ions: int, axes) -> list[np.ndarray]:
+    """Populations of J_a = m - N/2, m = 0..N, for each axis a of ``axes``:
+    rotate each qubit into sigma_a's eigenbasis, then sum the probabilities
+    by Hamming weight.  A density matrix is interleaved once for all axes."""
+    if state.ndim == 2:  # each qubit's row and column bit become one index of size 4
+        pairs = np.ascontiguousarray(state.reshape((2,) * (2 * n_ions)).transpose(
+            [a for q in range(n_ions) for a in (q, n_ions + q)]))
+    populations = []
+    for axis in axes:
+        if axis == "z":
+            probs = np.abs(state) ** 2 if state.ndim == 1 else np.diagonal(state).real
+        elif state.ndim == 1:
+            probs = np.abs(_on_each_qubit(state, _qubit_rotations(axis)[0], n_ions)) ** 2
+        else:
+            probs = _on_each_qubit(pairs, _qubit_rotations(axis)[1], n_ions).real
+        populations.append(np.bincount(_hamming_weights(n_ions), weights=probs,
+                                       minlength=n_ions + 1))
+    return populations
 
 
 @lru_cache(maxsize=None)
@@ -225,9 +231,8 @@ def certify_from_state(state: np.ndarray, axis: str = "x") -> CertificationRecor
         raise ValueError(f"certification limited to n_ions <= {CERTIFY_MAX_IONS}")
 
     j_max = n_ions // 2
-    pops = _projection_populations(state, n_ions, axis)
-    w_value = sum(np.arange(-j_max, j_max + 1) ** 2 @ _projection_populations(state, n_ions, b)
-                  for b in AXIS_COMPLEMENTS[axis])
+    pops, *complement = _projection_populations(state, n_ions, (axis, *AXIS_COMPLEMENTS[axis]))
+    w_value = sum(np.arange(-j_max, j_max + 1) ** 2 @ p for p in complement)
     return CertificationRecord(j_max=j_max, axis=axis, witness_value=float(w_value),
                                populations=pops, f_lower=fidelity_lower(w_value, pops, j_max),
                                f_upper=fidelity_upper(pops))

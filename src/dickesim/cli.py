@@ -179,26 +179,12 @@ def _integrate(ns, schedule, params, capture_times=None) -> evolution.Trajectory
     return run(schedule, params, dt=ns.dt, capture_times=capture_times)
 
 
-def _run_record(traj: evolution.Trajectory) -> dict:
-    """What the integrator did, for the provenance header."""
-    record = {"propagator": "rk4", "n_steps": traj.n_steps, "dt": traj.dt,
-              "max_norm_drift": traj.max_norm_drift}
-    if traj.model_tag == "full":
-        record["truncation_leak"] = traj.truncation_leak
-    return record
-
-
-def _spin_marginals(states: np.ndarray, model_tag: str, params: model.SystemParams) -> np.ndarray:
-    n_max = params.n_max if model_tag == "full" else None
-    return observables.spin_marginals(states, params.n_ions, n_max)
-
-
 def _strict_midpoint(n_ions: int) -> np.ndarray:
     """Spin marginal at the midpoint of the strict preset's ramp; the ramp is
     integrated only that far, since no later state is read."""
     schedule, params = evolution.adiabatic_preset("strict", n_ions)
-    [(_, state)] = evolution.truncated_scan(schedule, params, [schedule.total_time / 2])
-    return observables.spin_density_from_chain(state)
+    traj = evolution.integrate_reduced(schedule, params, capture_times=[schedule.total_time / 2])
+    return observables.spin_density_from_chain(traj.final_state())
 
 
 # ---------------------------------------------------------------------------
@@ -225,14 +211,14 @@ def cmd_evolve(ns) -> int:
     schedule, params = _build_run(ns)
     traj = _integrate(ns, schedule, params)
     dark_fid = evolution.dark_fidelity_series(traj)
-    spin = observables.spin_readout(_spin_marginals(traj.states, traj.model_tag, traj.params))
+    spin = observables.spin_readout(traj.spin_marginals())
     rows = list(zip(traj.times, *spin, dark_fid))
 
     header = _provenance("evolve", {
         "n": ns.n, "model": ns.model, "schedule": schedule.shape,
         "preset": ns.adiabatic_preset, "total_time": schedule.total_time,
         "omega_bar": schedule.omega_bar, "delta": params.delta,
-        "eta_omega_bar_T": schedule.adiabaticity(), "seed": "none", **_run_record(traj),
+        "eta_omega_bar_T": schedule.adiabaticity(), "seed": "none", **traj.record(),
     })
     _emit(ns.output, header, ("t", "jz_mean", "var_jx", "var_jy", "var_jz", "dark_fidelity"),
           rows)
@@ -250,15 +236,17 @@ def cmd_evolve(ns) -> int:
 
 def cmd_scan_noise(ns) -> int:
     schedule, params = _build_run(ns)
+    # truncating the drive at tau_c and measuring at once samples the running
+    # state at tau_c, so one run, stopped at the last cut, serves every cut
     cut_times = np.linspace(0.0, schedule.total_time, ns.cuts).tolist()
     traj = _integrate(ns, schedule, params, capture_times=cut_times)
-    taus, states = traj.samples_at(cut_times)
-    _, *variances = observables.spin_readout(_spin_marginals(states, ns.model, params))
-    rows = list(zip(taus, *variances))
+    cuts = traj.indices_of(cut_times)
+    _, *variances = observables.spin_readout(traj.spin_marginals(cuts))
+    rows = list(zip(traj.times[cuts].tolist(), *variances))
     header = _provenance("scan-noise", {
         "n": ns.n, "model": ns.model, "preset": ns.adiabatic_preset,
         "total_time": schedule.total_time, "delta": params.delta,
-        "cuts": ns.cuts, "seed": "none", **_run_record(traj),
+        "cuts": ns.cuts, "seed": "none", **traj.record(),
     })
     _emit(ns.output, header, ("tau_c", "var_jx", "var_jy", "var_jz"), rows)
     return EXIT_OK
@@ -273,30 +261,22 @@ def cmd_parity(ns) -> int:
         state = _strict_midpoint(2)
     phases = np.linspace(0.0, 2 * np.pi, ns.phases, endpoint=False)
     scan = observables.parity_scan(state, phases)
-
     if ns.shots is not None:
         config = measurement.ShotConfig(n_shots=ns.shots, seed=ns.seed)
         parities = measurement.sample_parities(scan.parities, config)
-        fit = observables.fit_parity_curve(phases, parities)
         pop = measurement.sample_populations(state, config.substream(10_000), "z")
-        p_lower, p_upper = pop.frequencies[0], pop.frequencies[-1]
-        fidelity = observables.parity_fidelity(p_lower, p_upper, fit.amplitude)
-        amplitude = fit.amplitude
-    else:
-        parities = scan.parities
-        amplitude, p_lower, p_upper, fidelity = (
-            scan.amplitude, scan.p_lower, scan.p_upper, scan.fidelity
-        )
+        scan = observables.parity_analysis(phases, parities, pop.frequencies[0],
+                                           pop.frequencies[-1])
 
     header = _provenance("parity", {
         "n": 2, "source": ns.source, "phases": ns.phases,
         "shots": ns.shots, "generator": measurement.GENERATOR_NAME,
         "seed": ns.seed if ns.shots is not None else "none",
     })
-    _emit(ns.output, header, ("phi", "parity"), list(zip(phases, parities)))
+    _emit(ns.output, header, ("phi", "parity"), list(zip(phases, scan.parities)))
     _print_summary({
-        "amplitude": amplitude, "p_lower": p_lower, "p_upper": p_upper,
-        "fidelity": fidelity,
+        "amplitude": scan.amplitude, "p_lower": scan.p_lower, "p_upper": scan.p_upper,
+        "fidelity": scan.fidelity,
     }, path=ns.summary)
     return EXIT_OK
 

@@ -19,7 +19,8 @@ of a zero where a product underflows.
 A run from |D^0>|0> fails with a ``NumericalError`` once its norm drifts so
 far that the readout's ``observables.NORM_TOL`` would reject a sample.  The
 ``Trajectory`` records the steps taken, the step size, the largest norm
-drift and, on the full model, the phonon-truncation leak.
+drift and, on the full model, the phonon-truncation leak, and it reads its
+own model's states out: callers never branch on the model.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import dark_state
+from . import dark_state, observables
 from .errors import NumericalError, PhysicsConfigError, ReducedModelWarning, TruncationWarning
 from .observables import NORM_TOL
 from .spin_algebra import collective_coupling
@@ -149,10 +150,13 @@ def adiabatic_preset(name: str, n_ions: int):
 
 @dataclass
 class Trajectory:
-    """Sampled state history of one integration run.
+    """Sampled state history of one integration run, and its readout.
 
-    A run given capture times ends at the latest of them, so its last sample
-    is that state and not the end of the ramp.
+    ``states`` holds chain states on the reduced model and spin-phonon
+    product-space states on the full one; ``spin_marginals`` and ``record``
+    read either out, so a caller never branches on ``model_tag``.  A run
+    given capture times ends at the latest of them, so its last sample is
+    that state and not the end of the ramp.
     """
 
     times: np.ndarray
@@ -168,19 +172,29 @@ class Trajectory:
     def index_of(self, t: float) -> int:
         return int(np.argmin(np.abs(self.times - t)))
 
-    def state_at(self, t: float) -> np.ndarray:
-        return self.states[self.index_of(t)]
-
-    def samples_at(self, times: list[float]) -> tuple[list[float], np.ndarray]:
-        """Times and states of the samples nearest each of ``times``."""
-        idx = [self.index_of(t) for t in times]
-        return self.times[idx].tolist(), self.states[idx]
+    def indices_of(self, times: list[float]) -> list[int]:
+        """Indices of the samples nearest each of ``times``."""
+        return [self.index_of(t) for t in times]
 
     def midpoint_state(self) -> np.ndarray:
-        return self.state_at(self.schedule.total_time / 2)
+        return self.states[self.index_of(self.schedule.total_time / 2)]
 
     def final_state(self) -> np.ndarray:
         return self.states[-1]
+
+    def spin_marginals(self, indices: list[int] | None = None) -> np.ndarray:
+        """(S, N+1, N+1) spin marginals of every sample, or of the samples
+        at ``indices``; the phonon factor of the full model is traced out."""
+        states = self.states if indices is None else self.states[indices]
+        n_max = self.params.n_max if self.model_tag == "full" else None
+        return observables.spin_marginals(states, self.params.n_ions, n_max)
+
+    def record(self) -> dict:
+        """What the integrator did, for a provenance header: propagator,
+        steps, step size, norm drift and, on the full model, truncation leak."""
+        leak = {"truncation_leak": self.truncation_leak} if self.model_tag == "full" else {}
+        return {"propagator": "rk4", "n_steps": self.n_steps, "dt": self.dt,
+                "max_norm_drift": self.max_norm_drift, **leak}
 
 
 def _capture_steps(n_steps: int, extra: set[int]) -> np.ndarray:
@@ -300,7 +314,8 @@ def _integrate(h_stack, dimension: int, schedule: PulseSchedule,
     ``Trajectory`` fields max_norm_drift, n_steps and dt.
 
     ``dt`` defaults to the model's stability ``guard`` and may not exceed it;
-    ``coarse`` completes the error message when it does.
+    ``coarse`` completes the error message when it does.  A capture time
+    outside [0, T] is a ValueError.
     """
     if dt is None:
         dt = guard
@@ -324,6 +339,9 @@ def _integrate(h_stack, dimension: int, schedule: PulseSchedule,
     n_steps = _plan_steps(schedule.total_time, dt)
     extra = set()
     if capture_times is not None:
+        for t in capture_times:
+            if not 0 <= t <= schedule.total_time:
+                raise ValueError(f"capture time {t} outside [0, {schedule.total_time}]")
         extra = {int(round(t / (schedule.total_time / n_steps))) for t in capture_times}
     capture = _capture_steps(n_steps, extra)
     capture = capture[capture <= max(extra, default=n_steps)]
@@ -339,9 +357,9 @@ def integrate_reduced(schedule: PulseSchedule, params: SystemParams,
                       capture_times: list[float] | None = None) -> Trajectory:
     """Integrate the chain model under a schedule, starting from |D^0>|0>.
 
-    With ``capture_times`` the run also samples the steps nearest those times
-    and stops at the latest of them.  Warns with a ReducedModelWarning when
-    the tones the ramp reaches leave the regime of
+    With ``capture_times``, each in [0, T], the run also samples the steps
+    nearest those times and stops at the latest of them.  Warns with a
+    ReducedModelWarning when the tones the ramp reaches leave the regime of
     ``SystemParams.reduced_model_trusted``.
     """
     n = params.n_ions
@@ -413,28 +431,6 @@ def integrate_full(schedule: PulseSchedule, params: SystemParams,
             stacklevel=2,
         )
     return Trajectory(times, states, "full", params, schedule, truncation_leak=leak, **record)
-
-
-def truncated_scan(schedule: PulseSchedule, params: SystemParams,
-                   cut_times: list[float], model: str = "reduced",
-                   dt: float | None = None):
-    """States at pulse-truncation times from a single integration pass.
-
-    Truncating the drive at tau_c and measuring immediately is the same as
-    sampling the running state at tau_c, so one pass serves every cut, and
-    it stops at the last cut.  Returned times are snapped to the whole
-    ramp's integration grid.
-    """
-    for tc in cut_times:
-        if not 0 <= tc <= schedule.total_time:
-            raise ValueError(f"cut time {tc} outside [0, {schedule.total_time}]")
-    if model == "reduced":
-        traj = integrate_reduced(schedule, params, dt=dt, capture_times=list(cut_times))
-    elif model == "full":
-        traj = integrate_full(schedule, params, dt=dt, capture_times=list(cut_times))
-    else:
-        raise ValueError(f"model must be 'reduced' or 'full', got {model!r}")
-    return list(zip(*traj.samples_at(cut_times)))
 
 
 def dark_fidelity_series(traj: Trajectory,

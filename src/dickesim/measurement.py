@@ -118,33 +118,21 @@ def sample_azimuth_square(state: np.ndarray, config: ShotConfig,
     return _sample_square(observables.populations_azimuth(state, phi), config)
 
 
-def simulated_experiment(state: np.ndarray, config: ShotConfig,
-                         exact: bool = False) -> CertificationRecord:
+def simulated_experiment(state: np.ndarray, config: ShotConfig) -> CertificationRecord:
     """Four-ion certification pipeline from sampled global measurements.
 
     Populations are sampled along x; <Jz^2> is sampled without an analysis
     pulse; <Jy^2> is the peak of a sampled J_phi^2 scan over 13 azimuths in
     [0, pi].  Streams are partitioned per setting, so one config reproduces
-    the whole record.  With ``exact=True`` the sampling is bypassed and the
-    record matches exact moments (infinite-shot limit).
+    the whole record.  The exact record of a symmetric-sector ``state`` is
+    ``certify_from_state(symmetric_isometry(4) @ state, "x")``, which this
+    one approaches as the shots grow.
     """
     state = np.asarray(state, dtype=complex)
     n_ions = observables._state_dim(state) - 1
     if n_ions != 4:
         raise ValueError(f"the certification pipeline is a four-ion protocol, got N={n_ions}")
     j_max = n_ions // 2
-
-    if exact:
-        pops = observables.populations_along(state, "x")
-        w_value = observables.witness(state, ("y", "z"))
-        return CertificationRecord(
-            j_max=j_max,
-            axis="x",
-            witness_value=w_value,
-            populations=pops,
-            f_lower=fidelity_lower(w_value, pops, j_max),
-            f_upper=fidelity_upper(pops),
-        )
 
     pop_rec = sample_populations(state, config.substream(0), "x")
     pops = pop_rec.frequencies

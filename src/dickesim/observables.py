@@ -182,27 +182,28 @@ def parity_fidelity(p_lower: float, p_upper: float, amplitude: float) -> float:
     return (p_lower + p_upper + amplitude) / 2
 
 
-@dataclass(frozen=True)
-class ParityFit:
-    amplitude: float
-    phase_offset: float
-    offset: float
+def parity_analysis(phases: np.ndarray, parities: np.ndarray,
+                    p_lower: float, p_upper: float) -> ParityScan:
+    """Fit an exact or sampled parity curve and estimate the fidelity.
 
-
-def fit_parity_curve(phases: np.ndarray, parities: np.ndarray) -> ParityFit:
-    """Least-squares fit of A*cos(2*phi + phi0) + c with the 2*phi frequency
-    fixed (two-ion coherence oscillates at twice the analysis phase)."""
+    The fit is linear least squares of A*cos(2*phi + phi0) + c, with the
+    2*phi frequency fixed (two-ion coherence oscillates at twice the
+    analysis phase); the fidelity combines A with the z-basis extreme
+    populations ``p_lower`` and ``p_upper``.
+    """
     phases = np.asarray(phases, dtype=float)
+    parities = np.asarray(parities, dtype=float)
     design = np.column_stack([np.cos(2 * phases), np.sin(2 * phases), np.ones_like(phases)])
     rank = np.linalg.matrix_rank(design)
     if rank < 3:
         raise ValueError(f"parity fit is underdetermined: {len(phases)} phases give rank {rank} < 3")
-    (a, b, c), *_ = np.linalg.lstsq(design, np.asarray(parities, dtype=float), rcond=None)
-    return ParityFit(
-        amplitude=float(np.hypot(a, b)),
-        phase_offset=float(np.arctan2(-b, a)),
-        offset=float(c),
-    )
+    (a, b, c), *_ = np.linalg.lstsq(design, parities, rcond=None)
+    amplitude = float(np.hypot(a, b))
+    p_lower, p_upper = float(p_lower), float(p_upper)
+    return ParityScan(phases=phases, parities=parities, amplitude=amplitude,
+                      phase_offset=float(np.arctan2(-b, a)), offset=float(c),
+                      p_lower=p_lower, p_upper=p_upper,
+                      fidelity=parity_fidelity(p_lower, p_upper, amplitude))
 
 
 @lru_cache(maxsize=None)
@@ -217,8 +218,8 @@ def parity_scan(state: np.ndarray, phases: np.ndarray | None = None) -> ParitySc
 
     The pulse exp(-i (pi/2) (Jx cos(phi) + Jy sin(phi))) is applied for each
     phase and the product-sigma_z parity evaluated in the full two-qubit
-    space; the fit is linear least squares on cos(2 phi), sin(2 phi), 1.
-    Accepts symmetric-sector (3-dim) or full two-qubit (4-dim) input.
+    space, then fitted by ``parity_analysis``.  Accepts symmetric-sector
+    (3-dim) or full two-qubit (4-dim) input.
     """
     state = _check_normalized(state)
     dim = _state_dim(state)
@@ -237,20 +238,8 @@ def parity_scan(state: np.ndarray, phases: np.ndarray | None = None) -> ParitySc
         pulse = expm(-1j * (np.pi / 2) * (np.cos(phi) * jx + np.sin(phi) * jy))
         parities[k] = expectation(state, pulse.conj().T @ parity_op @ pulse)
 
-    fit = fit_parity_curve(phases, parities)
     pops = np.abs(state) ** 2 if state.ndim == 1 else np.real(np.diag(state))
-    p_lower = float(pops[0])                       # |down,down>
-    p_upper = float(pops[3])                       # |up,up>
-    return ParityScan(
-        phases=phases,
-        parities=parities,
-        amplitude=fit.amplitude,
-        phase_offset=fit.phase_offset,
-        offset=fit.offset,
-        p_lower=p_lower,
-        p_upper=p_upper,
-        fidelity=parity_fidelity(p_lower, p_upper, fit.amplitude),
-    )
+    return parity_analysis(phases, parities, pops[0], pops[3])  # |down,down>, |up,up>
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +266,6 @@ def spin_density_from_chain(chain_state: np.ndarray) -> np.ndarray:
     """Spin marginal of one chain state."""
     chain_state = np.asarray(chain_state)
     return spin_marginals(chain_state[None], len(chain_state) - 1)[0]
-
-
-def spin_density_from_full(psi: np.ndarray, n_ions: int, n_max: int) -> np.ndarray:
-    """Spin marginal of one spin-phonon product-space state."""
-    return spin_marginals(np.asarray(psi)[None], n_ions, n_max)[0]
 
 
 def spin_readout(rhos: np.ndarray) -> tuple[list[float], list[float], list[float], list[float]]:

@@ -167,31 +167,39 @@ def test_low_adiabaticity_warns():
 
 
 # ---------------------------------------------------------------------------
-# truncated scans
+# truncated scans: one run sampled at every pulse-truncation time
 # ---------------------------------------------------------------------------
 
 def test_truncated_scan_endpoints_and_monotone_jz():
     sch = evolution.PulseSchedule(total_time=120.0, omega_bar=1.0)
     params = model.SystemParams(n_ions=4, delta=5.0)
     cuts = list(np.linspace(0.0, 120.0, 25))
-    states = evolution.truncated_scan(sch, params, cuts)
-    assert states[0][0] == 0.0
-    assert abs(abs(states[0][1][0]) ** 2 - 1.0) < 1e-12
+    traj = evolution.integrate_reduced(sch, params, capture_times=cuts)
+    indices = traj.indices_of(cuts)
+    taus, states = traj.times[indices], traj.states[indices]
+    assert taus[0] == 0.0
+    assert abs(abs(states[0][0]) ** 2 - 1.0) < 1e-12
     # midpoint tracks the equal-amplitude dark state at adiabatic settings
-    tau_mid, mid_state = states[12]
-    assert tau_mid == pytest.approx(60.0, abs=0.01)
+    assert taus[12] == pytest.approx(60.0, abs=0.01)
     target = dark_coefficients(4, 1.0, 1.0).chain_vector
-    assert abs(np.vdot(target, mid_state)) ** 2 >= 0.99
+    assert abs(np.vdot(target, states[12])) ** 2 >= 0.99
     # <Jz> grows monotonically along the cuts (regression property)
-    jz_series = [_jz_mean(s) for _, s in states]
+    jz_series = [_jz_mean(s) for s in states]
     assert all(b >= a - 1e-3 for a, b in zip(jz_series, jz_series[1:]))
 
 
 def test_truncated_scan_rejects_out_of_range():
+    # a capture time outside [0, T] is refused on both models, before a step
+    # is taken, rather than left as an unwritten sample row
     sch = evolution.PulseSchedule(total_time=10.0, omega_bar=1.0)
-    params = model.SystemParams(n_ions=2, delta=5.0)
-    with pytest.raises(ValueError):
-        evolution.truncated_scan(sch, params, [11.0])
+    params = model.SystemParams(n_ions=2, delta=20.0)
+    for integrate in (evolution.integrate_reduced, evolution.integrate_full):
+        for cuts in ([11.0], [-1.0], [5.0, 12.0], [float("nan")]):
+            with pytest.raises(ValueError, match="outside"):
+                integrate(sch, params, capture_times=cuts)
+        # the ends themselves are capture times
+        traj = integrate(sch, params, capture_times=[0.0, 10.0])
+        assert traj.times[0] == 0.0 and traj.times[-1] == pytest.approx(10.0)
 
 
 # ---------------------------------------------------------------------------

@@ -196,10 +196,11 @@ def test_parity_fidelity_formula_on_published_numbers():
 def test_fit_parity_curve_recovers_parameters():
     phases = np.linspace(0, 2 * np.pi, 24, endpoint=False)
     curve = 0.8 * np.cos(2 * phases + 0.3) + 0.05
-    fit = obs.fit_parity_curve(phases, curve)
+    fit = obs.parity_analysis(phases, curve, 0.5, 0.4)
     assert fit.amplitude == pytest.approx(0.8, abs=1e-12)
     assert fit.phase_offset == pytest.approx(0.3, abs=1e-12)
     assert fit.offset == pytest.approx(0.05, abs=1e-12)
+    assert fit.fidelity == pytest.approx((0.5 + 0.4 + 0.8) / 2, abs=1e-12)
 
 
 @pytest.mark.parametrize("n_phases", [0, 1, 2, 4])
@@ -207,7 +208,22 @@ def test_fit_parity_curve_rejects_underdetermined_phases(n_phases):
     # at 4 equispaced phases sin(2 phi) vanishes everywhere: the design has rank 2
     phases = np.linspace(0, 2 * np.pi, n_phases, endpoint=False)
     with pytest.raises(ValueError, match="underdetermined"):
-        obs.fit_parity_curve(phases, np.cos(2 * phases))
+        obs.parity_analysis(phases, np.cos(2 * phases), 0.5, 0.5)
+
+
+def test_parity_analysis_of_the_exact_curve():
+    # dephased Bell state with a |D^1> admixture: the 2*phi amplitude is
+    # 2|rho(down down, up up)| = 0.8 and p_lower = p_upper = 0.475
+    bell = np.array([1.0, 0.0, -1.0], dtype=complex) / np.sqrt(2)
+    rho = 0.8 * np.outer(bell, bell.conj()) + 0.15 * np.diag([0.5, 0.0, 0.5])
+    rho[1, 1] += 0.05
+    phases = np.linspace(0.0, 2 * np.pi, 40, endpoint=False)
+    scan = obs.parity_scan(rho, phases)
+    assert scan.p_lower == pytest.approx(0.475, abs=1e-12)
+    assert scan.p_upper == pytest.approx(0.475, abs=1e-12)
+    fit = obs.parity_analysis(phases, scan.parities, 0.475, 0.475)
+    assert fit.amplitude == pytest.approx(0.8, abs=1e-12)
+    assert fit.fidelity == pytest.approx(0.875, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +248,6 @@ def test_full_marginal_trace():
     rng = np.random.default_rng(5)
     psi = rng.normal(size=5 * 7) + 1j * rng.normal(size=5 * 7)
     psi /= np.linalg.norm(psi)
-    rho = obs.spin_density_from_full(psi, 4, 6)
+    [rho] = obs.spin_marginals(psi[None], 4, 6)
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(rho - rho.conj().T)) < 1e-14

@@ -109,14 +109,16 @@ def _trajectories(draw):
 @settings(max_examples=150, deadline=None)
 @given(_trajectories())
 def test_stacked_spin_readout_equals_per_sample_formulas(traj):
-    n_max = traj.params.n_max if traj.model_tag == "full" else None
-    rhos = observables.spin_marginals(traj.states, traj.params.n_ions, n_max)
+    rhos = traj.spin_marginals()
     columns = observables.spin_readout(rhos)
     for i, psi in enumerate(traj.states):
         rho = _reference_marginal(psi, traj.model_tag, traj.params)
         assert np.array_equal(rhos[i].view(np.uint64), rho.view(np.uint64))
         expected = _reference_spin_columns(rho)
         assert np.array_equal(_bits([col[i] for col in columns]), _bits(expected))
+    # chosen samples, as scan-noise reads its cuts, take the same path
+    cuts = traj.indices_of(np.linspace(0.0, traj.schedule.total_time, 7).tolist())
+    assert np.array_equal(traj.spin_marginals(cuts).view(np.uint64), rhos[cuts].view(np.uint64))
 
 
 @settings(max_examples=150, deadline=None)
@@ -163,7 +165,9 @@ def test_run_stopped_at_a_cut_equals_the_whole_ramp(model_tag, n, total_time, sh
     assert np.array_equal(stopped.times, whole.times[:k])
     assert np.array_equal(stopped.states.view(np.uint64), whole.states[:k].view(np.uint64))
     assert abs(stopped.times[-1] - cut) <= whole.times[1] / 2 * (1 + 1e-9)
-    index = whole.index_of(cut)
-    [(tau, state)] = evolution.truncated_scan(schedule, params, [cut], model=model_tag)
-    assert tau == whole.times[index]
-    assert np.array_equal(state.view(np.uint64), whole.states[index].view(np.uint64))
+    # and the sample nearest the cut is the same in both
+    [index] = whole.indices_of([cut])
+    [nearest] = stopped.indices_of([cut])
+    assert stopped.times[nearest] == whole.times[index]
+    assert np.array_equal(stopped.states[nearest].view(np.uint64),
+                          whole.states[index].view(np.uint64))
