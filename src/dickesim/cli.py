@@ -134,33 +134,18 @@ def _parse_keyvalue(path: str) -> dict[str, str]:
     return values
 
 
-_SUBPARSERS: dict = {}
-
-
-def _apply_config_file(ns, argv) -> None:
-    """Fill flags from a key-value config file; explicit flags win."""
-    if getattr(ns, "config", None) is None:
-        return
+def _with_config(ns, argv: list[str]) -> list[str]:
+    """``argv`` with the --config file's ``key = value`` lines inserted as
+    ``--key=value`` flags right after the subcommand, so that parsing it
+    again checks them like typed flags and the user's own flags, which come
+    later, win."""
     values = _parse_keyvalue(ns.config)
-    parser = _SUBPARSERS[ns.subcommand]
-    consumed = set()
-    for action in parser._actions:
-        if action.dest not in values:
-            continue
-        consumed.add(action.dest)
-        if any(opt in argv for opt in action.option_strings):
-            continue  # flags override file values
-        raw = values[action.dest]
-        try:
-            value = action.type(raw) if action.type is not None else raw
-        except ValueError as exc:
-            parser.error(f"config key {action.dest!r}: {exc}")  # exits with EXIT_USAGE
-        if action.choices is not None and value not in action.choices:
-            parser.error(f"config key {action.dest!r}: {value!r} not in {tuple(action.choices)}")
-        setattr(ns, action.dest, value)
-    unknown = set(values) - consumed
+    unknown = set(values) - (set(vars(ns)) - {"subcommand", "func"})
     if unknown:
         raise ValueError(f"config file has unknown keys: {', '.join(sorted(unknown))}")
+    at = argv.index(ns.subcommand) + 1
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in values.items()]
+    return argv[:at] + flags + argv[at:]
 
 
 def _build_run(ns):
@@ -381,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, **kwargs)
         p.add_argument("--config", default=None,
                        help="key-value file supplying flag defaults (flags win)")
-        _SUBPARSERS[name] = p
         return p
 
     def add_run_flags(p):
@@ -461,7 +445,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        _apply_config_file(ns, list(argv))
+        if ns.config is not None:
+            ns = parser.parse_args(_with_config(ns, list(argv)))
         return ns.func(ns)
     except BrokenPipeError:
         # the reader went away (`| head`): say nothing, and point stdout at

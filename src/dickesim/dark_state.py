@@ -19,8 +19,6 @@ import numpy as np
 
 from .spin_algebra import _frozen, build_collective, collective_coupling, dicke_state, rotation_y
 
-FULL_CHECK_MAX_IONS = 10
-
 
 @dataclass(frozen=True)
 class DarkState:
@@ -126,8 +124,6 @@ def jx_annihilation_check(n_ions: int) -> float:
     """
     if n_ions % 2 != 0:
         raise ValueError("equal-amplitude dark states need an even ion number")
-    if n_ions > FULL_CHECK_MAX_IONS:
-        raise ValueError(f"check limited to n_ions <= {FULL_CHECK_MAX_IONS}")
     psi = dark_coefficients(n_ions, 1.0, 1.0).chain_vector
     jx = build_collective(n_ions, "jx")
     residual = float(np.linalg.norm(jx @ psi))

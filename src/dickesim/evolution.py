@@ -153,10 +153,10 @@ class Trajectory:
     """Sampled state history of one integration run, and its readout.
 
     ``states`` holds chain states on the reduced model and spin-phonon
-    product-space states on the full one; ``spin_marginals`` and ``record``
-    read either out, so a caller never branches on ``model_tag``.  A run
-    given capture times ends at the latest of them, so its last sample is
-    that state and not the end of the ramp.
+    product-space states on the full one; ``spin_marginals``,
+    ``chain_fidelities`` and ``record`` read either out, so a caller never
+    branches on ``model_tag``.  A run given capture times ends at the latest
+    of them, so its last sample is that state and not the end of the ramp.
     """
 
     times: np.ndarray
@@ -188,6 +188,21 @@ class Trajectory:
         states = self.states if indices is None else self.states[indices]
         n_max = self.params.n_max if self.model_tag == "full" else None
         return observables.spin_marginals(states, self.params.n_ions, n_max)
+
+    def chain_fidelities(self, indices, chain_vectors) -> np.ndarray:
+        """|<v_k|psi_k>|^2 of the sample at ``indices[k]`` with the chain
+        vector ``chain_vectors[k]``.  On the full model the overlap is read
+        in the chain frame: the vector is lifted to its paired phonon
+        numbers and the sample rotated out of the interaction picture at
+        its own time."""
+        out = np.empty(len(indices))
+        for k, (i, vec) in enumerate(zip(indices, chain_vectors)):
+            state = self.states[i]
+            if self.model_tag == "full":
+                state = interaction_to_chain_frame(state, self.times[i], self.params)
+                vec = embed_chain_state(vec, self.params.n_ions, self.params.n_max)
+            out[k] = abs(np.vdot(vec, state)) ** 2
+        return out
 
     def record(self) -> dict:
         """What the integrator did, for a provenance header: propagator,
@@ -401,10 +416,11 @@ def integrate_full(schedule: PulseSchedule, params: SystemParams,
                    capture_times: list[float] | None = None) -> Trajectory:
     """Integrate the interaction-picture spin-phonon model under a schedule.
 
-    The state is kept in the interaction picture; use
-    ``model.interaction_to_chain_frame`` before comparing against chain
-    states.  Population reaching the top Fock level beyond 1e-3 raises a
-    TruncationWarning.  ``capture_times`` work as in ``integrate_reduced``.
+    The state is kept in the interaction picture;
+    ``Trajectory.chain_fidelities`` compares it with chain states in the
+    chain's frame.  Population reaching the top Fock level beyond 1e-3
+    raises a TruncationWarning.  ``capture_times`` work as in
+    ``integrate_reduced``.
     """
     n = params.n_ions
     ham = FullHamiltonian(params)
@@ -449,13 +465,9 @@ def dark_fidelity_series(traj: Trajectory,
     if n % 2 != 0:
         return out
     coeffs = dark_state.closed_form_coefficients(n)
-    for k, (t, wr, wb) in enumerate(zip(times, *traj.schedule.amplitudes(times))):
-        if wr == 0 and wb == 0:
-            continue
-        target = dark_state.chain_vector(dark_state.normalized_amplitudes(coeffs, wr, wb)[1])
-        state = traj.states[indices[k]]
-        if traj.model_tag == "full":
-            state = interaction_to_chain_frame(state, t, traj.params)
-            target = embed_chain_state(target, n, traj.params.n_max)
-        out[k] = abs(np.vdot(target, state)) ** 2
+    wr, wb = traj.schedule.amplitudes(times)
+    driven = np.flatnonzero((wr != 0) | (wb != 0))
+    targets = [dark_state.chain_vector(dark_state.normalized_amplitudes(coeffs, wr[k], wb[k])[1])
+               for k in driven]
+    out[driven] = traj.chain_fidelities(np.asarray(indices)[driven], targets)
     return out

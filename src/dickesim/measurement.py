@@ -3,7 +3,9 @@
 Sampling uses numpy's Philox bit generator (Philox-4x64-10, counter-based
 with published round constants), keyed by (seed, stream).  Identical
 (state, config) inputs give identical records on any platform; parallel
-sweeps must take distinct streams rather than sharing a generator.
+sweeps must take distinct streams rather than sharing a generator.  Every
+shot, of a population histogram, a squared-spin mean or a parity curve, is
+drawn by ``_draw``: one multinomial over the exact outcome probabilities.
 """
 
 from __future__ import annotations
@@ -94,10 +96,10 @@ def sample_populations(state: np.ndarray, config: ShotConfig, axis: str) -> Meas
 
 def sample_parities(parities: np.ndarray, config: ShotConfig) -> np.ndarray:
     """Shot-sampled two-ion parity curve from its exact values: at phase k,
-    a binomial count of the even-parity outcome on substream 100 + k."""
+    the count of the even-parity outcome in a draw over (even, odd) on
+    substream 100 + k."""
     p_even = np.clip((1 + np.asarray(parities, dtype=float)) / 2, 0.0, 1.0)
-    draws = [config.substream(100 + k).generator().binomial(config.n_shots, p)
-             for k, p in enumerate(p_even)]
+    draws = [_draw([p, 1 - p], config.substream(100 + k))[0] for k, p in enumerate(p_even)]
     return 2 * np.array(draws) / config.n_shots - 1
 
 

@@ -66,8 +66,8 @@ def _transfer_numbers(traj: evolution.Trajectory):
     jz = np.arange(n + 1) - n / 2
     final_jz = float(np.sum(jz * np.abs(traj.final_state()) ** 2))
     target = dark_state.dark_coefficients(n, 1.0, 1.0).chain_vector
-    mid_fid = float(abs(np.vdot(target, traj.midpoint_state())) ** 2)
-    return final_jz, mid_fid
+    [mid_fid] = traj.chain_fidelities([traj.index_of(traj.schedule.total_time / 2)], [target])
+    return final_jz, float(mid_fid)
 
 
 def criterion_1() -> CriterionResult:
@@ -147,10 +147,9 @@ def _model_agreement(n_ions: int, delta: float) -> float:
         schedule, params, coupling_scale=model.CALIBRATED_COUPLING_SCALE
     )
     full = evolution.integrate_full(schedule, params)
-    t_mid = schedule.total_time / 2
-    chain_mid = model.embed_chain_state(reduced.midpoint_state(), n_ions, params.n_max)
-    full_mid = model.interaction_to_chain_frame(full.midpoint_state(), t_mid, params)
-    return float(abs(np.vdot(chain_mid, full_mid)) ** 2)
+    mid = full.index_of(schedule.total_time / 2)
+    [fid] = full.chain_fidelities([mid], [reduced.midpoint_state()])
+    return float(fid)
 
 
 def calibrate_coupling_scale(n_ions: int = 2) -> tuple[float, float]:
@@ -159,17 +158,13 @@ def calibrate_coupling_scale(n_ions: int = 2) -> tuple[float, float]:
     schedule = evolution.PulseSchedule(total_time=40.0, omega_bar=1.0)
     params = model.SystemParams(n_ions=n_ions, delta=20.0)
     full = evolution.integrate_full(schedule, params)
-    full_mid = model.interaction_to_chain_frame(
-        full.midpoint_state(), schedule.total_time / 2, params
-    )
-    best_scale, best_fid = None, -1.0
-    for scale in np.arange(0.30, 0.725, 0.05):
-        reduced = evolution.integrate_reduced(schedule, params, coupling_scale=scale)
-        chain_mid = model.embed_chain_state(reduced.midpoint_state(), n_ions, params.n_max)
-        fid = float(abs(np.vdot(chain_mid, full_mid)) ** 2)
-        if fid > best_fid:
-            best_scale, best_fid = float(scale), fid
-    return best_scale, best_fid
+    scales = np.arange(0.30, 0.725, 0.05)
+    chain_mids = [evolution.integrate_reduced(schedule, params, coupling_scale=scale)
+                  .midpoint_state() for scale in scales]
+    mid = full.index_of(schedule.total_time / 2)
+    fids = full.chain_fidelities([mid] * len(scales), chain_mids)
+    best = int(np.argmax(fids))
+    return float(scales[best]), float(fids[best])
 
 
 def criterion_4() -> CriterionResult:

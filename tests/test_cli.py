@@ -213,6 +213,60 @@ def test_config_file_unknown_key(tmp_path):
     assert cli.main(["darkstate", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("key", ["func", "subcommand", "help", "eta_omega"])
+def test_config_file_names_no_parser_internals_or_prefixes(tmp_path, key, capsys):
+    # namespace entries that no flag sets, and flag prefixes, are not keys
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = x\n")
+    assert cli.main(["evolve", "--config", str(cfg)]) == cli.EXIT_PHYSICS
+    assert capsys.readouterr().err == f"error: config file has unknown keys: {key}\n"
+
+
+def _header(path):
+    return dict(line[2:].split(" = ", 1) for line in path.read_text().splitlines()
+                if line.startswith("# ") and " = " in line)
+
+
+@pytest.mark.parametrize("flags", [["--n=6"], ["--n", "6"], ["--n", "2", "--n", "6"]])
+def test_config_file_loses_to_a_flag_in_every_spelling(tmp_path, flags):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 4\n")
+    out = tmp_path / "a.csv"
+    assert cli.main(["darkstate", "--config", str(cfg), *flags, "--output", str(out)]) == 0
+    assert _header(out)["n"] == "6"
+    _, rows = _data_rows(out)
+    assert len(rows) == 4
+
+
+def test_config_file_loses_to_a_flag_prefix(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 2\neta_omega_t = 30\n")
+    out = tmp_path / "a.csv"
+    assert cli.main(["evolve", "--config", str(cfg), "--eta-omega", "12",
+                     "--output", str(out)]) == 0
+    header = _header(out)
+    assert (header["total_time"], header["n"]) == ("12.0", "2")
+
+
+def test_config_value_may_start_with_a_minus(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("theta = -1.0\n")
+    out = tmp_path / "a.csv"
+    assert cli.main(["darkstate", "--config", str(cfg), "--output", str(out)]) == 0
+    header = _header(out)
+    assert header["theta"] == "-1.0"
+    assert float(header["omega_r"]) == 1 + np.cos(-1.0)
+
+
+def test_config_value_error_is_argparse_message(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model = bogus\n")
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["evolve", "--config", str(cfg)])
+    assert excinfo.value.code == cli.EXIT_USAGE
+    assert "argument --model: invalid choice: 'bogus'" in capsys.readouterr().err
+
+
 def test_summary_file(tmp_path, capsys):
     summary = tmp_path / "sum.txt"
     assert cli.main(["parity", "--n", "2", "--output", str(tmp_path / "p.csv"),

@@ -111,7 +111,7 @@ def test_verify_dark_dimension_mismatch():
         verify_dark(dark_coefficients(4, 1.0, 1.0), h)
 
 
-@pytest.mark.parametrize("n", [2, 4, 6])
+@pytest.mark.parametrize("n", [2, 4, 6, 12, 20])
 def test_jx_annihilation(n):
     assert jx_annihilation_check(n) < 1e-10
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dickesim import certification as cert
 from dickesim import measurement as meas
@@ -146,3 +148,44 @@ def test_sampled_parity_matches_exact_curve(state):
     sigma = 2 * np.sqrt(p_even * (1 - p_even) / config.n_shots)
     assert np.all(np.abs(sampled - exact) <= 5 * sigma + 1e-12)
     assert np.array_equal(sampled, meas.sample_parities(exact, config))
+
+
+def _binomial_parities(parities, config):
+    # the sampler's earlier form, kept as its reference: one binomial draw of
+    # the even-parity count per phase on substream 100 + k
+    p_even = np.clip((1 + np.asarray(parities, dtype=float)) / 2, 0.0, 1.0)
+    draws = [config.substream(100 + k).generator().binomial(config.n_shots, p)
+             for k, p in enumerate(p_even)]
+    return 2 * np.array(draws) / config.n_shots - 1
+
+
+# p_even = 0, 1/2 and 1, 1/2 +- 1e-16 (where numpy's binomial switches
+# branch), p_even near 0 and 1, and parities that the clip brings back
+_EDGE_PARITIES = [-1.0, 0.0, 1.0, 2e-16, -2e-16, 1 - 1e-16, -1 + 2e-16, 1e-300,
+                  np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(parities=st.lists(st.floats(-1.0, 1.0) | st.sampled_from(_EDGE_PARITIES),
+                         min_size=1, max_size=6),
+       shots=st.integers(1, 10**6) | st.sampled_from([1, 2, 1000, 10**6]),
+       seed=st.integers(0, 2**64 - 1))
+def test_sampled_parities_equal_the_binomial_draws(parities, shots, seed):
+    config = meas.ShotConfig(n_shots=shots, seed=seed)
+    assert np.array_equal(meas.sample_parities(parities, config),
+                          _binomial_parities(parities, config))
+
+
+def test_sampled_parities_draw_every_shot_through_the_sampler(monkeypatch):
+    seen = []
+    draw = meas._draw
+
+    def counting_draw(probabilities, config):
+        counts = draw(probabilities, config)
+        seen.append(int(counts.sum()))
+        return counts
+
+    monkeypatch.setattr(meas, "_draw", counting_draw)
+    parities = np.cos(2 * np.linspace(0.0, 2 * np.pi, 40, endpoint=False))
+    meas.sample_parities(parities, meas.ShotConfig(n_shots=1000, seed=5))
+    assert seen == [1000] * 40

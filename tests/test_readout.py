@@ -133,6 +133,25 @@ def test_dark_fidelity_series_equals_per_sample_formula(traj):
     assert _bits([single]) == _bits([expected[index]])
 
 
+@settings(max_examples=100, deadline=None)
+@given(_trajectories(), st.integers(0, 2**32 - 1))
+def test_chain_fidelities_equal_per_sample_overlaps(traj, seed):
+    # as repro compares a full run with reduced runs: complex chain vectors,
+    # repeated and unordered indices
+    n = traj.params.n_ions
+    rng = np.random.default_rng(seed)
+    indices = rng.integers(0, len(traj.times), 5).tolist()
+    vectors = rng.normal(size=(5, n + 1)) + 1j * rng.normal(size=(5, n + 1))
+    expected = []
+    for i, vec in zip(indices, vectors):
+        state = traj.states[i]
+        if traj.model_tag == "full":
+            state = model.interaction_to_chain_frame(state, traj.times[i], traj.params)
+            vec = model.embed_chain_state(vec, n, traj.params.n_max)
+        expected.append(abs(np.vdot(vec, state)) ** 2)
+    assert np.array_equal(_bits(traj.chain_fidelities(indices, vectors)), _bits(expected))
+
+
 def test_spin_readout_rejects_unnormalized_matrices():
     rhos = np.stack([np.diag([1.0, 0.0]), np.diag([0.5, 0.6])]).astype(complex)
     with pytest.raises(ValueError, match="trace"):
