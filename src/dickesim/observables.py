@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 
-from .spin_algebra import build_collective, full_space_oracle, symmetric_isometry
+from .spin_algebra import _expm, build_collective, full_space_oracle, symmetric_isometry
 
 #: witness value above which a four-ion state is genuinely four-partite entangled
 WITNESS_THRESHOLD_FOUR_ION = 5.23
@@ -233,9 +232,10 @@ def parity_scan(state: np.ndarray, phases: np.ndarray | None = None) -> ParitySc
     phases = np.asarray(phases, dtype=float)
 
     jx, jy, parity_op = _two_ion_analysis_ops()
+    cos, sin = np.cos(phases)[:, None, None], np.sin(phases)[:, None, None]
+    pulses = _expm(-1j * (np.pi / 2) * (cos * jx + sin * jy))
     parities = np.empty_like(phases)
-    for k, phi in enumerate(phases):
-        pulse = expm(-1j * (np.pi / 2) * (np.cos(phi) * jx + np.sin(phi) * jy))
+    for k, pulse in enumerate(pulses):
         parities[k] = expectation(state, pulse.conj().T @ parity_op @ pulse)
 
     pops = np.abs(state) ** 2 if state.ndim == 1 else np.real(np.diag(state))

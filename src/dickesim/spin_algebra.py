@@ -18,7 +18,6 @@ from functools import lru_cache
 from math import comb
 
 import numpy as np
-from scipy.linalg import expm
 
 #: largest ion number for which full 2^N-space operators may be built
 FULL_SPACE_MAX_IONS = 10
@@ -84,6 +83,21 @@ def build_collective(n_ions: int, kind: str) -> np.ndarray:
     return _operator((jp - jp.conj().T) / 2j)
 
 
+def _expm(generators: np.ndarray) -> np.ndarray:
+    """Matrix exponential of a (d, d) matrix or of each slice of a (k, d, d)
+    stack; a stack gives the same bits as its slices one at a time.
+
+    The one matrix exponential of the package.  scipy is imported here, on
+    the first call, not at module level: ``scipy.linalg`` is the largest
+    import of a ``dickesim`` process, and only the Jy rotation and the
+    parity scan use it, so the commands that never exponentiate a matrix
+    start without it.
+    """
+    from scipy.linalg import expm
+
+    return expm(generators)
+
+
 def rotation_y(n_ions: int, angle: float) -> np.ndarray:
     """Global rotation exp(-i * angle * Jy) on the symmetric sector, read-only.
 
@@ -91,7 +105,7 @@ def rotation_y(n_ions: int, angle: float) -> np.ndarray:
     """
     if not np.isfinite(angle):
         raise ValueError("rotation angle must be finite")
-    return _operator(expm(-1j * angle * build_collective(n_ions, "jy")))
+    return _operator(_expm(-1j * angle * build_collective(n_ions, "jy")))
 
 
 def dicke_state(n_ions: int, m: int) -> np.ndarray:

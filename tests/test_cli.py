@@ -413,3 +413,30 @@ def test_closed_stdout_exits_quietly():
     assert proc.wait(timeout=60) == cli.EXIT_CLOSED_STDOUT == 141
     assert proc.stderr.read() == b""
     proc.stderr.close()
+
+
+def test_commands_that_never_exponentiate_start_without_scipy(tmp_path):
+    # only the matrix exponential (parity, witness --source ideal, repro)
+    # needs scipy.linalg; every other command must run without loading it
+    cfg = Path(__file__).resolve().parents[1] / "data" / "paper_fourion.cfg"
+    runs = [
+        ["darkstate"],
+        ["bounds", "--input", str(cfg)],
+        ["evolve", "--n", "2", "--eta-omega-t", "5", "--model", "reduced"],
+        ["evolve", "--n", "2", "--eta-omega-t", "5", "--model", "full"],
+        ["sweep", "--eta-omega-t-list", "5"],
+        ["scan-noise", "--cuts", "3"],
+    ]
+    script = "\n".join([
+        "import sys",
+        "from dickesim import cli",
+        "assert 'scipy.linalg' not in sys.modules, 'import dickesim.cli'",
+        f"for i, argv in enumerate({runs!r}):",
+        f"    out = {str(tmp_path)!r} + f'/out{{i}}.csv'",
+        "    assert cli.main(argv + ['--output', out]) == 0, argv",
+        "    assert 'scipy.linalg' not in sys.modules, argv",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from dickesim import observables as obs
 from dickesim.dark_state import dark_coefficients
@@ -224,6 +225,41 @@ def test_parity_analysis_of_the_exact_curve():
     fit = obs.parity_analysis(phases, scan.parities, 0.475, 0.475)
     assert fit.amplitude == pytest.approx(0.8, abs=1e-12)
     assert fit.fidelity == pytest.approx(0.875, abs=1e-12)
+
+
+def _parity_scan_per_phase(state, phases):
+    """The parity scan with one exponential per phase, as before the pulses
+    were exponentiated as one stack."""
+    state = obs._check_normalized(state)
+    if obs._state_dim(state) == 3:
+        iso = symmetric_isometry(2)
+        state = iso @ state @ iso.conj().T if state.ndim == 2 else iso @ state
+    phases = np.asarray(phases, dtype=float)
+    jx, jy, parity_op = obs._two_ion_analysis_ops()
+    parities = np.empty_like(phases)
+    for k, phi in enumerate(phases):
+        pulse = expm(-1j * (np.pi / 2) * (np.cos(phi) * jx + np.sin(phi) * jy))
+        parities[k] = obs.expectation(state, pulse.conj().T @ parity_op @ pulse)
+    pops = np.abs(state) ** 2 if state.ndim == 1 else np.real(np.diag(state))
+    return obs.parity_analysis(phases, parities, pops[0], pops[3])
+
+
+def _random_unit(rng, dim):
+    vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return vec / np.linalg.norm(vec)
+
+
+@pytest.mark.parametrize("n_phases", [3, 7, 40, 401])
+def test_parity_scan_equals_the_per_phase_loop_bit_for_bit(n_phases):
+    rng = np.random.default_rng(n_phases)
+    mixed = [_random_unit(rng, 3) for _ in range(3)]
+    rho = sum(w * np.outer(v, v.conj()) for w, v in zip((0.5, 0.3, 0.2), mixed))
+    phases = np.linspace(0.0, 2 * np.pi, n_phases, endpoint=False)
+    for state in (half_excited_x(2), _random_unit(rng, 3), _random_unit(rng, 4), rho):
+        scan, ref = obs.parity_scan(state, phases), _parity_scan_per_phase(state, phases)
+        assert np.array_equal(scan.parities.view(np.int64), ref.parities.view(np.int64))
+        assert (scan.amplitude, scan.phase_offset, scan.offset, scan.fidelity) == (
+            ref.amplitude, ref.phase_offset, ref.offset, ref.fidelity)
 
 
 # ---------------------------------------------------------------------------

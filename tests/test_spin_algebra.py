@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.linalg import expm
 
 from dickesim import spin_algebra as sa
 
@@ -162,3 +164,21 @@ def test_permutation_invariance():
 def test_full_space_resource_guard():
     with pytest.raises(ValueError):
         sa.full_space_oracle(11, "jz")
+
+
+@st.composite
+def _generator_stacks(draw):
+    k, d = draw(st.integers(0, 6)), draw(st.integers(2, 6))
+    parts = draw(hnp.arrays(np.float64, (k, d, d, 2), elements=st.floats(-4.0, 4.0)))
+    stack = parts.view(complex)[..., 0]
+    if draw(st.booleans()):  # anti-Hermitian, as every generator of a rotation
+        stack = (stack - stack.conj().transpose(0, 2, 1)) / 2
+    return stack
+
+
+@given(_generator_stacks())
+@settings(max_examples=200, deadline=None)
+def test_expm_of_a_stack_equals_each_slice_bit_for_bit(stack):
+    # d = 2 is drawn too: some scipy versions give 2 x 2 matrices a formula of their own
+    per_slice = np.array([expm(a) for a in stack], dtype=complex).reshape(stack.shape)
+    assert np.array_equal(sa._expm(stack).view(float), per_slice.view(float))
