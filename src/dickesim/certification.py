@@ -85,12 +85,17 @@ def ghz_excluded(f_lower: float) -> bool:
     return f_lower > GHZ_DICKE_MAX_OVERLAP
 
 
+def _check_witness(witness_value: float) -> None:
+    if not np.isfinite(witness_value):
+        raise ValueError(f"witness value must be finite, got {witness_value}")
+
+
 def _check_populations(populations) -> np.ndarray:
     pops = np.asarray(populations, dtype=float)
     if pops.ndim != 1 or len(pops) < 3 or len(pops) % 2 == 0:
         raise ValueError("populations must be an odd-length vector p_{-jM}..p_{+jM}")
-    if np.any(pops < -1e-12):
-        raise ValueError("populations must be nonnegative")
+    if not np.all((pops >= -1e-12) & (pops < np.inf)):
+        raise ValueError("populations must be nonnegative and finite")
     return pops
 
 
@@ -103,6 +108,7 @@ def fidelity_upper(populations) -> float:
 def fidelity_lower(witness_value: float, populations, j_max: int) -> float:
     """Witness-based lower bound on the half-excited Dicke fidelity."""
     pops = _check_populations(populations)
+    _check_witness(witness_value)
     if int(j_max) != j_max or j_max < 1:
         raise ValueError(f"j_max must be a positive integer (N/2 for even N), got {j_max}")
     if len(pops) != 2 * j_max + 1:
@@ -120,6 +126,7 @@ def fidelity_sandwich_4ion(witness_value: float, populations) -> tuple[float, fl
     Identical to the general lower/upper bounds at j_max = 2.
     """
     pops = _check_populations(populations)
+    _check_witness(witness_value)
     if len(pops) != 5:
         raise ValueError(f"four-ion form needs exactly 5 populations, got {len(pops)}")
     lower = witness_value / 4 - (
@@ -135,8 +142,9 @@ def propagate_uncertainty(j_max: int, sigma_witness: float,
     Inputs are treated as independent; returns (sigma_lower, sigma_upper).
     """
     sig = np.asarray(sigma_populations, dtype=float)
-    if sigma_witness < 0 or np.any(sig < 0):
-        raise ValueError("standard errors must be nonnegative")
+    every = np.append(sig, sigma_witness)
+    if not np.all((every >= 0) & (every < np.inf)):  # nan fails both
+        raise ValueError("standard errors must be nonnegative and finite")
     if len(sig) != 2 * j_max + 1:
         raise ValueError(f"sigma_populations must have length {2 * j_max + 1}")
     jz = np.arange(-j_max, j_max + 1)

@@ -164,14 +164,6 @@ def _integrate(ns, schedule, params, capture_times=None) -> evolution.Trajectory
     return run(schedule, params, dt=ns.dt, capture_times=capture_times)
 
 
-def _strict_midpoint(n_ions: int) -> np.ndarray:
-    """Spin marginal at the midpoint of the strict preset's ramp; the ramp is
-    integrated only that far, since no later state is read."""
-    schedule, params = evolution.adiabatic_preset("strict", n_ions)
-    traj = evolution.integrate_reduced(schedule, params, capture_times=[schedule.total_time / 2])
-    return observables.spin_density_from_chain(traj.final_state())
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -243,7 +235,7 @@ def cmd_parity(ns) -> int:
     if ns.source == "ideal":
         state = dark_coefficients(2, 1.0, 1.0).chain_vector.astype(complex)
     else:
-        state = _strict_midpoint(2)
+        state = evolution.strict_midpoint(2)
     phases = np.linspace(0.0, 2 * np.pi, ns.phases, endpoint=False)
     scan = observables.parity_scan(state, phases)
     if ns.shots is not None:
@@ -271,7 +263,7 @@ def cmd_witness(ns) -> int:
         from .spin_algebra import half_excited_x
         state = half_excited_x(ns.n)
     else:
-        state = _strict_midpoint(ns.n)
+        state = evolution.strict_midpoint(ns.n)
     rows = []
     for axes in (("y", "z"), ("z", "x"), ("x", "y")):
         value = observables.witness(state, axes)
@@ -322,15 +314,12 @@ def cmd_bounds(ns) -> int:
 def cmd_sweep(ns) -> int:
     times = [float(tok) for tok in ns.eta_omega_t_list.split(",")]
     params = model.SystemParams(n_ions=ns.n, delta=ns.delta_ratio)
-    jz = np.arange(ns.n + 1) - ns.n / 2
     rows = []
     for total_time in times:
         schedule = evolution.PulseSchedule(total_time=total_time, omega_bar=1.0,
                                            shape=ns.schedule)
         traj = evolution.integrate_reduced(schedule, params)
-        final_jz = float(np.sum(jz * np.abs(traj.final_state()) ** 2))
-        [mid_fid] = evolution.dark_fidelity_series(traj, [traj.index_of(total_time / 2)])
-        rows.append((total_time, final_jz, mid_fid))
+        rows.append((total_time, *evolution.transfer_numbers(traj)))
     header = _provenance("sweep", {
         "n": ns.n, "schedule": ns.schedule, "delta_ratio": ns.delta_ratio,
         "eta_omega_t_list": ns.eta_omega_t_list, "seed": "none",

@@ -41,6 +41,7 @@ from .model import (
     embed_chain_state,
     interaction_to_chain_frame,
     reduced_coupling_parts,
+    reduced_hamiltonian,
 )
 
 SCHEDULE_SHAPES = ("linear", "smoothstep")
@@ -367,7 +368,7 @@ def _integrate(h_stack, dimension: int, schedule: PulseSchedule,
 
 
 def integrate_reduced(schedule: PulseSchedule, params: SystemParams,
-                      dt: float | None = None, coupling_scale: float = 1.0,
+                      dt: float | None = None,
                       initial_state: np.ndarray | None = None,
                       capture_times: list[float] | None = None) -> Trajectory:
     """Integrate the chain model under a schedule, starting from |D^0>|0>.
@@ -378,20 +379,19 @@ def integrate_reduced(schedule: PulseSchedule, params: SystemParams,
     ``SystemParams.reduced_model_trusted``.
     """
     n = params.n_ions
-    kr, kb, dmat = reduced_coupling_parts(n, coupling_scale)
+    kr, kb, _ = reduced_coupling_parts(n)
     # (Omega_r + Omega_b) * max coupling bounds the drive's norm; near delta = 0
     # RK4 keeps the norm to the readout's 1e-8 only with dt*drive <= 0.1/3
     drive = 2 * schedule.omega_bar * max(kr.max(), kb.max())
     rate = max(params.delta + n * schedule.omega_bar, 3 * drive)
     guard = 0.1 / rate if rate > 0 else schedule.total_time / 200
-    dmat = params.delta * dmat
     peak = np.zeros(2)  # largest (Omega_r, Omega_b) the ramp reaches
 
     def h_stack(ts):
         wr, wb = schedule.amplitudes(ts)
         np.maximum(peak, (wr.max(), wb.max()), out=peak)
         # exact cast: matmul against the complex state would cast every step
-        return (wr[:, None, None] * kr + wb[:, None, None] * kb + dmat).astype(complex)
+        return reduced_hamiltonian(params, wr, wb).astype(complex)
 
     times, states, record = _integrate(
         h_stack, n + 1, schedule, dt, guard,
@@ -471,3 +471,19 @@ def dark_fidelity_series(traj: Trajectory,
                for k in driven]
     out[driven] = traj.chain_fidelities(np.asarray(indices)[driven], targets)
     return out
+
+
+def transfer_numbers(traj: Trajectory) -> tuple[float, float]:
+    """(final <Jz>, midpoint dark-state fidelity) of a whole-ramp chain run."""
+    n = traj.params.n_ions
+    final_jz = float(np.sum((np.arange(n + 1) - n / 2) * np.abs(traj.final_state()) ** 2))
+    [mid_fid] = dark_fidelity_series(traj, [traj.index_of(traj.schedule.total_time / 2)])
+    return final_jz, float(mid_fid)
+
+
+def strict_midpoint(n_ions: int) -> np.ndarray:
+    """Spin marginal at the midpoint of the strict preset's ramp; the ramp is
+    integrated only that far, since no later state is read."""
+    schedule, params = adiabatic_preset("strict", n_ions)
+    traj = integrate_reduced(schedule, params, capture_times=[schedule.total_time / 2])
+    return observables.spin_density_from_chain(traj.final_state())

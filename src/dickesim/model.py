@@ -15,24 +15,23 @@ odd (one-phonon) sites and couplings R_k * Omega_{b,r} alternating
 blue/red along the chain.  Omega_{r,b} are sideband Rabi rates (eta times
 the carrier rates); their scale lives only in ``evolution.PulseSchedule``.
 
-Convention note: the reduced chain couplings are implemented without the
-1/2 prefactors of the interaction Hamiltonian; ``coupling_scale`` rescales
-them globally.  ``coupling_scale=0.5`` makes the chain exactly the resonant
-sub-block of the full model, which is the calibrated value used by the
-full-vs-reduced consistency checks.
+Both models are built from the same sideband operators: the chain's
+K_r, K_b and D are the rows and columns, at the chain states, of a J+ and
+a^dag J+ plus their adjoints and of the phonon number.  The chain carries
+them without the interaction picture's 1/2, so the chain driven at half
+the sideband rates is exactly the full model's resonant block in the
+chain's rotating frame (which meets the interaction picture at t = 0).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import PhysicsConfigError
-from .spin_algebra import build_collective, collective_coupling
-
-#: coupling_scale under which the chain matches the full model's resonant block
-CALIBRATED_COUPLING_SCALE = 0.5
+from .spin_algebra import _frozen, build_collective
 
 
 def default_n_max(n_ions: int) -> int:
@@ -68,33 +67,42 @@ class SystemParams:
         return drive == 0 or 2 * self.delta > 10 * drive
 
 
-def chain_phonon_numbers(n_ions: int) -> np.ndarray:
-    """Phonon occupation paired with each Dicke level along the chain."""
-    return np.arange(n_ions + 1) % 2
+def sideband_operators(n_ions: int, n_max: int):
+    """(red, blue, number) on the Dicke (x) Fock product space: a J+ (spin
+    up, phonon down), a^dag J+ (spin up, phonon up) and the phonon number."""
+    a = np.diag(np.sqrt(np.arange(1, n_max + 1)), 1).astype(complex)
+    jp = build_collective(n_ions, "j+")
+    number = np.kron(np.eye(n_ions + 1), np.diag(np.arange(n_max + 1.0)))
+    return np.kron(jp, a), np.kron(jp, a.conj().T), number
 
 
-def reduced_coupling_parts(n_ions: int, coupling_scale: float = 1.0):
-    """Constant matrices (K_r, K_b, D) with H = Omega_r*K_r + Omega_b*K_b + delta*D.
-
-    Splitting the tridiagonal this way lets time-dependent drives rebuild the
-    Hamiltonian with two scalar multiplies per step.
-    """
-    n = n_ions
-    kr = np.zeros((n + 1, n + 1))
-    kb = np.zeros((n + 1, n + 1))
-    for k in range(n):
-        target = kb if k % 2 == 0 else kr
-        target[k, k + 1] = target[k + 1, k] = coupling_scale * collective_coupling(n, k)
-    d = np.diag((np.arange(n + 1) % 2).astype(float))
-    return kr, kb, d
+def chain_indices(n_ions: int, n_max: int) -> np.ndarray:
+    """Product-space index of each chain state |D^k>|k mod 2>."""
+    k = np.arange(n_ions + 1)
+    return k * (n_max + 1) + k % 2
 
 
-def reduced_hamiltonian(params: SystemParams, omega_r: float, omega_b: float,
-                        coupling_scale: float = 1.0) -> np.ndarray:
-    """Rotating-frame chain Hamiltonian for fixed sideband rates, as a real
-    symmetric tridiagonal matrix on the alternating chain."""
-    kr, kb, d = reduced_coupling_parts(params.n_ions, coupling_scale)
-    return omega_r * kr + omega_b * kb + params.delta * d
+@lru_cache(maxsize=None)
+def reduced_coupling_parts(n_ions: int):
+    """Constant read-only matrices (K_r, K_b, D) with
+    H = Omega_r*K_r + Omega_b*K_b + delta*D: the red and blue sideband
+    operators plus their adjoints, and the phonon number, at the chain
+    states.  Every coupling is R_k * sqrt(1), so one phonon level above the
+    vacuum gives them all."""
+    red, blue, number = sideband_operators(n_ions, 1)
+    chain = np.ix_(*[chain_indices(n_ions, 1)] * 2)
+    kr, kb = ((op + op.conj().T)[chain].real.copy() for op in (red, blue))
+    return _frozen(kr), _frozen(kb), _frozen(number[chain])
+
+
+def reduced_hamiltonian(params: SystemParams, omega_r, omega_b) -> np.ndarray:
+    """Rotating-frame chain Hamiltonian, real symmetric tridiagonal, at
+    sideband rates ``omega_r``, ``omega_b``: scalars give one matrix, arrays
+    of k rates the (k, N+1, N+1) stack."""
+    kr, kb, d = reduced_coupling_parts(params.n_ions)
+    wr = np.asarray(omega_r, dtype=float)[..., None, None]
+    wb = np.asarray(omega_b, dtype=float)[..., None, None]
+    return wr * kr + wb * kb + params.delta * d
 
 
 class FullHamiltonian:
@@ -114,11 +122,7 @@ class FullHamiltonian:
                 f"n_max = {n_max} leaves no Fock headroom; need n_max >= N/2 + 2 = {n / 2 + 2}"
             )
         self.params = params
-        a = np.diag(np.sqrt(np.arange(1, n_max + 1)), 1).astype(complex)
-        jp = build_collective(n, "j+")
-        # red: spin up, phonon down; blue: spin up, phonon up
-        red = np.kron(jp, a)
-        blue = np.kron(jp, a.conj().T)
+        red, blue, _ = sideband_operators(n, n_max)
         ops = (red, red.conj().T, blue, blue.conj().T)
         self._support = np.nonzero(np.any([op != 0 for op in ops], axis=0))
         # all zeros of one operator carry the same signs (+0+0j in red and
@@ -155,9 +159,7 @@ def embed_chain_state(chain_vec: np.ndarray, n_ions: int, n_max: int) -> np.ndar
     if chain_vec.shape != (n_ions + 1,):
         raise ValueError(f"chain vector must have length {n_ions + 1}, got {chain_vec.shape}")
     full = np.zeros((n_ions + 1) * (n_max + 1), dtype=complex)
-    phonons = chain_phonon_numbers(n_ions)
-    for k in range(n_ions + 1):
-        full[k * (n_max + 1) + phonons[k]] = chain_vec[k]
+    full[chain_indices(n_ions, n_max)] = chain_vec
     return full
 
 

@@ -61,15 +61,6 @@ def fast_trajectory(n_ions: int) -> evolution.Trajectory:
     return evolution.integrate_reduced(schedule, params)
 
 
-def _transfer_numbers(traj: evolution.Trajectory):
-    n = traj.params.n_ions
-    jz = np.arange(n + 1) - n / 2
-    final_jz = float(np.sum(jz * np.abs(traj.final_state()) ** 2))
-    target = dark_state.dark_coefficients(n, 1.0, 1.0).chain_vector
-    [mid_fid] = traj.chain_fidelities([traj.index_of(traj.schedule.total_time / 2)], [target])
-    return final_jz, float(mid_fid)
-
-
 def criterion_1() -> CriterionResult:
     """Dark states are exact chain kernels and Jx null vectors; printed
     two- and four-ion expansions match to 1e-12."""
@@ -118,7 +109,7 @@ def criterion_2() -> CriterionResult:
 def criterion_3_strict() -> CriterionResult:
     """Adiabatic transfer at the strict preset: full transfer and >= 0.99
     midpoint fidelity to the half-excited Dicke state."""
-    final_jz, mid_fid = _transfer_numbers(strict_trajectory(4))
+    final_jz, mid_fid = evolution.transfer_numbers(strict_trajectory(4))
     passed = final_jz >= 1.98 and mid_fid >= 0.99
     return CriterionResult(
         "3", "adiabatic transfer (strict preset, eta*omega_bar*T = 480)", passed,
@@ -129,7 +120,7 @@ def criterion_3_strict() -> CriterionResult:
 
 def criterion_3_stated() -> CriterionResult:
     """Same thresholds at the originally stated eta*omega_bar*T = 40 tuple."""
-    final_jz, mid_fid = _transfer_numbers(fast_trajectory(4))
+    final_jz, mid_fid = evolution.transfer_numbers(fast_trajectory(4))
     passed = final_jz >= 1.98 and mid_fid >= 0.99
     return CriterionResult(
         "3s", "adiabatic transfer (stated settings, eta*omega_bar*T = 40)", passed,
@@ -143,39 +134,31 @@ def criterion_3_stated() -> CriterionResult:
 def _model_agreement(n_ions: int, delta: float) -> float:
     schedule = evolution.PulseSchedule(total_time=40.0, omega_bar=1.0)
     params = model.SystemParams(n_ions=n_ions, delta=delta)
-    reduced = evolution.integrate_reduced(
-        schedule, params, coupling_scale=model.CALIBRATED_COUPLING_SCALE
-    )
+    # the chain driven at half the rates is the full model's resonant block
+    half = evolution.PulseSchedule(total_time=40.0, omega_bar=0.5)
+    reduced = evolution.integrate_reduced(half, params)
     full = evolution.integrate_full(schedule, params)
     mid = full.index_of(schedule.total_time / 2)
     [fid] = full.chain_fidelities([mid], [reduced.midpoint_state()])
     return float(fid)
 
 
-def calibrate_coupling_scale(n_ions: int = 2) -> tuple[float, float]:
-    """Scan the chain coupling scale against the full model; returns the
-    best scale on the scan grid and its midpoint agreement."""
-    schedule = evolution.PulseSchedule(total_time=40.0, omega_bar=1.0)
-    params = model.SystemParams(n_ions=n_ions, delta=20.0)
-    full = evolution.integrate_full(schedule, params)
-    scales = np.arange(0.30, 0.725, 0.05)
-    chain_mids = [evolution.integrate_reduced(schedule, params, coupling_scale=scale)
-                  .midpoint_state() for scale in scales]
-    mid = full.index_of(schedule.total_time / 2)
-    fids = full.chain_fidelities([mid] * len(scales), chain_mids)
-    best = int(np.argmax(fids))
-    return float(scales[best]), float(fids[best])
-
-
 def criterion_4() -> CriterionResult:
-    """Full-vs-reduced midpoint agreement >= 0.95 at the calibrated coupling
-    scale, improving when the detuning doubles."""
-    fitted_scale, fitted_fid = calibrate_coupling_scale(2)
-    details = [
-        f"fitted coupling scale = {fitted_scale:.2f} "
-        f"(agreement {fitted_fid:.6f}); calibrated value {model.CALIBRATED_COUPLING_SCALE}"
-    ]
-    passed = abs(fitted_scale - model.CALIBRATED_COUPLING_SCALE) < 0.026
+    """The full model at t = 0 on the chain states equals the chain at half
+    the rates and delta = 0 exactly (N <= 8, a rate grid); full-vs-reduced
+    midpoint agreement >= 0.95 with the chain at omega_bar/2, improving when
+    the detuning doubles."""
+    wr, wb = (w.ravel() for w in np.meshgrid(*[np.linspace(0.0, 2.0, 9)] * 2))
+    diff = 0.0
+    for n in range(1, 9):
+        params = model.SystemParams(n_ions=n, delta=20.0)
+        chain = np.ix_(*[model.chain_indices(n, params.n_max)] * 2)
+        block = model.FullHamiltonian(params).at(np.zeros(len(wr)), wr, wb)[(..., *chain)]
+        half = model.reduced_hamiltonian(model.SystemParams(n_ions=n), wr / 2, wb / 2)
+        diff = max(diff, float(np.max(np.abs(block - half))))
+    details = [f"full model at t = 0 on the chain states - chain at omega_bar/2, "
+               f"delta = 0: max |difference| = {diff:.2e} (= 0)"]
+    passed = diff == 0
     for n in (2, 4):
         fid_1 = _model_agreement(n, delta=20.0)
         fid_2 = _model_agreement(n, delta=40.0)
@@ -299,8 +282,7 @@ def criterion_9() -> CriterionResult:
     strict-preset midpoint."""
     ideal = dark_state.dark_coefficients(2, 1.0, 1.0).chain_vector.astype(complex)
     scan_ideal = observables.parity_scan(ideal)
-    rho = observables.spin_density_from_chain(strict_trajectory(2).midpoint_state())
-    scan_mid = observables.parity_scan(rho)
+    scan_mid = observables.parity_scan(evolution.strict_midpoint(2))
     passed = (
         scan_ideal.amplitude >= 0.999
         and abs(scan_ideal.fidelity - 1.0) <= 1e-6

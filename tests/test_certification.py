@@ -96,6 +96,21 @@ def test_propagation_rejects_negative():
         cert.propagate_uncertainty(2, -0.1, [0.0] * 5)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_inputs_rejected(bad):
+    pops = [0.0, 0.03, 0.88, 0.03, 0.03]
+    with pytest.raises(ValueError):
+        cert.fidelity_lower(bad, pops, 2)
+    with pytest.raises(ValueError):
+        cert.fidelity_sandwich_4ion(bad, pops)
+    with pytest.raises(ValueError):
+        cert.fidelity_upper([0.0, bad, 0.88, 0.03, 0.03])
+    with pytest.raises(ValueError):
+        cert.propagate_uncertainty(2, bad, [0.0] * 5)
+    with pytest.raises(ValueError):
+        cert.propagate_uncertainty(2, 0.07, [0.0, 0.02, bad, 0.02, 0.02])
+
+
 # ---------------------------------------------------------------------------
 # certification from states
 # ---------------------------------------------------------------------------

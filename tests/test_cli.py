@@ -70,6 +70,21 @@ def test_bounds_missing_key(tmp_path):
     assert cli.main(["bounds", "--input", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("old, new", [
+    ("sigma_W = 0.07", "sigma_W = inf"),
+    ("W = 5.46", "W = nan"),
+    ("p_list = 0.00,", "p_list = nan,"),
+])
+def test_bounds_non_finite_input_exits_2(tmp_path, capsys, old, new):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(PAPER_CFG.replace(old, new))
+    assert new in cfg.read_text()
+    assert cli.main(["bounds", "--input", str(cfg)]) == cli.EXIT_PHYSICS
+    captured = capsys.readouterr()
+    assert "certified" not in captured.out
+    assert captured.err.startswith("error: ")
+
+
 @pytest.mark.parametrize("flag", ["--config", "--input"])
 def test_missing_input_file_exits_usage(tmp_path, flag, capsys):
     subcommand = "darkstate" if flag == "--config" else "bounds"
@@ -135,8 +150,9 @@ def test_witness_ideal(tmp_path):
 
 def test_evolve_quick_run(tmp_path, capsys):
     out = tmp_path / "evolve.csv"
-    assert cli.main(["evolve", "--n", "2", "--eta-omega-t", "10",
-                     "--delta-ratio", "5", "--output", str(out)]) == 0
+    with pytest.warns(errors.ReducedModelWarning):
+        assert cli.main(["evolve", "--n", "2", "--eta-omega-t", "10",
+                         "--delta-ratio", "5", "--output", str(out)]) == 0
     summary = capsys.readouterr().out
     assert "final_jz" in summary
     header, rows = _data_rows(out)
@@ -147,8 +163,9 @@ def test_evolve_quick_run(tmp_path, capsys):
 
 def test_scan_noise_quick_run(tmp_path):
     out = tmp_path / "noise.csv"
-    assert cli.main(["scan-noise", "--n", "4", "--eta-omega-t", "10",
-                     "--delta-ratio", "5", "--cuts", "5", "--output", str(out)]) == 0
+    with pytest.warns(errors.ReducedModelWarning):
+        assert cli.main(["scan-noise", "--n", "4", "--eta-omega-t", "10",
+                         "--delta-ratio", "5", "--cuts", "5", "--output", str(out)]) == 0
     header, rows = _data_rows(out)
     assert header == ["tau_c", "var_jx", "var_jy", "var_jz"]
     assert len(rows) == 5
@@ -159,8 +176,9 @@ def test_scan_noise_quick_run(tmp_path):
 
 def test_sweep_quick_run(tmp_path):
     out = tmp_path / "sweep.csv"
-    assert cli.main(["sweep", "--n", "2", "--eta-omega-t-list", "6,12",
-                     "--delta-ratio", "5", "--output", str(out)]) == 0
+    with pytest.warns(errors.ReducedModelWarning):
+        assert cli.main(["sweep", "--n", "2", "--eta-omega-t-list", "6,12",
+                         "--delta-ratio", "5", "--output", str(out)]) == 0
     header, rows = _data_rows(out)
     assert header == ["eta_omega_t", "final_jz", "midpoint_dark_fidelity"]
     assert len(rows) == 2
@@ -171,8 +189,9 @@ def test_sweep_quick_run(tmp_path):
 def test_sweep_output_is_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     base = ["sweep", "--n", "2", "--eta-omega-t-list", "6,12", "--delta-ratio", "5"]
-    assert cli.main(base + ["--output", str(a)]) == 0
-    assert cli.main(base + ["--output", str(b)]) == 0
+    for path in (a, b):
+        with pytest.warns(errors.ReducedModelWarning):
+            assert cli.main(base + ["--output", str(path)]) == 0
     assert a.read_bytes() == b.read_bytes()
     # the header records the configuration, not how the run was executed
     assert "workers" not in a.read_text()

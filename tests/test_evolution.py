@@ -86,7 +86,8 @@ def test_frozen_red_only_schedule_is_stationary():
     # theta pinned at 0 keeps the blue tone off; |D^0>|0> stays dark
     sch = evolution.PulseSchedule(total_time=20.0, omega_bar=1.0, theta_fn=lambda t: 0.0)
     params = model.SystemParams(n_ions=4, delta=10.0)
-    traj = evolution.integrate_reduced(sch, params)
+    with pytest.warns(ReducedModelWarning):  # the red tone peaks at 2 = delta/5
+        traj = evolution.integrate_reduced(sch, params)
     assert abs(abs(traj.final_state()[0]) ** 2 - 1.0) < 1e-10
 
 
@@ -145,7 +146,8 @@ def test_adiabatic_octaves_monotone():
     for total_time in (15.0, 30.0, 60.0, 120.0):
         sch = evolution.PulseSchedule(total_time=total_time, omega_bar=1.0)
         params = model.SystemParams(n_ions=4, delta=5.0)
-        traj = evolution.integrate_reduced(sch, params)
+        with pytest.warns(ReducedModelWarning):
+            traj = evolution.integrate_reduced(sch, params)
         target = dark_coefficients(4, 1.0, 1.0).chain_vector
         mids.append(1 - abs(np.vdot(target, traj.midpoint_state())) ** 2)
         finals.append(1 - _jz_mean(traj.final_state()) / 2)
@@ -162,7 +164,7 @@ def test_dark_manifold_tracking_at_strict_settings():
 def test_low_adiabaticity_warns():
     sch = evolution.PulseSchedule(total_time=3.0, omega_bar=1.0)
     params = model.SystemParams(n_ions=2, delta=10.0)
-    with pytest.warns(UserWarning, match="adiabatic"):
+    with pytest.warns(ReducedModelWarning), pytest.warns(UserWarning, match="adiabatic"):
         evolution.integrate_reduced(sch, params)
 
 
@@ -174,7 +176,8 @@ def test_truncated_scan_endpoints_and_monotone_jz():
     sch = evolution.PulseSchedule(total_time=120.0, omega_bar=1.0)
     params = model.SystemParams(n_ions=4, delta=5.0)
     cuts = list(np.linspace(0.0, 120.0, 25))
-    traj = evolution.integrate_reduced(sch, params, capture_times=cuts)
+    with pytest.warns(ReducedModelWarning):
+        traj = evolution.integrate_reduced(sch, params, capture_times=cuts)
     indices = traj.indices_of(cuts)
     taus, states = traj.times[indices], traj.states[indices]
     assert taus[0] == 0.0

@@ -1,9 +1,27 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dickesim import model
 from dickesim.dark_state import dark_coefficients
 from dickesim.errors import PhysicsConfigError
+from dickesim.spin_algebra import collective_coupling
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint8)
+
+
+def _loop_parts(n):
+    """(K_r, K_b, D) written out along the chain: blue couplings leave the
+    even sites, red ones the odd sites, and D counts the phonon."""
+    kr = np.zeros((n + 1, n + 1))
+    kb = np.zeros((n + 1, n + 1))
+    for k in range(n):
+        target = kb if k % 2 == 0 else kr
+        target[k, k + 1] = target[k + 1, k] = collective_coupling(n, k)
+    return kr, kb, np.diag((np.arange(n + 1) % 2).astype(float))
 
 
 def test_params_validation():
@@ -70,13 +88,47 @@ def test_updown_symmetry_of_chain():
     assert np.max(np.abs(ha[::-1, ::-1] - hb)) < 1e-14
 
 
-def test_coupling_scale():
-    params = model.SystemParams(n_ions=2, delta=10)
-    h1 = model.reduced_hamiltonian(params, 1, 1, coupling_scale=1.0)
-    h2 = model.reduced_hamiltonian(params, 1, 1, coupling_scale=0.5)
-    off = ~np.eye(3, dtype=bool)
-    assert np.allclose(h2[off], h1[off] / 2)
-    assert np.allclose(np.diag(h2), np.diag(h1))
+@pytest.mark.parametrize("n", range(1, 11))
+def test_sliced_parts_equal_chain_loop(n):
+    for sliced, loop in zip(model.reduced_coupling_parts(n), _loop_parts(n)):
+        assert sliced.dtype == loop.dtype and sliced.shape == loop.shape
+        assert np.array_equal(_bits(sliced), _bits(loop))
+        assert not sliced.flags.writeable
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    omega_r=st.floats(0.0, 1e6),
+    omega_b=st.floats(0.0, 1e6),
+    delta=st.floats(0.0, 1e6),
+)
+def test_chain_is_full_resonant_block_at_half_drive(n, omega_r, omega_b, delta):
+    params = model.SystemParams(n_ions=n, delta=delta)
+    chain = np.ix_(*[model.chain_indices(n, params.n_max)] * 2)
+    block = model.FullHamiltonian(params).at(0.0, omega_r, omega_b)[chain]
+    half = model.reduced_hamiltonian(model.SystemParams(n_ions=n), omega_r / 2, omega_b / 2)
+    assert np.array_equal(_bits(block.real), _bits(half))
+    assert not np.any(block.imag)
+
+
+def test_array_rates_equal_scalar_calls():
+    params = model.SystemParams(n_ions=6, delta=3.7)
+    rng = np.random.default_rng(7)
+    omega_r, omega_b = rng.uniform(0.0, 2.0, (2, 50))
+    omega_r[:5] = 0.0
+    stack = model.reduced_hamiltonian(params, omega_r, omega_b)
+    expected = np.stack([model.reduced_hamiltonian(params, float(r), float(b))
+                         for r, b in zip(omega_r, omega_b)])
+    assert stack.shape == (50, 7, 7)
+    assert np.array_equal(_bits(stack), _bits(expected))
+
+
+def test_chain_indices_pair_each_level_with_its_phonon():
+    n_max = 5
+    index = model.chain_indices(4, n_max)
+    assert (index // (n_max + 1)).tolist() == [0, 1, 2, 3, 4]
+    assert (index % (n_max + 1)).tolist() == [0, 1, 0, 1, 0]
 
 
 # ---------------------------------------------------------------------------

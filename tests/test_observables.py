@@ -56,10 +56,12 @@ def test_moments_reject_unnormalized():
 
 def test_variance_sum_identity_on_trajectory_samples():
     from dickesim import evolution, model
+    from dickesim.errors import ReducedModelWarning
 
     sch = evolution.PulseSchedule(total_time=12.0, omega_bar=1.0)
     params = model.SystemParams(n_ions=4, delta=6.0)
-    traj = evolution.integrate_reduced(sch, params)
+    with pytest.warns(ReducedModelWarning):
+        traj = evolution.integrate_reduced(sch, params)
     for index in range(0, len(traj.times), len(traj.times) // 8):
         rho = obs.spin_density_from_chain(traj.states[index])
         m = obs.spin_moments(rho)
