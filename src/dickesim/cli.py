@@ -346,50 +346,36 @@ def cmd_repro(ns) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="dickesim", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"dickesim {__version__}")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_parser(name, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.add_argument("--config", default=None,
-                       help="key-value file supplying flag defaults (flags win)")
-        return p
-
-    def add_run_flags(p):
-        p.add_argument("--n", type=positive_int, default=4, help="number of ions")
-        p.add_argument("--model", choices=("reduced", "full"), default="reduced")
-        p.add_argument("--schedule", choices=evolution.SCHEDULE_SHAPES, default="linear")
-        p.add_argument("--eta-omega-t", type=positive_float, default=40.0,
-                       help="dimensionless ramp length eta*omega_bar*T")
-        p.add_argument("--delta-ratio", type=nonnegative_float, default=20.0,
-                       help="detuning over eta*omega_bar")
-        p.add_argument("--adiabatic-preset", choices=evolution.PRESET_NAMES, default=None,
-                       help="overrides the explicit ramp flags")
-        p.add_argument("--dt", type=positive_float, default=None, help="integrator step")
-        p.add_argument("--output", default=None, help="CSV path (default stdout)")
-        p.add_argument("--summary", default=None, help="key-value summary file")
-
-    p = add_parser("darkstate", help="closed-form dark-state amplitudes")
+def _darkstate_flags(p):
     p.add_argument("--n", type=positive_int, default=4)
     p.add_argument("--theta", type=finite_float, default=None,
                    help="ramp angle in radians; sets omega_r/b = 1 +- cos(theta)")
     p.add_argument("--omega-r", type=nonnegative_float, default=1.0)
     p.add_argument("--omega-b", type=nonnegative_float, default=1.0)
     p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_darkstate)
 
-    p = add_parser("evolve", help="integrate a STIRAP ramp")
-    add_run_flags(p)
-    p.set_defaults(func=cmd_evolve)
 
-    p = add_parser("scan-noise", help="spin noise versus pulse truncation time")
-    add_run_flags(p)
+def _run_flags(p):
+    p.add_argument("--n", type=positive_int, default=4, help="number of ions")
+    p.add_argument("--model", choices=("reduced", "full"), default="reduced")
+    p.add_argument("--schedule", choices=evolution.SCHEDULE_SHAPES, default="linear")
+    p.add_argument("--eta-omega-t", type=positive_float, default=40.0,
+                   help="dimensionless ramp length eta*omega_bar*T")
+    p.add_argument("--delta-ratio", type=nonnegative_float, default=20.0,
+                   help="detuning over eta*omega_bar")
+    p.add_argument("--adiabatic-preset", choices=evolution.PRESET_NAMES, default=None,
+                   help="overrides the explicit ramp flags")
+    p.add_argument("--dt", type=positive_float, default=None, help="integrator step")
+    p.add_argument("--output", default=None, help="CSV path (default stdout)")
+    p.add_argument("--summary", default=None, help="key-value summary file")
+
+
+def _scan_noise_flags(p):
+    _run_flags(p)
     p.add_argument("--cuts", type=positive_int, default=41, help="number of truncation times")
-    p.set_defaults(func=cmd_scan_noise)
 
-    p = add_parser("parity", help="two-ion parity oscillation and fidelity")
+
+def _parity_flags(p):
     p.add_argument("--n", type=positive_int, default=2)
     p.add_argument("--source", choices=("ideal", "simulated"), default="ideal")
     p.add_argument("--phases", type=nonnegative_int, default=40, help="analysis phases over 2*pi")
@@ -398,40 +384,76 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=seed_int, default=DEFAULT_SEED)
     p.add_argument("--output", default=None)
     p.add_argument("--summary", default=None, help="key-value summary file")
-    p.set_defaults(func=cmd_parity)
 
-    p = add_parser("witness", help="two-axis squared-spin witness values")
+
+def _witness_flags(p):
     p.add_argument("--n", type=positive_int, default=4)
     p.add_argument("--source", choices=("ideal", "simulated"), default="ideal")
     p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_witness)
 
-    p = add_parser("bounds", help="fidelity bounds from measured witness + populations")
+
+def _bounds_flags(p):
     p.add_argument("--input", required=True,
                    help="key-value file with W, sigma_W, p_list, sigma_list, j_M")
     p.add_argument("--output", default=None)
     p.add_argument("--summary", default=None, help="key-value summary file")
-    p.set_defaults(func=cmd_bounds)
 
-    p = add_parser("sweep", help="transfer quality over a list of ramp lengths")
+
+def _sweep_flags(p):
     p.add_argument("--n", type=positive_int, default=4)
     p.add_argument("--schedule", choices=evolution.SCHEDULE_SHAPES, default="linear")
     p.add_argument("--delta-ratio", type=nonnegative_float, default=20.0)
     p.add_argument("--eta-omega-t-list", type=positive_float_list, default="20,40,80,160",
                    help="comma-separated ramp lengths")
     p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_sweep)
 
-    p = add_parser("repro", help="re-run the acceptance checks and print a table")
-    p.set_defaults(func=cmd_repro)
 
+# (name, help, flags, handler) of every subcommand, in the order --help lists them
+SUBCOMMANDS = (
+    ("darkstate", "closed-form dark-state amplitudes", _darkstate_flags, cmd_darkstate),
+    ("evolve", "integrate a STIRAP ramp", _run_flags, cmd_evolve),
+    ("scan-noise", "spin noise versus pulse truncation time", _scan_noise_flags,
+     cmd_scan_noise),
+    ("parity", "two-ion parity oscillation and fidelity", _parity_flags, cmd_parity),
+    ("witness", "two-axis squared-spin witness values", _witness_flags, cmd_witness),
+    ("bounds", "fidelity bounds from measured witness + populations", _bounds_flags,
+     cmd_bounds),
+    ("sweep", "transfer quality over a list of ramp lengths", _sweep_flags, cmd_sweep),
+    ("repro", "re-run the acceptance checks and print a table", lambda p: None, cmd_repro),
+)
+
+
+def build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
+    """The dickesim parser.  When ``subcommand`` names one, only its
+    subparser is built: argparse spends most of a light command's time
+    building parsers, and a parse that starts with that name visits no
+    other.  Every other argument list (help, --version, no or an unknown
+    subcommand) needs them all.  The lone subparser keeps the full choice
+    list as its metavar, so that the top-level usage in an error such as
+    ``evolve --bogus`` still names every subcommand; the full build leaves
+    it unset, because argparse names the argument after it in the errors
+    of a missing or unknown subcommand."""
+    names = [name for name, *_ in SUBCOMMANDS]
+    only = subcommand in names
+    parser = _Parser(prog="dickesim", description=__doc__)
+    parser.add_argument("--version", action="version", version=f"dickesim {__version__}")
+    metavar = {"metavar": "{" + ",".join(names) + "}"} if only else {}
+    sub = parser.add_subparsers(dest="subcommand", required=True, **metavar)
+    for name, help_text, add_flags, handler in SUBCOMMANDS:
+        if only and name != subcommand:
+            continue
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", default=None,
+                       help="key-value file supplying flag defaults (flags win)")
+        add_flags(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
+    parser = build_parser(argv[0] if argv else None)
     ns = parser.parse_args(argv)
     try:
         if ns.config is not None:

@@ -64,10 +64,17 @@ class MeasurementRecord:
             raise ValueError("histogram counts must sum to n_shots")
 
 
-def _draw(probabilities: np.ndarray, config: ShotConfig) -> np.ndarray:
+def _normalized(probabilities) -> np.ndarray:
+    """Exact outcome probabilities clipped at 0 and normalised along the
+    last axis, ready for ``_draw``."""
     probs = np.clip(np.asarray(probabilities, dtype=float), 0.0, None)
-    probs = probs / probs.sum()
-    return config.generator().multinomial(config.n_shots, probs)
+    return probs / probs.sum(axis=-1, keepdims=True)
+
+
+def _draw(probabilities: np.ndarray, config: ShotConfig) -> np.ndarray:
+    """Outcome counts of ``config.n_shots`` shots over ``_normalized``
+    probabilities."""
+    return config.generator().multinomial(config.n_shots, probabilities)
 
 
 def _record(axis: str, projections: np.ndarray, counts: np.ndarray,
@@ -91,15 +98,16 @@ def sample_populations(state: np.ndarray, config: ShotConfig, axis: str) -> Meas
     probs = observables.populations_along(state, axis)
     n_ions = len(probs) - 1
     projections = np.arange(n_ions + 1) - n_ions / 2
-    return _record(axis, projections, _draw(probs, config), config)
+    return _record(axis, projections, _draw(_normalized(probs), config), config)
 
 
 def sample_parities(parities: np.ndarray, config: ShotConfig) -> np.ndarray:
     """Shot-sampled two-ion parity curve from its exact values: at phase k,
     the count of the even-parity outcome in a draw over (even, odd) on
-    substream 100 + k."""
+    substream 100 + k.  The curve is normalised once, not once a phase."""
     p_even = np.clip((1 + np.asarray(parities, dtype=float)) / 2, 0.0, 1.0)
-    draws = [_draw([p, 1 - p], config.substream(100 + k))[0] for k, p in enumerate(p_even)]
+    probs = _normalized(np.stack([p_even, 1 - p_even], axis=-1))
+    draws = [_draw(pair, config.substream(100 + k))[0] for k, pair in enumerate(probs)]
     return 2 * np.array(draws) / config.n_shots - 1
 
 
@@ -108,7 +116,7 @@ def _sample_square(probs: np.ndarray, config: ShotConfig) -> tuple[float, float]
     projection populations, m - N/2 ascending, are ``probs``."""
     n_ions = len(probs) - 1
     squares = (np.arange(n_ions + 1) - n_ions / 2) ** 2
-    counts = _draw(probs, config)
+    counts = _draw(_normalized(probs), config)
     mean = float(np.sum(counts * squares) / config.n_shots)
     var = np.sum(counts * (squares - mean) ** 2) / max(config.n_shots - 1, 1)
     return mean, float(np.sqrt(var / config.n_shots))

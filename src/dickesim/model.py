@@ -52,12 +52,14 @@ class SystemParams:
     def __post_init__(self):
         if int(self.n_ions) != self.n_ions or self.n_ions < 1:
             raise ValueError(f"n_ions must be a positive integer, got {self.n_ions}")
+        object.__setattr__(self, "n_ions", int(self.n_ions))
         if self.n_max is None:
             object.__setattr__(self, "n_max", default_n_max(self.n_ions))
         if not 0 <= self.delta < np.inf:
             raise ValueError("delta must be finite and nonnegative")
         if int(self.n_max) != self.n_max or self.n_max < 0:
             raise ValueError(f"n_max must be a nonnegative integer, got {self.n_max}")
+        object.__setattr__(self, "n_max", int(self.n_max))
 
     def reduced_model_trusted(self, drive: float) -> bool:
         """Whether the detuning dominates a peak sideband rate ``drive`` =

@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -459,3 +460,92 @@ def test_commands_that_never_exponentiate_start_without_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def _subcommand_choices(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(action.choices)
+
+
+def test_subcommand_table_is_the_full_parser():
+    names = [name for name, *_ in cli.SUBCOMMANDS]
+    assert _subcommand_choices(cli.build_parser()) == names
+    for name in names:
+        assert _subcommand_choices(cli.build_parser(name)) == [name]
+    # anything else is not a subcommand name and gets them all
+    for other in (None, "bogus", "--help", "--version"):
+        assert _subcommand_choices(cli.build_parser(other)) == names
+
+
+def test_missing_or_unknown_subcommand_errors_name_the_argument(capsys):
+    # argparse names the argument after the subparsers' metavar, which the
+    # full build therefore leaves unset
+    for argv, message in ((["bogus"], "error: argument subcommand: invalid choice: 'bogus'"),
+                          ([], "error: the following arguments are required: subcommand")):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == cli.EXIT_USAGE
+        assert message in capsys.readouterr().err
+
+
+_PAPER_CFG_PATH = str(Path(__file__).resolve().parents[1] / "data" / "paper_fourion.cfg")
+
+# help, a valid run of each light subcommand, and the errors that argparse
+# reports from the top-level parser (whose usage names every subcommand) or
+# from the subcommand's own; override.cfg (n = 4) is written by the test
+_BUILD_EQUIVALENCE_ARGV = [
+    *([name, "--help"] for name, *_ in cli.SUBCOMMANDS),
+    ["darkstate", "--n", "4", "--theta", "1.5708"],
+    ["evolve", "--n", "2", "--eta-omega-t", "8"],
+    ["parity"],
+    ["parity", "--shots", "1000", "--seed", "7"],
+    ["witness", "--source", "ideal"],
+    ["bounds", "--input", _PAPER_CFG_PATH],
+    ["evolve", "--bogus"],
+    ["evolve", "--model", "bogus"],
+    ["bogus"],
+    [],
+    ["--help"],
+    ["--version"],
+    ["bounds"],
+    ["darkstate", "--config", "override.cfg", "--n=6"],
+]
+
+
+def _outcome(argv, capsys):
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("argv", _BUILD_EQUIVALENCE_ARGV,
+                         ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_one_subcommand_build_prints_what_the_full_build_prints(argv, monkeypatch, tmp_path,
+                                                               capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "override.cfg").write_text("n = 4\n")
+    one = _outcome(argv, capsys)
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda subcommand=None: build())
+    assert _outcome(argv, capsys) == one
+
+
+def test_main_builds_one_parser_per_call(monkeypatch, tmp_path, capsys):
+    built = []
+    build = cli.build_parser
+
+    def counting_build(subcommand=None):
+        built.append(subcommand)
+        return build(subcommand)
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    cfg = tmp_path / "two.cfg"
+    cfg.write_text("n = 2\n")
+    for _ in range(2):
+        # --config parses twice, with the same parser
+        assert cli.main(["darkstate", "--config", str(cfg), "--n", "6"]) == cli.EXIT_OK
+    assert built == ["darkstate", "darkstate"]
+    assert "# n = 6" in capsys.readouterr().out

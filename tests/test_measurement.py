@@ -176,6 +176,24 @@ def test_sampled_parities_equal_the_binomial_draws(parities, shots, seed):
                           _binomial_parities(parities, config))
 
 
+@settings(max_examples=300, deadline=None)
+@given(parities=st.lists(st.sampled_from([-1.0, 0.0, 1.0]) | st.floats(-1.0, 1.0),
+                         min_size=1, max_size=45),
+       shots=st.integers(1, 10**6),
+       seed=st.integers(0, 2**64 - 1),
+       stream=st.integers(0, 2**64 - 1 - 100 - 45))
+def test_sampled_parities_are_per_phase_philox_binomials(parities, shots, seed, stream):
+    # p_even = 0, 1/2 and 1 exactly come from parities -1, 0 and 1; the
+    # generator is keyed here by hand, not through ShotConfig
+    config = meas.ShotConfig(n_shots=shots, seed=seed, stream=stream)
+    p_even = np.clip((1 + np.array(parities)) / 2, 0.0, 1.0)
+    counts = [np.random.Generator(np.random.Philox(
+        key=np.array([seed, stream + 100 + k], dtype=np.uint64))).binomial(shots, p)
+        for k, p in enumerate(p_even)]
+    assert np.array_equal(meas.sample_parities(parities, config),
+                          2 * np.array(counts) / shots - 1)
+
+
 def test_sampled_parities_draw_every_shot_through_the_sampler(monkeypatch):
     seen = []
     draw = meas._draw

@@ -43,6 +43,20 @@ def test_params_default_n_max():
     assert model.SystemParams(n_ions=2, n_max=9).n_max == 9
 
 
+def test_float_ion_number_builds_the_int_hamiltonians():
+    # a float that is a whole number is stored as that int, so the builders,
+    # which size arrays and ranges from it, take it like the int
+    as_float = model.SystemParams(n_ions=2.0, delta=20.0, n_max=5.0)
+    as_int = model.SystemParams(n_ions=2, delta=20.0, n_max=5)
+    assert as_float == as_int
+    assert type(as_float.n_ions) is int and type(as_float.n_max) is int
+    assert type(model.SystemParams(n_ions=4.0).n_max) is int
+    assert np.array_equal(model.reduced_hamiltonian(as_float, 1.0, 0.5),
+                          model.reduced_hamiltonian(as_int, 1.0, 0.5))
+    assert np.array_equal(model.FullHamiltonian(as_float).at(0.3, 1.0, 0.5),
+                          model.FullHamiltonian(as_int).at(0.3, 1.0, 0.5))
+
+
 def test_validity_flag():
     assert model.SystemParams(n_ions=4, delta=20).reduced_model_trusted(1)
     assert not model.SystemParams(n_ions=4, delta=5).reduced_model_trusted(1)
