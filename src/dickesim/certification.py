@@ -175,9 +175,11 @@ def _hamming_weights(n_ions: int) -> np.ndarray:
 
 def _on_each_qubit(x: np.ndarray, op: np.ndarray, n_ions: int) -> np.ndarray:
     """Apply ``op`` to each qubit's index of ``x``: every pass acts on the
-    leading qubit and moves it to the back, so N passes restore the order."""
+    leading qubit and moves it to the back, so N passes restore the order.
+    A pass writes its product already transposed, contiguous, so the next
+    pass's reshape is a view and copies nothing."""
     for _ in range(n_ions):
-        x = (op @ x.reshape(op.shape[1], -1)).T
+        x = x.reshape(op.shape[1], -1).T @ op.T
     return x.reshape(-1)
 
 

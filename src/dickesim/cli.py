@@ -314,16 +314,18 @@ def cmd_bounds(ns) -> int:
 def cmd_sweep(ns) -> int:
     times = [float(tok) for tok in ns.eta_omega_t_list.split(",")]
     params = model.SystemParams(n_ions=ns.n, delta=ns.delta_ratio)
-    rows = []
+    rows, ramp_records = [], []
     for total_time in times:
         schedule = evolution.PulseSchedule(total_time=total_time, omega_bar=1.0,
                                            shape=ns.schedule)
         traj = evolution.integrate_reduced(schedule, params)
         rows.append((total_time, *evolution.transfer_numbers(traj)))
+        fields = ", ".join(f"{key} = {value}" for key, value in traj.record().items())
+        ramp_records.append(f"# ramp {total_time}: {fields}")
     header = _provenance("sweep", {
         "n": ns.n, "schedule": ns.schedule, "delta_ratio": ns.delta_ratio,
         "eta_omega_t_list": ns.eta_omega_t_list, "seed": "none",
-    })
+    }) + ramp_records
     _emit(ns.output, header, ("eta_omega_t", "final_jz", "midpoint_dark_fidelity"), rows)
     return EXIT_OK
 

@@ -6,11 +6,16 @@ with published round constants), keyed by (seed, stream).  Identical
 sweeps must take distinct streams rather than sharing a generator.  Every
 shot, of a population histogram, a squared-spin mean or a parity curve, is
 drawn by ``_draw``: one multinomial over the exact outcome probabilities.
+``_draw`` reuses one Philox per thread and re-keys it before each draw to
+(seed, stream) at counter 0 with an empty buffer.  Philox is counter-based,
+so that is the stream of a freshly built generator, bit for bit, without
+the cost of building one a draw.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import threading
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +45,14 @@ class ShotConfig:
         return np.random.Generator(np.random.Philox(key=key))
 
     def substream(self, offset: int) -> "ShotConfig":
-        return replace(self, stream=self.stream + offset)
+        """The same shots and seed on stream ``stream + offset``.  Only the
+        new stream needs checking, so ``__post_init__`` is not run again."""
+        stream = self.stream + offset
+        if not 0 <= stream < 2**64:
+            raise ValueError("seed and stream must be unsigned 64-bit integers")
+        config = object.__new__(ShotConfig)
+        config.__dict__.update(n_shots=self.n_shots, seed=self.seed, stream=stream)
+        return config
 
 
 @dataclass(frozen=True)
@@ -71,10 +83,29 @@ def _normalized(probabilities) -> np.ndarray:
     return probs / probs.sum(axis=-1, keepdims=True)
 
 
+_per_thread = threading.local()
+
+
+def _keyed_generator(config: ShotConfig) -> np.random.Generator:
+    """This thread's generator, its Philox set to key (seed, stream),
+    counter 0, an empty buffer and no cached 32-bit half: the state in
+    which ``config.generator()`` starts.  A draw leaves nothing behind that
+    the next re-keying does not overwrite."""
+    generator = getattr(_per_thread, "generator", None)
+    if generator is None:
+        generator = _per_thread.generator = config.generator()
+    generator.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (config.seed, config.stream)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return generator
+
+
 def _draw(probabilities: np.ndarray, config: ShotConfig) -> np.ndarray:
     """Outcome counts of ``config.n_shots`` shots over ``_normalized``
     probabilities."""
-    return config.generator().multinomial(config.n_shots, probabilities)
+    return _keyed_generator(config).multinomial(config.n_shots, probabilities)
 
 
 def _record(axis: str, projections: np.ndarray, counts: np.ndarray,
@@ -148,8 +179,9 @@ def simulated_experiment(state: np.ndarray, config: ShotConfig) -> Certification
     pops = pop_rec.frequencies
     jz2_mean, jz2_err = _sample_square(observables.populations_along(state, "z"),
                                        config.substream(1))
-    scan = [sample_azimuth_square(state, config.substream(2 + k), phi)
-            for k, phi in enumerate(np.linspace(0.0, np.pi, 13))]
+    azimuth_pops = observables.populations_azimuth(state, np.linspace(0.0, np.pi, 13))
+    scan = [_sample_square(probs, config.substream(2 + k))
+            for k, probs in enumerate(azimuth_pops)]
     jy2_mean, jy2_err = max(scan, key=lambda ms: ms[0])
 
     w_value = jy2_mean + jz2_mean

@@ -121,18 +121,24 @@ def direct_fidelity(state: np.ndarray, target: np.ndarray) -> float:
 # basis populations
 # ---------------------------------------------------------------------------
 
-def azimuthal_spin(n_ions: int, phi: float) -> np.ndarray:
-    """Equatorial spin component J_phi = cos(phi) Jx + sin(phi) Jy."""
+def azimuthal_spin(n_ions: int, phi) -> np.ndarray:
+    """Equatorial spin component J_phi = cos(phi) Jx + sin(phi) Jy; a 1-D
+    array of azimuths gives the (len(phi), N+1, N+1) stack."""
     jx, jy = build_collective(n_ions, "jx"), build_collective(n_ions, "jy")
+    phi = np.asarray(phi, dtype=float)[..., None, None]
     return np.cos(phi) * jx + np.sin(phi) * jy
 
 
 def _eigenbasis_populations(state: np.ndarray, op: np.ndarray) -> np.ndarray:
+    """Populations of ``op``'s eigenvectors, or one row of them for each
+    operator of a stack; a stack runs the same eigh and products on each
+    operator as a single call does, so every row keeps its bits."""
     # eigh orders the columns by ascending projection eigenvalue, matching m = 0..N
     _, basis = np.linalg.eigh(op)
+    adjoint = basis.conj().swapaxes(-1, -2)
     if state.ndim == 1:
-        return np.abs(basis.conj().T @ state) ** 2
-    return np.real(np.diag(basis.conj().T @ state @ basis)).copy()
+        return np.abs(adjoint @ state) ** 2
+    return np.diagonal(adjoint @ state @ basis, axis1=-2, axis2=-1).real.copy()
 
 
 def populations_along(state: np.ndarray, axis: str) -> np.ndarray:
@@ -148,8 +154,10 @@ def populations_along(state: np.ndarray, axis: str) -> np.ndarray:
     return _eigenbasis_populations(state, build_collective(n_ions, "j" + axis))
 
 
-def populations_azimuth(state: np.ndarray, phi: float) -> np.ndarray:
-    """Populations of the J_phi eigenvalues, ascending order."""
+def populations_azimuth(state: np.ndarray, phi) -> np.ndarray:
+    """Populations of the J_phi eigenvalues, ascending order; a 1-D array of
+    azimuths gives one row per azimuth, equal bit for bit to the calls at
+    each azimuth alone."""
     state = _check_normalized(state)
     return _eigenbasis_populations(state, azimuthal_spin(_state_dim(state) - 1, phi))
 
@@ -234,9 +242,14 @@ def parity_scan(state: np.ndarray, phases: np.ndarray | None = None) -> ParitySc
     jx, jy, parity_op = _two_ion_analysis_ops()
     cos, sin = np.cos(phases)[:, None, None], np.sin(phases)[:, None, None]
     pulses = _expm(-1j * (np.pi / 2) * (cos * jx + sin * jy))
-    parities = np.empty_like(phases)
-    for k, pulse in enumerate(pulses):
-        parities[k] = expectation(state, pulse.conj().T @ parity_op @ pulse)
+    # one stack of pulse^dag Pi pulse, then ``expectation``'s arithmetic on
+    # each phase: a vector's vdot stays one call a phase, a trace sums the
+    # same four diagonal entries stacked or alone
+    ops = pulses.conj().transpose(0, 2, 1) @ parity_op @ pulses
+    if state.ndim == 1:
+        parities = np.array([np.vdot(state, rotated).real for rotated in ops @ state])
+    else:
+        parities = np.trace(state @ ops, axis1=1, axis2=2).real
 
     pops = np.abs(state) ** 2 if state.ndim == 1 else np.real(np.diag(state))
     return parity_analysis(phases, parities, pops[0], pops[3])  # |down,down>, |up,up>

@@ -133,6 +133,29 @@ def test_half_excited_full_matches_symmetric_sector():
     assert np.max(np.abs(cert.half_excited_full(4, "x") - iso @ half_excited_x(4))) < 1e-12
 
 
+def _on_each_qubit_transposing(x, op, n_ions):
+    """The qubit passes as before they were made copy-free: each pass
+    returns the transposed product, which the next reshape copies."""
+    for _ in range(n_ions):
+        x = (op @ x.reshape(op.shape[1], -1)).T
+    return x.reshape(-1)
+
+
+@pytest.mark.parametrize("n_ions", range(1, 9))
+def test_qubit_passes_agree_with_the_transposing_form(n_ions):
+    rng = np.random.default_rng(n_ions)
+    vec = cert.haar_random_pure(2**n_ions, rng)
+    rho = cert.random_mixture(2**n_ions, 3, rng)
+    pairs = np.ascontiguousarray(rho.reshape((2,) * (2 * n_ions)).transpose(
+        [a for q in range(n_ions) for a in (q, n_ions + q)]))
+    for axis in "xyz":
+        u, m = cert._qubit_rotations(axis)
+        for x, op in ((vec, u), (pairs.reshape(-1), m)):
+            got = cert._on_each_qubit(x, op, n_ions)
+            assert got.flags.c_contiguous
+            assert np.max(np.abs(got - _on_each_qubit_transposing(x, op, n_ions))) <= 1e-14
+
+
 def test_certify_ideal_state_tight():
     rec = cert.certify_from_state(cert.half_excited_full(4, "x"), "x")
     assert rec.witness_value == pytest.approx(6.0, abs=1e-10)

@@ -187,6 +187,26 @@ def test_sweep_quick_run(tmp_path):
     assert float(rows[1][1]) > float(rows[0][1])
 
 
+def test_sweep_records_each_ramp(capsys):
+    assert cli.main(["sweep", "--n", "4", "--eta-omega-t-list", "20,40"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    ramps = [line for line in out if line.startswith("# ramp ")]
+    assert len(ramps) == 2
+    for line, total_time in zip(ramps, (20.0, 40.0)):
+        label, _, fields = line.partition(": ")
+        assert label == f"# ramp {total_time}"
+        record = dict(field.split(" = ") for field in fields.split(", "))
+        assert set(record) == {"propagator", "n_steps", "dt", "max_norm_drift"}
+        assert record["propagator"] == "rk4"
+        n_steps, dt = int(record["n_steps"]), float(record["dt"])
+        assert n_steps > 0 and n_steps * dt == pytest.approx(total_time, rel=1e-12)
+        assert 0 <= float(record["max_norm_drift"]) <= 1e-8
+    # the records are header lines, ahead of the column names and data rows
+    data = [line for line in out if not line.startswith("#")]
+    assert out.index(ramps[-1]) < out.index(data[0])
+    assert len(data) == 3
+
+
 def test_sweep_output_is_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     base = ["sweep", "--n", "2", "--eta-omega-t-list", "6,12", "--delta-ratio", "5"]

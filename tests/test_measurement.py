@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -207,3 +210,79 @@ def test_sampled_parities_draw_every_shot_through_the_sampler(monkeypatch):
     parities = np.cos(2 * np.linspace(0.0, 2 * np.pi, 40, endpoint=False))
     meas.sample_parities(parities, meas.ShotConfig(n_shots=1000, seed=5))
     assert seen == [1000] * 40
+
+
+def test_substream_checks_the_new_stream():
+    config = meas.ShotConfig(n_shots=7, seed=3, stream=2**64 - 3)
+    top = config.substream(2)
+    assert (top.n_shots, top.seed, top.stream) == (7, 3, 2**64 - 1)
+    assert top == meas.ShotConfig(n_shots=7, seed=3, stream=2**64 - 1)
+    with pytest.raises(ValueError):
+        config.substream(3)
+    with pytest.raises(ValueError):
+        meas.ShotConfig(n_shots=7, seed=3).substream(-1)
+
+
+# a few fixed keys, so that a sequence repeats and interleaves them
+_KEYS = st.sampled_from([(0, 0), (0, 1), (1, 0), (12345, 100), (2**64 - 1, 2**64 - 1)]) | \
+    st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1))
+# outcome weights with exact probabilities 0, 1/2 and 1 among them once normalised
+_PROBABILITIES = st.sampled_from([[0.5, 0.5], [1.0, 0.0], [0.0, 1.0], [0.0, 0.5, 0.5],
+                                  [0.0, 0.0, 1.0, 0.0]]) | \
+    st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+             min_size=2, max_size=9).filter(lambda w: sum(w) > 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(draws=st.lists(st.tuples(_KEYS, st.integers(1, 10**6), _PROBABILITIES, st.booleans()),
+                      min_size=1, max_size=50))
+def test_rekeyed_sampler_equals_a_fresh_philox(draws):
+    # the per-thread generator keyed to (seed, stream) draws what a Philox
+    # built for that key draws, whatever this thread drew before it; a
+    # public config.generator() is a new generator at the start of the same
+    # stream, and drawing from it leaves the sampler's draws alone
+    def fresh(seed, stream):
+        return np.random.Generator(np.random.Philox(key=np.array([seed, stream],
+                                                                 dtype=np.uint64)))
+
+    for (seed, stream), shots, weights, public_draw in draws:
+        config = meas.ShotConfig(n_shots=shots, seed=seed, stream=stream)
+        probs = meas._normalized(weights)
+        if public_draw:
+            assert np.array_equal(config.generator().random(3), fresh(seed, stream).random(3))
+        assert np.array_equal(meas._draw(probs, config),
+                              fresh(seed, stream).multinomial(shots, probs))
+
+
+def test_threads_sample_the_records_of_a_sequential_run():
+    rho = 0.9 * np.outer(half_excited_x(4), half_excited_x(4)) + 0.1 * np.eye(5) / 5
+    parities = np.cos(2 * np.linspace(0.0, 2 * np.pi, 40, endpoint=False))
+
+    def records(seed):
+        return [(meas.simulated_experiment(rho, meas.ShotConfig(n_shots=n, seed=seed)),
+                 meas.sample_parities(parities, meas.ShotConfig(n_shots=n, seed=seed)))
+                for n in (10, 1000, 10**5) * 4]
+
+    def same(a, b):
+        return all(np.array_equal(pa, pb) and ra.witness_value == rb.witness_value
+                   and np.array_equal(ra.populations, rb.populations)
+                   and ra.f_lower == rb.f_lower and ra.sigma_lower == rb.sigma_lower
+                   for (ra, pa), (rb, pb) in zip(a, b, strict=True))
+
+    seeds = (11, 12, 13, 14)
+    expected = {seed: records(seed) for seed in seeds}
+    results = {}
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the interpreter over between draws
+    try:
+        threads = [threading.Thread(target=lambda s=seed: results.update({s: records(s)}))
+                   for seed in seeds]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch_interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(results) == list(seeds)
+    assert all(same(results[seed], expected[seed]) for seed in seeds)

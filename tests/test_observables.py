@@ -158,6 +158,33 @@ def test_azimuth_square_peak_is_jy():
     assert phases[int(np.argmax(values))] == pytest.approx(np.pi / 2, abs=1e-12)
 
 
+def _populations_azimuth_alone(state, phi):
+    """One azimuth's populations as computed before azimuths were stacked:
+    a scalar-weighted J_phi, its own eigh, and the 2-d products."""
+    n_ions = obs._state_dim(state) - 1
+    op = np.cos(phi) * build_collective(n_ions, "jx") + np.sin(phi) * build_collective(n_ions, "jy")
+    basis = np.linalg.eigh(op)[1]
+    if state.ndim == 1:
+        return np.abs(basis.conj().T @ state) ** 2
+    return np.real(np.diag(basis.conj().T @ state @ basis)).copy()
+
+
+@pytest.mark.parametrize("n_ions", [1, 2, 4, 6])
+def test_stacked_azimuth_populations_keep_the_bits(n_ions):
+    rng = np.random.default_rng(n_ions)
+    vecs = [_random_unit(rng, n_ions + 1) for _ in range(3)]
+    rho = sum(w * np.outer(v, v.conj()) for w, v in zip((0.5, 0.3, 0.2), vecs))
+    for phases in (np.linspace(0.0, np.pi, 13), rng.uniform(-7.0, 7.0, 40), np.array([0.3])):
+        for state in (vecs[0], rho, half_excited_x(n_ions) if n_ions % 2 == 0 else vecs[1]):
+            stacked = obs.populations_azimuth(state, phases)
+            assert stacked.shape == (len(phases), n_ions + 1)
+            for phi, row in zip(phases, stacked):
+                assert np.array_equal(row, obs.populations_azimuth(state, phi))
+                assert np.array_equal(row, _populations_azimuth_alone(state, phi))
+            assert np.array_equal(obs.azimuthal_spin(n_ions, phases),
+                                  [obs.azimuthal_spin(n_ions, phi) for phi in phases])
+
+
 # ---------------------------------------------------------------------------
 # parity
 # ---------------------------------------------------------------------------
@@ -259,6 +286,40 @@ def test_parity_scan_equals_the_per_phase_loop_bit_for_bit(n_phases):
     phases = np.linspace(0.0, 2 * np.pi, n_phases, endpoint=False)
     for state in (half_excited_x(2), _random_unit(rng, 3), _random_unit(rng, 4), rho):
         scan, ref = obs.parity_scan(state, phases), _parity_scan_per_phase(state, phases)
+        assert np.array_equal(scan.parities.view(np.int64), ref.parities.view(np.int64))
+        assert (scan.amplitude, scan.phase_offset, scan.offset, scan.fidelity) == (
+            ref.amplitude, ref.phase_offset, ref.offset, ref.fidelity)
+
+
+def _parity_scan_product_loop(state, phases):
+    """The parity scan with the pulses exponentiated as one stack but each
+    phase's pulse^dag Pi pulse formed and evaluated alone, as before the
+    products were stacked."""
+    state = obs._check_normalized(state)
+    if obs._state_dim(state) == 3:
+        iso = symmetric_isometry(2)
+        state = iso @ state @ iso.conj().T if state.ndim == 2 else iso @ state
+    phases = np.asarray(phases, dtype=float)
+    jx, jy, parity_op = obs._two_ion_analysis_ops()
+    cos, sin = np.cos(phases)[:, None, None], np.sin(phases)[:, None, None]
+    pulses = obs._expm(-1j * (np.pi / 2) * (cos * jx + sin * jy))
+    parities = np.empty_like(phases)
+    for k, pulse in enumerate(pulses):
+        parities[k] = obs.expectation(state, pulse.conj().T @ parity_op @ pulse)
+    pops = np.abs(state) ** 2 if state.ndim == 1 else np.real(np.diag(state))
+    return obs.parity_analysis(phases, parities, pops[0], pops[3])
+
+
+@pytest.mark.parametrize("n_phases", [3, 40, 401])
+def test_stacked_parity_products_equal_the_product_loop_bit_for_bit(n_phases):
+    rng = np.random.default_rng(1000 + n_phases)
+    phases = np.linspace(0.0, 2 * np.pi, n_phases, endpoint=False)
+    states = [half_excited_x(2), _random_unit(rng, 3), _random_unit(rng, 4)]
+    for dim in (3, 4):
+        vecs = [_random_unit(rng, dim) for _ in range(3)]
+        states.append(sum(w * np.outer(v, v.conj()) for w, v in zip((0.6, 0.3, 0.1), vecs)))
+    for state in states:
+        scan, ref = obs.parity_scan(state, phases), _parity_scan_product_loop(state, phases)
         assert np.array_equal(scan.parities.view(np.int64), ref.parities.view(np.int64))
         assert (scan.amplitude, scan.phase_offset, scan.offset, scan.fidelity) == (
             ref.amplitude, ref.phase_offset, ref.offset, ref.fidelity)
