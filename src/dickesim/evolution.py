@@ -9,12 +9,15 @@ Hamiltonian sampled at the substage times; unitarity is checked after the
 fact rather than enforced by construction, keeping runs deterministic and
 reproducible.  H(t) does not depend on the state, so the Hamiltonians at t,
 t + dt/2 and t + dt are built as (k, d, d) stacks for a block of k steps at
-once.  Each step then makes four matrix-vector products y = H psi into
-preallocated buffers and carries the Schrodinger equation's -i in its scalar
-coefficients, not in H: 17 numpy calls a step, each at its cheapest entry
-point (see ``_rk4``).  The step gives the same bits as the textbook update
-with the slopes k = -i*H*psi, one Hamiltonian at a time, except for the sign
-of a zero where a product underflows.
+once.  The steps of a block then run in one call of a small C kernel,
+``_rk4.c``: four matrix-vector products through the zgemv of numpy's own
+BLAS, and the stage arguments and final sum written out on doubles, with the
+Schrodinger equation's -i carried in the scalar coefficients, not in H (see
+``_rk4``).  The kernel performs numpy's operations in numpy's order, so the
+step gives the same bits as the textbook update with the slopes k = -i*H*psi,
+one Hamiltonian at a time, except for the sign of a zero where a product
+underflows.  The first integration compiles the kernel with ``cc`` into the
+package's ``__pycache__``, once per source, flags and BLAS symbol.
 
 A run from |D^0>|0> fails with a ``NumericalError`` once its norm drifts so
 far that the readout's ``observables.NORM_TOL`` would reject a sample.  The
@@ -25,6 +28,7 @@ own model's states out: callers never branch on the model.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -218,50 +222,49 @@ def _capture_steps(n_steps: int, extra: set[int]) -> np.ndarray:
     steps = set(range(0, n_steps + 1, stride))
     steps.update((0, n_steps // 2, n_steps))
     steps.update(extra)
-    return np.array(sorted(steps), dtype=int)
+    return np.array(sorted(steps), dtype=np.int64)
 
 
 def _rk4(h_stack, psi0: np.ndarray, total_time: float, n_steps: int,
          capture: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-step RK4 over the ``n_steps`` grid of [0, total_time], stopping at
     the last captured step; ``h_stack(ts)`` returns the (len(ts), d, d)
-    Hamiltonians.
+    Hamiltonians, and ``capture`` holds the int64 step numbers to sample.
 
     With H1, H2, H3 the Hamiltonians at t, t + dt/2 and t + dt, a step is
 
         y1 = H1 psi,  y2 = H2 (psi + c_h y1),  y3 = H2 (psi + c_h y2),
         y4 = H3 (psi + c_f y3),  psi <- psi + c_s (((y1 + 2 y2) + 2 y3) + y4),
 
-    with c_h = -i dt/2, c_f = -i dt and c_s = -i dt/6, all in preallocated
-    buffers.  It is the textbook update with slopes k = -i y, bit for bit:
-    multiplying by -i only swaps the real and imaginary parts and negates
-    one, so s*(-i*y) equals (-i*s)*y, and the sum of the -i*y equals -i
-    times their sum.  The one exception is a product that underflows to zero
-    (H near 1e-308), where the two can give that zero opposite signs.  The -i
-    is not folded into H, because zgemv on a complex -i*H accumulates its
-    products in another order and changes last bits.
+    with c_h = -i dt/2, c_f = -i dt and c_s = -i dt/6.  It is the textbook
+    update with slopes k = -i y, bit for bit: multiplying by -i only swaps
+    the real and imaginary parts and negates one, so s*(-i*y) equals
+    (-i*s)*y, and the sum of the -i*y equals -i times their sum.  The one
+    exception is a product that underflows to zero (H near 1e-308), where the
+    two can give that zero opposite signs.  The -i is not folded into H,
+    because zgemv on a complex -i*H accumulates its products in another
+    order and changes last bits.
 
-    A step is 17 numpy calls: four ``ndarray.dot`` and 13 ufunc calls.  How
-    each is called sets its cost, not its result.  ``h.dot(psi, out=y)`` runs
-    the same matrix product (zgemv) as ``np.dot``, without passing through
-    numpy's ``__array_function__`` dispatch.  The coefficients, and the 2 of
-    the final sum, are 0-d complex128 arrays: a ufunc turns a scalar operand
-    into just such an array on every call, so it multiplies the same values
-    in the same loop.  The doubling stays a multiplication: y + y can differ
-    from (2 + 0j)*y in the sign of a zero, since (2 + 0j)*(-0 - 1j) has real
-    part +0 and (-0 - 1j) + (-0 - 1j) has -0.  Each step reads its three
-    Hamiltonians as the rows of three slices of the block's stack, with no
-    index arithmetic.
+    Python builds each block's stack and makes one call of the C kernel
+    ``rk4_block`` (``_rk4.c``, loaded by ``_kernel``), which runs the
+    block's steps in that order: the four products y = H x by numpy's own
+    zgemv with the arguments of ``ndarray.dot``, then the stage arguments and
+    the final sum as numpy's complex multiply and add loops compute them,
+    each product rounded before it is added.  The kernel is compiled with
+    floating-point contraction off: a fused multiply-add would skip the
+    rounding of a product that numpy rounds, which with these coefficients
+    can flip the sign of an underflowed zero.  The doubling stays a product with 2 + 0i: y + y can
+    differ from (2 + 0j)*y in the sign of a zero.  Each block's arrays are
+    checked in Python before the call, so a stack of the wrong type, layout
+    or shape raises ValueError and never reaches C.
     """
     dt = total_time / n_steps
-    c_h, c_f, c_s, two = (np.array(c) for c in (-0.5j * dt, -1j * dt, -1j * dt / 6, 2 + 0j))
+    coef = np.array([-0.5j * dt, -1j * dt, -1j * dt / 6])  # c_h, c_f, c_s
     times = capture * dt
-    capture = capture.tolist()  # Python ints: no numpy scalar compare per step
-    stop = capture[-1]
+    stop = int(capture[-1])
     psi = psi0.astype(complex)
     states = np.empty((len(capture), len(psi0)), dtype=complex)
-    y1, y2, y3, y4, arg = np.empty((5, len(psi0)), dtype=complex)
-    add, mul = np.add, np.multiply  # looked up 13 times a step
+    work = np.empty((5, len(psi0)), dtype=complex)  # y1, y2, y3, y4 and a stage argument
     block = max(1, H_BLOCK_BYTES // (3 * 16 * len(psi0) ** 2))
     pos = 0
     if capture[pos] == 0:
@@ -274,25 +277,126 @@ def _rk4(h_stack, psi0: np.ndarray, total_time: float, n_steps: int,
         # so every Hamiltonian is built in the same array as in a full run.
         t = np.arange(start, min(start + block, n_steps)) * dt
         n = len(t)
-        m = min(n, stop - start)
         stack = h_stack(np.concatenate((t, t + dt / 2, t + dt)))
-        for step, h1, h2, h3 in zip(range(start + 1, start + m + 1), stack[:m],
-                                    stack[n:n + m], stack[2 * n:2 * n + m]):
-            h1.dot(psi, out=y1)
-            add(psi, mul(c_h, y1, out=arg), out=arg)
-            h2.dot(arg, out=y2)
-            add(psi, mul(c_h, y2, out=arg), out=arg)
-            h2.dot(arg, out=y3)
-            add(psi, mul(c_f, y3, out=arg), out=arg)
-            h3.dot(arg, out=y4)
-            add(y1, mul(two, y2, out=y2), out=y1)
-            add(y1, mul(two, y3, out=y3), out=y1)
-            add(y1, y4, out=y1)
-            add(psi, mul(c_s, y1, out=y1), out=psi)
-            if capture[pos] == step:
-                states[pos] = psi
-                pos += 1
+        _check_block(stack, n, psi, states, capture)
+        pos = _kernel()(stack.ctypes.data, n, min(n, stop - start), len(psi),
+                        coef.ctypes.data, psi.ctypes.data, work.ctypes.data, start,
+                        capture.ctypes.data, len(capture), pos, states.ctypes.data)
     return times, states
+
+
+def _check_block(stack, n: int, psi: np.ndarray, states: np.ndarray,
+                 capture: np.ndarray) -> None:
+    """ValueError unless the arrays of one kernel call have the dtype, layout
+    and shape that ``rk4_block`` reads and writes through raw pointers."""
+    d = len(psi)
+    for name, array, dtype, shape in (
+        ("Hamiltonian stack", stack, np.complex128, (3 * n, d, d)),
+        ("state", psi, np.complex128, (d,)),
+        ("sample array", states, np.complex128, (len(capture), d)),
+        ("capture steps", capture, np.int64, (len(capture),)),
+    ):
+        if not (isinstance(array, np.ndarray) and array.dtype == dtype
+                and array.shape == shape and array.flags.c_contiguous
+                and array.flags.aligned):
+            got = (f"{array.dtype} {array.shape}" if isinstance(array, np.ndarray)
+                   else type(array).__name__)
+            raise ValueError(f"the RK4 kernel needs a C-contiguous {np.dtype(dtype)} "
+                             f"{name} of shape {shape}, got {got}")
+
+
+#: zgemv symbols that numpy's bundled BLAS may export, with their integer type
+_ZGEMV_SYMBOLS = (("scipy_cblas_zgemv64_", "int64_t"), ("cblas_zgemv64_", "int64_t"),
+                  ("scipy_cblas_zgemv", "int"), ("cblas_zgemv", "int"))
+_KERNEL_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+
+@functools.cache
+def _kernel():
+    """The C function ``rk4_block``, loaded on the first integration.
+
+    zgemv is looked up in numpy's own BLAS, through the handle of numpy's
+    extension module.  The library is ``__pycache__/_rk4-<hash>.so`` beside
+    this file, where the hash covers the C source, the compiler flags and the
+    zgemv symbol; a missing one is compiled with ``cc``.  Where
+    ``__pycache__`` cannot be written, this process compiles its own copy in
+    a temporary directory.  Failures raise OSError with a one-line message.
+    """
+    import ctypes
+    import hashlib
+    import tempfile
+    from pathlib import Path
+
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath
+    blas = ctypes.CDLL(_multiarray_umath.__file__)  # dlsym also searches its BLAS
+    for symbol, blas_int in _ZGEMV_SYMBOLS:
+        if hasattr(blas, symbol):
+            break
+    else:
+        raise OSError("numpy's BLAS exports no zgemv that the RK4 kernel knows: tried "
+                      + ", ".join(name for name, _ in _ZGEMV_SYMBOLS))
+    source = Path(__file__).with_name("_rk4.c")
+    flags = [*_KERNEL_FLAGS, f"-DBLAS_INT={blas_int}"]
+    key = b"\0".join([source.read_bytes(), *(f.encode() for f in flags), symbol.encode()])
+    library = source.with_name("__pycache__") / f"_rk4-{hashlib.sha256(key).hexdigest()[:16]}.so"
+    if library.exists() or _writable(library.parent):
+        if not library.exists():
+            _compile(source, flags, library)
+        lib = ctypes.CDLL(str(library))
+    else:
+        with tempfile.TemporaryDirectory(prefix="dickesim-") as private:
+            lib = ctypes.CDLL(str(_compile(source, flags, Path(private) / library.name)))
+        # the loaded library stays mapped after its directory is gone
+    step = lib.rk4_block
+    pointer, int64 = ctypes.c_void_p, ctypes.c_int64
+    step.argtypes = [pointer, pointer, int64, int64, int64, pointer, pointer, pointer,
+                     int64, pointer, int64, int64, pointer]
+    step.restype = int64
+    return functools.partial(step, ctypes.cast(getattr(blas, symbol), pointer))
+
+
+def _writable(directory) -> bool:
+    """Whether a file can be created in ``directory``, made if missing."""
+    import tempfile
+
+    try:
+        directory.mkdir(exist_ok=True)
+        with tempfile.TemporaryFile(dir=directory):
+            return True
+    except OSError:
+        return False
+
+
+def _compile(source, flags: list[str], library):
+    """Compile ``source`` with ``cc`` into ``library`` through a temporary file
+    and an atomic rename, so that processes building at once each load a
+    whole library; OSError with the compiler's stderr on one line if it
+    fails or is missing."""
+    import os
+    import subprocess
+    import tempfile
+
+    fd, tmp = tempfile.mkstemp(prefix=library.stem + "-", suffix=".tmp", dir=library.parent)
+    os.close(fd)
+    try:
+        try:
+            proc = subprocess.run(["cc", *flags, "-o", tmp, str(source)],
+                                  capture_output=True, text=True)
+        except OSError as exc:
+            raise OSError(f"cannot build the RK4 kernel: no C compiler cc ({exc})") from None
+        if proc.returncode != 0:
+            stderr = " | ".join(line.strip() for line in proc.stderr.splitlines() if line.strip())
+            raise OSError(f"cannot build the RK4 kernel: cc exited with status "
+                          f"{proc.returncode}: {stderr}")
+        os.chmod(tmp, 0o755)  # mkstemp's 0600 would keep other users from loading it
+        os.replace(tmp, library)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return library
 
 
 def _plan_steps(total_time: float, dt: float) -> int:

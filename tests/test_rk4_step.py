@@ -1,10 +1,12 @@
 """The RK4 step against the textbook update it replaces, bit for bit.
 
-``evolution._rk4`` carries the Schrodinger equation's -i in its scalar
-coefficients and works in preallocated buffers.  Its printed digits stay the
-same only if every state word equals the one of the plain update with the
-slopes k = -i*(H @ psi); ``_reference_rk4`` keeps that update, and each run
-below is integrated through both.
+``evolution._rk4`` runs each block's steps in the compiled kernel
+``_rk4.c``, which calls numpy's own zgemv, writes the complex products and
+sums out on doubles, and carries the Schrodinger equation's -i in its scalar
+coefficients.  Its printed digits stay the same only if every state word
+equals the one of the plain numpy update with the slopes k = -i*(H @ psi);
+``_reference_rk4`` keeps that update, and each run below is integrated
+through both.
 
 One regime is exempt from the word-for-word check: a product such as
 s*(-i*y) that underflows to zero, below 1e-308, where the two formulas can
