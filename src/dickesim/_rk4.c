@@ -1,7 +1,12 @@
 /* The steps of one block of fixed-step RK4, for dickesim.evolution._rk4.
  *
- * A step performs the floating-point operations that numpy performs for this
- * update, in numpy's order, so every state word equals numpy's:
+ * The Hamiltonians come as support values: for each matrix, its entries at
+ * the s flat indices of the support, then the one value of every entry off
+ * the support.  Before each step the matrices at t, t + dt/2 and t + dt are
+ * written into a dense buffer of three, in the words that numpy's expansion
+ * of the same values (dickesim.model.expand) gives.  A step then performs
+ * the floating-point operations that numpy performs for this update, in
+ * numpy's order, so every state word equals numpy's:
  *
  *   y1 = H1 psi,  y2 = H2 (psi + c_h y1),  y3 = H2 (psi + c_h y2),
  *   y4 = H3 (psi + c_f y3),  psi <- psi + c_s (((y1 + 2 y2) + 2 y3) + y4).
@@ -54,27 +59,49 @@ static void add_scaled(double *out, const double *a, const double *c,
     }
 }
 
-/* Run steps start + 1 .. start + m of the block whose Hamiltonians h hold
- * the n matrices at t, then the n at t + dt/2, then the n at t + dt, each
- * d x d complex in row-major order.  coef holds c_h, c_f and c_s as
- * (re, im) pairs; work holds 5 d complex numbers.  After each step whose
- * number is capture[pos], psi is stored as row pos of states and pos
- * advances.  Returns the next capture slot. */
-int64_t rk4_block(void *zgemv_ptr, const double *h, int64_t n, int64_t m,
-                  int64_t d, const double *coef, double *psi, double *work,
-                  int64_t start, const int64_t *capture, int64_t n_capture,
-                  int64_t pos, double *states)
+/* Write into the dd-entry matrix h the one whose s + 1 complex values are
+ * v: v[j] at the flat index support[j], and v[s] at every other entry.  The
+ * entries off the support always equal h's entry (0, 0), which is off it,
+ * so they are rewritten only when v[s] differs from that word in any bit;
+ * a nan compares by its bits too. */
+static void expand(double *h, const double *v, const int64_t *support,
+                   int64_t s, int64_t dd)
+{
+    const double *off = v + 2 * s;
+    if (memcmp(h, off, 2 * sizeof(double)) != 0)
+        for (int64_t i = 0; i < dd; i++)
+            memcpy(h + 2 * i, off, 2 * sizeof(double));
+    for (int64_t j = 0; j < s; j++)
+        memcpy(h + 2 * support[j], v + 2 * j, 2 * sizeof(double));
+}
+
+/* Run steps start + 1 .. start + m of the block whose values hold the n
+ * Hamiltonians at t, then the n at t + dt/2, then the n at t + dt, each as
+ * s + 1 complex values on the support (distinct flat indices in [1, d*d)).
+ * h is the buffer of three d x d complex matrices in row-major order; its
+ * entries off the support must equal each matrix's (0, 0) entry, as a
+ * zeroed buffer's do, and they still do on return.  coef holds c_h, c_f
+ * and c_s as (re, im) pairs; work holds 5 d complex numbers.  After each
+ * step whose number is capture[pos], psi is stored as row pos of states and
+ * pos advances.  Returns the next capture slot. */
+int64_t rk4_block(void *zgemv_ptr, const double *values, const int64_t *support,
+                  int64_t s, double *h, int64_t n, int64_t m, int64_t d,
+                  const double *coef, double *psi, double *work, int64_t start,
+                  const int64_t *capture, int64_t n_capture, int64_t pos,
+                  double *states)
 {
     zgemv_fn zgemv = (zgemv_fn)zgemv_ptr;
     const double *c_h = coef, *c_f = coef + 2, *c_s = coef + 4;
     double *y1 = work, *y2 = work + 2 * d, *y3 = work + 4 * d;
     double *y4 = work + 6 * d, *arg = work + 8 * d;
-    const int64_t size = 2 * d * d; /* doubles per Hamiltonian */
+    const int64_t size = 2 * d * d;  /* doubles per Hamiltonian */
+    const int64_t row = 2 * (s + 1); /* doubles per value row */
+    double *h1 = h, *h2 = h + size, *h3 = h + 2 * size;
 
     for (int64_t k = 0; k < m; k++) {
-        const double *h1 = h + k * size;
-        const double *h2 = h + (n + k) * size;
-        const double *h3 = h + (2 * n + k) * size;
+        expand(h1, values + k * row, support, s, d * d);
+        expand(h2, values + (n + k) * row, support, s, d * d);
+        expand(h3, values + (2 * n + k) * row, support, s, d * d);
         zgemv(CBLAS_ROW_MAJOR, CBLAS_NO_TRANS, d, d, ONE, h1, d, psi, 1, ZERO, y1, 1);
         add_scaled(arg, psi, c_h, y1, d);
         zgemv(CBLAS_ROW_MAJOR, CBLAS_NO_TRANS, d, d, ONE, h2, d, arg, 1, ZERO, y2, 1);

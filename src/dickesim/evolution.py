@@ -7,17 +7,15 @@ amplitudes Omega_b = omega_bar*(1 - cos theta), Omega_r = omega_bar*(1 + cos the
 Integration is a fixed-step classical 4th-order Runge-Kutta with the
 Hamiltonian sampled at the substage times; unitarity is checked after the
 fact rather than enforced by construction, keeping runs deterministic and
-reproducible.  H(t) does not depend on the state, so the Hamiltonians at t,
-t + dt/2 and t + dt are built as (k, d, d) stacks for a block of k steps at
-once.  The steps of a block then run in one call of a small C kernel,
-``_rk4.c``: four matrix-vector products through the zgemv of numpy's own
-BLAS, and the stage arguments and final sum written out on doubles, with the
-Schrodinger equation's -i carried in the scalar coefficients, not in H (see
-``_rk4``).  The kernel performs numpy's operations in numpy's order, so the
-step gives the same bits as the textbook update with the slopes k = -i*H*psi,
-one Hamiltonian at a time, except for the sign of a zero where a product
-underflows.  The first integration compiles the kernel with ``cc`` into the
-package's ``__pycache__``, once per source, flags and BLAS symbol.
+reproducible.  H(t) does not depend on the state, so each model builds the
+Hamiltonians of a block of steps at once as support values: the entries
+where some operator is nonzero, and the one value that every other entry
+shares.  The block's steps run in one call of the C kernel ``_rk4.c``, which
+expands them into a dense buffer and calls numpy's own zgemv; every state
+word equals that of numpy's textbook update on the dense matrices (see
+``_rk4``).  The first integration compiles the kernel with ``cc`` into the
+package's ``__pycache__``, once per source, flags and BLAS symbol, and
+removes the libraries of other sources there.
 
 A run from |D^0>|0> fails with a ``NumericalError`` once its norm drifts so
 far that the readout's ``observables.NORM_TOL`` would reject a sample.  The
@@ -42,10 +40,10 @@ from .spin_algebra import collective_coupling
 from .model import (
     FullHamiltonian,
     SystemParams,
-    embed_chain_state,
-    interaction_to_chain_frame,
+    chain_indices,
     reduced_coupling_parts,
-    reduced_hamiltonian,
+    reduced_support,
+    reduced_values,
 )
 
 SCHEDULE_SHAPES = ("linear", "smoothstep")
@@ -61,9 +59,11 @@ LEAK_WARN_LEVEL = 1e-3
 #: a state that fills the chain's whole spectrum drifts faster at that step.
 CALLER_STATE_DRIFT_LIMIT = 1e-6
 
-#: bytes of the three complex Hamiltonian stacks (t, t + dt/2, t + dt) that
-#: the integrator builds at once; sets how many steps share one block.  The
-#: reduced chain's build briefly holds about 1.5 times this.
+#: bytes that building one block's Hamiltonians may hold at once; sets how
+#: many steps share a block.  The values at t, t + dt/2 and t + dt of k steps
+#: are (3k, s+1) complex numbers, and the full model's sum keeps up to three
+#: arrays of that size alive, so the values take a third of this.  The kernel
+#: expands them into a (3, d, d) buffer, one step at a time.
 H_BLOCK_BYTES = 1 << 20
 
 
@@ -201,11 +201,18 @@ class Trajectory:
         numbers and the sample rotated out of the interaction picture at
         its own time."""
         out = np.empty(len(indices))
+        full = self.model_tag == "full"
+        if full:
+            n, n_max, delta = self.params.n_ions, self.params.n_max, self.params.delta
+            nvec = np.tile(np.arange(n_max + 1), n + 1)  # phonon number of each product state
+            chain = chain_indices(n, n_max)
+            lifted = np.zeros(len(nvec), dtype=complex)
         for k, (i, vec) in enumerate(zip(indices, chain_vectors)):
             state = self.states[i]
-            if self.model_tag == "full":
-                state = interaction_to_chain_frame(state, self.times[i], self.params)
-                vec = embed_chain_state(vec, self.params.n_ions, self.params.n_max)
+            if full:
+                state = state * np.exp(-1j * delta * self.times[i] * nvec)
+                lifted[chain] = vec
+                vec = lifted
             out[k] = abs(np.vdot(vec, state)) ** 2
         return out
 
@@ -225,11 +232,13 @@ def _capture_steps(n_steps: int, extra: set[int]) -> np.ndarray:
     return np.array(sorted(steps), dtype=np.int64)
 
 
-def _rk4(h_stack, psi0: np.ndarray, total_time: float, n_steps: int,
-         capture: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _rk4(h_values, support: np.ndarray, psi0: np.ndarray, total_time: float,
+         n_steps: int, capture: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-step RK4 over the ``n_steps`` grid of [0, total_time], stopping at
-    the last captured step; ``h_stack(ts)`` returns the (len(ts), d, d)
-    Hamiltonians, and ``capture`` holds the int64 step numbers to sample.
+    the last captured step; ``h_values(ts)`` returns the (len(ts), s+1)
+    values of the Hamiltonians at ``ts`` on the s flat indices ``support``,
+    as ``model.expand`` reads them, and ``capture`` holds the int64 step
+    numbers to sample.
 
     With H1, H2, H3 the Hamiltonians at t, t + dt/2 and t + dt, a step is
 
@@ -245,53 +254,61 @@ def _rk4(h_stack, psi0: np.ndarray, total_time: float, n_steps: int,
     because zgemv on a complex -i*H accumulates its products in another
     order and changes last bits.
 
-    Python builds each block's stack and makes one call of the C kernel
-    ``rk4_block`` (``_rk4.c``, loaded by ``_kernel``), which runs the
-    block's steps in that order: the four products y = H x by numpy's own
-    zgemv with the arguments of ``ndarray.dot``, then the stage arguments and
-    the final sum as numpy's complex multiply and add loops compute them,
-    each product rounded before it is added.  The kernel is compiled with
-    floating-point contraction off: a fused multiply-add would skip the
-    rounding of a product that numpy rounds, which with these coefficients
-    can flip the sign of an underflowed zero.  The doubling stays a product with 2 + 0i: y + y can
-    differ from (2 + 0j)*y in the sign of a zero.  Each block's arrays are
-    checked in Python before the call, so a stack of the wrong type, layout
-    or shape raises ValueError and never reaches C.
+    Python builds each block's values and makes one call of the C kernel
+    ``rk4_block`` (``_rk4.c``, loaded by ``_kernel``).  Each step first
+    expands H1, H2 and H3 into a zeroed (3, d, d) buffer, in the words of
+    ``model.expand``: the support values every step, the other entries only
+    when their value's bits differ from the matrix's (0, 0) word.  The four
+    products y = H x go through numpy's own zgemv with the arguments of
+    ``ndarray.dot``, and the stage arguments and the final sum are computed
+    as numpy's complex loops compute them, each product rounded before it
+    is added, so the kernel is compiled with floating-point contraction off
+    (a fused multiply-add can flip the sign of an underflowed zero).  The
+    doubling stays a product with 2 + 0i: y + y can differ from (2 + 0j)*y
+    in the sign of a zero.  Arrays of the wrong type, layout, shape or range
+    raise ValueError in Python and never reach C.
     """
     dt = total_time / n_steps
     coef = np.array([-0.5j * dt, -1j * dt, -1j * dt / 6])  # c_h, c_f, c_s
     times = capture * dt
     stop = int(capture[-1])
     psi = psi0.astype(complex)
-    states = np.empty((len(capture), len(psi0)), dtype=complex)
-    work = np.empty((5, len(psi0)), dtype=complex)  # y1, y2, y3, y4 and a stage argument
-    block = max(1, H_BLOCK_BYTES // (3 * 16 * len(psi0) ** 2))
+    d = len(psi0)
+    states = np.empty((len(capture), d), dtype=complex)
+    work = np.empty((5, d), dtype=complex)  # y1, y2, y3, y4 and a stage argument
+    buffer = np.zeros((3, d, d), dtype=complex)  # H1, H2, H3 of the current step
+    block = max(1, H_BLOCK_BYTES // 3 // (3 * 16 * (len(support) + 1)))
     pos = 0
     if capture[pos] == 0:
         states[pos] = psi
         pos += 1
     for start in range(0, stop, block):
         # each step's own t = step*dt: (step + 1)*dt can differ in the last
-        # bit from step*dt + dt, so the t + dt stack is not reused.  The
+        # bit from step*dt + dt, so the t + dt values are not reused.  The
         # blocks are those of the whole ramp even where the run stops early,
         # so every Hamiltonian is built in the same array as in a full run.
         t = np.arange(start, min(start + block, n_steps)) * dt
         n = len(t)
-        stack = h_stack(np.concatenate((t, t + dt / 2, t + dt)))
-        _check_block(stack, n, psi, states, capture)
-        pos = _kernel()(stack.ctypes.data, n, min(n, stop - start), len(psi),
+        values = h_values(np.concatenate((t, t + dt / 2, t + dt)))
+        _check_block(values, support, buffer, n, psi, states, capture)
+        pos = _kernel()(values.ctypes.data, support.ctypes.data, len(support),
+                        buffer.ctypes.data, n, min(n, stop - start), d,
                         coef.ctypes.data, psi.ctypes.data, work.ctypes.data, start,
                         capture.ctypes.data, len(capture), pos, states.ctypes.data)
     return times, states
 
 
-def _check_block(stack, n: int, psi: np.ndarray, states: np.ndarray,
+def _check_block(values, support, buffer, n: int, psi: np.ndarray, states: np.ndarray,
                  capture: np.ndarray) -> None:
     """ValueError unless the arrays of one kernel call have the dtype, layout
-    and shape that ``rk4_block`` reads and writes through raw pointers."""
+    and shape that ``rk4_block`` reads and writes through raw pointers, and
+    the support holds distinct flat indices of a d x d matrix other than 0."""
     d = len(psi)
+    s = len(support) if isinstance(support, np.ndarray) and support.ndim == 1 else -1
     for name, array, dtype, shape in (
-        ("Hamiltonian stack", stack, np.complex128, (3 * n, d, d)),
+        ("support", support, np.int64, (s,)),
+        ("value array", values, np.complex128, (3 * n, s + 1)),
+        ("Hamiltonian buffer", buffer, np.complex128, (3, d, d)),
         ("state", psi, np.complex128, (d,)),
         ("sample array", states, np.complex128, (len(capture), d)),
         ("capture steps", capture, np.int64, (len(capture),)),
@@ -301,8 +318,12 @@ def _check_block(stack, n: int, psi: np.ndarray, states: np.ndarray,
                 and array.flags.aligned):
             got = (f"{array.dtype} {array.shape}" if isinstance(array, np.ndarray)
                    else type(array).__name__)
+            want = "1-D" if name == "support" else f"shape {shape}"
             raise ValueError(f"the RK4 kernel needs a C-contiguous {np.dtype(dtype)} "
-                             f"{name} of shape {shape}, got {got}")
+                             f"{name} of {want}, got {got}")
+    ordered = np.sort(support)  # np.unique would import numpy.ma
+    if s and not (ordered[0] >= 1 and ordered[-1] < d * d and np.all(ordered[1:] > ordered[:-1])):
+        raise ValueError(f"the RK4 kernel needs distinct support indices in [1, {d * d})")
 
 
 #: zgemv symbols that numpy's bundled BLAS may export, with their integer type
@@ -352,8 +373,8 @@ def _kernel():
         # the loaded library stays mapped after its directory is gone
     step = lib.rk4_block
     pointer, int64 = ctypes.c_void_p, ctypes.c_int64
-    step.argtypes = [pointer, pointer, int64, int64, int64, pointer, pointer, pointer,
-                     int64, pointer, int64, int64, pointer]
+    step.argtypes = [pointer, pointer, pointer, int64, pointer, int64, int64, int64,
+                     pointer, pointer, pointer, int64, pointer, int64, int64, pointer]
     step.restype = int64
     return functools.partial(step, ctypes.cast(getattr(blas, symbol), pointer))
 
@@ -374,7 +395,9 @@ def _compile(source, flags: list[str], library):
     """Compile ``source`` with ``cc`` into ``library`` through a temporary file
     and an atomic rename, so that processes building at once each load a
     whole library; OSError with the compiler's stderr on one line if it
-    fails or is missing."""
+    fails or is missing.  Then the other ``_rk4-*.so`` files there are
+    removed where possible; a process that has loaded one keeps it mapped."""
+    import contextlib
     import os
     import subprocess
     import tempfile
@@ -396,6 +419,10 @@ def _compile(source, flags: list[str], library):
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    for stale in library.parent.glob("_rk4-*.so"):
+        if stale != library:
+            with contextlib.suppress(OSError):
+                stale.unlink()
     return library
 
 
@@ -424,7 +451,7 @@ def _check_norms(states: np.ndarray, own_state: bool) -> float:
     return drift
 
 
-def _integrate(h_stack, dimension: int, schedule: PulseSchedule,
+def _integrate(h_values, support: np.ndarray, dimension: int, schedule: PulseSchedule,
                dt: float | None, guard: float, coarse: str,
                initial_state: np.ndarray | None,
                capture_times: list[float] | None) -> tuple[np.ndarray, np.ndarray, dict]:
@@ -465,7 +492,7 @@ def _integrate(h_stack, dimension: int, schedule: PulseSchedule,
         extra = {int(round(t / (schedule.total_time / n_steps))) for t in capture_times}
     capture = _capture_steps(n_steps, extra)
     capture = capture[capture <= max(extra, default=n_steps)]
-    times, states = _rk4(h_stack, psi0, schedule.total_time, n_steps, capture)
+    times, states = _rk4(h_values, support, psi0, schedule.total_time, n_steps, capture)
     record = {"max_norm_drift": _check_norms(states, initial_state is not None),
               "n_steps": int(capture[-1]), "dt": schedule.total_time / n_steps}
     return times, states, record
@@ -491,14 +518,13 @@ def integrate_reduced(schedule: PulseSchedule, params: SystemParams,
     guard = 0.1 / rate if rate > 0 else schedule.total_time / 200
     peak = np.zeros(2)  # largest (Omega_r, Omega_b) the ramp reaches
 
-    def h_stack(ts):
+    def h_values(ts):
         wr, wb = schedule.amplitudes(ts)
         np.maximum(peak, (wr.max(), wb.max()), out=peak)
-        # exact cast: matmul against the complex state would cast every step
-        return reduced_hamiltonian(params, wr, wb).astype(complex)
+        return reduced_values(params, wr, wb)
 
     times, states, record = _integrate(
-        h_stack, n + 1, schedule, dt, guard,
+        h_values, reduced_support(n)[0], n + 1, schedule, dt, guard,
         ": need dt*max(delta + N*omega_bar, 6*omega_bar*max coupling) <= 0.1",
         initial_state, capture_times,
     )
@@ -535,11 +561,11 @@ def integrate_full(schedule: PulseSchedule, params: SystemParams,
     rate = max(params.delta / 0.05, (params.delta + n * schedule.omega_bar) / 0.1, drive / 0.05)
     guard = 1.0 / rate if rate > 0 else schedule.total_time / 200
 
-    def h_stack(ts):
-        return ham.at(ts, *schedule.amplitudes(ts))
+    def h_values(ts):
+        return ham.values(ts, *schedule.amplitudes(ts))
 
     times, states, record = _integrate(
-        h_stack, ham.dimension, schedule, dt, guard, f" for delta = {params.delta}",
+        h_values, ham.support, ham.dimension, schedule, dt, guard, f" for delta = {params.delta}",
         initial_state, capture_times,
     )
     top = np.abs(states[:, params.n_max::(params.n_max + 1)]) ** 2

@@ -107,14 +107,53 @@ def reduced_hamiltonian(params: SystemParams, omega_r, omega_b) -> np.ndarray:
     return wr * kr + wb * kb + params.delta * d
 
 
+def _support(ops) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The flat indices of the entries where any of the matrices ``ops`` is
+    nonzero, and each matrix's entries there and then at (0, 0).  All zeros
+    of one matrix here carry the same signs, so (0, 0), off the support in
+    both models, stands for every entry off it, signed zeros included."""
+    support = np.flatnonzero(np.any([op != 0 for op in ops], axis=0))
+    picked = np.append(support, 0)
+    return _frozen(support), tuple(_frozen(op.ravel()[picked]) for op in ops)
+
+
+@lru_cache(maxsize=None)
+def reduced_support(n_ions: int):
+    """(support, (K_r, K_b, D) at the support and at (0, 0)) of the chain,
+    as ``_support`` gives them for ``reduced_coupling_parts``."""
+    return _support(reduced_coupling_parts(n_ions))
+
+
+def reduced_values(params: SystemParams, omega_r: np.ndarray, omega_b: np.ndarray) -> np.ndarray:
+    """``reduced_hamiltonian``'s sum at the k rates ``omega_r``, ``omega_b``,
+    taken only at the s entries of ``reduced_support`` and then at (0, 0):
+    a complex (k, s+1) array whose ``expand`` is that sum cast to complex."""
+    _, (kr, kb, d) = reduced_support(params.n_ions)
+    wr = np.asarray(omega_r, dtype=float)[..., None]
+    wb = np.asarray(omega_b, dtype=float)[..., None]
+    return (wr * kr + wb * kb + params.delta * d).astype(complex)
+
+
+def expand(values: np.ndarray, support: np.ndarray, dimension: int) -> np.ndarray:
+    """Dense (..., d, d) matrices from their (..., s+1) ``values``: the s
+    entries at the flat indices ``support``, and the last value everywhere
+    else.  The RK4 kernel expands the same values in C."""
+    h = np.empty(values.shape[:-1] + (dimension * dimension,), dtype=values.dtype)
+    h[...] = values[..., -1:]
+    h[..., support] = values[..., :-1]
+    return h.reshape(values.shape[:-1] + (dimension, dimension))
+
+
 class FullHamiltonian:
     """Interaction-picture spin-phonon Hamiltonian with explicit phases.
 
     H(t) is the dense sum of the four sideband operators scaled by amplitude
-    and phase, evaluated only on the entries where some operator is nonzero
-    plus one entry where all are zero: every other entry gets that same
-    value, signed zeros included, so the result equals the dense sum bit for
-    bit at a fraction of its cost.
+    and phase.  ``values`` evaluates that sum only on the ``support``, the
+    flat indices of the entries where some operator is nonzero, plus at
+    (0, 0), where all are zero: every other entry has that same value,
+    signed zeros included.  ``at`` expands them into dense matrices that
+    equal the dense sum bit for bit, at a fraction of its cost; the
+    integrator passes the values and the support to its kernel instead.
     """
 
     def __init__(self, params: SystemParams):
@@ -125,14 +164,24 @@ class FullHamiltonian:
             )
         self.params = params
         red, blue, _ = sideband_operators(n, n_max)
-        ops = (red, red.conj().T, blue, blue.conj().T)
-        self._support = np.nonzero(np.any([op != 0 for op in ops], axis=0))
-        # all zeros of one operator carry the same signs (+0+0j in red and
-        # blue, +0-0j in their conjugates), so the diagonal entry (0, 0),
-        # where all four are zero, stands for every entry off the support
-        picked = tuple(np.append(index, 0) for index in self._support)
-        self._red, self._red_dag, self._blue, self._blue_dag = (op[picked] for op in ops)
+        # all zeros of one operator carry the same signs: +0+0j in red and
+        # blue, +0-0j in their conjugates
+        self.support, (self._red, self._red_dag, self._blue, self._blue_dag) = _support(
+            (red, red.conj().T, blue, blue.conj().T))
         self.dimension = (n + 1) * (n_max + 1)
+
+    def values(self, t: np.ndarray, omega_r: np.ndarray, omega_b: np.ndarray) -> np.ndarray:
+        """H at the k times ``t`` and sideband rates ``omega_r``,
+        ``omega_b`` as a (k, s+1) array: the s entries at ``support``, then
+        the one entry off it."""
+        t = np.asarray(t, dtype=float)
+        phase = np.exp(-1j * self.params.delta * t)[..., None]
+        cr = np.asarray(omega_r, dtype=float)[..., None] / 2
+        cb = np.asarray(omega_b, dtype=float)[..., None] / 2
+        return (
+            cr * (phase * self._red + np.conj(phase) * self._red_dag)
+            + cb * (np.conj(phase) * self._blue + phase * self._blue_dag)
+        )
 
     def at(self, t: float | np.ndarray, omega_r: float | np.ndarray,
            omega_b: float | np.ndarray) -> np.ndarray:
@@ -141,18 +190,7 @@ class FullHamiltonian:
         A scalar ``t`` gives one (d, d) matrix; an array of k times, with
         amplitude arrays of the same length, gives the (k, d, d) stack.
         """
-        t = np.asarray(t, dtype=float)
-        phase = np.exp(-1j * self.params.delta * t)[..., None]
-        cr = np.asarray(omega_r, dtype=float)[..., None] / 2
-        cb = np.asarray(omega_b, dtype=float)[..., None] / 2
-        values = (
-            cr * (phase * self._red + np.conj(phase) * self._red_dag)
-            + cb * (np.conj(phase) * self._blue + phase * self._blue_dag)
-        )
-        h = np.empty(t.shape + (self.dimension, self.dimension), dtype=complex)
-        h[...] = values[..., -1, None, None]
-        h[(...,) + self._support] = values[..., :-1]
-        return h
+        return expand(self.values(t, omega_r, omega_b), self.support, self.dimension)
 
 
 def embed_chain_state(chain_vec: np.ndarray, n_ions: int, n_max: int) -> np.ndarray:

@@ -106,3 +106,36 @@ def test_full_hamiltonian_stack_equals_dense_sum(n_ions, delta, times, tone_seed
         expected = _reference_full(params, t, float(omega_r[i]), float(omega_b[i]))
         _assert_bitwise_equal(stack[i], expected)
         _assert_bitwise_equal(ham.at(t, float(omega_r[i]), float(omega_b[i])), expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_ions=st.integers(1, 8),
+    delta=st.sampled_from([0.0, 0.5]) | st.floats(0.0, 40.0),
+    times=st.lists(st.floats(0.0, 500.0), min_size=1, max_size=8),
+    tone_seed=st.integers(0, 2**32 - 1),
+)
+def test_support_values_expand_to_the_dense_builds(n_ions, delta, times, tone_seed):
+    # the integrator hands the kernel only the support values; expanded, they
+    # must give today's dense matrices word for word, signed zeros included
+    params = model.SystemParams(n_ions=n_ions, delta=delta)
+    ts = np.array([0.0, *times])
+    rng = np.random.default_rng(tone_seed)
+    omega_r = rng.uniform(0.0, 2.0, len(ts))
+    omega_b = rng.uniform(0.0, 2.0, len(ts))
+    omega_r[rng.random(len(ts)) < 0.3] = 0.0
+    omega_b[rng.random(len(ts)) < 0.3] = 0.0
+
+    ham = model.FullHamiltonian(params)
+    values = ham.values(ts, omega_r, omega_b)
+    assert values.shape == (len(ts), len(ham.support) + 1) and 0 not in ham.support
+    full = model.expand(values, ham.support, ham.dimension)
+    for i, t in enumerate(ts.tolist()):
+        _assert_bitwise_equal(full[i], _reference_full(params, t, float(omega_r[i]),
+                                                       float(omega_b[i])))
+
+    support, _ = model.reduced_support(n_ions)
+    values = model.reduced_values(params, omega_r, omega_b)
+    assert values.shape == (len(ts), len(support) + 1) and 0 not in support
+    _assert_bitwise_equal(model.expand(values, support, n_ions + 1),
+                          model.reduced_hamiltonian(params, omega_r, omega_b).astype(complex))

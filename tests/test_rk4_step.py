@@ -1,11 +1,13 @@
 """The RK4 step against the textbook update it replaces, bit for bit.
 
 ``evolution._rk4`` runs each block's steps in the compiled kernel
-``_rk4.c``, which calls numpy's own zgemv, writes the complex products and
+``_rk4.c``, which expands each step's Hamiltonians from their support values
+into a dense buffer, calls numpy's own zgemv, writes the complex products and
 sums out on doubles, and carries the Schrodinger equation's -i in its scalar
 coefficients.  Its printed digits stay the same only if every state word
-equals the one of the plain numpy update with the slopes k = -i*(H @ psi);
-``_reference_rk4`` keeps that update, and each run below is integrated
+equals the one of the plain numpy update with the slopes k = -i*(H @ psi) on
+the dense matrices; ``_reference_rk4`` expands the same values with
+``model.expand`` and keeps that update, and each run below is integrated
 through both.
 
 One regime is exempt from the word-for-word check: a product such as
@@ -28,15 +30,15 @@ from dickesim import evolution, model
 from dickesim.errors import NumericalError
 
 
-def _reference_rk4(h_stack, psi0, total_time, n_steps, capture):
-    """The textbook RK4 loop, block-built Hamiltonians and capture as in
-    ``evolution._rk4``."""
+def _reference_rk4(h_values, support, psi0, total_time, n_steps, capture):
+    """The textbook RK4 loop on dense matrices, block-built Hamiltonians and
+    capture as in ``evolution._rk4``."""
     dt = total_time / n_steps
     stop = capture[-1]
     psi = psi0.astype(complex)
     states = np.empty((len(capture), len(psi0)), dtype=complex)
     times = capture * dt
-    block = max(1, evolution.H_BLOCK_BYTES // (3 * 16 * len(psi0) ** 2))
+    block = max(1, evolution.H_BLOCK_BYTES // 3 // (3 * 16 * (len(support) + 1)))
     pos = 0
     if capture[pos] == 0:
         states[pos] = psi
@@ -44,7 +46,8 @@ def _reference_rk4(h_stack, psi0, total_time, n_steps, capture):
     for start in range(0, stop, block):
         t = np.arange(start, min(start + block, n_steps)) * dt
         n = len(t)
-        stack = h_stack(np.concatenate((t, t + dt / 2, t + dt)))
+        values = h_values(np.concatenate((t, t + dt / 2, t + dt)))
+        stack = model.expand(values, support, len(psi0))
         for j in range(min(n, stop - start)):
             h1, h2, h3 = stack[j], stack[n + j], stack[2 * n + j]
             k1 = -1j * (h1 @ psi)
@@ -77,9 +80,10 @@ def _assert_same_bits(model_tag, schedule, params, capture_times=None, state_see
     compared = []
     underflow = any(0 < scale < 1e-15 for scale in (params.delta, schedule.omega_bar))
 
-    def both(h_stack, psi0, total_time, n_steps, capture):
-        times, states = step(h_stack, psi0, total_time, n_steps, capture)
-        ref_times, ref_states = _reference_rk4(h_stack, psi0, total_time, n_steps, capture)
+    def both(h_values, support, psi0, total_time, n_steps, capture):
+        times, states = step(h_values, support, psi0, total_time, n_steps, capture)
+        ref_times, ref_states = _reference_rk4(h_values, support, psi0, total_time, n_steps,
+                                               capture)
         assert np.array_equal(times.view(np.uint64), ref_times.view(np.uint64))
         assert np.array_equal(states, ref_states)
         if not underflow:
