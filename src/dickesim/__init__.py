@@ -21,7 +21,7 @@ from .evolution import (
     integrate_reduced,
 )
 from .measurement import MeasurementRecord, ShotConfig, sample_populations, simulated_experiment
-from .model import FullHamiltonian, SystemParams, reduced_hamiltonian
+from .model import SystemParams, reduced_hamiltonian
 from .observables import (
     ParityScan,
     SpinMoments,

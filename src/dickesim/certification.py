@@ -72,10 +72,6 @@ class CertificationRecord:
             object.__setattr__(self, "sigma_populations", _frozen(sig))
 
     @property
-    def projections(self) -> np.ndarray:
-        return np.arange(-self.j_max, self.j_max + 1)
-
-    @property
     def ghz_excluded(self) -> bool:
         return ghz_excluded(self.f_lower)
 

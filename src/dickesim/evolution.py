@@ -38,9 +38,10 @@ from .errors import NumericalError, PhysicsConfigError, ReducedModelWarning, Tru
 from .observables import NORM_TOL
 from .spin_algebra import collective_coupling
 from .model import (
-    FullHamiltonian,
     SystemParams,
     chain_indices,
+    full_support,
+    full_values,
     reduced_coupling_parts,
     reduced_support,
     reduced_values,
@@ -427,6 +428,8 @@ def _compile(source, flags: list[str], library):
 
 
 def _plan_steps(total_time: float, dt: float) -> int:
+    if not total_time / dt < 2.0**63:  # the kernel counts steps in int64
+        raise PhysicsConfigError(f"{total_time / dt:.3g} steps overflow int64")
     n = max(1, int(np.ceil(total_time / dt)))  # an infinite guard plans one step
     return n + (n % 2)  # even so the midpoint lands on the grid
 
@@ -544,16 +547,10 @@ def integrate_full(schedule: PulseSchedule, params: SystemParams,
                    dt: float | None = None,
                    initial_state: np.ndarray | None = None,
                    capture_times: list[float] | None = None) -> Trajectory:
-    """Integrate the interaction-picture spin-phonon model under a schedule.
-
-    The state is kept in the interaction picture;
-    ``Trajectory.chain_fidelities`` compares it with chain states in the
-    chain's frame.  Population reaching the top Fock level beyond 1e-3
-    raises a TruncationWarning.  ``capture_times`` work as in
-    ``integrate_reduced``.
-    """
+    """Integrate the spin-phonon model ``full_values`` as ``integrate_reduced``
+    does the chain; a TruncationWarning when the top Fock level's population
+    exceeds 1e-3."""
     n = params.n_ions
-    ham = FullHamiltonian(params)
     # |a J+| = sqrt(n_max) * max R_k; the bound counts Fock levels that a
     # run seldom fills, so dt*drive <= 0.05 suffices
     drive = (2 * schedule.omega_bar * np.sqrt(params.n_max)
@@ -562,10 +559,11 @@ def integrate_full(schedule: PulseSchedule, params: SystemParams,
     guard = 1.0 / rate if rate > 0 else schedule.total_time / 200
 
     def h_values(ts):
-        return ham.values(ts, *schedule.amplitudes(ts))
+        return full_values(params, ts, *schedule.amplitudes(ts))
 
     times, states, record = _integrate(
-        h_values, ham.support, ham.dimension, schedule, dt, guard, f" for delta = {params.delta}",
+        h_values, full_support(n, params.n_max)[0], (n + 1) * (params.n_max + 1),
+        schedule, dt, guard, f" for delta = {params.delta}",
         initial_state, capture_times,
     )
     top = np.abs(states[:, params.n_max::(params.n_max + 1)]) ** 2

@@ -153,12 +153,6 @@ def _sample_square(probs: np.ndarray, config: ShotConfig) -> tuple[float, float]
     return mean, float(np.sqrt(var / config.n_shots))
 
 
-def sample_azimuth_square(state: np.ndarray, config: ShotConfig,
-                          phi: float) -> tuple[float, float]:
-    """Sampled mean and standard error of J_phi^2 at one analysis azimuth."""
-    return _sample_square(observables.populations_azimuth(state, phi), config)
-
-
 def simulated_experiment(state: np.ndarray, config: ShotConfig) -> CertificationRecord:
     """Four-ion certification pipeline from sampled global measurements.
 

@@ -21,6 +21,12 @@ a^dag J+ plus their adjoints and of the phonon number.  The chain carries
 them without the interaction picture's 1/2, so the chain driven at half
 the sideband rates is exactly the full model's resonant block in the
 chain's rotating frame (which meets the interaction picture at t = 0).
+
+Each model is a pair of functions: its cached support, the fixed flat
+indices where some operator is nonzero, with the operators' entries there
+(``full_support``, ``reduced_support``), and its Hamiltonians at given
+times and rates on that support (``full_values``, ``reduced_values``),
+which ``expand`` makes dense.
 """
 
 from __future__ import annotations
@@ -144,73 +150,31 @@ def expand(values: np.ndarray, support: np.ndarray, dimension: int) -> np.ndarra
     return h.reshape(values.shape[:-1] + (dimension, dimension))
 
 
-class FullHamiltonian:
-    """Interaction-picture spin-phonon Hamiltonian with explicit phases.
-
-    H(t) is the dense sum of the four sideband operators scaled by amplitude
-    and phase.  ``values`` evaluates that sum only on the ``support``, the
-    flat indices of the entries where some operator is nonzero, plus at
-    (0, 0), where all are zero: every other entry has that same value,
-    signed zeros included.  ``at`` expands them into dense matrices that
-    equal the dense sum bit for bit, at a fraction of its cost; the
-    integrator passes the values and the support to its kernel instead.
-    """
-
-    def __init__(self, params: SystemParams):
-        n, n_max = params.n_ions, params.n_max
-        if n_max < n / 2 + 2:
-            raise PhysicsConfigError(
-                f"n_max = {n_max} leaves no Fock headroom; need n_max >= N/2 + 2 = {n / 2 + 2}"
-            )
-        self.params = params
-        red, blue, _ = sideband_operators(n, n_max)
-        # all zeros of one operator carry the same signs: +0+0j in red and
-        # blue, +0-0j in their conjugates
-        self.support, (self._red, self._red_dag, self._blue, self._blue_dag) = _support(
-            (red, red.conj().T, blue, blue.conj().T))
-        self.dimension = (n + 1) * (n_max + 1)
-
-    def values(self, t: np.ndarray, omega_r: np.ndarray, omega_b: np.ndarray) -> np.ndarray:
-        """H at the k times ``t`` and sideband rates ``omega_r``,
-        ``omega_b`` as a (k, s+1) array: the s entries at ``support``, then
-        the one entry off it."""
-        t = np.asarray(t, dtype=float)
-        phase = np.exp(-1j * self.params.delta * t)[..., None]
-        cr = np.asarray(omega_r, dtype=float)[..., None] / 2
-        cb = np.asarray(omega_b, dtype=float)[..., None] / 2
-        return (
-            cr * (phase * self._red + np.conj(phase) * self._red_dag)
-            + cb * (np.conj(phase) * self._blue + phase * self._blue_dag)
+@lru_cache(maxsize=None)
+def full_support(n_ions: int, n_max: int):
+    """(support, (a J+, its adjoint, a^dag J+, its adjoint) at the support
+    and at (0, 0)) of the full model, as ``_support`` gives them; an n_max
+    below N/2 + 2 is a PhysicsConfigError.  All zeros of one operator carry
+    the same signs: +0+0j in a J+ and a^dag J+, +0-0j in their adjoints."""
+    if n_max < n_ions / 2 + 2:
+        raise PhysicsConfigError(
+            f"n_max = {n_max} leaves no Fock headroom; need n_max >= N/2 + 2 = {n_ions / 2 + 2}"
         )
-
-    def at(self, t: float | np.ndarray, omega_r: float | np.ndarray,
-           omega_b: float | np.ndarray) -> np.ndarray:
-        """Dense Hermitian H(t) at sideband rates ``omega_r``, ``omega_b``.
-
-        A scalar ``t`` gives one (d, d) matrix; an array of k times, with
-        amplitude arrays of the same length, gives the (k, d, d) stack.
-        """
-        return expand(self.values(t, omega_r, omega_b), self.support, self.dimension)
+    red, blue, _ = sideband_operators(n_ions, n_max)
+    return _support((red, red.conj().T, blue, blue.conj().T))
 
 
-def embed_chain_state(chain_vec: np.ndarray, n_ions: int, n_max: int) -> np.ndarray:
-    """Lift a chain vector onto the product space at its paired phonon numbers."""
-    chain_vec = np.asarray(chain_vec)
-    if chain_vec.shape != (n_ions + 1,):
-        raise ValueError(f"chain vector must have length {n_ions + 1}, got {chain_vec.shape}")
-    full = np.zeros((n_ions + 1) * (n_max + 1), dtype=complex)
-    full[chain_indices(n_ions, n_max)] = chain_vec
-    return full
-
-
-def interaction_to_chain_frame(psi: np.ndarray, t: float, params: SystemParams) -> np.ndarray:
-    """Map an interaction-picture product state into the chain's rotating frame.
-
-    The chain Hamiltonian lives in the frame where Fock level n carries
-    energy n*delta, i.e. states pick up exp(-i * delta * t * n).
-    """
-    n_levels = params.n_max + 1
-    if psi.shape != ((params.n_ions + 1) * n_levels,):
-        raise ValueError("state dimension does not match params")
-    nvec = np.tile(np.arange(n_levels), params.n_ions + 1)
-    return psi * np.exp(-1j * params.delta * t * nvec)
+def full_values(params: SystemParams, t: np.ndarray, omega_r: np.ndarray,
+                omega_b: np.ndarray) -> np.ndarray:
+    """Interaction-picture H at the k times ``t`` and sideband rates
+    ``omega_r``, ``omega_b``, taken only at the s entries of ``full_support``
+    and then at (0, 0): a complex (k, s+1) array whose ``expand`` is the
+    dense sum of the four phase-scaled sideband operators, bit for bit."""
+    _, (red, red_dag, blue, blue_dag) = full_support(params.n_ions, params.n_max)
+    phase = np.exp(-1j * params.delta * np.asarray(t, dtype=float))[..., None]
+    cr = np.asarray(omega_r, dtype=float)[..., None] / 2
+    cb = np.asarray(omega_b, dtype=float)[..., None] / 2
+    return (
+        cr * (phase * red + np.conj(phase) * red_dag)
+        + cb * (np.conj(phase) * blue + phase * blue_dag)
+    )

@@ -63,10 +63,6 @@ class SpinMoments:
     var_jy: float
     var_jz: float
 
-    @property
-    def variance_sum(self) -> float:
-        return self.var_jx + self.var_jy + self.var_jz
-
 
 def spin_moments(state: np.ndarray) -> SpinMoments:
     """First and second moments of Jx, Jy, Jz for a symmetric-sector state."""

@@ -153,7 +153,9 @@ def criterion_4() -> CriterionResult:
     for n in range(1, 9):
         params = model.SystemParams(n_ions=n, delta=20.0)
         chain = np.ix_(*[model.chain_indices(n, params.n_max)] * 2)
-        block = model.FullHamiltonian(params).at(np.zeros(len(wr)), wr, wb)[(..., *chain)]
+        values = model.full_values(params, np.zeros(len(wr)), wr, wb)
+        support, _ = model.full_support(n, params.n_max)
+        block = model.expand(values, support, (n + 1) * (params.n_max + 1))[(..., *chain)]
         half = model.reduced_hamiltonian(model.SystemParams(n_ions=n), wr / 2, wb / 2)
         diff = max(diff, float(np.max(np.abs(block - half))))
     details = [f"full model at t = 0 on the chain states - chain at omega_bar/2, "

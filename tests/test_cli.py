@@ -371,6 +371,22 @@ def test_malformed_input_exits_usage(argv):
     assert excinfo.value.code == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--eta-omega-t", "1e17"],
+    ["evolve", "--dt", "1e-300", "--eta-omega-t", "5"],
+    ["scan-noise", "--model", "full", "--eta-omega-t", "1e20"],
+    ["evolve", "--eta-omega-t", "1e308"],
+    ["sweep", "--eta-omega-t-list", "1e308"],
+])
+def test_step_count_past_int64_exits_physics(argv, capsys):
+    # T/dt beyond the kernel's int64 step count, or infinite, is refused
+    # with one error line before any step is planned, not an OverflowError
+    assert cli.main(argv) == cli.EXIT_PHYSICS
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith("steps overflow int64\n")
+    assert err.count("\n") == 1
+
+
 def test_scan_noise_honours_dt():
     # the same step is too coarse for evolve, which exits 2 on it
     assert cli.main(["scan-noise", "--n", "2", "--eta-omega-t", "10", "--cuts", "5",
@@ -439,6 +455,14 @@ def test_repro_exit_code_forgives_only_documented_shortfalls(monkeypatch, capsys
     monkeypatch.setattr(repro, "run_all", lambda: results)
     assert cli.main(["repro"]) == code
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_repro_prints_the_golden_table(capsys):
+    # the whole acceptance table, byte for byte, as tests/repro_stdout.txt
+    # recorded it; a change that moves a printed digit regenerates the file
+    assert cli.main(["repro"]) == cli.EXIT_OK
+    golden = (Path(__file__).parent / "repro_stdout.txt").read_bytes()
+    assert capsys.readouterr().out.encode() == golden
 
 
 def test_closed_stdout_exits_quietly():

@@ -251,7 +251,12 @@ def test_phonon_truncation_convergence():
     for n_max in (5, 7):
         params = model.SystemParams(n_ions=2, delta=20.0, n_max=n_max)
         traj = evolution.integrate_full(sch, params)
-        mid = model.interaction_to_chain_frame(traj.midpoint_state(), 20.0, params)
-        target = model.embed_chain_state(dark_coefficients(2, 1, 1).chain_vector, 2, n_max)
+        # the state moved into the chain's frame, where Fock level n picks
+        # up exp(-i * delta * t * n), against the dark chain vector lifted to
+        # its paired phonon numbers
+        nvec = np.tile(np.arange(n_max + 1), 3)
+        mid = traj.midpoint_state() * np.exp(-1j * params.delta * 20.0 * nvec)
+        target = np.zeros(len(mid), dtype=complex)
+        target[model.chain_indices(2, n_max)] = dark_coefficients(2, 1, 1).chain_vector
         fids.append(abs(np.vdot(target, mid)) ** 2)
     assert abs(fids[1] - fids[0]) < 1e-4

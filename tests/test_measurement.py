@@ -66,8 +66,8 @@ def test_convergence_rate_one_over_sqrt_n():
 
 def test_azimuth_square_sampling():
     state = half_excited_x(4)
-    mean, err = meas.sample_azimuth_square(state, meas.ShotConfig(n_shots=20_000, seed=8),
-                                           np.pi / 2)
+    mean, err = meas._sample_square(obs.populations_azimuth(state, np.pi / 2),
+                                    meas.ShotConfig(n_shots=20_000, seed=8))
     assert mean == pytest.approx(3.0, abs=0.1)
     assert 0 < err < 0.05
 

@@ -13,6 +13,27 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.uint8)
 
 
+def _full(params, t, omega_r, omega_b):
+    """Dense interaction-picture H at ``t``, expanded from its support values."""
+    support, _ = model.full_support(params.n_ions, params.n_max)
+    dimension = (params.n_ions + 1) * (params.n_max + 1)
+    return model.expand(model.full_values(params, t, omega_r, omega_b), support, dimension)
+
+
+def _embed(chain_vec, n_ions, n_max):
+    """A chain vector lifted onto the product space at its paired phonon numbers."""
+    full = np.zeros((n_ions + 1) * (n_max + 1), dtype=complex)
+    full[model.chain_indices(n_ions, n_max)] = chain_vec
+    return full
+
+
+def _to_chain_frame(psi, t, params):
+    """An interaction-picture product state in the chain's rotating frame,
+    where Fock level n picks up exp(-i * delta * t * n)."""
+    nvec = np.tile(np.arange(params.n_max + 1), params.n_ions + 1)
+    return psi * np.exp(-1j * params.delta * t * nvec)
+
+
 def _loop_parts(n):
     """(K_r, K_b, D) written out along the chain: blue couplings leave the
     even sites, red ones the odd sites, and D counts the phonon."""
@@ -53,8 +74,7 @@ def test_float_ion_number_builds_the_int_hamiltonians():
     assert type(model.SystemParams(n_ions=4.0).n_max) is int
     assert np.array_equal(model.reduced_hamiltonian(as_float, 1.0, 0.5),
                           model.reduced_hamiltonian(as_int, 1.0, 0.5))
-    assert np.array_equal(model.FullHamiltonian(as_float).at(0.3, 1.0, 0.5),
-                          model.FullHamiltonian(as_int).at(0.3, 1.0, 0.5))
+    assert np.array_equal(_full(as_float, 0.3, 1.0, 0.5), _full(as_int, 0.3, 1.0, 0.5))
 
 
 def test_validity_flag():
@@ -120,7 +140,7 @@ def test_sliced_parts_equal_chain_loop(n):
 def test_chain_is_full_resonant_block_at_half_drive(n, omega_r, omega_b, delta):
     params = model.SystemParams(n_ions=n, delta=delta)
     chain = np.ix_(*[model.chain_indices(n, params.n_max)] * 2)
-    block = model.FullHamiltonian(params).at(0.0, omega_r, omega_b)[chain]
+    block = _full(params, 0.0, omega_r, omega_b)[chain]
     half = model.reduced_hamiltonian(model.SystemParams(n_ions=n), omega_r / 2, omega_b / 2)
     assert np.array_equal(_bits(block.real), _bits(half))
     assert not np.any(block.imag)
@@ -151,21 +171,20 @@ def test_chain_indices_pair_each_level_with_its_phonon():
 
 def test_full_zero_amplitudes_zero_matrix():
     params = model.SystemParams(n_ions=2, delta=10.0)
-    assert np.max(np.abs(model.FullHamiltonian(params).at(0.3, 0.0, 0.0))) == 0.0
+    assert np.max(np.abs(_full(params, 0.3, 0.0, 0.0))) == 0.0
 
 
 def test_full_hermitian_at_sampled_times():
     params = model.SystemParams(n_ions=3, delta=9.0)
-    ham = model.FullHamiltonian(params)
     for t in (0.0, 0.17, 1.23, 7.7):
-        h = ham.at(t, 0.7, 1.2)
+        h = _full(params, t, 0.7, 1.2)
         assert np.max(np.abs(h - h.conj().T)) < 1e-12
 
 
 def test_full_red_matrix_element():
     params = model.SystemParams(n_ions=2, delta=5.0)
     omega_r = 0.8 * 1.4  # eta = 0.8 times a carrier rate 1.4
-    h = model.FullHamiltonian(params).at(0.0, omega_r, 0.0)
+    h = _full(params, 0.0, omega_r, 0.0)
     n_levels = params.n_max + 1
     bra = np.zeros(3 * n_levels)
     bra[1 * n_levels + 0] = 1.0  # |D^1, 0>
@@ -177,22 +196,38 @@ def test_full_red_matrix_element():
 
 def test_full_periodicity():
     params = model.SystemParams(n_ions=2, delta=7.0)
-    ham = model.FullHamiltonian(params)
     t = 0.31
-    shifted = ham.at(t + 2 * np.pi / params.delta, 0.9, 0.4)
-    assert np.max(np.abs(shifted - ham.at(t, 0.9, 0.4))) < 1e-12
+    shifted = _full(params, t + 2 * np.pi / params.delta, 0.9, 0.4)
+    assert np.max(np.abs(shifted - _full(params, t, 0.9, 0.4))) < 1e-12
 
 
 def test_full_n_max_guard():
+    with pytest.raises(PhysicsConfigError, match="Fock headroom"):
+        model.full_support(4, 3)
     with pytest.raises(PhysicsConfigError):
-        model.FullHamiltonian(model.SystemParams(n_ions=4, n_max=3))
+        model.full_values(model.SystemParams(n_ions=4, n_max=3), 0.0, 1.0, 1.0)
+
+
+def test_full_support_is_built_once_and_read_only():
+    support, parts = model.full_support(4, 6)
+    again, parts_again = model.full_support(4, 6)
+    assert again is support and all(a is b for a, b in zip(parts, parts_again))
+    for array in (support, *parts):
+        assert not array.flags.writeable
+    assert support.dtype == np.int64 and len(parts) == 4
+    assert all(part.shape == (len(support) + 1,) for part in parts)
 
 
 def test_embed_and_frame_round_trip():
     chain = dark_coefficients(4, 1.0, 1.0).chain_vector
     params = model.SystemParams(n_ions=4, delta=11.0)
-    full = model.embed_chain_state(chain, 4, params.n_max)
+    full = _embed(chain, 4, params.n_max)
     assert np.linalg.norm(full) == pytest.approx(1.0, abs=1e-12)
     # dark states live at phonon vacuum, so the frame map is the identity
-    shifted = model.interaction_to_chain_frame(full, 0.37, params)
+    shifted = _to_chain_frame(full, 0.37, params)
     assert np.max(np.abs(shifted - full)) < 1e-15
+    # in the chain's frame the full model does not depend on time: each
+    # sideband moves the phonon number by one, which the frame's phase undoes
+    frame = _to_chain_frame(np.ones(len(full)), 0.37, params)
+    rotated = frame[:, None] * _full(params, 0.37, 0.6, 1.3) * frame.conj()[None, :]
+    assert np.max(np.abs(rotated - _full(params, 0.0, 0.6, 1.3))) < 1e-12

@@ -46,7 +46,7 @@ def test_variance_sum_identity_on_random_states():
             psi /= np.linalg.norm(psi)
             m = obs.spin_moments(psi)
             mean_sq = m.mean_jx**2 + m.mean_jy**2 + m.mean_jz**2
-            assert m.variance_sum == pytest.approx(j2 - mean_sq, abs=1e-10)
+            assert m.var_jx + m.var_jy + m.var_jz == pytest.approx(j2 - mean_sq, abs=1e-10)
 
 
 def test_moments_reject_unnormalized():
@@ -67,7 +67,7 @@ def test_variance_sum_identity_on_trajectory_samples():
         m = obs.spin_moments(rho)
         j2 = obs.expectation(rho, build_collective(4, "j2"))
         mean_sq = m.mean_jx**2 + m.mean_jy**2 + m.mean_jz**2
-        assert m.variance_sum == pytest.approx(j2 - mean_sq, abs=1e-10)
+        assert m.var_jx + m.var_jy + m.var_jz == pytest.approx(j2 - mean_sq, abs=1e-10)
 
 
 def test_witness_values():
