@@ -24,10 +24,8 @@ from .measurement import MeasurementRecord, ShotConfig, sample_populations, simu
 from .model import SystemParams, reduced_hamiltonian
 from .observables import (
     ParityScan,
-    SpinMoments,
     direct_fidelity,
     parity_scan,
-    spin_moments,
     witness,
 )
 from .spin_algebra import build_collective, collective_coupling, full_space_oracle, rotation_y

@@ -59,6 +59,7 @@ class CertificationRecord:
     sigma_upper: float | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "j_max", _check_j_max(self.j_max))
         pops = np.array(self.populations, dtype=float)
         if pops.shape != (2 * self.j_max + 1,):
             raise ValueError(
@@ -86,6 +87,13 @@ def _check_witness(witness_value: float) -> None:
         raise ValueError(f"witness value must be finite, got {witness_value}")
 
 
+def _check_j_max(j_max) -> int:
+    """``j_max`` as an int; ValueError unless it is a positive whole number."""
+    if not (1 <= j_max < np.inf and int(j_max) == j_max):  # nan fails too
+        raise ValueError(f"j_max must be a positive integer (N/2 for even N), got {j_max}")
+    return int(j_max)
+
+
 def _check_populations(populations) -> np.ndarray:
     pops = np.asarray(populations, dtype=float)
     if pops.ndim != 1 or len(pops) < 3 or len(pops) % 2 == 0:
@@ -105,8 +113,7 @@ def fidelity_lower(witness_value: float, populations, j_max: int) -> float:
     """Witness-based lower bound on the half-excited Dicke fidelity."""
     pops = _check_populations(populations)
     _check_witness(witness_value)
-    if int(j_max) != j_max or j_max < 1:
-        raise ValueError(f"j_max must be a positive integer (N/2 for even N), got {j_max}")
+    j_max = _check_j_max(j_max)
     if len(pops) != 2 * j_max + 1:
         raise ValueError(f"populations must have length {2 * j_max + 1}, got {len(pops)}")
     jz = np.arange(-j_max, j_max + 1)
@@ -137,6 +144,7 @@ def propagate_uncertainty(j_max: int, sigma_witness: float,
 
     Inputs are treated as independent; returns (sigma_lower, sigma_upper).
     """
+    j_max = _check_j_max(j_max)
     sig = np.asarray(sigma_populations, dtype=float)
     every = np.append(sig, sigma_witness)
     if not np.all((every >= 0) & (every < np.inf)):  # nan fails both

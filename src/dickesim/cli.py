@@ -138,9 +138,9 @@ def _with_config(ns, argv: list[str]) -> list[str]:
     """``argv`` with the --config file's ``key = value`` lines inserted as
     ``--key=value`` flags right after the subcommand, so that parsing it
     again checks them like typed flags and the user's own flags, which come
-    later, win."""
+    later, win.  A file names no other file: ``config`` is an unknown key."""
     values = _parse_keyvalue(ns.config)
-    unknown = set(values) - (set(vars(ns)) - {"subcommand", "func"})
+    unknown = set(values) - (set(vars(ns)) - {"subcommand", "func", "config"})
     if unknown:
         raise ValueError(f"config file has unknown keys: {', '.join(sorted(unknown))}")
     at = argv.index(ns.subcommand) + 1

@@ -17,11 +17,11 @@ word equals that of numpy's textbook update on the dense matrices (see
 package's ``__pycache__``, once per source, flags and BLAS symbol, and
 removes the libraries of other sources there.
 
-A run from |D^0>|0> fails with a ``NumericalError`` once its norm drifts so
-far that the readout's ``observables.NORM_TOL`` would reject a sample.  The
-``Trajectory`` records the steps taken, the step size, the largest norm
-drift and, on the full model, the phonon-truncation leak, and it reads its
-own model's states out: callers never branch on the model.
+Every run starts from |D^0>|0> and fails with a ``NumericalError`` once its
+norm drifts so far that the readout's ``observables.NORM_TOL`` would reject
+a sample.  The ``Trajectory`` records the steps taken, the step size, the
+largest norm drift and, on the full model, the phonon-truncation leak, and
+it reads its own model's states out: callers never branch on the model.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -55,11 +54,6 @@ ADIABATICITY_WARN_BELOW = 5.0
 
 LEAK_WARN_LEVEL = 1e-3
 
-#: norm drift allowed for a caller's own initial state.  The default step is
-#: sized for runs from |D^0>|0>, which keep the detuned levels nearly empty;
-#: a state that fills the chain's whole spectrum drifts faster at that step.
-CALLER_STATE_DRIFT_LIMIT = 1e-6
-
 #: bytes that building one block's Hamiltonians may hold at once; sets how
 #: many steps share a block.  The values at t, t + dt/2 and t + dt of k steps
 #: are (3k, s+1) complex numbers, and the full model's sum keeps up to three
@@ -73,37 +67,29 @@ class PulseSchedule:
     """Two-tone sideband ramp parameterized by a monotone mixing angle.
 
     ``omega_bar`` is the sideband Rabi rate eta*Omega_bar, the one drive scale.
-    ``shape`` selects the built-in theta maps ("linear" or "smoothstep");
-    ``theta_fn`` overrides them with an arbitrary map [0, T] -> radians
-    (useful for reversed or experimental ramps; no endpoint check is applied
-    to custom maps).
+    ``shape`` selects the theta map from 0 to pi over [0, T]: "linear" or
+    "smoothstep".
     """
 
     total_time: float
     omega_bar: float = 1.0
     shape: str = "linear"
-    theta_fn: Callable[[float], float] | None = None
 
     def __post_init__(self):
         if not 0 < self.total_time < np.inf:
             raise ValueError("total_time must be positive and finite")
         if not 0 <= self.omega_bar < np.inf:
             raise ValueError("omega_bar must be nonnegative and finite")
-        if self.theta_fn is None and self.shape not in SCHEDULE_SHAPES:
+        if self.shape not in SCHEDULE_SHAPES:
             raise ValueError(f"shape must be one of {SCHEDULE_SHAPES}, got {self.shape!r}")
 
     def _thetas(self, t: np.ndarray) -> np.ndarray:
-        if self.theta_fn is not None:
-            return np.array([self.theta_fn(s) for s in t.tolist()], dtype=float)
         x = np.clip(t / self.total_time, 0.0, 1.0)
         if self.shape == "smoothstep":
             # per element in Python floats: numpy's array x**2 and x**3 round
             # differently from float.__pow__ in the last bit
             x = np.array([3 * s**2 - 2 * s**3 for s in x.tolist()])
         return np.pi * x
-
-    def theta(self, t: float) -> float:
-        return self._thetas(np.array([t], dtype=float))[0]
 
     def amplitudes(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(Omega_r, Omega_b) at each time of the 1-D array ``t``: the one
@@ -116,15 +102,6 @@ class PulseSchedule:
     def adiabaticity(self) -> float:
         """The paper's dimensionless eta*Omega_bar*T."""
         return self.omega_bar * self.total_time
-
-    def reversed(self) -> "PulseSchedule":
-        """Same ramp with theta -> pi - theta (blue first, red last)."""
-        return PulseSchedule(
-            total_time=self.total_time,
-            omega_bar=self.omega_bar,
-            shape=self.shape,
-            theta_fn=lambda t: np.pi - self.theta(t),
-        )
 
 
 def adiabatic_preset(name: str, n_ions: int):
@@ -434,33 +411,26 @@ def _plan_steps(total_time: float, dt: float) -> int:
     return n + (n % 2)  # even so the midpoint lands on the grid
 
 
-def _check_norms(states: np.ndarray, own_state: bool) -> float:
+def _check_norms(states: np.ndarray) -> float:
     """Largest norm drift |‖psi‖ - 1| of the samples.
 
-    A run from |D^0>|0> fails where a sample's |psi|^2, the trace that the
-    readout checks, is further than ``observables.NORM_TOL`` from 1: a drift
-    that the readout would reject is a step-size failure and is reported
-    here.  A run from the caller's ``own_state`` fails where the norm drift
-    exceeds ``CALLER_STATE_DRIFT_LIMIT``.
+    A run fails where a sample's |psi|^2, the trace that the readout checks,
+    is further than ``observables.NORM_TOL`` from 1: a drift that the readout
+    would reject is a step-size failure and is reported here.
     """
     norms = np.linalg.norm(states, axis=1)
-    drift = float(np.max(np.abs(norms - 1.0)))
-    if own_state:
-        name, off, tol = "norm drift", drift, CALLER_STATE_DRIFT_LIMIT
-    else:
-        name, off, tol = "|psi|^2 drift", float(np.max(np.abs(norms**2 - 1.0))), NORM_TOL
-    if not off <= tol:  # a nan drift fails too
-        raise NumericalError(f"{name} {off:.3e} exceeds {tol:.0e}; reduce the step size")
-    return drift
+    off = float(np.max(np.abs(norms**2 - 1.0)))
+    if not off <= NORM_TOL:  # a nan drift fails too
+        raise NumericalError(f"|psi|^2 drift {off:.3e} exceeds {NORM_TOL:.0e}; reduce the step size")
+    return float(np.max(np.abs(norms - 1.0)))
 
 
 def _integrate(h_values, support: np.ndarray, dimension: int, schedule: PulseSchedule,
                dt: float | None, guard: float, coarse: str,
-               initial_state: np.ndarray | None,
                capture_times: list[float] | None) -> tuple[np.ndarray, np.ndarray, dict]:
-    """RK4 from |D^0>|0> (basis index 0) or ``initial_state``, sampled on the
-    capture grid plus the steps nearest ``capture_times``, and stopped at the
-    latest of those; returns (times, states, run record), the record being the
+    """RK4 from |D^0>|0>, basis index 0 of both models, sampled on the capture
+    grid plus the steps nearest ``capture_times``, and stopped at the latest
+    of those; returns (times, states, run record), the record being the
     ``Trajectory`` fields max_norm_drift, n_steps and dt.
 
     ``dt`` defaults to the model's stability ``guard`` and may not exceed it;
@@ -481,10 +451,6 @@ def _integrate(h_values, support: np.ndarray, dimension: int, schedule: PulseSch
 
     psi0 = np.zeros(dimension, dtype=complex)
     psi0[0] = 1.0
-    if initial_state is not None:
-        psi0 = np.asarray(initial_state, dtype=complex)
-        if psi0.shape != (dimension,):
-            raise ValueError(f"initial state must have length {dimension}")
 
     n_steps = _plan_steps(schedule.total_time, dt)
     extra = set()
@@ -496,14 +462,13 @@ def _integrate(h_values, support: np.ndarray, dimension: int, schedule: PulseSch
     capture = _capture_steps(n_steps, extra)
     capture = capture[capture <= max(extra, default=n_steps)]
     times, states = _rk4(h_values, support, psi0, schedule.total_time, n_steps, capture)
-    record = {"max_norm_drift": _check_norms(states, initial_state is not None),
+    record = {"max_norm_drift": _check_norms(states),
               "n_steps": int(capture[-1]), "dt": schedule.total_time / n_steps}
     return times, states, record
 
 
 def integrate_reduced(schedule: PulseSchedule, params: SystemParams,
                       dt: float | None = None,
-                      initial_state: np.ndarray | None = None,
                       capture_times: list[float] | None = None) -> Trajectory:
     """Integrate the chain model under a schedule, starting from |D^0>|0>.
 
@@ -528,8 +493,7 @@ def integrate_reduced(schedule: PulseSchedule, params: SystemParams,
 
     times, states, record = _integrate(
         h_values, reduced_support(n)[0], n + 1, schedule, dt, guard,
-        ": need dt*max(delta + N*omega_bar, 6*omega_bar*max coupling) <= 0.1",
-        initial_state, capture_times,
+        ": need dt*max(delta + N*omega_bar, 6*omega_bar*max coupling) <= 0.1", capture_times,
     )
     if not params.reduced_model_trusted(peak.max()):
         warnings.warn(
@@ -545,7 +509,6 @@ def integrate_reduced(schedule: PulseSchedule, params: SystemParams,
 
 def integrate_full(schedule: PulseSchedule, params: SystemParams,
                    dt: float | None = None,
-                   initial_state: np.ndarray | None = None,
                    capture_times: list[float] | None = None) -> Trajectory:
     """Integrate the spin-phonon model ``full_values`` as ``integrate_reduced``
     does the chain; a TruncationWarning when the top Fock level's population
@@ -563,8 +526,7 @@ def integrate_full(schedule: PulseSchedule, params: SystemParams,
 
     times, states, record = _integrate(
         h_values, full_support(n, params.n_max)[0], (n + 1) * (params.n_max + 1),
-        schedule, dt, guard, f" for delta = {params.delta}",
-        initial_state, capture_times,
+        schedule, dt, guard, f" for delta = {params.delta}", capture_times,
     )
     top = np.abs(states[:, params.n_max::(params.n_max + 1)]) ** 2
     leak = float(np.max(np.sum(top, axis=1)))

@@ -1,4 +1,4 @@
-"""Spin moments, squeezing variances, witness, parity scans and fidelities.
+"""Spin readout, squeezing variances, witness, parity scans and fidelities.
 
 All observables act on symmetric-sector states (Dicke-basis vectors or
 density matrices).  States of the reduced chain or the spin-phonon product
@@ -52,30 +52,6 @@ def expectation(state: np.ndarray, op: np.ndarray) -> float:
     if state.ndim == 1:
         return float(np.real(np.vdot(state, op @ state)))
     return float(np.real(np.trace(state @ op)))
-
-
-@dataclass(frozen=True)
-class SpinMoments:
-    mean_jx: float
-    mean_jy: float
-    mean_jz: float
-    var_jx: float
-    var_jy: float
-    var_jz: float
-
-
-def spin_moments(state: np.ndarray) -> SpinMoments:
-    """First and second moments of Jx, Jy, Jz for a symmetric-sector state."""
-    state = _check_normalized(state)
-    n_ions = _state_dim(state) - 1
-    means, variances = [], []
-    for axis in AXES:
-        j = build_collective(n_ions, "j" + axis)
-        mean = expectation(state, j)
-        second = expectation(state, j @ j)
-        means.append(mean)
-        variances.append(max(second - mean**2, 0.0))
-    return SpinMoments(*means, *variances)
 
 
 def witness(state: np.ndarray, axes: tuple[str, str] = ("y", "z")) -> float:
@@ -279,11 +255,11 @@ def spin_density_from_chain(chain_state: np.ndarray) -> np.ndarray:
 
 def spin_readout(rhos: np.ndarray) -> tuple[list[float], list[float], list[float], list[float]]:
     """<Jz>, Var(Jx), Var(Jy) and Var(Jz) of each density matrix of a
-    (S, N+1, N+1) stack, as Python floats.
+    (S, N+1, N+1) stack, as Python floats: the one spin-moment path.
 
-    Each value takes the same floating-point operations as ``spin_moments``
-    on one matrix, and <Jz> those of the diagonal populations weighted by
-    m - N/2, so a stack gives the same bits as its matrices one at a time.
+    Var(J) = Tr(rho J^2) - Tr(rho J)^2, clipped at 0; <Jz> weights the
+    diagonal by m - N/2.  A stack gives the same bits as its matrices one at
+    a time, and a trace further than ``NORM_TOL`` from 1 is a ValueError.
     """
     rhos = np.asarray(rhos, dtype=complex)
     traces = np.trace(rhos, axis1=1, axis2=2).real

@@ -91,6 +91,24 @@ def test_propagation_consistent_with_published_error():
     assert 0.03 / 1.5 <= lo <= 0.03 * 1.5
 
 
+def test_j_max_is_checked_by_both_bounds_and_the_record():
+    # a whole float is that integer; a fraction or zero is refused, not an
+    # IndexError or a division by zero
+    assert cert.fidelity_lower(5.46, PAPER_P, 2.0) == cert.fidelity_lower(5.46, PAPER_P, 2)
+    assert (cert.propagate_uncertainty(2.0, 0.07, PAPER_SIG_P)
+            == cert.propagate_uncertainty(2, 0.07, PAPER_SIG_P))
+    # sigma lists of the length 2*j_max + 1 that each bad value would read
+    for j_max, n_sigmas in ((1.5, 4), (0, 1), (np.nan, 5), (np.inf, 5)):
+        with pytest.raises(ValueError, match="j_max"):
+            cert.fidelity_lower(5.46, PAPER_P, j_max)
+        with pytest.raises(ValueError, match="j_max"):
+            cert.propagate_uncertainty(j_max, 0.07, [0.01] * n_sigmas)
+    record = dict(axis="x", witness_value=5.0, f_lower=0.1, f_upper=0.2)
+    assert cert.CertificationRecord(j_max=2.0, populations=PAPER_P, **record).j_max == 2
+    with pytest.raises(ValueError, match="j_max"):
+        cert.CertificationRecord(j_max=0, populations=[1.0], **record)
+
+
 def test_propagation_rejects_negative():
     with pytest.raises(ValueError):
         cert.propagate_uncertainty(2, -0.1, [0.0] * 5)

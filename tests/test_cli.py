@@ -253,9 +253,10 @@ def test_config_file_unknown_key(tmp_path):
     assert cli.main(["darkstate", "--config", str(cfg)]) == 2
 
 
-@pytest.mark.parametrize("key", ["func", "subcommand", "help", "eta_omega"])
+@pytest.mark.parametrize("key", ["func", "subcommand", "help", "eta_omega", "config"])
 def test_config_file_names_no_parser_internals_or_prefixes(tmp_path, key, capsys):
-    # namespace entries that no flag sets, and flag prefixes, are not keys
+    # namespace entries that no flag sets, flag prefixes, and the --config
+    # flag itself (a file names no other file) are not keys
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{key} = x\n")
     assert cli.main(["evolve", "--config", str(cfg)]) == cli.EXIT_PHYSICS

@@ -19,6 +19,19 @@ def _tones(schedule, t):
     return omega_r[0], omega_b[0]
 
 
+def _run_chain_from(psi0, schedule, params, n_steps):
+    """The reduced model's RK4 from ``psi0`` over ``n_steps`` steps of the
+    whole ramp: the integrator always starts from |D^0>|0>."""
+    support, _ = model.reduced_support(params.n_ions)
+
+    def h_values(ts):
+        return model.reduced_values(params, *schedule.amplitudes(ts))
+
+    _, states = evolution._rk4(h_values, support, np.asarray(psi0, dtype=complex),
+                               schedule.total_time, n_steps, np.array([n_steps], dtype=np.int64))
+    return states[-1]
+
+
 def _jz_mean(state):
     n = len(state) - 1
     return float(np.sum((np.arange(n + 1) - n / 2) * np.abs(state) ** 2))
@@ -31,16 +44,13 @@ def _jz_mean(state):
 def test_schedule_endpoints():
     for shape in evolution.SCHEDULE_SHAPES:
         sch = evolution.PulseSchedule(total_time=10.0, shape=shape)
-        assert sch.theta(0.0) == 0.0
-        assert sch.theta(10.0) == pytest.approx(np.pi, abs=1e-14)
-        assert _tones(sch, 0.0)[1] == pytest.approx(0.0, abs=1e-14)
+        assert _tones(sch, 0.0) == (2.0, 0.0)  # theta = 0 exactly
         assert _tones(sch, 10.0)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_schedule_tone_convention():
     sch = evolution.PulseSchedule(total_time=8.0, omega_bar=1.5)
     t_mid = 4.0
-    assert sch.theta(t_mid) == pytest.approx(np.pi / 2)
     assert _tones(sch, t_mid)[0] == pytest.approx(1.5)
     assert _tones(sch, t_mid)[1] == pytest.approx(1.5)
     # the tone sum is constant at 2*omega_bar
@@ -82,9 +92,25 @@ def test_paper_preset_scale():
 # reduced-model integration
 # ---------------------------------------------------------------------------
 
+class _RedOnly(evolution.PulseSchedule):
+    """theta pinned at 0: the red tone at 2*omega_bar, the blue one off."""
+
+    def amplitudes(self, t):
+        t = np.asarray(t, dtype=float)
+        return np.full(t.shape, 2 * self.omega_bar), np.zeros(t.shape)
+
+
+class _Reversed(evolution.PulseSchedule):
+    """The ramp run backwards, theta -> pi - theta: the two tones swap."""
+
+    def amplitudes(self, t):
+        omega_r, omega_b = super().amplitudes(t)
+        return omega_b, omega_r
+
+
 def test_frozen_red_only_schedule_is_stationary():
-    # theta pinned at 0 keeps the blue tone off; |D^0>|0> stays dark
-    sch = evolution.PulseSchedule(total_time=20.0, omega_bar=1.0, theta_fn=lambda t: 0.0)
+    # the blue tone stays off; |D^0>|0> stays dark
+    sch = _RedOnly(total_time=20.0, omega_bar=1.0)
     params = model.SystemParams(n_ions=4, delta=10.0)
     with pytest.warns(ReducedModelWarning):  # the red tone peaks at 2 = delta/5
         traj = evolution.integrate_reduced(sch, params)
@@ -97,8 +123,10 @@ def test_zero_amplitude_schedule_is_identity():
     with warnings.catch_warnings():
         # an undriven chain neglects nothing, even at delta = 0
         warnings.simplefilter("error", ReducedModelWarning)
-        traj = evolution.integrate_reduced(sch, params, initial_state=np.array([0, 1, 0.0]))
-    assert np.max(np.abs(traj.final_state() - np.array([0, 1, 0]))) < 1e-12
+        traj = evolution.integrate_reduced(sch, params)
+    assert np.max(np.abs(traj.final_state() - np.array([1, 0, 0]))) < 1e-12
+    final = _run_chain_from([0, 1, 0], sch, params, traj.n_steps)
+    assert np.max(np.abs(final - np.array([0, 1, 0]))) < 1e-12
 
 
 def test_subnormal_detuning_integrates():
@@ -110,11 +138,9 @@ def test_subnormal_detuning_integrates():
     assert traj.final_state()[0] == 1.0
 
 
-def test_nan_initial_state_fails_norm_check():
-    sch = evolution.PulseSchedule(total_time=5.0, omega_bar=1.0)
-    params = model.SystemParams(n_ions=2, delta=20.0)
-    with pytest.raises(NumericalError):
-        evolution.integrate_reduced(sch, params, initial_state=np.array([np.nan, 1, 0]))
+def test_nan_sample_fails_norm_check():
+    with pytest.raises(NumericalError, match="drift nan"):
+        evolution._check_norms(np.array([[1, 0, 0], [np.nan, 1, 0]], dtype=complex))
 
 
 def test_norm_preservation():
@@ -134,10 +160,8 @@ def test_time_reversed_schedule_maps_back():
     fwd = evolution.integrate_reduced(sch, params)
     fid_fwd = abs(fwd.final_state()[4]) ** 2
 
-    top = np.zeros(5, dtype=complex)
-    top[4] = 1.0
-    rev = evolution.integrate_reduced(sch.reversed(), params, initial_state=top)
-    fid_rev = abs(rev.final_state()[0]) ** 2
+    rev = _Reversed(sch.total_time, sch.omega_bar)
+    fid_rev = abs(_run_chain_from([0, 0, 0, 0, 1], rev, params, fwd.n_steps)[0]) ** 2
     assert fid_rev == pytest.approx(fid_fwd, abs=1e-9)
 
 

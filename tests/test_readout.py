@@ -101,8 +101,6 @@ def _trajectories(draw):
         omega_bar=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.01, 3.0)),
         shape=draw(st.sampled_from(evolution.SCHEDULE_SHAPES)),
     )
-    if draw(st.booleans()):
-        schedule = schedule.reversed()
     dim = n + 1 if model_tag == "reduced" else (n + 1) * (params.n_max + 1)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_samples = draw(st.integers(1, 60))
