@@ -72,10 +72,6 @@ class CertificationRecord:
                 raise ValueError("sigma_populations shape does not match populations")
             object.__setattr__(self, "sigma_populations", _frozen(sig))
 
-    @property
-    def ghz_excluded(self) -> bool:
-        return ghz_excluded(self.f_lower)
-
 
 def ghz_excluded(f_lower: float) -> bool:
     """True when the lower bound exceeds the 3/4 GHZ-Dicke overlap ceiling."""

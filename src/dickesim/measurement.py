@@ -59,7 +59,6 @@ class ShotConfig:
 class MeasurementRecord:
     """Histogram of projection outcomes with binomial standard errors."""
 
-    axis: str
     projections: np.ndarray
     counts: np.ndarray
     frequencies: np.ndarray
@@ -108,28 +107,21 @@ def _draw(probabilities: np.ndarray, config: ShotConfig) -> np.ndarray:
     return _keyed_generator(config).multinomial(config.n_shots, probabilities)
 
 
-def _record(axis: str, projections: np.ndarray, counts: np.ndarray,
-            config: ShotConfig) -> MeasurementRecord:
-    freq = counts / config.n_shots
-    err = np.sqrt(freq * (1 - freq) / config.n_shots)
-    return MeasurementRecord(
-        axis=axis,
-        projections=projections,
-        counts=counts,
-        frequencies=freq,
-        std_errors=err,
-        n_shots=config.n_shots,
-        seed=config.seed,
-        stream=config.stream,
-    )
-
-
 def sample_populations(state: np.ndarray, config: ShotConfig, axis: str) -> MeasurementRecord:
     """Multinomial draw from the exact projection populations along an axis."""
     probs = observables.populations_along(state, axis)
     n_ions = len(probs) - 1
-    projections = np.arange(n_ions + 1) - n_ions / 2
-    return _record(axis, projections, _draw(_normalized(probs), config), config)
+    counts = _draw(_normalized(probs), config)
+    freq = counts / config.n_shots
+    return MeasurementRecord(
+        projections=np.arange(n_ions + 1) - n_ions / 2,
+        counts=counts,
+        frequencies=freq,
+        std_errors=np.sqrt(freq * (1 - freq) / config.n_shots),
+        n_shots=config.n_shots,
+        seed=config.seed,
+        stream=config.stream,
+    )
 
 
 def sample_parities(parities: np.ndarray, config: ShotConfig) -> np.ndarray:

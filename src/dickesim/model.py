@@ -103,16 +103,6 @@ def reduced_coupling_parts(n_ions: int):
     return _frozen(kr), _frozen(kb), _frozen(number[chain])
 
 
-def reduced_hamiltonian(params: SystemParams, omega_r, omega_b) -> np.ndarray:
-    """Rotating-frame chain Hamiltonian, real symmetric tridiagonal, at
-    sideband rates ``omega_r``, ``omega_b``: scalars give one matrix, arrays
-    of k rates the (k, N+1, N+1) stack."""
-    kr, kb, d = reduced_coupling_parts(params.n_ions)
-    wr = np.asarray(omega_r, dtype=float)[..., None, None]
-    wb = np.asarray(omega_b, dtype=float)[..., None, None]
-    return wr * kr + wb * kb + params.delta * d
-
-
 def _support(ops) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """The flat indices of the entries where any of the matrices ``ops`` is
     nonzero, and each matrix's entries there and then at (0, 0).  All zeros
@@ -131,9 +121,10 @@ def reduced_support(n_ions: int):
 
 
 def reduced_values(params: SystemParams, omega_r: np.ndarray, omega_b: np.ndarray) -> np.ndarray:
-    """``reduced_hamiltonian``'s sum at the k rates ``omega_r``, ``omega_b``,
-    taken only at the s entries of ``reduced_support`` and then at (0, 0):
-    a complex (k, s+1) array whose ``expand`` is that sum cast to complex."""
+    """The chain's H = Omega_r*K_r + Omega_b*K_b + delta*D at the k rates
+    ``omega_r``, ``omega_b``, taken only at the s entries of
+    ``reduced_support`` and then at (0, 0): a complex (k, s+1) array, the
+    one place where the chain's sum is written."""
     _, (kr, kb, d) = reduced_support(params.n_ions)
     wr = np.asarray(omega_r, dtype=float)[..., None]
     wb = np.asarray(omega_b, dtype=float)[..., None]
@@ -148,6 +139,15 @@ def expand(values: np.ndarray, support: np.ndarray, dimension: int) -> np.ndarra
     h[...] = values[..., -1:]
     h[..., support] = values[..., :-1]
     return h.reshape(values.shape[:-1] + (dimension, dimension))
+
+
+def reduced_hamiltonian(params: SystemParams, omega_r, omega_b) -> np.ndarray:
+    """Rotating-frame chain Hamiltonian, real symmetric tridiagonal, at
+    sideband rates ``omega_r``, ``omega_b``: scalars give one matrix, arrays
+    of k rates the (k, N+1, N+1) stack."""
+    n = params.n_ions
+    h = expand(reduced_values(params, omega_r, omega_b), reduced_support(n)[0], n + 1)
+    return h.real.copy()  # products with the strided .real view round differently
 
 
 @lru_cache(maxsize=None)

@@ -25,9 +25,7 @@ import numpy as np
 from . import certification, dark_state, evolution, measurement, model, observables, spin_algebra
 
 PAPER_WITNESS = 5.46
-PAPER_SIGMA_WITNESS = 0.07
 PAPER_POPULATIONS = (0.00, 0.03, 0.88, 0.03, 0.03)
-PAPER_SIGMA_POPULATIONS = (0.00, 0.02, 0.03, 0.02, 0.02)
 PAPER_BOUNDS = (0.84, 0.88)
 PAPER_TWO_ION_POPULATIONS = (0.516, 0.033, 0.451)
 PAPER_TWO_ION_AMPLITUDE = 0.95

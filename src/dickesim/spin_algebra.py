@@ -22,7 +22,7 @@ import numpy as np
 #: largest ion number for which full 2^N-space operators may be built
 FULL_SPACE_MAX_IONS = 10
 
-COLLECTIVE_KINDS = ("j+", "j-", "jx", "jy", "jz", "j2")
+COLLECTIVE_KINDS = ("j+", "jx", "jy", "jz")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -54,12 +54,11 @@ def collective_coupling(n_ions: int, m: int) -> float:
 
 @lru_cache(maxsize=None)
 def build_collective(n_ions: int, kind: str) -> np.ndarray:
-    """J+, J-, Jx, Jy, Jz or J^2 on the symmetric sector, as a cached
-    read-only (N+1) x (N+1) complex array.
+    """J+, Jx, Jy or Jz on the symmetric sector, as a cached read-only
+    (N+1) x (N+1) complex array.
 
     J+ raises the excitation number with the collective couplings on its
-    single lower band; Jz is diagonal with eigenvalues m - N/2; J^2 is
-    j(j+1) times the identity with j = N/2.
+    single lower band; Jz is diagonal with eigenvalues m - N/2.
     """
     _check_n_ions(n_ions)
     kind = kind.lower()
@@ -72,12 +71,7 @@ def build_collective(n_ions: int, kind: str) -> np.ndarray:
         return _operator(jp)
     if kind == "jz":
         return _operator(np.diag((np.arange(n_ions + 1) - n_ions / 2).astype(complex)))
-    if kind == "j2":
-        jx, jy, jz = (build_collective(n_ions, k) for k in ("jx", "jy", "jz"))
-        return _operator(jx @ jx + jy @ jy + jz @ jz)
     jp = build_collective(n_ions, "j+")
-    if kind == "j-":
-        return _operator(jp.conj().T)
     if kind == "jx":
         return _operator((jp + jp.conj().T) / 2)
     return _operator((jp - jp.conj().T) / 2j)
@@ -161,13 +155,11 @@ def full_space_oracle(n_ions: int, kind: str) -> np.ndarray:
     jp = _full_jp(n_ions)
     if kind == "j+":
         return _operator(jp)
-    if kind == "j-":
-        return _operator(jp.conj().T)
     if kind == "jx":
         return _operator((jp + jp.conj().T) / 2)
     if kind == "jy":
         return _operator((jp - jp.conj().T) / 2j)
-    raise ValueError(f"kind must be one of ('j+', 'j-', 'jx', 'jy', 'jz'), got {kind!r}")
+    raise ValueError(f"kind must be one of {COLLECTIVE_KINDS}, got {kind!r}")
 
 
 def dicke_state_full(n_ions: int, m: int) -> np.ndarray:

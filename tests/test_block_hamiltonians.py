@@ -17,7 +17,7 @@ from dickesim.spin_algebra import build_collective
 def _reference_theta(schedule, t):
     x = min(max(t / schedule.total_time, 0.0), 1.0)
     if schedule.shape == "smoothstep":
-        x = 3 * x**2 - 2 * x**3
+        x = x * x * (3 - 2 * x)
     return np.pi * x
 
 
@@ -59,8 +59,8 @@ def _schedules_and_times(draw):
         shape=draw(st.sampled_from(evolution.SCHEDULE_SHAPES)),
     )
     inner = draw(st.lists(st.floats(0.0, total_time), max_size=20))
-    # spread times too: last-bit differences such as numpy's x**3 against
-    # float.__pow__ show on a few percent of arbitrary arguments
+    # spread times too: a last-bit difference between the array and the
+    # Python-float arithmetic would show on a few percent of arbitrary arguments
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     times = np.array([0.0, *inner, *rng.uniform(0.0, total_time, 100), total_time])
     return schedule, times
@@ -75,6 +75,17 @@ def test_array_amplitudes_equal_scalar_path(case):
         ref_r, ref_b = _reference_amplitudes(schedule, t)
         assert omega_r[i] == ref_r and omega_b[i] == ref_b
         assert (omega_r[i], omega_b[i]) == tuple(tone[0] for tone in schedule.amplitudes([t]))
+
+
+def test_smoothstep_stays_within_two_ulp_of_the_power_form():
+    # the ramp's smoothstep is x*x*(3 - 2x), one array expression; the power
+    # form 3x^2 - 2x^3 it replaced rounds differently, by at most 2 ulp of 1
+    schedule = evolution.PulseSchedule(total_time=1.0, shape="smoothstep")
+    grid = np.linspace(0.0, 1.0, 10_001)
+    smooth = grid * grid * (3 - 2 * grid)
+    assert np.array_equal(schedule._thetas(grid), np.pi * smooth)
+    power_form = np.array([3 * s**2 - 2 * s**3 for s in grid.tolist()])
+    assert np.max(np.abs(smooth - power_form)) <= 4.5e-16
 
 
 @settings(max_examples=60, deadline=None)

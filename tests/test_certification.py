@@ -179,7 +179,7 @@ def test_certify_ideal_state_tight():
     assert rec.witness_value == pytest.approx(6.0, abs=1e-10)
     assert rec.f_lower == pytest.approx(1.0, abs=1e-9)
     assert rec.f_upper == pytest.approx(1.0, abs=1e-9)
-    assert rec.ghz_excluded
+    assert cert.ghz_excluded(rec.f_lower)
 
 
 def test_certify_along_z():

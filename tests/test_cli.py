@@ -175,6 +175,17 @@ def test_scan_noise_quick_run(tmp_path):
     assert float(rows[0][3]) == pytest.approx(0.0, abs=1e-9)
 
 
+def test_scan_noise_stopped_at_the_start_warns(capsys):
+    # one cut stops the run at t = 0, before any step; the ramp's peak tone
+    # 2*omega_bar still leaves the reduced regime at delta = 5*eta*omega_bar
+    with pytest.warns(errors.ReducedModelWarning):
+        assert cli.main(["scan-noise", "--n", "2", "--cuts", "1", "--delta-ratio", "5"]) == 0
+    out = capsys.readouterr().out
+    assert "# n_steps = 0" in out.splitlines()
+    rows = [line for line in out.splitlines() if not line.startswith("#")]
+    assert len(rows) == 2 and float(rows[1].split(",")[0]) == 0.0
+
+
 def test_sweep_quick_run(tmp_path):
     out = tmp_path / "sweep.csv"
     with pytest.warns(errors.ReducedModelWarning):
@@ -378,13 +389,15 @@ def test_malformed_input_exits_usage(argv):
     ["scan-noise", "--model", "full", "--eta-omega-t", "1e20"],
     ["evolve", "--eta-omega-t", "1e308"],
     ["sweep", "--eta-omega-t-list", "1e308"],
+    ["evolve", "--eta-omega-t", "1e15"],
 ])
 def test_step_count_past_int64_exits_physics(argv, capsys):
-    # T/dt beyond the kernel's int64 step count, or infinite, is refused
-    # with one error line before any step is planned, not an OverflowError
+    # T/dt past 2^31 steps, past the kernel's int64 step count or infinite,
+    # is refused with one error line before any step is planned, not an
+    # OverflowError; at 1e15 the run would fit int64 but last millennia
     assert cli.main(argv) == cli.EXIT_PHYSICS
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.endswith("steps overflow int64\n")
+    assert err.startswith("error: ") and err.endswith("steps exceed the limit of 2^31\n")
     assert err.count("\n") == 1
 
 

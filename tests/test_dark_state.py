@@ -4,7 +4,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dickesim import model
-from dickesim.dark_state import dark_coefficients, jx_annihilation_check, verify_dark
+from dickesim.dark_state import (
+    closed_form_coefficients,
+    dark_coefficients,
+    jx_annihilation_check,
+    verify_dark,
+)
 
 
 def test_two_ion_equal_amplitudes_is_bell():
@@ -29,7 +34,7 @@ def test_red_off_gives_top_state():
 
 
 def test_coefficient_signs_alternate():
-    coeffs = dark_coefficients(6, 1.0, 1.0).coeffs
+    coeffs = closed_form_coefficients(6)
     assert coeffs[0] == 1.0
     assert np.all(np.sign(coeffs) == [1, -1, 1, -1])
 

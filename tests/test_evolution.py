@@ -155,6 +155,14 @@ def test_dt_guard():
         evolution.integrate_reduced(sch, params, dt=0.1)
 
 
+def test_step_plan_is_bounded():
+    # a plan of more than 2^31 steps is refused, though it fits int64
+    assert evolution._plan_steps(2.0**31, 1.0) == 2**31
+    for total_time, dt in ((1e15, 0.1 / 24), (2.0**31 * (1 + 2**-52), 1.0)):
+        with pytest.raises(PhysicsConfigError, match="limit of 2\\^31"):
+            evolution._plan_steps(total_time, dt)
+
+
 def test_time_reversed_schedule_maps_back():
     sch, params = evolution.adiabatic_preset("fast", 4)
     fwd = evolution.integrate_reduced(sch, params)

@@ -80,7 +80,8 @@ def test_variance_sum_identity_on_trajectory_samples():
     for index in range(0, len(traj.times), len(traj.times) // 8):
         rho = obs.spin_density_from_chain(traj.states[index])
         mean_jz, var_jx, var_jy, var_jz = _readout(rho)
-        j2 = obs.expectation(rho, build_collective(4, "j2"))
+        jx, jy, jz = (build_collective(4, kind) for kind in ("jx", "jy", "jz"))
+        j2 = obs.expectation(rho, jx @ jx + jy @ jy + jz @ jz)
         assert var_jx + var_jy + var_jz == pytest.approx(j2 - _mean_sq(rho, mean_jz), abs=1e-10)
 
 
