@@ -402,10 +402,9 @@ def _compile(source, flags: list[str], library):
 
 
 def _plan_steps(total_time: float, dt: float) -> int:
-    # 2^31 steps keep every run finite: on a 2-core x86 box a chain step
-    # takes 0.8-1.5 us (N = 2..8) and a full-model step 5-32 us, so the
-    # longest run takes under an hour on the chain and up to a day on the
-    # full model
+    # 2^31 steps bound every plan; at 0.8-1.5 us a chain step (N = 2..8, one
+    # core of a 2-core x86 box) a chain run at the bound takes under an hour,
+    # but at 5-32 us a full-model step one can take many hours
     if not total_time / dt <= 2.0**31:
         raise PhysicsConfigError(f"{total_time / dt:.3g} steps exceed the limit of 2^31")
     n = max(1, int(np.ceil(total_time / dt)))  # an infinite guard plans one step

@@ -146,8 +146,7 @@ def reduced_hamiltonian(params: SystemParams, omega_r, omega_b) -> np.ndarray:
     sideband rates ``omega_r``, ``omega_b``: scalars give one matrix, arrays
     of k rates the (k, N+1, N+1) stack."""
     n = params.n_ions
-    h = expand(reduced_values(params, omega_r, omega_b), reduced_support(n)[0], n + 1)
-    return h.real.copy()  # products with the strided .real view round differently
+    return expand(reduced_values(params, omega_r, omega_b).real, reduced_support(n)[0], n + 1)
 
 
 @lru_cache(maxsize=None)

@@ -389,16 +389,20 @@ def test_malformed_input_exits_usage(argv):
     ["scan-noise", "--model", "full", "--eta-omega-t", "1e20"],
     ["evolve", "--eta-omega-t", "1e308"],
     ["sweep", "--eta-omega-t-list", "1e308"],
-    ["evolve", "--eta-omega-t", "1e15"],
 ])
 def test_step_count_past_int64_exits_physics(argv, capsys):
-    # T/dt past 2^31 steps, past the kernel's int64 step count or infinite,
-    # is refused with one error line before any step is planned, not an
-    # OverflowError; at 1e15 the run would fit int64 but last millennia
+    # T/dt past the kernel's int64 step count or infinite is refused with one
+    # error line before any step is planned, not an OverflowError
     assert cli.main(argv) == cli.EXIT_PHYSICS
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.endswith("steps exceed the limit of 2^31\n")
     assert err.count("\n") == 1
+
+
+def test_step_plan_past_the_bound_exits_physics(capsys):
+    # 1e15 at the default step 0.1/24 fits int64 but would run for millennia
+    assert cli.main(["evolve", "--eta-omega-t", "1e15"]) == cli.EXIT_PHYSICS
+    assert capsys.readouterr().err == "error: 2.4e+17 steps exceed the limit of 2^31\n"
 
 
 def test_scan_noise_honours_dt():

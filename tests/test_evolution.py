@@ -158,9 +158,8 @@ def test_dt_guard():
 def test_step_plan_is_bounded():
     # a plan of more than 2^31 steps is refused, though it fits int64
     assert evolution._plan_steps(2.0**31, 1.0) == 2**31
-    for total_time, dt in ((1e15, 0.1 / 24), (2.0**31 * (1 + 2**-52), 1.0)):
-        with pytest.raises(PhysicsConfigError, match="limit of 2\\^31"):
-            evolution._plan_steps(total_time, dt)
+    with pytest.raises(PhysicsConfigError, match="limit of 2\\^31"):
+        evolution._plan_steps(2.0**31 * (1 + 2**-52), 1.0)
 
 
 def test_time_reversed_schedule_maps_back():
