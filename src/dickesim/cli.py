@@ -98,7 +98,7 @@ def format_csv(header_lines, column_names, rows) -> str:
     text_lines = list(header_lines)
     text_lines.append(",".join(column_names))
     for row in rows:
-        text_lines.append(",".join(str(v) for v in row))
+        text_lines.append(",".join(map(str, row)))
     return "\n".join(text_lines) + "\n"
 
 
@@ -187,9 +187,10 @@ def cmd_darkstate(ns) -> int:
 def cmd_evolve(ns) -> int:
     schedule, params = _build_run(ns)
     traj = _integrate(ns, schedule, params)
-    dark_fid = evolution.dark_fidelity_series(traj)
+    dark_fid = evolution.dark_fidelity_series(traj).tolist()
     spin = observables.spin_readout(traj.spin_marginals())
-    rows = list(zip(traj.times, *spin, dark_fid))
+    # Python floats print as numpy's float64 do, and faster
+    rows = list(zip(traj.times.tolist(), *spin, dark_fid))
 
     header = _provenance("evolve", {
         "n": ns.n, "model": ns.model, "schedule": schedule.shape,
@@ -233,9 +234,9 @@ def cmd_parity(ns) -> int:
     if ns.n != 2:
         raise PhysicsConfigError("parity oscillation analysis is a two-ion protocol")
     if ns.source == "ideal":
-        state = dark_coefficients(2, 1.0, 1.0).chain_vector.astype(complex)
+        state, record = dark_coefficients(2, 1.0, 1.0).chain_vector.astype(complex), {}
     else:
-        state = evolution.strict_midpoint(2)
+        state, record = evolution.strict_midpoint(2)
     phases = np.linspace(0.0, 2 * np.pi, ns.phases, endpoint=False)
     scan = observables.parity_scan(state, phases)
     if ns.shots is not None:
@@ -248,7 +249,7 @@ def cmd_parity(ns) -> int:
     header = _provenance("parity", {
         "n": 2, "source": ns.source, "phases": ns.phases,
         "shots": ns.shots, "generator": measurement.GENERATOR_NAME,
-        "seed": ns.seed if ns.shots is not None else "none",
+        "seed": ns.seed if ns.shots is not None else "none", **record,
     })
     _emit(ns.output, header, ("phi", "parity"), list(zip(phases, scan.parities)))
     _print_summary({
@@ -261,16 +262,16 @@ def cmd_parity(ns) -> int:
 def cmd_witness(ns) -> int:
     if ns.source == "ideal":
         from .spin_algebra import half_excited_x
-        state = half_excited_x(ns.n)
+        state, record = half_excited_x(ns.n), {}
     else:
-        state = evolution.strict_midpoint(ns.n)
+        state, record = evolution.strict_midpoint(ns.n)
     rows = []
     for axes in (("y", "z"), ("z", "x"), ("x", "y")):
         value = observables.witness(state, axes)
         verdict = observables.witness_verdict(ns.n, value)
         rows.append(("".join(axes), value, observables.WITNESS_THRESHOLD_FOUR_ION, verdict))
     header = _provenance("witness", {
-        "n": ns.n, "source": ns.source, "seed": "none",
+        "n": ns.n, "source": ns.source, "seed": "none", **record,
     })
     _emit(ns.output, header, ("axes", "value", "threshold", "genuine_multipartite"), rows)
     return EXIT_OK

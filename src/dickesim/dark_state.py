@@ -36,12 +36,14 @@ class DarkState:
 
 
 def chain_vector(amplitudes: np.ndarray) -> np.ndarray:
-    """Dark-state amplitudes embedded in the chain basis, zeros on the odd slots.
+    """Dark-state amplitudes embedded in the chain basis, zeros on the odd
+    slots; a (S, N/2+1) stack gives one row per sample.
 
     The chain pairs even Dicke levels with phonon vacuum, so the same vector
     is also the spin state in the Dicke basis."""
-    vec = np.zeros(2 * len(amplitudes) - 1)
-    vec[0::2] = amplitudes
+    amplitudes = np.asarray(amplitudes)
+    vec = np.zeros((*amplitudes.shape[:-1], 2 * amplitudes.shape[-1] - 1))
+    vec[..., 0::2] = amplitudes
     return vec
 
 
@@ -58,23 +60,35 @@ def closed_form_coefficients(n_ions: int) -> np.ndarray:
     return coeffs
 
 
-def normalized_amplitudes(coeffs: np.ndarray, omega_r: float,
-                          omega_b: float) -> tuple[float, np.ndarray]:
-    """(A, amplitudes) with amplitudes = A * C_i * Omega_b^i * Omega_r^(N/2-i).
+def normalized_amplitudes(coeffs: np.ndarray, omega_r, omega_b) -> tuple[np.ndarray, np.ndarray]:
+    """(A, amplitudes) of each sample of the 1-D tone arrays ``omega_r`` and
+    ``omega_b``, shapes (S,) and (S, N/2+1), with amplitudes = A * C_i *
+    Omega_b^i * Omega_r^(N/2-i).
 
     ``coeffs`` comes from ``closed_form_coefficients``, so a ramp evaluates
-    them once and calls this for each of its samples.  Amplitudes whose
-    powers leave the float range are divided by the larger one first.
+    them once and calls this once for all its samples.  A sample's words do
+    not depend on the others: the powers are libm's ``pow`` on Python floats
+    (numpy's array power rounds otherwise), and each norm is one ddot, as in
+    ``np.linalg.norm``.  The tones of a sample whose powers would leave the
+    float range are divided by the larger one first; below that guard no
+    Python power can overflow.
     """
+    omega_r, omega_b = np.asarray(omega_r, dtype=float), np.asarray(omega_b, dtype=float)
     half = len(coeffs) - 1
-    big = max(omega_r, omega_b)
-    if big > 0 and half * abs(math.log2(big)) > 400:  # A rounds to 0 or inf
-        norm_a, amplitudes = normalized_amplitudes(coeffs, omega_r / big, omega_b / big)
-        with np.errstate(over="ignore", under="ignore"):
-            return norm_a * np.float64(big) ** -half, amplitudes
-    raw = np.array([coeffs[i] * omega_b**i * omega_r ** (half - i) for i in range(half + 1)])
-    norm = np.linalg.norm(raw)
-    return 1.0 / norm, raw / norm
+    big = np.maximum(omega_r, omega_b)
+    with np.errstate(divide="ignore"):
+        over = (big > 0) & (half * np.abs(np.log2(big)) > 400)  # A rounds to 0 or inf
+    scale = np.where(over, big, 1.0)
+    powers = np.arange(half + 1)
+    wr = (omega_r / scale).astype(object)[:, None]
+    wb = (omega_b / scale).astype(object)[:, None]
+    raw = coeffs * (wb**powers).astype(float) * (wr ** powers[::-1]).astype(float)
+    norm = np.sqrt(raw[:, None, :] @ raw[:, :, None])[:, 0, 0]
+    norm_a = 1.0 / norm
+    with np.errstate(over="ignore", under="ignore"):
+        # numpy's scalar pow on each rescaled sample's tone: inf, not OverflowError
+        norm_a[over] *= (np.array(list(big[over]), dtype=object) ** -half).astype(float)
+    return norm_a, raw / norm[:, None]
 
 
 def dark_coefficients(n_ions: int, omega_r: float, omega_b: float) -> DarkState:
@@ -86,7 +100,8 @@ def dark_coefficients(n_ions: int, omega_r: float, omega_b: float) -> DarkState:
         raise ValueError("sideband amplitudes must be nonnegative")
     if omega_r == 0 and omega_b == 0:
         raise ValueError("at least one sideband amplitude must be nonzero")
-    return DarkState(*normalized_amplitudes(coeffs, omega_r, omega_b))
+    norm_a, amplitudes = normalized_amplitudes(coeffs, [omega_r], [omega_b])
+    return DarkState(norm_a[0], amplitudes[0])
 
 
 def verify_dark(state: DarkState, hamiltonian: np.ndarray) -> float:

@@ -4,24 +4,20 @@ The drive sweeps a mixing angle theta from 0 (pure red sideband, the
 all-down state is dark) to pi (pure blue sideband, all-up dark), with tone
 amplitudes Omega_b = omega_bar*(1 - cos theta), Omega_r = omega_bar*(1 + cos theta).
 
-Integration is a fixed-step classical 4th-order Runge-Kutta with the
-Hamiltonian sampled at the substage times; unitarity is checked after the
-fact rather than enforced by construction, keeping runs deterministic and
-reproducible.  H(t) does not depend on the state, so each model builds the
-Hamiltonians of a block of steps at once as support values: the entries
-where some operator is nonzero, and the one value that every other entry
-shares.  The block's steps run in one call of the C kernel ``_rk4.c``, which
-expands them into a dense buffer and calls numpy's own zgemv; every state
-word equals that of numpy's textbook update on the dense matrices (see
-``_rk4``).  The first integration compiles the kernel with ``cc`` into the
-package's ``__pycache__``, once per source, flags and BLAS symbol, and
-removes the libraries of other sources there.
+Integration is fixed-step classical RK4 with the Hamiltonian sampled at the
+substage times; unitarity is checked after the fact, not enforced, so runs
+stay deterministic.  H(t) does not depend on the state, so each model builds
+the Hamiltonians of a block of steps at once as support values (the entries
+where some operator is nonzero, and the one value all others share), and
+the C kernel ``_rk4.c`` runs the block in one call through numpy's own
+zgemv; every state word equals that of numpy's textbook update on the dense
+matrices (see ``_rk4`` and ``_kernel``).
 
 Every run starts from |D^0>|0> and fails with a ``NumericalError`` once its
 norm drifts so far that the readout's ``observables.NORM_TOL`` would reject
-a sample.  The ``Trajectory`` records the steps taken, the step size, the
-largest norm drift and, on the full model, the phonon-truncation leak, and
-it reads its own model's states out: callers never branch on the model.
+a sample.  The ``Trajectory`` records the steps, the step size, the largest
+norm drift and, on the full model, the phonon-truncation leak, and reads its
+own model's states out: callers never branch on the model.
 """
 
 from __future__ import annotations
@@ -34,7 +30,7 @@ import numpy as np
 
 from . import dark_state, observables
 from .errors import NumericalError, PhysicsConfigError, ReducedModelWarning, TruncationWarning
-from .observables import NORM_TOL
+from .observables import NORM_TOL, READOUT_CHUNK
 from .spin_algebra import collective_coupling
 from .model import (
     SystemParams,
@@ -53,11 +49,10 @@ ADIABATICITY_WARN_BELOW = 5.0
 
 LEAK_WARN_LEVEL = 1e-3
 
-#: bytes that building one block's Hamiltonians may hold at once; sets how
-#: many steps share a block.  The values at t, t + dt/2 and t + dt of k steps
-#: are (3k, s+1) complex numbers, and the full model's sum keeps up to three
-#: arrays of that size alive, so the values take a third of this.  The kernel
-#: expands them into a (3, d, d) buffer, one step at a time.
+#: bytes that building one block's Hamiltonians may hold at once, which sets
+#: the steps per block: the values at t, t + dt/2 and t + dt of k steps are
+#: (3k, s+1) complex numbers, a third of this, as the full model's sum keeps
+#: up to three such arrays alive.
 H_BLOCK_BYTES = 1 << 20
 
 
@@ -133,10 +128,9 @@ class Trajectory:
     """Sampled state history of one integration run, and its readout.
 
     ``states`` holds chain states on the reduced model and spin-phonon
-    product-space states on the full one; ``spin_marginals``,
-    ``chain_fidelities`` and ``record`` read either out, so a caller never
-    branches on ``model_tag``.  A run given capture times ends at the latest
-    of them, so its last sample is that state and not the end of the ramp.
+    product-space states on the full one; the methods read either out, so a
+    caller never branches on ``model_tag``.  A run given capture times ends
+    at the latest of them, not at the end of the ramp.
     """
 
     times: np.ndarray
@@ -171,25 +165,36 @@ class Trajectory:
 
     def chain_fidelities(self, indices, chain_vectors) -> np.ndarray:
         """|<v_k|psi_k>|^2 of the sample at ``indices[k]`` with the chain
-        vector ``chain_vectors[k]``.  On the full model the overlap is read
-        in the chain frame: the vector is lifted to its paired phonon
-        numbers and the sample rotated out of the interaction picture at
-        its own time."""
-        out = np.empty(len(indices))
+        vector ``chain_vectors[k]``, on the full model in the chain frame:
+        the vector lifted to its paired phonon numbers, the sample rotated
+        out of the interaction picture at its own time.
+
+        Stacks of ``READOUT_CHUNK`` samples give each the words of
+        ``abs(np.vdot(v, psi)) ** 2`` alone.  An array's ``x ** 2`` rounds
+        otherwise than libm's ``pow``, which a Python float calls.  So does
+        ``np.abs`` of a complex array against Python's ``abs``, so both act
+        on an object array.  A matmul of conjugate rows and columns runs
+        vdot's own dot product.  numpy elides ``states * np.exp(...)`` into
+        its temporary from 256 KiB on and changes words, so the rotation is
+        bound to a name first."""
+        indices, vectors = np.asarray(indices, dtype=np.intp), np.asarray(chain_vectors)
         full = self.model_tag == "full"
         if full:
-            n, n_max, delta = self.params.n_ions, self.params.n_max, self.params.delta
+            n, n_max = self.params.n_ions, self.params.n_max
             nvec = np.tile(np.arange(n_max + 1), n + 1)  # phonon number of each product state
             chain = chain_indices(n, n_max)
-            lifted = np.zeros(len(nvec), dtype=complex)
-        for k, (i, vec) in enumerate(zip(indices, chain_vectors)):
-            state = self.states[i]
+        overlaps = np.empty(len(indices), dtype=complex)
+        for start in range(0, len(indices), READOUT_CHUNK):
+            chunk = slice(start, start + READOUT_CHUNK)
+            rows, vecs = indices[chunk], vectors[chunk]
+            states = self.states[rows]
             if full:
-                state = state * np.exp(-1j * delta * self.times[i] * nvec)
-                lifted[chain] = vec
-                vec = lifted
-            out[k] = abs(np.vdot(vec, state)) ** 2
-        return out
+                rotation = np.exp((-1j * self.params.delta * self.times[rows])[:, None] * nvec)
+                states = states * rotation
+                vecs = np.zeros_like(states)
+                vecs[:, chain] = vectors[chunk]
+            overlaps[chunk] = (vecs.conj()[:, None, :] @ states[:, :, None])[:, 0, 0]
+        return (np.abs(overlaps.astype(object)) ** 2).astype(float)
 
     def record(self) -> dict:
         """What the integrator did, for a provenance header: propagator,
@@ -230,18 +235,17 @@ def _rk4(h_values, support: np.ndarray, psi0: np.ndarray, total_time: float,
     order and changes last bits.
 
     Python builds each block's values and makes one call of the C kernel
-    ``rk4_block`` (``_rk4.c``, loaded by ``_kernel``).  Each step first
-    expands H1, H2 and H3 into a zeroed (3, d, d) buffer, in the words of
-    ``model.expand``: the support values every step, the other entries only
-    when their value's bits differ from the matrix's (0, 0) word.  The four
-    products y = H x go through numpy's own zgemv with the arguments of
-    ``ndarray.dot``, and the stage arguments and the final sum are computed
-    as numpy's complex loops compute them, each product rounded before it
-    is added, so the kernel is compiled with floating-point contraction off
-    (a fused multiply-add can flip the sign of an underflowed zero).  The
-    doubling stays a product with 2 + 0i: y + y can differ from (2 + 0j)*y
-    in the sign of a zero.  Arrays of the wrong type, layout, shape or range
-    raise ValueError in Python and never reach C.
+    ``rk4_block`` (``_rk4.c``, loaded by ``_kernel``).  Each step expands
+    H1, H2 and H3 into a zeroed (3, d, d) buffer in ``model.expand``'s
+    words: the support values every step, the other entries only when their
+    bits differ from the (0, 0) word.  The four products y = H x go through
+    numpy's own zgemv with ``ndarray.dot``'s arguments; the stage arguments
+    and the final sum round each product before adding it, as numpy's
+    complex loops do, so the kernel is built with floating-point contraction
+    off (a fused multiply-add can flip the sign of an underflowed zero).
+    The doubling stays a product with 2 + 0i: y + y can differ from
+    (2 + 0j)*y in the sign of a zero.  Arrays of the wrong type, layout,
+    shape or range raise ValueError in Python and never reach C.
     """
     dt = total_time / n_steps
     coef = np.array([-0.5j * dt, -1j * dt, -1j * dt / 6])  # c_h, c_f, c_s
@@ -258,10 +262,9 @@ def _rk4(h_values, support: np.ndarray, psi0: np.ndarray, total_time: float,
         states[pos] = psi
         pos += 1
     for start in range(0, stop, block):
-        # each step's own t = step*dt: (step + 1)*dt can differ in the last
-        # bit from step*dt + dt, so the t + dt values are not reused.  The
-        # blocks are those of the whole ramp even where the run stops early,
-        # so every Hamiltonian is built in the same array as in a full run.
+        # each step's own t = step*dt, since (step + 1)*dt can differ in the
+        # last bit from step*dt + dt; the blocks are the whole ramp's even
+        # where a run stops early, so each H is built in the same array.
         t = np.arange(start, min(start + block, n_steps)) * dt
         n = len(t)
         values = h_values(np.concatenate((t, t + dt / 2, t + dt)))
@@ -311,12 +314,12 @@ _KERNEL_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 def _kernel():
     """The C function ``rk4_block``, loaded on the first integration.
 
-    zgemv is looked up in numpy's own BLAS, through the handle of numpy's
+    zgemv comes from numpy's own BLAS, through the handle of numpy's
     extension module.  The library is ``__pycache__/_rk4-<hash>.so`` beside
-    this file, where the hash covers the C source, the compiler flags and the
-    zgemv symbol; a missing one is compiled with ``cc``.  Where
-    ``__pycache__`` cannot be written, this process compiles its own copy in
-    a temporary directory.  Failures raise OSError with a one-line message.
+    this file, the hash covering the C source, compiler flags and zgemv
+    symbol; ``cc`` compiles a missing one, into this process's own temporary
+    directory where ``__pycache__`` cannot be written.  Failures raise
+    OSError with a one-line message.
     """
     import ctypes
     import hashlib
@@ -367,11 +370,11 @@ def _writable(directory) -> bool:
 
 
 def _compile(source, flags: list[str], library):
-    """Compile ``source`` with ``cc`` into ``library`` through a temporary file
-    and an atomic rename, so that processes building at once each load a
-    whole library; OSError with the compiler's stderr on one line if it
-    fails or is missing.  Then the other ``_rk4-*.so`` files there are
-    removed where possible; a process that has loaded one keeps it mapped."""
+    """Compile ``source`` with ``cc`` into ``library`` through a temporary
+    file and an atomic rename, so that processes building at once each load
+    a whole library, then remove the other ``_rk4-*.so`` files there where
+    possible (a process that loaded one keeps it mapped); OSError with the
+    compiler's stderr on one line if cc fails or is missing."""
     import contextlib
     import os
     import subprocess
@@ -402,9 +405,8 @@ def _compile(source, flags: list[str], library):
 
 
 def _plan_steps(total_time: float, dt: float) -> int:
-    # 2^31 steps bound every plan; at 0.8-1.5 us a chain step (N = 2..8, one
-    # core of a 2-core x86 box) a chain run at the bound takes under an hour,
-    # but at 5-32 us a full-model step one can take many hours
+    # 2^31 steps bound every plan: under an hour on the chain at 0.8-1.5 us a
+    # step, many hours on the full model at 5-32 us (N = 2..8, one x86 core)
     if not total_time / dt <= 2.0**31:
         raise PhysicsConfigError(f"{total_time / dt:.3g} steps exceed the limit of 2^31")
     n = max(1, int(np.ceil(total_time / dt)))  # an infinite guard plans one step
@@ -412,12 +414,9 @@ def _plan_steps(total_time: float, dt: float) -> int:
 
 
 def _check_norms(states: np.ndarray) -> float:
-    """Largest norm drift |‖psi‖ - 1| of the samples.
-
-    A run fails where a sample's |psi|^2, the trace that the readout checks,
-    is further than ``observables.NORM_TOL`` from 1: a drift that the readout
-    would reject is a step-size failure and is reported here.
-    """
+    """Largest norm drift |‖psi‖ - 1| of the samples; a NumericalError where
+    a sample's |psi|^2, the trace that the readout checks, is further than
+    ``observables.NORM_TOL`` from 1, a step-size failure reported here."""
     norms = np.linalg.norm(states, axis=1)
     off = float(np.max(np.abs(norms**2 - 1.0)))
     if not off <= NORM_TOL:  # a nan drift fails too
@@ -428,26 +427,21 @@ def _check_norms(states: np.ndarray) -> float:
 def _integrate(h_values, support: np.ndarray, dimension: int, schedule: PulseSchedule,
                dt: float | None, guard: float, coarse: str,
                capture_times: list[float] | None) -> tuple[np.ndarray, np.ndarray, dict]:
-    """RK4 from |D^0>|0>, basis index 0 of both models, sampled on the capture
-    grid plus the steps nearest ``capture_times``, and stopped at the latest
-    of those; returns (times, states, run record), the record being the
-    ``Trajectory`` fields max_norm_drift, n_steps and dt.
-
-    ``dt`` defaults to the model's stability ``guard`` and may not exceed it;
-    ``coarse`` completes the error message when it does.  A capture time
-    outside [0, T] is a ValueError.
+    """RK4 from |D^0>|0> (basis index 0 of both models), sampled on the
+    capture grid and at the steps nearest ``capture_times``, stopped at the
+    latest of those; returns (times, states, the ``Trajectory`` fields
+    max_norm_drift, n_steps and dt).  ``dt`` defaults to the model's
+    stability ``guard`` and may not exceed it (``coarse`` completes that
+    error).  A capture time outside [0, T] is a ValueError.
     """
     if dt is None:
         dt = guard
     elif dt > guard * (1 + 1e-9):
         raise PhysicsConfigError(f"dt = {dt:.3e} too coarse{coarse}")
     if 0 < schedule.adiabaticity() < ADIABATICITY_WARN_BELOW:
-        warnings.warn(
-            f"eta*omega_bar*T = {schedule.adiabaticity():.2f} is below "
-            f"{ADIABATICITY_WARN_BELOW}; the ramp is unlikely to be adiabatic",
-            UserWarning,
-            stacklevel=3,
-        )
+        warnings.warn(f"eta*omega_bar*T = {schedule.adiabaticity():.2f} is below "
+                      f"{ADIABATICITY_WARN_BELOW}; the ramp is unlikely to be adiabatic",
+                      UserWarning, stacklevel=3)
 
     psi0 = np.zeros(dimension, dtype=complex)
     psi0[0] = 1.0
@@ -493,14 +487,10 @@ def integrate_reduced(schedule: PulseSchedule, params: SystemParams,
     )
     peak = 2 * schedule.omega_bar  # the red tone at t = 0, where every run starts
     if not params.reduced_model_trusted(peak):
-        warnings.warn(
-            f"the sideband rate peaks at {peak:.3g} against delta = "
-            f"{params.delta:.3g}: the reduced chain needs 2*delta > "
-            "10*max(Omega_r, Omega_b) to neglect the off-resonant transitions "
-            "that the full model keeps",
-            ReducedModelWarning,
-            stacklevel=2,
-        )
+        warnings.warn(f"the sideband rate peaks at {peak:.3g} against delta = "
+                      f"{params.delta:.3g}: the reduced chain needs 2*delta > "
+                      "10*max(Omega_r, Omega_b) to neglect the off-resonant transitions "
+                      "that the full model keeps", ReducedModelWarning, stacklevel=2)
     return Trajectory(times, states, "reduced", params, schedule, **record)
 
 
@@ -528,11 +518,8 @@ def integrate_full(schedule: PulseSchedule, params: SystemParams,
     top = np.abs(states[:, params.n_max::(params.n_max + 1)]) ** 2
     leak = float(np.max(np.sum(top, axis=1)))
     if leak > LEAK_WARN_LEVEL:
-        warnings.warn(
-            f"top Fock level reaches population {leak:.2e}; increase n_max",
-            TruncationWarning,
-            stacklevel=2,
-        )
+        warnings.warn(f"top Fock level reaches population {leak:.2e}; increase n_max",
+                      TruncationWarning, stacklevel=2)
     return Trajectory(times, states, "full", params, schedule, truncation_leak=leak, **record)
 
 
@@ -544,19 +531,16 @@ def dark_fidelity_series(traj: Trajectory,
     nan where both tones are off (no dark state defined) or the ion number
     is odd.
     """
-    if indices is None:
-        indices = np.arange(len(traj.times))
-    times = traj.times[indices]
-    out = np.full(len(times), np.nan)
+    indices = np.arange(len(traj.times)) if indices is None else np.asarray(indices)
+    out = np.full(len(indices), np.nan)
     n = traj.params.n_ions
     if n % 2 != 0:
         return out
-    coeffs = dark_state.closed_form_coefficients(n)
-    wr, wb = traj.schedule.amplitudes(times)
-    driven = np.flatnonzero((wr != 0) | (wb != 0))
-    targets = [dark_state.chain_vector(dark_state.normalized_amplitudes(coeffs, wr[k], wb[k])[1])
-               for k in driven]
-    out[driven] = traj.chain_fidelities(np.asarray(indices)[driven], targets)
+    wr, wb = traj.schedule.amplitudes(traj.times[indices])
+    driven = (wr != 0) | (wb != 0)
+    _, amplitudes = dark_state.normalized_amplitudes(
+        dark_state.closed_form_coefficients(n), wr[driven], wb[driven])
+    out[driven] = traj.chain_fidelities(indices[driven], dark_state.chain_vector(amplitudes))
     return out
 
 
@@ -568,9 +552,9 @@ def transfer_numbers(traj: Trajectory) -> tuple[float, float]:
     return final_jz, float(mid_fid)
 
 
-def strict_midpoint(n_ions: int) -> np.ndarray:
-    """Spin marginal at the midpoint of the strict preset's ramp; the ramp is
-    integrated only that far, since no later state is read."""
+def strict_midpoint(n_ions: int) -> tuple[np.ndarray, dict]:
+    """Spin marginal at the midpoint of the strict preset's ramp, and the run's
+    record; the ramp is integrated only that far, since no later state is read."""
     schedule, params = adiabatic_preset("strict", n_ions)
     traj = integrate_reduced(schedule, params, capture_times=[schedule.total_time / 2])
-    return observables.spin_density_from_chain(traj.final_state())
+    return observables.spin_density_from_chain(traj.final_state()), traj.record()

@@ -23,6 +23,9 @@ AXES = ("x", "y", "z")
 
 NORM_TOL = 1e-8
 
+#: samples that the readout stacks at once, which bounds its memory
+READOUT_CHUNK = 128
+
 
 def _state_dim(state: np.ndarray) -> int:
     state = np.asarray(state)
@@ -258,8 +261,9 @@ def spin_readout(rhos: np.ndarray) -> tuple[list[float], list[float], list[float
     (S, N+1, N+1) stack, as Python floats: the one spin-moment path.
 
     Var(J) = Tr(rho J^2) - Tr(rho J)^2, clipped at 0; <Jz> weights the
-    diagonal by m - N/2.  A stack gives the same bits as its matrices one at
-    a time, and a trace further than ``NORM_TOL`` from 1 is a ValueError.
+    diagonal by m - N/2.  Tr(rho J)^2 is Python's power (an array's rounds
+    otherwise), so each matrix gets the bits it gets alone.  A trace further
+    than ``NORM_TOL`` from 1 is a ValueError.
     """
     rhos = np.asarray(rhos, dtype=complex)
     traces = np.trace(rhos, axis1=1, axis2=2).real
@@ -271,7 +275,21 @@ def spin_readout(rhos: np.ndarray) -> tuple[list[float], list[float], list[float
     columns = [np.sum(jz * np.diagonal(rhos, axis1=1, axis2=2).real, axis=1).tolist()]
     for axis in AXES:
         j = build_collective(n_ions, "j" + axis)
-        means = np.trace(rhos @ j, axis1=1, axis2=2).real.tolist()
-        seconds = np.trace(rhos @ (j @ j), axis1=1, axis2=2).real.tolist()
-        columns.append([max(s - m**2, 0.0) for m, s in zip(means, seconds)])
+        means, seconds = _product_traces(rhos, j), _product_traces(rhos, j @ j)
+        variances = seconds - (means.astype(object) ** 2).astype(float)
+        # max(v, 0.0) as Python takes it: nan and -0.0 pass through
+        columns.append(np.where(variances < 0.0, 0.0, variances).tolist())
     return tuple(columns)
+
+
+def _product_traces(rhos: np.ndarray, op: np.ndarray) -> np.ndarray:
+    """Re Tr(rho op) of each matrix of a (S, d, d) stack, ``READOUT_CHUNK``
+    matrices at a time as one (k*d, d) @ (d, d) product, whose rows are those
+    of the products one matrix at a time."""
+    out = np.empty(len(rhos))
+    for start in range(0, len(rhos), READOUT_CHUNK):
+        chunk = rhos[start:start + READOUT_CHUNK]
+        product = chunk.reshape(-1, op.shape[0]) @ op
+        out[start:start + READOUT_CHUNK] = np.trace(product.reshape(chunk.shape),
+                                                    axis1=1, axis2=2).real
+    return out

@@ -280,7 +280,7 @@ def criterion_9() -> CriterionResult:
     strict-preset midpoint."""
     ideal = dark_state.dark_coefficients(2, 1.0, 1.0).chain_vector.astype(complex)
     scan_ideal = observables.parity_scan(ideal)
-    scan_mid = observables.parity_scan(evolution.strict_midpoint(2))
+    scan_mid = observables.parity_scan(evolution.strict_midpoint(2)[0])
     passed = (
         scan_ideal.amplitude >= 0.999
         and abs(scan_ideal.fidelity - 1.0) <= 1e-6

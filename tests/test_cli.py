@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dickesim import cli, errors, repro
 
@@ -147,6 +149,30 @@ def test_witness_ideal(tmp_path):
     assert yz[0] == "yz"
     assert float(yz[1]) == pytest.approx(6.0, abs=1e-9)
     assert yz[3] == "True"
+
+
+def _around(x):
+    """x and its two float neighbours, with their negatives."""
+    near = [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+    return [float(v) for v in near] + [-float(v) for v in near]
+
+
+# the repr switches from positional to scientific notation below 1e-4 and
+# from 1e16 on; the subnormals end at 2.2250738585072014e-308
+_CSV_EDGES = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, *_around(1e-4),
+              *_around(1e16), *_around(2.2250738585072014e-308), *_around(1.0)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(_CSV_EDGES) | st.floats(), min_size=1, max_size=6),
+                min_size=1, max_size=8))
+def test_csv_rows_print_the_same_for_numpy_and_python_floats(rows):
+    # evolve hands format_csv Python floats from .tolist(); the bytes must be
+    # those of the numpy float64 rows it was given before
+    header, names = ["# header"], [f"c{i}" for i in range(6)]
+    as_numpy = [[np.float64(v) for v in row] for row in rows]
+    as_python = [[float(v) for v in row] for row in rows]
+    assert cli.format_csv(header, names, as_numpy) == cli.format_csv(header, names, as_python)
 
 
 def test_evolve_quick_run(tmp_path, capsys):

@@ -8,6 +8,7 @@ from dickesim.dark_state import (
     closed_form_coefficients,
     dark_coefficients,
     jx_annihilation_check,
+    normalized_amplitudes,
     verify_dark,
 )
 
@@ -71,6 +72,39 @@ def test_scale_invariance_general(c, n):
     base = dark_coefficients(n, 0.6, 1.4).amplitudes
     scaled = dark_coefficients(n, c * 0.6, c * 1.4).amplitudes
     assert np.max(np.abs(base - scaled)) < 1e-13
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(100.5, 101.5),
+                          st.floats(-40.0, 0.0), st.booleans()), min_size=1, max_size=8))
+def test_rescaled_tones_agree_between_stacked_and_single_calls(samples):
+    # N = 8 tones near 2^+-101 take the branch that divides both tones by the
+    # larger one (4 * |log2(big)| > 400), mixed in one stack with tones that
+    # do not
+    wr, wb = [0.75, 1e-3], [1.25, 2.0]
+    for sign, exponent, ratio, red_larger in samples:
+        big, small = 2.0 ** (sign * exponent), 2.0 ** (sign * exponent + ratio)
+        wr.append(big if red_larger else small)
+        wb.append(small if red_larger else big)
+    norm_a, amplitudes = normalized_amplitudes(closed_form_coefficients(8), wr, wb)
+    for k, (r, b) in enumerate(zip(wr, wb)):
+        single = dark_coefficients(8, r, b)
+        assert norm_a[k:k + 1].view(np.uint64)[0] == np.float64(single.norm_a).view(np.uint64)
+        assert np.array_equal(amplitudes[k].view(np.uint64), single.amplitudes.view(np.uint64))
+        big = max(r, b)
+        if k >= 2:  # the rescaled state is the state at the divided tones
+            assert 4 * abs(np.log2(big)) > 400
+            unit = dark_coefficients(8, r / big, b / big)
+            assert np.array_equal(single.amplitudes, unit.amplitudes)
+            assert single.norm_a == pytest.approx(unit.norm_a * big**-4.0, rel=1e-15)
+
+
+def test_rescale_factor_past_the_float_range_is_inf():
+    # A = |raw|^-1 * big^-4 overflows at big = 2^-300: numpy's scalar power
+    # gives inf there, where a Python float power would raise OverflowError
+    state = dark_coefficients(8, 2.0**-300, 2.0**-301)
+    assert state.norm_a == np.inf
+    assert np.array_equal(state.amplitudes, dark_coefficients(8, 1.0, 0.5).amplitudes)
 
 
 def test_residual_on_amplitude_grid():

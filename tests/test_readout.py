@@ -164,6 +164,52 @@ def test_chain_fidelities_equal_per_sample_overlaps(traj, seed):
     assert np.array_equal(_bits(traj.chain_fidelities(indices, vectors)), _bits(expected))
 
 
+# ---------------------------------------------------------------------------
+# whole trajectories, as evolve reads them
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def full_size_runs():
+    """Integrated runs of about 2001 samples: large enough for the gemm and
+    the stacks of many samples that a short random trajectory never builds."""
+    strict = evolution.integrate_reduced(*evolution.adiabatic_preset("strict", 6))
+    full = evolution.integrate_full(evolution.PulseSchedule(total_time=26.0),
+                                    model.SystemParams(n_ions=6, delta=20.0))
+    return strict, full
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["strict-reduced-n6", "full-n6-t26"])
+def test_whole_trajectory_readout_equals_per_sample_formulas(full_size_runs, which):
+    traj = full_size_runs[which]
+    n_samples = len(traj.times)
+    assert n_samples >= 2001
+    series = evolution.dark_fidelity_series(traj)
+    expected = [_reference_dark_fidelity(traj, i) for i in range(n_samples)]
+    assert np.array_equal(_bits(series), _bits(expected))
+
+    # complex chain vectors on every sample in a shuffled order, as repro
+    # compares a full run with reduced runs
+    rng = np.random.default_rng(which)
+    n = traj.params.n_ions
+    indices = rng.permutation(n_samples)
+    vectors = rng.normal(size=(n_samples, n + 1)) + 1j * rng.normal(size=(n_samples, n + 1))
+    expected = []
+    for i, vec in zip(indices, vectors):
+        state = traj.states[i]
+        if traj.model_tag == "full":
+            state = _reference_chain_frame(state, traj.times[i], traj.params)
+            vec = _reference_embed(vec, n, traj.params.n_max)
+        expected.append(abs(np.vdot(vec, state)) ** 2)
+    assert np.array_equal(_bits(traj.chain_fidelities(indices, vectors)), _bits(expected))
+
+    rhos = traj.spin_marginals()
+    columns = observables.spin_readout(rhos)
+    expected = [_reference_spin_columns(_reference_marginal(psi, traj.model_tag, traj.params))
+                for psi in traj.states]
+    for k, column in enumerate(columns):
+        assert np.array_equal(_bits(column), _bits([row[k] for row in expected]))
+
+
 def test_spin_readout_rejects_unnormalized_matrices():
     rhos = np.stack([np.diag([1.0, 0.0]), np.diag([0.5, 0.6])]).astype(complex)
     with pytest.raises(ValueError, match="trace"):

@@ -44,6 +44,9 @@ def test_output_matches_reference_digest(command, capsys, monkeypatch):
     ("evolve --n 2 --eta-omega-t 78", 78.0),
     ("evolve --model full --n 6 --eta-omega-t 20", 20.0),
     ("scan-noise --model full --n 2 --eta-omega-t 70 --cuts 401", 70.0),
+    # the simulated sources integrate the strict ramp (T = 480) to its midpoint
+    ("witness --source simulated --n 2", 240.0),
+    ("parity --source simulated --shots 200 --seed 1", 240.0),
 ])
 def test_header_records_the_run(command, total_time, capsys):
     expected = json.loads(REFERENCE.read_text())["digests"][command]
