@@ -164,6 +164,17 @@ def _integrate(ns, schedule, params, capture_times=None) -> evolution.Trajectory
     return run(schedule, params, dt=ns.dt, capture_times=capture_times)
 
 
+def _check_leak(traj: evolution.Trajectory) -> None:
+    """A NumericalError (exit 3) when the full model's top Fock level fills
+    past ``evolution.LEAK_WARN_LEVEL``; called after a command's output, so
+    that the failed run still prints its rows."""
+    if traj.truncation_leak > evolution.LEAK_WARN_LEVEL:
+        raise NumericalError(
+            f"phonon truncation leak {traj.truncation_leak:.2e} exceeds "
+            f"{evolution.LEAK_WARN_LEVEL:.0e}; the CLI fixes n_max = N//2 + 4 = "
+            f"{traj.params.n_max}, and a larger --delta-ratio keeps the phonons in range")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -207,8 +218,7 @@ def cmd_evolve(ns) -> int:
         "max_norm_drift": traj.max_norm_drift,
         "truncation_leak": traj.truncation_leak,
     }, path=ns.summary)
-    if traj.truncation_leak > evolution.LEAK_WARN_LEVEL:
-        raise NumericalError(f"phonon truncation leak {traj.truncation_leak:.2e}")
+    _check_leak(traj)
     return EXIT_OK
 
 
@@ -227,6 +237,7 @@ def cmd_scan_noise(ns) -> int:
         "cuts": ns.cuts, "seed": "none", **traj.record(),
     })
     _emit(ns.output, header, ("tau_c", "var_jx", "var_jy", "var_jz"), rows)
+    _check_leak(traj)
     return EXIT_OK
 
 

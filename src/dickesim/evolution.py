@@ -404,11 +404,13 @@ def _compile(source, flags: list[str], library):
     return library
 
 
-def _plan_steps(total_time: float, dt: float) -> int:
-    # 2^31 steps bound every plan: under an hour on the chain at 0.8-1.5 us a
-    # step, many hours on the full model at 5-32 us (N = 2..8, one x86 core)
-    if not total_time / dt <= 2.0**31:
-        raise PhysicsConfigError(f"{total_time / dt:.3g} steps exceed the limit of 2^31")
+def _plan_steps(total_time: float, dt: float, levels: int = 1) -> int:
+    # steps x dimension <= 2^31 x (N + 1): 2^31 steps on the chain (under an
+    # hour at 0.8-1.5 us a step on one x86 core), 2^31/levels on the full
+    # model, whose step costs about its dimension: 5.2, 11.4, 32.4 us at d = 18, 35, 81
+    if not total_time / dt <= 2.0**31 / levels:
+        of = "" if levels == 1 else f"/(n_max + 1) = 2^31/{levels}"
+        raise PhysicsConfigError(f"{total_time / dt:.3g} steps exceed the limit of 2^31{of}")
     n = max(1, int(np.ceil(total_time / dt)))  # an infinite guard plans one step
     return n + (n % 2)  # even so the midpoint lands on the grid
 
@@ -425,8 +427,8 @@ def _check_norms(states: np.ndarray) -> float:
 
 
 def _integrate(h_values, support: np.ndarray, dimension: int, schedule: PulseSchedule,
-               dt: float | None, guard: float, coarse: str,
-               capture_times: list[float] | None) -> tuple[np.ndarray, np.ndarray, dict]:
+               dt: float | None, guard: float, coarse: str, capture_times: list[float] | None,
+               levels: int = 1) -> tuple[np.ndarray, np.ndarray, dict]:
     """RK4 from |D^0>|0> (basis index 0 of both models), sampled on the
     capture grid and at the steps nearest ``capture_times``, stopped at the
     latest of those; returns (times, states, the ``Trajectory`` fields
@@ -446,7 +448,7 @@ def _integrate(h_values, support: np.ndarray, dimension: int, schedule: PulseSch
     psi0 = np.zeros(dimension, dtype=complex)
     psi0[0] = 1.0
 
-    n_steps = _plan_steps(schedule.total_time, dt)
+    n_steps = _plan_steps(schedule.total_time, dt, levels)
     extra = set()
     if capture_times is not None:
         for t in capture_times:
@@ -513,7 +515,7 @@ def integrate_full(schedule: PulseSchedule, params: SystemParams,
 
     times, states, record = _integrate(
         h_values, full_support(n, params.n_max)[0], (n + 1) * (params.n_max + 1),
-        schedule, dt, guard, f" for delta = {params.delta}", capture_times,
+        schedule, dt, guard, f" for delta = {params.delta}", capture_times, params.n_max + 1,
     )
     top = np.abs(states[:, params.n_max::(params.n_max + 1)]) ** 2
     leak = float(np.max(np.sum(top, axis=1)))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dickesim import cli, errors, repro
+from dickesim import cli, errors, evolution, repro
 
 PAPER_CFG = """\
 W = 5.46
@@ -132,12 +132,21 @@ def test_parity_sampled_near_exact_curve(tmp_path):
     assert np.all(dev <= 5 * sigma + 1e-12)
 
 
-def test_parity_sampled_byte_identical(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+def test_parity_sampled_byte_identical(tmp_path, capsys):
+    # measurement._draw re-keys one generator per thread before every draw,
+    # so no call draws from what an earlier call left: a second call in this
+    # interpreter and a call in a fresh one print the same bytes
+    a, b, fresh = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "fresh.csv"
     args = ["parity", "--n", "2", "--shots", "2000", "--seed", "77", "--phases", "16"]
     assert cli.main(args + ["--output", str(a)]) == 0
+    summary = capsys.readouterr().out
     assert cli.main(args + ["--output", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+    assert capsys.readouterr().out == summary
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "dickesim.cli", *args, "--output", str(fresh)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, summary, "")
+    assert a.read_bytes() == b.read_bytes() == fresh.read_bytes()
 
 
 def test_witness_ideal(tmp_path):
@@ -421,7 +430,9 @@ def test_step_count_past_int64_exits_physics(argv, capsys):
     # error line before any step is planned, not an OverflowError
     assert cli.main(argv) == cli.EXIT_PHYSICS
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.endswith("steps exceed the limit of 2^31\n")
+    # the full model at N = 4 has n_max + 1 = 7 Fock levels
+    limit = "2^31/(n_max + 1) = 2^31/7" if "full" in argv else "2^31"
+    assert err.startswith("error: ") and err.endswith(f"steps exceed the limit of {limit}\n")
     assert err.count("\n") == 1
 
 
@@ -429,6 +440,19 @@ def test_step_plan_past_the_bound_exits_physics(capsys):
     # 1e15 at the default step 0.1/24 fits int64 but would run for millennia
     assert cli.main(["evolve", "--eta-omega-t", "1e15"]) == cli.EXIT_PHYSICS
     assert capsys.readouterr().err == "error: 2.4e+17 steps exceed the limit of 2^31\n"
+
+
+def test_full_model_plan_is_bounded_by_its_step_cost(monkeypatch, capsys):
+    # 2.0e9 steps pass the chain's 2^31, but at about 32 us a full-model step
+    # at N = 8 they would run for about 19 h; the plan is refused first
+    def no_step(*args):
+        raise AssertionError("a step was taken")
+
+    monkeypatch.setattr(evolution, "_rk4", no_step)
+    argv = ["evolve", "--model", "full", "--n", "8", "--eta-omega-t", "4e6"]
+    assert cli.main(argv) == cli.EXIT_PHYSICS
+    assert capsys.readouterr().err == (
+        "error: 2.02e+09 steps exceed the limit of 2^31/(n_max + 1) = 2^31/9\n")
 
 
 def test_scan_noise_honours_dt():
@@ -455,6 +479,18 @@ def test_zero_detuning_default_step_keeps_the_norm(n, capsys):
     out, err = capsys.readouterr()
     assert float(_summary(out)["max_norm_drift"]) < 1e-8
     assert "phonon truncation leak" in err
+
+
+@pytest.mark.parametrize("command", [["evolve"], ["scan-noise", "--cuts", "5"]])
+def test_full_model_leak_prints_the_rows_then_exits_numerical(command, capsys):
+    # at resonance the sidebands fill n_max = N//2 + 4, which no flag raises
+    argv = command + ["--model", "full", "--n", "2", "--delta-ratio", "0", "--eta-omega-t", "20"]
+    with pytest.warns(errors.TruncationWarning):
+        assert cli.main(argv) == cli.EXIT_NUMERICAL
+    out, err = capsys.readouterr()
+    assert "\n20.0," in out  # the row at the end of the ramp was printed
+    assert err.startswith("numerical failure: phonon truncation leak 1.13e-01 exceeds 1e-03; ")
+    assert "n_max = N//2 + 4 = 5" in err and "--delta-ratio" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -616,6 +652,8 @@ def test_one_subcommand_build_prints_what_the_full_build_prints(argv, monkeypatc
     monkeypatch.chdir(tmp_path)
     (tmp_path / "override.cfg").write_text("n = 4\n")
     one = _outcome(argv, capsys)
+    if argv[1:] == ["--help"]:
+        assert one[0] == cli.EXIT_OK
     build = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda subcommand=None: build())
     assert _outcome(argv, capsys) == one
