@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spin_algebra import _frozen, dicke_state_full, full_space_oracle
+from .spin_algebra import _frozen, dicke_state_full, full_space_oracle, hamming_weights
 
 #: a fidelity lower bound above this excludes the GHZ state as the source
 GHZ_DICKE_MAX_OVERLAP = 0.75
@@ -167,12 +167,6 @@ def _qubit_rotations(axis: str) -> tuple[np.ndarray, np.ndarray]:
     return u, _frozen((u[:, :, None] * u.conj()[:, None, :]).reshape(2, 4))
 
 
-@lru_cache(maxsize=None)
-def _hamming_weights(n_ions: int) -> np.ndarray:
-    """Spins up in each 2^N basis state."""
-    return _frozen(np.array([bin(idx).count("1") for idx in range(2**n_ions)]))
-
-
 def _on_each_qubit(x: np.ndarray, op: np.ndarray, n_ions: int) -> np.ndarray:
     """Apply ``op`` to each qubit's index of ``x``: every pass acts on the
     leading qubit and moves it to the back, so N passes restore the order.
@@ -198,7 +192,7 @@ def _projection_populations(state: np.ndarray, n_ions: int, axes) -> list[np.nda
             probs = np.abs(_on_each_qubit(state, _qubit_rotations(axis)[0], n_ions)) ** 2
         else:
             probs = _on_each_qubit(pairs, _qubit_rotations(axis)[1], n_ions).real
-        populations.append(np.bincount(_hamming_weights(n_ions), weights=probs,
+        populations.append(np.bincount(hamming_weights(n_ions), weights=probs,
                                        minlength=n_ions + 1))
     return populations
 

@@ -13,12 +13,13 @@ import argparse
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
 from . import __version__, certification, evolution, measurement, model, observables, repro
 from .dark_state import dark_coefficients
-from .errors import NumericalError, PhysicsConfigError
+from .errors import NumericalError, PhysicsConfigError, TruncationWarning
 
 EXIT_OK, EXIT_USAGE, EXIT_PHYSICS, EXIT_NUMERICAL = 0, 1, 2, 3
 EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, what a shell reports for `cmd | head`
@@ -160,8 +161,11 @@ def _build_run(ns):
 
 
 def _integrate(ns, schedule, params, capture_times=None) -> evolution.Trajectory:
+    # the leak is reported by ``_check_leak``, with the CLI's own advice
     run = evolution.integrate_reduced if ns.model == "reduced" else evolution.integrate_full
-    return run(schedule, params, dt=ns.dt, capture_times=capture_times)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        return run(schedule, params, dt=ns.dt, capture_times=capture_times)
 
 
 def _check_leak(traj: evolution.Trajectory) -> None:
@@ -181,8 +185,7 @@ def _check_leak(traj: evolution.Trajectory) -> None:
 
 def cmd_darkstate(ns) -> int:
     if ns.theta is not None:
-        omega_r = 1 + np.cos(ns.theta)
-        omega_b = 1 - np.cos(ns.theta)
+        omega_r, omega_b = evolution.tones(ns.theta)
     else:
         omega_r, omega_b = ns.omega_r, ns.omega_b
     state = dark_coefficients(ns.n, omega_r, omega_b)
@@ -213,7 +216,7 @@ def cmd_evolve(ns) -> int:
           rows)
     _print_summary({
         "final_jz": rows[-1][1],
-        "midpoint_dark_fidelity": dark_fid[traj.index_of(schedule.total_time / 2)],
+        "midpoint_dark_fidelity": dark_fid[traj.midpoint],
         "eta_omega_bar_T": schedule.adiabaticity(),
         "max_norm_drift": traj.max_norm_drift,
         "truncation_leak": traj.truncation_leak,
@@ -249,13 +252,12 @@ def cmd_parity(ns) -> int:
     else:
         state, record = evolution.strict_midpoint(2)
     phases = np.linspace(0.0, 2 * np.pi, ns.phases, endpoint=False)
-    scan = observables.parity_scan(state, phases)
+    parities, pops = observables.parity_curve(state, phases)
     if ns.shots is not None:
         config = measurement.ShotConfig(n_shots=ns.shots, seed=ns.seed)
-        parities = measurement.sample_parities(scan.parities, config)
-        pop = measurement.sample_populations(state, config.substream(10_000), "z")
-        scan = observables.parity_analysis(phases, parities, pop.frequencies[0],
-                                           pop.frequencies[-1])
+        parities = measurement.sample_parities(parities, config)
+        pops = measurement.sample_populations(state, config.substream(10_000), "z").frequencies
+    scan = observables.parity_analysis(phases, parities, pops[0], pops[-1])
 
     header = _provenance("parity", {
         "n": 2, "source": ns.source, "phases": ns.phases,

@@ -1,8 +1,8 @@
 """Schrodinger integration of STIRAP pulse schedules, reduced and full models.
 
 The drive sweeps a mixing angle theta from 0 (pure red sideband, the
-all-down state is dark) to pi (pure blue sideband, all-up dark), with tone
-amplitudes Omega_b = omega_bar*(1 - cos theta), Omega_r = omega_bar*(1 + cos theta).
+all-down state is dark) to pi (pure blue sideband, all-up dark), with the
+tone amplitudes of ``tones``.
 
 Integration is fixed-step classical RK4 with the Hamiltonian sampled at the
 substage times; unitarity is checked after the fact, not enforced, so runs
@@ -31,7 +31,7 @@ import numpy as np
 from . import dark_state, observables
 from .errors import NumericalError, PhysicsConfigError, ReducedModelWarning, TruncationWarning
 from .observables import NORM_TOL, READOUT_CHUNK
-from .spin_algebra import collective_coupling
+from .spin_algebra import collective_coupling, projections
 from .model import (
     SystemParams,
     chain_indices,
@@ -54,6 +54,13 @@ LEAK_WARN_LEVEL = 1e-3
 #: (3k, s+1) complex numbers, a third of this, as the full model's sum keeps
 #: up to three such arrays alive.
 H_BLOCK_BYTES = 1 << 20
+
+
+def tones(theta, omega_bar: float = 1.0):
+    """(Omega_r, Omega_b) = omega_bar*(1 + cos theta), omega_bar*(1 - cos theta)
+    at the ramp angle ``theta``, a number or an array."""
+    cos = np.cos(theta)
+    return omega_bar * (1 + cos), omega_bar * (1 - cos)
 
 
 @dataclass(frozen=True)
@@ -84,12 +91,9 @@ class PulseSchedule:
         return np.pi * x
 
     def amplitudes(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(Omega_r, Omega_b) at each time of the 1-D array ``t``: the one
-        amplitude formula, evaluated element by element in the same
-        floating-point operations whatever the length of ``t``.
-        """
-        cos = np.cos(self._thetas(np.asarray(t, dtype=float)))
-        return self.omega_bar * (1 + cos), self.omega_bar * (1 - cos)
+        """(Omega_r, Omega_b) at each time of the 1-D array ``t`` by ``tones``,
+        element by element in the same words whatever the length of ``t``."""
+        return tones(self._thetas(np.asarray(t, dtype=float)), self.omega_bar)
 
     def adiabaticity(self) -> float:
         """The paper's dimensionless eta*Omega_bar*T."""
@@ -150,8 +154,10 @@ class Trajectory:
         """Indices of the samples nearest each of ``times``."""
         return [self.index_of(t) for t in times]
 
-    def midpoint_state(self) -> np.ndarray:
-        return self.states[self.index_of(self.schedule.total_time / 2)]
+    @property
+    def midpoint(self) -> int:
+        """Index of the sample nearest T/2."""
+        return self.index_of(self.schedule.total_time / 2)
 
     def final_state(self) -> np.ndarray:
         return self.states[-1]
@@ -326,10 +332,7 @@ def _kernel():
     import tempfile
     from pathlib import Path
 
-    try:
-        from numpy._core import _multiarray_umath
-    except ImportError:  # numpy < 2
-        from numpy.core import _multiarray_umath
+    from numpy._core import _multiarray_umath
     blas = ctypes.CDLL(_multiarray_umath.__file__)  # dlsym also searches its BLAS
     for symbol, blas_int in _ZGEMV_SYMBOLS:
         if hasattr(blas, symbol):
@@ -548,9 +551,8 @@ def dark_fidelity_series(traj: Trajectory,
 
 def transfer_numbers(traj: Trajectory) -> tuple[float, float]:
     """(final <Jz>, midpoint dark-state fidelity) of a whole-ramp chain run."""
-    n = traj.params.n_ions
-    final_jz = float(np.sum((np.arange(n + 1) - n / 2) * np.abs(traj.final_state()) ** 2))
-    [mid_fid] = dark_fidelity_series(traj, [traj.index_of(traj.schedule.total_time / 2)])
+    final_jz = float(np.sum(projections(traj.params.n_ions) * np.abs(traj.final_state()) ** 2))
+    [mid_fid] = dark_fidelity_series(traj, [traj.midpoint])
     return final_jz, float(mid_fid)
 
 
@@ -559,4 +561,4 @@ def strict_midpoint(n_ions: int) -> tuple[np.ndarray, dict]:
     record; the ramp is integrated only that far, since no later state is read."""
     schedule, params = adiabatic_preset("strict", n_ions)
     traj = integrate_reduced(schedule, params, capture_times=[schedule.total_time / 2])
-    return observables.spin_density_from_chain(traj.final_state()), traj.record()
+    return traj.spin_marginals([traj.midpoint])[0], traj.record()

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import observables
 from .certification import CertificationRecord, fidelity_lower, fidelity_upper, propagate_uncertainty
-from .spin_algebra import _frozen
+from .spin_algebra import _frozen, projections
 
 GENERATOR_NAME = "philox4x64-10"
 
@@ -110,11 +110,10 @@ def _draw(probabilities: np.ndarray, config: ShotConfig) -> np.ndarray:
 def sample_populations(state: np.ndarray, config: ShotConfig, axis: str) -> MeasurementRecord:
     """Multinomial draw from the exact projection populations along an axis."""
     probs = observables.populations_along(state, axis)
-    n_ions = len(probs) - 1
     counts = _draw(_normalized(probs), config)
     freq = counts / config.n_shots
     return MeasurementRecord(
-        projections=np.arange(n_ions + 1) - n_ions / 2,
+        projections=projections(len(probs) - 1),
         counts=counts,
         frequencies=freq,
         std_errors=np.sqrt(freq * (1 - freq) / config.n_shots),
@@ -137,8 +136,7 @@ def sample_parities(parities: np.ndarray, config: ShotConfig) -> np.ndarray:
 def _sample_square(probs: np.ndarray, config: ShotConfig) -> tuple[float, float]:
     """Sampled mean and standard error of J^2 along the axis whose
     projection populations, m - N/2 ascending, are ``probs``."""
-    n_ions = len(probs) - 1
-    squares = (np.arange(n_ions + 1) - n_ions / 2) ** 2
+    squares = projections(len(probs) - 1) ** 2
     counts = _draw(_normalized(probs), config)
     mean = float(np.sum(counts * squares) / config.n_shots)
     var = np.sum(counts * (squares - mean) ** 2) / max(config.n_shots - 1, 1)

@@ -14,7 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spin_algebra import _expm, build_collective, full_space_oracle, symmetric_isometry
+from .spin_algebra import (_expm, build_collective, full_space_oracle, hamming_weights,
+                           projections, symmetric_isometry)
 
 #: witness value above which a four-ion state is genuinely four-partite entangled
 WITNESS_THRESHOLD_FOUR_ION = 5.23
@@ -191,18 +192,15 @@ def parity_analysis(phases: np.ndarray, parities: np.ndarray,
 @lru_cache(maxsize=None)
 def _two_ion_analysis_ops():
     jx, jy = full_space_oracle(2, "jx"), full_space_oracle(2, "jy")
-    parity = np.diag([(-1.0) ** (2 - bin(k).count("1")) for k in range(4)]).astype(complex)
+    parity = np.diag((-1.0) ** (2 - hamming_weights(2))).astype(complex)
     return jx, jy, parity
 
 
-def parity_scan(state: np.ndarray, phases: np.ndarray | None = None) -> ParityScan:
-    """Parity oscillation of a two-ion state under a pi/2 analysis pulse.
-
-    The pulse exp(-i (pi/2) (Jx cos(phi) + Jy sin(phi))) is applied for each
-    phase and the product-sigma_z parity evaluated in the full two-qubit
-    space, then fitted by ``parity_analysis``.  Accepts symmetric-sector
-    (3-dim) or full two-qubit (4-dim) input.
-    """
+def parity_curve(state: np.ndarray, phases) -> tuple[np.ndarray, np.ndarray]:
+    """Product-sigma_z parity of a two-ion state after the analysis pulse
+    exp(-i (pi/2) (Jx cos(phi) + Jy sin(phi))) at each phase phi, and its z
+    populations from |down,down> to |up,up>, both in the full two-qubit space;
+    the input is symmetric-sector (3-dim) or full two-qubit (4-dim)."""
     state = _check_normalized(state)
     dim = _state_dim(state)
     if dim == 3:
@@ -210,8 +208,6 @@ def parity_scan(state: np.ndarray, phases: np.ndarray | None = None) -> ParitySc
         state = iso @ state @ iso.conj().T if state.ndim == 2 else iso @ state
     elif dim != 4:
         raise ValueError("parity scan is defined for two ions only")
-    if phases is None:
-        phases = np.linspace(0.0, 2 * np.pi, 40, endpoint=False)
     phases = np.asarray(phases, dtype=float)
 
     jx, jy, parity_op = _two_ion_analysis_ops()
@@ -225,9 +221,16 @@ def parity_scan(state: np.ndarray, phases: np.ndarray | None = None) -> ParitySc
         parities = np.array([np.vdot(state, rotated).real for rotated in ops @ state])
     else:
         parities = np.trace(state @ ops, axis1=1, axis2=2).real
+    return parities, populations_along(state, "z")
 
-    pops = np.abs(state) ** 2 if state.ndim == 1 else np.real(np.diag(state))
-    return parity_analysis(phases, parities, pops[0], pops[3])  # |down,down>, |up,up>
+
+def parity_scan(state: np.ndarray, phases: np.ndarray | None = None) -> ParityScan:
+    """``parity_analysis`` of a two-ion state's ``parity_curve``, at 40
+    equispaced phases unless ``phases`` is given."""
+    if phases is None:
+        phases = np.linspace(0.0, 2 * np.pi, 40, endpoint=False)
+    parities, pops = parity_curve(state, phases)
+    return parity_analysis(phases, parities, pops[0], pops[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +253,6 @@ def spin_marginals(states: np.ndarray, n_ions: int, n_max: int | None = None) ->
     return rhos * (parity[:, None] == parity[None, :])
 
 
-def spin_density_from_chain(chain_state: np.ndarray) -> np.ndarray:
-    """Spin marginal of one chain state."""
-    chain_state = np.asarray(chain_state)
-    return spin_marginals(chain_state[None], len(chain_state) - 1)[0]
-
-
 def spin_readout(rhos: np.ndarray) -> tuple[list[float], list[float], list[float], list[float]]:
     """<Jz>, Var(Jx), Var(Jy) and Var(Jz) of each density matrix of a
     (S, N+1, N+1) stack, as Python floats: the one spin-moment path.
@@ -271,8 +268,8 @@ def spin_readout(rhos: np.ndarray) -> tuple[list[float], list[float], list[float
     if off.size:
         raise ValueError(f"density matrix trace {traces[off[0]]} is not 1")
     n_ions = rhos.shape[-1] - 1
-    jz = np.arange(n_ions + 1) - n_ions / 2
-    columns = [np.sum(jz * np.diagonal(rhos, axis1=1, axis2=2).real, axis=1).tolist()]
+    populations = np.diagonal(rhos, axis1=1, axis2=2).real
+    columns = [np.sum(projections(n_ions) * populations, axis=1).tolist()]
     for axis in AXES:
         j = build_collective(n_ions, "j" + axis)
         means, seconds = _product_traces(rhos, j), _product_traces(rhos, j @ j)

@@ -53,6 +53,13 @@ def collective_coupling(n_ions: int, m: int) -> float:
 
 
 @lru_cache(maxsize=None)
+def projections(n_ions: int) -> np.ndarray:
+    """Projections m - N/2 of the Dicke levels m = 0..N (Jz's eigenvalues), read-only."""
+    _check_n_ions(n_ions)
+    return _frozen(np.arange(n_ions + 1) - n_ions / 2)
+
+
+@lru_cache(maxsize=None)
 def build_collective(n_ions: int, kind: str) -> np.ndarray:
     """J+, Jx, Jy or Jz on the symmetric sector, as a cached read-only
     (N+1) x (N+1) complex array.
@@ -70,7 +77,7 @@ def build_collective(n_ions: int, kind: str) -> np.ndarray:
             jp[m + 1, m] = collective_coupling(n_ions, m)
         return _operator(jp)
     if kind == "jz":
-        return _operator(np.diag((np.arange(n_ions + 1) - n_ions / 2).astype(complex)))
+        return _operator(np.diag(projections(n_ions).astype(complex)))
     jp = build_collective(n_ions, "j+")
     if kind == "jx":
         return _operator((jp + jp.conj().T) / 2)
@@ -131,6 +138,13 @@ def _check_full_space_size(n_ions: int) -> None:
         )
 
 
+@lru_cache(maxsize=None)
+def hamming_weights(n_ions: int) -> np.ndarray:
+    """Spins up in each 2^N basis state, where bit i is set if ion i is up; read-only."""
+    _check_full_space_size(n_ions)
+    return _frozen(np.array([bin(idx).count("1") for idx in range(2**n_ions)]))
+
+
 def _full_jp(n_ions: int) -> np.ndarray:
     # bit i set = ion i up; sigma_+ flips one down spin up
     dim = 2**n_ions
@@ -148,10 +162,8 @@ def full_space_oracle(n_ions: int, kind: str) -> np.ndarray:
     as a cached read-only 2^N x 2^N complex array."""
     _check_full_space_size(n_ions)
     kind = kind.lower()
-    dim = 2**n_ions
     if kind == "jz":
-        diag = np.array([bin(idx).count("1") - n_ions / 2 for idx in range(dim)], dtype=complex)
-        return _operator(np.diag(diag))
+        return _operator(np.diag((hamming_weights(n_ions) - n_ions / 2).astype(complex)))
     jp = _full_jp(n_ions)
     if kind == "j+":
         return _operator(jp)
@@ -167,9 +179,7 @@ def dicke_state_full(n_ions: int, m: int) -> np.ndarray:
     _check_full_space_size(n_ions)
     if not 0 <= m <= n_ions:
         raise ValueError(f"excitation number m must lie in [0, {n_ions}], got {m}")
-    vec = np.array(
-        [1.0 if bin(idx).count("1") == m else 0.0 for idx in range(2**n_ions)], dtype=complex
-    )
+    vec = (hamming_weights(n_ions) == m).astype(complex)
     return vec / np.linalg.norm(vec)
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dickesim import cli, errors, evolution, repro
+from dickesim import cli, errors, evolution, observables, repro
 
 PAPER_CFG = """\
 W = 5.46
@@ -130,6 +130,16 @@ def test_parity_sampled_near_exact_curve(tmp_path):
     sigma = 2 * np.sqrt(p * (1 - p) / 1e6)
     dev = np.abs(np.array([float(r[1]) for r in sampled_rows]) - (2 * p - 1))
     assert np.all(dev <= 5 * sigma + 1e-12)
+
+
+@pytest.mark.parametrize("shots", [[], ["--shots", "100", "--seed", "3"]])
+def test_parity_fits_its_curve_once(shots, monkeypatch, capsys):
+    # the exact or the sampled curve is fitted, never both
+    calls, fit = [], observables.parity_analysis
+    monkeypatch.setattr(observables, "parity_analysis",
+                        lambda *args: calls.append(args) or fit(*args))
+    assert cli.main(["parity", *shots]) == cli.EXIT_OK
+    assert len(calls) == 1
 
 
 def test_parity_sampled_byte_identical(tmp_path, capsys):
@@ -473,20 +483,19 @@ def test_zero_detuning_default_step_keeps_the_norm(n, capsys):
         assert cli.main(argv + ["--model", "reduced"]) == cli.EXIT_OK
     assert float(_summary(capsys.readouterr().out)["max_norm_drift"]) < 1e-8
     # the full model pumps phonons past the truncation at resonance: the
-    # run fails on that leak (exit 3) and not on the readout's trace check
-    with pytest.warns(errors.TruncationWarning):
-        assert cli.main(argv + ["--model", "full"]) == cli.EXIT_NUMERICAL
+    # run fails on that leak (exit 3) and not on the readout's trace check,
+    # and stderr holds the CLI's one message, not the library's warning too
+    assert cli.main(argv + ["--model", "full"]) == cli.EXIT_NUMERICAL
     out, err = capsys.readouterr()
     assert float(_summary(out)["max_norm_drift"]) < 1e-8
-    assert "phonon truncation leak" in err
+    assert err.startswith("numerical failure: phonon truncation leak") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", [["evolve"], ["scan-noise", "--cuts", "5"]])
 def test_full_model_leak_prints_the_rows_then_exits_numerical(command, capsys):
     # at resonance the sidebands fill n_max = N//2 + 4, which no flag raises
     argv = command + ["--model", "full", "--n", "2", "--delta-ratio", "0", "--eta-omega-t", "20"]
-    with pytest.warns(errors.TruncationWarning):
-        assert cli.main(argv) == cli.EXIT_NUMERICAL
+    assert cli.main(argv) == cli.EXIT_NUMERICAL  # and no TruncationWarning
     out, err = capsys.readouterr()
     assert "\n20.0," in out  # the row at the end of the ramp was printed
     assert err.startswith("numerical failure: phonon truncation leak 1.13e-01 exceeds 1e-03; ")

@@ -11,6 +11,7 @@ from dickesim.errors import (
     ReducedModelWarning,
     TruncationWarning,
 )
+from oracles import bits
 
 
 def _tones(schedule, t):
@@ -56,6 +57,20 @@ def test_schedule_tone_convention():
     # the tone sum is constant at 2*omega_bar
     for t in (0.0, 2.1, 5.5, 8.0):
         assert sum(_tones(sch, t)) == pytest.approx(3.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("shape", evolution.SCHEDULE_SHAPES)
+@pytest.mark.parametrize("omega_bar", [1.0, 0.7])
+def test_tones_are_the_schedule_amplitudes_bit_for_bit(shape, omega_bar):
+    sch = evolution.PulseSchedule(total_time=7.3, omega_bar=omega_bar, shape=shape)
+    t = np.linspace(-1.0, 8.0, 1001)
+    x = np.clip(t / sch.total_time, 0.0, 1.0)
+    if shape == "smoothstep":
+        x = x * x * (3 - 2 * x)
+    theta = np.pi * x
+    tones = evolution.tones(theta) if omega_bar == 1.0 else evolution.tones(theta, omega_bar)
+    for tone, amplitude in zip(tones, sch.amplitudes(t)):
+        assert np.array_equal(bits(tone), bits(amplitude))
 
 
 def test_schedule_validation():
@@ -180,7 +195,7 @@ def test_adiabatic_octaves_monotone():
         with pytest.warns(ReducedModelWarning):
             traj = evolution.integrate_reduced(sch, params)
         target = dark_coefficients(4, 1.0, 1.0).chain_vector
-        mids.append(1 - abs(np.vdot(target, traj.midpoint_state())) ** 2)
+        mids.append(1 - abs(np.vdot(target, traj.states[traj.midpoint])) ** 2)
         finals.append(1 - _jz_mean(traj.final_state()) / 2)
     assert all(a > b for a, b in zip(mids, mids[1:]))
     assert all(a > b for a, b in zip(finals, finals[1:]))
@@ -220,6 +235,18 @@ def test_truncated_scan_endpoints_and_monotone_jz():
     # <Jz> grows monotonically along the cuts (regression property)
     jz_series = [_jz_mean(s) for s in states]
     assert all(b >= a - 1e-3 for a, b in zip(jz_series, jz_series[1:]))
+
+
+def test_midpoint_is_the_half_ramp_step_on_whole_and_stopped_runs():
+    sch = evolution.PulseSchedule(total_time=30.0, omega_bar=1.0)
+    params = model.SystemParams(n_ions=2, delta=20.0)
+    whole = evolution.integrate_reduced(sch, params)
+    stopped = evolution.integrate_reduced(sch, params, capture_times=[sch.total_time / 2])
+    assert whole.times[whole.midpoint] == whole.n_steps // 2 * whole.dt
+    assert stopped.n_steps == whole.n_steps // 2
+    assert stopped.midpoint == len(stopped.times) - 1
+    assert stopped.times[stopped.midpoint] == whole.times[whole.midpoint]
+    assert np.array_equal(stopped.states[stopped.midpoint], whole.states[whole.midpoint])
 
 
 def test_truncated_scan_rejects_out_of_range():
@@ -286,7 +313,7 @@ def test_phonon_truncation_convergence():
         # up exp(-i * delta * t * n), against the dark chain vector lifted to
         # its paired phonon numbers
         nvec = np.tile(np.arange(n_max + 1), 3)
-        mid = traj.midpoint_state() * np.exp(-1j * params.delta * 20.0 * nvec)
+        mid = traj.states[traj.midpoint] * np.exp(-1j * params.delta * 20.0 * nvec)
         target = np.zeros(len(mid), dtype=complex)
         target[model.chain_indices(2, n_max)] = dark_coefficients(2, 1, 1).chain_vector
         fids.append(abs(np.vdot(target, mid)) ** 2)

@@ -7,10 +7,7 @@ from dickesim import model
 from dickesim.dark_state import dark_coefficients
 from dickesim.errors import PhysicsConfigError
 from dickesim.spin_algebra import collective_coupling
-
-
-def _bits(a):
-    return np.ascontiguousarray(a).view(np.uint8)
+from oracles import bits, embed, to_chain_frame
 
 
 def _full(params, t, omega_r, omega_b):
@@ -18,20 +15,6 @@ def _full(params, t, omega_r, omega_b):
     support, _ = model.full_support(params.n_ions, params.n_max)
     dimension = (params.n_ions + 1) * (params.n_max + 1)
     return model.expand(model.full_values(params, t, omega_r, omega_b), support, dimension)
-
-
-def _embed(chain_vec, n_ions, n_max):
-    """A chain vector lifted onto the product space at its paired phonon numbers."""
-    full = np.zeros((n_ions + 1) * (n_max + 1), dtype=complex)
-    full[model.chain_indices(n_ions, n_max)] = chain_vec
-    return full
-
-
-def _to_chain_frame(psi, t, params):
-    """An interaction-picture product state in the chain's rotating frame,
-    where Fock level n picks up exp(-i * delta * t * n)."""
-    nvec = np.tile(np.arange(params.n_max + 1), params.n_ions + 1)
-    return psi * np.exp(-1j * params.delta * t * nvec)
 
 
 def _loop_parts(n):
@@ -126,7 +109,7 @@ def test_updown_symmetry_of_chain():
 def test_sliced_parts_equal_chain_loop(n):
     for sliced, loop in zip(model.reduced_coupling_parts(n), _loop_parts(n)):
         assert sliced.dtype == loop.dtype and sliced.shape == loop.shape
-        assert np.array_equal(_bits(sliced), _bits(loop))
+        assert np.array_equal(bits(sliced), bits(loop))
         assert not sliced.flags.writeable
 
 
@@ -142,7 +125,7 @@ def test_chain_is_full_resonant_block_at_half_drive(n, omega_r, omega_b, delta):
     chain = np.ix_(*[model.chain_indices(n, params.n_max)] * 2)
     block = _full(params, 0.0, omega_r, omega_b)[chain]
     half = model.reduced_hamiltonian(model.SystemParams(n_ions=n), omega_r / 2, omega_b / 2)
-    assert np.array_equal(_bits(block.real), _bits(half))
+    assert np.array_equal(bits(block.real), bits(half))
     assert not np.any(block.imag)
 
 
@@ -155,7 +138,7 @@ def test_array_rates_equal_scalar_calls():
     expected = np.stack([model.reduced_hamiltonian(params, float(r), float(b))
                          for r, b in zip(omega_r, omega_b)])
     assert stack.shape == (50, 7, 7)
-    assert np.array_equal(_bits(stack), _bits(expected))
+    assert np.array_equal(bits(stack), bits(expected))
 
 
 def test_chain_indices_pair_each_level_with_its_phonon():
@@ -221,13 +204,13 @@ def test_full_support_is_built_once_and_read_only():
 def test_embed_and_frame_round_trip():
     chain = dark_coefficients(4, 1.0, 1.0).chain_vector
     params = model.SystemParams(n_ions=4, delta=11.0)
-    full = _embed(chain, 4, params.n_max)
+    full = embed(chain, 4, params.n_max)
     assert np.linalg.norm(full) == pytest.approx(1.0, abs=1e-12)
     # dark states live at phonon vacuum, so the frame map is the identity
-    shifted = _to_chain_frame(full, 0.37, params)
+    shifted = to_chain_frame(full, 0.37, params)
     assert np.max(np.abs(shifted - full)) < 1e-15
     # in the chain's frame the full model does not depend on time: each
     # sideband moves the phonon number by one, which the frame's phase undoes
-    frame = _to_chain_frame(np.ones(len(full)), 0.37, params)
+    frame = to_chain_frame(np.ones(len(full)), 0.37, params)
     rotated = frame[:, None] * _full(params, 0.37, 0.6, 1.3) * frame.conj()[None, :]
     assert np.max(np.abs(rotated - _full(params, 0.0, 0.6, 1.3))) < 1e-12

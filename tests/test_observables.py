@@ -78,7 +78,7 @@ def test_variance_sum_identity_on_trajectory_samples():
     with pytest.warns(ReducedModelWarning):
         traj = evolution.integrate_reduced(sch, params)
     for index in range(0, len(traj.times), len(traj.times) // 8):
-        rho = obs.spin_density_from_chain(traj.states[index])
+        [rho] = traj.spin_marginals([index])
         mean_jz, var_jx, var_jy, var_jz = _readout(rho)
         jx, jy, jz = (build_collective(4, kind) for kind in ("jx", "jy", "jz"))
         j2 = obs.expectation(rho, jx @ jx + jy @ jy + jz @ jz)
@@ -346,7 +346,7 @@ def test_stacked_parity_products_equal_the_product_loop_bit_for_bit(n_phases):
 
 def test_chain_marginal_blocks_parity_coherence():
     chain = np.array([0.6, 0.8j, 0.0], dtype=complex)
-    rho = obs.spin_density_from_chain(chain)
+    [rho] = obs.spin_marginals(chain[None], 2)
     assert rho[0, 1] == 0.0
     assert rho[0, 0] == pytest.approx(0.36)
     assert np.trace(rho) == pytest.approx(1.0)
@@ -354,7 +354,7 @@ def test_chain_marginal_blocks_parity_coherence():
 
 def test_chain_marginal_of_dark_state_is_pure():
     chain = dark_coefficients(4, 1.0, 1.0).chain_vector
-    rho = obs.spin_density_from_chain(chain)
+    [rho] = obs.spin_marginals(chain[None], 4)
     assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-12)
 
 

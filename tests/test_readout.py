@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from dickesim import evolution, model, observables
 from dickesim.spin_algebra import build_collective, collective_coupling
+from oracles import bits, embed, to_chain_frame
 
 # ---------------------------------------------------------------------------
 # per-sample reference formulas
@@ -42,20 +43,6 @@ def _reference_spin_columns(rho):
     return (jz_mean, *variances)
 
 
-def _reference_chain_frame(psi, t, params):
-    """An interaction-picture product state in the chain's rotating frame,
-    where Fock level n picks up exp(-i * delta * t * n)."""
-    nvec = np.tile(np.arange(params.n_max + 1), params.n_ions + 1)
-    return psi * np.exp(-1j * params.delta * t * nvec)
-
-
-def _reference_embed(chain_vec, n_ions, n_max):
-    """A chain vector lifted onto the product space at its paired phonon numbers."""
-    full = np.zeros((n_ions + 1) * (n_max + 1), dtype=complex)
-    full[model.chain_indices(n_ions, n_max)] = chain_vec
-    return full
-
-
 def _reference_dark_vector(n, omega_r, omega_b):
     half = n // 2
     coeffs = np.ones(half + 1)
@@ -77,13 +64,9 @@ def _reference_dark_fidelity(traj, index):
     target = _reference_dark_vector(n, wr, wb)
     state = traj.states[index]
     if traj.model_tag == "full":
-        state = _reference_chain_frame(state, t, traj.params)
-        target = _reference_embed(target, n, traj.params.n_max)
+        state = to_chain_frame(state, t, traj.params)
+        target = embed(target, n, traj.params.n_max)
     return abs(np.vdot(target, state)) ** 2
-
-
-def _bits(values):
-    return np.asarray(values, dtype=float).view(np.uint64)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +110,7 @@ def test_stacked_spin_readout_equals_per_sample_formulas(traj):
         rho = _reference_marginal(psi, traj.model_tag, traj.params)
         assert np.array_equal(rhos[i].view(np.uint64), rho.view(np.uint64))
         expected = _reference_spin_columns(rho)
-        assert np.array_equal(_bits([col[i] for col in columns]), _bits(expected))
+        assert np.array_equal(bits([col[i] for col in columns]), bits(expected))
     # chosen samples, as scan-noise reads its cuts, take the same path
     cuts = traj.indices_of(np.linspace(0.0, traj.schedule.total_time, 7).tolist())
     assert np.array_equal(traj.spin_marginals(cuts).view(np.uint64), rhos[cuts].view(np.uint64))
@@ -138,11 +121,11 @@ def test_stacked_spin_readout_equals_per_sample_formulas(traj):
 def test_dark_fidelity_series_equals_per_sample_formula(traj):
     series = evolution.dark_fidelity_series(traj)
     expected = [_reference_dark_fidelity(traj, i) for i in range(len(traj.times))]
-    assert np.array_equal(_bits(series), _bits(expected))
+    assert np.array_equal(bits(series), bits(expected))
     # a chosen sample, as sweep reads the midpoint, takes the same path
     index = traj.index_of(traj.schedule.total_time / 2)
     [single] = evolution.dark_fidelity_series(traj, [index])
-    assert _bits([single]) == _bits([expected[index]])
+    assert bits([single]) == bits([expected[index]])
 
 
 @settings(max_examples=100, deadline=None)
@@ -158,10 +141,10 @@ def test_chain_fidelities_equal_per_sample_overlaps(traj, seed):
     for i, vec in zip(indices, vectors):
         state = traj.states[i]
         if traj.model_tag == "full":
-            state = _reference_chain_frame(state, traj.times[i], traj.params)
-            vec = _reference_embed(vec, n, traj.params.n_max)
+            state = to_chain_frame(state, traj.times[i], traj.params)
+            vec = embed(vec, n, traj.params.n_max)
         expected.append(abs(np.vdot(vec, state)) ** 2)
-    assert np.array_equal(_bits(traj.chain_fidelities(indices, vectors)), _bits(expected))
+    assert np.array_equal(bits(traj.chain_fidelities(indices, vectors)), bits(expected))
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +168,7 @@ def test_whole_trajectory_readout_equals_per_sample_formulas(full_size_runs, whi
     assert n_samples >= 2001
     series = evolution.dark_fidelity_series(traj)
     expected = [_reference_dark_fidelity(traj, i) for i in range(n_samples)]
-    assert np.array_equal(_bits(series), _bits(expected))
+    assert np.array_equal(bits(series), bits(expected))
 
     # complex chain vectors on every sample in a shuffled order, as repro
     # compares a full run with reduced runs
@@ -197,17 +180,17 @@ def test_whole_trajectory_readout_equals_per_sample_formulas(full_size_runs, whi
     for i, vec in zip(indices, vectors):
         state = traj.states[i]
         if traj.model_tag == "full":
-            state = _reference_chain_frame(state, traj.times[i], traj.params)
-            vec = _reference_embed(vec, n, traj.params.n_max)
+            state = to_chain_frame(state, traj.times[i], traj.params)
+            vec = embed(vec, n, traj.params.n_max)
         expected.append(abs(np.vdot(vec, state)) ** 2)
-    assert np.array_equal(_bits(traj.chain_fidelities(indices, vectors)), _bits(expected))
+    assert np.array_equal(bits(traj.chain_fidelities(indices, vectors)), bits(expected))
 
     rhos = traj.spin_marginals()
     columns = observables.spin_readout(rhos)
     expected = [_reference_spin_columns(_reference_marginal(psi, traj.model_tag, traj.params))
                 for psi in traj.states]
     for k, column in enumerate(columns):
-        assert np.array_equal(_bits(column), _bits([row[k] for row in expected]))
+        assert np.array_equal(bits(column), bits([row[k] for row in expected]))
 
 
 def test_spin_readout_rejects_unnormalized_matrices():

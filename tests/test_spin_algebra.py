@@ -38,6 +38,25 @@ def test_jz_diagonal():
     assert np.allclose(jz, np.diag([-1.0, 0.0, 1.0]))
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_projections_are_the_jz_diagonal(n):
+    # Jz = [J+, J-]/2, built here from the raising operator
+    jp = sa.build_collective(n, "j+")
+    jz = (jp @ jp.conj().T - jp.conj().T @ jp) / 2
+    projections = sa.projections(n)
+    assert projections.tolist() == [m - n / 2 for m in range(n + 1)]
+    assert np.allclose(projections, np.diag(jz).real, atol=1e-12)
+    assert np.count_nonzero(jz - np.diag(np.diag(jz))) == 0
+    assert not projections.flags.writeable
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_hamming_weights_count_the_up_spins(n):
+    weights = sa.hamming_weights(n)
+    assert weights.tolist() == [bin(k).count("1") for k in range(2**n)]
+    assert not weights.flags.writeable
+
+
 def test_j2_is_casimir_identity():
     jx, jy, jz = (sa.build_collective(4, kind) for kind in ("jx", "jy", "jz"))
     j2 = jx @ jx + jy @ jy + jz @ jz
