@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spin_algebra import _frozen, dicke_state_full, full_space_oracle, hamming_weights
+from .spin_algebra import _frozen, dicke_state_full, full_space_oracle, hamming_weights, projections
 
 #: a fidelity lower bound above this excludes the GHZ state as the source
 GHZ_DICKE_MAX_OVERLAP = 0.75
@@ -112,7 +112,7 @@ def fidelity_lower(witness_value: float, populations, j_max: int) -> float:
     j_max = _check_j_max(j_max)
     if len(pops) != 2 * j_max + 1:
         raise ValueError(f"populations must have length {2 * j_max + 1}, got {len(pops)}")
-    jz = np.arange(-j_max, j_max + 1)
+    jz = projections(2 * j_max)
     bound = witness_value / (2 * j_max) - (j_max - 1) / 2 * pops[j_max]
     off_center = jz != 0
     bound -= np.sum(((j_max + 1) / 2 - jz[off_center] ** 2 / (2 * j_max)) * pops[off_center])
@@ -147,7 +147,7 @@ def propagate_uncertainty(j_max: int, sigma_witness: float,
         raise ValueError("standard errors must be nonnegative and finite")
     if len(sig) != 2 * j_max + 1:
         raise ValueError(f"sigma_populations must have length {2 * j_max + 1}")
-    jz = np.arange(-j_max, j_max + 1)
+    jz = projections(2 * j_max)
     coeffs = (j_max + 1) / 2 - jz**2 / (2 * j_max)
     coeffs[j_max] = (j_max - 1) / 2
     var_lower = (sigma_witness / (2 * j_max)) ** 2 + np.sum((coeffs * sig) ** 2)
@@ -236,7 +236,7 @@ def certify_from_state(state: np.ndarray, axis: str = "x") -> CertificationRecor
 
     j_max = n_ions // 2
     pops, *complement = _projection_populations(state, n_ions, (axis, *AXIS_COMPLEMENTS[axis]))
-    w_value = sum(np.arange(-j_max, j_max + 1) ** 2 @ p for p in complement)
+    w_value = sum(projections(n_ions) ** 2 @ p for p in complement)
     return CertificationRecord(j_max=j_max, axis=axis, witness_value=float(w_value),
                                populations=pops, f_lower=fidelity_lower(w_value, pops, j_max),
                                f_upper=fidelity_upper(pops))

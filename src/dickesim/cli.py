@@ -247,6 +247,8 @@ def cmd_scan_noise(ns) -> int:
 def cmd_parity(ns) -> int:
     if ns.n != 2:
         raise PhysicsConfigError("parity oscillation analysis is a two-ion protocol")
+    if ns.shots is not None and 100 + ns.phases > 10_000:  # phase k draws on stream 100 + k
+        raise ValueError(f"--shots samples at most 9900 phases, got {ns.phases}")
     if ns.source == "ideal":
         state, record = dark_coefficients(2, 1.0, 1.0).chain_vector.astype(complex), {}
     else:
@@ -383,6 +385,10 @@ def _run_flags(p):
                    help="overrides the explicit ramp flags")
     p.add_argument("--dt", type=positive_float, default=None, help="integrator step")
     p.add_argument("--output", default=None, help="CSV path (default stdout)")
+
+
+def _evolve_flags(p):
+    _run_flags(p)
     p.add_argument("--summary", default=None, help="key-value summary file")
 
 
@@ -427,7 +433,7 @@ def _sweep_flags(p):
 # (name, help, flags, handler) of every subcommand, in the order --help lists them
 SUBCOMMANDS = (
     ("darkstate", "closed-form dark-state amplitudes", _darkstate_flags, cmd_darkstate),
-    ("evolve", "integrate a STIRAP ramp", _run_flags, cmd_evolve),
+    ("evolve", "integrate a STIRAP ramp", _evolve_flags, cmd_evolve),
     ("scan-noise", "spin noise versus pulse truncation time", _scan_noise_flags,
      cmd_scan_noise),
     ("parity", "two-ion parity oscillation and fidelity", _parity_flags, cmd_parity),

@@ -28,17 +28,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dark_state, observables
+from . import dark_state
 from .errors import NumericalError, PhysicsConfigError, ReducedModelWarning, TruncationWarning
 from .observables import NORM_TOL, READOUT_CHUNK
 from .spin_algebra import collective_coupling, projections
 from .model import (
     SystemParams,
-    chain_indices,
+    chain_frame,
     full_support,
     full_values,
     reduced_support,
     reduced_values,
+    spin_marginals,
+    top_fock_populations,
 )
 
 SCHEDULE_SHAPES = ("linear", "smoothstep")
@@ -167,38 +169,27 @@ class Trajectory:
         at ``indices``; the phonon factor of the full model is traced out."""
         states = self.states if indices is None else self.states[indices]
         n_max = self.params.n_max if self.model_tag == "full" else None
-        return observables.spin_marginals(states, self.params.n_ions, n_max)
+        return spin_marginals(states, self.params.n_ions, n_max)
 
     def chain_fidelities(self, indices, chain_vectors) -> np.ndarray:
         """|<v_k|psi_k>|^2 of the sample at ``indices[k]`` with the chain
-        vector ``chain_vectors[k]``, on the full model in the chain frame:
-        the vector lifted to its paired phonon numbers, the sample rotated
-        out of the interaction picture at its own time.
+        vector ``chain_vectors[k]``, on the full model in the chain frame of
+        ``model.chain_frame``.
 
         Stacks of ``READOUT_CHUNK`` samples give each the words of
         ``abs(np.vdot(v, psi)) ** 2`` alone.  An array's ``x ** 2`` rounds
         otherwise than libm's ``pow``, which a Python float calls.  So does
         ``np.abs`` of a complex array against Python's ``abs``, so both act
         on an object array.  A matmul of conjugate rows and columns runs
-        vdot's own dot product.  numpy elides ``states * np.exp(...)`` into
-        its temporary from 256 KiB on and changes words, so the rotation is
-        bound to a name first."""
+        vdot's own dot product."""
         indices, vectors = np.asarray(indices, dtype=np.intp), np.asarray(chain_vectors)
-        full = self.model_tag == "full"
-        if full:
-            n, n_max = self.params.n_ions, self.params.n_max
-            nvec = np.tile(np.arange(n_max + 1), n + 1)  # phonon number of each product state
-            chain = chain_indices(n, n_max)
         overlaps = np.empty(len(indices), dtype=complex)
         for start in range(0, len(indices), READOUT_CHUNK):
             chunk = slice(start, start + READOUT_CHUNK)
             rows, vecs = indices[chunk], vectors[chunk]
             states = self.states[rows]
-            if full:
-                rotation = np.exp((-1j * self.params.delta * self.times[rows])[:, None] * nvec)
-                states = states * rotation
-                vecs = np.zeros_like(states)
-                vecs[:, chain] = vectors[chunk]
+            if self.model_tag == "full":
+                states, vecs = chain_frame(self.params, states, self.times[rows], vecs)
             overlaps[chunk] = (vecs.conj()[:, None, :] @ states[:, :, None])[:, 0, 0]
         return (np.abs(overlaps.astype(object)) ** 2).astype(float)
 
@@ -520,8 +511,7 @@ def integrate_full(schedule: PulseSchedule, params: SystemParams,
         h_values, full_support(n, params.n_max)[0], (n + 1) * (params.n_max + 1),
         schedule, dt, guard, f" for delta = {params.delta}", capture_times, params.n_max + 1,
     )
-    top = np.abs(states[:, params.n_max::(params.n_max + 1)]) ** 2
-    leak = float(np.max(np.sum(top, axis=1)))
+    leak = float(np.max(top_fock_populations(params, states)))
     if leak > LEAK_WARN_LEVEL:
         warnings.warn(f"top Fock level reaches population {leak:.2e}; increase n_max",
                       TruncationWarning, stacklevel=2)

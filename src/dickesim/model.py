@@ -26,7 +26,10 @@ Each model is a pair of functions: its cached support, the fixed flat
 indices where some operator is nonzero, with the operators' entries there
 (``full_support``, ``reduced_support``), and its Hamiltonians at given
 times and rates on that support (``full_values``, ``reduced_values``),
-which ``expand`` makes dense.
+which ``expand`` makes dense (``full_hamiltonian``, ``reduced_hamiltonian``).
+Only this module knows the product-space layout, the chain pairing and the
+interaction picture: ``spin_marginals``, ``chain_frame`` and
+``top_fock_populations`` read states out through them for the integrator.
 """
 
 from __future__ import annotations
@@ -38,11 +41,6 @@ import numpy as np
 
 from .errors import PhysicsConfigError
 from .spin_algebra import _frozen, build_collective
-
-
-def default_n_max(n_ions: int) -> int:
-    """Fock truncation with headroom above the single-phonon ladder."""
-    return n_ions // 2 + 4
 
 
 @dataclass(frozen=True)
@@ -59,13 +57,13 @@ class SystemParams:
         if int(self.n_ions) != self.n_ions or self.n_ions < 1:
             raise ValueError(f"n_ions must be a positive integer, got {self.n_ions}")
         object.__setattr__(self, "n_ions", int(self.n_ions))
-        if self.n_max is None:
-            object.__setattr__(self, "n_max", default_n_max(self.n_ions))
         if not 0 <= self.delta < np.inf:
             raise ValueError("delta must be finite and nonnegative")
-        if int(self.n_max) != self.n_max or self.n_max < 0:
-            raise ValueError(f"n_max must be a nonnegative integer, got {self.n_max}")
-        object.__setattr__(self, "n_max", int(self.n_max))
+        # by default, Fock headroom above the single-phonon ladder
+        n_max = self.n_ions // 2 + 4 if self.n_max is None else self.n_max
+        if int(n_max) != n_max or n_max < 0:
+            raise ValueError(f"n_max must be a nonnegative integer, got {n_max}")
+        object.__setattr__(self, "n_max", int(n_max))
 
     def reduced_model_trusted(self, drive: float) -> bool:
         """Whether the detuning dominates a peak sideband rate ``drive`` =
@@ -177,3 +175,47 @@ def full_values(params: SystemParams, t: np.ndarray, omega_r: np.ndarray,
         cr * (phase * red + np.conj(phase) * red_dag)
         + cb * (np.conj(phase) * blue + phase * blue_dag)
     )
+
+
+def full_hamiltonian(params: SystemParams, t, omega_r, omega_b) -> np.ndarray:
+    """Dense interaction-picture H, the ``expand`` of ``full_values``: scalars
+    give one matrix, arrays of k times and rates the (k, d, d) stack."""
+    support, _ = full_support(params.n_ions, params.n_max)
+    dimension = (params.n_ions + 1) * (params.n_max + 1)
+    return expand(full_values(params, t, omega_r, omega_b), support, dimension)
+
+
+def spin_marginals(states: np.ndarray, n_ions: int, n_max: int | None = None) -> np.ndarray:
+    """(S, N+1, N+1) spin marginals of a (S, d) stack of states: chain states
+    when ``n_max`` is None, else spin-phonon product-space states.
+
+    On the chain the paired phonon number erases coherence between even and
+    odd Dicke levels; in the product space the phonon factor is traced out.
+    """
+    states = np.asarray(states, dtype=complex)
+    if n_max is not None:
+        mats = states.reshape(len(states), n_ions + 1, n_max + 1)
+        return mats @ mats.conj().transpose(0, 2, 1)
+    parity = np.arange(n_ions + 1) % 2
+    rhos = states[:, :, None] * states.conj()[:, None, :]
+    return rhos * (parity[:, None] == parity[None, :])
+
+
+def chain_frame(params: SystemParams, states: np.ndarray, times: np.ndarray,
+                chain_vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A (k, d) stack of product-space ``states`` at their ``times`` in the
+    chain's frame, where Fock level n picks up exp(-i delta t n), and the k
+    ``chain_vectors`` lifted to their paired phonon numbers.  numpy elides
+    ``states * np.exp(...)`` into its temporary from 256 KiB on and changes
+    words, so the rotation is bound to a name first."""
+    number = np.arange(states.shape[1]) % (params.n_max + 1)  # phonons of each product state
+    rotation = np.exp((-1j * params.delta * times)[:, None] * number)
+    lifted = np.zeros_like(states)
+    lifted[:, chain_indices(params.n_ions, params.n_max)] = chain_vectors
+    return states * rotation, lifted
+
+
+def top_fock_populations(params: SystemParams, states: np.ndarray) -> np.ndarray:
+    """Population of the top Fock level n_max in each product-space state of
+    a (k, d) stack: the phonon-truncation leak."""
+    return np.sum(np.abs(states[:, params.n_max::(params.n_max + 1)]) ** 2, axis=1)

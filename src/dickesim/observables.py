@@ -1,10 +1,9 @@
 """Spin readout, squeezing variances, witness, parity scans and fidelities.
 
 All observables act on symmetric-sector states (Dicke-basis vectors or
-density matrices).  States of the reduced chain or the spin-phonon product
-space are first reduced to the spin marginal with the helpers at the bottom;
-measured quantities are spin-only fluorescence-style readouts, so the phonon
-factor is always traced out.
+density matrices) and know nothing of the phonons: measured quantities are
+spin-only fluorescence-style readouts, so a model's states come here as the
+spin marginals that ``model.spin_marginals`` traces the phonons out of.
 """
 
 from __future__ import annotations
@@ -94,7 +93,7 @@ def direct_fidelity(state: np.ndarray, target: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# basis populations
+# basis populations and spin moments
 # ---------------------------------------------------------------------------
 
 def azimuthal_spin(n_ions: int, phi) -> np.ndarray:
@@ -136,6 +135,45 @@ def populations_azimuth(state: np.ndarray, phi) -> np.ndarray:
     each azimuth alone."""
     state = _check_normalized(state)
     return _eigenbasis_populations(state, azimuthal_spin(_state_dim(state) - 1, phi))
+
+
+def spin_readout(rhos: np.ndarray) -> tuple[list[float], list[float], list[float], list[float]]:
+    """<Jz>, Var(Jx), Var(Jy) and Var(Jz) of each density matrix of a
+    (S, N+1, N+1) stack, as Python floats: the one spin-moment path.
+
+    Var(J) = Tr(rho J^2) - Tr(rho J)^2, clipped at 0; <Jz> weights the
+    diagonal by m - N/2.  Tr(rho J)^2 is Python's power (an array's rounds
+    otherwise), so each matrix gets the bits it gets alone.  A trace further
+    than ``NORM_TOL`` from 1 is a ValueError.
+    """
+    rhos = np.asarray(rhos, dtype=complex)
+    traces = np.trace(rhos, axis1=1, axis2=2).real
+    off = np.flatnonzero(np.abs(traces - 1.0) > NORM_TOL)
+    if off.size:
+        raise ValueError(f"density matrix trace {traces[off[0]]} is not 1")
+    n_ions = rhos.shape[-1] - 1
+    populations = np.diagonal(rhos, axis1=1, axis2=2).real
+    columns = [np.sum(projections(n_ions) * populations, axis=1).tolist()]
+    for axis in AXES:
+        j = build_collective(n_ions, "j" + axis)
+        means, seconds = _product_traces(rhos, j), _product_traces(rhos, j @ j)
+        variances = seconds - (means.astype(object) ** 2).astype(float)
+        # max(v, 0.0) as Python takes it: nan and -0.0 pass through
+        columns.append(np.where(variances < 0.0, 0.0, variances).tolist())
+    return tuple(columns)
+
+
+def _product_traces(rhos: np.ndarray, op: np.ndarray) -> np.ndarray:
+    """Re Tr(rho op) of each matrix of a (S, d, d) stack, ``READOUT_CHUNK``
+    matrices at a time as one (k*d, d) @ (d, d) product, whose rows are those
+    of the products one matrix at a time."""
+    out = np.empty(len(rhos))
+    for start in range(0, len(rhos), READOUT_CHUNK):
+        chunk = rhos[start:start + READOUT_CHUNK]
+        product = chunk.reshape(-1, op.shape[0]) @ op
+        out[start:start + READOUT_CHUNK] = np.trace(product.reshape(chunk.shape),
+                                                    axis1=1, axis2=2).real
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -231,62 +269,3 @@ def parity_scan(state: np.ndarray, phases: np.ndarray | None = None) -> ParitySc
         phases = np.linspace(0.0, 2 * np.pi, 40, endpoint=False)
     parities, pops = parity_curve(state, phases)
     return parity_analysis(phases, parities, pops[0], pops[-1])
-
-
-# ---------------------------------------------------------------------------
-# spin marginals
-# ---------------------------------------------------------------------------
-
-def spin_marginals(states: np.ndarray, n_ions: int, n_max: int | None = None) -> np.ndarray:
-    """(S, N+1, N+1) spin marginals of a (S, d) stack of states: chain states
-    when ``n_max`` is None, else spin-phonon product-space states.
-
-    On the chain the paired phonon number erases coherence between even and
-    odd Dicke levels; in the product space the phonon factor is traced out.
-    """
-    states = np.asarray(states, dtype=complex)
-    if n_max is not None:
-        mats = states.reshape(len(states), n_ions + 1, n_max + 1)
-        return mats @ mats.conj().transpose(0, 2, 1)
-    parity = np.arange(n_ions + 1) % 2
-    rhos = states[:, :, None] * states.conj()[:, None, :]
-    return rhos * (parity[:, None] == parity[None, :])
-
-
-def spin_readout(rhos: np.ndarray) -> tuple[list[float], list[float], list[float], list[float]]:
-    """<Jz>, Var(Jx), Var(Jy) and Var(Jz) of each density matrix of a
-    (S, N+1, N+1) stack, as Python floats: the one spin-moment path.
-
-    Var(J) = Tr(rho J^2) - Tr(rho J)^2, clipped at 0; <Jz> weights the
-    diagonal by m - N/2.  Tr(rho J)^2 is Python's power (an array's rounds
-    otherwise), so each matrix gets the bits it gets alone.  A trace further
-    than ``NORM_TOL`` from 1 is a ValueError.
-    """
-    rhos = np.asarray(rhos, dtype=complex)
-    traces = np.trace(rhos, axis1=1, axis2=2).real
-    off = np.flatnonzero(np.abs(traces - 1.0) > NORM_TOL)
-    if off.size:
-        raise ValueError(f"density matrix trace {traces[off[0]]} is not 1")
-    n_ions = rhos.shape[-1] - 1
-    populations = np.diagonal(rhos, axis1=1, axis2=2).real
-    columns = [np.sum(projections(n_ions) * populations, axis=1).tolist()]
-    for axis in AXES:
-        j = build_collective(n_ions, "j" + axis)
-        means, seconds = _product_traces(rhos, j), _product_traces(rhos, j @ j)
-        variances = seconds - (means.astype(object) ** 2).astype(float)
-        # max(v, 0.0) as Python takes it: nan and -0.0 pass through
-        columns.append(np.where(variances < 0.0, 0.0, variances).tolist())
-    return tuple(columns)
-
-
-def _product_traces(rhos: np.ndarray, op: np.ndarray) -> np.ndarray:
-    """Re Tr(rho op) of each matrix of a (S, d, d) stack, ``READOUT_CHUNK``
-    matrices at a time as one (k*d, d) @ (d, d) product, whose rows are those
-    of the products one matrix at a time."""
-    out = np.empty(len(rhos))
-    for start in range(0, len(rhos), READOUT_CHUNK):
-        chunk = rhos[start:start + READOUT_CHUNK]
-        product = chunk.reshape(-1, op.shape[0]) @ op
-        out[start:start + READOUT_CHUNK] = np.trace(product.reshape(chunk.shape),
-                                                    axis1=1, axis2=2).real
-    return out

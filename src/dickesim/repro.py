@@ -104,7 +104,7 @@ def criterion_2() -> CriterionResult:
     )
 
 
-def _criterion_3(stated: bool) -> CriterionResult:
+def criterion_3(stated: bool) -> CriterionResult:
     """Full transfer and >= 0.99 midpoint fidelity to the half-excited Dicke
     state, at the strict preset (row 3) or at the stated settings (row 3s),
     whose failure is a documented shortfall."""
@@ -120,14 +120,6 @@ def _criterion_3(stated: bool) -> CriterionResult:
         "3s" if stated else "3",
         f"adiabatic transfer ({settings}, eta*omega_bar*T = {traj.schedule.total_time:g})",
         passed, details, documented_shortfall=stated and not passed)
-
-
-def criterion_3_strict() -> CriterionResult:
-    return _criterion_3(stated=False)
-
-
-def criterion_3_stated() -> CriterionResult:
-    return _criterion_3(stated=True)
 
 
 def _model_agreement(n_ions: int, delta: float) -> float:
@@ -151,9 +143,7 @@ def criterion_4() -> CriterionResult:
     for n in range(1, 9):
         params = model.SystemParams(n_ions=n, delta=20.0)
         chain = np.ix_(*[model.chain_indices(n, params.n_max)] * 2)
-        values = model.full_values(params, np.zeros(len(wr)), wr, wb)
-        support, _ = model.full_support(n, params.n_max)
-        block = model.expand(values, support, (n + 1) * (params.n_max + 1))[(..., *chain)]
+        block = model.full_hamiltonian(params, np.zeros(len(wr)), wr, wb)[(..., *chain)]
         half = model.reduced_hamiltonian(model.SystemParams(n_ions=n), wr / 2, wb / 2)
         diff = max(diff, float(np.max(np.abs(block - half))))
     details = [f"full model at t = 0 on the chain states - chain at omega_bar/2, "
@@ -179,7 +169,7 @@ def criterion_5() -> CriterionResult:
         wr, wb = evolution.tones(theta)
         states.append(dark_state.dark_coefficients(4, wr, wb).chain_vector if wb != 0
                       else spin_algebra.dicke_state(4, 0))
-    _, var_x, var_y, var_z = observables.spin_readout(observables.spin_marginals(states, 4))
+    _, var_x, var_y, var_z = observables.spin_readout(model.spin_marginals(states, 4))
     idx_min = int(np.argmin(var_x))
     idx_half = int(np.argmin(np.abs(thetas - np.pi / 2)))
     end_err = max(abs(var_x[0] - 1), abs(var_y[0] - 1), abs(var_z[0]))
@@ -191,7 +181,7 @@ def criterion_5() -> CriterionResult:
     )
 
 
-def _criterion_6(stated: bool) -> CriterionResult:
+def criterion_6(stated: bool) -> CriterionResult:
     """Witness >= 5.9 on the midpoint of the strict preset (row 6), where the
     ideal state's must be 6.000, or of the stated settings (row 6s), whose
     failure is a documented shortfall."""
@@ -208,14 +198,6 @@ def _criterion_6(stated: bool) -> CriterionResult:
         details.insert(0, f"ideal <W_yz> = {w_ideal:.12f} (= 6 +- 1e-9, > 5.23)")
     return CriterionResult("6s" if stated else "6", f"entanglement witness ({settings})",
                            passed, details, documented_shortfall=stated and not passed)
-
-
-def criterion_6_strict() -> CriterionResult:
-    return _criterion_6(stated=False)
-
-
-def criterion_6_stated() -> CriterionResult:
-    return _criterion_6(stated=True)
 
 
 def criterion_7() -> CriterionResult:
@@ -325,12 +307,12 @@ def run_all() -> list[CriterionResult]:
     return [
         criterion_1(),
         criterion_2(),
-        criterion_3_strict(),
-        criterion_3_stated(),
+        criterion_3(stated=False),
+        criterion_3(stated=True),
         criterion_4(),
         criterion_5(),
-        criterion_6_strict(),
-        criterion_6_stated(),
+        criterion_6(stated=False),
+        criterion_6(stated=True),
         criterion_7(),
         criterion_8(),
         criterion_9(),

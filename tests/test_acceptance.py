@@ -36,12 +36,12 @@ def test_criterion_02_coupling_oracle():
 
 
 def test_criterion_03_adiabatic_transfer_strict_preset():
-    _check(repro.criterion_3_strict())
+    _check(repro.criterion_3(stated=False))
 
 
 @pytest.mark.xfail(strict=True, reason=STATED_SETTINGS_REASON)
 def test_criterion_03_adiabatic_transfer_stated_settings():
-    _check(repro.criterion_3_stated())
+    _check(repro.criterion_3(stated=True))
 
 
 def test_criterion_04_full_vs_reduced_consistency():
@@ -53,12 +53,12 @@ def test_criterion_05_spin_noise_profile():
 
 
 def test_criterion_06_witness_strict_preset():
-    _check(repro.criterion_6_strict())
+    _check(repro.criterion_6(stated=False))
 
 
 @pytest.mark.xfail(strict=True, reason=STATED_SETTINGS_REASON)
 def test_criterion_06_witness_stated_settings():
-    _check(repro.criterion_6_stated())
+    _check(repro.criterion_6(stated=True))
 
 
 def test_criterion_07_paper_arithmetic():

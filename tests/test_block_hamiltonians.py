@@ -104,15 +104,14 @@ def test_full_hamiltonian_stack_equals_dense_sum(n_ions, delta, times, tone_seed
     # the ramp ends reach exactly zero on one tone
     omega_r[rng.random(len(ts)) < 0.3] = 0.0
     omega_b[rng.random(len(ts)) < 0.3] = 0.0
-    support, _ = model.full_support(n_ions, params.n_max)
     dimension = (n_ions + 1) * (params.n_max + 1)
-    stack = model.expand(model.full_values(params, ts, omega_r, omega_b), support, dimension)
+    stack = model.full_hamiltonian(params, ts, omega_r, omega_b)
     assert stack.shape == (len(ts), dimension, dimension)
     for i, t in enumerate(ts.tolist()):
         expected = _reference_full(params, t, float(omega_r[i]), float(omega_b[i]))
         _assert_bitwise_equal(stack[i], expected)
-        one = model.full_values(params, t, float(omega_r[i]), float(omega_b[i]))
-        _assert_bitwise_equal(model.expand(one, support, dimension), expected)
+        one = model.full_hamiltonian(params, t, float(omega_r[i]), float(omega_b[i]))
+        _assert_bitwise_equal(one, expected)
 
 
 @settings(max_examples=60, deadline=None)
@@ -136,7 +135,7 @@ def test_support_values_expand_to_the_dense_builds(n_ions, delta, times, tone_se
     support, _ = model.full_support(n_ions, params.n_max)
     values = model.full_values(params, ts, omega_r, omega_b)
     assert values.shape == (len(ts), len(support) + 1) and 0 not in support
-    full = model.expand(values, support, (n_ions + 1) * (params.n_max + 1))
+    full = model.full_hamiltonian(params, ts, omega_r, omega_b)
     for i, t in enumerate(ts.tolist()):
         _assert_bitwise_equal(full[i], _reference_full(params, t, float(omega_r[i]),
                                                        float(omega_b[i])))

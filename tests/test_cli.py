@@ -373,6 +373,24 @@ def test_summary_file(tmp_path, capsys):
     assert "fidelity = " in text
 
 
+def test_summary_is_written_by_evolve_and_is_no_scan_noise_key(tmp_path, capsys):
+    summary = tmp_path / "sum.txt"
+    assert cli.main(["evolve", "--n", "2", "--eta-omega-t", "8", "--output",
+                     str(tmp_path / "e.csv"), "--summary", str(summary)]) == 0
+    assert summary.read_text() == capsys.readouterr().out
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"summary = {summary}\n")
+    assert cli.main(["scan-noise", "--config", str(cfg)]) == cli.EXIT_PHYSICS
+    assert capsys.readouterr().err == "error: config file has unknown keys: summary\n"
+
+
+def test_sampled_parity_refuses_phases_that_reach_the_population_stream(capsys):
+    # phase k is drawn on substream 100 + k and the z populations on 10,000
+    assert cli.main(["parity", "--shots", "10", "--phases", "9901"]) == cli.EXIT_PHYSICS
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: --shots samples at most 9900 phases, got 9901\n"
+
+
 def test_evolve_strict_preset_reaches_full_transfer(tmp_path, capsys):
     out = tmp_path / "strict.csv"
     assert cli.main(["evolve", "--n", "4", "--adiabatic-preset", "strict",
@@ -421,6 +439,7 @@ def test_usage_error_exit_code():
     ["parity", "--phases", "-3"],
     ["parity", "--shots", "10", "--seed", "-1"],
     ["parity", "--shots", "10", "--seed", str(2**64)],
+    ["scan-noise", "--summary", "f"],  # only evolve writes a summary
 ])
 def test_malformed_input_exits_usage(argv):
     with pytest.raises(SystemExit) as excinfo:

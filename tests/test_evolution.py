@@ -11,7 +11,7 @@ from dickesim.errors import (
     ReducedModelWarning,
     TruncationWarning,
 )
-from oracles import bits
+from oracles import bits, embed, to_chain_frame
 
 
 def _tones(schedule, t):
@@ -309,12 +309,7 @@ def test_phonon_truncation_convergence():
     for n_max in (5, 7):
         params = model.SystemParams(n_ions=2, delta=20.0, n_max=n_max)
         traj = evolution.integrate_full(sch, params)
-        # the state moved into the chain's frame, where Fock level n picks
-        # up exp(-i * delta * t * n), against the dark chain vector lifted to
-        # its paired phonon numbers
-        nvec = np.tile(np.arange(n_max + 1), 3)
-        mid = traj.states[traj.midpoint] * np.exp(-1j * params.delta * 20.0 * nvec)
-        target = np.zeros(len(mid), dtype=complex)
-        target[model.chain_indices(2, n_max)] = dark_coefficients(2, 1, 1).chain_vector
+        mid = to_chain_frame(traj.states[traj.midpoint], 20.0, params)
+        target = embed(dark_coefficients(2, 1, 1).chain_vector, 2, n_max)
         fids.append(abs(np.vdot(target, mid)) ** 2)
     assert abs(fids[1] - fids[0]) < 1e-4

@@ -10,13 +10,6 @@ from dickesim.spin_algebra import collective_coupling
 from oracles import bits, embed, to_chain_frame
 
 
-def _full(params, t, omega_r, omega_b):
-    """Dense interaction-picture H at ``t``, expanded from its support values."""
-    support, _ = model.full_support(params.n_ions, params.n_max)
-    dimension = (params.n_ions + 1) * (params.n_max + 1)
-    return model.expand(model.full_values(params, t, omega_r, omega_b), support, dimension)
-
-
 def _loop_parts(n):
     """(K_r, K_b, D) written out along the chain: blue couplings leave the
     even sites, red ones the odd sites, and D counts the phonon."""
@@ -57,7 +50,8 @@ def test_float_ion_number_builds_the_int_hamiltonians():
     assert type(model.SystemParams(n_ions=4.0).n_max) is int
     assert np.array_equal(model.reduced_hamiltonian(as_float, 1.0, 0.5),
                           model.reduced_hamiltonian(as_int, 1.0, 0.5))
-    assert np.array_equal(_full(as_float, 0.3, 1.0, 0.5), _full(as_int, 0.3, 1.0, 0.5))
+    assert np.array_equal(model.full_hamiltonian(as_float, 0.3, 1.0, 0.5),
+                          model.full_hamiltonian(as_int, 0.3, 1.0, 0.5))
 
 
 def test_validity_flag():
@@ -123,7 +117,7 @@ def test_sliced_parts_equal_chain_loop(n):
 def test_chain_is_full_resonant_block_at_half_drive(n, omega_r, omega_b, delta):
     params = model.SystemParams(n_ions=n, delta=delta)
     chain = np.ix_(*[model.chain_indices(n, params.n_max)] * 2)
-    block = _full(params, 0.0, omega_r, omega_b)[chain]
+    block = model.full_hamiltonian(params, 0.0, omega_r, omega_b)[chain]
     half = model.reduced_hamiltonian(model.SystemParams(n_ions=n), omega_r / 2, omega_b / 2)
     assert np.array_equal(bits(block.real), bits(half))
     assert not np.any(block.imag)
@@ -154,20 +148,20 @@ def test_chain_indices_pair_each_level_with_its_phonon():
 
 def test_full_zero_amplitudes_zero_matrix():
     params = model.SystemParams(n_ions=2, delta=10.0)
-    assert np.max(np.abs(_full(params, 0.3, 0.0, 0.0))) == 0.0
+    assert np.max(np.abs(model.full_hamiltonian(params, 0.3, 0.0, 0.0))) == 0.0
 
 
 def test_full_hermitian_at_sampled_times():
     params = model.SystemParams(n_ions=3, delta=9.0)
     for t in (0.0, 0.17, 1.23, 7.7):
-        h = _full(params, t, 0.7, 1.2)
+        h = model.full_hamiltonian(params, t, 0.7, 1.2)
         assert np.max(np.abs(h - h.conj().T)) < 1e-12
 
 
 def test_full_red_matrix_element():
     params = model.SystemParams(n_ions=2, delta=5.0)
     omega_r = 0.8 * 1.4  # eta = 0.8 times a carrier rate 1.4
-    h = _full(params, 0.0, omega_r, 0.0)
+    h = model.full_hamiltonian(params, 0.0, omega_r, 0.0)
     n_levels = params.n_max + 1
     bra = np.zeros(3 * n_levels)
     bra[1 * n_levels + 0] = 1.0  # |D^1, 0>
@@ -180,8 +174,8 @@ def test_full_red_matrix_element():
 def test_full_periodicity():
     params = model.SystemParams(n_ions=2, delta=7.0)
     t = 0.31
-    shifted = _full(params, t + 2 * np.pi / params.delta, 0.9, 0.4)
-    assert np.max(np.abs(shifted - _full(params, t, 0.9, 0.4))) < 1e-12
+    shifted = model.full_hamiltonian(params, t + 2 * np.pi / params.delta, 0.9, 0.4)
+    assert np.max(np.abs(shifted - model.full_hamiltonian(params, t, 0.9, 0.4))) < 1e-12
 
 
 def test_full_n_max_guard():
@@ -212,5 +206,6 @@ def test_embed_and_frame_round_trip():
     # in the chain's frame the full model does not depend on time: each
     # sideband moves the phonon number by one, which the frame's phase undoes
     frame = to_chain_frame(np.ones(len(full)), 0.37, params)
-    rotated = frame[:, None] * _full(params, 0.37, 0.6, 1.3) * frame.conj()[None, :]
-    assert np.max(np.abs(rotated - _full(params, 0.0, 0.6, 1.3))) < 1e-12
+    h = model.full_hamiltonian(params, 0.37, 0.6, 1.3)
+    rotated = frame[:, None] * h * frame.conj()[None, :]
+    assert np.max(np.abs(rotated - model.full_hamiltonian(params, 0.0, 0.6, 1.3))) < 1e-12

@@ -4,6 +4,7 @@ from scipy.linalg import expm
 
 from dickesim import observables as obs
 from dickesim.dark_state import dark_coefficients
+from dickesim.model import spin_marginals
 from dickesim.spin_algebra import (
     build_collective,
     dicke_state,
@@ -346,7 +347,7 @@ def test_stacked_parity_products_equal_the_product_loop_bit_for_bit(n_phases):
 
 def test_chain_marginal_blocks_parity_coherence():
     chain = np.array([0.6, 0.8j, 0.0], dtype=complex)
-    [rho] = obs.spin_marginals(chain[None], 2)
+    [rho] = spin_marginals(chain[None], 2)
     assert rho[0, 1] == 0.0
     assert rho[0, 0] == pytest.approx(0.36)
     assert np.trace(rho) == pytest.approx(1.0)
@@ -354,7 +355,7 @@ def test_chain_marginal_blocks_parity_coherence():
 
 def test_chain_marginal_of_dark_state_is_pure():
     chain = dark_coefficients(4, 1.0, 1.0).chain_vector
-    [rho] = obs.spin_marginals(chain[None], 4)
+    [rho] = spin_marginals(chain[None], 4)
     assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-12)
 
 
@@ -362,6 +363,6 @@ def test_full_marginal_trace():
     rng = np.random.default_rng(5)
     psi = rng.normal(size=5 * 7) + 1j * rng.normal(size=5 * 7)
     psi /= np.linalg.norm(psi)
-    [rho] = obs.spin_marginals(psi[None], 4, 6)
+    [rho] = spin_marginals(psi[None], 4, 6)
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(rho - rho.conj().T)) < 1e-14
