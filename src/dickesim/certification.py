@@ -18,12 +18,14 @@ of sigma_a (J_a = sum_q sigma_a^(q)/2) and sums the probabilities by Hamming
 weight into P_a(m); the witness is then exactly sum_m m^2 (P_b(m) + P_c(m)).
 
 Experimental populations may be fed in raw (unnormalized); nothing here
-renormalizes them.
+renormalizes them.  The bounds read jM from the odd-length vector
+p_{-jM}..p_{+jM}; a ``CertificationRecord`` holds only what was measured
+and derives its bounds from it once, with the functions below.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -40,37 +42,34 @@ CERTIFY_MAX_IONS = 8
 
 @dataclass(frozen=True)
 class CertificationRecord:
-    """Measured (or simulated) witness + populations and the derived bounds.
+    """Measured (or simulated) witness and populations, with standard errors
+    for both (the shot-sampled pipeline) or neither (exact inputs, whose
+    bound sigmas stay None), and the bounds that ``fidelity_lower``,
+    ``fidelity_upper`` and ``propagate_uncertainty`` derive from them."""
 
-    ``axis`` names the direction of the target half-excited Dicke state; the
-    witness axes are the two orthogonal ones.  Sigma fields are populated by
-    the shot-sampled pipeline and stay None for exact inputs.
-    """
-
-    j_max: int
-    axis: str
     witness_value: float
     populations: np.ndarray
-    f_lower: float
-    f_upper: float
     sigma_witness: float | None = None
     sigma_populations: np.ndarray | None = None
-    sigma_lower: float | None = None
-    sigma_upper: float | None = None
+    f_lower: float = field(init=False)
+    f_upper: float = field(init=False)
+    sigma_lower: float | None = field(init=False, default=None)
+    sigma_upper: float | None = field(init=False, default=None)
 
     def __post_init__(self):
-        object.__setattr__(self, "j_max", _check_j_max(self.j_max))
-        pops = np.array(self.populations, dtype=float)
-        if pops.shape != (2 * self.j_max + 1,):
-            raise ValueError(
-                f"populations must have length {2 * self.j_max + 1}, got {pops.shape}"
-            )
-        object.__setattr__(self, "populations", _frozen(pops))
+        pops = _frozen(np.array(self.populations, dtype=float))
+        derived = {"populations": pops, "f_lower": fidelity_lower(self.witness_value, pops),
+                   "f_upper": fidelity_upper(pops)}
+        if (self.sigma_witness is None) != (self.sigma_populations is None):
+            raise ValueError("give both standard errors or neither")
         if self.sigma_populations is not None:
-            sig = np.array(self.sigma_populations, dtype=float)
+            sig = _frozen(np.array(self.sigma_populations, dtype=float))
             if sig.shape != pops.shape:
                 raise ValueError("sigma_populations shape does not match populations")
-            object.__setattr__(self, "sigma_populations", _frozen(sig))
+            derived["sigma_populations"] = sig
+            derived["sigma_lower"], derived["sigma_upper"] = propagate_uncertainty(
+                self.sigma_witness, sig)
+        self.__dict__.update(derived)  # frozen: the fields are set once, here
 
 
 def ghz_excluded(f_lower: float) -> bool:
@@ -81,13 +80,6 @@ def ghz_excluded(f_lower: float) -> bool:
 def _check_witness(witness_value: float) -> None:
     if not np.isfinite(witness_value):
         raise ValueError(f"witness value must be finite, got {witness_value}")
-
-
-def _check_j_max(j_max) -> int:
-    """``j_max`` as an int; ValueError unless it is a positive whole number."""
-    if not (1 <= j_max < np.inf and int(j_max) == j_max):  # nan fails too
-        raise ValueError(f"j_max must be a positive integer (N/2 for even N), got {j_max}")
-    return int(j_max)
 
 
 def _check_populations(populations) -> np.ndarray:
@@ -105,13 +97,12 @@ def fidelity_upper(populations) -> float:
     return float(pops[len(pops) // 2])
 
 
-def fidelity_lower(witness_value: float, populations, j_max: int) -> float:
-    """Witness-based lower bound on the half-excited Dicke fidelity."""
+def fidelity_lower(witness_value: float, populations) -> float:
+    """Witness-based lower bound on the half-excited Dicke fidelity, with jM
+    = (len(populations) - 1)/2."""
     pops = _check_populations(populations)
     _check_witness(witness_value)
-    j_max = _check_j_max(j_max)
-    if len(pops) != 2 * j_max + 1:
-        raise ValueError(f"populations must have length {2 * j_max + 1}, got {len(pops)}")
+    j_max = len(pops) // 2
     jz = projections(2 * j_max)
     bound = witness_value / (2 * j_max) - (j_max - 1) / 2 * pops[j_max]
     off_center = jz != 0
@@ -122,7 +113,7 @@ def fidelity_lower(witness_value: float, populations, j_max: int) -> float:
 def fidelity_sandwich_4ion(witness_value: float, populations) -> tuple[float, float]:
     """Four-ion closed form: (W/4 - (p_-2 + p_2 + p_0)/2 - 5(p_-1 + p_1)/4, p_0).
 
-    Identical to the general lower/upper bounds at j_max = 2.
+    Identical to the general lower/upper bounds at jM = 2.
     """
     pops = _check_populations(populations)
     _check_witness(witness_value)
@@ -134,19 +125,19 @@ def fidelity_sandwich_4ion(witness_value: float, populations) -> tuple[float, fl
     return float(lower), float(pops[2])
 
 
-def propagate_uncertainty(j_max: int, sigma_witness: float,
-                          sigma_populations) -> tuple[float, float]:
-    """First-order (here: exact, the bounds are linear) error propagation.
+def propagate_uncertainty(sigma_witness: float, sigma_populations) -> tuple[float, float]:
+    """First-order (here: exact, the bounds are linear) error propagation,
+    with jM = (len(sigma_populations) - 1)/2.
 
     Inputs are treated as independent; returns (sigma_lower, sigma_upper).
     """
-    j_max = _check_j_max(j_max)
     sig = np.asarray(sigma_populations, dtype=float)
     every = np.append(sig, sigma_witness)
     if not np.all((every >= 0) & (every < np.inf)):  # nan fails both
         raise ValueError("standard errors must be nonnegative and finite")
-    if len(sig) != 2 * j_max + 1:
-        raise ValueError(f"sigma_populations must have length {2 * j_max + 1}")
+    if sig.ndim != 1 or len(sig) < 3 or len(sig) % 2 == 0:
+        raise ValueError("sigma_populations must be an odd-length vector")
+    j_max = len(sig) // 2
     jz = projections(2 * j_max)
     coeffs = (j_max + 1) / 2 - jz**2 / (2 * j_max)
     coeffs[j_max] = (j_max - 1) / 2
@@ -234,12 +225,9 @@ def certify_from_state(state: np.ndarray, axis: str = "x") -> CertificationRecor
     if n_ions > CERTIFY_MAX_IONS:
         raise ValueError(f"certification limited to n_ions <= {CERTIFY_MAX_IONS}")
 
-    j_max = n_ions // 2
     pops, *complement = _projection_populations(state, n_ions, (axis, *AXIS_COMPLEMENTS[axis]))
     w_value = sum(projections(n_ions) ** 2 @ p for p in complement)
-    return CertificationRecord(j_max=j_max, axis=axis, witness_value=float(w_value),
-                               populations=pops, f_lower=fidelity_lower(w_value, pops, j_max),
-                               f_upper=fidelity_upper(pops))
+    return CertificationRecord(witness_value=float(w_value), populations=pops)
 
 
 # ---------------------------------------------------------------------------

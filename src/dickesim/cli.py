@@ -247,18 +247,16 @@ def cmd_scan_noise(ns) -> int:
 def cmd_parity(ns) -> int:
     if ns.n != 2:
         raise PhysicsConfigError("parity oscillation analysis is a two-ion protocol")
-    if ns.shots is not None and 100 + ns.phases > 10_000:  # phase k draws on stream 100 + k
-        raise ValueError(f"--shots samples at most 9900 phases, got {ns.phases}")
     if ns.source == "ideal":
         state, record = dark_coefficients(2, 1.0, 1.0).chain_vector.astype(complex), {}
     else:
         state, record = evolution.strict_midpoint(2)
     phases = np.linspace(0.0, 2 * np.pi, ns.phases, endpoint=False)
-    parities, pops = observables.parity_curve(state, phases)
-    if ns.shots is not None:
+    if ns.shots is None:
+        parities, pops = observables.parity_curve(state, phases)
+    else:
         config = measurement.ShotConfig(n_shots=ns.shots, seed=ns.seed)
-        parities = measurement.sample_parities(parities, config)
-        pops = measurement.sample_populations(state, config.substream(10_000), "z").frequencies
+        parities, pops = measurement.sample_parity_curve(state, phases, config)
     scan = observables.parity_analysis(phases, parities, pops[0], pops[-1])
 
     header = _provenance("parity", {
@@ -298,31 +296,29 @@ def cmd_bounds(ns) -> int:
     missing = [key for key in required if key not in raw]
     if missing:
         raise ValueError(f"input file is missing keys: {', '.join(missing)}")
-    witness_value = float(raw["W"])
-    sigma_w = float(raw["sigma_W"])
-    pops = [float(tok) for tok in raw["p_list"].split(",")]
-    sigmas = [float(tok) for tok in raw["sigma_list"].split(",")]
-    j_max = int(raw["j_M"])
-
-    lower = certification.fidelity_lower(witness_value, pops, j_max)
-    upper = certification.fidelity_upper(pops)
-    sigma_lower, sigma_upper = certification.propagate_uncertainty(j_max, sigma_w, sigmas)
+    pops, sigmas = ([float(tok) for tok in raw[key].split(",")] for key in ("p_list", "sigma_list"))
+    rec = certification.CertificationRecord(witness_value=float(raw["W"]), populations=pops,
+                                            sigma_witness=float(raw["sigma_W"]),
+                                            sigma_populations=sigmas)
+    if 2 * int(raw["j_M"]) + 1 != len(pops):
+        raise ValueError(f"j_M = {raw['j_M']} does not match the {len(pops)} populations "
+                         "of p_list: j_M must be (len(p_list) - 1)/2")
+    certified = certification.ghz_excluded(rec.f_lower)
 
     header = _provenance("bounds", {"input": ns.input, "seed": "none"})
     echo_rows = [(key, f"\"{raw[key]}\"") for key in required]
     result_rows = [
-        ("F_lo", lower), ("sigma_lo", sigma_lower),
-        ("F_hi", upper), ("sigma_hi", sigma_upper),
-        ("ghz_excluded", certification.ghz_excluded(lower)),
+        ("F_lo", rec.f_lower), ("sigma_lo", rec.sigma_lower),
+        ("F_hi", rec.f_upper), ("sigma_hi", rec.sigma_upper), ("ghz_excluded", certified),
     ]
     _emit(ns.output, header + ["# input echo below"], ("key", "value"),
           echo_rows + result_rows)
     _print_summary({
-        "F_lo": f"{lower:.6f} +- {sigma_lower:.6f}",
-        "F_hi": f"{upper:.6f} +- {sigma_upper:.6f}",
-        "ghz_excluded": certification.ghz_excluded(lower),
-        "verdict": "half-excited Dicke state certified"
-        if certification.ghz_excluded(lower) else "lower bound does not exclude GHZ",
+        "F_lo": f"{rec.f_lower:.6f} +- {rec.sigma_lower:.6f}",
+        "F_hi": f"{rec.f_upper:.6f} +- {rec.sigma_upper:.6f}",
+        "ghz_excluded": certified,
+        "verdict": "half-excited Dicke state certified" if certified
+        else "lower bound does not exclude GHZ",
     }, path=ns.summary)
     return EXIT_OK
 

@@ -422,7 +422,7 @@ def _check_norms(states: np.ndarray) -> float:
 
 def _integrate(h_values, support: np.ndarray, dimension: int, schedule: PulseSchedule,
                dt: float | None, guard: float, coarse: str, capture_times: list[float] | None,
-               levels: int = 1) -> tuple[np.ndarray, np.ndarray, dict]:
+               n_ions: int) -> tuple[np.ndarray, np.ndarray, dict]:
     """RK4 from |D^0>|0> (basis index 0 of both models), sampled on the
     capture grid and at the steps nearest ``capture_times``, stopped at the
     latest of those; returns (times, states, the ``Trajectory`` fields
@@ -442,7 +442,7 @@ def _integrate(h_values, support: np.ndarray, dimension: int, schedule: PulseSch
     psi0 = np.zeros(dimension, dtype=complex)
     psi0[0] = 1.0
 
-    n_steps = _plan_steps(schedule.total_time, dt, levels)
+    n_steps = _plan_steps(schedule.total_time, dt, dimension // (n_ions + 1))
     extra = set()
     if capture_times is not None:
         for t in capture_times:
@@ -478,8 +478,8 @@ def integrate_reduced(schedule: PulseSchedule, params: SystemParams,
         return reduced_values(params, *schedule.amplitudes(ts))
 
     times, states, record = _integrate(
-        h_values, reduced_support(n)[0], n + 1, schedule, dt, guard,
-        ": need dt*max(delta + N*omega_bar, 6*omega_bar*max coupling) <= 0.1", capture_times,
+        h_values, *reduced_support(n)[:2], schedule, dt, guard,
+        ": need dt*max(delta + N*omega_bar, 6*omega_bar*max coupling) <= 0.1", capture_times, n,
     )
     peak = 2 * schedule.omega_bar  # the red tone at t = 0, where every run starts
     if not params.reduced_model_trusted(peak):
@@ -508,8 +508,8 @@ def integrate_full(schedule: PulseSchedule, params: SystemParams,
         return full_values(params, ts, *schedule.amplitudes(ts))
 
     times, states, record = _integrate(
-        h_values, full_support(n, params.n_max)[0], (n + 1) * (params.n_max + 1),
-        schedule, dt, guard, f" for delta = {params.delta}", capture_times, params.n_max + 1,
+        h_values, *full_support(n, params.n_max)[:2], schedule, dt, guard,
+        f" for delta = {params.delta}", capture_times, n,
     )
     leak = float(np.max(top_fock_populations(params, states)))
     if leak > LEAK_WARN_LEVEL:

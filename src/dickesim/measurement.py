@@ -15,15 +15,19 @@ the cost of building one a draw.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import observables
-from .certification import CertificationRecord, fidelity_lower, fidelity_upper, propagate_uncertainty
+from .certification import CertificationRecord
 from .spin_algebra import _frozen, projections
 
 GENERATOR_NAME = "philox4x64-10"
+
+#: substreams of a sampled parity curve: phase k draws on PARITY_STREAM + k
+#: and the z populations on POPULATION_STREAM, past every phase's stream
+PARITY_STREAM, POPULATION_STREAM = 100, 10_000
 
 
 @dataclass(frozen=True)
@@ -57,22 +61,23 @@ class ShotConfig:
 
 @dataclass(frozen=True)
 class MeasurementRecord:
-    """Histogram of projection outcomes with binomial standard errors."""
+    """Histogram of projection outcomes, m - N/2 ascending, drawn on the
+    Philox key (seed, stream); the shot count, frequencies and binomial
+    standard errors follow from the counts."""
 
-    projections: np.ndarray
     counts: np.ndarray
-    frequencies: np.ndarray
-    std_errors: np.ndarray
-    n_shots: int
     seed: int
     stream: int
-    generator: str = GENERATOR_NAME
+    n_shots: int = field(init=False)
+    frequencies: np.ndarray = field(init=False)
+    std_errors: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        for name in ("projections", "counts", "frequencies", "std_errors"):
-            object.__setattr__(self, name, _frozen(np.array(getattr(self, name))))
-        if int(np.sum(self.counts)) != self.n_shots:
-            raise ValueError("histogram counts must sum to n_shots")
+        counts = _frozen(np.array(self.counts))
+        n_shots = int(np.sum(counts))
+        freq = counts / n_shots
+        self.__dict__.update(counts=counts, n_shots=n_shots, frequencies=_frozen(freq),
+                             std_errors=_frozen(np.sqrt(freq * (1 - freq) / n_shots)))
 
 
 def _normalized(probabilities) -> np.ndarray:
@@ -109,28 +114,33 @@ def _draw(probabilities: np.ndarray, config: ShotConfig) -> np.ndarray:
 
 def sample_populations(state: np.ndarray, config: ShotConfig, axis: str) -> MeasurementRecord:
     """Multinomial draw from the exact projection populations along an axis."""
-    probs = observables.populations_along(state, axis)
-    counts = _draw(_normalized(probs), config)
-    freq = counts / config.n_shots
-    return MeasurementRecord(
-        projections=projections(len(probs) - 1),
-        counts=counts,
-        frequencies=freq,
-        std_errors=np.sqrt(freq * (1 - freq) / config.n_shots),
-        n_shots=config.n_shots,
-        seed=config.seed,
-        stream=config.stream,
-    )
+    counts = _draw(_normalized(observables.populations_along(state, axis)), config)
+    return MeasurementRecord(counts=counts, seed=config.seed, stream=config.stream)
 
 
 def sample_parities(parities: np.ndarray, config: ShotConfig) -> np.ndarray:
     """Shot-sampled two-ion parity curve from its exact values: at phase k,
     the count of the even-parity outcome in a draw over (even, odd) on
-    substream 100 + k.  The curve is normalised once, not once a phase."""
+    substream ``PARITY_STREAM`` + k.  The curve is normalised once, not once
+    a phase."""
     p_even = np.clip((1 + np.asarray(parities, dtype=float)) / 2, 0.0, 1.0)
     probs = _normalized(np.stack([p_even, 1 - p_even], axis=-1))
-    draws = [_draw(pair, config.substream(100 + k))[0] for k, pair in enumerate(probs)]
+    draws = [_draw(pair, config.substream(PARITY_STREAM + k))[0]
+             for k, pair in enumerate(probs)]
     return 2 * np.array(draws) / config.n_shots - 1
+
+
+def sample_parity_curve(state: np.ndarray, phases, config: ShotConfig):
+    """(parities, z populations) of a two-ion ``state``, shot-sampled: the
+    parity curve at ``phases`` by ``sample_parities`` and the populations on
+    substream ``POPULATION_STREAM``.  More phases than the streams between
+    the two hold is a ValueError, raised before anything is drawn."""
+    if PARITY_STREAM + len(phases) > POPULATION_STREAM:
+        raise ValueError(f"a sampled parity curve takes at most "
+                         f"{POPULATION_STREAM - PARITY_STREAM} phases, got {len(phases)}")
+    parities, _ = observables.parity_curve(state, phases)
+    pops = sample_populations(state, config.substream(POPULATION_STREAM), "z").frequencies
+    return sample_parities(parities, config), pops
 
 
 def _sample_square(probs: np.ndarray, config: ShotConfig) -> tuple[float, float]:
@@ -154,32 +164,18 @@ def simulated_experiment(state: np.ndarray, config: ShotConfig) -> Certification
     one approaches as the shots grow.
     """
     state = np.asarray(state, dtype=complex)
-    n_ions = observables._state_dim(state) - 1
-    if n_ions != 4:
-        raise ValueError(f"the certification pipeline is a four-ion protocol, got N={n_ions}")
-    j_max = n_ions // 2
+    z_pops = observables.populations_along(state, "z")
+    if len(z_pops) != 5:
+        raise ValueError(f"the certification pipeline is a four-ion protocol, "
+                         f"got N={len(z_pops) - 1}")
 
     pop_rec = sample_populations(state, config.substream(0), "x")
-    pops = pop_rec.frequencies
-    jz2_mean, jz2_err = _sample_square(observables.populations_along(state, "z"),
-                                       config.substream(1))
+    jz2_mean, jz2_err = _sample_square(z_pops, config.substream(1))
     azimuth_pops = observables.populations_azimuth(state, np.linspace(0.0, np.pi, 13))
     scan = [_sample_square(probs, config.substream(2 + k))
             for k, probs in enumerate(azimuth_pops)]
     jy2_mean, jy2_err = max(scan, key=lambda ms: ms[0])
-
-    w_value = jy2_mean + jz2_mean
-    sigma_w = float(np.hypot(jy2_err, jz2_err))
-    sigma_lower, sigma_upper = propagate_uncertainty(j_max, sigma_w, pop_rec.std_errors)
-    return CertificationRecord(
-        j_max=j_max,
-        axis="x",
-        witness_value=float(w_value),
-        populations=pops,
-        f_lower=fidelity_lower(w_value, pops, j_max),
-        f_upper=fidelity_upper(pops),
-        sigma_witness=sigma_w,
-        sigma_populations=pop_rec.std_errors,
-        sigma_lower=sigma_lower,
-        sigma_upper=sigma_upper,
-    )
+    return CertificationRecord(witness_value=float(jy2_mean + jz2_mean),
+                               populations=pop_rec.frequencies,
+                               sigma_witness=float(np.hypot(jy2_err, jz2_err)),
+                               sigma_populations=pop_rec.std_errors)

@@ -23,10 +23,11 @@ the sideband rates is exactly the full model's resonant block in the
 chain's rotating frame (which meets the interaction picture at t = 0).
 
 Each model is a pair of functions: its cached support, the fixed flat
-indices where some operator is nonzero, with the operators' entries there
-(``full_support``, ``reduced_support``), and its Hamiltonians at given
-times and rates on that support (``full_values``, ``reduced_values``),
-which ``expand`` makes dense (``full_hamiltonian``, ``reduced_hamiltonian``).
+indices where some operator is nonzero, the dimension of its space and the
+operators' entries there (``full_support``, ``reduced_support``), and its
+Hamiltonians at given times and rates on that support (``full_values``,
+``reduced_values``), which ``expand`` makes dense (``full_hamiltonian``,
+``reduced_hamiltonian``).
 Only this module knows the product-space layout, the chain pairing and the
 interaction picture: ``spin_marginals``, ``chain_frame`` and
 ``top_fock_populations`` read states out through them for the integrator.
@@ -101,20 +102,21 @@ def reduced_coupling_parts(n_ions: int):
     return _frozen(kr), _frozen(kb), _frozen(number[chain])
 
 
-def _support(ops) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """The flat indices of the entries where any of the matrices ``ops`` is
-    nonzero, and each matrix's entries there and then at (0, 0).  All zeros
-    of one matrix here carry the same signs, so (0, 0), off the support in
-    both models, stands for every entry off it, signed zeros included."""
+def _support(ops) -> tuple[np.ndarray, int, tuple[np.ndarray, ...]]:
+    """The flat indices of the entries where any of the square matrices
+    ``ops`` is nonzero, their dimension, and each matrix's entries there and
+    then at (0, 0).  All zeros of one matrix here carry the same signs, so
+    (0, 0), off the support in both models, stands for every entry off it,
+    signed zeros included."""
     support = np.flatnonzero(np.any([op != 0 for op in ops], axis=0))
     picked = np.append(support, 0)
-    return _frozen(support), tuple(_frozen(op.ravel()[picked]) for op in ops)
+    return _frozen(support), len(ops[0]), tuple(_frozen(op.ravel()[picked]) for op in ops)
 
 
 @lru_cache(maxsize=None)
 def reduced_support(n_ions: int):
-    """(support, (K_r, K_b, D) at the support and at (0, 0)) of the chain,
-    as ``_support`` gives them for ``reduced_coupling_parts``."""
+    """(support, N + 1, (K_r, K_b, D) at the support and at (0, 0)) of the
+    chain, as ``_support`` gives them for ``reduced_coupling_parts``."""
     return _support(reduced_coupling_parts(n_ions))
 
 
@@ -123,7 +125,7 @@ def reduced_values(params: SystemParams, omega_r: np.ndarray, omega_b: np.ndarra
     ``omega_r``, ``omega_b``, taken only at the s entries of
     ``reduced_support`` and then at (0, 0): a complex (k, s+1) array, the
     one place where the chain's sum is written."""
-    _, (kr, kb, d) = reduced_support(params.n_ions)
+    *_, (kr, kb, d) = reduced_support(params.n_ions)
     wr = np.asarray(omega_r, dtype=float)[..., None]
     wb = np.asarray(omega_b, dtype=float)[..., None]
     return (wr * kr + wb * kb + params.delta * d).astype(complex)
@@ -143,16 +145,17 @@ def reduced_hamiltonian(params: SystemParams, omega_r, omega_b) -> np.ndarray:
     """Rotating-frame chain Hamiltonian, real symmetric tridiagonal, at
     sideband rates ``omega_r``, ``omega_b``: scalars give one matrix, arrays
     of k rates the (k, N+1, N+1) stack."""
-    n = params.n_ions
-    return expand(reduced_values(params, omega_r, omega_b).real, reduced_support(n)[0], n + 1)
+    support, dimension, _ = reduced_support(params.n_ions)
+    return expand(reduced_values(params, omega_r, omega_b).real, support, dimension)
 
 
 @lru_cache(maxsize=None)
 def full_support(n_ions: int, n_max: int):
-    """(support, (a J+, its adjoint, a^dag J+, its adjoint) at the support
-    and at (0, 0)) of the full model, as ``_support`` gives them; an n_max
-    below N/2 + 2 is a PhysicsConfigError.  All zeros of one operator carry
-    the same signs: +0+0j in a J+ and a^dag J+, +0-0j in their adjoints."""
+    """(support, (N + 1)(n_max + 1), (a J+, its adjoint, a^dag J+, its
+    adjoint) at the support and at (0, 0)) of the full model, as
+    ``_support`` gives them; an n_max below N/2 + 2 is a
+    PhysicsConfigError.  All zeros of one operator carry the same signs:
+    +0+0j in a J+ and a^dag J+, +0-0j in their adjoints."""
     if n_max < n_ions / 2 + 2:
         raise PhysicsConfigError(
             f"n_max = {n_max} leaves no Fock headroom; need n_max >= N/2 + 2 = {n_ions / 2 + 2}"
@@ -167,7 +170,7 @@ def full_values(params: SystemParams, t: np.ndarray, omega_r: np.ndarray,
     ``omega_r``, ``omega_b``, taken only at the s entries of ``full_support``
     and then at (0, 0): a complex (k, s+1) array whose ``expand`` is the
     dense sum of the four phase-scaled sideband operators, bit for bit."""
-    _, (red, red_dag, blue, blue_dag) = full_support(params.n_ions, params.n_max)
+    *_, (red, red_dag, blue, blue_dag) = full_support(params.n_ions, params.n_max)
     phase = np.exp(-1j * params.delta * np.asarray(t, dtype=float))[..., None]
     cr = np.asarray(omega_r, dtype=float)[..., None] / 2
     cb = np.asarray(omega_b, dtype=float)[..., None] / 2
@@ -180,8 +183,7 @@ def full_values(params: SystemParams, t: np.ndarray, omega_r: np.ndarray,
 def full_hamiltonian(params: SystemParams, t, omega_r, omega_b) -> np.ndarray:
     """Dense interaction-picture H, the ``expand`` of ``full_values``: scalars
     give one matrix, arrays of k times and rates the (k, d, d) stack."""
-    support, _ = full_support(params.n_ions, params.n_max)
-    dimension = (params.n_ions + 1) * (params.n_max + 1)
+    support, dimension, _ = full_support(params.n_ions, params.n_max)
     return expand(full_values(params, t, omega_r, omega_b), support, dimension)
 
 

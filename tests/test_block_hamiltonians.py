@@ -132,7 +132,8 @@ def test_support_values_expand_to_the_dense_builds(n_ions, delta, times, tone_se
     omega_r[rng.random(len(ts)) < 0.3] = 0.0
     omega_b[rng.random(len(ts)) < 0.3] = 0.0
 
-    support, _ = model.full_support(n_ions, params.n_max)
+    support, dimension, _ = model.full_support(n_ions, params.n_max)
+    assert dimension == (n_ions + 1) * (params.n_max + 1)
     values = model.full_values(params, ts, omega_r, omega_b)
     assert values.shape == (len(ts), len(support) + 1) and 0 not in support
     full = model.full_hamiltonian(params, ts, omega_r, omega_b)
@@ -143,7 +144,8 @@ def test_support_values_expand_to_the_dense_builds(n_ions, delta, times, tone_se
     # the chain's dense sum, as the integrator built it before it took values
     kr, kb, d = model.reduced_coupling_parts(n_ions)
     expected = omega_r[:, None, None] * kr + omega_b[:, None, None] * kb + delta * d
-    support, _ = model.reduced_support(n_ions)
+    support, dimension, _ = model.reduced_support(n_ions)
+    assert dimension == n_ions + 1
     values = model.reduced_values(params, omega_r, omega_b)
     assert values.shape == (len(ts), len(support) + 1) and 0 not in support
     _assert_bitwise_equal(model.expand(values, support, n_ions + 1), expected.astype(complex))

@@ -20,25 +20,25 @@ def test_upper_bound_examples():
 
 
 def test_lower_bound_on_published_numbers():
-    lower = cert.fidelity_lower(5.46, PAPER_P, 2)
+    lower = cert.fidelity_lower(5.46, PAPER_P)
     # 5.46/4 - 0.5*0.88 - 1.25*0.06 - 0.5*0.03
     assert lower == pytest.approx(0.835, abs=1e-12)
 
 
 def test_lower_bound_tight_on_target():
-    assert cert.fidelity_lower(6.0, [0, 0, 1.0, 0, 0], 2) == pytest.approx(1.0, abs=1e-12)
+    assert cert.fidelity_lower(6.0, [0, 0, 1.0, 0, 0]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_lower_bound_vacuous_for_pole():
     # pole state along the bound axis: W = 0, all weight at the edge
-    assert cert.fidelity_lower(0.0, [1.0, 0, 0, 0, 0], 2) <= 0.0
+    assert cert.fidelity_lower(0.0, [1.0, 0, 0, 0, 0]) <= 0.0
 
 
 def test_bound_input_validation():
     with pytest.raises(ValueError):
-        cert.fidelity_lower(1.0, [0.5, 0.5], 1)
+        cert.fidelity_lower(1.0, [0.5, 0.5])
     with pytest.raises(ValueError):
-        cert.fidelity_lower(1.0, [0.2, -0.1, 0.9], 1)
+        cert.fidelity_lower(1.0, [0.2, -0.1, 0.9])
     with pytest.raises(ValueError):
         cert.fidelity_sandwich_4ion(1.0, [0.2, 0.2, 0.2])
 
@@ -50,18 +50,18 @@ def test_bound_input_validation():
 )
 def test_four_ion_form_equals_general(w, p):
     lo4, hi4 = cert.fidelity_sandwich_4ion(w, p)
-    assert abs(lo4 - cert.fidelity_lower(w, p, 2)) < 1e-12
+    assert abs(lo4 - cert.fidelity_lower(w, p)) < 1e-12
     assert abs(hi4 - cert.fidelity_upper(p)) < 1e-12
 
 
 def test_lower_bound_linearity():
-    base = cert.fidelity_lower(5.0, PAPER_P, 2)
+    base = cert.fidelity_lower(5.0, PAPER_P)
     # increasing W raises the bound by 1/(2 jM) per unit
-    assert cert.fidelity_lower(6.0, PAPER_P, 2) - base == pytest.approx(0.25, abs=1e-12)
+    assert cert.fidelity_lower(6.0, PAPER_P) - base == pytest.approx(0.25, abs=1e-12)
     # increasing p_0 lowers it by (jM - 1)/2 per unit
     bumped = list(PAPER_P)
     bumped[2] += 0.1
-    assert cert.fidelity_lower(5.0, bumped, 2) - base == pytest.approx(-0.05, abs=1e-12)
+    assert cert.fidelity_lower(5.0, bumped) - base == pytest.approx(-0.05, abs=1e-12)
     assert cert.fidelity_upper(bumped) - cert.fidelity_upper(PAPER_P) == pytest.approx(0.1)
 
 
@@ -76,57 +76,55 @@ def test_ghz_exclusion():
 # ---------------------------------------------------------------------------
 
 def test_propagation_zero_and_linearity():
-    lo, hi = cert.propagate_uncertainty(2, 0.0, [0.0] * 5)
+    lo, hi = cert.propagate_uncertainty(0.0, [0.0] * 5)
     assert lo == 0.0 and hi == 0.0
-    lo1, hi1 = cert.propagate_uncertainty(2, 0.07, PAPER_SIG_P)
-    lo2, hi2 = cert.propagate_uncertainty(2, 0.14, [2 * s for s in PAPER_SIG_P])
+    lo1, hi1 = cert.propagate_uncertainty(0.07, PAPER_SIG_P)
+    lo2, hi2 = cert.propagate_uncertainty(0.14, [2 * s for s in PAPER_SIG_P])
     assert lo2 == pytest.approx(2 * lo1, rel=1e-12)
     assert hi2 == pytest.approx(2 * hi1, rel=1e-12)
 
 
 def test_propagation_consistent_with_published_error():
-    lo, hi = cert.propagate_uncertainty(2, 0.07, PAPER_SIG_P)
+    lo, hi = cert.propagate_uncertainty(0.07, PAPER_SIG_P)
     assert hi == pytest.approx(0.03, abs=1e-15)
     # correlations unreported; require agreement within a factor of 1.5
     assert 0.03 / 1.5 <= lo <= 0.03 * 1.5
 
 
-def test_j_max_is_checked_by_both_bounds_and_the_record():
-    # a whole float is that integer; a fraction or zero is refused, not an
-    # IndexError or a division by zero
-    assert cert.fidelity_lower(5.46, PAPER_P, 2.0) == cert.fidelity_lower(5.46, PAPER_P, 2)
-    assert (cert.propagate_uncertainty(2.0, 0.07, PAPER_SIG_P)
-            == cert.propagate_uncertainty(2, 0.07, PAPER_SIG_P))
-    # sigma lists of the length 2*j_max + 1 that each bad value would read
-    for j_max, n_sigmas in ((1.5, 4), (0, 1), (np.nan, 5), (np.inf, 5)):
-        with pytest.raises(ValueError, match="j_max"):
-            cert.fidelity_lower(5.46, PAPER_P, j_max)
-        with pytest.raises(ValueError, match="j_max"):
-            cert.propagate_uncertainty(j_max, 0.07, [0.01] * n_sigmas)
-    record = dict(axis="x", witness_value=5.0, f_lower=0.1, f_upper=0.2)
-    assert cert.CertificationRecord(j_max=2.0, populations=PAPER_P, **record).j_max == 2
-    with pytest.raises(ValueError, match="j_max"):
-        cert.CertificationRecord(j_max=0, populations=[1.0], **record)
+def test_j_max_is_read_from_the_population_length():
+    # jM = (len - 1)/2 of an odd-length vector; an even or a too short one
+    # is refused, not an IndexError or a division by zero
+    for n_values in (4, 2, 1, 0):
+        with pytest.raises(ValueError, match="odd-length"):
+            cert.fidelity_lower(5.46, [0.2] * n_values)
+        with pytest.raises(ValueError, match="odd-length"):
+            cert.propagate_uncertainty(0.07, [0.01] * n_values)
+        with pytest.raises(ValueError, match="odd-length"):
+            cert.CertificationRecord(witness_value=5.0, populations=[0.2] * n_values)
+    # jM = 1: W/2 - (p_-1 + p_1)/2, and sigma_lo^2 = (sigma_W/2)^2 + (sigma_-1^2 + sigma_1^2)/4
+    assert cert.fidelity_lower(1.5, [0.25, 0.5, 0.25]) == pytest.approx(0.5, abs=1e-12)
+    lo, hi = cert.propagate_uncertainty(0.2, [0.04, 0.03, 0.04])
+    assert lo == pytest.approx(np.sqrt(0.01 + 0.0008), abs=1e-12) and hi == 0.03
 
 
 def test_propagation_rejects_negative():
     with pytest.raises(ValueError):
-        cert.propagate_uncertainty(2, -0.1, [0.0] * 5)
+        cert.propagate_uncertainty(-0.1, [0.0] * 5)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_inputs_rejected(bad):
     pops = [0.0, 0.03, 0.88, 0.03, 0.03]
     with pytest.raises(ValueError):
-        cert.fidelity_lower(bad, pops, 2)
+        cert.fidelity_lower(bad, pops)
     with pytest.raises(ValueError):
         cert.fidelity_sandwich_4ion(bad, pops)
     with pytest.raises(ValueError):
         cert.fidelity_upper([0.0, bad, 0.88, 0.03, 0.03])
     with pytest.raises(ValueError):
-        cert.propagate_uncertainty(2, bad, [0.0] * 5)
+        cert.propagate_uncertainty(bad, [0.0] * 5)
     with pytest.raises(ValueError):
-        cert.propagate_uncertainty(2, 0.07, [0.0, 0.02, bad, 0.02, 0.02])
+        cert.propagate_uncertainty(0.07, [0.0, 0.02, bad, 0.02, 0.02])
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +276,50 @@ def test_certify_validation():
 
 def test_record_population_length_validation():
     with pytest.raises(ValueError):
-        cert.CertificationRecord(
-            j_max=2, axis="x", witness_value=5.0, populations=[0.5, 0.5],
-            f_lower=0.0, f_upper=1.0,
-        )
+        cert.CertificationRecord(witness_value=5.0, populations=[0.5, 0.5])
+
+
+def _words(*values):
+    """The float64 words of ``values``, so that -0.0 and 0.0 differ."""
+    return np.array(values, dtype=float).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    j_max=st.integers(1, 4),
+    witness=st.floats(-10, 20),
+    with_sigmas=st.booleans(),
+)
+def test_record_derives_what_the_bound_functions_give(data, j_max, witness, with_sigmas):
+    # 3, 5, 7 or 9 populations; every derived field is the functions' word
+    n = 2 * j_max + 1
+    pops = data.draw(st.lists(st.floats(0, 1), min_size=n, max_size=n))
+    sigmas = {}
+    if with_sigmas:
+        sigmas = dict(sigma_witness=data.draw(st.floats(0, 1)),
+                      sigma_populations=data.draw(st.lists(st.floats(0, 1),
+                                                           min_size=n, max_size=n)))
+    rec = cert.CertificationRecord(witness_value=witness, populations=pops, **sigmas)
+    assert _words(rec.f_lower, rec.f_upper) == _words(cert.fidelity_lower(witness, pops),
+                                                      cert.fidelity_upper(pops))
+    if with_sigmas:
+        expected = cert.propagate_uncertainty(sigmas["sigma_witness"], sigmas["sigma_populations"])
+        assert _words(rec.sigma_lower, rec.sigma_upper) == _words(*expected)
+    else:
+        assert rec.sigma_lower is None and rec.sigma_upper is None
+    assert _words(*rec.populations) == _words(*pops)
+
+
+def test_record_takes_only_what_was_measured():
+    with pytest.raises(TypeError):
+        cert.CertificationRecord(witness_value=5.46, populations=PAPER_P, f_lower=0.9)
+    for only_one in (dict(sigma_witness=0.07), dict(sigma_populations=PAPER_SIG_P)):
+        with pytest.raises(ValueError, match="both standard errors"):
+            cert.CertificationRecord(witness_value=5.46, populations=PAPER_P, **only_one)
+    with pytest.raises(ValueError, match="shape"):
+        cert.CertificationRecord(witness_value=5.46, populations=PAPER_P, sigma_witness=0.07,
+                                 sigma_populations=[0.01, 0.02, 0.01])
 
 
 def test_random_mixture_is_density_matrix():

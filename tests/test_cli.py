@@ -88,6 +88,16 @@ def test_bounds_non_finite_input_exits_2(tmp_path, capsys, old, new):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("j_m", ["3", "2.5"])
+def test_bounds_refuses_a_j_m_that_disagrees_with_p_list(tmp_path, capsys, j_m):
+    # five populations need j_M = 2
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(PAPER_CFG.replace("j_M = 2", f"j_M = {j_m}"))
+    assert cli.main(["bounds", "--input", str(cfg)]) == cli.EXIT_PHYSICS
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("flag", ["--config", "--input"])
 def test_missing_input_file_exits_usage(tmp_path, flag, capsys):
     subcommand = "darkstate" if flag == "--config" else "bounds"
@@ -388,7 +398,8 @@ def test_sampled_parity_refuses_phases_that_reach_the_population_stream(capsys):
     # phase k is drawn on substream 100 + k and the z populations on 10,000
     assert cli.main(["parity", "--shots", "10", "--phases", "9901"]) == cli.EXIT_PHYSICS
     out, err = capsys.readouterr()
-    assert out == "" and err == "error: --shots samples at most 9900 phases, got 9901\n"
+    assert out == ""
+    assert err == "error: a sampled parity curve takes at most 9900 phases, got 9901\n"
 
 
 def test_evolve_strict_preset_reaches_full_transfer(tmp_path, capsys):

@@ -23,7 +23,7 @@ def _tones(schedule, t):
 def _run_chain_from(psi0, schedule, params, n_steps):
     """The reduced model's RK4 from ``psi0`` over ``n_steps`` steps of the
     whole ramp: the integrator always starts from |D^0>|0>."""
-    support, _ = model.reduced_support(params.n_ions)
+    support, *_ = model.reduced_support(params.n_ions)
 
     def h_values(ts):
         return model.reduced_values(params, *schedule.amplitudes(ts))

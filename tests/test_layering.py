@@ -3,7 +3,9 @@
 Only ``model`` knows the spin-phonon product space: its layout, the chain
 pairing and the interaction picture.  The spin-sector modules import
 neither ``model`` nor the integrator, and ``model`` builds on the spin
-algebra alone.
+algebra alone.  ``cli`` is the top: no package module imports it.  A
+module reads no other module's underscore names, except the two shared
+helpers of ``spin_algebra``.
 """
 
 import ast
@@ -13,6 +15,8 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dickesim"
 SPIN_SECTOR = ("observables", "certification", "measurement", "dark_state")
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
+SHARED_PRIVATE = {("spin_algebra", "_frozen"), ("spin_algebra", "_expm")}
 
 
 def _tree(module):
@@ -40,6 +44,29 @@ def _package_imports(module):
     return names
 
 
+def _foreign_private_names(tree):
+    """(module, name) of each underscore name that the module parsed as
+    ``tree`` reads from another package module: imported by name, or read
+    as an attribute of a package module it imported.  Dunders such as
+    ``__version__`` are not counted."""
+    imported, names = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "dickesim"):
+            source = (node.module or "").removeprefix("dickesim").lstrip(".")
+            for alias in node.names:
+                if not source:
+                    imported[alias.asname or alias.name] = alias.name
+                elif alias.name.startswith("_") and not alias.name.startswith("__"):
+                    names.add((source, alias.name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in imported and node.attr.startswith("_")
+                and not node.attr.startswith("__")):
+            names.add((imported[node.value.id], node.attr))
+    return names
+
+
 def _identifiers(module):
     """Every variable, argument, attribute and keyword name in ``module``."""
     names = set()
@@ -59,7 +86,8 @@ def test_the_import_reader_sees_each_form():
     # ``from .model import ...``, ``from . import ...`` and a lazy import
     # inside a function
     assert {"model", "observables", "dark_state"} <= _package_imports("evolution")
-    assert {"evolution", "model", "cli"} <= _package_imports("repro")
+    assert {"evolution", "model"} <= _package_imports("repro")
+    assert "spin_algebra" in _package_imports("cli")
 
 
 @pytest.mark.parametrize("module", SPIN_SECTOR)
@@ -76,5 +104,24 @@ def test_observables_names_no_phonon_truncation():
 
 
 def test_only_model_expands_the_full_hamiltonian():
-    modules = sorted(path.stem for path in PACKAGE.glob("*.py"))
-    assert [module for module in modules if "expand" in _identifiers(module)] == ["model"]
+    assert [module for module in MODULES if "expand" in _identifiers(module)] == ["model"]
+
+
+def test_no_package_module_imports_the_cli():
+    assert [module for module in MODULES if "cli" in _package_imports(module)] == []
+
+
+def test_the_private_name_reader_sees_each_form():
+    # ``from .spin_algebra import _frozen``, ``from dickesim.x import _y`` and
+    # an attribute of a module imported with ``from . import``
+    assert ("spin_algebra", "_frozen") in _foreign_private_names(_tree("model"))
+    source = ("from dickesim.model import _support\n"
+              "from . import observables as obs, __version__\n"
+              "obs._state_dim(state), obs.witness(state)\n")
+    assert _foreign_private_names(ast.parse(source)) == {("model", "_support"),
+                                                         ("observables", "_state_dim")}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_modules_read_no_other_module_s_private_names(module):
+    assert _foreign_private_names(_tree(module)) <= SHARED_PRIVATE

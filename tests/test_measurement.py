@@ -31,7 +31,27 @@ def test_seeded_determinism():
     r2 = meas.sample_populations(state, config, "z")
     assert np.array_equal(r1.counts, r2.counts)
     assert int(np.sum(r1.counts)) == 10_000
-    assert r1.generator == meas.GENERATOR_NAME
+    assert (r1.seed, r1.stream) == (99, 0)
+
+
+def test_record_derives_its_shots_frequencies_and_errors_from_the_counts():
+    counts = np.array([3, 0, 7, 10, 0])
+    rec = meas.MeasurementRecord(counts=counts, seed=5, stream=2)
+    freq = counts / 20
+    assert rec.n_shots == 20 and type(rec.n_shots) is int
+    assert rec.frequencies.tobytes() == freq.tobytes()
+    assert rec.std_errors.tobytes() == np.sqrt(freq * (1 - freq) / 20).tobytes()
+    assert not rec.counts.flags.writeable and not rec.frequencies.flags.writeable
+    with pytest.raises(TypeError):
+        meas.MeasurementRecord(counts=counts, seed=5, stream=2, frequencies=freq)
+
+
+def test_sampled_parity_curve_refuses_phases_that_reach_the_population_stream(monkeypatch):
+    # phase k draws on substream 100 + k and the z populations on 10,000
+    monkeypatch.setattr(meas, "_draw", lambda *args: pytest.fail("drew before refusing"))
+    config = meas.ShotConfig(n_shots=10, seed=1)
+    with pytest.raises(ValueError, match="at most 9900 phases, got 9901"):
+        meas.sample_parity_curve(dicke_state(2, 1), np.zeros(9901), config)
 
 
 def test_streams_are_partitioned():

@@ -186,9 +186,10 @@ def test_full_n_max_guard():
 
 
 def test_full_support_is_built_once_and_read_only():
-    support, parts = model.full_support(4, 6)
-    again, parts_again = model.full_support(4, 6)
+    support, dimension, parts = model.full_support(4, 6)
+    again, _, parts_again = model.full_support(4, 6)
     assert again is support and all(a is b for a, b in zip(parts, parts_again))
+    assert dimension == 5 * 7
     for array in (support, *parts):
         assert not array.flags.writeable
     assert support.dtype == np.int64 and len(parts) == 4

@@ -163,7 +163,7 @@ def test_step_keeps_the_initial_state():
     schedule, params = evolution.adiabatic_preset("fast", 2)
     psi0 = _initial_state(np.random.default_rng(7), params.n_ions + 1)
     kept = psi0.copy()
-    support, _ = model.reduced_support(params.n_ions)
+    support, *_ = model.reduced_support(params.n_ions)
 
     def h_values(ts):
         return model.reduced_values(params, *schedule.amplitudes(ts))
