@@ -34,59 +34,33 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def positive_int(text: str) -> int:
-    """argparse type for counts that must be at least 1."""
-    value = int(text)
-    if value < 1:
-        raise ValueError(f"{value} is not positive")
-    return value
+def _checked(name: str, convert, accept):
+    """The argparse type ``name``: ``convert`` the text and keep the value
+    that ``accept`` takes.  argparse prints the name, as in ``argument --n:
+    invalid positive_int value: '0'``, and no message of the bare
+    ValueError raised otherwise."""
+    def parse(text: str):
+        value = convert(text)
+        if not accept(value):
+            raise ValueError
+        return value
+    parse.__name__ = name
+    return parse
 
 
-def positive_float(text: str) -> float:
-    """argparse type for rates and times that must be positive and finite."""
-    value = float(text)
-    if not 0 < value < math.inf:
-        raise ValueError(f"{text} is not a positive finite number")
-    return value
+def _numbers(text: str) -> list[float]:
+    return [float(tok) for tok in text.split(",")]
 
 
-def nonnegative_int(text: str) -> int:
-    """argparse type for counts that may be 0."""
-    value = int(text)
-    if value < 0:
-        raise ValueError(f"{value} is negative")
-    return value
-
-
-def seed_int(text: str) -> int:
-    """argparse type for generator seeds, which are unsigned 64-bit integers."""
-    if not 0 <= (value := int(text)) < 2**64:
-        raise ValueError(f"{value} is not an unsigned 64-bit integer")
-    return value
-
-
-def finite_float(text: str) -> float:
-    """argparse type for angles and other values that must be finite."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{text} is not a finite number")
-    return value
-
-
-def nonnegative_float(text: str) -> float:
-    """argparse type for ratios that must be nonnegative and finite."""
-    value = float(text)
-    if not 0 <= value < math.inf:
-        raise ValueError(f"{text} is not a nonnegative finite number")
-    return value
-
-
-def positive_float_list(text: str) -> str:
-    """argparse type for a comma-separated list of positive finite numbers;
-    the text is kept as written, since the provenance header echoes it."""
-    for tok in text.split(","):
-        positive_float(tok)
-    return text
+positive_int = _checked("positive_int", int, lambda v: v >= 1)
+nonnegative_int = _checked("nonnegative_int", int, lambda v: v >= 0)
+seed_int = _checked("seed_int", int, lambda v: 0 <= v < 2**64)  # Philox keys are 64-bit
+positive_float = _checked("positive_float", float, lambda v: 0 < v < math.inf)
+nonnegative_float = _checked("nonnegative_float", float, lambda v: 0 <= v < math.inf)
+finite_float = _checked("finite_float", float, math.isfinite)
+# the list is kept as written, since the provenance header echoes it
+positive_float_list = _checked("positive_float_list", str,
+                               lambda text: all(0 < v < math.inf for v in _numbers(text)))
 
 
 def _provenance(subcommand: str, config: dict) -> list[str]:
@@ -139,9 +113,10 @@ def _with_config(ns, argv: list[str]) -> list[str]:
     """``argv`` with the --config file's ``key = value`` lines inserted as
     ``--key=value`` flags right after the subcommand, so that parsing it
     again checks them like typed flags and the user's own flags, which come
-    later, win.  A file names no other file: ``config`` is an unknown key."""
+    later, win.  A file sets only its subcommand's flags, never --config."""
     values = _parse_keyvalue(ns.config)
-    unknown = set(values) - (set(vars(ns)) - {"subcommand", "func", "config"})
+    (flags,) = [flags for name, _, _, flags, _ in SUBCOMMANDS if name == ns.subcommand]
+    unknown = set(values) - {flag[2:].replace("-", "_") for flag in flags}
     if unknown:
         raise ValueError(f"config file has unknown keys: {', '.join(sorted(unknown))}")
     at = argv.index(ns.subcommand) + 1
@@ -292,17 +267,24 @@ def cmd_witness(ns) -> int:
 
 def cmd_bounds(ns) -> int:
     raw = _parse_keyvalue(ns.input)
-    required = ("W", "sigma_W", "p_list", "sigma_list", "j_M")
+    number, numbers = (float, "a number"), (_numbers, "a comma-separated list of numbers")
+    required = {"W": number, "sigma_W": number, "p_list": numbers, "sigma_list": numbers,
+                "j_M": (int, "an integer")}
     missing = [key for key in required if key not in raw]
     if missing:
         raise ValueError(f"input file is missing keys: {', '.join(missing)}")
-    pops, sigmas = ([float(tok) for tok in raw[key].split(",")] for key in ("p_list", "sigma_list"))
-    rec = certification.CertificationRecord(witness_value=float(raw["W"]), populations=pops,
-                                            sigma_witness=float(raw["sigma_W"]),
-                                            sigma_populations=sigmas)
-    if 2 * int(raw["j_M"]) + 1 != len(pops):
+    values = {}
+    for key, (convert, rule) in required.items():
+        try:
+            values[key] = convert(raw[key])
+        except ValueError:
+            raise ValueError(f"{key} = {raw[key]!r} is not {rule}") from None
+    pops = values["p_list"]
+    if 2 * values["j_M"] + 1 != len(pops):
         raise ValueError(f"j_M = {raw['j_M']} does not match the {len(pops)} populations "
                          "of p_list: j_M must be (len(p_list) - 1)/2")
+    rec = certification.CertificationRecord(values["W"], pops, values["sigma_W"],
+                                            values["sigma_list"])
     certified = certification.ghz_excluded(rec.f_lower)
 
     header = _provenance("bounds", {"input": ns.input, "seed": "none"})
@@ -324,7 +306,7 @@ def cmd_bounds(ns) -> int:
 
 
 def cmd_sweep(ns) -> int:
-    times = [float(tok) for tok in ns.eta_omega_t_list.split(",")]
+    times = _numbers(ns.eta_omega_t_list)
     params = model.SystemParams(n_ions=ns.n, delta=ns.delta_ratio)
     rows, ramp_records = [], []
     for total_time in times:
@@ -360,84 +342,55 @@ def cmd_repro(ns) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _darkstate_flags(p):
-    p.add_argument("--n", type=positive_int, default=4)
-    p.add_argument("--theta", type=finite_float, default=None,
-                   help="ramp angle in radians; sets omega_r/b = 1 +- cos(theta)")
-    p.add_argument("--omega-r", type=nonnegative_float, default=1.0)
-    p.add_argument("--omega-b", type=nonnegative_float, default=1.0)
-    p.add_argument("--output", default=None)
+# every flag of every subcommand, declared once with its type, default and help
+FLAGS = {
+    "--n": dict(type=positive_int, default=4, help="number of ions"),
+    "--theta": dict(type=finite_float,
+                    help="ramp angle in radians; sets omega_r/b = 1 +- cos(theta)"),
+    "--omega-r": dict(type=nonnegative_float, default=1.0),
+    "--omega-b": dict(type=nonnegative_float, default=1.0),
+    "--model": dict(choices=("reduced", "full"), default="reduced"),
+    "--schedule": dict(choices=evolution.SCHEDULE_SHAPES, default="linear"),
+    "--eta-omega-t": dict(type=positive_float, default=40.0,
+                          help="dimensionless ramp length eta*omega_bar*T"),
+    "--eta-omega-t-list": dict(type=positive_float_list, default="20,40,80,160",
+                               help="comma-separated ramp lengths"),
+    "--delta-ratio": dict(type=nonnegative_float, default=20.0,
+                          help="detuning over eta*omega_bar"),
+    "--adiabatic-preset": dict(choices=evolution.PRESET_NAMES,
+                               help="overrides the explicit ramp flags"),
+    "--dt": dict(type=positive_float, help="integrator step"),
+    "--cuts": dict(type=positive_int, default=41, help="number of truncation times"),
+    "--source": dict(choices=("ideal", "simulated"), default="ideal"),
+    "--phases": dict(type=nonnegative_int, default=40, help="analysis phases over 2*pi"),
+    "--shots": dict(type=positive_int, help="shots per phase (default exact)"),
+    "--seed": dict(type=seed_int, default=DEFAULT_SEED),
+    "--input": dict(required=True,
+                    help="key-value file with W, sigma_W, p_list, sigma_list, j_M"),
+    "--output": dict(help="CSV path (default stdout)"),
+    "--summary": dict(help="key-value summary file"),
+}
 
-
-def _run_flags(p):
-    p.add_argument("--n", type=positive_int, default=4, help="number of ions")
-    p.add_argument("--model", choices=("reduced", "full"), default="reduced")
-    p.add_argument("--schedule", choices=evolution.SCHEDULE_SHAPES, default="linear")
-    p.add_argument("--eta-omega-t", type=positive_float, default=40.0,
-                   help="dimensionless ramp length eta*omega_bar*T")
-    p.add_argument("--delta-ratio", type=nonnegative_float, default=20.0,
-                   help="detuning over eta*omega_bar")
-    p.add_argument("--adiabatic-preset", choices=evolution.PRESET_NAMES, default=None,
-                   help="overrides the explicit ramp flags")
-    p.add_argument("--dt", type=positive_float, default=None, help="integrator step")
-    p.add_argument("--output", default=None, help="CSV path (default stdout)")
-
-
-def _evolve_flags(p):
-    _run_flags(p)
-    p.add_argument("--summary", default=None, help="key-value summary file")
-
-
-def _scan_noise_flags(p):
-    _run_flags(p)
-    p.add_argument("--cuts", type=positive_int, default=41, help="number of truncation times")
-
-
-def _parity_flags(p):
-    p.add_argument("--n", type=positive_int, default=2)
-    p.add_argument("--source", choices=("ideal", "simulated"), default="ideal")
-    p.add_argument("--phases", type=nonnegative_int, default=40, help="analysis phases over 2*pi")
-    p.add_argument("--shots", type=positive_int, default=None,
-                   help="shots per phase (default exact)")
-    p.add_argument("--seed", type=seed_int, default=DEFAULT_SEED)
-    p.add_argument("--output", default=None)
-    p.add_argument("--summary", default=None, help="key-value summary file")
-
-
-def _witness_flags(p):
-    p.add_argument("--n", type=positive_int, default=4)
-    p.add_argument("--source", choices=("ideal", "simulated"), default="ideal")
-    p.add_argument("--output", default=None)
-
-
-def _bounds_flags(p):
-    p.add_argument("--input", required=True,
-                   help="key-value file with W, sigma_W, p_list, sigma_list, j_M")
-    p.add_argument("--output", default=None)
-    p.add_argument("--summary", default=None, help="key-value summary file")
-
-
-def _sweep_flags(p):
-    p.add_argument("--n", type=positive_int, default=4)
-    p.add_argument("--schedule", choices=evolution.SCHEDULE_SHAPES, default="linear")
-    p.add_argument("--delta-ratio", type=nonnegative_float, default=20.0)
-    p.add_argument("--eta-omega-t-list", type=positive_float_list, default="20,40,80,160",
-                   help="comma-separated ramp lengths")
-    p.add_argument("--output", default=None)
-
-
-# (name, help, flags, handler) of every subcommand, in the order --help lists them
+# (name, help, handler, flags in --help order, default overrides) of every
+# subcommand, in the order --help lists them
 SUBCOMMANDS = (
-    ("darkstate", "closed-form dark-state amplitudes", _darkstate_flags, cmd_darkstate),
-    ("evolve", "integrate a STIRAP ramp", _evolve_flags, cmd_evolve),
-    ("scan-noise", "spin noise versus pulse truncation time", _scan_noise_flags,
-     cmd_scan_noise),
-    ("parity", "two-ion parity oscillation and fidelity", _parity_flags, cmd_parity),
-    ("witness", "two-axis squared-spin witness values", _witness_flags, cmd_witness),
-    ("bounds", "fidelity bounds from measured witness + populations", _bounds_flags,
-     cmd_bounds),
-    ("sweep", "transfer quality over a list of ramp lengths", _sweep_flags, cmd_sweep),
-    ("repro", "re-run the acceptance checks and print a table", lambda p: None, cmd_repro),
+    ("darkstate", "closed-form dark-state amplitudes", cmd_darkstate,
+     ("--n", "--theta", "--omega-r", "--omega-b", "--output"), {}),
+    ("evolve", "integrate a STIRAP ramp", cmd_evolve,
+     ("--n", "--model", "--schedule", "--eta-omega-t", "--delta-ratio", "--adiabatic-preset",
+      "--dt", "--output", "--summary"), {}),
+    ("scan-noise", "spin noise versus pulse truncation time", cmd_scan_noise,
+     ("--n", "--model", "--schedule", "--eta-omega-t", "--delta-ratio", "--adiabatic-preset",
+      "--dt", "--output", "--cuts"), {}),
+    ("parity", "two-ion parity oscillation and fidelity", cmd_parity,
+     ("--n", "--source", "--phases", "--shots", "--seed", "--output", "--summary"), {"n": 2}),
+    ("witness", "two-axis squared-spin witness values", cmd_witness,
+     ("--n", "--source", "--output"), {}),
+    ("bounds", "fidelity bounds from measured witness + populations", cmd_bounds,
+     ("--input", "--output", "--summary"), {}),
+    ("sweep", "transfer quality over a list of ramp lengths", cmd_sweep,
+     ("--n", "--schedule", "--delta-ratio", "--eta-omega-t-list", "--output"), {}),
+    ("repro", "re-run the acceptance checks and print a table", cmd_repro, (), {}),
 )
 
 
@@ -457,14 +410,14 @@ def build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"dickesim {__version__}")
     metavar = {"metavar": "{" + ",".join(names) + "}"} if only else {}
     sub = parser.add_subparsers(dest="subcommand", required=True, **metavar)
-    for name, help_text, add_flags, handler in SUBCOMMANDS:
+    for name, help_text, handler, flags, defaults in SUBCOMMANDS:
         if only and name != subcommand:
             continue
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", default=None,
-                       help="key-value file supplying flag defaults (flags win)")
-        add_flags(p)
-        p.set_defaults(func=handler)
+        p.add_argument("--config", help="key-value file supplying flag defaults (flags win)")
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
+        p.set_defaults(func=handler, **defaults)
     return parser
 
 

@@ -98,6 +98,21 @@ def test_bounds_refuses_a_j_m_that_disagrees_with_p_list(tmp_path, capsys, j_m):
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("old, new, rule", [
+    ("W = 5.46", "W = 5,46", "W = '5,46' is not a number"),
+    ("sigma_list = 0.00, 0.02,", "sigma_list = 0.00, x,",
+     "sigma_list = '0.00, x, 0.03, 0.02, 0.02' is not a comma-separated list of numbers"),
+    ("j_M = 2", "j_M = 2.0", "j_M = '2.0' is not an integer"),
+    ("j_M = 2", "j_M = two", "j_M = 'two' is not an integer"),
+], ids=["W", "sigma_list", "j_M-2.0", "j_M-two"])
+def test_bounds_names_the_key_it_cannot_read(tmp_path, capsys, old, new, rule):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(PAPER_CFG.replace(old, new))
+    assert new in cfg.read_text()
+    assert cli.main(["bounds", "--input", str(cfg)]) == cli.EXIT_PHYSICS
+    assert capsys.readouterr() == ("", f"error: {rule}\n")
+
+
 @pytest.mark.parametrize("flag", ["--config", "--input"])
 def test_missing_input_file_exits_usage(tmp_path, flag, capsys):
     subcommand = "darkstate" if flag == "--config" else "bounds"
@@ -456,6 +471,25 @@ def test_malformed_input_exits_usage(argv):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(argv)
     assert excinfo.value.code == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv, type_name", [
+    (["evolve", "--n", "0"], "positive_int"),
+    (["parity", "--phases", "-3"], "nonnegative_int"),
+    (["parity", "--shots", "10", "--seed", str(2**64)], "seed_int"),
+    (["evolve", "--eta-omega-t", "nan"], "positive_float"),
+    (["evolve", "--delta-ratio", "-1"], "nonnegative_float"),
+    (["darkstate", "--theta", "nan"], "finite_float"),
+    (["sweep", "--eta-omega-t-list", "6,abc"], "positive_float_list"),
+], ids=lambda value: value if isinstance(value, str) else value[-2])
+def test_argparse_names_each_type(argv, type_name, capsys):
+    # argparse prints the type's __name__, not the message of its ValueError
+    *_, flag, text = argv
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    assert excinfo.value.code == cli.EXIT_USAGE
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"dickesim {argv[0]}: error: argument {flag}: invalid {type_name} value: '{text}'")
 
 
 @pytest.mark.parametrize("argv", [

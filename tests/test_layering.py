@@ -5,7 +5,8 @@ pairing and the interaction picture.  The spin-sector modules import
 neither ``model`` nor the integrator, and ``model`` builds on the spin
 algebra alone.  ``cli`` is the top: no package module imports it.  A
 module reads no other module's underscore names, except the two shared
-helpers of ``spin_algebra``.
+helpers of ``spin_algebra``.  ``cli`` declares each flag once, in
+``FLAGS``, and adds arguments to its parsers only in ``build_parser``.
 """
 
 import ast
@@ -125,3 +126,33 @@ def test_the_private_name_reader_sees_each_form():
 @pytest.mark.parametrize("module", MODULES)
 def test_modules_read_no_other_module_s_private_names(module):
     assert _foreign_private_names(_tree(module)) <= SHARED_PRIVATE
+
+
+def _assigned(tree, name):
+    """The value of the module-level assignment to ``name``."""
+    (value,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                and [getattr(target, "id", None) for target in node.targets] == [name]]
+    return value
+
+
+def _add_argument_calls(node):
+    return [call for call in ast.walk(node) if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute) and call.func.attr == "add_argument"]
+
+
+def test_cli_adds_arguments_only_in_build_parser():
+    tree = _tree("cli")
+    (build,) = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "build_parser"]
+    inside = _add_argument_calls(build)
+    assert inside and len(inside) == len(_add_argument_calls(tree))
+
+
+def test_each_cli_flag_is_declared_once_and_taken_by_a_subcommand():
+    tree = _tree("cli")
+    declared = [key.value for key in _assigned(tree, "FLAGS").keys]
+    taken = {node.value for node in ast.walk(_assigned(tree, "SUBCOMMANDS"))
+             if isinstance(node, ast.Constant) and str(node.value).startswith("--")}
+    # a repeated key of a dict literal would silently replace the first
+    assert len(declared) == len(set(declared))
+    assert set(declared) == taken
