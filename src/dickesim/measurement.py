@@ -10,6 +10,12 @@ drawn by ``_draw``: one multinomial over the exact outcome probabilities.
 (seed, stream) at counter 0 with an empty buffer.  Philox is counter-based,
 so that is the stream of a freshly built generator, bit for bit, without
 the cost of building one a draw.
+
+Nothing is cached here: the J_phi eigenbases of the witness scan come from
+``observables``' grid cache, keyed on the azimuth grid's shape and bytes.
+The scan's squared-spin estimates are row reductions of one stack of
+settings, each row summed in the order of a sum over that row alone, so a
+record has the bits of one estimated a setting at a time.
 """
 
 from __future__ import annotations
@@ -143,14 +149,17 @@ def sample_parity_curve(state: np.ndarray, phases, config: ShotConfig):
     return sample_parities(parities, config), pops
 
 
-def _sample_square(probs: np.ndarray, config: ShotConfig) -> tuple[float, float]:
-    """Sampled mean and standard error of J^2 along the axis whose
-    projection populations, m - N/2 ascending, are ``probs``."""
-    squares = projections(len(probs) - 1) ** 2
-    counts = _draw(_normalized(probs), config)
-    mean = float(np.sum(counts * squares) / config.n_shots)
-    var = np.sum(counts * (squares - mean) ** 2) / max(config.n_shots - 1, 1)
-    return mean, float(np.sqrt(var / config.n_shots))
+def _sample_squares(probs: np.ndarray, config: ShotConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Sampled means and standard errors of J^2 along each axis whose
+    projection populations, m - N/2 ascending, are a row of ``probs``; row k
+    draws on substream k.  The statistics are row reductions, each summing
+    its row's terms in the order of a sum over that row alone."""
+    probs = _normalized(probs)
+    squares = projections(probs.shape[1] - 1) ** 2
+    counts = np.array([_draw(row, config.substream(k)) for k, row in enumerate(probs)])
+    means = np.sum(counts * squares, axis=1) / config.n_shots
+    var = np.sum(counts * (squares - means[:, None]) ** 2, axis=1) / max(config.n_shots - 1, 1)
+    return means, np.sqrt(var / config.n_shots)
 
 
 def simulated_experiment(state: np.ndarray, config: ShotConfig) -> CertificationRecord:
@@ -158,10 +167,12 @@ def simulated_experiment(state: np.ndarray, config: ShotConfig) -> Certification
 
     Populations are sampled along x; <Jz^2> is sampled without an analysis
     pulse; <Jy^2> is the peak of a sampled J_phi^2 scan over 13 azimuths in
-    [0, pi].  Streams are partitioned per setting, so one config reproduces
-    the whole record.  The exact record of a symmetric-sector ``state`` is
-    ``certify_from_state(symmetric_isometry(4) @ state, "x")``, which this
-    one approaches as the shots grow.
+    [0, pi], the first azimuth where ties leave more than one.  Streams are
+    partitioned per setting, so one config reproduces the whole record: the
+    z row and the 13 azimuth rows are one (14, 5) stack, one ``_draw`` per
+    row on substream 1 + k.  The exact record of a symmetric-sector
+    ``state`` is ``certify_from_state(symmetric_isometry(4) @ state, "x")``,
+    which this one approaches as the shots grow.
     """
     state = np.asarray(state, dtype=complex)
     z_pops = observables.populations_along(state, "z")
@@ -170,12 +181,10 @@ def simulated_experiment(state: np.ndarray, config: ShotConfig) -> Certification
                          f"got N={len(z_pops) - 1}")
 
     pop_rec = sample_populations(state, config.substream(0), "x")
-    jz2_mean, jz2_err = _sample_square(z_pops, config.substream(1))
     azimuth_pops = observables.populations_azimuth(state, np.linspace(0.0, np.pi, 13))
-    scan = [_sample_square(probs, config.substream(2 + k))
-            for k, probs in enumerate(azimuth_pops)]
-    jy2_mean, jy2_err = max(scan, key=lambda ms: ms[0])
-    return CertificationRecord(witness_value=float(jy2_mean + jz2_mean),
+    means, errors = _sample_squares(np.vstack([z_pops, azimuth_pops]), config.substream(1))
+    peak = 1 + int(np.argmax(means[1:]))  # the first of tied maxima
+    return CertificationRecord(witness_value=float(means[peak] + means[0]),
                                populations=pop_rec.frequencies,
-                               sigma_witness=float(np.hypot(jy2_err, jz2_err)),
+                               sigma_witness=float(np.hypot(errors[peak], errors[0])),
                                sigma_populations=pop_rec.std_errors)

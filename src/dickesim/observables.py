@@ -4,6 +4,15 @@ All observables act on symmetric-sector states (Dicke-basis vectors or
 density matrices) and know nothing of the phonons: measured quantities are
 spin-only fluorescence-style readouts, so a model's states come here as the
 spin marginals that ``model.spin_marginals`` traces the phonons out of.
+
+The operators that a readout applies but its state does not change are built
+once and kept read-only: the eigenbasis of Jx and of Jy and its adjoint for
+each N, the J_phi eigenbasis stack for each (N, azimuth grid), and the
+parity-analysis stack pulse^dag Pi pulse for each phase grid.  A grid's cache
+key is the shape and bytes of its float array, in an LRU of
+``GRID_CACHE_SIZE`` grids, so a caller who sweeps many grids cannot grow it
+without bound.  A cached array is the array that the readout computed on its
+first call, so a warm call gives the bits of a cold one.
 """
 
 from __future__ import annotations
@@ -13,8 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spin_algebra import (_expm, build_collective, full_space_oracle, hamming_weights,
-                           projections, symmetric_isometry)
+from .spin_algebra import (_expm, _frozen, build_collective, full_space_oracle,
+                           hamming_weights, projections, symmetric_isometry)
 
 #: witness value above which a four-ion state is genuinely four-partite entangled
 WITNESS_THRESHOLD_FOUR_ION = 5.23
@@ -25,6 +34,9 @@ NORM_TOL = 1e-8
 
 #: samples that the readout stacks at once, which bounds its memory
 READOUT_CHUNK = 128
+
+#: azimuth or phase grids whose operator stacks each grid cache keeps
+GRID_CACHE_SIZE = 8
 
 
 def _state_dim(state: np.ndarray) -> int:
@@ -104,13 +116,40 @@ def azimuthal_spin(n_ions: int, phi) -> np.ndarray:
     return np.cos(phi) * jx + np.sin(phi) * jy
 
 
-def _eigenbasis_populations(state: np.ndarray, op: np.ndarray) -> np.ndarray:
-    """Populations of ``op``'s eigenvectors, or one row of them for each
-    operator of a stack; a stack runs the same eigh and products on each
-    operator as a single call does, so every row keeps its bits."""
+def _grid_key(grid) -> tuple[tuple[int, ...], bytes]:
+    """The (shape, bytes) key of a float grid in a grid cache."""
+    grid = np.asarray(grid, dtype=float)
+    return grid.shape, grid.tobytes()
+
+
+def _grid(shape: tuple[int, ...], data: bytes) -> np.ndarray:
+    """The float grid of a ``_grid_key``, in a fresh aligned array."""
+    return np.frombuffer(data).reshape(shape).copy()
+
+
+def _eigenbasis(op: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (basis, adjoint) of ``op``'s eigenvectors, or of each
+    operator of a stack."""
     # eigh orders the columns by ascending projection eigenvalue, matching m = 0..N
-    _, basis = np.linalg.eigh(op)
-    adjoint = basis.conj().swapaxes(-1, -2)
+    basis = _frozen(np.linalg.eigh(op)[1])
+    return basis, _frozen(basis.conj().swapaxes(-1, -2))
+
+
+@lru_cache(maxsize=None)
+def _axis_eigenbasis(n_ions: int, axis: str) -> tuple[np.ndarray, np.ndarray]:
+    return _eigenbasis(build_collective(n_ions, "j" + axis))
+
+
+@lru_cache(maxsize=GRID_CACHE_SIZE)
+def _azimuth_eigenbasis(n_ions: int, shape: tuple[int, ...], data: bytes):
+    return _eigenbasis(azimuthal_spin(n_ions, _grid(shape, data)))
+
+
+def _eigenbasis_populations(state: np.ndarray, basis: np.ndarray,
+                            adjoint: np.ndarray) -> np.ndarray:
+    """Populations of the eigenvectors that are ``basis``'s columns, or one
+    row of them for each basis of a stack; a stack runs the same products on
+    each basis as a single call does, so every row keeps its bits."""
     if state.ndim == 1:
         return np.abs(adjoint @ state) ** 2
     return np.diagonal(adjoint @ state @ basis, axis1=-2, axis2=-1).real.copy()
@@ -126,7 +165,7 @@ def populations_along(state: np.ndarray, axis: str) -> np.ndarray:
         return np.real(np.diag(state)).copy()
     if axis not in ("x", "y"):
         raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
-    return _eigenbasis_populations(state, build_collective(n_ions, "j" + axis))
+    return _eigenbasis_populations(state, *_axis_eigenbasis(n_ions, axis))
 
 
 def populations_azimuth(state: np.ndarray, phi) -> np.ndarray:
@@ -134,7 +173,8 @@ def populations_azimuth(state: np.ndarray, phi) -> np.ndarray:
     azimuths gives one row per azimuth, equal bit for bit to the calls at
     each azimuth alone."""
     state = _check_normalized(state)
-    return _eigenbasis_populations(state, azimuthal_spin(_state_dim(state) - 1, phi))
+    bases = _azimuth_eigenbasis(_state_dim(state) - 1, *_grid_key(phi))
+    return _eigenbasis_populations(state, *bases)
 
 
 def spin_readout(rhos: np.ndarray) -> tuple[list[float], list[float], list[float], list[float]]:
@@ -215,10 +255,10 @@ def parity_analysis(phases: np.ndarray, parities: np.ndarray,
     phases = np.asarray(phases, dtype=float)
     parities = np.asarray(parities, dtype=float)
     design = np.column_stack([np.cos(2 * phases), np.sin(2 * phases), np.ones_like(phases)])
-    rank = np.linalg.matrix_rank(design)
+    # lstsq's rank has matrix_rank's threshold, eps * max(M, N) * s_max
+    (a, b, c), _, rank, _ = np.linalg.lstsq(design, parities, rcond=None)
     if rank < 3:
         raise ValueError(f"parity fit is underdetermined: {len(phases)} phases give rank {rank} < 3")
-    (a, b, c), *_ = np.linalg.lstsq(design, parities, rcond=None)
     amplitude = float(np.hypot(a, b))
     p_lower, p_upper = float(p_lower), float(p_upper)
     return ParityScan(phases=phases, parities=parities, amplitude=amplitude,
@@ -234,6 +274,16 @@ def _two_ion_analysis_ops():
     return jx, jy, parity
 
 
+@lru_cache(maxsize=GRID_CACHE_SIZE)
+def _parity_analysis_ops(shape: tuple[int, ...], data: bytes) -> np.ndarray:
+    """Read-only stack of pulse^dag Pi pulse, one for each phase of a grid."""
+    phases = _grid(shape, data)
+    jx, jy, parity_op = _two_ion_analysis_ops()
+    cos, sin = np.cos(phases)[:, None, None], np.sin(phases)[:, None, None]
+    pulses = _expm(-1j * (np.pi / 2) * (cos * jx + sin * jy))
+    return _frozen(pulses.conj().transpose(0, 2, 1) @ parity_op @ pulses)
+
+
 def parity_curve(state: np.ndarray, phases) -> tuple[np.ndarray, np.ndarray]:
     """Product-sigma_z parity of a two-ion state after the analysis pulse
     exp(-i (pi/2) (Jx cos(phi) + Jy sin(phi))) at each phase phi, and its z
@@ -246,15 +296,10 @@ def parity_curve(state: np.ndarray, phases) -> tuple[np.ndarray, np.ndarray]:
         state = iso @ state @ iso.conj().T if state.ndim == 2 else iso @ state
     elif dim != 4:
         raise ValueError("parity scan is defined for two ions only")
-    phases = np.asarray(phases, dtype=float)
-
-    jx, jy, parity_op = _two_ion_analysis_ops()
-    cos, sin = np.cos(phases)[:, None, None], np.sin(phases)[:, None, None]
-    pulses = _expm(-1j * (np.pi / 2) * (cos * jx + sin * jy))
-    # one stack of pulse^dag Pi pulse, then ``expectation``'s arithmetic on
-    # each phase: a vector's vdot stays one call a phase, a trace sums the
-    # same four diagonal entries stacked or alone
-    ops = pulses.conj().transpose(0, 2, 1) @ parity_op @ pulses
+    # ``expectation``'s arithmetic on each phase's operator: a vector's vdot
+    # stays one call a phase, a trace sums the same four diagonal entries
+    # stacked or alone
+    ops = _parity_analysis_ops(*_grid_key(phases))
     if state.ndim == 1:
         parities = np.array([np.vdot(state, rotated).real for rotated in ops @ state])
     else:

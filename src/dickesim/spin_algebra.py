@@ -119,11 +119,14 @@ def dicke_state(n_ions: int, m: int) -> np.ndarray:
     return vec
 
 
+@lru_cache(maxsize=None, typed=True)
 def half_excited_x(n_ions: int) -> np.ndarray:
-    """Half-excited Dicke state along x: Ry(pi/2) applied to |m = N/2>."""
+    """Half-excited Dicke state along x: Ry(pi/2) applied to |m = N/2>,
+    cached and read-only.  The cache is typed, so a float ``n_ions`` raises
+    from a warm cache as it does from a cold one."""
     if n_ions % 2 != 0:
         raise ValueError("half-excited states need an even number of ions")
-    return rotation_y(n_ions, np.pi / 2) @ dicke_state(n_ions, n_ions // 2)
+    return _frozen(rotation_y(n_ions, np.pi / 2) @ dicke_state(n_ions, n_ions // 2))
 
 
 # ---------------------------------------------------------------------------

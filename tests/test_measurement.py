@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from dickesim import certification as cert
 from dickesim import measurement as meas
 from dickesim import observables as obs
-from dickesim.spin_algebra import dicke_state, half_excited_x, rotation_y, symmetric_isometry
+from dickesim.spin_algebra import (dicke_state, half_excited_x, projections, rotation_y,
+                                   symmetric_isometry)
 
 
 def _binomial_profile_state():
@@ -86,8 +87,8 @@ def test_convergence_rate_one_over_sqrt_n():
 
 def test_azimuth_square_sampling():
     state = half_excited_x(4)
-    mean, err = meas._sample_square(obs.populations_azimuth(state, np.pi / 2),
-                                    meas.ShotConfig(n_shots=20_000, seed=8))
+    [mean], [err] = meas._sample_squares(obs.populations_azimuth(state, np.pi / 2)[None],
+                                         meas.ShotConfig(n_shots=20_000, seed=8))
     assert mean == pytest.approx(3.0, abs=0.1)
     assert 0 < err < 0.05
 
@@ -109,6 +110,65 @@ def test_simulated_experiment_agrees_with_certify_from_state():
                       <= 5 * rec.sigma_populations + 1e-12)
         assert abs(rec.f_lower - exact.f_lower) <= 5 * rec.sigma_lower
         assert abs(rec.f_upper - exact.f_upper) <= 5 * rec.sigma_upper + 1e-12
+
+
+def _sample_square(probs, config):
+    # the per-setting estimate that simulated_experiment made before its
+    # settings were stacked, kept as its reference
+    squares = projections(len(probs) - 1) ** 2
+    counts = meas._draw(meas._normalized(probs), config)
+    mean = float(np.sum(counts * squares) / config.n_shots)
+    var = np.sum(counts * (squares - mean) ** 2) / max(config.n_shots - 1, 1)
+    return mean, float(np.sqrt(var / config.n_shots))
+
+
+def _experiment_per_setting(state, config):
+    """simulated_experiment's earlier loop, one setting at a time: its
+    record and the (mean, error) scan over the 13 azimuths."""
+    state = np.asarray(state, dtype=complex)
+    pop_rec = meas.sample_populations(state, config.substream(0), "x")
+    jz2_mean, jz2_err = _sample_square(obs.populations_along(state, "z"), config.substream(1))
+    azimuth_pops = obs.populations_azimuth(state, np.linspace(0.0, np.pi, 13))
+    scan = [_sample_square(probs, config.substream(2 + k))
+            for k, probs in enumerate(azimuth_pops)]
+    jy2_mean, jy2_err = max(scan, key=lambda ms: ms[0])
+    record = cert.CertificationRecord(witness_value=float(jy2_mean + jz2_mean),
+                                      populations=pop_rec.frequencies,
+                                      sigma_witness=float(np.hypot(jy2_err, jz2_err)),
+                                      sigma_populations=pop_rec.std_errors)
+    return record, scan
+
+
+def _record_bits(record):
+    return tuple(value.tobytes() if isinstance(value, np.ndarray) else float(value).hex()
+                 for value in vars(record).values())
+
+
+#: shot counts beyond the 1-20 that every seed also draws
+_EXPERIMENT_SHOTS = (21, 50, 100, 625, 1000, 5000, 12_345, 10**5, 10**6)
+
+
+def test_stacked_experiment_equals_the_per_setting_loop_bit_for_bit():
+    # 200 seeds, each at 1-20 shots and at one larger count, on a noisy
+    # target (the benchmark's states), a random vector and a random mixture;
+    # at a few shots the sampled azimuth means tie, and the first of them
+    # must win as it did in the loop
+    rng = np.random.default_rng(2030)
+    target = half_excited_x(4)
+    ties_with_other_errors = 0
+    for seed in range(200):
+        noise = rng.uniform(0.0, 0.3)
+        vecs = [rng.normal(size=5) + 1j * rng.normal(size=5) for _ in range(3)]
+        vecs = [v / np.linalg.norm(v) for v in vecs]
+        states = [(1 - noise) * np.outer(target, target.conj()) + noise * np.eye(5) / 5, vecs[0],
+                  0.7 * np.outer(vecs[1], vecs[1].conj()) + 0.3 * np.outer(vecs[2], vecs[2].conj())]
+        for state, shots in zip(states, (1 + seed % 20, _EXPERIMENT_SHOTS[seed % 9], 1 + seed % 7)):
+            config = meas.ShotConfig(n_shots=shots, seed=seed, stream=seed % 3)
+            expected, scan = _experiment_per_setting(state, config)
+            assert _record_bits(meas.simulated_experiment(state, config)) == _record_bits(expected)
+            best = max(scan, key=lambda ms: ms[0])
+            ties_with_other_errors += any(ms[0] == best[0] and ms[1] != best[1] for ms in scan)
+    assert ties_with_other_errors > 0
 
 
 def test_simulated_experiment_rejects_other_sizes():

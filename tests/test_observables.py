@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from dickesim import observables as obs
+from dickesim import spin_algebra as sa
 from dickesim.dark_state import dark_coefficients
 from dickesim.model import spin_marginals
 from dickesim.spin_algebra import (
@@ -174,15 +175,21 @@ def test_azimuth_square_peak_is_jy():
     assert phases[int(np.argmax(values))] == pytest.approx(np.pi / 2, abs=1e-12)
 
 
+def _eigh_populations_alone(state, op):
+    """Populations of ``op``'s eigenvectors from a fresh eigh and the 2-d
+    products."""
+    basis = np.linalg.eigh(op)[1]
+    if state.ndim == 1:
+        return np.abs(basis.conj().T @ state) ** 2
+    return np.real(np.diag(basis.conj().T @ state @ basis)).copy()
+
+
 def _populations_azimuth_alone(state, phi):
     """One azimuth's populations as computed before azimuths were stacked:
     a scalar-weighted J_phi, its own eigh, and the 2-d products."""
     n_ions = obs._state_dim(state) - 1
     op = np.cos(phi) * build_collective(n_ions, "jx") + np.sin(phi) * build_collective(n_ions, "jy")
-    basis = np.linalg.eigh(op)[1]
-    if state.ndim == 1:
-        return np.abs(basis.conj().T @ state) ** 2
-    return np.real(np.diag(basis.conj().T @ state @ basis)).copy()
+    return _eigh_populations_alone(state, op)
 
 
 @pytest.mark.parametrize("n_ions", [1, 2, 4, 6])
@@ -339,6 +346,111 @@ def test_stacked_parity_products_equal_the_product_loop_bit_for_bit(n_phases):
         assert np.array_equal(scan.parities.view(np.int64), ref.parities.view(np.int64))
         assert (scan.amplitude, scan.phase_offset, scan.offset, scan.fidelity) == (
             ref.amplitude, ref.phase_offset, ref.offset, ref.fidelity)
+
+
+# ---------------------------------------------------------------------------
+# operator caches
+# ---------------------------------------------------------------------------
+
+_GRID_CACHES = (obs._azimuth_eigenbasis, obs._parity_analysis_ops)
+
+
+def _cold_and_warm(readout, *args):
+    """``readout(*args)`` after every operator cache is cleared, then again."""
+    for cache in (obs._axis_eigenbasis, *_GRID_CACHES):
+        cache.cache_clear()
+    return readout(*args), readout(*args)
+
+
+def _vector_and_mixture(rng, dim):
+    vecs = [_random_unit(rng, dim) for _ in range(4)]
+    return vecs[0], sum(w * np.outer(v, v.conj()) for w, v in zip((0.5, 0.3, 0.2), vecs[1:]))
+
+
+@pytest.mark.parametrize("n_ions", range(2, 9))
+def test_cached_populations_equal_a_fresh_eigh(n_ions):
+    rng = np.random.default_rng(700 + n_ions)
+    grids = (np.linspace(0.0, np.pi, 13), rng.uniform(-7.0, 7.0, 9), np.array([0.3]))
+    for state in _vector_and_mixture(rng, n_ions + 1):
+        for axis in "xy":
+            fresh = _eigh_populations_alone(state, build_collective(n_ions, "j" + axis))
+            for pops in _cold_and_warm(obs.populations_along, state, axis):
+                assert np.array_equal(pops, fresh)
+        for grid in grids:
+            fresh = np.array([_populations_azimuth_alone(state, phi) for phi in grid])
+            for pops in _cold_and_warm(obs.populations_azimuth, state, grid):
+                assert np.array_equal(pops, fresh)
+            for pops in _cold_and_warm(obs.populations_azimuth, state, grid[0]):
+                assert np.array_equal(pops, fresh[0])
+
+
+def test_cached_parity_curve_equals_a_fresh_expm():
+    rng = np.random.default_rng(17)
+    grids = (np.linspace(0.0, 2 * np.pi, 40, endpoint=False), rng.uniform(-7.0, 7.0, 17),
+             np.linspace(0.0, 2 * np.pi, 7, endpoint=False))
+    states = [*_vector_and_mixture(rng, 3), *_vector_and_mixture(rng, 4)]
+    iso = symmetric_isometry(2)
+    for state in states:
+        full = state
+        if len(state) == 3:
+            full = iso @ state if state.ndim == 1 else iso @ state @ iso.conj().T
+        z_pops = np.abs(full) ** 2 if state.ndim == 1 else np.real(np.diag(full))
+        for phases in grids:
+            fresh = _parity_scan_per_phase(state, phases).parities
+            for parities, pops in _cold_and_warm(obs.parity_curve, state, phases):
+                assert np.array_equal(parities, fresh)
+                assert np.array_equal(pops, z_pops)
+
+
+def test_a_repeated_readout_builds_no_operator(monkeypatch):
+    rng = np.random.default_rng(23)
+    state, two_ion = _random_unit(rng, 5), _random_unit(rng, 3)
+    azimuths = np.linspace(0.0, np.pi, 13)
+    phases = np.linspace(0.0, 2 * np.pi, 40, endpoint=False)
+
+    def readouts():
+        return (obs.populations_along(state, "x"), obs.populations_along(state, "y"),
+                obs.populations_azimuth(state, azimuths), obs.populations_azimuth(state, 0.3),
+                obs.parity_curve(two_ion, phases)[0], half_excited_x(4))
+
+    calls = []
+
+    def counted(name, fn):
+        return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    monkeypatch.setattr(obs, "_expm", counted("expm", obs._expm))
+    monkeypatch.setattr(sa, "_expm", counted("expm", sa._expm))
+    half_excited_x.cache_clear()
+    first = _cold_and_warm(readouts)[0]
+    assert sorted(set(calls)) == ["eigh", "expm"]  # the counters see a cold call
+    calls.clear()
+    second = readouts()
+    assert calls == []
+    assert all(np.array_equal(a, b) for a, b in zip(first, second, strict=True))
+
+
+def test_grid_caches_stay_at_their_bound():
+    # 100 grids of one shape, each read right after the one before it filled
+    # the cache: a grid is told from another by its values, not its shape
+    rng = np.random.default_rng(29)
+    state, two_ion = _random_unit(rng, 5), _random_unit(rng, 3)
+    for k in range(100):
+        grid = np.linspace(0.0, np.pi, 13) + k * 1e-3
+        assert np.array_equal(obs.populations_azimuth(state, grid),
+                              [_populations_azimuth_alone(state, phi) for phi in grid])
+        assert np.array_equal(obs.parity_curve(two_ion, grid)[0],
+                              _parity_scan_per_phase(two_ion, grid).parities)
+    for cache in _GRID_CACHES:
+        info = cache.cache_info()
+        assert info.currsize == info.maxsize == obs.GRID_CACHE_SIZE
+
+
+def test_cached_operators_are_read_only():
+    grid_key = obs._grid_key(np.linspace(0.0, np.pi, 13))
+    arrays = [*obs._axis_eigenbasis(4, "x"), *obs._azimuth_eigenbasis(4, *grid_key),
+              obs._parity_analysis_ops(*grid_key)]
+    assert not any(a.flags.writeable for a in arrays)
 
 
 # ---------------------------------------------------------------------------

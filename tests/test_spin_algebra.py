@@ -133,6 +133,17 @@ def test_cached_operators_are_hermitian_and_read_only():
                 op[0, 0] = 0.0
 
 
+def test_half_excited_x_is_cached_and_read_only():
+    for n in (2, 4, 6, 8):
+        state = sa.half_excited_x(n)
+        assert state is sa.half_excited_x(n)
+        assert np.array_equal(state, sa.rotation_y(n, np.pi / 2) @ sa.dicke_state(n, n // 2))
+        with pytest.raises(ValueError):
+            state[0] = 0.0
+    with pytest.raises(TypeError):  # n = 4 is cached, and 4.0 still fails
+        sa.half_excited_x(4.0)
+
+
 # ---------------------------------------------------------------------------
 # full-space oracle
 # ---------------------------------------------------------------------------
