@@ -188,7 +188,7 @@ def _projection_populations(state: np.ndarray, n_ions: int, axes) -> list[np.nda
     return populations
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def half_excited_full(n_ions: int, axis: str = "x") -> np.ndarray:
     """Half-excited Dicke state along an axis, in the full 2^N space."""
     if n_ions % 2 != 0:

@@ -63,12 +63,6 @@ positive_float_list = _checked("positive_float_list", str,
                                lambda text: all(0 < v < math.inf for v in _numbers(text)))
 
 
-def _provenance(subcommand: str, config: dict) -> list[str]:
-    lines = [f"# dickesim {__version__}", f"# subcommand: {subcommand}"]
-    lines += [f"# {key} = {value}" for key, value in config.items()]
-    return lines
-
-
 def format_csv(header_lines, column_names, rows) -> str:
     text_lines = list(header_lines)
     text_lines.append(",".join(column_names))
@@ -77,22 +71,28 @@ def format_csv(header_lines, column_names, rows) -> str:
     return "\n".join(text_lines) + "\n"
 
 
-def _emit(path, header_lines, column_names, rows):
-    text = format_csv(header_lines, column_names, rows)
-    if path is None:
+def _report(ns, config: dict, columns, rows, summary: dict | None = None, notes=()) -> None:
+    """Write a command's output; no other code does.  The CSV of ``columns``
+    and ``rows`` goes to ``--output`` or stdout, under a provenance header:
+    the tool version, the subcommand, a ``# key = value`` line for each
+    ``config`` entry and a ``# note`` line for each of ``notes``.  The
+    ``summary`` pairs follow on stdout as ``key = value`` lines, which
+    ``--summary`` also writes to its file."""
+    header = [f"# dickesim {__version__}", f"# subcommand: {ns.subcommand}",
+              *(f"# {key} = {value}" for key, value in config.items()),
+              *(f"# {note}" for note in notes)]
+    text = format_csv(header, columns, rows)
+    if ns.output is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
+        with open(ns.output, "w") as fh:
             fh.write(text)
-
-
-def _print_summary(pairs: dict, path=None) -> None:
-    lines = [f"{key} = {value}" for key, value in pairs.items()]
-    for line in lines:
-        print(line)
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+    if summary is not None:
+        text = "".join(f"{key} = {value}\n" for key, value in summary.items())
+        sys.stdout.write(text)
+        if ns.summary is not None:
+            with open(ns.summary, "w") as fh:
+                fh.write(text)
 
 
 def _parse_keyvalue(path: str) -> dict[str, str]:
@@ -115,7 +115,7 @@ def _with_config(ns, argv: list[str]) -> list[str]:
     again checks them like typed flags and the user's own flags, which come
     later, win.  A file sets only its subcommand's flags, never --config."""
     values = _parse_keyvalue(ns.config)
-    (flags,) = [flags for name, _, _, flags, _ in SUBCOMMANDS if name == ns.subcommand]
+    (flags,) = [flags for name, _, _, flags in SUBCOMMANDS if name == ns.subcommand]
     unknown = set(values) - {flag[2:].replace("-", "_") for flag in flags}
     if unknown:
         raise ValueError(f"config file has unknown keys: {', '.join(sorted(unknown))}")
@@ -164,12 +164,10 @@ def cmd_darkstate(ns) -> int:
     else:
         omega_r, omega_b = ns.omega_r, ns.omega_b
     state = dark_coefficients(ns.n, omega_r, omega_b)
-    header = _provenance("darkstate", {
+    _report(ns, {
         "n": ns.n, "theta": ns.theta, "omega_r": omega_r, "omega_b": omega_b,
         "norm_a": state.norm_a, "seed": "none",
-    })
-    rows = [(2 * i, amp) for i, amp in enumerate(state.amplitudes)]
-    _emit(ns.output, header, ("excitation", "amplitude"), rows)
+    }, ("excitation", "amplitude"), [(2 * i, amp) for i, amp in enumerate(state.amplitudes)])
     return EXIT_OK
 
 
@@ -180,22 +178,18 @@ def cmd_evolve(ns) -> int:
     spin = observables.spin_readout(traj.spin_marginals())
     # Python floats print as numpy's float64 do, and faster
     rows = list(zip(traj.times.tolist(), *spin, dark_fid))
-
-    header = _provenance("evolve", {
+    _report(ns, {
         "n": ns.n, "model": ns.model, "schedule": schedule.shape,
         "preset": ns.adiabatic_preset, "total_time": schedule.total_time,
         "omega_bar": schedule.omega_bar, "delta": params.delta,
         "eta_omega_bar_T": schedule.adiabaticity(), "seed": "none", **traj.record(),
-    })
-    _emit(ns.output, header, ("t", "jz_mean", "var_jx", "var_jy", "var_jz", "dark_fidelity"),
-          rows)
-    _print_summary({
+    }, ("t", "jz_mean", "var_jx", "var_jy", "var_jz", "dark_fidelity"), rows, summary={
         "final_jz": rows[-1][1],
         "midpoint_dark_fidelity": dark_fid[traj.midpoint],
         "eta_omega_bar_T": schedule.adiabaticity(),
         "max_norm_drift": traj.max_norm_drift,
         "truncation_leak": traj.truncation_leak,
-    }, path=ns.summary)
+    })
     _check_leak(traj)
     return EXIT_OK
 
@@ -208,20 +202,16 @@ def cmd_scan_noise(ns) -> int:
     traj = _integrate(ns, schedule, params, capture_times=cut_times)
     cuts = traj.indices_of(cut_times)
     _, *variances = observables.spin_readout(traj.spin_marginals(cuts))
-    rows = list(zip(traj.times[cuts].tolist(), *variances))
-    header = _provenance("scan-noise", {
+    _report(ns, {
         "n": ns.n, "model": ns.model, "preset": ns.adiabatic_preset,
         "total_time": schedule.total_time, "delta": params.delta,
         "cuts": ns.cuts, "seed": "none", **traj.record(),
-    })
-    _emit(ns.output, header, ("tau_c", "var_jx", "var_jy", "var_jz"), rows)
+    }, ("tau_c", "var_jx", "var_jy", "var_jz"), list(zip(traj.times[cuts].tolist(), *variances)))
     _check_leak(traj)
     return EXIT_OK
 
 
 def cmd_parity(ns) -> int:
-    if ns.n != 2:
-        raise PhysicsConfigError("parity oscillation analysis is a two-ion protocol")
     if ns.source == "ideal":
         state, record = dark_coefficients(2, 1.0, 1.0).chain_vector.astype(complex), {}
     else:
@@ -233,17 +223,14 @@ def cmd_parity(ns) -> int:
         config = measurement.ShotConfig(n_shots=ns.shots, seed=ns.seed)
         parities, pops = measurement.sample_parity_curve(state, phases, config)
     scan = observables.parity_analysis(phases, parities, pops[0], pops[-1])
-
-    header = _provenance("parity", {
+    _report(ns, {
         "n": 2, "source": ns.source, "phases": ns.phases,
         "shots": ns.shots, "generator": measurement.GENERATOR_NAME,
         "seed": ns.seed if ns.shots is not None else "none", **record,
-    })
-    _emit(ns.output, header, ("phi", "parity"), list(zip(phases, scan.parities)))
-    _print_summary({
+    }, ("phi", "parity"), list(zip(phases, scan.parities)), summary={
         "amplitude": scan.amplitude, "p_lower": scan.p_lower, "p_upper": scan.p_upper,
         "fidelity": scan.fidelity,
-    }, path=ns.summary)
+    })
     return EXIT_OK
 
 
@@ -258,10 +245,8 @@ def cmd_witness(ns) -> int:
         value = observables.witness(state, axes)
         verdict = observables.witness_verdict(ns.n, value)
         rows.append(("".join(axes), value, observables.WITNESS_THRESHOLD_FOUR_ION, verdict))
-    header = _provenance("witness", {
-        "n": ns.n, "source": ns.source, "seed": "none", **record,
-    })
-    _emit(ns.output, header, ("axes", "value", "threshold", "genuine_multipartite"), rows)
+    _report(ns, {"n": ns.n, "source": ns.source, "seed": "none", **record},
+            ("axes", "value", "threshold", "genuine_multipartite"), rows)
     return EXIT_OK
 
 
@@ -286,22 +271,17 @@ def cmd_bounds(ns) -> int:
     rec = certification.CertificationRecord(values["W"], pops, values["sigma_W"],
                                             values["sigma_list"])
     certified = certification.ghz_excluded(rec.f_lower)
-
-    header = _provenance("bounds", {"input": ns.input, "seed": "none"})
-    echo_rows = [(key, f"\"{raw[key]}\"") for key in required]
-    result_rows = [
+    rows = [(key, f"\"{raw[key]}\"") for key in required] + [
         ("F_lo", rec.f_lower), ("sigma_lo", rec.sigma_lower),
         ("F_hi", rec.f_upper), ("sigma_hi", rec.sigma_upper), ("ghz_excluded", certified),
     ]
-    _emit(ns.output, header + ["# input echo below"], ("key", "value"),
-          echo_rows + result_rows)
-    _print_summary({
+    _report(ns, {"input": ns.input, "seed": "none"}, ("key", "value"), rows, summary={
         "F_lo": f"{rec.f_lower:.6f} +- {rec.sigma_lower:.6f}",
         "F_hi": f"{rec.f_upper:.6f} +- {rec.sigma_upper:.6f}",
         "ghz_excluded": certified,
         "verdict": "half-excited Dicke state certified" if certified
         else "lower bound does not exclude GHZ",
-    }, path=ns.summary)
+    }, notes=("input echo below",))
     return EXIT_OK
 
 
@@ -315,12 +295,11 @@ def cmd_sweep(ns) -> int:
         traj = evolution.integrate_reduced(schedule, params)
         rows.append((total_time, *evolution.transfer_numbers(traj)))
         fields = ", ".join(f"{key} = {value}" for key, value in traj.record().items())
-        ramp_records.append(f"# ramp {total_time}: {fields}")
-    header = _provenance("sweep", {
+        ramp_records.append(f"ramp {total_time}: {fields}")
+    _report(ns, {
         "n": ns.n, "schedule": ns.schedule, "delta_ratio": ns.delta_ratio,
         "eta_omega_t_list": ns.eta_omega_t_list, "seed": "none",
-    }) + ramp_records
-    _emit(ns.output, header, ("eta_omega_t", "final_jz", "midpoint_dark_fidelity"), rows)
+    }, ("eta_omega_t", "final_jz", "midpoint_dark_fidelity"), rows, notes=ramp_records)
     return EXIT_OK
 
 
@@ -371,26 +350,26 @@ FLAGS = {
     "--summary": dict(help="key-value summary file"),
 }
 
-# (name, help, handler, flags in --help order, default overrides) of every
-# subcommand, in the order --help lists them
+# (name, help, handler, flags in --help order) of every subcommand, in the
+# order --help lists them
 SUBCOMMANDS = (
     ("darkstate", "closed-form dark-state amplitudes", cmd_darkstate,
-     ("--n", "--theta", "--omega-r", "--omega-b", "--output"), {}),
+     ("--n", "--theta", "--omega-r", "--omega-b", "--output")),
     ("evolve", "integrate a STIRAP ramp", cmd_evolve,
      ("--n", "--model", "--schedule", "--eta-omega-t", "--delta-ratio", "--adiabatic-preset",
-      "--dt", "--output", "--summary"), {}),
+      "--dt", "--output", "--summary")),
     ("scan-noise", "spin noise versus pulse truncation time", cmd_scan_noise,
      ("--n", "--model", "--schedule", "--eta-omega-t", "--delta-ratio", "--adiabatic-preset",
-      "--dt", "--output", "--cuts"), {}),
+      "--dt", "--output", "--cuts")),
     ("parity", "two-ion parity oscillation and fidelity", cmd_parity,
-     ("--n", "--source", "--phases", "--shots", "--seed", "--output", "--summary"), {"n": 2}),
+     ("--source", "--phases", "--shots", "--seed", "--output", "--summary")),
     ("witness", "two-axis squared-spin witness values", cmd_witness,
-     ("--n", "--source", "--output"), {}),
+     ("--n", "--source", "--output")),
     ("bounds", "fidelity bounds from measured witness + populations", cmd_bounds,
-     ("--input", "--output", "--summary"), {}),
+     ("--input", "--output", "--summary")),
     ("sweep", "transfer quality over a list of ramp lengths", cmd_sweep,
-     ("--n", "--schedule", "--delta-ratio", "--eta-omega-t-list", "--output"), {}),
-    ("repro", "re-run the acceptance checks and print a table", cmd_repro, (), {}),
+     ("--n", "--schedule", "--delta-ratio", "--eta-omega-t-list", "--output")),
+    ("repro", "re-run the acceptance checks and print a table", cmd_repro, ()),
 )
 
 
@@ -410,14 +389,14 @@ def build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"dickesim {__version__}")
     metavar = {"metavar": "{" + ",".join(names) + "}"} if only else {}
     sub = parser.add_subparsers(dest="subcommand", required=True, **metavar)
-    for name, help_text, handler, flags, defaults in SUBCOMMANDS:
+    for name, help_text, handler, flags in SUBCOMMANDS:
         if only and name != subcommand:
             continue
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key-value file supplying flag defaults (flags win)")
         for flag in flags:
             p.add_argument(flag, **FLAGS[flag])
-        p.set_defaults(func=handler, **defaults)
+        p.set_defaults(func=handler)
     return parser
 
 

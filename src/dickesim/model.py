@@ -149,7 +149,7 @@ def reduced_hamiltonian(params: SystemParams, omega_r, omega_b) -> np.ndarray:
     return expand(reduced_values(params, omega_r, omega_b).real, support, dimension)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def full_support(n_ions: int, n_max: int):
     """(support, (N + 1)(n_max + 1), (a J+, its adjoint, a^dag J+, its
     adjoint) at the support and at (0, 0)) of the full model, as

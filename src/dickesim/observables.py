@@ -135,12 +135,12 @@ def _eigenbasis(op: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return basis, _frozen(basis.conj().swapaxes(-1, -2))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _axis_eigenbasis(n_ions: int, axis: str) -> tuple[np.ndarray, np.ndarray]:
     return _eigenbasis(build_collective(n_ions, "j" + axis))
 
 
-@lru_cache(maxsize=GRID_CACHE_SIZE)
+@lru_cache(maxsize=GRID_CACHE_SIZE, typed=True)
 def _azimuth_eigenbasis(n_ions: int, shape: tuple[int, ...], data: bytes):
     return _eigenbasis(azimuthal_spin(n_ions, _grid(shape, data)))
 

@@ -59,7 +59,7 @@ def projections(n_ions: int) -> np.ndarray:
     return _frozen(np.arange(n_ions + 1) - n_ions / 2)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def build_collective(n_ions: int, kind: str) -> np.ndarray:
     """J+, Jx, Jy or Jz on the symmetric sector, as a cached read-only
     (N+1) x (N+1) complex array.
@@ -159,7 +159,7 @@ def _full_jp(n_ions: int) -> np.ndarray:
     return mat
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def full_space_oracle(n_ions: int, kind: str) -> np.ndarray:
     """Collective operator built as a sum of single-site Paulis on 2^N space,
     as a cached read-only 2^N x 2^N complex array."""

@@ -124,7 +124,7 @@ def test_missing_input_file_exits_usage(tmp_path, flag, capsys):
 
 def test_parity_ideal(tmp_path, capsys):
     out = tmp_path / "parity.csv"
-    assert cli.main(["parity", "--n", "2", "--output", str(out)]) == 0
+    assert cli.main(["parity", "--output", str(out)]) == 0
     summary = capsys.readouterr().out
     fidelity = float([ln for ln in summary.splitlines() if ln.startswith("fidelity")][0]
                      .split("=")[1])
@@ -134,20 +134,31 @@ def test_parity_ideal(tmp_path, capsys):
     assert len(rows) == 40
 
 
-def test_parity_wrong_ion_number():
-    assert cli.main(["parity", "--n", "3"]) == 2
+def test_parity_ion_number_flag_is_a_usage_error(capsys):
+    # parity is a two-ion protocol and takes no --n
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["parity", "--n", "2"])
+    assert excinfo.value.code == cli.EXIT_USAGE
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: --n 2\n")
+
+
+def test_parity_config_ion_number_is_an_unknown_key(tmp_path, capsys):
+    cfg = tmp_path / "parity.cfg"
+    cfg.write_text("n = 2\n")
+    assert cli.main(["parity", "--config", str(cfg)]) == cli.EXIT_PHYSICS
+    assert capsys.readouterr().err == "error: config file has unknown keys: n\n"
 
 
 @pytest.mark.parametrize("n_phases", ["0", "1", "2", "4"])
 def test_parity_underdetermined_phases_exit_code(n_phases):
     # such phase grids cannot resolve the 2*phi oscillation; the fit refuses them
-    assert cli.main(["parity", "--n", "2", "--phases", n_phases]) == 2
+    assert cli.main(["parity", "--phases", n_phases]) == 2
 
 
 def test_parity_sampled_near_exact_curve(tmp_path):
     exact, sampled = tmp_path / "exact.csv", tmp_path / "sampled.csv"
-    assert cli.main(["parity", "--n", "2", "--output", str(exact)]) == 0
-    assert cli.main(["parity", "--n", "2", "--shots", "1000000", "--seed", "5",
+    assert cli.main(["parity", "--output", str(exact)]) == 0
+    assert cli.main(["parity", "--shots", "1000000", "--seed", "5",
                      "--output", str(sampled)]) == 0
     _, exact_rows = _data_rows(exact)
     _, sampled_rows = _data_rows(sampled)
@@ -172,7 +183,7 @@ def test_parity_sampled_byte_identical(tmp_path, capsys):
     # so no call draws from what an earlier call left: a second call in this
     # interpreter and a call in a fresh one print the same bytes
     a, b, fresh = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "fresh.csv"
-    args = ["parity", "--n", "2", "--shots", "2000", "--seed", "77", "--phases", "16"]
+    args = ["parity", "--shots", "2000", "--seed", "77", "--phases", "16"]
     assert cli.main(args + ["--output", str(a)]) == 0
     summary = capsys.readouterr().out
     assert cli.main(args + ["--output", str(b)]) == 0
@@ -391,7 +402,7 @@ def test_config_value_error_is_argparse_message(tmp_path, capsys):
 
 def test_summary_file(tmp_path, capsys):
     summary = tmp_path / "sum.txt"
-    assert cli.main(["parity", "--n", "2", "--output", str(tmp_path / "p.csv"),
+    assert cli.main(["parity", "--output", str(tmp_path / "p.csv"),
                      "--summary", str(summary)]) == 0
     text = summary.read_text()
     assert text.startswith("amplitude = ")

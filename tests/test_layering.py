@@ -6,7 +6,8 @@ neither ``model`` nor the integrator, and ``model`` builds on the spin
 algebra alone.  ``cli`` is the top: no package module imports it.  A
 module reads no other module's underscore names, except the two shared
 helpers of ``spin_algebra``.  ``cli`` declares each flag once, in
-``FLAGS``, and adds arguments to its parsers only in ``build_parser``.
+``FLAGS``, adds arguments to its parsers only in ``build_parser`` and
+writes a command's output only in ``_report``.
 """
 
 import ast
@@ -146,6 +147,25 @@ def test_cli_adds_arguments_only_in_build_parser():
                 if isinstance(node, ast.FunctionDef) and node.name == "build_parser"]
     inside = _add_argument_calls(build)
     assert inside and len(inside) == len(_add_argument_calls(tree))
+
+
+def _called_names(node):
+    """The names of the functions that ``node`` calls, bare or as attributes."""
+    return {call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+            for call in ast.walk(node) if isinstance(call, ast.Call)
+            and isinstance(call.func, (ast.Name, ast.Attribute))}
+
+
+def test_cli_writes_command_output_only_in_report():
+    functions = {node.name: node for node in _tree("cli").body
+                 if isinstance(node, ast.FunctionDef)}
+    assert [name for name, node in functions.items()
+            if "format_csv" in _called_names(node)] == ["_report"]
+    commands = [name for name in functions if name.startswith("cmd_")]
+    writers = [name for name in commands
+               if _called_names(functions[name]) & {"print", "open", "write"}]
+    # repro prints its table of criteria, not a CSV
+    assert len(commands) == 8 and writers == ["cmd_repro"]
 
 
 def test_each_cli_flag_is_declared_once_and_taken_by_a_subcommand():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg import expm
 
+from dickesim import certification, model
 from dickesim import spin_algebra as sa
 
 NS = [1, 2, 3, 4, 5, 6, 7, 8]
@@ -142,6 +143,21 @@ def test_half_excited_x_is_cached_and_read_only():
             state[0] = 0.0
     with pytest.raises(TypeError):  # n = 4 is cached, and 4.0 still fails
         sa.half_excited_x(4.0)
+
+
+@pytest.mark.parametrize("cached, args", [
+    (sa.build_collective, (4, "jx")), (sa.full_space_oracle, (4, "jx")),
+    (certification.half_excited_full, (4, "x")), (model.full_support, (4, 6)),
+])
+def test_float_ion_number_fails_from_a_cold_and_a_warm_cache(cached, args):
+    # the caches are typed: 4.0 never finds the entry that 4 left
+    as_float = (float(args[0]), *args[1:])
+    cached.cache_clear()
+    with pytest.raises(TypeError):
+        cached(*as_float)
+    cached(*args)
+    with pytest.raises(TypeError):
+        cached(*as_float)
 
 
 # ---------------------------------------------------------------------------
