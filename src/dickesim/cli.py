@@ -26,6 +26,17 @@ EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, what a shell reports for `cmd | head`
 
 DEFAULT_SEED = 12345
 
+#: the top-level ``--help`` text, apart from the module docstring so that
+#: editing the docstring changes no printed byte
+DESCRIPTION = """Command-line front end for the simulation and certification pipeline.
+
+All angles are radians; times and rates are in the dimensionless units set
+by eta*omega_bar unless a preset supplies physical values.  Every output
+file begins with a provenance header (tool version, effective configuration,
+seed).  Exit codes: 0 success, 1 usage, 2 violated physics precondition,
+3 numerical failure, 141 (128 + SIGPIPE) when the reader closes stdout.
+"""
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -385,7 +396,7 @@ def build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
     of a missing or unknown subcommand."""
     names = [name for name, *_ in SUBCOMMANDS]
     only = subcommand in names
-    parser = _Parser(prog="dickesim", description=__doc__)
+    parser = _Parser(prog="dickesim", description=DESCRIPTION)
     parser.add_argument("--version", action="version", version=f"dickesim {__version__}")
     metavar = {"metavar": "{" + ",".join(names) + "}"} if only else {}
     sub = parser.add_subparsers(dest="subcommand", required=True, **metavar)

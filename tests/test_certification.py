@@ -1,4 +1,5 @@
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 
 from dickesim import certification as cert
 from dickesim import observables as obs
-from dickesim.spin_algebra import dicke_state_full, full_space_oracle, symmetric_isometry
+from dickesim.spin_algebra import (dicke_state_full, full_space_oracle, hamming_weights,
+                                   symmetric_isometry)
 
 PAPER_P = [0.00, 0.03, 0.88, 0.03, 0.03]
 PAPER_SIG_P = [0.00, 0.02, 0.03, 0.02, 0.02]
@@ -159,17 +161,73 @@ def _on_each_qubit_transposing(x, op, n_ions):
 
 @pytest.mark.parametrize("n_ions", range(1, 9))
 def test_qubit_passes_agree_with_the_transposing_form(n_ions):
-    rng = np.random.default_rng(n_ions)
-    vec = cert.haar_random_pure(2**n_ions, rng)
-    rho = cert.random_mixture(2**n_ions, 3, rng)
-    pairs = np.ascontiguousarray(rho.reshape((2,) * (2 * n_ions)).transpose(
-        [a for q in range(n_ions) for a in (q, n_ions + q)]))
+    vec = cert.haar_random_pure(2**n_ions, np.random.default_rng(n_ions))
     for axis in "xyz":
-        u, m = cert._qubit_rotations(axis)
-        for x, op in ((vec, u), (pairs.reshape(-1), m)):
-            got = cert._on_each_qubit(x, op, n_ions)
-            assert got.flags.c_contiguous
-            assert np.max(np.abs(got - _on_each_qubit_transposing(x, op, n_ions))) <= 1e-14
+        u = cert._qubit_rotations(axis)
+        got = cert._on_each_qubit(vec, u, n_ions)
+        assert got.flags.c_contiguous
+        assert np.max(np.abs(got - _on_each_qubit_transposing(vec, u, n_ions))) <= 1e-14
+
+
+def _density_populations_by_passes(rho, n_ions, axis):
+    """A density matrix's populations along ``axis`` as they were computed
+    before the Hamming-distance sums: each qubit's row and column bit are
+    interleaved into one index of size 4, and N passes of the 4 -> 2 map
+    m[k, 2i + j] = u[k, i] conj(u[k, j]) give the probabilities."""
+    u = cert._qubit_rotations(axis)
+    m = (u[:, :, None] * u.conj()[:, None, :]).reshape(2, 4)
+    pairs = rho.reshape((2,) * (2 * n_ions)).transpose(
+        [a for q in range(n_ions) for a in (q, n_ions + q)]).reshape(-1)
+    probs = _on_each_qubit_transposing(pairs, m, n_ions).real
+    return np.bincount(hamming_weights(n_ions), weights=probs, minlength=n_ions + 1)
+
+
+@pytest.mark.parametrize("n_ions", range(1, 9))
+def test_krawtchouk_matrix(n_ions):
+    k = cert._krawtchouk(n_ions)
+    assert np.array_equal(k @ k, 2**n_ions * np.eye(n_ions + 1))
+    assert np.array_equal(k[0], np.ones(n_ions + 1))
+    assert np.array_equal(k[:, 0], [comb(n_ions, j) for j in range(n_ions + 1)])
+    assert not k.flags.writeable
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    components=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_density_populations_match_the_qubit_passes(n, components, seed):
+    rho = cert.random_mixture(2**n, components, np.random.default_rng(seed))
+    got = cert._projection_populations(rho, n, "xyz")
+    for axis, pops in zip("xyz", got):
+        assert np.max(np.abs(pops - _density_populations_by_passes(rho, n, axis))) < 1e-14
+
+
+def test_density_populations_take_any_memory_layout():
+    # the float view needs a C-contiguous matrix; other layouts are copied
+    rho = cert.random_mixture(64, 3, np.random.default_rng(11))
+    strided = np.zeros((64, 128), dtype=complex)
+    strided[:, ::2] = rho
+    expected = cert._projection_populations(rho, 6, "xyz")
+    for layout in (np.asfortranarray(rho), strided[:, ::2]):
+        got = cert._projection_populations(layout, 6, "xyz")
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, expected))
+    got, expected = cert.certify_from_state(strided[:, ::2]), cert.certify_from_state(rho)
+    assert got.witness_value == expected.witness_value
+    assert got.populations.tobytes() == expected.populations.tobytes()
+
+
+def test_distance_keys_are_a_typed_read_only_table():
+    assert cert._distance_keys.cache_parameters()["typed"]
+    keys = cert._distance_keys(3)
+    assert not keys.flags.writeable
+    assert keys.dtype == np.intp  # what bincount reads without a copy
+    weights = hamming_weights(3)
+    for i in range(8):
+        for j in range(8):
+            key = 4 * bin(i ^ j).count("1") + (weights[i] - weights[j]) % 4
+            assert keys[2 * (8 * i + j)] == 2 * key and keys[2 * (8 * i + j) + 1] == 2 * key + 1
 
 
 def test_certify_ideal_state_tight():

@@ -466,7 +466,7 @@ def test_usage_error_exit_code():
     ["evolve", "--n", "0"],
     ["scan-noise", "--n", "-2"],
     ["darkstate", "--n", "0"],
-    ["parity", "--n", "0"],
+    ["parity", "--phases", "1.5"],
     ["witness", "--n", "2.5"],
     ["sweep", "--n", "0"],
     ["darkstate", "--theta", "nan"],
@@ -694,6 +694,44 @@ def test_missing_or_unknown_subcommand_errors_name_the_argument(capsys):
             cli.main(argv)
         assert excinfo.value.code == cli.EXIT_USAGE
         assert message in capsys.readouterr().err
+
+
+_TOP_LEVEL_HELP = """\
+usage: dickesim [-h] [--version]
+                {darkstate,evolve,scan-noise,parity,witness,bounds,sweep,repro}
+                ...
+
+Command-line front end for the simulation and certification pipeline. All
+angles are radians; times and rates are in the dimensionless units set by
+eta*omega_bar unless a preset supplies physical values. Every output file
+begins with a provenance header (tool version, effective configuration, seed).
+Exit codes: 0 success, 1 usage, 2 violated physics precondition, 3 numerical
+failure, 141 (128 + SIGPIPE) when the reader closes stdout.
+
+positional arguments:
+  {darkstate,evolve,scan-noise,parity,witness,bounds,sweep,repro}
+    darkstate           closed-form dark-state amplitudes
+    evolve              integrate a STIRAP ramp
+    scan-noise          spin noise versus pulse truncation time
+    parity              two-ion parity oscillation and fidelity
+    witness             two-axis squared-spin witness values
+    bounds              fidelity bounds from measured witness + populations
+    sweep               transfer quality over a list of ramp lengths
+    repro               re-run the acceptance checks and print a table
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+"""
+
+
+def test_top_level_help_survives_a_docstring_edit(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps at the terminal width
+    monkeypatch.setattr(cli, "__doc__", "An edited module docstring.")
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["--help"])
+    assert excinfo.value.code == cli.EXIT_OK
+    assert capsys.readouterr() == (_TOP_LEVEL_HELP, "")
 
 
 _PAPER_CFG_PATH = str(Path(__file__).resolve().parents[1] / "data" / "paper_fourion.cfg")

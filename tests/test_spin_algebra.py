@@ -148,6 +148,7 @@ def test_half_excited_x_is_cached_and_read_only():
 @pytest.mark.parametrize("cached, args", [
     (sa.build_collective, (4, "jx")), (sa.full_space_oracle, (4, "jx")),
     (certification.half_excited_full, (4, "x")), (model.full_support, (4, 6)),
+    (certification._distance_keys, (4,)), (certification._krawtchouk, (4,)),
 ])
 def test_float_ion_number_fails_from_a_cold_and_a_warm_cache(cached, args):
     # the caches are typed: 4.0 never finds the entry that 4 left
