@@ -1,11 +1,4 @@
-"""Command-line front end for the simulation and certification pipeline.
-
-All angles are radians; times and rates are in the dimensionless units set
-by eta*omega_bar unless a preset supplies physical values.  Every output
-file begins with a provenance header (tool version, effective configuration,
-seed).  Exit codes: 0 success, 1 usage, 2 violated physics precondition,
-3 numerical failure, 141 (128 + SIGPIPE) when the reader closes stdout.
-"""
+"""Command-line front end; ``DESCRIPTION`` is its top-level help."""
 
 from __future__ import annotations
 
@@ -26,8 +19,7 @@ EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, what a shell reports for `cmd | head`
 
 DEFAULT_SEED = 12345
 
-#: the top-level ``--help`` text, apart from the module docstring so that
-#: editing the docstring changes no printed byte
+#: the top-level ``--help`` text
 DESCRIPTION = """Command-line front end for the simulation and certification pipeline.
 
 All angles are radians; times and rates are in the dimensionless units set
@@ -66,6 +58,7 @@ def _numbers(text: str) -> list[float]:
 positive_int = _checked("positive_int", int, lambda v: v >= 1)
 nonnegative_int = _checked("nonnegative_int", int, lambda v: v >= 0)
 seed_int = _checked("seed_int", int, lambda v: 0 <= v < 2**64)  # Philox keys are 64-bit
+shot_count = _checked("shot_count", int, lambda v: 1 <= v <= measurement.MAX_SHOTS)
 positive_float = _checked("positive_float", float, lambda v: 0 < v < math.inf)
 nonnegative_float = _checked("nonnegative_float", float, lambda v: 0 <= v < math.inf)
 finite_float = _checked("finite_float", float, math.isfinite)
@@ -227,12 +220,12 @@ def cmd_parity(ns) -> int:
         state, record = dark_coefficients(2, 1.0, 1.0).chain_vector.astype(complex), {}
     else:
         state, record = evolution.strict_midpoint(2)
-    phases = np.linspace(0.0, 2 * np.pi, ns.phases, endpoint=False)
     if ns.shots is None:
-        parities, pops = observables.parity_curve(state, phases)
+        parities, pops = observables.parity_curve(state, ns.phases)
     else:
         config = measurement.ShotConfig(n_shots=ns.shots, seed=ns.seed)
-        parities, pops = measurement.sample_parity_curve(state, phases, config)
+        parities, pops = measurement.sample_parity_curve(state, ns.phases, config)
+    phases = observables.parity_phases(ns.phases)
     scan = observables.parity_analysis(phases, parities, pops[0], pops[-1])
     _report(ns, {
         "n": 2, "source": ns.source, "phases": ns.phases,
@@ -252,7 +245,7 @@ def cmd_witness(ns) -> int:
     else:
         state, record = evolution.strict_midpoint(ns.n)
     rows = []
-    for axes in (("y", "z"), ("z", "x"), ("x", "y")):
+    for axes in certification.AXIS_COMPLEMENTS.values():
         value = observables.witness(state, axes)
         verdict = observables.witness_verdict(ns.n, value)
         rows.append(("".join(axes), value, observables.WITNESS_THRESHOLD_FOUR_ION, verdict))
@@ -347,13 +340,14 @@ FLAGS = {
                                help="comma-separated ramp lengths"),
     "--delta-ratio": dict(type=nonnegative_float, default=20.0,
                           help="detuning over eta*omega_bar"),
-    "--adiabatic-preset": dict(choices=evolution.PRESET_NAMES,
+    "--adiabatic-preset": dict(choices=evolution.PRESETS,
                                help="overrides the explicit ramp flags"),
     "--dt": dict(type=positive_float, help="integrator step"),
     "--cuts": dict(type=positive_int, default=41, help="number of truncation times"),
     "--source": dict(choices=("ideal", "simulated"), default="ideal"),
-    "--phases": dict(type=nonnegative_int, default=40, help="analysis phases over 2*pi"),
-    "--shots": dict(type=positive_int, help="shots per phase (default exact)"),
+    "--phases": dict(type=nonnegative_int, default=observables.PARITY_PHASES,
+                     help="analysis phases over 2*pi"),
+    "--shots": dict(type=shot_count, help="shots per phase (default exact)"),
     "--seed": dict(type=seed_int, default=DEFAULT_SEED),
     "--input": dict(required=True,
                     help="key-value file with W, sigma_W, p_list, sigma_list, j_M"),
@@ -411,11 +405,18 @@ def build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser(argv[0] if argv else None)
     ns = parser.parse_args(argv)
+    # a library warning prints as one line; recorders such as pytest.warns
+    # take the warning itself and never format it
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         if ns.config is not None:
             ns = parser.parse_args(_with_config(ns, list(argv)))
@@ -428,12 +429,15 @@ def main(argv=None) -> int:
     except OSError as exc:  # a missing or unreadable --config/--input file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (PhysicsConfigError, ValueError) as exc:
+    except (PhysicsConfigError, ValueError, MemoryError) as exc:
+        # MemoryError: a --cuts or --phases too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PHYSICS
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

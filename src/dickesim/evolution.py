@@ -44,7 +44,8 @@ from .model import (
 )
 
 SCHEDULE_SHAPES = ("linear", "smoothstep")
-PRESET_NAMES = ("strict", "fast", "paper")
+#: (omega_bar, total_time) of each ``adiabatic_preset``; paper's is in rad/s and s
+PRESETS = {"strict": (1.0, 480.0), "fast": (1.0, 40.0), "paper": (2 * np.pi * 14e3 / 2, 340e-6)}
 
 #: dimensionless eta*omega_bar*T below which adiabaticity is doubtful
 ADIABATICITY_WARN_BELOW = 5.0
@@ -115,15 +116,9 @@ def adiabatic_preset(name: str, n_ions: int):
         340 us ramp (about 4.8 peak-tone cycles); a realism preset, not an
         adiabatic-limit one.
     """
-    if name == "strict":
-        omega_bar, total_time = 1.0, 480.0
-    elif name == "fast":
-        omega_bar, total_time = 1.0, 40.0
-    elif name == "paper":
-        omega_bar = 2 * np.pi * 14e3 / 2  # rad/s; tones peak at 2*omega_bar
-        total_time = 340e-6
-    else:
-        raise ValueError(f"preset must be one of {PRESET_NAMES}, got {name!r}")
+    if name not in PRESETS:
+        raise ValueError(f"preset must be one of {tuple(PRESETS)}, got {name!r}")
+    omega_bar, total_time = PRESETS[name]
     schedule = PulseSchedule(total_time=total_time, omega_bar=omega_bar)
     params = SystemParams(n_ions=n_ions, delta=20.0 * omega_bar)
     return schedule, params

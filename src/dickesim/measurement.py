@@ -12,7 +12,7 @@ so that is the stream of a freshly built generator, bit for bit, without
 the cost of building one a draw.
 
 Nothing is cached here: the J_phi eigenbases of the witness scan come from
-``observables``' grid cache, keyed on the azimuth grid's shape and bytes.
+``observables``' grid cache, keyed on the azimuth count.
 The scan's squared-spin estimates are row reductions of one stack of
 settings, each row summed in the order of a sum over that row alone, so a
 record has the bits of one estimated a setting at a time.
@@ -35,6 +35,12 @@ GENERATOR_NAME = "philox4x64-10"
 #: and the z populations on POPULATION_STREAM, past every phase's stream
 PARITY_STREAM, POPULATION_STREAM = 100, 10_000
 
+#: the most shots of one draw: numpy's multinomial takes a C long
+MAX_SHOTS = 2**63 - 1
+
+#: azimuths over [0, pi] of the witness's sampled J_phi^2 scan
+WITNESS_AZIMUTHS = 13
+
 
 @dataclass(frozen=True)
 class ShotConfig:
@@ -45,8 +51,9 @@ class ShotConfig:
     stream: int = 0
 
     def __post_init__(self):
-        if int(self.n_shots) != self.n_shots or self.n_shots < 1:
-            raise ValueError(f"n_shots must be a positive integer, got {self.n_shots}")
+        if int(self.n_shots) != self.n_shots or not 1 <= self.n_shots <= MAX_SHOTS:
+            raise ValueError(f"n_shots must be an integer from 1 to {MAX_SHOTS}, "
+                             f"got {self.n_shots}")
         if not 0 <= self.seed < 2**64 or not 0 <= self.stream < 2**64:
             raise ValueError("seed and stream must be unsigned 64-bit integers")
 
@@ -136,15 +143,16 @@ def sample_parities(parities: np.ndarray, config: ShotConfig) -> np.ndarray:
     return 2 * np.array(draws) / config.n_shots - 1
 
 
-def sample_parity_curve(state: np.ndarray, phases, config: ShotConfig):
+def sample_parity_curve(state: np.ndarray, n_phases: int, config: ShotConfig):
     """(parities, z populations) of a two-ion ``state``, shot-sampled: the
-    parity curve at ``phases`` by ``sample_parities`` and the populations on
-    substream ``POPULATION_STREAM``.  More phases than the streams between
-    the two hold is a ValueError, raised before anything is drawn."""
-    if PARITY_STREAM + len(phases) > POPULATION_STREAM:
+    parity curve at ``observables.parity_phases(n_phases)`` by
+    ``sample_parities`` and the populations on substream
+    ``POPULATION_STREAM``.  More phases than the streams between the two
+    hold is a ValueError, raised before anything is built or drawn."""
+    if PARITY_STREAM + n_phases > POPULATION_STREAM:
         raise ValueError(f"a sampled parity curve takes at most "
-                         f"{POPULATION_STREAM - PARITY_STREAM} phases, got {len(phases)}")
-    parities, _ = observables.parity_curve(state, phases)
+                         f"{POPULATION_STREAM - PARITY_STREAM} phases, got {n_phases}")
+    parities, _ = observables.parity_curve(state, n_phases)
     pops = sample_populations(state, config.substream(POPULATION_STREAM), "z").frequencies
     return sample_parities(parities, config), pops
 
@@ -166,13 +174,13 @@ def simulated_experiment(state: np.ndarray, config: ShotConfig) -> Certification
     """Four-ion certification pipeline from sampled global measurements.
 
     Populations are sampled along x; <Jz^2> is sampled without an analysis
-    pulse; <Jy^2> is the peak of a sampled J_phi^2 scan over 13 azimuths in
-    [0, pi], the first azimuth where ties leave more than one.  Streams are
-    partitioned per setting, so one config reproduces the whole record: the
-    z row and the 13 azimuth rows are one (14, 5) stack, one ``_draw`` per
-    row on substream 1 + k.  The exact record of a symmetric-sector
-    ``state`` is ``certify_from_state(symmetric_isometry(4) @ state, "x")``,
-    which this one approaches as the shots grow.
+    pulse; <Jy^2> is the peak of a sampled J_phi^2 scan over
+    ``WITNESS_AZIMUTHS`` azimuths in [0, pi], the first azimuth where ties
+    leave more than one.  Streams are partitioned per setting, so one config
+    reproduces the whole record: the z row and the azimuth rows are one
+    stack, one ``_draw`` per row on substream 1 + k.  The exact record of a
+    symmetric-sector ``state`` is ``certify_from_state(symmetric_isometry(4)
+    @ state, "x")``, which this one approaches as the shots grow.
     """
     state = np.asarray(state, dtype=complex)
     z_pops = observables.populations_along(state, "z")
@@ -181,7 +189,7 @@ def simulated_experiment(state: np.ndarray, config: ShotConfig) -> Certification
                          f"got N={len(z_pops) - 1}")
 
     pop_rec = sample_populations(state, config.substream(0), "x")
-    azimuth_pops = observables.populations_azimuth(state, np.linspace(0.0, np.pi, 13))
+    azimuth_pops = observables.populations_azimuth(state, WITNESS_AZIMUTHS)
     means, errors = _sample_squares(np.vstack([z_pops, azimuth_pops]), config.substream(1))
     peak = 1 + int(np.argmax(means[1:]))  # the first of tied maxima
     return CertificationRecord(witness_value=float(means[peak] + means[0]),

@@ -7,12 +7,12 @@ spin marginals that ``model.spin_marginals`` traces the phonons out of.
 
 The operators that a readout applies but its state does not change are built
 once and kept read-only: the eigenbasis of Jx and of Jy and its adjoint for
-each N, the J_phi eigenbasis stack for each (N, azimuth grid), and the
-parity-analysis stack pulse^dag Pi pulse for each phase grid.  A grid's cache
-key is the shape and bytes of its float array, in an LRU of
-``GRID_CACHE_SIZE`` grids, so a caller who sweeps many grids cannot grow it
-without bound.  A cached array is the array that the readout computed on its
-first call, so a warm call gives the bits of a cold one.
+each N, the J_phi eigenbasis stack for each (N, azimuth count), and the
+parity-analysis stack pulse^dag Pi pulse for each phase count.  Both grids
+are built here from their counts, so a count is a grid's cache key, in an
+LRU of ``GRID_CACHE_SIZE`` counts.  A cached array is the array that the
+readout computed on its first call, so a warm call gives the bits of a cold
+one.
 """
 
 from __future__ import annotations
@@ -35,8 +35,11 @@ NORM_TOL = 1e-8
 #: samples that the readout stacks at once, which bounds its memory
 READOUT_CHUNK = 128
 
-#: azimuth or phase grids whose operator stacks each grid cache keeps
+#: azimuth or phase counts whose operator stacks each grid cache keeps
 GRID_CACHE_SIZE = 8
+
+#: analysis phases of a parity scan unless the caller gives a count
+PARITY_PHASES = 40
 
 
 def _state_dim(state: np.ndarray) -> int:
@@ -116,17 +119,6 @@ def azimuthal_spin(n_ions: int, phi) -> np.ndarray:
     return np.cos(phi) * jx + np.sin(phi) * jy
 
 
-def _grid_key(grid) -> tuple[tuple[int, ...], bytes]:
-    """The (shape, bytes) key of a float grid in a grid cache."""
-    grid = np.asarray(grid, dtype=float)
-    return grid.shape, grid.tobytes()
-
-
-def _grid(shape: tuple[int, ...], data: bytes) -> np.ndarray:
-    """The float grid of a ``_grid_key``, in a fresh aligned array."""
-    return np.frombuffer(data).reshape(shape).copy()
-
-
 def _eigenbasis(op: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (basis, adjoint) of ``op``'s eigenvectors, or of each
     operator of a stack."""
@@ -141,8 +133,8 @@ def _axis_eigenbasis(n_ions: int, axis: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=GRID_CACHE_SIZE, typed=True)
-def _azimuth_eigenbasis(n_ions: int, shape: tuple[int, ...], data: bytes):
-    return _eigenbasis(azimuthal_spin(n_ions, _grid(shape, data)))
+def _azimuth_eigenbasis(n_ions: int, n_azimuths: int):
+    return _eigenbasis(azimuthal_spin(n_ions, np.linspace(0.0, np.pi, n_azimuths)))
 
 
 def _eigenbasis_populations(state: np.ndarray, basis: np.ndarray,
@@ -168,12 +160,13 @@ def populations_along(state: np.ndarray, axis: str) -> np.ndarray:
     return _eigenbasis_populations(state, *_axis_eigenbasis(n_ions, axis))
 
 
-def populations_azimuth(state: np.ndarray, phi) -> np.ndarray:
-    """Populations of the J_phi eigenvalues, ascending order; a 1-D array of
-    azimuths gives one row per azimuth, equal bit for bit to the calls at
-    each azimuth alone."""
+def populations_azimuth(state: np.ndarray, n_azimuths: int) -> np.ndarray:
+    """Populations of the J_phi eigenvalues, ascending order, one row for
+    each of ``n_azimuths`` equispaced azimuths over [0, pi], both ends
+    included; each row has the bits of an eigh of that azimuth's J_phi
+    alone."""
     state = _check_normalized(state)
-    bases = _azimuth_eigenbasis(_state_dim(state) - 1, *_grid_key(phi))
+    bases = _azimuth_eigenbasis(_state_dim(state) - 1, n_azimuths)
     return _eigenbasis_populations(state, *bases)
 
 
@@ -274,21 +267,29 @@ def _two_ion_analysis_ops():
     return jx, jy, parity
 
 
-@lru_cache(maxsize=GRID_CACHE_SIZE)
-def _parity_analysis_ops(shape: tuple[int, ...], data: bytes) -> np.ndarray:
-    """Read-only stack of pulse^dag Pi pulse, one for each phase of a grid."""
-    phases = _grid(shape, data)
+def parity_phases(n_phases: int) -> np.ndarray:
+    """``n_phases`` equispaced analysis phases over [0, 2*pi): the one phase
+    grid of a parity scan."""
+    return np.linspace(0.0, 2 * np.pi, n_phases, endpoint=False)
+
+
+@lru_cache(maxsize=GRID_CACHE_SIZE, typed=True)
+def _parity_analysis_ops(n_phases: int) -> np.ndarray:
+    """Read-only stack of pulse^dag Pi pulse, one for each phase of
+    ``parity_phases(n_phases)``."""
+    phases = parity_phases(n_phases)
     jx, jy, parity_op = _two_ion_analysis_ops()
     cos, sin = np.cos(phases)[:, None, None], np.sin(phases)[:, None, None]
     pulses = _expm(-1j * (np.pi / 2) * (cos * jx + sin * jy))
     return _frozen(pulses.conj().transpose(0, 2, 1) @ parity_op @ pulses)
 
 
-def parity_curve(state: np.ndarray, phases) -> tuple[np.ndarray, np.ndarray]:
+def parity_curve(state: np.ndarray, n_phases: int) -> tuple[np.ndarray, np.ndarray]:
     """Product-sigma_z parity of a two-ion state after the analysis pulse
-    exp(-i (pi/2) (Jx cos(phi) + Jy sin(phi))) at each phase phi, and its z
-    populations from |down,down> to |up,up>, both in the full two-qubit space;
-    the input is symmetric-sector (3-dim) or full two-qubit (4-dim)."""
+    exp(-i (pi/2) (Jx cos(phi) + Jy sin(phi))) at each phase phi of
+    ``parity_phases(n_phases)``, and its z populations from |down,down> to
+    |up,up>, both in the full two-qubit space; the input is symmetric-sector
+    (3-dim) or full two-qubit (4-dim)."""
     state = _check_normalized(state)
     dim = _state_dim(state)
     if dim == 3:
@@ -299,7 +300,7 @@ def parity_curve(state: np.ndarray, phases) -> tuple[np.ndarray, np.ndarray]:
     # ``expectation``'s arithmetic on each phase's operator: a vector's vdot
     # stays one call a phase, a trace sums the same four diagonal entries
     # stacked or alone
-    ops = _parity_analysis_ops(*_grid_key(phases))
+    ops = _parity_analysis_ops(n_phases)
     if state.ndim == 1:
         parities = np.array([np.vdot(state, rotated).real for rotated in ops @ state])
     else:
@@ -307,10 +308,8 @@ def parity_curve(state: np.ndarray, phases) -> tuple[np.ndarray, np.ndarray]:
     return parities, populations_along(state, "z")
 
 
-def parity_scan(state: np.ndarray, phases: np.ndarray | None = None) -> ParityScan:
-    """``parity_analysis`` of a two-ion state's ``parity_curve``, at 40
-    equispaced phases unless ``phases`` is given."""
-    if phases is None:
-        phases = np.linspace(0.0, 2 * np.pi, 40, endpoint=False)
-    parities, pops = parity_curve(state, phases)
-    return parity_analysis(phases, parities, pops[0], pops[-1])
+def parity_scan(state: np.ndarray, n_phases: int = PARITY_PHASES) -> ParityScan:
+    """``parity_analysis`` of a two-ion state's ``parity_curve`` at
+    ``n_phases`` phases."""
+    parities, pops = parity_curve(state, n_phases)
+    return parity_analysis(parity_phases(n_phases), parities, pops[0], pops[-1])

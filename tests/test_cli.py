@@ -477,6 +477,7 @@ def test_usage_error_exit_code():
     ["parity", "--shots", "10", "--seed", "-1"],
     ["parity", "--shots", "10", "--seed", str(2**64)],
     ["scan-noise", "--summary", "f"],  # only evolve writes a summary
+    ["parity", "--shots", str(2**63), "--phases", "3"],  # past a C long
 ])
 def test_malformed_input_exits_usage(argv):
     with pytest.raises(SystemExit) as excinfo:
@@ -488,6 +489,7 @@ def test_malformed_input_exits_usage(argv):
     (["evolve", "--n", "0"], "positive_int"),
     (["parity", "--phases", "-3"], "nonnegative_int"),
     (["parity", "--shots", "10", "--seed", str(2**64)], "seed_int"),
+    (["parity", "--shots", str(2**63)], "shot_count"),
     (["evolve", "--eta-omega-t", "nan"], "positive_float"),
     (["evolve", "--delta-ratio", "-1"], "nonnegative_float"),
     (["darkstate", "--theta", "nan"], "finite_float"),
@@ -550,6 +552,22 @@ def test_largest_seed_is_accepted(capsys):
     assert cli.main(["parity", "--shots", "10", "--seed", str(2**64 - 1)]) == cli.EXIT_OK
 
 
+def test_largest_shot_count_is_accepted(capsys):
+    assert cli.main(["parity", "--shots", str(2**63 - 1), "--phases", "3"]) == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan-noise", "--cuts", str(10**15)],
+    ["parity", "--phases", str(10**15)],
+])
+def test_a_request_too_large_to_allocate_exits_physics(argv, capsys):
+    # 10^15 float64 grid points are 7.11 PiB, which the allocator refuses at once
+    assert cli.main(argv) == cli.EXIT_PHYSICS
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: Unable to allocate 7.11 PiB") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_zero_detuning_default_step_keeps_the_norm(n, capsys):
     # at delta = 0 the drive's norm, not delta + N*omega_bar, bounds the step
@@ -586,6 +604,38 @@ def test_drift_past_the_readout_tolerance_is_a_numerical_failure(argv, capsys):
     # 1e-8 at T = 100: the integrator reports it as a step-size failure
     assert cli.main(argv) == cli.EXIT_NUMERICAL
     assert "reduce the step size" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["evolve", "--n", "2", "--eta-omega-t", "1"],
+     "warning: eta*omega_bar*T = 1.00 is below 5.0; the ramp is unlikely to be adiabatic\n"),
+    (["evolve", "--n", "2", "--delta-ratio", "1", "--eta-omega-t", "5"],
+     "warning: the sideband rate peaks at 2 against delta = 1: the reduced chain needs "
+     "2*delta > 10*max(Omega_r, Omega_b) to neglect the off-resonant transitions that the "
+     "full model keeps\n"),
+], ids=["short-ramp", "small-detuning"])
+def test_a_library_warning_prints_one_line(argv, err, tmp_path):
+    # not Python's file:line header and echoed source line
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "dickesim.cli", *argv,
+                           "--output", str(tmp_path / "out.csv")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, err)
+
+
+def test_main_restores_the_warning_format(capsys):
+    before = warnings.formatwarning
+    with pytest.warns(UserWarning, match="below 5.0"):
+        assert cli.main(["evolve", "--n", "2", "--eta-omega-t", "1"]) == cli.EXIT_OK
+    assert warnings.formatwarning is before
+
+
+def test_parity_prints_the_observables_phase_grid(capsys):
+    assert cli.main(["parity", "--phases", "7"]) == cli.EXIT_OK
+    phis = [line.split(",")[0] for line in capsys.readouterr().out.splitlines()
+            if line[:1].isdigit()]
+    assert phis == [str(phi) for phi in observables.parity_phases(7)]
+    assert cli.build_parser("parity").parse_args(["parity"]).phases == observables.PARITY_PHASES
 
 
 def test_evolve_outside_reduced_regime_warns(capsys):

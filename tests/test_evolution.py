@@ -88,7 +88,7 @@ def test_schedule_validation():
 
 
 def test_preset_names():
-    for name in evolution.PRESET_NAMES:
+    for name in evolution.PRESETS:
         schedule, params = evolution.adiabatic_preset(name, 4)
         assert params.delta == pytest.approx(20.0 * schedule.omega_bar)
     with pytest.raises(ValueError):

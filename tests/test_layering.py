@@ -5,7 +5,8 @@ pairing and the interaction picture.  The spin-sector modules import
 neither ``model`` nor the integrator, and ``model`` builds on the spin
 algebra alone.  ``cli`` is the top: no package module imports it.  A
 module reads no other module's underscore names, except the two shared
-helpers of ``spin_algebra``.  ``cli`` declares each flag once, in
+helpers of ``spin_algebra``.  Only ``observables`` builds the parity
+scan's phase grid over 2*pi.  ``cli`` declares each flag once, in
 ``FLAGS``, adds arguments to its parsers only in ``build_parser`` and
 writes a command's output only in ``_report``.
 """
@@ -111,6 +112,31 @@ def test_only_model_expands_the_full_hamiltonian():
 
 def test_no_package_module_imports_the_cli():
     assert [module for module in MODULES if "cli" in _package_imports(module)] == []
+
+
+def _builds_a_full_turn_grid(call):
+    """Whether ``call`` is a ``linspace`` whose arguments hold ``2 * np.pi``."""
+    func = call.func
+    if getattr(func, "attr", getattr(func, "id", None)) != "linspace":
+        return False
+    return any(ast.unparse(node) == "2 * np.pi"
+               for arg in (*call.args, *(kw.value for kw in call.keywords))
+               for node in ast.walk(arg))
+
+
+def test_the_grid_reader_sees_a_phase_grid():
+    (call,) = [node for node in ast.walk(ast.parse(
+        "np.linspace(0.0, 2 * np.pi, k, endpoint=False) + np.pi")) if isinstance(node, ast.Call)]
+    assert _builds_a_full_turn_grid(call)
+    (call,) = [node for node in ast.walk(ast.parse("np.linspace(0.0, np.pi, 13)"))
+               if isinstance(node, ast.Call)]
+    assert not _builds_a_full_turn_grid(call)
+
+
+def test_only_observables_builds_a_phase_grid():
+    builders = [module for module in MODULES for node in ast.walk(_tree(module))
+                if isinstance(node, ast.Call) and _builds_a_full_turn_grid(node)]
+    assert builders == ["observables"]
 
 
 def test_the_private_name_reader_sees_each_form():

@@ -25,6 +25,14 @@ def test_shot_config_validation():
         meas.ShotConfig(n_shots=10, seed=-1)
 
 
+def test_shot_config_refuses_more_shots_than_a_draw_takes():
+    # numpy's multinomial takes the shot count as a C long
+    assert meas.MAX_SHOTS == 2**63 - 1
+    assert meas.ShotConfig(n_shots=meas.MAX_SHOTS, seed=1).n_shots == meas.MAX_SHOTS
+    with pytest.raises(ValueError, match="n_shots must be an integer from 1 to"):
+        meas.ShotConfig(n_shots=meas.MAX_SHOTS + 1, seed=1)
+
+
 def test_seeded_determinism():
     state = _binomial_profile_state()
     config = meas.ShotConfig(n_shots=10_000, seed=99)
@@ -52,7 +60,7 @@ def test_sampled_parity_curve_refuses_phases_that_reach_the_population_stream(mo
     monkeypatch.setattr(meas, "_draw", lambda *args: pytest.fail("drew before refusing"))
     config = meas.ShotConfig(n_shots=10, seed=1)
     with pytest.raises(ValueError, match="at most 9900 phases, got 9901"):
-        meas.sample_parity_curve(dicke_state(2, 1), np.zeros(9901), config)
+        meas.sample_parity_curve(dicke_state(2, 1), 9901, config)
 
 
 def test_streams_are_partitioned():
@@ -87,7 +95,8 @@ def test_convergence_rate_one_over_sqrt_n():
 
 def test_azimuth_square_sampling():
     state = half_excited_x(4)
-    [mean], [err] = meas._sample_squares(obs.populations_azimuth(state, np.pi / 2)[None],
+    # the middle of three azimuths over [0, pi] is pi/2
+    [mean], [err] = meas._sample_squares(obs.populations_azimuth(state, 3)[1:2],
                                          meas.ShotConfig(n_shots=20_000, seed=8))
     assert mean == pytest.approx(3.0, abs=0.1)
     assert 0 < err < 0.05
@@ -128,7 +137,7 @@ def _experiment_per_setting(state, config):
     state = np.asarray(state, dtype=complex)
     pop_rec = meas.sample_populations(state, config.substream(0), "x")
     jz2_mean, jz2_err = _sample_square(obs.populations_along(state, "z"), config.substream(1))
-    azimuth_pops = obs.populations_azimuth(state, np.linspace(0.0, np.pi, 13))
+    azimuth_pops = obs.populations_azimuth(state, 13)
     scan = [_sample_square(probs, config.substream(2 + k))
             for k, probs in enumerate(azimuth_pops)]
     jy2_mean, jy2_err = max(scan, key=lambda ms: ms[0])
@@ -223,8 +232,7 @@ def _two_ion_states():
 
 @pytest.mark.parametrize("state", _two_ion_states(), ids=["ideal", "mixed"])
 def test_sampled_parity_matches_exact_curve(state):
-    phases = np.linspace(0.0, 2 * np.pi, 40, endpoint=False)
-    exact = obs.parity_scan(state, phases).parities
+    exact = obs.parity_scan(state, 40).parities
     config = meas.ShotConfig(n_shots=10**6, seed=2024)
     sampled = meas.sample_parities(exact, config)
     p_even = np.clip((1 + exact) / 2, 0.0, 1.0)

@@ -197,12 +197,12 @@ def test_stacked_azimuth_populations_keep_the_bits(n_ions):
     rng = np.random.default_rng(n_ions)
     vecs = [_random_unit(rng, n_ions + 1) for _ in range(3)]
     rho = sum(w * np.outer(v, v.conj()) for w, v in zip((0.5, 0.3, 0.2), vecs))
-    for phases in (np.linspace(0.0, np.pi, 13), rng.uniform(-7.0, 7.0, 40), np.array([0.3])):
+    for count in (13, 40, 1):
+        phases = np.linspace(0.0, np.pi, count)
         for state in (vecs[0], rho, half_excited_x(n_ions) if n_ions % 2 == 0 else vecs[1]):
-            stacked = obs.populations_azimuth(state, phases)
-            assert stacked.shape == (len(phases), n_ions + 1)
-            for phi, row in zip(phases, stacked):
-                assert np.array_equal(row, obs.populations_azimuth(state, phi))
+            stacked = obs.populations_azimuth(state, count)
+            assert stacked.shape == (count, n_ions + 1)
+            for phi, row in zip(phases, stacked, strict=True):
                 assert np.array_equal(row, _populations_azimuth_alone(state, phi))
             assert np.array_equal(obs.azimuthal_spin(n_ions, phases),
                                   [obs.azimuthal_spin(n_ions, phi) for phi in phases])
@@ -270,13 +270,21 @@ def test_parity_analysis_of_the_exact_curve():
     bell = np.array([1.0, 0.0, -1.0], dtype=complex) / np.sqrt(2)
     rho = 0.8 * np.outer(bell, bell.conj()) + 0.15 * np.diag([0.5, 0.0, 0.5])
     rho[1, 1] += 0.05
-    phases = np.linspace(0.0, 2 * np.pi, 40, endpoint=False)
-    scan = obs.parity_scan(rho, phases)
+    phases = obs.parity_phases(40)
+    scan = obs.parity_scan(rho, 40)
     assert scan.p_lower == pytest.approx(0.475, abs=1e-12)
     assert scan.p_upper == pytest.approx(0.475, abs=1e-12)
     fit = obs.parity_analysis(phases, scan.parities, 0.475, 0.475)
     assert fit.amplitude == pytest.approx(0.8, abs=1e-12)
     assert fit.fidelity == pytest.approx(0.875, abs=1e-12)
+
+
+def test_parity_phases_are_the_equispaced_grid():
+    for count in (0, 1, 7, obs.PARITY_PHASES):
+        assert np.array_equal(obs.parity_phases(count),
+                              np.linspace(0.0, 2 * np.pi, count, endpoint=False))
+    bell = dark_coefficients(2, 1.0, 1.0).chain_vector.astype(complex)
+    assert np.array_equal(obs.parity_scan(bell).phases, obs.parity_phases(obs.PARITY_PHASES))
 
 
 def _parity_scan_per_phase(state, phases):
@@ -308,7 +316,7 @@ def test_parity_scan_equals_the_per_phase_loop_bit_for_bit(n_phases):
     rho = sum(w * np.outer(v, v.conj()) for w, v in zip((0.5, 0.3, 0.2), mixed))
     phases = np.linspace(0.0, 2 * np.pi, n_phases, endpoint=False)
     for state in (half_excited_x(2), _random_unit(rng, 3), _random_unit(rng, 4), rho):
-        scan, ref = obs.parity_scan(state, phases), _parity_scan_per_phase(state, phases)
+        scan, ref = obs.parity_scan(state, n_phases), _parity_scan_per_phase(state, phases)
         assert np.array_equal(scan.parities.view(np.int64), ref.parities.view(np.int64))
         assert (scan.amplitude, scan.phase_offset, scan.offset, scan.fidelity) == (
             ref.amplitude, ref.phase_offset, ref.offset, ref.fidelity)
@@ -342,7 +350,7 @@ def test_stacked_parity_products_equal_the_product_loop_bit_for_bit(n_phases):
         vecs = [_random_unit(rng, dim) for _ in range(3)]
         states.append(sum(w * np.outer(v, v.conj()) for w, v in zip((0.6, 0.3, 0.1), vecs)))
     for state in states:
-        scan, ref = obs.parity_scan(state, phases), _parity_scan_product_loop(state, phases)
+        scan, ref = obs.parity_scan(state, n_phases), _parity_scan_product_loop(state, phases)
         assert np.array_equal(scan.parities.view(np.int64), ref.parities.view(np.int64))
         assert (scan.amplitude, scan.phase_offset, scan.offset, scan.fidelity) == (
             ref.amplitude, ref.phase_offset, ref.offset, ref.fidelity)
@@ -370,24 +378,23 @@ def _vector_and_mixture(rng, dim):
 @pytest.mark.parametrize("n_ions", range(2, 9))
 def test_cached_populations_equal_a_fresh_eigh(n_ions):
     rng = np.random.default_rng(700 + n_ions)
-    grids = (np.linspace(0.0, np.pi, 13), rng.uniform(-7.0, 7.0, 9), np.array([0.3]))
     for state in _vector_and_mixture(rng, n_ions + 1):
         for axis in "xy":
             fresh = _eigh_populations_alone(state, build_collective(n_ions, "j" + axis))
             for pops in _cold_and_warm(obs.populations_along, state, axis):
                 assert np.array_equal(pops, fresh)
-        for grid in grids:
-            fresh = np.array([_populations_azimuth_alone(state, phi) for phi in grid])
-            for pops in _cold_and_warm(obs.populations_azimuth, state, grid):
+        for count in (13, 9, 1):
+            fresh = np.array([_populations_azimuth_alone(state, phi)
+                              for phi in np.linspace(0.0, np.pi, count)])
+            for pops in _cold_and_warm(obs.populations_azimuth, state, count):
                 assert np.array_equal(pops, fresh)
-            for pops in _cold_and_warm(obs.populations_azimuth, state, grid[0]):
+            # every grid starts at azimuth 0, the one azimuth of a count of 1
+            for (pops,) in _cold_and_warm(obs.populations_azimuth, state, 1):
                 assert np.array_equal(pops, fresh[0])
 
 
 def test_cached_parity_curve_equals_a_fresh_expm():
     rng = np.random.default_rng(17)
-    grids = (np.linspace(0.0, 2 * np.pi, 40, endpoint=False), rng.uniform(-7.0, 7.0, 17),
-             np.linspace(0.0, 2 * np.pi, 7, endpoint=False))
     states = [*_vector_and_mixture(rng, 3), *_vector_and_mixture(rng, 4)]
     iso = symmetric_isometry(2)
     for state in states:
@@ -395,9 +402,10 @@ def test_cached_parity_curve_equals_a_fresh_expm():
         if len(state) == 3:
             full = iso @ state if state.ndim == 1 else iso @ state @ iso.conj().T
         z_pops = np.abs(full) ** 2 if state.ndim == 1 else np.real(np.diag(full))
-        for phases in grids:
+        for count in (40, 17, 7):
+            phases = np.linspace(0.0, 2 * np.pi, count, endpoint=False)
             fresh = _parity_scan_per_phase(state, phases).parities
-            for parities, pops in _cold_and_warm(obs.parity_curve, state, phases):
+            for parities, pops in _cold_and_warm(obs.parity_curve, state, count):
                 assert np.array_equal(parities, fresh)
                 assert np.array_equal(pops, z_pops)
 
@@ -405,13 +413,11 @@ def test_cached_parity_curve_equals_a_fresh_expm():
 def test_a_repeated_readout_builds_no_operator(monkeypatch):
     rng = np.random.default_rng(23)
     state, two_ion = _random_unit(rng, 5), _random_unit(rng, 3)
-    azimuths = np.linspace(0.0, np.pi, 13)
-    phases = np.linspace(0.0, 2 * np.pi, 40, endpoint=False)
 
     def readouts():
         return (obs.populations_along(state, "x"), obs.populations_along(state, "y"),
-                obs.populations_azimuth(state, azimuths), obs.populations_azimuth(state, 0.3),
-                obs.parity_curve(two_ion, phases)[0], half_excited_x(4))
+                obs.populations_azimuth(state, 13), obs.populations_azimuth(state, 1),
+                obs.parity_curve(two_ion, 40)[0], half_excited_x(4))
 
     calls = []
 
@@ -431,25 +437,24 @@ def test_a_repeated_readout_builds_no_operator(monkeypatch):
 
 
 def test_grid_caches_stay_at_their_bound():
-    # 100 grids of one shape, each read right after the one before it filled
-    # the cache: a grid is told from another by its values, not its shape
+    # 100 counts, each read right after the one before it filled the cache
     rng = np.random.default_rng(29)
     state, two_ion = _random_unit(rng, 5), _random_unit(rng, 3)
-    for k in range(100):
-        grid = np.linspace(0.0, np.pi, 13) + k * 1e-3
-        assert np.array_equal(obs.populations_azimuth(state, grid),
-                              [_populations_azimuth_alone(state, phi) for phi in grid])
-        assert np.array_equal(obs.parity_curve(two_ion, grid)[0],
-                              _parity_scan_per_phase(two_ion, grid).parities)
+    for count in range(13, 113):
+        azimuths = np.linspace(0.0, np.pi, count)
+        phases = np.linspace(0.0, 2 * np.pi, count, endpoint=False)
+        assert np.array_equal(obs.populations_azimuth(state, count),
+                              [_populations_azimuth_alone(state, phi) for phi in azimuths])
+        assert np.array_equal(obs.parity_curve(two_ion, count)[0],
+                              _parity_scan_per_phase(two_ion, phases).parities)
     for cache in _GRID_CACHES:
         info = cache.cache_info()
         assert info.currsize == info.maxsize == obs.GRID_CACHE_SIZE
 
 
 def test_cached_operators_are_read_only():
-    grid_key = obs._grid_key(np.linspace(0.0, np.pi, 13))
-    arrays = [*obs._axis_eigenbasis(4, "x"), *obs._azimuth_eigenbasis(4, *grid_key),
-              obs._parity_analysis_ops(*grid_key)]
+    arrays = [*obs._axis_eigenbasis(4, "x"), *obs._azimuth_eigenbasis(4, 13),
+              obs._parity_analysis_ops(13)]
     assert not any(a.flags.writeable for a in arrays)
 
 
