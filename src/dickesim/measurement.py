@@ -171,7 +171,7 @@ def _sample_squares(probs: np.ndarray, config: ShotConfig) -> tuple[np.ndarray, 
 
 
 def simulated_experiment(state: np.ndarray, config: ShotConfig) -> CertificationRecord:
-    """Four-ion certification pipeline from sampled global measurements.
+    """Certification pipeline from sampled global measurements, at any even N.
 
     Populations are sampled along x; <Jz^2> is sampled without an analysis
     pulse; <Jy^2> is the peak of a sampled J_phi^2 scan over
@@ -179,13 +179,13 @@ def simulated_experiment(state: np.ndarray, config: ShotConfig) -> Certification
     leave more than one.  Streams are partitioned per setting, so one config
     reproduces the whole record: the z row and the azimuth rows are one
     stack, one ``_draw`` per row on substream 1 + k.  The exact record of a
-    symmetric-sector ``state`` is ``certify_from_state(symmetric_isometry(4)
-    @ state, "x")``, which this one approaches as the shots grow.
+    symmetric-sector ``state`` is ``certify_from_state`` of the state lifted
+    by ``symmetric_isometry(N)``, which this one approaches as the shots grow.
     """
     state = np.asarray(state, dtype=complex)
     z_pops = observables.populations_along(state, "z")
-    if len(z_pops) != 5:
-        raise ValueError(f"the certification pipeline is a four-ion protocol, "
+    if len(z_pops) % 2 == 0:
+        raise ValueError(f"the certification pipeline needs an even number of ions, "
                          f"got N={len(z_pops) - 1}")
 
     pop_rec = sample_populations(state, config.substream(0), "x")

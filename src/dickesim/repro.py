@@ -1,8 +1,8 @@
 """Scripted reproduction of the release acceptance checks.
 
-Each criterion function recomputes its quantities from scratch and returns a
-CriterionResult with the measured values, so the CLI `repro` subcommand and
-the test suite share one source of truth for thresholds.
+Each criterion function recomputes its quantities from scratch.  ``ROWS``
+lists the table's rows and ``DOCUMENTED_SHORTFALLS`` declares the rows that
+fail by design, once, for the CLI `repro` subcommand and the test suite.
 
 Criterion 3 (and the witness follow-up in criterion 6) is evaluated twice:
 once at the corrected strict-adiabatic preset, where the required transfer
@@ -18,7 +18,7 @@ values, not silently retuned.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -31,6 +31,9 @@ PAPER_TWO_ION_POPULATIONS = (0.516, 0.033, 0.451)
 PAPER_TWO_ION_AMPLITUDE = 0.95
 PAPER_TWO_ION_FIDELITY = 0.96
 
+#: what a criterion returns: its row's description, verdict and details
+Row = tuple[str, bool, list[str]]
+
 
 @dataclass
 class CriterionResult:
@@ -38,13 +41,12 @@ class CriterionResult:
     description: str
     passed: bool
     details: list[str] = field(default_factory=list)
-    documented_shortfall: bool = False
 
     @property
     def verdict(self) -> str:
         if self.passed:
             return "PASS"
-        return "FAIL (documented shortfall)" if self.documented_shortfall else "FAIL"
+        return "FAIL (documented shortfall)" if self.cid in DOCUMENTED_SHORTFALLS else "FAIL"
 
 
 @lru_cache(maxsize=None)
@@ -59,11 +61,11 @@ def fast_trajectory(n_ions: int) -> evolution.Trajectory:
     return evolution.integrate_reduced(schedule, params)
 
 
-def criterion_1() -> CriterionResult:
-    """Dark states are exact chain kernels and Jx null vectors; printed
-    two- and four-ion expansions match to 1e-12."""
-    worst_h = 0.0
-    worst_jx = 0.0
+def criterion_1() -> Row:
+    """Dark states are exact chain kernels and Jx null vectors, the
+    equal-tone one Ry(pi/2)|D^{N/2}> to 1e-10; printed two- and four-ion
+    expansions match to 1e-12."""
+    worst_h = worst_jx = worst_fid = 0.0
     grid = np.linspace(0.2, 2.0, 10)
     for n in (2, 4, 6):
         params = model.SystemParams(n_ions=n, delta=7.0)
@@ -73,22 +75,26 @@ def criterion_1() -> CriterionResult:
                 psi = dark_state.dark_coefficients(n, wr, wb)
                 worst_h = max(worst_h, dark_state.verify_dark(psi, h))
         worst_jx = max(worst_jx, dark_state.jx_annihilation_check(n))
+        equal = dark_state.dark_coefficients(n, 1.0, 1.0).chain_vector
+        fid = abs(np.vdot(spin_algebra.half_excited_x(n), equal)) ** 2
+        worst_fid = max(worst_fid, abs(1 - fid))
     two = dark_state.dark_coefficients(2, 1.0, 1.0).amplitudes
     four = dark_state.dark_coefficients(4, 1.0, 1.0).amplitudes
     err_two = float(np.max(np.abs(two - np.array([1, -1]) / np.sqrt(2))))
     err_four = float(np.max(np.abs(
         four - np.array([np.sqrt(3 / 8), -np.sqrt(1 / 4), np.sqrt(3 / 8)])
     )))
-    passed = worst_h < 1e-10 and worst_jx < 1e-10 and err_two < 1e-12 and err_four < 1e-12
-    return CriterionResult(
-        "1", "dark-state algebra", passed,
+    passed = (worst_h < 1e-10 and worst_jx < 1e-10 and worst_fid <= 1e-10
+              and err_two < 1e-12 and err_four < 1e-12)
+    return (
+        "dark-state algebra", passed,
         [f"max ||H psi_d|| = {worst_h:.2e} (< 1e-10)",
          f"max ||Jx psi_d|| = {worst_jx:.2e} (< 1e-10)",
          f"printed-expansion errors: N=2 {err_two:.2e}, N=4 {err_four:.2e} (< 1e-12)"],
     )
 
 
-def criterion_2() -> CriterionResult:
+def criterion_2() -> Row:
     """Closed-form couplings equal full 2^N-space matrix elements to 1e-12."""
     worst = 0.0
     for n in range(1, 9):
@@ -98,13 +104,13 @@ def criterion_2() -> CriterionResult:
             ket = spin_algebra.dicke_state_full(n, m)
             element = float(np.real(np.vdot(bra, jp @ ket)))
             worst = max(worst, abs(element - spin_algebra.collective_coupling(n, m)))
-    return CriterionResult(
-        "2", "coupling oracle", worst < 1e-12,
+    return (
+        "coupling oracle", worst < 1e-12,
         [f"max |formula - oracle| over N <= 8 = {worst:.2e} (< 1e-12)"],
     )
 
 
-def criterion_3(stated: bool) -> CriterionResult:
+def criterion_3(stated: bool) -> Row:
     """Full transfer and >= 0.99 midpoint fidelity to the half-excited Dicke
     state, at the strict preset (row 3) or at the stated settings (row 3s),
     whose failure is a documented shortfall."""
@@ -116,10 +122,8 @@ def criterion_3(stated: bool) -> CriterionResult:
     if stated:
         details.append("two-photon gap ~ (eta*omega_bar)^2/delta is too small at these settings")
     settings = "stated settings" if stated else "strict preset"
-    return CriterionResult(
-        "3s" if stated else "3",
-        f"adiabatic transfer ({settings}, eta*omega_bar*T = {traj.schedule.total_time:g})",
-        passed, details, documented_shortfall=stated and not passed)
+    return (f"adiabatic transfer ({settings}, eta*omega_bar*T = {traj.schedule.total_time:g})",
+            passed, details)
 
 
 def _model_agreement(n_ions: int, delta: float) -> float:
@@ -133,7 +137,7 @@ def _model_agreement(n_ions: int, delta: float) -> float:
     return float(fid)
 
 
-def criterion_4() -> CriterionResult:
+def criterion_4() -> Row:
     """The full model at t = 0 on the chain states equals the chain at half
     the rates and delta = 0 exactly (N <= 8, a rate grid); full-vs-reduced
     midpoint agreement >= 0.95 with the chain at omega_bar/2, improving when
@@ -156,10 +160,10 @@ def criterion_4() -> CriterionResult:
             f"N={n}: agreement {fid_1:.6f} (>= 0.95), at doubled delta {fid_2:.6f} (improves)"
         )
         passed = passed and fid_1 >= 0.95 and (1 - fid_2) < (1 - fid_1)
-    return CriterionResult("4", "full-vs-reduced consistency", passed, details)
+    return "full-vs-reduced consistency", passed, details
 
 
-def criterion_5() -> CriterionResult:
+def criterion_5() -> Row:
     """Dark-state spin noise over the ramp angle, from ``spin_readout``: the
     x variance vanishes exactly at the midpoint and the endpoint theta = 0,
     the all-down pole, is coherent-state noise."""
@@ -174,14 +178,14 @@ def criterion_5() -> CriterionResult:
     idx_half = int(np.argmin(np.abs(thetas - np.pi / 2)))
     end_err = max(abs(var_x[0] - 1), abs(var_y[0] - 1), abs(var_z[0]))
     passed = idx_min == idx_half and var_x[idx_min] < 1e-10 and end_err < 1e-10
-    return CriterionResult(
-        "5", "spin-noise profile", passed,
+    return (
+        "spin-noise profile", passed,
         [f"min var(Jx) = {var_x[idx_min]:.2e} at theta = {thetas[idx_min]:.6f} (pi/2 exactly)",
          f"endpoint variances (1, 1, 0) within {end_err:.2e}"],
     )
 
 
-def criterion_6(stated: bool) -> CriterionResult:
+def criterion_6(stated: bool) -> Row:
     """Witness >= 5.9 on the midpoint of the strict preset (row 6), where the
     ideal state's must be 6.000, or of the stated settings (row 6s), whose
     failure is a documented shortfall."""
@@ -196,11 +200,10 @@ def criterion_6(stated: bool) -> CriterionResult:
         passed = (abs(w_ideal - 6.0) <= 1e-9
                   and w_ideal > observables.WITNESS_THRESHOLD_FOUR_ION and passed)
         details.insert(0, f"ideal <W_yz> = {w_ideal:.12f} (= 6 +- 1e-9, > 5.23)")
-    return CriterionResult("6s" if stated else "6", f"entanglement witness ({settings})",
-                           passed, details, documented_shortfall=stated and not passed)
+    return f"entanglement witness ({settings})", passed, details
 
 
-def criterion_7() -> CriterionResult:
+def criterion_7() -> Row:
     """The published measured inputs reproduce the published arithmetic."""
     lower = certification.fidelity_lower(PAPER_WITNESS, PAPER_POPULATIONS)
     upper = certification.fidelity_upper(PAPER_POPULATIONS)
@@ -214,15 +217,15 @@ def criterion_7() -> CriterionResult:
         and abs(lower4 - lower) < 1e-12
         and abs(upper4 - upper) < 1e-12
     )
-    return CriterionResult(
-        "7", "paper-arithmetic reproduction", passed,
+    return (
+        "paper-arithmetic reproduction", passed,
         [f"F_lo = {lower:.4f} (target 0.84 +- 0.005)",
          f"F_hi = {upper:.4f} (target 0.88 +- 0.005)",
          f"two-ion F = {two_ion:.4f} (target 0.96 +- 0.005)"],
     )
 
 
-def criterion_8() -> CriterionResult:
+def criterion_8() -> Row:
     """Bound sandwich on 100 random pure and 100 random mixed four-qubit
     states; four-ion closed form identical to the general bound."""
     target = certification.half_excited_full(4, "x")
@@ -247,14 +250,14 @@ def criterion_8() -> CriterionResult:
             abs(hi4 - certification.fidelity_upper(pops)),
         )
     passed = worst_lo > -1e-9 and worst_hi > -1e-9 and worst_eq < 1e-12
-    return CriterionResult(
-        "8", "bound-sandwich oracle", passed,
+    return (
+        "bound-sandwich oracle", passed,
         [f"min(F - F_lo) = {worst_lo:.3e}, min(F_hi - F) = {worst_hi:.3e} (> -1e-9)",
          f"max |closed form - general| over 1000 inputs = {worst_eq:.2e} (< 1e-12)"],
     )
 
 
-def criterion_9() -> CriterionResult:
+def criterion_9() -> Row:
     """Two-ion parity pipeline: exact on the ideal state, >= 0.99 on the
     strict-preset midpoint."""
     ideal = dark_state.dark_coefficients(2, 1.0, 1.0).chain_vector.astype(complex)
@@ -265,15 +268,15 @@ def criterion_9() -> CriterionResult:
         and abs(scan_ideal.fidelity - 1.0) <= 1e-6
         and scan_mid.fidelity >= 0.99
     )
-    return CriterionResult(
-        "9", "parity pipeline", passed,
+    return (
+        "parity pipeline", passed,
         [f"ideal A_p = {scan_ideal.amplitude:.8f} (>= 0.999), "
          f"F = {scan_ideal.fidelity:.8f} (1 +- 1e-6)",
          f"strict midpoint F = {scan_mid.fidelity:.6f} (>= 0.99)"],
     )
 
 
-def criterion_10() -> CriterionResult:
+def criterion_10() -> Row:
     """Shot statistics within 3 sigma at 1e6 shots; seeded replay draws the
     same counts on the same key, from which the record derives the rest."""
     state = spin_algebra.rotation_y(4, np.pi / 2) @ spin_algebra.dicke_state(4, 0)
@@ -287,25 +290,33 @@ def criterion_10() -> CriterionResult:
     identical = (np.array_equal(rec.counts, replay.counts)
                  and (rec.seed, rec.stream) == (replay.seed, replay.stream))
     passed = within and identical
-    return CriterionResult(
-        "10", "shot-noise statistics", passed,
+    return (
+        "shot-noise statistics", passed,
         [f"max |freq - p| / sigma = {float(np.max(dev / np.maximum(sigma, 1e-300))):.2f} (<= 3)",
          f"seeded replay draws the same counts, seed and stream: {identical}"],
     )
 
 
+#: the acceptance table in print order: each row's id and its criterion
+ROWS = {
+    "1": criterion_1,
+    "2": criterion_2,
+    "3": partial(criterion_3, stated=False),
+    "3s": partial(criterion_3, stated=True),
+    "4": criterion_4,
+    "5": criterion_5,
+    "6": partial(criterion_6, stated=False),
+    "6s": partial(criterion_6, stated=True),
+    "7": criterion_7,
+    "8": criterion_8,
+    "9": criterion_9,
+    "10": criterion_10,
+}
+
+#: the stated-settings rows, which print FAIL and their values and do not
+#: fail the table
+DOCUMENTED_SHORTFALLS = frozenset({"3s", "6s"})
+
+
 def run_all() -> list[CriterionResult]:
-    return [
-        criterion_1(),
-        criterion_2(),
-        criterion_3(stated=False),
-        criterion_3(stated=True),
-        criterion_4(),
-        criterion_5(),
-        criterion_6(stated=False),
-        criterion_6(stated=True),
-        criterion_7(),
-        criterion_8(),
-        criterion_9(),
-        criterion_10(),
-    ]
+    return [CriterionResult(cid, *row()) for cid, row in ROWS.items()]

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dickesim import cli, errors, evolution, observables, repro
+from dickesim import cli, errors, evolution, observables, repro, spin_algebra
 
 PAPER_CFG = """\
 W = 5.46
@@ -659,24 +659,26 @@ def test_default_and_preset_runs_are_silent(argv, capsys):
 
 
 @pytest.mark.parametrize("verdicts, code", [
-    ([(True, False), (False, True)], cli.EXIT_OK),
-    ([(True, False), (False, False)], cli.EXIT_NUMERICAL),
+    ([("1", True), ("3s", False)], cli.EXIT_OK),
+    ([("1", True), ("3", False)], cli.EXIT_NUMERICAL),
 ])
 def test_repro_exit_code_forgives_only_documented_shortfalls(monkeypatch, capsys,
                                                              verdicts, code):
-    results = [repro.CriterionResult(str(k), "check", passed, ["detail"], shortfall)
-               for k, (passed, shortfall) in enumerate(verdicts)]
+    results = [repro.CriterionResult(cid, "check", passed, ["detail"])
+               for cid, passed in verdicts]
     monkeypatch.setattr(repro, "run_all", lambda: results)
     assert cli.main(["repro"]) == code
     assert "FAIL" in capsys.readouterr().out
 
 
-def test_repro_prints_the_golden_table(capsys):
-    # the whole acceptance table, byte for byte, as tests/repro_stdout.txt
-    # recorded it; a change that moves a printed digit regenerates the file
-    assert cli.main(["repro"]) == cli.EXIT_OK
-    golden = (Path(__file__).parent / "repro_stdout.txt").read_bytes()
-    assert capsys.readouterr().out.encode() == golden
+def test_repro_prints_a_failing_dark_state_row(monkeypatch, capsys):
+    # an equal-tone dark state that is not Ry(pi/2)|D^{N/2}> fails criterion
+    # 1's gate: a FAIL row and exit 3, not a traceback
+    half_excited_x = spin_algebra.half_excited_x
+    monkeypatch.setattr(spin_algebra, "half_excited_x", lambda n: np.roll(half_excited_x(n), 1))
+    monkeypatch.setattr(repro, "ROWS", {"1": repro.ROWS["1"]})
+    assert cli.main(["repro"]) == cli.EXIT_NUMERICAL
+    assert capsys.readouterr().out.startswith("criterion   1  dark-state algebra  FAIL\n")
 
 
 def test_closed_stdout_exits_quietly():

@@ -8,7 +8,8 @@ module reads no other module's underscore names, except the two shared
 helpers of ``spin_algebra``.  Only ``observables`` builds the parity
 scan's phase grid over 2*pi.  ``cli`` declares each flag once, in
 ``FLAGS``, adds arguments to its parsers only in ``build_parser`` and
-writes a command's output only in ``_report``.
+writes a command's output only in ``_report``.  Only ``repro`` runs an
+acceptance criterion, from its one list of rows.
 """
 
 import ast
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dickesim"
+TESTS = Path(__file__).resolve().parent
 SPIN_SECTOR = ("observables", "certification", "measurement", "dark_state")
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
 SHARED_PRIVATE = {("spin_algebra", "_frozen"), ("spin_algebra", "_expm")}
@@ -180,6 +182,16 @@ def _called_names(node):
     return {call.func.id if isinstance(call.func, ast.Name) else call.func.attr
             for call in ast.walk(node) if isinstance(call, ast.Call)
             and isinstance(call.func, (ast.Name, ast.Attribute))}
+
+
+def test_only_repro_calls_a_criterion():
+    # a row of the acceptance table runs from repro.ROWS, never from a
+    # second list in another module or in a test
+    callers = [path.stem for path in (*PACKAGE.glob("*.py"), *TESTS.glob("*.py"))
+               if any(name.startswith("criterion_")
+                      for name in _called_names(ast.parse(path.read_text())))]
+    assert set(callers) <= {"repro"}
+    assert "criterion_4" in _called_names(ast.parse("repro.criterion_4()"))
 
 
 def test_cli_writes_command_output_only_in_report():

@@ -1,3 +1,4 @@
+import hashlib
 import sys
 import threading
 
@@ -103,15 +104,24 @@ def test_azimuth_square_sampling():
 
 
 def _lifted_record(state):
-    """Exact certification record of a symmetric-sector four-ion state."""
-    return cert.certify_from_state(symmetric_isometry(4) @ state, "x")
+    """Exact certification record of a symmetric-sector vector or density matrix."""
+    iso = symmetric_isometry(len(state) - 1)
+    lifted = iso @ state if state.ndim == 1 else iso @ state @ iso.conj().T
+    return cert.certify_from_state(lifted, "x")
+
+
+def _noisy_target(n_ions, noise):
+    target = half_excited_x(n_ions)
+    return ((1 - noise) * np.outer(target, target.conj())
+            + noise * np.eye(n_ions + 1) / (n_ions + 1))
 
 
 def test_simulated_experiment_agrees_with_certify_from_state():
     # at 10^6 shots per setting the sampled record sits within five of its
-    # own standard errors of the exact record of the lifted state
-    for angle in (0.0, 0.12):
-        state = rotation_y(4, angle) @ half_excited_x(4)
+    # own standard errors of the exact record of the lifted state, at every
+    # even N the pipeline takes
+    states = [rotation_y(4, angle) @ half_excited_x(4) for angle in (0.0, 0.12)]
+    for state in (*states, *(_noisy_target(n, 0.1) for n in (2, 6, 8))):
         exact = _lifted_record(state)
         rec = meas.simulated_experiment(state, meas.ShotConfig(n_shots=10**6, seed=3))
         assert abs(rec.witness_value - exact.witness_value) <= 5 * rec.sigma_witness
@@ -161,28 +171,32 @@ def test_stacked_experiment_equals_the_per_setting_loop_bit_for_bit():
     # 200 seeds, each at 1-20 shots and at one larger count, on a noisy
     # target (the benchmark's states), a random vector and a random mixture;
     # at a few shots the sampled azimuth means tie, and the first of them
-    # must win as it did in the loop
+    # must win as it did in the loop; the records' hash was taken when the
+    # pipeline took N = 4 alone, and taking every even N moved none of its bits
     rng = np.random.default_rng(2030)
-    target = half_excited_x(4)
+    digest = hashlib.sha256()
     ties_with_other_errors = 0
     for seed in range(200):
         noise = rng.uniform(0.0, 0.3)
         vecs = [rng.normal(size=5) + 1j * rng.normal(size=5) for _ in range(3)]
         vecs = [v / np.linalg.norm(v) for v in vecs]
-        states = [(1 - noise) * np.outer(target, target.conj()) + noise * np.eye(5) / 5, vecs[0],
+        states = [_noisy_target(4, noise), vecs[0],
                   0.7 * np.outer(vecs[1], vecs[1].conj()) + 0.3 * np.outer(vecs[2], vecs[2].conj())]
         for state, shots in zip(states, (1 + seed % 20, _EXPERIMENT_SHOTS[seed % 9], 1 + seed % 7)):
             config = meas.ShotConfig(n_shots=shots, seed=seed, stream=seed % 3)
             expected, scan = _experiment_per_setting(state, config)
             assert _record_bits(meas.simulated_experiment(state, config)) == _record_bits(expected)
+            digest.update(repr(_record_bits(expected)).encode())
             best = max(scan, key=lambda ms: ms[0])
             ties_with_other_errors += any(ms[0] == best[0] and ms[1] != best[1] for ms in scan)
     assert ties_with_other_errors > 0
+    assert digest.hexdigest() == "c8ad4c4f04a842914a474e4003f59862b9d4dcb3350793aaa06c144b7cc449ed"
 
 
 def test_simulated_experiment_rejects_other_sizes():
-    with pytest.raises(ValueError):
-        meas.simulated_experiment(dicke_state(2, 1), meas.ShotConfig(n_shots=10, seed=0))
+    # an odd N has no half-excited Dicke state
+    with pytest.raises(ValueError, match="N=3"):
+        meas.simulated_experiment(dicke_state(3, 1), meas.ShotConfig(n_shots=10, seed=0))
 
 
 def test_monte_carlo_calibration_ideal_state():
@@ -343,7 +357,7 @@ def test_rekeyed_sampler_equals_a_fresh_philox(draws):
 
 
 def test_threads_sample_the_records_of_a_sequential_run():
-    rho = 0.9 * np.outer(half_excited_x(4), half_excited_x(4)) + 0.1 * np.eye(5) / 5
+    rho = _noisy_target(4, 0.1)
     parities = np.cos(2 * np.linspace(0.0, 2 * np.pi, 40, endpoint=False))
 
     def records(seed):

@@ -98,6 +98,12 @@ def test_witness_threshold_verdict():
     assert not obs.witness_verdict(2, 6.0)
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 20: witness_verdict knows only the "
+                   "four-ion threshold 5.23, and no other N is ever genuinely multipartite")
+def test_ideal_six_ion_dicke_state_is_genuinely_multipartite():
+    assert obs.witness_verdict(6, obs.witness(half_excited_x(6), ("y", "z")))
+
+
 def test_witness_rejects_same_axis():
     with pytest.raises(ValueError):
         obs.witness(half_excited_x(4), ("y", "y"))
