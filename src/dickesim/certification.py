@@ -34,6 +34,7 @@ from math import comb
 
 import numpy as np
 
+from .observables import check_normalized
 from .spin_algebra import _frozen, dicke_state_full, full_space_oracle, hamming_weights, projections
 
 #: a fidelity lower bound above this excludes the GHZ state as the source
@@ -246,8 +247,9 @@ def certify_from_state(state: np.ndarray, axis: str = "x") -> CertificationRecor
     """Exact witness and populations of a full-space state, plus the bounds.
 
     ``state`` is a vector or a density matrix on the 2^N space, N even and
-    at most 8.  The populations come from ``_projection_populations`` and
-    the witness from those along the two complementary axes.
+    at most 8, of unit norm or trace.  The populations come from
+    ``_projection_populations`` and the witness from the two complementary
+    axes' populations.
     """
     if axis not in AXIS_COMPLEMENTS:
         raise ValueError(f"axis must be x, y or z, got {axis!r}")
@@ -262,6 +264,7 @@ def certify_from_state(state: np.ndarray, axis: str = "x") -> CertificationRecor
         raise ValueError("certification is defined for even ion numbers")
     if n_ions > CERTIFY_MAX_IONS:
         raise ValueError(f"certification limited to n_ions <= {CERTIFY_MAX_IONS}")
+    check_normalized(state)
 
     pops, *complement = _projection_populations(state, n_ions, (axis, *AXIS_COMPLEMENTS[axis]))
     w_value = sum(projections(n_ions) ** 2 @ p for p in complement)

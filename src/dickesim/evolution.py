@@ -196,14 +196,6 @@ class Trajectory:
                 "max_norm_drift": self.max_norm_drift, **leak}
 
 
-def _capture_steps(n_steps: int, extra: set[int]) -> np.ndarray:
-    stride = max(1, n_steps // 2000)  # about 2001 samples
-    steps = set(range(0, n_steps + 1, stride))
-    steps.update((0, n_steps // 2, n_steps))
-    steps.update(extra)
-    return np.array(sorted(steps), dtype=np.int64)
-
-
 def _rk4(h_values, support: np.ndarray, psi0: np.ndarray, total_time: float,
          n_steps: int, capture: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-step RK4 over the ``n_steps`` grid of [0, total_time], stopping at
@@ -415,41 +407,45 @@ def _check_norms(states: np.ndarray) -> float:
     return float(np.max(np.abs(norms - 1.0)))
 
 
-def _integrate(h_values, support: np.ndarray, dimension: int, schedule: PulseSchedule,
-               dt: float | None, guard: float, coarse: str, capture_times: list[float] | None,
-               n_ions: int) -> tuple[np.ndarray, np.ndarray, dict]:
-    """RK4 from |D^0>|0> (basis index 0 of both models), sampled on the
-    capture grid and at the steps nearest ``capture_times``, stopped at the
-    latest of those; returns (times, states, the ``Trajectory`` fields
-    max_norm_drift, n_steps and dt).  ``dt`` defaults to the model's
-    stability ``guard`` and may not exceed it (``coarse`` completes that
-    error).  A capture time outside [0, T] is a ValueError.
+def _integrate(tag: str, h_values, support: np.ndarray, guard: float, schedule: PulseSchedule,
+               params: SystemParams, dt: float | None,
+               capture_times: list[float] | None) -> Trajectory:
+    """The one run path: RK4 of the ``tag`` model, "reduced" or "full", from
+    |D^0>|0> (basis index 0 of both) under ``h_values`` on ``support`` (see
+    ``_rk4``), sampled at about 2001 steps and the steps nearest
+    ``capture_times``, stopped at the latest of those and recorded as a
+    ``Trajectory``.  ``dt`` defaults to the model's stable step ``guard`` and
+    may not exceed it.  A capture time outside [0, T] is a ValueError.
     """
     if dt is None:
         dt = guard
     elif dt > guard * (1 + 1e-9):
-        raise PhysicsConfigError(f"dt = {dt:.3e} too coarse{coarse}")
+        raise PhysicsConfigError(f"dt = {dt:.3e} exceeds the stable step {guard:.3e} "
+                                 f"of this {tag} run")
     if 0 < schedule.adiabaticity() < ADIABATICITY_WARN_BELOW:
         warnings.warn(f"eta*omega_bar*T = {schedule.adiabaticity():.2f} is below "
                       f"{ADIABATICITY_WARN_BELOW}; the ramp is unlikely to be adiabatic",
                       UserWarning, stacklevel=3)
 
-    psi0 = np.zeros(dimension, dtype=complex)
+    levels = params.n_max + 1 if tag == "full" else 1  # Fock levels of each Dicke level
+    psi0 = np.zeros((params.n_ions + 1) * levels, dtype=complex)
     psi0[0] = 1.0
 
-    n_steps = _plan_steps(schedule.total_time, dt, dimension // (n_ions + 1))
+    n_steps = _plan_steps(schedule.total_time, dt, levels)
     extra = set()
-    if capture_times is not None:
-        for t in capture_times:
-            if not 0 <= t <= schedule.total_time:
-                raise ValueError(f"capture time {t} outside [0, {schedule.total_time}]")
-        extra = {int(round(t / (schedule.total_time / n_steps))) for t in capture_times}
-    capture = _capture_steps(n_steps, extra)
-    capture = capture[capture <= max(extra, default=n_steps)]
+    for t in capture_times if capture_times is not None else ():
+        if not 0 <= t <= schedule.total_time:
+            raise ValueError(f"capture time {t} outside [0, {schedule.total_time}]")
+        extra.add(int(round(t / (schedule.total_time / n_steps))))
+    stop = max(extra, default=n_steps)
+    steps = {*range(0, n_steps + 1, max(1, n_steps // 2000)), n_steps // 2, n_steps, *extra}
+    capture = np.array(sorted(step for step in steps if step <= stop), dtype=np.int64)
     times, states = _rk4(h_values, support, psi0, schedule.total_time, n_steps, capture)
-    record = {"max_norm_drift": _check_norms(states),
-              "n_steps": int(capture[-1]), "dt": schedule.total_time / n_steps}
-    return times, states, record
+    drift = _check_norms(states)
+    leak = float(np.max(top_fock_populations(params, states))) if tag == "full" else 0.0
+    return Trajectory(times, states, tag, params, schedule, max_norm_drift=drift,
+                      truncation_leak=leak, n_steps=int(capture[-1]),
+                      dt=schedule.total_time / n_steps)
 
 
 def integrate_reduced(schedule: PulseSchedule, params: SystemParams,
@@ -469,20 +465,15 @@ def integrate_reduced(schedule: PulseSchedule, params: SystemParams,
     rate = max(params.delta + n * schedule.omega_bar, 3 * drive)
     guard = 0.1 / rate if rate > 0 else schedule.total_time / 200
 
-    def h_values(ts):
-        return reduced_values(params, *schedule.amplitudes(ts))
-
-    times, states, record = _integrate(
-        h_values, *reduced_support(n)[:2], schedule, dt, guard,
-        ": need dt*max(delta + N*omega_bar, 6*omega_bar*max coupling) <= 0.1", capture_times, n,
-    )
+    traj = _integrate("reduced", lambda ts: reduced_values(params, *schedule.amplitudes(ts)),
+                      reduced_support(n)[0], guard, schedule, params, dt, capture_times)
     peak = 2 * schedule.omega_bar  # the red tone at t = 0, where every run starts
     if not params.reduced_model_trusted(peak):
         warnings.warn(f"the sideband rate peaks at {peak:.3g} against delta = "
                       f"{params.delta:.3g}: the reduced chain needs 2*delta > "
                       "10*max(Omega_r, Omega_b) to neglect the off-resonant transitions "
                       "that the full model keeps", ReducedModelWarning, stacklevel=2)
-    return Trajectory(times, states, "reduced", params, schedule, **record)
+    return traj
 
 
 def integrate_full(schedule: PulseSchedule, params: SystemParams,
@@ -499,18 +490,12 @@ def integrate_full(schedule: PulseSchedule, params: SystemParams,
     rate = max(params.delta / 0.05, (params.delta + n * schedule.omega_bar) / 0.1, drive / 0.05)
     guard = 1.0 / rate if rate > 0 else schedule.total_time / 200
 
-    def h_values(ts):
-        return full_values(params, ts, *schedule.amplitudes(ts))
-
-    times, states, record = _integrate(
-        h_values, *full_support(n, params.n_max)[:2], schedule, dt, guard,
-        f" for delta = {params.delta}", capture_times, n,
-    )
-    leak = float(np.max(top_fock_populations(params, states)))
-    if leak > LEAK_WARN_LEVEL:
-        warnings.warn(f"top Fock level reaches population {leak:.2e}; increase n_max",
-                      TruncationWarning, stacklevel=2)
-    return Trajectory(times, states, "full", params, schedule, truncation_leak=leak, **record)
+    traj = _integrate("full", lambda ts: full_values(params, ts, *schedule.amplitudes(ts)),
+                      full_support(n, params.n_max)[0], guard, schedule, params, dt, capture_times)
+    if traj.truncation_leak > LEAK_WARN_LEVEL:
+        warnings.warn(f"top Fock level reaches population {traj.truncation_leak:.2e}; "
+                      "increase n_max", TruncationWarning, stacklevel=2)
+    return traj
 
 
 def dark_fidelity_series(traj: Trajectory,

@@ -321,6 +321,17 @@ def test_certify_matches_eigh_oracle(n, axis, components, seed):
     assert abs(rec.witness_value - np.trace(rho @ witness).real) < 1e-12
 
 
+def test_unnormalized_states_are_refused():
+    # 2*psi certified as F_lo = F_hi = 4.0, and I/8 on four ions (trace 2)
+    # as F_lo = -0.75 and F_hi = 0.75; the direct fidelity of 2*psi was 4.0
+    target = cert.half_excited_full(4, "x")
+    for state, value in ((2 * target, "norm 2.0"), (np.eye(16) / 8, "trace 2.0")):
+        with pytest.raises(ValueError, match=value):
+            cert.certify_from_state(state, "x")
+        with pytest.raises(ValueError, match=value):
+            obs.direct_fidelity(state, target)
+
+
 def test_certify_validation():
     with pytest.raises(ValueError):
         cert.certify_from_state(np.ones(5) / np.sqrt(5), "x")   # not a qubit space

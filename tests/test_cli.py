@@ -67,6 +67,18 @@ def test_bounds_on_published_inputs(tmp_path, capsys):
     assert '"0.00, 0.03, 0.88, 0.03, 0.03"' in text
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 20: bounds applies the four-ion GHZ "
+                   "ceiling 0.75 at every j_M, and a two-ion GHZ state reaches F = 1")
+def test_bounds_at_two_ions_never_excludes_ghz(tmp_path, capsys):
+    # the ideal two-ion state is, along x, the Bell state (|00> - |11>)/sqrt(2),
+    # itself a GHZ state, so no two-ion record can exclude GHZ
+    cfg = tmp_path / "two_ion.cfg"
+    cfg.write_text("W = 2\nsigma_W = 0.0\np_list = 0.0, 1.0, 0.0\n"
+                   "sigma_list = 0.0, 0.0, 0.0\nj_M = 1\n")
+    assert cli.main(["bounds", "--input", str(cfg)]) == cli.EXIT_OK
+    assert "ghz_excluded = True" not in capsys.readouterr().out
+
+
 def test_bounds_missing_key(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("W = 5.0\n")
@@ -540,6 +552,14 @@ def test_full_model_plan_is_bounded_by_its_step_cost(monkeypatch, capsys):
     assert cli.main(argv) == cli.EXIT_PHYSICS
     assert capsys.readouterr().err == (
         "error: 2.02e+09 steps exceed the limit of 2^31/(n_max + 1) = 2^31/9\n")
+
+
+@pytest.mark.parametrize("model, step", [("reduced", "4.545e-03"), ("full", "2.500e-03")])
+def test_a_too_coarse_dt_names_the_stable_step(capsys, model, step):
+    argv = ["evolve", "--model", model, "--n", "2", "--dt", "0.5"]
+    assert cli.main(argv) == cli.EXIT_PHYSICS
+    assert capsys.readouterr() == (
+        "", f"error: dt = 5.000e-01 exceeds the stable step {step} of this {model} run\n")
 
 
 def test_scan_noise_honours_dt():

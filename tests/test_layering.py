@@ -9,7 +9,8 @@ helpers of ``spin_algebra``.  Only ``observables`` builds the parity
 scan's phase grid over 2*pi.  ``cli`` declares each flag once, in
 ``FLAGS``, adds arguments to its parsers only in ``build_parser`` and
 writes a command's output only in ``_report``.  Only ``repro`` runs an
-acceptance criterion, from its one list of rows.
+acceptance criterion, from its one list of rows.  Only
+``evolution._integrate`` builds a ``Trajectory``: the one run path.
 """
 
 import ast
@@ -214,3 +215,38 @@ def test_each_cli_flag_is_declared_once_and_taken_by_a_subcommand():
     # a repeated key of a dict literal would silently replace the first
     assert len(declared) == len(set(declared))
     assert set(declared) == taken
+
+
+def _trajectory_builders(tree):
+    """The name of the function around each ``Trajectory(...)`` call in
+    ``tree``, bare or as an attribute, in a lambda that function's, and None
+    for a call outside any function."""
+    builders = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and "Trajectory" in (
+                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                builders.append(function)
+            visit(child, function)
+
+    visit(tree, None)
+    return builders
+
+
+def test_the_trajectory_reader_sees_each_form():
+    source = ("def f():\n    return evolution.Trajectory(t, s)\n"
+              "class C:\n    def g(self):\n        h = lambda: Trajectory(t, s)\n"
+              "Trajectory(t, s)\n")
+    assert _trajectory_builders(ast.parse(source)) == ["f", "g", None]
+
+
+def test_only_integrate_builds_a_trajectory():
+    # each run is checked, planned, run and recorded on the one run path;
+    # a model's integrator supplies its Hamiltonian and stable step only
+    builders = [(module, function) for module in MODULES
+                for function in _trajectory_builders(_tree(module))]
+    assert builders == [("evolution", "_integrate")]

@@ -255,15 +255,6 @@ def test_sampled_parity_matches_exact_curve(state):
     assert np.array_equal(sampled, meas.sample_parities(exact, config))
 
 
-def _binomial_parities(parities, config):
-    # the sampler's earlier form, kept as its reference: one binomial draw of
-    # the even-parity count per phase on substream 100 + k
-    p_even = np.clip((1 + np.asarray(parities, dtype=float)) / 2, 0.0, 1.0)
-    draws = [config.substream(100 + k).generator().binomial(config.n_shots, p)
-             for k, p in enumerate(p_even)]
-    return 2 * np.array(draws) / config.n_shots - 1
-
-
 # p_even = 0, 1/2 and 1, 1/2 +- 1e-16 (where numpy's binomial switches
 # branch), p_even near 0 and 1, and parities that the clip brings back
 _EDGE_PARITIES = [-1.0, 0.0, 1.0, 2e-16, -2e-16, 1 - 1e-16, -1 + 2e-16, 1e-300,
@@ -271,25 +262,14 @@ _EDGE_PARITIES = [-1.0, 0.0, 1.0, 2e-16, -2e-16, 1 - 1e-16, -1 + 2e-16, 1e-300,
 
 
 @settings(max_examples=300, deadline=None)
-@given(parities=st.lists(st.floats(-1.0, 1.0) | st.sampled_from(_EDGE_PARITIES),
-                         min_size=1, max_size=6),
-       shots=st.integers(1, 10**6) | st.sampled_from([1, 2, 1000, 10**6]),
-       seed=st.integers(0, 2**64 - 1))
-def test_sampled_parities_equal_the_binomial_draws(parities, shots, seed):
-    config = meas.ShotConfig(n_shots=shots, seed=seed)
-    assert np.array_equal(meas.sample_parities(parities, config),
-                          _binomial_parities(parities, config))
-
-
-@settings(max_examples=300, deadline=None)
-@given(parities=st.lists(st.sampled_from([-1.0, 0.0, 1.0]) | st.floats(-1.0, 1.0),
+@given(parities=st.lists(st.sampled_from(_EDGE_PARITIES) | st.floats(-1.0, 1.0),
                          min_size=1, max_size=45),
-       shots=st.integers(1, 10**6),
+       shots=st.integers(1, 10**6) | st.sampled_from([1, 2, 1000, 10**6]),
        seed=st.integers(0, 2**64 - 1),
        stream=st.integers(0, 2**64 - 1 - 100 - 45))
 def test_sampled_parities_are_per_phase_philox_binomials(parities, shots, seed, stream):
-    # p_even = 0, 1/2 and 1 exactly come from parities -1, 0 and 1; the
-    # generator is keyed here by hand, not through ShotConfig
+    # one binomial draw of the even-parity count per phase, on stream
+    # 100 + k; the generator is keyed here by hand, not through ShotConfig
     config = meas.ShotConfig(n_shots=shots, seed=seed, stream=stream)
     p_even = np.clip((1 + np.array(parities)) / 2, 0.0, 1.0)
     counts = [np.random.Generator(np.random.Philox(

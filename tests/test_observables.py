@@ -296,7 +296,7 @@ def test_parity_phases_are_the_equispaced_grid():
 def _parity_scan_per_phase(state, phases):
     """The parity scan with one exponential per phase, as before the pulses
     were exponentiated as one stack."""
-    state = obs._check_normalized(state)
+    state = obs.check_normalized(state)
     if obs._state_dim(state) == 3:
         iso = symmetric_isometry(2)
         state = iso @ state @ iso.conj().T if state.ndim == 2 else iso @ state
@@ -332,7 +332,7 @@ def _parity_scan_product_loop(state, phases):
     """The parity scan with the pulses exponentiated as one stack but each
     phase's pulse^dag Pi pulse formed and evaluated alone, as before the
     products were stacked."""
-    state = obs._check_normalized(state)
+    state = obs.check_normalized(state)
     if obs._state_dim(state) == 3:
         iso = symmetric_isometry(2)
         state = iso @ state @ iso.conj().T if state.ndim == 2 else iso @ state
