@@ -20,10 +20,12 @@ the Hamming distance |i xor j| of its row and column indices (for y also by
 (|i| - |j|) mod 4), and one Krawtchouk transform of those sums gives P_a(m).
 The witness is then exactly sum_m m^2 (P_b(m) + P_c(m)).
 
-Experimental populations may be fed in raw (unnormalized); nothing here
-renormalizes them.  The bounds read jM from the odd-length vector
-p_{-jM}..p_{+jM}; a ``CertificationRecord`` holds only what was measured
-and derives its bounds from it once, with the functions below.
+Experimental populations may be fed in raw (unnormalized), each in [0, 1];
+nothing here renormalizes them.  The bounds read jM from the odd-length
+vector p_{-jM}..p_{+jM}: a ``bounds`` input file's ``p_list``, which may
+sum to at most 1.05, with ``j_M`` = (len(p_list) - 1)/2.  A
+``CertificationRecord`` holds only what was measured and derives its
+bounds from it once, with the functions below.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ from math import comb
 import numpy as np
 
 from .observables import check_normalized
-from .spin_algebra import _frozen, dicke_state_full, full_space_oracle, hamming_weights, projections
+from .spin_algebra import (_frozen, dicke_state_full, full_space_oracle, half_excitation,
+                           hamming_weights, projections)
 
 #: a fidelity lower bound above this excludes the GHZ state as the source
 GHZ_DICKE_MAX_OVERLAP = 0.75
@@ -91,8 +94,8 @@ def _check_populations(populations) -> np.ndarray:
     pops = np.asarray(populations, dtype=float)
     if pops.ndim != 1 or len(pops) < 3 or len(pops) % 2 == 0:
         raise ValueError("populations must be an odd-length vector p_{-jM}..p_{+jM}")
-    if not np.all((pops >= -1e-12) & (pops < np.inf)):
-        raise ValueError("populations must be nonnegative and finite")
+    if not np.all((pops >= -1e-12) & (pops <= 1 + 1e-12)):  # nan fails both
+        raise ValueError("populations must lie in [0, 1]")
     return pops
 
 
@@ -230,11 +233,10 @@ def _projection_populations(state: np.ndarray, n_ions: int, axes) -> list[np.nda
 @lru_cache(maxsize=None, typed=True)
 def half_excited_full(n_ions: int, axis: str = "x") -> np.ndarray:
     """Half-excited Dicke state along an axis, in the full 2^N space."""
-    if n_ions % 2 != 0:
-        raise ValueError("half-excited states need an even number of ions")
+    half = half_excitation(n_ions)
     if axis not in AXIS_COMPLEMENTS:
         raise ValueError(f"axis must be x, y or z, got {axis!r}")
-    target = dicke_state_full(n_ions, n_ions // 2)
+    target = dicke_state_full(n_ions, half)
     if axis != "z":
         # exp(-i (pi/2) J_y) for x, exp(+i (pi/2) J_x) for y, one qubit at a time
         sigma = 2 * full_space_oracle(1, "jy") if axis == "x" else -2 * full_space_oracle(1, "jx")
@@ -253,18 +255,13 @@ def certify_from_state(state: np.ndarray, axis: str = "x") -> CertificationRecor
     """
     if axis not in AXIS_COMPLEMENTS:
         raise ValueError(f"axis must be x, y or z, got {axis!r}")
-    state = np.asarray(state, dtype=complex)
-    dim = state.shape[0]
-    if state.ndim > 2 or state.ndim == 2 and state.shape != (dim, dim):
-        raise ValueError("state must be a vector or a square density matrix")
-    n_ions = int(round(np.log2(dim)))
-    if 2**n_ions != dim:
-        raise ValueError(f"state dimension {dim} is not a power of two")
-    if n_ions % 2 != 0:
-        raise ValueError("certification is defined for even ion numbers")
+    state = check_normalized(state)
+    n_ions = int(round(np.log2(len(state))))
+    if 2**n_ions != len(state):
+        raise ValueError(f"state dimension {len(state)} is not a power of two")
+    half_excitation(n_ions)
     if n_ions > CERTIFY_MAX_IONS:
         raise ValueError(f"certification limited to n_ions <= {CERTIFY_MAX_IONS}")
-    check_normalized(state)
 
     pops, *complement = _projection_populations(state, n_ions, (axis, *AXIS_COMPLEMENTS[axis]))
     w_value = sum(projections(n_ions) ** 2 @ p for p in complement)

@@ -19,6 +19,9 @@ EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, what a shell reports for `cmd | head`
 
 DEFAULT_SEED = 12345
 
+#: largest sum of a ``bounds`` p_list: raw populations may sum below 1, not above
+P_LIST_MAX_SUM = 1.05
+
 #: the top-level ``--help`` text
 DESCRIPTION = """Command-line front end for the simulation and certification pipeline.
 
@@ -272,6 +275,8 @@ def cmd_bounds(ns) -> int:
     if 2 * values["j_M"] + 1 != len(pops):
         raise ValueError(f"j_M = {raw['j_M']} does not match the {len(pops)} populations "
                          "of p_list: j_M must be (len(p_list) - 1)/2")
+    if sum(pops) > P_LIST_MAX_SUM:
+        raise ValueError(f"p_list sums to {sum(pops)}, more than {P_LIST_MAX_SUM}")
     rec = certification.CertificationRecord(values["W"], pops, values["sigma_W"],
                                             values["sigma_list"])
     certified = certification.ghz_excluded(rec.f_lower)

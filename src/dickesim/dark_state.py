@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_algebra import _frozen, build_collective, collective_coupling
+from .spin_algebra import _frozen, build_collective, collective_coupling, half_excitation
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,7 @@ def chain_vector(amplitudes: np.ndarray) -> np.ndarray:
 
 def closed_form_coefficients(n_ions: int) -> np.ndarray:
     """C_0 .. C_{N/2} of the closed form, sign-alternating with C_0 = 1."""
-    if n_ions % 2 != 0 or n_ions < 2:
-        raise ValueError(f"dark states exist only for even n_ions >= 2, got {n_ions}")
-    half = n_ions // 2
+    half = half_excitation(n_ions)
     coeffs = np.ones(half + 1)
     for i in range(1, half + 1):
         coeffs[i] = -coeffs[i - 1] * (

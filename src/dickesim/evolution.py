@@ -508,13 +508,13 @@ def dark_fidelity_series(traj: Trajectory,
     """
     indices = np.arange(len(traj.times)) if indices is None else np.asarray(indices)
     out = np.full(len(indices), np.nan)
-    n = traj.params.n_ions
-    if n % 2 != 0:
+    try:
+        coeffs = dark_state.closed_form_coefficients(traj.params.n_ions)
+    except ValueError:  # an odd N, which has no dark state
         return out
     wr, wb = traj.schedule.amplitudes(traj.times[indices])
     driven = (wr != 0) | (wb != 0)
-    _, amplitudes = dark_state.normalized_amplitudes(
-        dark_state.closed_form_coefficients(n), wr[driven], wb[driven])
+    _, amplitudes = dark_state.normalized_amplitudes(coeffs, wr[driven], wb[driven])
     out[driven] = traj.chain_fidelities(indices[driven], dark_state.chain_vector(amplitudes))
     return out
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import observables
 from .certification import CertificationRecord
-from .spin_algebra import _frozen, projections
+from .spin_algebra import _frozen, half_excitation, projections
 
 GENERATOR_NAME = "philox4x64-10"
 
@@ -184,9 +184,7 @@ def simulated_experiment(state: np.ndarray, config: ShotConfig) -> Certification
     """
     state = np.asarray(state, dtype=complex)
     z_pops = observables.populations_along(state, "z")
-    if len(z_pops) % 2 == 0:
-        raise ValueError(f"the certification pipeline needs an even number of ions, "
-                         f"got N={len(z_pops) - 1}")
+    half_excitation(len(z_pops) - 1)
 
     pop_rec = sample_populations(state, config.substream(0), "x")
     azimuth_pops = observables.populations_azimuth(state, WITNESS_AZIMUTHS)

@@ -41,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import PhysicsConfigError
-from .spin_algebra import _frozen, build_collective
+from .spin_algebra import _frozen, build_collective, check_n_ions
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,7 @@ class SystemParams:
     n_max: int | None = None
 
     def __post_init__(self):
-        if int(self.n_ions) != self.n_ions or self.n_ions < 1:
-            raise ValueError(f"n_ions must be a positive integer, got {self.n_ions}")
+        check_n_ions(self.n_ions)
         object.__setattr__(self, "n_ions", int(self.n_ions))
         if not 0 <= self.delta < np.inf:
             raise ValueError("delta must be finite and nonnegative")

@@ -43,27 +43,21 @@ GRID_CACHE_SIZE = 8
 PARITY_PHASES = 40
 
 
-def _state_dim(state: np.ndarray) -> int:
-    state = np.asarray(state)
-    if state.ndim == 1:
-        return state.shape[0]
-    if state.ndim == 2 and state.shape[0] == state.shape[1]:
-        return state.shape[0]
-    raise ValueError(f"state must be a vector or square matrix, got shape {state.shape}")
-
-
 def check_normalized(state: np.ndarray) -> np.ndarray:
-    """``state`` as a complex array; a ValueError that names the value when a
-    vector's norm or a matrix's trace is further than ``NORM_TOL`` from 1."""
+    """``state`` as a complex array: the one test of a single state.  A
+    ValueError for any shape but a vector or a square matrix, and then one
+    that names the value when a vector's norm or a matrix's trace is further
+    than ``NORM_TOL`` from 1."""
     state = np.asarray(state, dtype=complex)
     if state.ndim == 1:
-        nrm = math.sqrt(np.vdot(state, state).real)  # a microsecond, a few below np.linalg.norm
-        if abs(nrm - 1.0) > NORM_TOL:
-            raise ValueError(f"state norm {nrm} is not 1")
+        # a microsecond, a few below np.linalg.norm
+        value, name = math.sqrt(np.vdot(state, state).real), "state norm"
+    elif state.ndim == 2 and state.shape[0] == state.shape[1]:
+        value, name = state.diagonal().real.sum(), "density matrix trace"
     else:
-        tr = state.diagonal().real.sum()
-        if abs(tr - 1.0) > NORM_TOL:
-            raise ValueError(f"density matrix trace {tr} is not 1")
+        raise ValueError(f"state must be a vector or square matrix, got shape {state.shape}")
+    if abs(value - 1.0) > NORM_TOL:
+        raise ValueError(f"{name} {value} is not 1")
     return state
 
 
@@ -83,7 +77,7 @@ def witness(state: np.ndarray, axes: tuple[str, str] = ("y", "z")) -> float:
     if i == j:
         raise ValueError("witness axes must be two different (orthogonal) directions")
     state = check_normalized(state)
-    n_ions = _state_dim(state) - 1
+    n_ions = len(state) - 1
     ji = build_collective(n_ions, "j" + i)
     jj = build_collective(n_ions, "j" + j)
     return expectation(state, ji @ ji) + expectation(state, jj @ jj)
@@ -97,15 +91,13 @@ def witness_verdict(n_ions: int, value: float) -> bool:
 
 def direct_fidelity(state: np.ndarray, target: np.ndarray) -> float:
     """Overlap |<target|state>|^2, or <target|rho|target> for density input;
-    the state must be normalized, as ``check_normalized`` takes it."""
-    target = np.asarray(target, dtype=complex)
+    the state and the target must be normalized, as ``check_normalized``
+    takes them."""
+    state, target = check_normalized(state), check_normalized(target)
     if target.ndim != 1:
         raise ValueError("target must be a pure-state vector")
-    if _state_dim(state) != target.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: state {_state_dim(state)}, target {target.shape[0]}"
-        )
-    state = check_normalized(state)
+    if len(state) != len(target):
+        raise ValueError(f"dimension mismatch: state {len(state)}, target {len(target)}")
     if state.ndim == 1:
         return float(abs(np.vdot(target, state)) ** 2)
     return float(np.real(np.vdot(target, state @ target)))
@@ -154,7 +146,7 @@ def _eigenbasis_populations(state: np.ndarray, basis: np.ndarray,
 def populations_along(state: np.ndarray, axis: str) -> np.ndarray:
     """Projection-eigenvalue populations along x, y or z, ascending order."""
     state = check_normalized(state)
-    n_ions = _state_dim(state) - 1
+    n_ions = len(state) - 1
     if axis == "z":
         if state.ndim == 1:
             return np.abs(state) ** 2
@@ -170,7 +162,7 @@ def populations_azimuth(state: np.ndarray, n_azimuths: int) -> np.ndarray:
     included; each row has the bits of an eigh of that azimuth's J_phi
     alone."""
     state = check_normalized(state)
-    bases = _azimuth_eigenbasis(_state_dim(state) - 1, n_azimuths)
+    bases = _azimuth_eigenbasis(len(state) - 1, n_azimuths)
     return _eigenbasis_populations(state, *bases)
 
 
@@ -295,11 +287,10 @@ def parity_curve(state: np.ndarray, n_phases: int) -> tuple[np.ndarray, np.ndarr
     |up,up>, both in the full two-qubit space; the input is symmetric-sector
     (3-dim) or full two-qubit (4-dim)."""
     state = check_normalized(state)
-    dim = _state_dim(state)
-    if dim == 3:
+    if len(state) == 3:
         iso = symmetric_isometry(2)
         state = iso @ state @ iso.conj().T if state.ndim == 2 else iso @ state
-    elif dim != 4:
+    elif len(state) != 4:
         raise ValueError("parity scan is defined for two ions only")
     # ``expectation``'s arithmetic on each phase's operator: a vector's vdot
     # stays one call a phase, a trace sums the same four diagonal entries

@@ -35,9 +35,19 @@ def _operator(mat: np.ndarray) -> np.ndarray:
     return _frozen(np.array(mat, dtype=complex))
 
 
-def _check_n_ions(n_ions: int) -> None:
+def check_n_ions(n_ions: int) -> None:
+    """A ValueError unless ``n_ions`` is a positive integer: the one ion-number rule."""
     if int(n_ions) != n_ions or n_ions < 1:
         raise ValueError(f"n_ions must be a positive integer, got {n_ions}")
+
+
+def half_excitation(n_ions: int) -> int:
+    """N/2, the excitation number of a half-excited Dicke state; a ValueError
+    unless ``n_ions`` is a positive even integer.  The one even-N rule."""
+    check_n_ions(n_ions)
+    if n_ions % 2 != 0:
+        raise ValueError(f"half-excited Dicke states need an even number of ions, got N={n_ions}")
+    return n_ions // 2
 
 
 def collective_coupling(n_ions: int, m: int) -> float:
@@ -46,7 +56,7 @@ def collective_coupling(n_ions: int, m: int) -> float:
     Equals (N - m) * sqrt(C(N, m) / C(N, m+1)); the collective enhancement
     over a single spin flip.
     """
-    _check_n_ions(n_ions)
+    check_n_ions(n_ions)
     if int(m) != m or not 0 <= m <= n_ions - 1:
         raise ValueError(f"m must lie in [0, {n_ions - 1}], got {m}")
     return (n_ions - m) * np.sqrt(comb(n_ions, m) / comb(n_ions, m + 1))
@@ -55,7 +65,7 @@ def collective_coupling(n_ions: int, m: int) -> float:
 @lru_cache(maxsize=None)
 def projections(n_ions: int) -> np.ndarray:
     """Projections m - N/2 of the Dicke levels m = 0..N (Jz's eigenvalues), read-only."""
-    _check_n_ions(n_ions)
+    check_n_ions(n_ions)
     return _frozen(np.arange(n_ions + 1) - n_ions / 2)
 
 
@@ -67,7 +77,7 @@ def build_collective(n_ions: int, kind: str) -> np.ndarray:
     J+ raises the excitation number with the collective couplings on its
     single lower band; Jz is diagonal with eigenvalues m - N/2.
     """
-    _check_n_ions(n_ions)
+    check_n_ions(n_ions)
     kind = kind.lower()
     if kind not in COLLECTIVE_KINDS:
         raise ValueError(f"kind must be one of {COLLECTIVE_KINDS}, got {kind!r}")
@@ -111,7 +121,7 @@ def rotation_y(n_ions: int, angle: float) -> np.ndarray:
 
 def dicke_state(n_ions: int, m: int) -> np.ndarray:
     """Unit vector of the m-excitation Dicke state in the symmetric basis."""
-    _check_n_ions(n_ions)
+    check_n_ions(n_ions)
     if not 0 <= m <= n_ions:
         raise ValueError(f"excitation number m must lie in [0, {n_ions}], got {m}")
     vec = np.zeros(n_ions + 1, dtype=complex)
@@ -124,9 +134,8 @@ def half_excited_x(n_ions: int) -> np.ndarray:
     """Half-excited Dicke state along x: Ry(pi/2) applied to |m = N/2>,
     cached and read-only.  The cache is typed, so a float ``n_ions`` raises
     from a warm cache as it does from a cold one."""
-    if n_ions % 2 != 0:
-        raise ValueError("half-excited states need an even number of ions")
-    return _frozen(rotation_y(n_ions, np.pi / 2) @ dicke_state(n_ions, n_ions // 2))
+    half = half_excitation(n_ions)
+    return _frozen(rotation_y(n_ions, np.pi / 2) @ dicke_state(n_ions, half))
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +143,7 @@ def half_excited_x(n_ions: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _check_full_space_size(n_ions: int) -> None:
-    _check_n_ions(n_ions)
+    check_n_ions(n_ions)
     if n_ions > FULL_SPACE_MAX_IONS:
         raise ValueError(
             f"full-space construction limited to n_ions <= {FULL_SPACE_MAX_IONS}, got {n_ions}"

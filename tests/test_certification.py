@@ -330,6 +330,28 @@ def test_unnormalized_states_are_refused():
             cert.certify_from_state(state, "x")
         with pytest.raises(ValueError, match=value):
             obs.direct_fidelity(state, target)
+    # the target is read as a pure state too: 2*t gave 4.000000000000002
+    with pytest.raises(ValueError, match="norm 2.0"):
+        obs.direct_fidelity(target, 2 * target)
+
+
+def test_a_non_square_state_is_refused_by_its_shape():
+    # a (3, 4) or (16, 8) array is refused by its shape, not by its trace
+    for refuse, state in ((obs.witness, np.ones((3, 4)) / 12),
+                          (cert.certify_from_state, np.ones((16, 8)) / 16)):
+        with pytest.raises(ValueError, match=r"vector or square matrix, got shape"):
+            refuse(state)
+
+
+def test_populations_above_one_are_refused():
+    # the same 1e-12 slack above 1 as below 0; a sum below 1 stays accepted
+    assert cert.fidelity_upper([0.0, 0.0, 1 + 1e-13, 0.0, 0.0]) == 1 + 1e-13
+    assert cert.fidelity_upper([0.0, 0.0, 0.5, 0.0, 0.0]) == 0.5
+    for pops in ([0.0, 0.0, 3.0, 0.0, 0.0], [0.0, 0.0, 1 + 1e-11, 0.0, 0.0], [-1e-11, 0, 1, 0, 0]):
+        with pytest.raises(ValueError, match=r"populations must lie in \[0, 1\]"):
+            cert.fidelity_upper(pops)
+        with pytest.raises(ValueError, match=r"populations must lie in \[0, 1\]"):
+            cert.CertificationRecord(witness_value=5.0, populations=pops)
 
 
 def test_certify_validation():

@@ -100,6 +100,20 @@ def test_bounds_non_finite_input_exits_2(tmp_path, capsys, old, new):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("p_list, error", [
+    ("0.0, 0.0, 3.0, 0.0, 0.0", "p_list sums to 3.0, more than 1.05"),
+    ("0.0, 0.5, 0.5, 0.06, 0.0", "p_list sums to 1.06, more than 1.05"),
+    ("0.0, 0.0, 1.01, 0.0, 0.0", "populations must lie in [0, 1]"),
+], ids=["sum-3", "sum-1.06", "value-1.01"])
+def test_bounds_refuses_populations_above_one(tmp_path, capsys, p_list, error):
+    # raw populations may sum below 1 (the paper's sum to 0.97), not above
+    # 1.05, and none may exceed 1
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(PAPER_CFG.replace("0.00, 0.03, 0.88, 0.03, 0.03", p_list))
+    assert cli.main(["bounds", "--input", str(cfg)]) == cli.EXIT_PHYSICS
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
 @pytest.mark.parametrize("j_m", ["3", "2.5"])
 def test_bounds_refuses_a_j_m_that_disagrees_with_p_list(tmp_path, capsys, j_m):
     # five populations need j_M = 2

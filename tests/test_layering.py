@@ -10,10 +10,12 @@ scan's phase grid over 2*pi.  ``cli`` declares each flag once, in
 ``FLAGS``, adds arguments to its parsers only in ``build_parser`` and
 writes a command's output only in ``_report``.  Only ``repro`` runs an
 acceptance criterion, from its one list of rows.  Only
-``evolution._integrate`` builds a ``Trajectory``: the one run path.
+``evolution._integrate`` builds a ``Trajectory``: the one run path.  Only
+``spin_algebra.half_excitation`` refuses an odd number of ions.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -148,9 +150,9 @@ def test_the_private_name_reader_sees_each_form():
     assert ("spin_algebra", "_frozen") in _foreign_private_names(_tree("model"))
     source = ("from dickesim.model import _support\n"
               "from . import observables as obs, __version__\n"
-              "obs._state_dim(state), obs.witness(state)\n")
+              "obs._product_traces(rhos, op), obs.witness(state)\n")
     assert _foreign_private_names(ast.parse(source)) == {("model", "_support"),
-                                                         ("observables", "_state_dim")}
+                                                         ("observables", "_product_traces")}
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -217,24 +219,30 @@ def test_each_cli_flag_is_declared_once_and_taken_by_a_subcommand():
     assert set(declared) == taken
 
 
-def _trajectory_builders(tree):
-    """The name of the function around each ``Trajectory(...)`` call in
-    ``tree``, bare or as an attribute, in a lambda that function's, and None
-    for a call outside any function."""
-    builders = []
+def _enclosing_functions(tree, matches):
+    """The name of the function around each node of ``tree`` that
+    ``matches``, in a lambda that function's, and None for a node outside
+    any function."""
+    found = []
 
     def visit(node, function):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Call) and "Trajectory" in (
-                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
-                builders.append(function)
+            if matches(child):
+                found.append(function)
             visit(child, function)
 
     visit(tree, None)
-    return builders
+    return found
+
+
+def _trajectory_builders(tree):
+    """The function around each ``Trajectory(...)`` call in ``tree``, bare
+    or as an attribute."""
+    return _enclosing_functions(tree, lambda node: isinstance(node, ast.Call) and "Trajectory" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)))
 
 
 def test_the_trajectory_reader_sees_each_form():
@@ -250,3 +258,34 @@ def test_only_integrate_builds_a_trajectory():
     builders = [(module, function) for module in MODULES
                 for function in _trajectory_builders(_tree(module))]
     assert builders == [("evolution", "_integrate")]
+
+
+_EVEN_IONS = re.compile(r"\beven\b.*\b(n_)?ions?\b")
+
+
+def _odd_ion_refusers(tree):
+    """The function around each ``raise`` in ``tree`` whose message, plain
+    or formatted, speaks of an even number of ions."""
+    def refuses(node):
+        return isinstance(node, ast.Raise) and node.exc is not None and bool(_EVEN_IONS.search(
+            " ".join(part.value for part in ast.walk(node.exc)
+                     if isinstance(part, ast.Constant) and isinstance(part.value, str))))
+
+    return _enclosing_functions(tree, refuses)
+
+
+def test_the_odd_ion_reader_sees_each_form():
+    source = ("def f(n):\n    raise ValueError(f'needs an even number of ions, got {n}')\n"
+              "def g(n):\n    raise ValueError('defined for even ion numbers')\n"
+              "def h(n):\n    raise ValueError(f'exist only for even n_ions >= 2, got {n}')\n"
+              "def k(n):\n    raise ValueError('an even count of phases')\n"
+              "raise ValueError('an even number of ions')\n")
+    assert _odd_ion_refusers(ast.parse(source)) == ["f", "g", "h", None]
+
+
+def test_only_half_excitation_refuses_an_odd_ion_number():
+    # one owner for the even-N rule: every half-excited state, dark state
+    # and certification asks spin_algebra.half_excitation for N/2
+    refusers = [(module, function) for module in MODULES
+                for function in _odd_ion_refusers(_tree(module))]
+    assert refusers == [("spin_algebra", "half_excitation")]

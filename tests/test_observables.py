@@ -193,7 +193,7 @@ def _eigh_populations_alone(state, op):
 def _populations_azimuth_alone(state, phi):
     """One azimuth's populations as computed before azimuths were stacked:
     a scalar-weighted J_phi, its own eigh, and the 2-d products."""
-    n_ions = obs._state_dim(state) - 1
+    n_ions = len(state) - 1
     op = np.cos(phi) * build_collective(n_ions, "jx") + np.sin(phi) * build_collective(n_ions, "jy")
     return _eigh_populations_alone(state, op)
 
@@ -297,7 +297,7 @@ def _parity_scan_per_phase(state, phases):
     """The parity scan with one exponential per phase, as before the pulses
     were exponentiated as one stack."""
     state = obs.check_normalized(state)
-    if obs._state_dim(state) == 3:
+    if len(state) == 3:
         iso = symmetric_isometry(2)
         state = iso @ state @ iso.conj().T if state.ndim == 2 else iso @ state
     phases = np.asarray(phases, dtype=float)
@@ -333,7 +333,7 @@ def _parity_scan_product_loop(state, phases):
     phase's pulse^dag Pi pulse formed and evaluated alone, as before the
     products were stacked."""
     state = obs.check_normalized(state)
-    if obs._state_dim(state) == 3:
+    if len(state) == 3:
         iso = symmetric_isometry(2)
         state = iso @ state @ iso.conj().T if state.ndim == 2 else iso @ state
     phases = np.asarray(phases, dtype=float)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg import expm
 
-from dickesim import certification, model
+from dickesim import certification, dark_state, measurement, model
 from dickesim import spin_algebra as sa
 
 NS = [1, 2, 3, 4, 5, 6, 7, 8]
@@ -143,6 +143,38 @@ def test_half_excited_x_is_cached_and_read_only():
             state[0] = 0.0
     with pytest.raises(TypeError):  # n = 4 is cached, and 4.0 still fails
         sa.half_excited_x(4.0)
+
+
+def _message(call):
+    with pytest.raises(ValueError) as refused:
+        call()
+    return str(refused.value)
+
+
+def test_half_excitation_is_n_over_two_for_a_positive_even_n():
+    assert [sa.half_excitation(n) for n in (2, 4, 6, 8)] == [1, 2, 3, 4]
+    assert _message(lambda: sa.half_excitation(3)) == (
+        "half-excited Dicke states need an even number of ions, got N=3")
+    for n in (0, -2, 2.5):
+        assert _message(lambda: sa.half_excitation(n)) == (
+            f"n_ions must be a positive integer, got {n}")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sa.half_excited_x(3),
+    lambda: certification.half_excited_full(3, "x"),
+    lambda: certification.certify_from_state(np.ones(8) / np.sqrt(8), "x"),
+    lambda: dark_state.closed_form_coefficients(3),
+    lambda: measurement.simulated_experiment(sa.dicke_state(3, 1),
+                                             measurement.ShotConfig(n_shots=10, seed=0)),
+], ids=["half_excited_x", "half_excited_full", "certify_from_state",
+        "closed_form_coefficients", "simulated_experiment"])
+def test_an_odd_ion_number_gets_the_one_message(call):
+    assert _message(call) == _message(lambda: sa.half_excitation(3))
+
+
+def test_system_params_take_the_one_ion_number_rule():
+    assert _message(lambda: model.SystemParams(n_ions=0)) == _message(lambda: sa.check_n_ions(0))
 
 
 @pytest.mark.parametrize("cached, args", [
