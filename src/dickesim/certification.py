@@ -20,12 +20,12 @@ the Hamming distance |i xor j| of its row and column indices (for y also by
 (|i| - |j|) mod 4), and one Krawtchouk transform of those sums gives P_a(m).
 The witness is then exactly sum_m m^2 (P_b(m) + P_c(m)).
 
-Experimental populations may be fed in raw (unnormalized), each in [0, 1];
-nothing here renormalizes them.  The bounds read jM from the odd-length
-vector p_{-jM}..p_{+jM}: a ``bounds`` input file's ``p_list``, which may
-sum to at most 1.05, with ``j_M`` = (len(p_list) - 1)/2.  A
-``CertificationRecord`` holds only what was measured and derives its
-bounds from it once, with the functions below.
+Experimental populations may be fed in raw (unnormalized), each in [0, 1]
+up to ``observables.NORM_TOL``, as a state's total probability is; nothing
+here renormalizes them.  The bounds read jM from the odd-length vector
+p_{-jM}..p_{+jM}: a ``bounds`` input file's ``p_list``, which may sum to
+at most 1.05, with ``j_M`` = (len(p_list) - 1)/2.  A ``CertificationRecord``
+holds only what was measured and derives its bounds from it once.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from math import comb
 
 import numpy as np
 
-from .observables import check_normalized
+from .observables import AXES, NORM_TOL, check_normalized
 from .spin_algebra import (_frozen, dicke_state_full, full_space_oracle, half_excitation,
                            hamming_weights, projections)
 
@@ -91,10 +91,11 @@ def _check_witness(witness_value: float) -> None:
 
 
 def _check_populations(populations) -> np.ndarray:
+    """The odd-length float vector p_{-jM}..p_{+jM}, each in [0, 1] up to NORM_TOL."""
     pops = np.asarray(populations, dtype=float)
     if pops.ndim != 1 or len(pops) < 3 or len(pops) % 2 == 0:
         raise ValueError("populations must be an odd-length vector p_{-jM}..p_{+jM}")
-    if not np.all((pops >= -1e-12) & (pops <= 1 + 1e-12)):  # nan fails both
+    if not np.all((pops >= -NORM_TOL) & (pops <= 1 + NORM_TOL)):  # nan fails both
         raise ValueError("populations must lie in [0, 1]")
     return pops
 
@@ -196,7 +197,7 @@ def _krawtchouk(n_ions: int) -> np.ndarray:
                             dtype=float))
 
 
-def _density_populations(rho: np.ndarray, n_ions: int, axes) -> list[np.ndarray]:
+def _density_populations(rho: np.ndarray, n_ions: int) -> dict[str, np.ndarray]:
     """Populations of J_a for a density matrix, from its sums by Hamming
     distance (MacWilliams and Sloane, ch. 5).  With the projectors
     (1 -/+ sigma_a)/2 on each qubit, P_a(N - k) = 2^-N sum_w K[k, w] C_a(w),
@@ -208,25 +209,24 @@ def _density_populations(rho: np.ndarray, n_ions: int, axes) -> list[np.ndarray]
                        weights=np.ascontiguousarray(rho).view(float).reshape(-1))
     re, im = sums.reshape(n_ions + 1, 4, 2).transpose(2, 0, 1)
     transform = _krawtchouk(n_ions)[::-1] / 2**n_ions  # row m is K[N - m]
-    populations = {"x": transform @ re.sum(axis=1),
-                   "y": transform @ (re[:, 0] - im[:, 1] - re[:, 2] + im[:, 3]),
-                   "z": np.bincount(hamming_weights(n_ions), weights=np.diagonal(rho).real,
-                                    minlength=n_ions + 1)}
-    return [populations[axis] for axis in axes]
+    return {"x": transform @ re.sum(axis=1),
+            "y": transform @ (re[:, 0] - im[:, 1] - re[:, 2] + im[:, 3]),
+            "z": np.bincount(hamming_weights(n_ions), weights=np.diagonal(rho).real,
+                             minlength=n_ions + 1)}
 
 
-def _projection_populations(state: np.ndarray, n_ions: int, axes) -> list[np.ndarray]:
-    """Populations of J_a = m - N/2, m = 0..N, for each axis a of ``axes``.
-    A vector is rotated qubit by qubit into sigma_a's eigenbasis and its
-    probabilities summed by Hamming weight; a density matrix takes
+def _projection_populations(state: np.ndarray, n_ions: int) -> dict[str, np.ndarray]:
+    """Populations of J_a = m - N/2, m = 0..N, for a = x, y and z, in one
+    pass.  A vector is rotated qubit by qubit into sigma_a's eigenbasis and
+    its probabilities summed by Hamming weight; a density matrix takes
     ``_density_populations``."""
     if state.ndim == 2:
-        return _density_populations(state, n_ions, axes)
-    populations = []
-    for axis in axes:
+        return _density_populations(state, n_ions)
+    populations = {}
+    for axis in AXES:
         amplitudes = state if axis == "z" else _on_each_qubit(state, _qubit_rotations(axis), n_ions)
-        populations.append(np.bincount(hamming_weights(n_ions), weights=np.abs(amplitudes) ** 2,
-                                       minlength=n_ions + 1))
+        populations[axis] = np.bincount(hamming_weights(n_ions), weights=np.abs(amplitudes) ** 2,
+                                        minlength=n_ions + 1)
     return populations
 
 
@@ -249,9 +249,9 @@ def certify_from_state(state: np.ndarray, axis: str = "x") -> CertificationRecor
     """Exact witness and populations of a full-space state, plus the bounds.
 
     ``state`` is a vector or a density matrix on the 2^N space, N even and
-    at most 8, of unit norm or trace.  The populations come from
-    ``_projection_populations`` and the witness from the two complementary
-    axes' populations.
+    at most 8, of total probability 1.  One ``_projection_populations`` pass
+    gives the populations along x, y and z: the record keeps the target
+    axis's, and the witness sums the two complementary axes'.
     """
     if axis not in AXIS_COMPLEMENTS:
         raise ValueError(f"axis must be x, y or z, got {axis!r}")
@@ -263,9 +263,9 @@ def certify_from_state(state: np.ndarray, axis: str = "x") -> CertificationRecor
     if n_ions > CERTIFY_MAX_IONS:
         raise ValueError(f"certification limited to n_ions <= {CERTIFY_MAX_IONS}")
 
-    pops, *complement = _projection_populations(state, n_ions, (axis, *AXIS_COMPLEMENTS[axis]))
-    w_value = sum(projections(n_ions) ** 2 @ p for p in complement)
-    return CertificationRecord(witness_value=float(w_value), populations=pops)
+    populations = _projection_populations(state, n_ions)
+    w_value = sum(projections(n_ions) ** 2 @ populations[b] for b in AXIS_COMPLEMENTS[axis])
+    return CertificationRecord(witness_value=float(w_value), populations=populations[axis])
 
 
 # ---------------------------------------------------------------------------

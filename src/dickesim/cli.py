@@ -171,10 +171,11 @@ def cmd_darkstate(ns) -> int:
     else:
         omega_r, omega_b = ns.omega_r, ns.omega_b
     state = dark_coefficients(ns.n, omega_r, omega_b)
+    amplitudes = state.amplitudes + 0.0  # a vanishing amplitude prints as 0.0, not -0.0
     _report(ns, {
         "n": ns.n, "theta": ns.theta, "omega_r": omega_r, "omega_b": omega_b,
         "norm_a": state.norm_a, "seed": "none",
-    }, ("excitation", "amplitude"), [(2 * i, amp) for i, amp in enumerate(state.amplitudes)])
+    }, ("excitation", "amplitude"), [(2 * i, amp) for i, amp in enumerate(amplitudes)])
     return EXIT_OK
 
 

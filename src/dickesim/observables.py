@@ -17,7 +17,6 @@ one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -46,12 +45,11 @@ PARITY_PHASES = 40
 def check_normalized(state: np.ndarray) -> np.ndarray:
     """``state`` as a complex array: the one test of a single state.  A
     ValueError for any shape but a vector or a square matrix, and then one
-    that names the value when a vector's norm or a matrix's trace is further
-    than ``NORM_TOL`` from 1."""
+    that names the value when its total probability, a vector's |psi|^2 or
+    a matrix's trace, is further than ``NORM_TOL`` from 1."""
     state = np.asarray(state, dtype=complex)
     if state.ndim == 1:
-        # a microsecond, a few below np.linalg.norm
-        value, name = math.sqrt(np.vdot(state, state).real), "state norm"
+        value, name = np.vdot(state, state).real, "|psi|^2"
     elif state.ndim == 2 and state.shape[0] == state.shape[1]:
         value, name = state.diagonal().real.sum(), "density matrix trace"
     else:

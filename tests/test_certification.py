@@ -199,8 +199,9 @@ def test_krawtchouk_matrix(n_ions):
 )
 def test_density_populations_match_the_qubit_passes(n, components, seed):
     rho = cert.random_mixture(2**n, components, np.random.default_rng(seed))
-    got = cert._projection_populations(rho, n, "xyz")
-    for axis, pops in zip("xyz", got):
+    got = cert._projection_populations(rho, n)
+    assert list(got) == list("xyz")
+    for axis, pops in got.items():
         assert np.max(np.abs(pops - _density_populations_by_passes(rho, n, axis))) < 1e-14
 
 
@@ -209,10 +210,10 @@ def test_density_populations_take_any_memory_layout():
     rho = cert.random_mixture(64, 3, np.random.default_rng(11))
     strided = np.zeros((64, 128), dtype=complex)
     strided[:, ::2] = rho
-    expected = cert._projection_populations(rho, 6, "xyz")
+    expected = cert._projection_populations(rho, 6)
     for layout in (np.asfortranarray(rho), strided[:, ::2]):
-        got = cert._projection_populations(layout, 6, "xyz")
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, expected))
+        got = cert._projection_populations(layout, 6)
+        assert all(got[axis].tobytes() == expected[axis].tobytes() for axis in "xyz")
     got, expected = cert.certify_from_state(strided[:, ::2]), cert.certify_from_state(rho)
     assert got.witness_value == expected.witness_value
     assert got.populations.tobytes() == expected.populations.tobytes()
@@ -325,14 +326,41 @@ def test_unnormalized_states_are_refused():
     # 2*psi certified as F_lo = F_hi = 4.0, and I/8 on four ions (trace 2)
     # as F_lo = -0.75 and F_hi = 0.75; the direct fidelity of 2*psi was 4.0
     target = cert.half_excited_full(4, "x")
-    for state, value in ((2 * target, "norm 2.0"), (np.eye(16) / 8, "trace 2.0")):
+    for state, value in ((2 * target, r"\|psi\|\^2 4.0"), (np.eye(16) / 8, "trace 2.0")):
         with pytest.raises(ValueError, match=value):
             cert.certify_from_state(state, "x")
         with pytest.raises(ValueError, match=value):
             obs.direct_fidelity(state, target)
     # the target is read as a pure state too: 2*t gave 4.000000000000002
-    with pytest.raises(ValueError, match="norm 2.0"):
+    with pytest.raises(ValueError, match=r"\|psi\|\^2 4.0"):
         obs.direct_fidelity(target, 2 * target)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.sampled_from([2, 4]),
+    seed=st.integers(0, 2**32 - 1),
+    excess=st.floats(-2 * obs.NORM_TOL, 2 * obs.NORM_TOL).filter(
+        lambda e: abs(abs(e) - obs.NORM_TOL) >= 1e-12),
+)
+def test_one_probability_rule_from_readout_to_certification(n, seed, excess):
+    # a vector and its density matrix of total probability 1 + excess get
+    # one verdict, and every state that check_normalized accepts is certified
+    state = cert.haar_random_pure(2**n, np.random.default_rng(seed)) * np.sqrt(1 + excess)
+    for form in (state, np.outer(state, state.conj())):
+        if abs(excess) > obs.NORM_TOL:
+            with pytest.raises(ValueError, match=r"(\|psi\|\^2|trace) .* is not 1"):
+                obs.check_normalized(form)
+            continue
+        obs.check_normalized(form)
+        for axis in "xyz":
+            assert isinstance(cert.certify_from_state(form, axis), cert.CertificationRecord)
+
+
+def test_a_state_within_norm_tol_is_certified():
+    # the populations of |psi|^2 = 1 + 2e-9 were refused above 1 + 1e-12
+    rec = cert.certify_from_state(cert.half_excited_full(4, "z") * (1 + 1e-9), "z")
+    assert rec.f_upper == 1.0000000020000004
 
 
 def test_a_non_square_state_is_refused_by_its_shape():
@@ -344,10 +372,10 @@ def test_a_non_square_state_is_refused_by_its_shape():
 
 
 def test_populations_above_one_are_refused():
-    # the same 1e-12 slack above 1 as below 0; a sum below 1 stays accepted
+    # the same NORM_TOL slack above 1 as below 0; a sum below 1 stays accepted
     assert cert.fidelity_upper([0.0, 0.0, 1 + 1e-13, 0.0, 0.0]) == 1 + 1e-13
     assert cert.fidelity_upper([0.0, 0.0, 0.5, 0.0, 0.0]) == 0.5
-    for pops in ([0.0, 0.0, 3.0, 0.0, 0.0], [0.0, 0.0, 1 + 1e-11, 0.0, 0.0], [-1e-11, 0, 1, 0, 0]):
+    for pops in ([0.0, 0.0, 3.0, 0.0, 0.0], [0.0, 0.0, 1 + 2e-8, 0.0, 0.0], [-2e-8, 0, 1, 0, 0]):
         with pytest.raises(ValueError, match=r"populations must lie in \[0, 1\]"):
             cert.fidelity_upper(pops)
         with pytest.raises(ValueError, match=r"populations must lie in \[0, 1\]"):

@@ -46,6 +46,20 @@ def test_darkstate_half_pi_amplitudes(tmp_path):
     assert [int(r[0]) for r in rows] == [0, 2, 4]
 
 
+@pytest.mark.parametrize("flags, amplitudes", [
+    (["--theta", "0"], ["1.0", "0.0", "0.0"]),
+    (["--theta", str(np.pi)], ["0.0", "0.0", "1.0"]),
+    (["--omega-b", "0"], ["1.0", "0.0", "0.0"]),
+    (["--omega-r", "0"], ["0.0", "0.0", "1.0"]),
+])
+def test_darkstate_prints_a_vanishing_amplitude_without_a_sign(flags, amplitudes, capsys):
+    # at the ends of the ramp the negative C_1 times a zero tone is -0.0 in
+    # the dark state, and the CSV prints it as 0.0
+    assert cli.main(["darkstate", "--n", "4", *flags]) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+    assert rows == ["excitation,amplitude", *(f"{2 * i},{a}" for i, a in enumerate(amplitudes))]
+
+
 def test_darkstate_provenance_header(tmp_path):
     out = tmp_path / "dark.csv"
     cli.main(["darkstate", "--n", "2", "--output", str(out)])

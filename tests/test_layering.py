@@ -11,7 +11,8 @@ scan's phase grid over 2*pi.  ``cli`` declares each flag once, in
 writes a command's output only in ``_report``.  Only ``repro`` runs an
 acceptance criterion, from its one list of rows.  Only
 ``evolution._integrate`` builds a ``Trajectory``: the one run path.  Only
-``spin_algebra.half_excitation`` refuses an odd number of ions.
+``spin_algebra.half_excitation`` refuses an odd number of ions.  Only
+``observables.NORM_TOL`` writes a tolerance on a probability.
 """
 
 import ast
@@ -289,3 +290,29 @@ def test_only_half_excitation_refuses_an_odd_ion_number():
     refusers = [(module, function) for module in MODULES
                 for function in _odd_ion_refusers(_tree(module))]
     assert refusers == [("spin_algebra", "half_excitation")]
+
+
+def _small_float_literals(tree):
+    """Each nonzero float literal of ``tree`` below 1e-6 in magnitude, a
+    negated one included, except the value of the module-level assignment
+    that defines ``NORM_TOL``."""
+    owner = {id(node) for statement in tree.body if isinstance(statement, ast.Assign)
+             and [getattr(target, "id", None) for target in statement.targets] == ["NORM_TOL"]
+             for node in ast.walk(statement.value)}
+    return sorted(node.value for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and type(node.value) is float
+                  and 0 < abs(node.value) < 1e-6 and id(node) not in owner)
+
+
+def test_the_tolerance_reader_sees_each_form():
+    source = ("NORM_TOL = 1e-8\nOTHER_TOL = 1e-9\n"
+              "def f(p):\n    return (p >= -1e-12) & (p <= 1 + 1e-11) & (p > 1e-6) & (p != 0.0)\n"
+              "def g(x):\n    NORM_TOL = 1e-7\n    return x\n")
+    assert _small_float_literals(ast.parse(source)) == [1e-12, 1e-11, 1e-9, 1e-7]
+
+
+@pytest.mark.parametrize("module", ("certification", "measurement", "observables"))
+def test_only_norm_tol_writes_a_probability_tolerance(module):
+    # one owner for how far a probability may stray from [0, 1]: a state's
+    # total probability and a measured population alike
+    assert _small_float_literals(_tree(module)) == []
