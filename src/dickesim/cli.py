@@ -60,7 +60,7 @@ def _numbers(text: str) -> list[float]:
 
 positive_int = _checked("positive_int", int, lambda v: v >= 1)
 nonnegative_int = _checked("nonnegative_int", int, lambda v: v >= 0)
-seed_int = _checked("seed_int", int, lambda v: 0 <= v < 2**64)  # Philox keys are 64-bit
+seed_int = _checked("seed_int", int, lambda v: 0 <= v <= measurement.KEY_MAX)
 shot_count = _checked("shot_count", int, lambda v: 1 <= v <= measurement.MAX_SHOTS)
 positive_float = _checked("positive_float", float, lambda v: 0 < v < math.inf)
 nonnegative_float = _checked("nonnegative_float", float, lambda v: 0 <= v < math.inf)

@@ -1,9 +1,10 @@
 """Finite-shot projective readout with a reproducible counter-based generator.
 
 Sampling uses numpy's Philox bit generator (Philox-4x64-10, counter-based
-with published round constants), keyed by (seed, stream).  Identical
-(state, config) inputs give identical records on any platform; parallel
-sweeps must take distinct streams rather than sharing a generator.  Every
+with published round constants), keyed by (seed, stream): integers in
+[0, 2^64) that ``ShotConfig`` reads with ``spin_algebra.whole``, so a seed
+of 1.5 is refused, not truncated.  One (state, config) gives one record on
+any platform; parallel sweeps take distinct streams, not one generator.  Every
 shot, of a population histogram, a squared-spin mean or a parity curve, is
 drawn by ``_draw``: one multinomial over the exact outcome probabilities.
 ``_draw`` reuses one Philox per thread and re-keys it before each draw to
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import observables
 from .certification import CertificationRecord
-from .spin_algebra import _frozen, half_excitation, projections
+from .spin_algebra import _frozen, half_excitation, projections, whole
 
 GENERATOR_NAME = "philox4x64-10"
 
@@ -37,6 +38,8 @@ PARITY_STREAM, POPULATION_STREAM = 100, 10_000
 
 #: the most shots of one draw: numpy's multinomial takes a C long
 MAX_SHOTS = 2**63 - 1
+#: the largest seed or stream: a Philox-4x64 key is two 64-bit words
+KEY_MAX = 2**64 - 1
 
 #: azimuths over [0, pi] of the witness's sampled J_phi^2 scan
 WITNESS_AZIMUTHS = 13
@@ -51,11 +54,9 @@ class ShotConfig:
     stream: int = 0
 
     def __post_init__(self):
-        if int(self.n_shots) != self.n_shots or not 1 <= self.n_shots <= MAX_SHOTS:
-            raise ValueError(f"n_shots must be an integer from 1 to {MAX_SHOTS}, "
-                             f"got {self.n_shots}")
-        if not 0 <= self.seed < 2**64 or not 0 <= self.stream < 2**64:
-            raise ValueError("seed and stream must be unsigned 64-bit integers")
+        self.__dict__.update(n_shots=whole(self.n_shots, "n_shots", 1, MAX_SHOTS),
+                             seed=whole(self.seed, "seed", 0, KEY_MAX),
+                             stream=whole(self.stream, "stream", 0, KEY_MAX))
 
     def generator(self) -> np.random.Generator:
         key = np.array([self.seed, self.stream], dtype=np.uint64)
@@ -63,10 +64,9 @@ class ShotConfig:
 
     def substream(self, offset: int) -> "ShotConfig":
         """The same shots and seed on stream ``stream + offset``.  Only the
-        new stream needs checking, so ``__post_init__`` is not run again."""
+        offset needs checking, so ``__post_init__`` is not run again."""
+        offset = whole(offset, "stream offset", -self.stream, KEY_MAX - self.stream)
         stream = self.stream + offset
-        if not 0 <= stream < 2**64:
-            raise ValueError("seed and stream must be unsigned 64-bit integers")
         config = object.__new__(ShotConfig)
         config.__dict__.update(n_shots=self.n_shots, seed=self.seed, stream=stream)
         return config

@@ -41,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import PhysicsConfigError
-from .spin_algebra import _frozen, build_collective, check_n_ions
+from .spin_algebra import _frozen, build_collective, check_n_ions, whole
 
 
 @dataclass(frozen=True)
@@ -55,15 +55,12 @@ class SystemParams:
     n_max: int | None = None
 
     def __post_init__(self):
-        check_n_ions(self.n_ions)
-        object.__setattr__(self, "n_ions", int(self.n_ions))
+        object.__setattr__(self, "n_ions", check_n_ions(self.n_ions))
         if not 0 <= self.delta < np.inf:
             raise ValueError("delta must be finite and nonnegative")
         # by default, Fock headroom above the single-phonon ladder
         n_max = self.n_ions // 2 + 4 if self.n_max is None else self.n_max
-        if int(n_max) != n_max or n_max < 0:
-            raise ValueError(f"n_max must be a nonnegative integer, got {n_max}")
-        object.__setattr__(self, "n_max", int(n_max))
+        object.__setattr__(self, "n_max", whole(n_max, "n_max", 0))
 
     def reduced_model_trusted(self, drive: float) -> bool:
         """Whether the detuning dominates a peak sideband rate ``drive`` =

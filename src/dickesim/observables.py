@@ -46,7 +46,7 @@ def check_normalized(state: np.ndarray) -> np.ndarray:
     """``state`` as a complex array: the one test of a single state.  A
     ValueError for any shape but a vector or a square matrix, and then one
     that names the value when its total probability, a vector's |psi|^2 or
-    a matrix's trace, is further than ``NORM_TOL`` from 1."""
+    a matrix's trace, is not within ``NORM_TOL`` of 1, a nan included."""
     state = np.asarray(state, dtype=complex)
     if state.ndim == 1:
         value, name = np.vdot(state, state).real, "|psi|^2"
@@ -54,7 +54,7 @@ def check_normalized(state: np.ndarray) -> np.ndarray:
         value, name = state.diagonal().real.sum(), "density matrix trace"
     else:
         raise ValueError(f"state must be a vector or square matrix, got shape {state.shape}")
-    if abs(value - 1.0) > NORM_TOL:
+    if not abs(value - 1.0) <= NORM_TOL:  # nan fails too
         raise ValueError(f"{name} {value} is not 1")
     return state
 
@@ -170,12 +170,12 @@ def spin_readout(rhos: np.ndarray) -> tuple[list[float], list[float], list[float
 
     Var(J) = Tr(rho J^2) - Tr(rho J)^2, clipped at 0; <Jz> weights the
     diagonal by m - N/2.  Tr(rho J)^2 is Python's power (an array's rounds
-    otherwise), so each matrix gets the bits it gets alone.  A trace further
-    than ``NORM_TOL`` from 1 is a ValueError.
+    otherwise), so each matrix gets the bits it gets alone.  A trace not
+    within ``NORM_TOL`` of 1, a nan included, is a ValueError.
     """
     rhos = np.asarray(rhos, dtype=complex)
     traces = np.trace(rhos, axis1=1, axis2=2).real
-    off = np.flatnonzero(np.abs(traces - 1.0) > NORM_TOL)
+    off = np.flatnonzero(~(np.abs(traces - 1.0) <= NORM_TOL))  # nan fails too
     if off.size:
         raise ValueError(f"density matrix trace {traces[off[0]]} is not 1")
     n_ions = rhos.shape[-1] - 1

@@ -7,6 +7,9 @@ sparsity machinery is not worth its weight.  Operators are plain arrays:
 the collective ones are cached and read-only, so every caller shares one
 copy and none can change it.
 
+``whole`` is the one integer rule: every ion and excitation number, phonon
+truncation, shot count and Philox key of the package is read through it.
+
 A brute-force realization on the full 2^N product space is included so
 that every symmetric-sector matrix element can be validated against a
 first-principles sum of single-site Pauli operators.
@@ -15,7 +18,7 @@ first-principles sum of single-site Pauli operators.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
+from math import comb, inf
 
 import numpy as np
 
@@ -35,16 +38,23 @@ def _operator(mat: np.ndarray) -> np.ndarray:
     return _frozen(np.array(mat, dtype=complex))
 
 
-def check_n_ions(n_ions: int) -> None:
-    """A ValueError unless ``n_ions`` is a positive integer: the one ion-number rule."""
-    if int(n_ions) != n_ions or n_ions < 1:
-        raise ValueError(f"n_ions must be a positive integer, got {n_ions}")
+def whole(value, name: str, low: int, high: float = inf) -> int:
+    """``value`` as an int if it is a whole number in [low, high], else a ValueError
+    naming ``name`` and the bounds; nan and +-inf fail before ``int()`` is reached."""
+    if not (low <= value <= high and value < inf and int(value) == value):
+        raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value}")
+    return int(value)
+
+
+def check_n_ions(n_ions: int) -> int:
+    """``n_ions`` as an int, or a ValueError unless it is a positive integer."""
+    return whole(n_ions, "n_ions", 1)
 
 
 def half_excitation(n_ions: int) -> int:
     """N/2, the excitation number of a half-excited Dicke state; a ValueError
     unless ``n_ions`` is a positive even integer.  The one even-N rule."""
-    check_n_ions(n_ions)
+    n_ions = check_n_ions(n_ions)
     if n_ions % 2 != 0:
         raise ValueError(f"half-excited Dicke states need an even number of ions, got N={n_ions}")
     return n_ions // 2
@@ -56,9 +66,8 @@ def collective_coupling(n_ions: int, m: int) -> float:
     Equals (N - m) * sqrt(C(N, m) / C(N, m+1)); the collective enhancement
     over a single spin flip.
     """
-    check_n_ions(n_ions)
-    if int(m) != m or not 0 <= m <= n_ions - 1:
-        raise ValueError(f"m must lie in [0, {n_ions - 1}], got {m}")
+    n_ions = check_n_ions(n_ions)
+    m = whole(m, "m", 0, n_ions - 1)
     return (n_ions - m) * np.sqrt(comb(n_ions, m) / comb(n_ions, m + 1))
 
 
@@ -121,9 +130,8 @@ def rotation_y(n_ions: int, angle: float) -> np.ndarray:
 
 def dicke_state(n_ions: int, m: int) -> np.ndarray:
     """Unit vector of the m-excitation Dicke state in the symmetric basis."""
-    check_n_ions(n_ions)
-    if not 0 <= m <= n_ions:
-        raise ValueError(f"excitation number m must lie in [0, {n_ions}], got {m}")
+    n_ions = check_n_ions(n_ions)
+    m = whole(m, "excitation number m", 0, n_ions)
     vec = np.zeros(n_ions + 1, dtype=complex)
     vec[m] = 1.0
     return vec
@@ -143,11 +151,7 @@ def half_excited_x(n_ions: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _check_full_space_size(n_ions: int) -> None:
-    check_n_ions(n_ions)
-    if n_ions > FULL_SPACE_MAX_IONS:
-        raise ValueError(
-            f"full-space construction limited to n_ions <= {FULL_SPACE_MAX_IONS}, got {n_ions}"
-        )
+    whole(n_ions, "n_ions of a full-space operator", 1, FULL_SPACE_MAX_IONS)
 
 
 @lru_cache(maxsize=None)
@@ -189,8 +193,7 @@ def full_space_oracle(n_ions: int, kind: str) -> np.ndarray:
 def dicke_state_full(n_ions: int, m: int) -> np.ndarray:
     """Symmetric Dicke state |m> embedded in the full 2^N product space."""
     _check_full_space_size(n_ions)
-    if not 0 <= m <= n_ions:
-        raise ValueError(f"excitation number m must lie in [0, {n_ions}], got {m}")
+    m = whole(m, "excitation number m", 0, n_ions)
     vec = (hamming_weights(n_ions) == m).astype(complex)
     return vec / np.linalg.norm(vec)
 

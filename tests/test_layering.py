@@ -12,7 +12,9 @@ writes a command's output only in ``_report``.  Only ``repro`` runs an
 acceptance criterion, from its one list of rows.  Only
 ``evolution._integrate`` builds a ``Trajectory``: the one run path.  Only
 ``spin_algebra.half_excitation`` refuses an odd number of ions.  Only
-``observables.NORM_TOL`` writes a tolerance on a probability.
+``observables.NORM_TOL`` writes a tolerance on a probability.  Only
+``spin_algebra.whole`` compares a value with its ``int()``, and only
+``measurement.KEY_MAX`` writes the 2**64 bound of a Philox key.
 """
 
 import ast
@@ -292,13 +294,19 @@ def test_only_half_excitation_refuses_an_odd_ion_number():
     assert refusers == [("spin_algebra", "half_excitation")]
 
 
+def _definition(tree, name):
+    """The ids of the nodes in the value of each module-level assignment
+    of ``tree`` that defines ``name``."""
+    return {id(node) for statement in tree.body if isinstance(statement, ast.Assign)
+            and [getattr(target, "id", None) for target in statement.targets] == [name]
+            for node in ast.walk(statement.value)}
+
+
 def _small_float_literals(tree):
     """Each nonzero float literal of ``tree`` below 1e-6 in magnitude, a
     negated one included, except the value of the module-level assignment
     that defines ``NORM_TOL``."""
-    owner = {id(node) for statement in tree.body if isinstance(statement, ast.Assign)
-             and [getattr(target, "id", None) for target in statement.targets] == ["NORM_TOL"]
-             for node in ast.walk(statement.value)}
+    owner = _definition(tree, "NORM_TOL")
     return sorted(node.value for node in ast.walk(tree)
                   if isinstance(node, ast.Constant) and type(node.value) is float
                   and 0 < abs(node.value) < 1e-6 and id(node) not in owner)
@@ -316,3 +324,52 @@ def test_only_norm_tol_writes_a_probability_tolerance(module):
     # one owner for how far a probability may stray from [0, 1]: a state's
     # total probability and a measured population alike
     assert _small_float_literals(_tree(module)) == []
+
+
+def _int_comparers(tree):
+    """The function around each comparison in ``tree`` that has an
+    ``int(...)`` call as an operand."""
+    def compares_an_int(node):
+        return isinstance(node, ast.Compare) and any(
+            isinstance(operand, ast.Call) and getattr(operand.func, "id", None) == "int"
+            for operand in (node.left, *node.comparators))
+
+    return _enclosing_functions(tree, compares_an_int)
+
+
+def test_the_int_comparison_reader_sees_each_form():
+    source = ("def f(x):\n    return int(x) != x or x < 1\n"
+              "def g(x):\n    return 0 <= x and x == int(x)\n"
+              "def h(x):\n    n = int(x)\n    return n == x\n"
+              "int(y) < 3\n")
+    assert _int_comparers(ast.parse(source)) == ["f", "g", None]
+
+
+def test_only_whole_compares_a_value_with_its_int():
+    # one owner for "an integer in [low, high]": every count and key asks
+    # spin_algebra.whole, which refuses nan and +-inf before int() sees them
+    comparers = [(module, function) for module in MODULES
+                 for function in _int_comparers(_tree(module))]
+    assert comparers == [("spin_algebra", "whole")]
+
+
+def _key_bounds(tree):
+    """Each ``2 ** 64`` or ``1 << 64`` of ``tree``, as sorted source text, except
+    in the value of the module-level assignment that defines ``KEY_MAX``."""
+    owner = _definition(tree, "KEY_MAX")
+    return sorted(ast.unparse(node) for node in ast.walk(tree)
+                  if isinstance(node, ast.BinOp) and id(node) not in owner
+                  and ast.unparse(node) in ("2 ** 64", "1 << 64"))
+
+
+def test_the_key_bound_reader_sees_each_form():
+    source = ("KEY_MAX = 2**64 - 1\n"
+              "def f(s):\n    return 0 <= s < 2**64\n"
+              "MASK = (1 << 64) - 1\n"
+              "def g():\n    KEY_MAX = 2 ** 64\n")
+    assert _key_bounds(ast.parse(source)) == ["1 << 64", "2 ** 64", "2 ** 64"]
+
+
+def test_only_key_max_writes_the_philox_key_bound():
+    assert ast.unparse(_assigned(_tree("measurement"), "KEY_MAX")) == "2 ** 64 - 1"
+    assert [module for module in MODULES if _key_bounds(_tree(module))] == []

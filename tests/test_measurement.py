@@ -1,4 +1,5 @@
 import hashlib
+import re
 import sys
 import threading
 
@@ -30,8 +31,21 @@ def test_shot_config_refuses_more_shots_than_a_draw_takes():
     # numpy's multinomial takes the shot count as a C long
     assert meas.MAX_SHOTS == 2**63 - 1
     assert meas.ShotConfig(n_shots=meas.MAX_SHOTS, seed=1).n_shots == meas.MAX_SHOTS
-    with pytest.raises(ValueError, match="n_shots must be an integer from 1 to"):
+    with pytest.raises(ValueError,
+                       match=re.escape(f"n_shots must be an integer in [1, {meas.MAX_SHOTS}]")):
         meas.ShotConfig(n_shots=meas.MAX_SHOTS + 1, seed=1)
+
+
+def test_an_integral_float_key_draws_its_integer_s_counts():
+    config = meas.ShotConfig(1000.0, seed=2.0, stream=3.0)
+    assert [type(v) for v in (config.n_shots, config.seed, config.stream)] == [int] * 3
+    assert config == meas.ShotConfig(1000, seed=2, stream=3)
+    assert type(config.substream(1.0).stream) is int
+    state = half_excited_x(4)
+    drawn = meas.sample_populations(state, config, "z")
+    assert (drawn.seed, drawn.stream) == (2, 3)
+    assert np.array_equal(drawn.counts, meas.sample_populations(
+        state, meas.ShotConfig(1000, seed=2, stream=3), "z").counts)
 
 
 def test_seeded_determinism():

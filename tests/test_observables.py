@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from dickesim import certification, measurement
 from dickesim import observables as obs
 from dickesim import spin_algebra as sa
 from dickesim.dark_state import dark_coefficients
@@ -69,6 +72,56 @@ def test_variance_sum_identity_on_random_states():
 def test_moments_reject_unnormalized():
     with pytest.raises(ValueError):
         _readout(np.array([1.0, 1.0, 0.0]))
+
+
+def _with_one_bad_entry(state, value):
+    """A copy of a vector with ``value`` as amplitude 1, or of its density
+    matrix with ``value`` as diagonal entry (1, 1)."""
+    state = np.array(state, dtype=complex)
+    if state.ndim == 1:
+        state[1] = value
+    else:
+        state[1, 1] = value
+    return state
+
+
+_TARGET = half_excited_x(4)
+_TARGET_RHO = np.outer(_TARGET, _TARGET.conj())
+_FULL = certification.half_excited_full(4, "x")
+_FULL_RHO = np.outer(_FULL, _FULL.conj())
+# (reader, the normalized state it reads, the message of a bad one)
+_STATE_READERS = {
+    "check_normalized": (obs.check_normalized, _TARGET, "|psi|^2"),
+    "check_normalized rho": (obs.check_normalized, _TARGET_RHO, "density matrix trace"),
+    "witness": (obs.witness, _TARGET, "|psi|^2"),
+    "witness rho": (obs.witness, _TARGET_RHO, "density matrix trace"),
+    "direct_fidelity": (lambda s: obs.direct_fidelity(s, _TARGET), _TARGET, "|psi|^2"),
+    "direct_fidelity target": (lambda s: obs.direct_fidelity(_TARGET, s), _TARGET, "|psi|^2"),
+    "direct_fidelity rho": (lambda s: obs.direct_fidelity(s, _TARGET), _TARGET_RHO,
+                            "density matrix trace"),
+    "populations_along x": (lambda s: obs.populations_along(s, "x"), _TARGET, "|psi|^2"),
+    "populations_along z rho": (lambda s: obs.populations_along(s, "z"), _TARGET_RHO,
+                                "density matrix trace"),
+    "populations_azimuth": (lambda s: obs.populations_azimuth(s, 13), _TARGET, "|psi|^2"),
+    "spin_readout": (lambda s: obs.spin_readout(s[None]), _TARGET_RHO, "density matrix trace"),
+    "sample_populations": (lambda s: measurement.sample_populations(
+        s, measurement.ShotConfig(100, seed=1), "x"), _TARGET, "|psi|^2"),
+    "certify_from_state": (lambda s: certification.certify_from_state(s, "x"), _FULL,
+                           "|psi|^2"),
+    "certify_from_state rho": (lambda s: certification.certify_from_state(s, "x"), _FULL_RHO,
+                               "density matrix trace"),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("reader", _STATE_READERS)
+def test_every_state_reader_refuses_a_nan_or_inf_entry(reader, bad):
+    # nan compares false with everything, so a test written as "too far
+    # from 1" let a nan total probability through
+    read, state, name = _STATE_READERS[reader]
+    read(state)
+    with pytest.raises(ValueError, match=re.escape(name) + " .* is not 1"):
+        read(_with_one_bad_entry(state, bad))
 
 
 def test_variance_sum_identity_on_trajectory_samples():

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -157,7 +160,7 @@ def test_half_excitation_is_n_over_two_for_a_positive_even_n():
         "half-excited Dicke states need an even number of ions, got N=3")
     for n in (0, -2, 2.5):
         assert _message(lambda: sa.half_excitation(n)) == (
-            f"n_ions must be a positive integer, got {n}")
+            f"n_ions must be an integer in [1, inf], got {n}")
 
 
 @pytest.mark.parametrize("call", [
@@ -175,6 +178,46 @@ def test_an_odd_ion_number_gets_the_one_message(call):
 
 def test_system_params_take_the_one_ion_number_rule():
     assert _message(lambda: model.SystemParams(n_ions=0)) == _message(lambda: sa.check_n_ions(0))
+
+
+# each site that reads an integer, with the name its message gives the input
+INTEGER_SITES = {
+    "check_n_ions": ("n_ions", sa.check_n_ions),
+    "half_excitation": ("n_ions", sa.half_excitation),
+    "build_collective": ("n_ions", lambda v: sa.build_collective(v, "jx")),
+    "full_space_oracle": ("n_ions of a full-space operator",
+                          lambda v: sa.full_space_oracle(v, "jx")),
+    "collective_coupling": ("m", lambda v: sa.collective_coupling(4, v)),
+    "dicke_state": ("excitation number m", lambda v: sa.dicke_state(4, v)),
+    "dicke_state_full": ("excitation number m", lambda v: sa.dicke_state_full(4, v)),
+    "SystemParams.n_ions": ("n_ions", lambda v: model.SystemParams(n_ions=v)),
+    "SystemParams.n_max": ("n_max", lambda v: model.SystemParams(4, n_max=v)),
+    "ShotConfig.n_shots": ("n_shots", lambda v: measurement.ShotConfig(v, seed=1)),
+    "ShotConfig.seed": ("seed", lambda v: measurement.ShotConfig(10, seed=v)),
+    "ShotConfig.stream": ("stream", lambda v: measurement.ShotConfig(10, seed=1, stream=v)),
+    "substream": ("stream offset", lambda v: measurement.ShotConfig(10, seed=1).substream(v)),
+}
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 1.5, 0.5])
+@pytest.mark.parametrize("site", INTEGER_SITES)
+def test_every_integer_site_refuses_a_non_integer_by_name(site, value):
+    # a ValueError naming the input and its bounds: no OverflowError from
+    # int(inf), no IndexError from a fractional index, and no truncation,
+    # which once drew seed 1's counts for a seed of 1.5
+    name, call = INTEGER_SITES[site]
+    message = _message(lambda: call(value))
+    assert message.startswith(f"{name} must be an integer in [")
+    assert message.endswith(f"], got {value}")
+
+
+def test_whole_returns_an_int_inside_its_inclusive_bounds():
+    assert sa.whole(3, "k", 3, 3) == 3
+    assert type(sa.whole(np.uint64(2**64 - 1), "seed", 0, measurement.KEY_MAX)) is int
+    assert sa.whole(4.0, "n_ions", 1) == 4 and type(sa.half_excitation(4.0)) is int
+    assert sa.whole(10**400, "n_ions", 1) == 10**400  # past every float, not an overflow
+    with pytest.raises(ValueError, match=re.escape("k must be an integer in [0, 2], got 3")):
+        sa.whole(3, "k", 0, 2)
 
 
 @pytest.mark.parametrize("cached, args", [
