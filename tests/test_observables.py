@@ -116,8 +116,8 @@ _STATE_READERS = {
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("reader", _STATE_READERS)
 def test_every_state_reader_refuses_a_nan_or_inf_entry(reader, bad):
-    # nan compares false with everything, so a test written as "too far
-    # from 1" let a nan total probability through
+    # nan compares false with everything, so a norm test must ask "within
+    # NORM_TOL of 1", which a nan fails, not "further than NORM_TOL from 1"
     read, state, name = _STATE_READERS[reader]
     read(state)
     with pytest.raises(ValueError, match=re.escape(name) + " .* is not 1"):

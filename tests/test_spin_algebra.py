@@ -203,8 +203,8 @@ INTEGER_SITES = {
 @pytest.mark.parametrize("site", INTEGER_SITES)
 def test_every_integer_site_refuses_a_non_integer_by_name(site, value):
     # a ValueError naming the input and its bounds: no OverflowError from
-    # int(inf), no IndexError from a fractional index, and no truncation,
-    # which once drew seed 1's counts for a seed of 1.5
+    # int(inf), no IndexError from a fractional index, and no truncation
+    # (a seed of 1.5 must not draw seed 1's counts)
     name, call = INTEGER_SITES[site]
     message = _message(lambda: call(value))
     assert message.startswith(f"{name} must be an integer in [")
