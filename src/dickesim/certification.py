@@ -38,7 +38,7 @@ import numpy as np
 
 from .observables import AXES, NORM_TOL, check_normalized
 from .spin_algebra import (_frozen, dicke_state_full, full_space_oracle, half_excitation,
-                           hamming_weights, projections)
+                           hamming_weights, ion_cache, projections)
 
 #: a fidelity lower bound above this excludes the GHZ state as the source
 GHZ_DICKE_MAX_OVERLAP = 0.75
@@ -175,7 +175,7 @@ def _on_each_qubit(x: np.ndarray, op: np.ndarray, n_ions: int) -> np.ndarray:
     return x.reshape(-1)
 
 
-@lru_cache(maxsize=None, typed=True)
+@ion_cache()
 def _distance_keys(n_ions: int) -> np.ndarray:
     """The bin of each float word of a C-ordered 2^N x 2^N complex matrix:
     entry (i, j) has key 4 |i xor j| + (|i| - |j|) mod 4, with |.| the
@@ -187,7 +187,7 @@ def _distance_keys(n_ions: int) -> np.ndarray:
     return _frozen(np.stack((2 * key, 2 * key + 1), axis=-1, dtype=np.intp).reshape(-1))
 
 
-@lru_cache(maxsize=None, typed=True)
+@ion_cache()
 def _krawtchouk(n_ions: int) -> np.ndarray:
     """K[k, w] = sum_t (-1)^t C(w, t) C(N - w, k - t), the coefficient of y^k
     in (1 - y)^w (1 + y)^(N - w); K @ K = 2^N I; read-only."""
@@ -230,7 +230,7 @@ def _projection_populations(state: np.ndarray, n_ions: int) -> dict[str, np.ndar
     return populations
 
 
-@lru_cache(maxsize=None, typed=True)
+@ion_cache()
 def half_excited_full(n_ions: int, axis: str = "x") -> np.ndarray:
     """Half-excited Dicke state along an axis, in the full 2^N space."""
     half = half_excitation(n_ions)

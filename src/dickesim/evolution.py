@@ -55,7 +55,8 @@ LEAK_WARN_LEVEL = 1e-3
 #: bytes that building one block's Hamiltonians may hold at once, which sets
 #: the steps per block: the values at t, t + dt/2 and t + dt of k steps are
 #: (3k, s+1) complex numbers, a third of this, as the full model's sum keeps
-#: up to three such arrays alive.
+#: up to three such arrays alive.  Up to three value blocks are alive in a
+#: run: one in the kernel, one queued for it and one being built.
 H_BLOCK_BYTES = 1 << 20
 
 
@@ -218,19 +219,33 @@ def _rk4(h_values, support: np.ndarray, psi0: np.ndarray, total_time: float,
     because zgemv on a complex -i*H accumulates its products in another
     order and changes last bits.
 
-    Python builds each block's values and makes one call of the C kernel
-    ``rk4_block`` (``_rk4.c``, loaded by ``_kernel``).  Each step expands
-    H1, H2 and H3 into a zeroed (3, d, d) buffer in ``model.expand``'s
-    words: the support values every step, the other entries only when their
-    bits differ from the (0, 0) word.  The four products y = H x go through
-    numpy's own zgemv with ``ndarray.dot``'s arguments; the stage arguments
-    and the final sum round each product before adding it, as numpy's
-    complex loops do, so the kernel is built with floating-point contraction
-    off (a fused multiply-add can flip the sign of an underflowed zero).
-    The doubling stays a product with 2 + 0i: y + y can differ from
-    (2 + 0j)*y in the sign of a zero.  Arrays of the wrong type, layout,
-    shape or range raise ValueError in Python and never reach C.
+    The calling thread builds each block's values while a helper thread
+    runs the blocks before it, one call each of the C kernel ``rk4_block``
+    (``_rk4.c``, loaded by ``_kernel``), in order on the same arrays.  They
+    meet at a one-slot queue, so a block runs, one waits and one is being
+    built; the calling thread never touches the state arrays until the
+    helper is joined, so every word is that of one thread running the blocks
+    in turn.  The helper only takes a block and calls the kernel, which
+    releases the GIL: numpy's error state, warning filters and any tracing
+    stay with the caller.  An exception of either thread reaches the caller
+    after the helper is joined.
+
+    Each step expands H1, H2 and H3 into a zeroed (3, d, d) buffer in
+    ``model.expand``'s words: the support values every step, the other
+    entries only when their bits differ from the (0, 0) word.  The four
+    products y = H x go through numpy's own zgemv with ``ndarray.dot``'s
+    arguments; the stage arguments and the final sum round each product
+    before adding it, as numpy's complex loops do, so the kernel is built
+    with floating-point contraction off (a fused multiply-add can flip the
+    sign of an underflowed zero).  The doubling stays a product with 2 + 0i:
+    y + y can differ from (2 + 0j)*y in the sign of a zero.  Arrays of the
+    wrong type, layout, shape or range raise ValueError in Python and never
+    reach C: the first block's with ``_check_block``, which loads the
+    kernel, and each later block's values on their own.
     """
+    import queue
+    import threading
+
     dt = total_time / n_steps
     coef = np.array([-0.5j * dt, -1j * dt, -1j * dt / 6])  # c_h, c_f, c_s
     times = capture * dt
@@ -245,19 +260,67 @@ def _rk4(h_values, support: np.ndarray, psi0: np.ndarray, total_time: float,
     if capture[pos] == 0:
         states[pos] = psi
         pos += 1
-    for start in range(0, stop, block):
-        # each step's own t = step*dt, since (step + 1)*dt can differ in the
-        # last bit from step*dt + dt; the blocks are the whole ramp's even
-        # where a run stops early, so each H is built in the same array.
-        t = np.arange(start, min(start + block, n_steps)) * dt
-        n = len(t)
-        values = h_values(np.concatenate((t, t + dt / 2, t + dt)))
-        _check_block(values, support, buffer, n, psi, states, capture)
-        pos = _kernel()(values.ctypes.data, support.ctypes.data, len(support),
-                        buffer.ctypes.data, n, min(n, stop - start), d,
-                        coef.ctypes.data, psi.ctypes.data, work.ctypes.data, start,
-                        capture.ctypes.data, len(capture), pos, states.ctypes.data)
+    handoff, failure, helper = queue.Queue(maxsize=1), [], None
+    try:
+        for start in range(0, stop, block):
+            # each step's own t = step*dt, since (step + 1)*dt can differ in the
+            # last bit from step*dt + dt; the blocks are the whole ramp's even
+            # where a run stops early, so each H is built in the same array.
+            t = np.arange(start, min(start + block, n_steps)) * dt
+            n = len(t)
+            values = h_values(np.concatenate((t, t + dt / 2, t + dt)))
+            if helper is None:
+                _check_block(values, support, buffer, n, psi, states, capture)
+                fixed = (support.ctypes.data, len(support), buffer.ctypes.data)
+                tail = (d, coef.ctypes.data, psi.ctypes.data, work.ctypes.data)
+                # a daemon, so that an interrupt that stops the handoff
+                # cannot keep the interpreter from exiting
+                worker = threading.Thread(
+                    target=_run_blocks, daemon=True,
+                    args=(_kernel(), handoff, pos, capture.ctypes.data, len(capture),
+                          states.ctypes.data, failure))
+                worker.start()
+                helper = worker  # joined below only once started
+            else:
+                _check_array("value array", values, np.complex128, (3 * n, len(support) + 1))
+            handoff.put((values, (values.ctypes.data, *fixed, n, min(n, stop - start),
+                                  *tail, start)))
+            if failure:
+                break
+    finally:
+        if helper is not None:
+            handoff.put(None)
+            helper.join()
+    if failure:
+        raise failure[0]
     return times, states
+
+
+def _run_blocks(step, handoff, pos: int, capture: int, n_capture: int, states: int,
+                failure: list) -> None:
+    """The helper thread of ``_rk4``: run each block taken from ``handoff``
+    through the kernel ``step`` until None arrives.  An exception is kept in
+    ``failure`` for the caller, and the blocks after it are taken and
+    dropped, so the caller never waits on a full queue."""
+    while (block := handoff.get()) is not None:
+        if failure:
+            continue
+        try:
+            pos = step(*block[1], capture, n_capture, pos, states)
+        except BaseException as exc:  # raised again by the caller
+            failure.append(exc)
+
+
+def _check_array(name: str, array, dtype, shape: tuple) -> None:
+    """ValueError unless ``array`` is an aligned C-contiguous ndarray of
+    ``dtype`` and ``shape``, as the kernel reads it through a raw pointer."""
+    if not (isinstance(array, np.ndarray) and array.dtype == dtype
+            and array.shape == shape and array.flags.c_contiguous and array.flags.aligned):
+        got = (f"{array.dtype} {array.shape}" if isinstance(array, np.ndarray)
+               else type(array).__name__)
+        want = "1-D" if name == "support" else f"shape {shape}"
+        raise ValueError(f"the RK4 kernel needs a C-contiguous {np.dtype(dtype)} "
+                         f"{name} of {want}, got {got}")
 
 
 def _check_block(values, support, buffer, n: int, psi: np.ndarray, states: np.ndarray,
@@ -275,14 +338,7 @@ def _check_block(values, support, buffer, n: int, psi: np.ndarray, states: np.nd
         ("sample array", states, np.complex128, (len(capture), d)),
         ("capture steps", capture, np.int64, (len(capture),)),
     ):
-        if not (isinstance(array, np.ndarray) and array.dtype == dtype
-                and array.shape == shape and array.flags.c_contiguous
-                and array.flags.aligned):
-            got = (f"{array.dtype} {array.shape}" if isinstance(array, np.ndarray)
-                   else type(array).__name__)
-            want = "1-D" if name == "support" else f"shape {shape}"
-            raise ValueError(f"the RK4 kernel needs a C-contiguous {np.dtype(dtype)} "
-                             f"{name} of {want}, got {got}")
+        _check_array(name, array, dtype, shape)
     ordered = np.sort(support)  # np.unique would import numpy.ma
     if s and not (ordered[0] >= 1 and ordered[-1] < d * d and np.all(ordered[1:] > ordered[:-1])):
         raise ValueError(f"the RK4 kernel needs distinct support indices in [1, {d * d})")

@@ -41,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import PhysicsConfigError
-from .spin_algebra import _frozen, build_collective, check_n_ions, whole
+from .spin_algebra import _frozen, build_collective, check_n_ions, ion_cache, whole
 
 
 @dataclass(frozen=True)
@@ -145,7 +145,7 @@ def reduced_hamiltonian(params: SystemParams, omega_r, omega_b) -> np.ndarray:
     return expand(reduced_values(params, omega_r, omega_b).real, support, dimension)
 
 
-@lru_cache(maxsize=None, typed=True)
+@ion_cache()
 def full_support(n_ions: int, n_max: int):
     """(support, (N + 1)(n_max + 1), (a J+, its adjoint, a^dag J+, its
     adjoint) at the support and at (0, 0)) of the full model, as

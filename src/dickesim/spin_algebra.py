@@ -17,7 +17,7 @@ first-principles sum of single-site Pauli operators.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import comb, inf
 
 import numpy as np
@@ -51,6 +51,25 @@ def check_n_ions(n_ions: int) -> int:
     return whole(n_ions, "n_ions", 1)
 
 
+def ion_cache(rule=check_n_ions):
+    """Decorator: an unbounded ``lru_cache`` keyed on the int that ``rule``,
+    ``check_n_ions`` by default, makes of the first argument, the ion number,
+    and on the other arguments as typed.  So 4.0 finds and fills the entry
+    of 4, and a number the rule refuses raises its ValueError from a cold
+    and a warm cache alike."""
+    def decorate(function):
+        cached = lru_cache(maxsize=None, typed=True)(function)
+
+        @wraps(function)
+        def keyed(n_ions, *args, **kwargs):
+            return cached(rule(n_ions), *args, **kwargs)
+
+        keyed.cache_info, keyed.cache_clear = cached.cache_info, cached.cache_clear
+        keyed.cache_parameters = cached.cache_parameters
+        return keyed
+    return decorate
+
+
 def half_excitation(n_ions: int) -> int:
     """N/2, the excitation number of a half-excited Dicke state; a ValueError
     unless ``n_ions`` is a positive even integer.  The one even-N rule."""
@@ -78,7 +97,7 @@ def projections(n_ions: int) -> np.ndarray:
     return _frozen(np.arange(n_ions + 1) - n_ions / 2)
 
 
-@lru_cache(maxsize=None, typed=True)
+@ion_cache()
 def build_collective(n_ions: int, kind: str) -> np.ndarray:
     """J+, Jx, Jy or Jz on the symmetric sector, as a cached read-only
     (N+1) x (N+1) complex array.
@@ -86,7 +105,6 @@ def build_collective(n_ions: int, kind: str) -> np.ndarray:
     J+ raises the excitation number with the collective couplings on its
     single lower band; Jz is diagonal with eigenvalues m - N/2.
     """
-    check_n_ions(n_ions)
     kind = kind.lower()
     if kind not in COLLECTIVE_KINDS:
         raise ValueError(f"kind must be one of {COLLECTIVE_KINDS}, got {kind!r}")
@@ -137,11 +155,10 @@ def dicke_state(n_ions: int, m: int) -> np.ndarray:
     return vec
 
 
-@lru_cache(maxsize=None, typed=True)
+@ion_cache()
 def half_excited_x(n_ions: int) -> np.ndarray:
     """Half-excited Dicke state along x: Ry(pi/2) applied to |m = N/2>,
-    cached and read-only.  The cache is typed, so a float ``n_ions`` raises
-    from a warm cache as it does from a cold one."""
+    cached and read-only."""
     half = half_excitation(n_ions)
     return _frozen(rotation_y(n_ions, np.pi / 2) @ dicke_state(n_ions, half))
 
@@ -150,8 +167,8 @@ def half_excited_x(n_ions: int) -> np.ndarray:
 # full 2^N-space oracle
 # ---------------------------------------------------------------------------
 
-def _check_full_space_size(n_ions: int) -> None:
-    whole(n_ions, "n_ions of a full-space operator", 1, FULL_SPACE_MAX_IONS)
+def _check_full_space_size(n_ions: int) -> int:
+    return whole(n_ions, "n_ions of a full-space operator", 1, FULL_SPACE_MAX_IONS)
 
 
 @lru_cache(maxsize=None)
@@ -172,11 +189,10 @@ def _full_jp(n_ions: int) -> np.ndarray:
     return mat
 
 
-@lru_cache(maxsize=None, typed=True)
+@ion_cache(_check_full_space_size)
 def full_space_oracle(n_ions: int, kind: str) -> np.ndarray:
     """Collective operator built as a sum of single-site Paulis on 2^N space,
     as a cached read-only 2^N x 2^N complex array."""
-    _check_full_space_size(n_ions)
     kind = kind.lower()
     if kind == "jz":
         return _operator(np.diag((hamming_weights(n_ions) - n_ions / 2).astype(complex)))

@@ -1,4 +1,7 @@
+import sys
+import threading
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -313,3 +316,98 @@ def test_phonon_truncation_convergence():
         target = embed(dark_coefficients(2, 1, 1).chain_vector, 2, n_max)
         fids.append(abs(np.vdot(target, mid)) ** 2)
     assert abs(fids[1] - fids[0]) < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# the kernel's helper thread
+# ---------------------------------------------------------------------------
+
+class _Boom(Exception):
+    pass
+
+
+def _one_step_blocks(monkeypatch, n_steps=8):
+    """``_rk4``'s arguments for a two-ion chain run of ``n_steps`` steps,
+    one step a block, with an ``h_values`` that records the thread of each
+    of its calls."""
+    monkeypatch.setattr(evolution, "H_BLOCK_BYTES", 0)
+    schedule = evolution.PulseSchedule(total_time=1.0)
+    params = model.SystemParams(n_ions=2, delta=20.0)
+    threads = []
+
+    def h_values(ts):
+        threads.append(threading.get_ident())
+        return model.reduced_values(params, *schedule.amplitudes(ts))
+
+    psi0 = np.eye(3, dtype=complex)[0]
+    capture = np.arange(n_steps + 1, dtype=np.int64)
+    args = (model.reduced_support(2)[0], psi0, 1.0, n_steps, capture)
+    return h_values, args, threads
+
+
+def test_block_handoff_keeps_every_state_word(monkeypatch):
+    # the same run in one block and in one-step blocks handed to the helper
+    h_values, args, threads = _one_step_blocks(monkeypatch)
+    _, stepwise = evolution._rk4(h_values, *args)
+    assert len(threads) == 8 and set(threads) == {threading.get_ident()}
+    monkeypatch.setattr(evolution, "H_BLOCK_BYTES", 1 << 20)
+    _, whole = evolution._rk4(h_values, *args)
+    assert len(threads) == 9
+    assert np.array_equal(stepwise.view(np.uint64), whole.view(np.uint64))
+
+
+def test_concurrent_runs_keep_every_state_word(monkeypatch):
+    # more integrating threads than cores, each with its own helper, and a
+    # short switch interval: each run still gives the words of a lone run
+    h_values, args, _ = _one_step_blocks(monkeypatch, n_steps=64)
+    _, alone = evolution._rk4(h_values, *args)
+    results = [None] * 4
+
+    def run(k):
+        results[k] = evolution._rk4(h_values, *args)[1]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=run, args=(k,)) for k in range(len(results))]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    for states in results:
+        assert np.array_equal(states.view(np.uint64), alone.view(np.uint64))
+
+
+def test_a_failing_second_block_of_values_reaches_the_caller(monkeypatch):
+    h_values, args, threads = _one_step_blocks(monkeypatch)
+    boom = _Boom()
+
+    def failing(ts):
+        values = h_values(ts)
+        if len(threads) == 2:
+            raise boom
+        return values
+
+    before = threading.active_count()
+    with pytest.raises(_Boom) as raised:
+        evolution._rk4(failing, *args)
+    assert raised.value is boom
+    assert threading.active_count() == before
+    assert threads == [threading.get_ident()] * 2
+
+
+def test_a_failing_second_kernel_call_reaches_the_caller(monkeypatch):
+    h_values, args, threads = _one_step_blocks(monkeypatch)
+    boom = _Boom()
+    kernel = mock.Mock(side_effect=[1, boom])
+    before = threading.active_count()
+    with mock.patch.object(evolution, "_kernel", return_value=kernel), \
+            pytest.raises(_Boom) as raised:
+        evolution._rk4(h_values, *args)
+    assert raised.value is boom
+    assert threading.active_count() == before
+    assert kernel.call_count == 2  # the blocks after the failure never run
+    assert set(threads) == {threading.get_ident()}

@@ -144,8 +144,7 @@ def test_half_excited_x_is_cached_and_read_only():
         assert np.array_equal(state, sa.rotation_y(n, np.pi / 2) @ sa.dicke_state(n, n // 2))
         with pytest.raises(ValueError):
             state[0] = 0.0
-    with pytest.raises(TypeError):  # n = 4 is cached, and 4.0 still fails
-        sa.half_excited_x(4.0)
+    assert sa.half_excited_x(4.0) is sa.half_excited_x(4)  # 4.0 finds the entry of 4
 
 
 def _message(call):
@@ -226,14 +225,15 @@ def test_whole_returns_an_int_inside_its_inclusive_bounds():
     (certification._distance_keys, (4,)), (certification._krawtchouk, (4,)),
 ])
 def test_float_ion_number_fails_from_a_cold_and_a_warm_cache(cached, args):
-    # the caches are typed: 4.0 never finds the entry that 4 left
+    # the caches key on the int ion number: 4.0 fills the entry of 4 from a
+    # cold cache and finds it in a warm one
     as_float = (float(args[0]), *args[1:])
     cached.cache_clear()
-    with pytest.raises(TypeError):
-        cached(*as_float)
-    cached(*args)
-    with pytest.raises(TypeError):
-        cached(*as_float)
+    cold = cached(*as_float)
+    assert cached(*args) is cold
+    cached.cache_clear()
+    warm = cached(*args)
+    assert cached(*as_float) is warm
 
 
 # ---------------------------------------------------------------------------
