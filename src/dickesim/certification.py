@@ -31,14 +31,13 @@ holds only what was measured and derives its bounds from it once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import comb
 
 import numpy as np
 
 from .observables import AXES, NORM_TOL, check_normalized
-from .spin_algebra import (_frozen, dicke_state_full, full_space_oracle, half_excitation,
-                           hamming_weights, ion_cache, projections)
+from .spin_algebra import (_frozen, check_n_ions, constant_cache, dicke_state_full,
+                           full_space_oracle, half_excitation, hamming_weights, projections, whole)
 
 #: a fidelity lower bound above this excludes the GHZ state as the source
 GHZ_DICKE_MAX_OVERLAP = 0.75
@@ -106,17 +105,24 @@ def fidelity_upper(populations) -> float:
     return float(pops[len(pops) // 2])
 
 
+@constant_cache(lambda j_max: whole(j_max, "j_M", 1))
+def _lower_coefficients(j_max: int) -> np.ndarray:
+    """The one rule of the lower bound's coefficients of p_{-jM}..p_{+jM}:
+    (jM+1)/2 - jz^2/(2 jM), and (jM-1)/2 at the centre jz = 0."""
+    coeffs = (j_max + 1) / 2 - projections(2 * j_max) ** 2 / (2 * j_max)
+    coeffs[j_max] = (j_max - 1) / 2
+    return coeffs
+
+
 def fidelity_lower(witness_value: float, populations) -> float:
     """Witness-based lower bound on the half-excited Dicke fidelity, with jM
     = (len(populations) - 1)/2."""
     pops = _check_populations(populations)
     _check_witness(witness_value)
     j_max = len(pops) // 2
-    jz = projections(2 * j_max)
-    bound = witness_value / (2 * j_max) - (j_max - 1) / 2 * pops[j_max]
-    off_center = jz != 0
-    bound -= np.sum(((j_max + 1) / 2 - jz[off_center] ** 2 / (2 * j_max)) * pops[off_center])
-    return float(bound)
+    coeffs = _lower_coefficients(j_max)
+    bound = witness_value / (2 * j_max) - coeffs[j_max] * pops[j_max]
+    return float(bound - np.sum(np.delete(coeffs * pops, j_max)))
 
 
 def fidelity_sandwich_4ion(witness_value: float, populations) -> tuple[float, float]:
@@ -147,10 +153,7 @@ def propagate_uncertainty(sigma_witness: float, sigma_populations) -> tuple[floa
     if sig.ndim != 1 or len(sig) < 3 or len(sig) % 2 == 0:
         raise ValueError("sigma_populations must be an odd-length vector")
     j_max = len(sig) // 2
-    jz = projections(2 * j_max)
-    coeffs = (j_max + 1) / 2 - jz**2 / (2 * j_max)
-    coeffs[j_max] = (j_max - 1) / 2
-    var_lower = (sigma_witness / (2 * j_max)) ** 2 + np.sum((coeffs * sig) ** 2)
+    var_lower = (sigma_witness / (2 * j_max)) ** 2 + np.sum((_lower_coefficients(j_max) * sig) ** 2)
     return float(np.sqrt(var_lower)), float(sig[j_max])
 
 
@@ -158,11 +161,11 @@ def propagate_uncertainty(sigma_witness: float, sigma_populations) -> tuple[floa
 # exact certification from a full-space state
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@constant_cache()
 def _qubit_rotations(axis: str) -> np.ndarray:
     """One qubit's rotation into sigma_axis's eigenbasis: the rows are its
     eigenvectors (down, up), conjugated."""
-    return _frozen(np.linalg.eigh(full_space_oracle(1, "j" + axis))[1].conj().T)
+    return np.linalg.eigh(full_space_oracle(1, "j" + axis))[1].conj().T
 
 
 def _on_each_qubit(x: np.ndarray, op: np.ndarray, n_ions: int) -> np.ndarray:
@@ -175,7 +178,7 @@ def _on_each_qubit(x: np.ndarray, op: np.ndarray, n_ions: int) -> np.ndarray:
     return x.reshape(-1)
 
 
-@ion_cache()
+@constant_cache(check_n_ions)
 def _distance_keys(n_ions: int) -> np.ndarray:
     """The bin of each float word of a C-ordered 2^N x 2^N complex matrix:
     entry (i, j) has key 4 |i xor j| + (|i| - |j|) mod 4, with |.| the
@@ -184,17 +187,16 @@ def _distance_keys(n_ions: int) -> np.ndarray:
     weights = hamming_weights(n_ions).astype(np.int16)  # int16 temporaries build it 3x faster
     index = np.arange(2**n_ions, dtype=np.int16)
     key = 4 * weights[index[:, None] ^ index] + (weights[:, None] - weights) % 4
-    return _frozen(np.stack((2 * key, 2 * key + 1), axis=-1, dtype=np.intp).reshape(-1))
+    return np.stack((2 * key, 2 * key + 1), axis=-1, dtype=np.intp).reshape(-1)
 
 
-@ion_cache()
+@constant_cache(check_n_ions)
 def _krawtchouk(n_ions: int) -> np.ndarray:
     """K[k, w] = sum_t (-1)^t C(w, t) C(N - w, k - t), the coefficient of y^k
     in (1 - y)^w (1 + y)^(N - w); K @ K = 2^N I; read-only."""
-    return _frozen(np.array([[sum((-1) ** t * comb(w, t) * comb(n_ions - w, k - t)
-                                  for t in range(min(w, k) + 1))
-                              for w in range(n_ions + 1)] for k in range(n_ions + 1)],
-                            dtype=float))
+    return np.array([[sum((-1) ** t * comb(w, t) * comb(n_ions - w, k - t)
+                          for t in range(min(w, k) + 1))
+                      for w in range(n_ions + 1)] for k in range(n_ions + 1)], dtype=float)
 
 
 def _density_populations(rho: np.ndarray, n_ions: int) -> dict[str, np.ndarray]:
@@ -222,15 +224,14 @@ def _projection_populations(state: np.ndarray, n_ions: int) -> dict[str, np.ndar
     ``_density_populations``."""
     if state.ndim == 2:
         return _density_populations(state, n_ions)
-    populations = {}
+    populations, up = {}, hamming_weights(n_ions)  # the spins up in each basis state
     for axis in AXES:
         amplitudes = state if axis == "z" else _on_each_qubit(state, _qubit_rotations(axis), n_ions)
-        populations[axis] = np.bincount(hamming_weights(n_ions), weights=np.abs(amplitudes) ** 2,
-                                        minlength=n_ions + 1)
+        populations[axis] = np.bincount(up, weights=np.abs(amplitudes) ** 2, minlength=n_ions + 1)
     return populations
 
 
-@ion_cache()
+@constant_cache(check_n_ions)
 def half_excited_full(n_ions: int, axis: str = "x") -> np.ndarray:
     """Half-excited Dicke state along an axis, in the full 2^N space."""
     half = half_excitation(n_ions)
@@ -242,7 +243,7 @@ def half_excited_full(n_ions: int, axis: str = "x") -> np.ndarray:
         sigma = 2 * full_space_oracle(1, "jy") if axis == "x" else -2 * full_space_oracle(1, "jx")
         rotation = np.cos(np.pi / 4) * np.eye(2) - 1j * np.sin(np.pi / 4) * sigma
         target = _on_each_qubit(target, rotation, n_ions)
-    return _frozen(target)
+    return target
 
 
 def certify_from_state(state: np.ndarray, axis: str = "x") -> CertificationRecord:

@@ -36,12 +36,14 @@ interaction picture: ``spin_marginals``, ``chain_frame`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import partial
 
 import numpy as np
 
 from .errors import PhysicsConfigError
-from .spin_algebra import _frozen, build_collective, check_n_ions, ion_cache, whole
+from .spin_algebra import build_collective, check_n_ions, constant_cache, whole
+
+_check_n_max = partial(whole, name="n_max", low=0)
 
 
 @dataclass(frozen=True)
@@ -60,7 +62,7 @@ class SystemParams:
             raise ValueError("delta must be finite and nonnegative")
         # by default, Fock headroom above the single-phonon ladder
         n_max = self.n_ions // 2 + 4 if self.n_max is None else self.n_max
-        object.__setattr__(self, "n_max", whole(n_max, "n_max", 0))
+        object.__setattr__(self, "n_max", _check_n_max(n_max))
 
     def reduced_model_trusted(self, drive: float) -> bool:
         """Whether the detuning dominates a peak sideband rate ``drive`` =
@@ -73,6 +75,7 @@ class SystemParams:
 def sideband_operators(n_ions: int, n_max: int):
     """(red, blue, number) on the Dicke (x) Fock product space: a J+ (spin
     up, phonon down), a^dag J+ (spin up, phonon up) and the phonon number."""
+    n_ions, n_max = check_n_ions(n_ions), _check_n_max(n_max)
     a = np.diag(np.sqrt(np.arange(1, n_max + 1)), 1).astype(complex)
     jp = build_collective(n_ions, "j+")
     number = np.kron(np.eye(n_ions + 1), np.diag(np.arange(n_max + 1.0)))
@@ -81,11 +84,12 @@ def sideband_operators(n_ions: int, n_max: int):
 
 def chain_indices(n_ions: int, n_max: int) -> np.ndarray:
     """Product-space index of each chain state |D^k>|k mod 2>."""
+    n_ions, n_max = check_n_ions(n_ions), _check_n_max(n_max)
     k = np.arange(n_ions + 1)
     return k * (n_max + 1) + k % 2
 
 
-@lru_cache(maxsize=None)
+@constant_cache(check_n_ions)
 def reduced_coupling_parts(n_ions: int):
     """Constant read-only matrices (K_r, K_b, D) with
     H = Omega_r*K_r + Omega_b*K_b + delta*D: the red and blue sideband
@@ -95,7 +99,7 @@ def reduced_coupling_parts(n_ions: int):
     red, blue, number = sideband_operators(n_ions, 1)
     chain = np.ix_(*[chain_indices(n_ions, 1)] * 2)
     kr, kb = ((op + op.conj().T)[chain].real.copy() for op in (red, blue))
-    return _frozen(kr), _frozen(kb), _frozen(number[chain])
+    return kr, kb, number[chain]
 
 
 def _support(ops) -> tuple[np.ndarray, int, tuple[np.ndarray, ...]]:
@@ -106,10 +110,10 @@ def _support(ops) -> tuple[np.ndarray, int, tuple[np.ndarray, ...]]:
     signed zeros included."""
     support = np.flatnonzero(np.any([op != 0 for op in ops], axis=0))
     picked = np.append(support, 0)
-    return _frozen(support), len(ops[0]), tuple(_frozen(op.ravel()[picked]) for op in ops)
+    return support, len(ops[0]), tuple(op.ravel()[picked] for op in ops)
 
 
-@lru_cache(maxsize=None)
+@constant_cache(check_n_ions)
 def reduced_support(n_ions: int):
     """(support, N + 1, (K_r, K_b, D) at the support and at (0, 0)) of the
     chain, as ``_support`` gives them for ``reduced_coupling_parts``."""
@@ -145,7 +149,7 @@ def reduced_hamiltonian(params: SystemParams, omega_r, omega_b) -> np.ndarray:
     return expand(reduced_values(params, omega_r, omega_b).real, support, dimension)
 
 
-@ion_cache()
+@constant_cache(check_n_ions, _check_n_max)
 def full_support(n_ions: int, n_max: int):
     """(support, (N + 1)(n_max + 1), (a J+, its adjoint, a^dag J+, its
     adjoint) at the support and at (0, 0)) of the full model, as

@@ -6,24 +6,24 @@ spin-only fluorescence-style readouts, so a model's states come here as the
 spin marginals that ``model.spin_marginals`` traces the phonons out of.
 
 The operators that a readout applies but its state does not change are built
-once and kept read-only: the eigenbasis of Jx and of Jy and its adjoint for
-each N, the J_phi eigenbasis stack for each (N, azimuth count), and the
-parity-analysis stack pulse^dag Pi pulse for each phase count.  Both grids
-are built here from their counts, so a count is a grid's cache key, in an
-LRU of ``GRID_CACHE_SIZE`` counts.  A cached array is the array that the
-readout computed on its first call, so a warm call gives the bits of a cold
-one.
+once, read-only, by ``spin_algebra.constant_cache``: the eigenbasis of Jx and
+of Jy and its adjoint for each N, the J_phi eigenbasis stack for each (N,
+azimuth count), and the parity-analysis stack pulse^dag Pi pulse for each
+phase count.  Both grids are built here from their counts, each a whole
+number read by ``whole``, which keys a grid's LRU of ``GRID_CACHE_SIZE``
+counts.  A cached array is the one that the readout computed on its first
+call, so a warm call gives the bits of a cold one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import partial
 
 import numpy as np
 
-from .spin_algebra import (_expm, _frozen, build_collective, full_space_oracle,
-                           hamming_weights, projections, symmetric_isometry)
+from .spin_algebra import (_expm, build_collective, check_n_ions, constant_cache, full_space_oracle,
+                           hamming_weights, projections, symmetric_isometry, whole)
 
 #: witness value above which a four-ion state is genuinely four-partite entangled
 WITNESS_THRESHOLD_FOUR_ION = 5.23
@@ -40,6 +40,9 @@ GRID_CACHE_SIZE = 8
 
 #: analysis phases of a parity scan unless the caller gives a count
 PARITY_PHASES = 40
+
+_check_n_azimuths = partial(whole, name="n_azimuths", low=0)
+_check_n_phases = partial(whole, name="n_phases", low=0)
 
 
 def check_normalized(state: np.ndarray) -> np.ndarray:
@@ -114,19 +117,18 @@ def azimuthal_spin(n_ions: int, phi) -> np.ndarray:
 
 
 def _eigenbasis(op: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (basis, adjoint) of ``op``'s eigenvectors, or of each
-    operator of a stack."""
+    """(basis, adjoint) of the eigenvectors of ``op`` or of each operator of a stack."""
     # eigh orders the columns by ascending projection eigenvalue, matching m = 0..N
-    basis = _frozen(np.linalg.eigh(op)[1])
-    return basis, _frozen(basis.conj().swapaxes(-1, -2))
+    basis = np.linalg.eigh(op)[1]
+    return basis, basis.conj().swapaxes(-1, -2)
 
 
-@lru_cache(maxsize=None, typed=True)
+@constant_cache(check_n_ions)
 def _axis_eigenbasis(n_ions: int, axis: str) -> tuple[np.ndarray, np.ndarray]:
     return _eigenbasis(build_collective(n_ions, "j" + axis))
 
 
-@lru_cache(maxsize=GRID_CACHE_SIZE, typed=True)
+@constant_cache(check_n_ions, _check_n_azimuths, maxsize=GRID_CACHE_SIZE)
 def _azimuth_eigenbasis(n_ions: int, n_azimuths: int):
     return _eigenbasis(azimuthal_spin(n_ions, np.linspace(0.0, np.pi, n_azimuths)))
 
@@ -160,8 +162,7 @@ def populations_azimuth(state: np.ndarray, n_azimuths: int) -> np.ndarray:
     included; each row has the bits of an eigh of that azimuth's J_phi
     alone."""
     state = check_normalized(state)
-    bases = _azimuth_eigenbasis(len(state) - 1, n_azimuths)
-    return _eigenbasis_populations(state, *bases)
+    return _eigenbasis_populations(state, *_azimuth_eigenbasis(len(state) - 1, n_azimuths))
 
 
 def spin_readout(rhos: np.ndarray) -> tuple[list[float], list[float], list[float], list[float]]:
@@ -254,20 +255,19 @@ def parity_analysis(phases: np.ndarray, parities: np.ndarray,
                       fidelity=parity_fidelity(p_lower, p_upper, amplitude))
 
 
-@lru_cache(maxsize=None)
+@constant_cache()
 def _two_ion_analysis_ops():
-    jx, jy = full_space_oracle(2, "jx"), full_space_oracle(2, "jy")
     parity = np.diag((-1.0) ** (2 - hamming_weights(2))).astype(complex)
-    return jx, jy, parity
+    return full_space_oracle(2, "jx"), full_space_oracle(2, "jy"), parity
 
 
 def parity_phases(n_phases: int) -> np.ndarray:
     """``n_phases`` equispaced analysis phases over [0, 2*pi): the one phase
     grid of a parity scan."""
-    return np.linspace(0.0, 2 * np.pi, n_phases, endpoint=False)
+    return np.linspace(0.0, 2 * np.pi, _check_n_phases(n_phases), endpoint=False)
 
 
-@lru_cache(maxsize=GRID_CACHE_SIZE, typed=True)
+@constant_cache(_check_n_phases, maxsize=GRID_CACHE_SIZE)
 def _parity_analysis_ops(n_phases: int) -> np.ndarray:
     """Read-only stack of pulse^dag Pi pulse, one for each phase of
     ``parity_phases(n_phases)``."""
@@ -275,7 +275,7 @@ def _parity_analysis_ops(n_phases: int) -> np.ndarray:
     jx, jy, parity_op = _two_ion_analysis_ops()
     cos, sin = np.cos(phases)[:, None, None], np.sin(phases)[:, None, None]
     pulses = _expm(-1j * (np.pi / 2) * (cos * jx + sin * jy))
-    return _frozen(pulses.conj().transpose(0, 2, 1) @ parity_op @ pulses)
+    return pulses.conj().transpose(0, 2, 1) @ parity_op @ pulses
 
 
 def parity_curve(state: np.ndarray, n_phases: int) -> tuple[np.ndarray, np.ndarray]:

@@ -18,7 +18,7 @@ values, not silently retuned.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -49,16 +49,14 @@ class CriterionResult:
         return "FAIL (documented shortfall)" if self.cid in DOCUMENTED_SHORTFALLS else "FAIL"
 
 
-@lru_cache(maxsize=None)
+@spin_algebra.constant_cache(spin_algebra.check_n_ions)
 def strict_trajectory(n_ions: int) -> evolution.Trajectory:
-    schedule, params = evolution.adiabatic_preset("strict", n_ions)
-    return evolution.integrate_reduced(schedule, params)
+    return evolution.integrate_reduced(*evolution.adiabatic_preset("strict", n_ions))
 
 
-@lru_cache(maxsize=None)
+@spin_algebra.constant_cache(spin_algebra.check_n_ions)
 def fast_trajectory(n_ions: int) -> evolution.Trajectory:
-    schedule, params = evolution.adiabatic_preset("fast", n_ions)
-    return evolution.integrate_reduced(schedule, params)
+    return evolution.integrate_reduced(*evolution.adiabatic_preset("fast", n_ions))
 
 
 def criterion_1() -> Row:

@@ -8,7 +8,8 @@ the collective ones are cached and read-only, so every caller shares one
 copy and none can change it.
 
 ``whole`` is the one integer rule: every ion and excitation number, phonon
-truncation, shot count and Philox key of the package is read through it.
+truncation, grid count, shot count and Philox key of the package is read
+through it, and ``constant_cache`` keys every cached constant on its ints.
 
 A brute-force realization on the full 2^N product space is included so
 that every symmetric-sector matrix element can be validated against a
@@ -28,14 +29,13 @@ FULL_SPACE_MAX_IONS = 10
 COLLECTIVE_KINDS = ("j+", "jx", "jy", "jz")
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
-def _operator(mat: np.ndarray) -> np.ndarray:
-    """Read-only complex copy; cached operators are shared by every caller."""
-    return _frozen(np.array(mat, dtype=complex))
+def _frozen(value):
+    """``value``, with every ndarray in it, alone or in nested tuples, made read-only."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    for item in value if isinstance(value, tuple) else ():
+        _frozen(item)
+    return value
 
 
 def whole(value, name: str, low: int, high: float = inf) -> int:
@@ -51,18 +51,24 @@ def check_n_ions(n_ions: int) -> int:
     return whole(n_ions, "n_ions", 1)
 
 
-def ion_cache(rule=check_n_ions):
-    """Decorator: an unbounded ``lru_cache`` keyed on the int that ``rule``,
-    ``check_n_ions`` by default, makes of the first argument, the ion number,
-    and on the other arguments as typed.  So 4.0 finds and fills the entry
-    of 4, and a number the rule refuses raises its ValueError from a cold
-    and a warm cache alike."""
+def constant_cache(*rules, maxsize=None):
+    """Decorator: the one cache of the package's constants, an ``lru_cache``
+    of ``maxsize`` entries keyed on the ints that ``rules``, such as
+    ``check_n_ions``, make of the leading positional arguments, one each, and
+    on the others as typed: 4.0 finds the entry of 4, and a refused count
+    raises its rule's ValueError before the lookup.  Each returned ndarray,
+    in a tuple too, is read-only."""
     def decorate(function):
-        cached = lru_cache(maxsize=None, typed=True)(function)
+        cached = lru_cache(maxsize=maxsize, typed=True)(lambda *a, **k: _frozen(function(*a, **k)))
 
         @wraps(function)
-        def keyed(n_ions, *args, **kwargs):
-            return cached(rule(n_ions), *args, **kwargs)
+        def keyed(*args, **kwargs):
+            key = list(args)
+            if len(key) < len(rules):
+                raise TypeError(f"{function.__name__} takes its counts by position")
+            for i, rule in enumerate(rules):
+                key[i] = rule(key[i])
+            return cached(*key, **kwargs)
 
         keyed.cache_info, keyed.cache_clear = cached.cache_info, cached.cache_clear
         keyed.cache_parameters = cached.cache_parameters
@@ -90,14 +96,13 @@ def collective_coupling(n_ions: int, m: int) -> float:
     return (n_ions - m) * np.sqrt(comb(n_ions, m) / comb(n_ions, m + 1))
 
 
-@lru_cache(maxsize=None)
+@constant_cache(check_n_ions)
 def projections(n_ions: int) -> np.ndarray:
     """Projections m - N/2 of the Dicke levels m = 0..N (Jz's eigenvalues), read-only."""
-    check_n_ions(n_ions)
-    return _frozen(np.arange(n_ions + 1) - n_ions / 2)
+    return np.arange(n_ions + 1) - n_ions / 2
 
 
-@ion_cache()
+@constant_cache(check_n_ions)
 def build_collective(n_ions: int, kind: str) -> np.ndarray:
     """J+, Jx, Jy or Jz on the symmetric sector, as a cached read-only
     (N+1) x (N+1) complex array.
@@ -112,13 +117,13 @@ def build_collective(n_ions: int, kind: str) -> np.ndarray:
         jp = np.zeros((n_ions + 1, n_ions + 1), dtype=complex)
         for m in range(n_ions):
             jp[m + 1, m] = collective_coupling(n_ions, m)
-        return _operator(jp)
+        return jp
     if kind == "jz":
-        return _operator(np.diag(projections(n_ions).astype(complex)))
+        return np.diag(projections(n_ions).astype(complex))
     jp = build_collective(n_ions, "j+")
     if kind == "jx":
-        return _operator((jp + jp.conj().T) / 2)
-    return _operator((jp - jp.conj().T) / 2j)
+        return (jp + jp.conj().T) / 2
+    return (jp - jp.conj().T) / 2j
 
 
 def _expm(generators: np.ndarray) -> np.ndarray:
@@ -137,13 +142,13 @@ def _expm(generators: np.ndarray) -> np.ndarray:
 
 
 def rotation_y(n_ions: int, angle: float) -> np.ndarray:
-    """Global rotation exp(-i * angle * Jy) on the symmetric sector, read-only.
+    """Global rotation exp(-i * angle * Jy) on the symmetric sector.
 
     No extra phase convention is applied beyond the matrix exponential.
     """
     if not np.isfinite(angle):
         raise ValueError("rotation angle must be finite")
-    return _operator(_expm(-1j * angle * build_collective(n_ions, "jy")))
+    return _expm(-1j * angle * build_collective(n_ions, "jy"))
 
 
 def dicke_state(n_ions: int, m: int) -> np.ndarray:
@@ -155,12 +160,11 @@ def dicke_state(n_ions: int, m: int) -> np.ndarray:
     return vec
 
 
-@ion_cache()
+@constant_cache(check_n_ions)
 def half_excited_x(n_ions: int) -> np.ndarray:
-    """Half-excited Dicke state along x: Ry(pi/2) applied to |m = N/2>,
-    cached and read-only."""
+    """Half-excited Dicke state along x, Ry(pi/2)|m = N/2>, cached and read-only."""
     half = half_excitation(n_ions)
-    return _frozen(rotation_y(n_ions, np.pi / 2) @ dicke_state(n_ions, half))
+    return rotation_y(n_ions, np.pi / 2) @ dicke_state(n_ions, half)
 
 
 # ---------------------------------------------------------------------------
@@ -171,44 +175,37 @@ def _check_full_space_size(n_ions: int) -> int:
     return whole(n_ions, "n_ions of a full-space operator", 1, FULL_SPACE_MAX_IONS)
 
 
-@lru_cache(maxsize=None)
+@constant_cache(_check_full_space_size)
 def hamming_weights(n_ions: int) -> np.ndarray:
     """Spins up in each 2^N basis state, where bit i is set if ion i is up; read-only."""
-    _check_full_space_size(n_ions)
-    return _frozen(np.array([bin(idx).count("1") for idx in range(2**n_ions)]))
+    return np.array([bin(idx).count("1") for idx in range(2**n_ions)])
 
 
-def _full_jp(n_ions: int) -> np.ndarray:
-    # bit i set = ion i up; sigma_+ flips one down spin up
-    dim = 2**n_ions
-    mat = np.zeros((dim, dim), dtype=complex)
-    for idx in range(dim):
-        for i in range(n_ions):
-            if not idx & (1 << i):
-                mat[idx | (1 << i), idx] += 1.0
-    return mat
-
-
-@ion_cache(_check_full_space_size)
+@constant_cache(_check_full_space_size)
 def full_space_oracle(n_ions: int, kind: str) -> np.ndarray:
     """Collective operator built as a sum of single-site Paulis on 2^N space,
     as a cached read-only 2^N x 2^N complex array."""
     kind = kind.lower()
     if kind == "jz":
-        return _operator(np.diag((hamming_weights(n_ions) - n_ions / 2).astype(complex)))
-    jp = _full_jp(n_ions)
+        return np.diag((hamming_weights(n_ions) - n_ions / 2).astype(complex))
+    # bit i set = ion i up; sigma_+ flips one down spin up
+    jp = np.zeros((2**n_ions, 2**n_ions), dtype=complex)
+    for idx in range(2**n_ions):
+        for i in range(n_ions):
+            if not idx & (1 << i):
+                jp[idx | (1 << i), idx] += 1.0
     if kind == "j+":
-        return _operator(jp)
+        return jp
     if kind == "jx":
-        return _operator((jp + jp.conj().T) / 2)
+        return (jp + jp.conj().T) / 2
     if kind == "jy":
-        return _operator((jp - jp.conj().T) / 2j)
+        return (jp - jp.conj().T) / 2j
     raise ValueError(f"kind must be one of {COLLECTIVE_KINDS}, got {kind!r}")
 
 
 def dicke_state_full(n_ions: int, m: int) -> np.ndarray:
     """Symmetric Dicke state |m> embedded in the full 2^N product space."""
-    _check_full_space_size(n_ions)
+    n_ions = _check_full_space_size(n_ions)
     m = whole(m, "excitation number m", 0, n_ions)
     vec = (hamming_weights(n_ions) == m).astype(complex)
     return vec / np.linalg.norm(vec)
@@ -220,5 +217,5 @@ def symmetric_isometry(n_ions: int) -> np.ndarray:
     Conjugating a full-space collective operator as V^dag O V reproduces the
     symmetric-sector representation.
     """
-    _check_full_space_size(n_ions)
+    n_ions = _check_full_space_size(n_ions)
     return np.column_stack([dicke_state_full(n_ions, m) for m in range(n_ions + 1)])

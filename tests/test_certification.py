@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from dickesim import certification as cert
 from dickesim import observables as obs
 from dickesim.spin_algebra import (dicke_state_full, full_space_oracle, hamming_weights,
-                                   symmetric_isometry)
+                                   projections, symmetric_isometry)
 
 PAPER_P = [0.00, 0.03, 0.88, 0.03, 0.03]
 PAPER_SIG_P = [0.00, 0.02, 0.03, 0.02, 0.02]
@@ -107,6 +107,32 @@ def test_j_max_is_read_from_the_population_length():
     assert cert.fidelity_lower(1.5, [0.25, 0.5, 0.25]) == pytest.approx(0.5, abs=1e-12)
     lo, hi = cert.propagate_uncertainty(0.2, [0.04, 0.03, 0.04])
     assert lo == pytest.approx(np.sqrt(0.01 + 0.0008), abs=1e-12) and hi == 0.03
+
+
+def _bounds_from_written_out_coefficients(witness, pops, sigma_witness, sig):
+    """The lower bound and its sigma, each building its own coefficients."""
+    j_max = len(pops) // 2
+    jz = projections(2 * j_max)
+    bound = witness / (2 * j_max) - (j_max - 1) / 2 * pops[j_max]
+    off_center = jz != 0
+    bound -= np.sum(((j_max + 1) / 2 - jz[off_center] ** 2 / (2 * j_max)) * pops[off_center])
+    coeffs = (j_max + 1) / 2 - jz**2 / (2 * j_max)
+    coeffs[j_max] = (j_max - 1) / 2
+    var_lower = (sigma_witness / (2 * j_max)) ** 2 + np.sum((coeffs * sig) ** 2)
+    return float(bound), float(np.sqrt(var_lower))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_one_coefficient_vector_gives_the_written_out_bounds_bit_for_bit(j_max, seed):
+    rng = np.random.default_rng(seed)
+    pops, sig = rng.dirichlet(np.ones(2 * j_max + 1)), rng.uniform(0, 0.05, 2 * j_max + 1)
+    witness = rng.uniform(0, j_max * (j_max + 1))
+    lower, sigma_lower = _bounds_from_written_out_coefficients(witness, pops, 0.07, sig)
+    assert cert.fidelity_lower(witness, pops) == lower
+    assert cert.propagate_uncertainty(0.07, sig)[0] == sigma_lower
+    coeffs = cert._lower_coefficients(j_max)
+    assert coeffs is cert._lower_coefficients(j_max) and not coeffs.flags.writeable
 
 
 def test_propagation_rejects_negative():

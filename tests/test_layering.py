@@ -14,7 +14,9 @@ acceptance criterion, from its one list of rows.  Only
 ``spin_algebra.half_excitation`` refuses an odd number of ions.  Only
 ``observables.NORM_TOL`` writes a tolerance on a probability.  Only
 ``spin_algebra.whole`` compares a value with its ``int()``, and only
-``measurement.KEY_MAX`` writes the 2**64 bound of a Philox key.
+``measurement.KEY_MAX`` writes the 2**64 bound of a Philox key.  Only
+``spin_algebra`` takes a ``functools`` cache, for ``constant_cache``, and
+``evolution._kernel`` the other.
 """
 
 import ast
@@ -150,7 +152,7 @@ def test_only_observables_builds_a_phase_grid():
 def test_the_private_name_reader_sees_each_form():
     # ``from .spin_algebra import _frozen``, ``from dickesim.x import _y`` and
     # an attribute of a module imported with ``from . import``
-    assert ("spin_algebra", "_frozen") in _foreign_private_names(_tree("model"))
+    assert ("spin_algebra", "_frozen") in _foreign_private_names(_tree("certification"))
     source = ("from dickesim.model import _support\n"
               "from . import observables as obs, __version__\n"
               "obs._product_traces(rhos, op), obs.witness(state)\n")
@@ -373,3 +375,38 @@ def test_the_key_bound_reader_sees_each_form():
 def test_only_key_max_writes_the_philox_key_bound():
     assert ast.unparse(_assigned(_tree("measurement"), "KEY_MAX")) == "2 ** 64 - 1"
     assert [module for module in MODULES if _key_bounds(_tree(module))] == []
+
+
+_CACHE_DECORATORS = ("lru_cache", "cache")
+
+
+def _functools_cache_users(tree):
+    """The function around each import of ``lru_cache`` or ``cache`` from
+    ``functools`` in ``tree`` and each ``functools.lru_cache`` or
+    ``functools.cache`` read there, a decorator included."""
+    def uses_a_cache(node):
+        if isinstance(node, ast.ImportFrom):
+            return node.module == "functools" and any(
+                alias.name in _CACHE_DECORATORS for alias in node.names)
+        return (isinstance(node, ast.Attribute) and node.attr in _CACHE_DECORATORS
+                and getattr(node.value, "id", None) == "functools")
+
+    return _enclosing_functions(tree, uses_a_cache)
+
+
+def test_the_cache_reader_sees_each_form():
+    source = ("from functools import lru_cache, partial\n"
+              "import functools\n"
+              "@functools.cache\ndef f():\n    return 1\n"
+              "def g():\n    from functools import cache\n    return functools.lru_cache(3)\n"
+              "from functools import wraps\n")
+    assert _functools_cache_users(ast.parse(source)) == [None, "f", "g", "g"]
+
+
+def test_only_spin_algebra_and_the_kernel_take_a_functools_cache():
+    # every constant is cached by spin_algebra.constant_cache, which reads
+    # its counts through their rules and makes its arrays read-only; the
+    # compiled RK4 step, loaded once, is the one other cache
+    users = [(module, function) for module in MODULES
+             for function in _functools_cache_users(_tree(module))]
+    assert users == [("evolution", "_kernel"), ("spin_algebra", None)]

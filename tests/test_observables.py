@@ -512,8 +512,9 @@ def test_grid_caches_stay_at_their_bound():
 
 
 def test_cached_operators_are_read_only():
+    # the parity operator is shared by every phase count's analysis stack
     arrays = [*obs._axis_eigenbasis(4, "x"), *obs._azimuth_eigenbasis(4, 13),
-              obs._parity_analysis_ops(13)]
+              obs._parity_analysis_ops(13), *obs._two_ion_analysis_ops()]
     assert not any(a.flags.writeable for a in arrays)
 
 

@@ -1,4 +1,6 @@
+import importlib
 import math
+import pkgutil
 import re
 
 import numpy as np
@@ -8,7 +10,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg import expm
 
-from dickesim import certification, dark_state, measurement, model
+import dickesim
+from dickesim import certification, dark_state, evolution, measurement, model, repro
+from dickesim import observables as obs
 from dickesim import spin_algebra as sa
 
 NS = [1, 2, 3, 4, 5, 6, 7, 8]
@@ -189,6 +193,20 @@ INTEGER_SITES = {
     "collective_coupling": ("m", lambda v: sa.collective_coupling(4, v)),
     "dicke_state": ("excitation number m", lambda v: sa.dicke_state(4, v)),
     "dicke_state_full": ("excitation number m", lambda v: sa.dicke_state_full(4, v)),
+    "dicke_state_full.n_ions": ("n_ions of a full-space operator",
+                                lambda v: sa.dicke_state_full(v, 1)),
+    "projections": ("n_ions", sa.projections),
+    "hamming_weights": ("n_ions of a full-space operator", sa.hamming_weights),
+    "symmetric_isometry": ("n_ions of a full-space operator", sa.symmetric_isometry),
+    "sideband_operators.n_ions": ("n_ions", lambda v: model.sideband_operators(v, 2)),
+    "sideband_operators.n_max": ("n_max", lambda v: model.sideband_operators(2, v)),
+    "chain_indices.n_ions": ("n_ions", lambda v: model.chain_indices(v, 2)),
+    "chain_indices.n_max": ("n_max", lambda v: model.chain_indices(2, v)),
+    "reduced_coupling_parts": ("n_ions", model.reduced_coupling_parts),
+    "parity_phases": ("n_phases", obs.parity_phases),
+    "populations_azimuth": ("n_azimuths",
+                            lambda v: obs.populations_azimuth(sa.half_excited_x(4), v)),
+    "parity_curve": ("n_phases", lambda v: obs.parity_curve(sa.half_excited_x(2), v)),
     "SystemParams.n_ions": ("n_ions", lambda v: model.SystemParams(n_ions=v)),
     "SystemParams.n_max": ("n_max", lambda v: model.SystemParams(4, n_max=v)),
     "ShotConfig.n_shots": ("n_shots", lambda v: measurement.ShotConfig(v, seed=1)),
@@ -219,21 +237,88 @@ def test_whole_returns_an_int_inside_its_inclusive_bounds():
         sa.whole(3, "k", 0, 2)
 
 
-@pytest.mark.parametrize("cached, args", [
+def _arrays(value):
+    """The ndarrays of ``value``, alone or in nested tuples."""
+    if isinstance(value, tuple):
+        return [array for item in value for array in _arrays(item)]
+    return [value] if isinstance(value, np.ndarray) else []
+
+
+@pytest.mark.parametrize("call, count", [
+    (lambda v: obs.populations_azimuth(sa.half_excited_x(4), v), 13),
+    (lambda v: obs.parity_curve(sa.half_excited_x(2), v), 40),
+    (sa.hamming_weights, 2), (sa.symmetric_isometry, 2), (model.reduced_support, 4),
+    (lambda v: sa.dicke_state_full(v, 1), 2),
+    (lambda v: model.sideband_operators(v, 1), 4), (lambda v: model.sideband_operators(4, v), 1),
+    (lambda v: model.chain_indices(v, 1), 4), (lambda v: model.chain_indices(4, v), 1),
+], ids=["populations_azimuth", "parity_curve", "hamming_weights", "symmetric_isometry",
+        "reduced_support", "dicke_state_full", "sideband_operators.n_ions",
+        "sideband_operators.n_max", "chain_indices.n_ions", "chain_indices.n_max"])
+def test_a_float_count_gives_the_bits_of_its_int(call, count):
+    def words(value):
+        return [(array.dtype, array.shape, array.tobytes()) for array in _arrays(value)]
+
+    assert words(call(float(count))) == words(call(count))
+
+
+@pytest.mark.parametrize("site, count", [
+    ("parity_phases", -3), ("populations_azimuth", -1), ("parity_curve", -3),
+    ("sideband_operators.n_max", -1), ("chain_indices.n_max", -1),
+])
+def test_a_negative_count_gets_the_integer_rule_s_message(site, count):
+    name, call = INTEGER_SITES[site]
+    assert _message(lambda: call(count)) == f"{name} must be an integer in [0, inf], got {count}"
+
+
+# every cache of the package with the arguments of one entry; its int
+# arguments are counts.  ``evolution._kernel``, the compiled RK4 step, is the
+# one cache outside the table: it takes no argument and returns no array
+CACHES = [
     (sa.build_collective, (4, "jx")), (sa.full_space_oracle, (4, "jx")),
     (certification.half_excited_full, (4, "x")), (model.full_support, (4, 6)),
     (certification._distance_keys, (4,)), (certification._krawtchouk, (4,)),
-])
+    (sa.projections, (4,)), (sa.hamming_weights, (4,)), (sa.half_excited_x, (4,)),
+    (model.reduced_coupling_parts, (4,)), (model.reduced_support, (4,)),
+    (obs._axis_eigenbasis, (4, "x")), (obs._azimuth_eigenbasis, (4, 13)),
+    (obs._two_ion_analysis_ops, ()), (obs._parity_analysis_ops, (40,)),
+    (certification._lower_coefficients, (2,)), (certification._qubit_rotations, ("y",)),
+    (repro.strict_trajectory, (2,)), (repro.fast_trajectory, (2,)),
+]
+
+
+def _package_caches():
+    """Every module attribute of the package with a ``cache_clear``, as the
+    CI's cold pass finds them."""
+    modules = [importlib.import_module(f"dickesim.{info.name}")
+               for info in pkgutil.iter_modules(dickesim.__path__)]
+    return {obj for module in modules for obj in vars(module).values()
+            if hasattr(obj, "cache_clear")}
+
+
+def test_every_cache_of_the_package_is_in_the_table():
+    assert _package_caches() == {cached for cached, _ in CACHES} | {evolution._kernel}
+
+
+@pytest.mark.parametrize("cached, args", CACHES)
 def test_float_ion_number_fails_from_a_cold_and_a_warm_cache(cached, args):
-    # the caches key on the int ion number: 4.0 fills the entry of 4 from a
-    # cold cache and finds it in a warm one
-    as_float = (float(args[0]), *args[1:])
+    # every cache keys on the ints of its counts: a float spelling fills the
+    # entry of the int from a cold cache and finds it in a warm one, and each
+    # array it returns, alone or in a tuple, is read-only
+    as_float = tuple(float(arg) if type(arg) is int else arg for arg in args)
     cached.cache_clear()
     cold = cached(*as_float)
     assert cached(*args) is cold
     cached.cache_clear()
     warm = cached(*args)
     assert cached(*as_float) is warm
+    assert not any(array.flags.writeable for array in _arrays(cold) + _arrays(warm))
+
+
+def test_a_count_given_by_name_is_refused_not_passed_around_its_rule():
+    for call in (lambda: sa.build_collective(n_ions=4.0, kind="jx"),
+                 lambda: model.full_support(4, n_max=6.0), lambda: sa.projections()):
+        with pytest.raises(TypeError, match="takes its counts by position"):
+            call()
 
 
 # ---------------------------------------------------------------------------
