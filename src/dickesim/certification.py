@@ -206,9 +206,12 @@ def _density_populations(rho: np.ndarray, n_ions: int) -> dict[str, np.ndarray]:
     where C_a(w) sums tr(rho sigma_a^S) over the qubit sets S of size w.
     For x that is the sum of rho_ij over |i xor j| = w; sigma_y^S gives
     entry (i, j) the phase 1j^(|i| - |j|), so for y the sum is split by
-    (|i| - |j|) mod 4.  One bincount of rho's float words gives every sum."""
-    sums = np.bincount(_distance_keys(n_ions), minlength=8 * (n_ions + 1),
-                       weights=np.ascontiguousarray(rho).view(float).reshape(-1))
+    (|i| - |j|) mod 4.  One ``np.add.at`` of rho's float words into the
+    bins of ``_distance_keys`` gives every sum, adding each word in input
+    order as ``np.bincount`` does; ``bincount`` would copy the read-only
+    table, 1 MiB at N = 8, on every call."""
+    sums = np.zeros(8 * (n_ions + 1))
+    np.add.at(sums, _distance_keys(n_ions), np.ascontiguousarray(rho).view(float).reshape(-1))
     re, im = sums.reshape(n_ions + 1, 4, 2).transpose(2, 0, 1)
     transform = _krawtchouk(n_ions)[::-1] / 2**n_ions  # row m is K[N - m]
     return {"x": transform @ re.sum(axis=1),

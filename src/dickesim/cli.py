@@ -13,6 +13,7 @@ import numpy as np
 from . import __version__, certification, evolution, measurement, model, observables, repro
 from .dark_state import dark_coefficients
 from .errors import NumericalError, PhysicsConfigError, TruncationWarning
+from .spin_algebra import constant_cache, half_excited_x
 
 EXIT_OK, EXIT_USAGE, EXIT_PHYSICS, EXIT_NUMERICAL = 0, 1, 2, 3
 EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, what a shell reports for `cmd | head`
@@ -244,7 +245,6 @@ def cmd_parity(ns) -> int:
 
 def cmd_witness(ns) -> int:
     if ns.source == "ideal":
-        from .spin_algebra import half_excited_x
         state, record = half_excited_x(ns.n), {}
     else:
         state, record = evolution.strict_midpoint(ns.n)
@@ -382,25 +382,15 @@ SUBCOMMANDS = (
 )
 
 
-def build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
-    """The dickesim parser.  When ``subcommand`` names one, only its
-    subparser is built: argparse spends most of a light command's time
-    building parsers, and a parse that starts with that name visits no
-    other.  Every other argument list (help, --version, no or an unknown
-    subcommand) needs them all.  The lone subparser keeps the full choice
-    list as its metavar, so that the top-level usage in an error such as
-    ``evolve --bogus`` still names every subcommand; the full build leaves
-    it unset, because argparse names the argument after it in the errors
-    of a missing or unknown subcommand."""
-    names = [name for name, *_ in SUBCOMMANDS]
-    only = subcommand in names
+@constant_cache()
+def build_parser() -> argparse.ArgumentParser:
+    """The dickesim parser, built once per process: argparse spends most of a
+    light command's time building parsers, and a parse keeps no state in
+    them, so every call of ``main`` reuses this one."""
     parser = _Parser(prog="dickesim", description=DESCRIPTION)
     parser.add_argument("--version", action="version", version=f"dickesim {__version__}")
-    metavar = {"metavar": "{" + ",".join(names) + "}"} if only else {}
-    sub = parser.add_subparsers(dest="subcommand", required=True, **metavar)
+    sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, help_text, handler, flags in SUBCOMMANDS:
-        if only and name != subcommand:
-            continue
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key-value file supplying flag defaults (flags win)")
         for flag in flags:
@@ -416,7 +406,7 @@ def _format_warning(message, category, filename, lineno, line=None) -> str:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser(argv[0] if argv else None)
+    parser = build_parser()
     ns = parser.parse_args(argv)
     # a library warning prints as one line; recorders such as pytest.warns
     # take the warning itself and never format it

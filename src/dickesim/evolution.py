@@ -31,7 +31,7 @@ import numpy as np
 from . import dark_state
 from .errors import NumericalError, PhysicsConfigError, ReducedModelWarning, TruncationWarning
 from .observables import NORM_TOL, READOUT_CHUNK
-from .spin_algebra import collective_coupling, projections
+from .spin_algebra import _frozen, collective_coupling, projections
 from .model import (
     SystemParams,
     chain_frame,
@@ -125,14 +125,16 @@ def adiabatic_preset(name: str, n_ions: int):
     return schedule, params
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
     """Sampled state history of one integration run, and its readout.
 
     ``states`` holds chain states on the reduced model and spin-phonon
     product-space states on the full one; the methods read either out, so a
     caller never branches on ``model_tag``.  A run given capture times ends
-    at the latest of them, not at the end of the ramp.
+    at the latest of them, not at the end of the ramp.  A trajectory and its
+    arrays are read-only, because ``repro`` hands one cached run to every
+    criterion.
     """
 
     times: np.ndarray
@@ -499,8 +501,8 @@ def _integrate(tag: str, h_values, support: np.ndarray, guard: float, schedule: 
     times, states = _rk4(h_values, support, psi0, schedule.total_time, n_steps, capture)
     drift = _check_norms(states)
     leak = float(np.max(top_fock_populations(params, states))) if tag == "full" else 0.0
-    return Trajectory(times, states, tag, params, schedule, max_norm_drift=drift,
-                      truncation_leak=leak, n_steps=int(capture[-1]),
+    return Trajectory(_frozen(times), _frozen(states), tag, params, schedule,
+                      max_norm_drift=drift, truncation_leak=leak, n_steps=int(capture[-1]),
                       dt=schedule.total_time / n_steps)
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import lru_cache
 from math import comb
 
@@ -245,11 +246,65 @@ def test_density_populations_take_any_memory_layout():
     assert got.populations.tobytes() == expected.populations.tobytes()
 
 
+def _density_populations_by_bincount(rho, n_ions):
+    """``cert._density_populations`` with its sums taken by ``np.bincount``,
+    which copies the read-only key table on every call."""
+    sums = np.bincount(cert._distance_keys(n_ions), minlength=8 * (n_ions + 1),
+                       weights=np.ascontiguousarray(rho).view(float).reshape(-1))
+    re, im = sums.reshape(n_ions + 1, 4, 2).transpose(2, 0, 1)
+    transform = cert._krawtchouk(n_ions)[::-1] / 2**n_ions
+    return {"x": transform @ re.sum(axis=1),
+            "y": transform @ (re[:, 0] - im[:, 1] - re[:, 2] + im[:, 3]),
+            "z": np.bincount(hamming_weights(n_ions), weights=np.diagonal(rho).real,
+                             minlength=n_ions + 1)}
+
+
+def _laid_out(rho, layout):
+    """``rho`` in C order, in Fortran order, as a strided view or read-only."""
+    if layout == "fortran":
+        return np.asfortranarray(rho)
+    if layout == "strided":
+        wide = np.zeros((len(rho), 2 * len(rho)), dtype=complex)
+        wide[:, ::2] = rho
+        return wide[:, ::2]
+    if layout == "read-only":
+        rho.setflags(write=False)
+    return rho
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    components=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    layout=st.sampled_from(["c", "fortran", "strided", "read-only"]),
+)
+def test_density_populations_add_each_word_as_bincount_does(n, components, seed, layout):
+    rho = cert.random_mixture(2**n, components, np.random.default_rng(seed))
+    expected = _density_populations_by_bincount(rho, n)
+    got = cert._density_populations(_laid_out(rho, layout), n)
+    for axis in "xyz":
+        assert got[axis].view(np.uint64).tolist() == expected[axis].view(np.uint64).tolist()
+
+
+def test_density_certification_copies_no_key_table():
+    # np.bincount copied the read-only 1 MiB table of N = 8 on every call
+    rho = cert.random_mixture(2**8, 3, np.random.default_rng(8))
+    cert.certify_from_state(rho)  # fills the caches
+    tracemalloc.start()
+    try:
+        cert.certify_from_state(rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
 def test_distance_keys_are_a_typed_read_only_table():
     assert cert._distance_keys.cache_parameters()["typed"]
     keys = cert._distance_keys(3)
     assert not keys.flags.writeable
-    assert keys.dtype == np.intp  # what bincount reads without a copy
+    assert keys.dtype == np.intp  # what np.add.at indexes with, uncast
     weights = hamming_weights(3)
     for i in range(8):
         for j in range(8):

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import threading
 import warnings
@@ -208,6 +209,16 @@ def test_dark_manifold_tracking_at_strict_settings():
     traj = repro.strict_trajectory(4)
     series = evolution.dark_fidelity_series(traj)
     assert np.nanmin(series) >= 0.98
+
+
+def test_a_cached_trajectory_is_read_only():
+    # repro hands one cached run to every criterion, so none may change it
+    traj = repro.strict_trajectory(2)
+    for array in (traj.times, traj.states):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        traj.dt = 0.0
 
 
 def test_low_adiabaticity_warns():

@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.linalg import expm
 
 import dickesim
-from dickesim import certification, dark_state, evolution, measurement, model, repro
+from dickesim import certification, cli, dark_state, evolution, measurement, model, repro
 from dickesim import observables as obs
 from dickesim import spin_algebra as sa
 
@@ -282,7 +282,7 @@ CACHES = [
     (obs._axis_eigenbasis, (4, "x")), (obs._azimuth_eigenbasis, (4, 13)),
     (obs._two_ion_analysis_ops, ()), (obs._parity_analysis_ops, (40,)),
     (certification._lower_coefficients, (2,)), (certification._qubit_rotations, ("y",)),
-    (repro.strict_trajectory, (2,)), (repro.fast_trajectory, (2,)),
+    (repro.strict_trajectory, (2,)), (repro.fast_trajectory, (2,)), (cli.build_parser, ()),
 ]
 
 
