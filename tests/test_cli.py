@@ -683,7 +683,7 @@ def test_parity_prints_the_observables_phase_grid(capsys):
     phis = [line.split(",")[0] for line in capsys.readouterr().out.splitlines()
             if line[:1].isdigit()]
     assert phis == [str(phi) for phi in observables.parity_phases(7)]
-    assert cli.build_parser().parse_args(["parity"]).phases == observables.PARITY_PHASES
+    assert cli.build_parser("parity").parse_args(["parity"]).phases == observables.PARITY_PHASES
 
 
 def test_evolve_outside_reduced_regime_warns(capsys):
@@ -778,11 +778,16 @@ def _subcommand_choices(parser):
 def test_subcommand_table_is_the_full_parser():
     names = [name for name, *_ in cli.SUBCOMMANDS]
     assert _subcommand_choices(cli.build_parser()) == names
+    for name in names:
+        assert _subcommand_choices(cli.build_parser(name)) == [name]
+    # anything else is not a subcommand name and gets them all
+    for other in (None, "bogus", "--help", "--version"):
+        assert _subcommand_choices(cli.build_parser(other)) == names
 
 
 def test_missing_or_unknown_subcommand_errors_name_the_argument(capsys):
     # argparse names the argument after the subparsers' metavar, which the
-    # parser therefore leaves unset
+    # full build therefore leaves unset
     for argv, message in ((["bogus"], "error: argument subcommand: invalid choice: 'bogus'"),
                           ([], "error: the following arguments are required: subcommand")):
         with pytest.raises(SystemExit) as excinfo:
@@ -849,6 +854,7 @@ _BUILD_EQUIVALENCE_ARGV = [
     ["--help"],
     ["--version"],
     ["bounds"],
+    ["darkstate"],
     ["darkstate", "--config", "override.cfg", "--n=6"],
 ]
 
@@ -864,18 +870,33 @@ def _outcome(argv, capsys):
 
 @pytest.mark.parametrize("argv", _BUILD_EQUIVALENCE_ARGV,
                          ids=lambda argv: " ".join(argv) or "no-arguments")
-def test_a_cold_and_a_warm_parser_print_the_same(argv, monkeypatch, tmp_path, capsys):
-    # a parse leaves no state in the cached parser that the next one reads
+def test_one_subcommand_build_prints_what_the_full_build_prints(argv, monkeypatch, tmp_path,
+                                                               capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "override.cfg").write_text("n = 4\n")
-    cli.build_parser.cache_clear()
-    cold = _outcome(argv, capsys)
+    one = _outcome(argv, capsys)
     if argv[1:] == ["--help"]:
-        assert cold[0] == cli.EXIT_OK
-    assert _outcome(argv, capsys) == cold
+        assert one[0] == cli.EXIT_OK
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda subcommand=None: build())
+    assert _outcome(argv, capsys) == one
 
 
-def test_a_process_builds_the_parser_once(tmp_path, capsys):
+def test_warm_parsers_print_what_cold_ones_print(monkeypatch, tmp_path, capsys):
+    # a parse (an error exit, --help, a --config run) leaves no state in a
+    # cached parser that a later, different command reads
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "override.cfg").write_text("n = 4\n")
+    cold = {}
+    for argv in _BUILD_EQUIVALENCE_ARGV:
+        cli.build_parser.cache_clear()
+        cold[tuple(argv)] = _outcome(argv, capsys)
+    cli.build_parser.cache_clear()
+    for argv in [*_BUILD_EQUIVALENCE_ARGV, *reversed(_BUILD_EQUIVALENCE_ARGV)]:
+        assert _outcome(argv, capsys) == cold[tuple(argv)], argv
+
+
+def test_a_process_builds_each_parser_once(tmp_path, capsys):
     cfg = tmp_path / "two.cfg"
     cfg.write_text("n = 2\n")
     cli.build_parser.cache_clear()
@@ -885,3 +906,8 @@ def test_a_process_builds_the_parser_once(tmp_path, capsys):
     info = cli.build_parser.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     assert "# n = 6" in capsys.readouterr().out
+    # every other argument list shares the full parser
+    for argv in (["bogus"], [], ["--version"]):
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+    assert cli.build_parser.cache_info().currsize == 2
