@@ -253,9 +253,11 @@ def certify_from_state(state: np.ndarray, axis: str = "x") -> CertificationRecor
     """Exact witness and populations of a full-space state, plus the bounds.
 
     ``state`` is a vector or a density matrix on the 2^N space, N even and
-    at most 8, of total probability 1.  One ``_projection_populations`` pass
-    gives the populations along x, y and z: the record keeps the target
-    axis's, and the witness sums the two complementary axes'.
+    at most 8, of total probability 1; of a matrix, the Hermitian part
+    (rho + rho^dag)/2 is read, and neither Hermiticity nor positivity is
+    tested.  One ``_projection_populations`` pass gives the populations along
+    x, y and z: the record keeps the target axis's, and the witness sums the
+    two complementary axes'.
     """
     if axis not in AXIS_COMPLEMENTS:
         raise ValueError(f"axis must be x, y or z, got {axis!r}")

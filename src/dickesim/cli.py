@@ -85,7 +85,8 @@ def _report(ns, config: dict, columns, rows, summary: dict | None = None, notes=
     the tool version, the subcommand, a ``# key = value`` line for each
     ``config`` entry and a ``# note`` line for each of ``notes``.  The
     ``summary`` pairs follow on stdout as ``key = value`` lines, which
-    ``--summary`` also writes to its file."""
+    ``--summary`` also writes to its file.  Rows hold Python scalars, which
+    print as numpy's do and faster."""
     header = [f"# dickesim {__version__}", f"# subcommand: {ns.subcommand}",
               *(f"# {key} = {value}" for key, value in config.items()),
               *(f"# {note}" for note in notes)]
@@ -172,7 +173,7 @@ def cmd_darkstate(ns) -> int:
     else:
         omega_r, omega_b = ns.omega_r, ns.omega_b
     state = dark_coefficients(ns.n, omega_r, omega_b)
-    amplitudes = state.amplitudes + 0.0  # a vanishing amplitude prints as 0.0, not -0.0
+    amplitudes = (state.amplitudes + 0.0).tolist()  # a vanishing amplitude prints as 0.0, not -0.0
     _report(ns, {
         "n": ns.n, "theta": ns.theta, "omega_r": omega_r, "omega_b": omega_b,
         "norm_a": state.norm_a, "seed": "none",
@@ -185,7 +186,6 @@ def cmd_evolve(ns) -> int:
     traj = _integrate(ns, schedule, params)
     dark_fid = evolution.dark_fidelity_series(traj).tolist()
     spin = observables.spin_readout(traj.spin_marginals())
-    # Python floats print as numpy's float64 do, and faster
     rows = list(zip(traj.times.tolist(), *spin, dark_fid))
     _report(ns, {
         "n": ns.n, "model": ns.model, "schedule": schedule.shape,
@@ -236,7 +236,7 @@ def cmd_parity(ns) -> int:
         "n": 2, "source": ns.source, "phases": ns.phases,
         "shots": ns.shots, "generator": measurement.GENERATOR_NAME,
         "seed": ns.seed if ns.shots is not None else "none", **record,
-    }, ("phi", "parity"), list(zip(phases, scan.parities)), summary={
+    }, ("phi", "parity"), list(zip(phases.tolist(), scan.parities.tolist())), summary={
         "amplitude": scan.amplitude, "p_lower": scan.p_lower, "p_upper": scan.p_upper,
         "fidelity": scan.fidelity,
     })

@@ -5,18 +5,21 @@ with published round constants), keyed by (seed, stream): integers in
 [0, 2^64) that ``ShotConfig`` reads with ``spin_algebra.whole``, so a seed
 of 1.5 is refused, not truncated.  One (state, config) gives one record on
 any platform; parallel sweeps take distinct streams, not one generator.  Every
-shot, of a population histogram, a squared-spin mean or a parity curve, is
-drawn by ``_draw``: one multinomial over the exact outcome probabilities.
-``_draw`` reuses one Philox per thread and re-keys it before each draw to
-(seed, stream) at counter 0 with an empty buffer.  Philox is counter-based,
-so that is the stream of a freshly built generator, bit for bit, without
-the cost of building one a draw.
+shot is drawn by ``_draw``: one multinomial over the exact outcome
+probabilities of each row of a stack of settings, from one Philox per thread
+re-keyed before row k to (seed, stream + k) at counter 0 with an empty buffer,
+the stream of a freshly built generator, bit for bit, without the cost of
+building one a row.  Each stack is one ``_draw``; its rows' streams, as
+offsets from ``config.stream``, are
 
-Nothing is cached here: the J_phi eigenbases of the witness scan come from
-``observables``' grid cache, keyed on the azimuth count.
-The scan's squared-spin estimates are row reductions of one stack of
-settings, each row summed in the order of a sum over that row alone, so a
-record has the bits of one estimated a setting at a time.
+    0, 1, 2 + k   ``simulated_experiment``'s x, z and azimuth k
+    100 + k       parity phase k (``PARITY_STREAM`` + k)
+    10,000        a parity curve's z populations (``POPULATION_STREAM``)
+
+Nothing is cached here: the witness scan's J_phi eigenbases, whose azimuth 0
+is the Jx eigenbasis word for word, come from ``observables``' grid cache.
+Each setting's statistics sum its row alone, so a record has the bits of one
+estimated a setting at a time.
 """
 
 from __future__ import annotations
@@ -32,8 +35,7 @@ from .spin_algebra import _frozen, half_excitation, projections, whole
 
 GENERATOR_NAME = "philox4x64-10"
 
-#: substreams of a sampled parity curve: phase k draws on PARITY_STREAM + k
-#: and the z populations on POPULATION_STREAM, past every phase's stream
+#: substreams of a parity curve: phase k on PARITY_STREAM + k, its z populations past them
 PARITY_STREAM, POPULATION_STREAM = 100, 10_000
 
 #: the most shots of one draw: numpy's multinomial takes a C long
@@ -63,13 +65,9 @@ class ShotConfig:
         return np.random.Generator(np.random.Philox(key=key))
 
     def substream(self, offset: int) -> "ShotConfig":
-        """The same shots and seed on stream ``stream + offset``.  Only the
-        offset needs checking, so ``__post_init__`` is not run again."""
+        """The same shots and seed on stream ``stream + offset``."""
         offset = whole(offset, "stream offset", -self.stream, KEY_MAX - self.stream)
-        stream = self.stream + offset
-        config = object.__new__(ShotConfig)
-        config.__dict__.update(n_shots=self.n_shots, seed=self.seed, stream=stream)
-        return config
+        return ShotConfig(self.n_shots, self.seed, self.stream + offset)
 
 
 @dataclass(frozen=True)
@@ -103,26 +101,31 @@ def _normalized(probabilities) -> np.ndarray:
 _per_thread = threading.local()
 
 
-def _keyed_generator(config: ShotConfig) -> np.random.Generator:
-    """This thread's generator, its Philox set to key (seed, stream),
-    counter 0, an empty buffer and no cached 32-bit half: the state in
-    which ``config.generator()`` starts.  A draw leaves nothing behind that
-    the next re-keying does not overwrite."""
+def _keyed_generator(seed: int, stream: int) -> np.random.Generator:
+    """This thread's generator, its Philox set to key (seed, stream), counter
+    0, an empty buffer and no cached 32-bit half, as a fresh Philox starts; a
+    draw leaves nothing that the next re-keying does not overwrite."""
     generator = getattr(_per_thread, "generator", None)
     if generator is None:
-        generator = _per_thread.generator = config.generator()
+        generator = _per_thread.generator = np.random.Generator(np.random.Philox(0))
     generator.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": (config.seed, config.stream)},
+        "state": {"counter": (0, 0, 0, 0), "key": (seed, stream)},
         "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
     }
     return generator
 
 
 def _draw(probabilities: np.ndarray, config: ShotConfig) -> np.ndarray:
-    """Outcome counts of ``config.n_shots`` shots over ``_normalized``
-    probabilities."""
-    return _keyed_generator(config).multinomial(config.n_shots, probabilities)
+    """Counts of ``config.n_shots`` shots over ``_normalized`` probabilities:
+    one distribution, or a (k, m) stack whose row k draws on stream
+    ``config.stream`` + k; a stack past ``KEY_MAX`` is refused before any draw."""
+    rows = np.atleast_2d(probabilities)
+    if config.stream + len(rows) - 1 > KEY_MAX:
+        raise ValueError(f"{len(rows)} rows from stream {config.stream} end past stream {KEY_MAX}")
+    counts = [_keyed_generator(config.seed, config.stream + k).multinomial(config.n_shots, row)
+              for k, row in enumerate(rows)]
+    return np.array(counts, dtype=np.int64).reshape(np.shape(probabilities))
 
 
 def sample_populations(state: np.ndarray, config: ShotConfig, axis: str) -> MeasurementRecord:
@@ -134,13 +137,10 @@ def sample_populations(state: np.ndarray, config: ShotConfig, axis: str) -> Meas
 def sample_parities(parities: np.ndarray, config: ShotConfig) -> np.ndarray:
     """Shot-sampled two-ion parity curve from its exact values: at phase k,
     the count of the even-parity outcome in a draw over (even, odd) on
-    substream ``PARITY_STREAM`` + k.  The curve is normalised once, not once
-    a phase."""
+    substream ``PARITY_STREAM`` + k: one ``_draw`` of the stack of phases."""
     p_even = np.clip((1 + np.asarray(parities, dtype=float)) / 2, 0.0, 1.0)
     probs = _normalized(np.stack([p_even, 1 - p_even], axis=-1))
-    draws = [_draw(pair, config.substream(PARITY_STREAM + k))[0]
-             for k, pair in enumerate(probs)]
-    return 2 * np.array(draws) / config.n_shots - 1
+    return 2 * _draw(probs, config.substream(PARITY_STREAM))[:, 0] / config.n_shots - 1
 
 
 def sample_parity_curve(state: np.ndarray, n_phases: int, config: ShotConfig):
@@ -157,17 +157,14 @@ def sample_parity_curve(state: np.ndarray, n_phases: int, config: ShotConfig):
     return sample_parities(parities, config), pops
 
 
-def _sample_squares(probs: np.ndarray, config: ShotConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Sampled means and standard errors of J^2 along each axis whose
-    projection populations, m - N/2 ascending, are a row of ``probs``; row k
-    draws on substream k.  The statistics are row reductions, each summing
-    its row's terms in the order of a sum over that row alone."""
-    probs = _normalized(probs)
-    squares = projections(probs.shape[1] - 1) ** 2
-    counts = np.array([_draw(row, config.substream(k)) for k, row in enumerate(probs)])
-    means = np.sum(counts * squares, axis=1) / config.n_shots
-    var = np.sum(counts * (squares - means[:, None]) ** 2, axis=1) / max(config.n_shots - 1, 1)
-    return means, np.sqrt(var / config.n_shots)
+def _sample_squares(counts: np.ndarray, n_shots: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sampled means and standard errors of J^2 along the axis of each row of
+    ``counts``, outcomes m - N/2 ascending: row reductions, each summing its
+    row's terms in the order of a sum over that row alone."""
+    squares = projections(counts.shape[1] - 1) ** 2
+    means = np.sum(counts * squares, axis=1) / n_shots
+    var = np.sum(counts * (squares - means[:, None]) ** 2, axis=1) / max(n_shots - 1, 1)
+    return means, np.sqrt(var / n_shots)
 
 
 def simulated_experiment(state: np.ndarray, config: ShotConfig) -> CertificationRecord:
@@ -176,19 +173,18 @@ def simulated_experiment(state: np.ndarray, config: ShotConfig) -> Certification
     Populations are sampled along x; <Jz^2> is sampled without an analysis
     pulse; <Jy^2> is the peak of a sampled J_phi^2 scan over
     ``WITNESS_AZIMUTHS`` azimuths in [0, pi], the first azimuth where ties
-    leave more than one.  Streams are partitioned per setting, so one config
-    reproduces the whole record: the z row and the azimuth rows are one
-    stack, one ``_draw`` per row on substream 1 + k.  The exact record of a
-    symmetric-sector ``state`` is ``certify_from_state`` of the state lifted
-    by ``symmetric_isometry(N)``, which this one approaches as the shots grow.
+    leave more than one.  The state is read along z and for the scan, whose
+    azimuth 0 is x; one ``_draw`` of the stack x, z, azimuths draws them on
+    substreams 0, 1 and 2 + k.  The exact record of a symmetric-sector
+    ``state`` is ``certify_from_state`` of the state lifted by
+    ``symmetric_isometry(N)``, which this one approaches as the shots grow.
     """
-    state = np.asarray(state, dtype=complex)
     z_pops = observables.populations_along(state, "z")
     half_excitation(len(z_pops) - 1)
-
-    pop_rec = sample_populations(state, config.substream(0), "x")
     azimuth_pops = observables.populations_azimuth(state, WITNESS_AZIMUTHS)
-    means, errors = _sample_squares(np.vstack([z_pops, azimuth_pops]), config.substream(1))
+    counts = _draw(_normalized(np.vstack([azimuth_pops[0], z_pops, azimuth_pops])), config)
+    pop_rec = MeasurementRecord(counts=counts[0], seed=config.seed, stream=config.stream)
+    means, errors = _sample_squares(counts[1:], config.n_shots)
     peak = 1 + int(np.argmax(means[1:]))  # the first of tied maxima
     return CertificationRecord(witness_value=float(means[peak] + means[0]),
                                populations=pop_rec.frequencies,

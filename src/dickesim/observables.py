@@ -49,7 +49,9 @@ def check_normalized(state: np.ndarray) -> np.ndarray:
     """``state`` as a complex array: the one test of a single state.  A
     ValueError for any shape but a vector or a square matrix, and then one
     that names the value when its total probability, a vector's |psi|^2 or
-    a matrix's trace, is not within ``NORM_TOL`` of 1, a nan included."""
+    a matrix's trace, is not within ``NORM_TOL`` of 1, a nan included.
+    Neither Hermiticity nor positivity is tested: every reader of a matrix
+    reads its Hermitian part (rho + rho^dag)/2."""
     state = np.asarray(state, dtype=complex)
     if state.ndim == 1:
         value, name = np.vdot(state, state).real, "|psi|^2"

@@ -16,7 +16,9 @@ acceptance criterion, from its one list of rows.  Only
 ``spin_algebra.whole`` compares a value with its ``int()``, and only
 ``measurement.KEY_MAX`` writes the 2**64 bound of a Philox key.  Only
 ``spin_algebra`` takes a ``functools`` cache, for ``constant_cache``, and
-``evolution._kernel`` the other.
+``evolution._kernel`` the other.  Only ``measurement._draw`` calls
+``.multinomial`` and only ``measurement._keyed_generator`` assigns a
+``bit_generator.state``, so every shot is drawn on the one sampling path.
 """
 
 import ast
@@ -410,3 +412,40 @@ def test_only_spin_algebra_and_the_kernel_take_a_functools_cache():
     users = [(module, function) for module in MODULES
              for function in _functools_cache_users(_tree(module))]
     assert users == [("evolution", "_kernel"), ("spin_algebra", None)]
+
+
+def _draw_path_bypasses(tree):
+    """(what, function) for each ``.multinomial(...)`` call in ``tree`` and
+    each assignment to an attribute ``bit_generator.state``, with the
+    function around it."""
+    def calls_multinomial(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "multinomial"
+
+    def sets_a_key(node):
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        return isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)) and any(
+            isinstance(target, ast.Attribute) and target.attr == "state"
+            and getattr(target.value, "attr", None) == "bit_generator" for target in targets)
+
+    return ([("multinomial", f) for f in _enclosing_functions(tree, calls_multinomial)]
+            + [("state", f) for f in _enclosing_functions(tree, sets_a_key)])
+
+
+def test_the_draw_path_reader_sees_each_form():
+    source = ("def f(g, p):\n    return g.multinomial(10, p)\n"
+              "def g(gen):\n    gen.bit_generator.state = {}\n"
+              "class C:\n    def h(self):\n        self.gen.bit_generator.state: dict = {}\n"
+              "np.random.default_rng(1).multinomial(3, [1.0])\n"
+              "def k(gen):\n    state = gen.bit_generator.state\n    gen.state = state\n")
+    assert _draw_path_bypasses(ast.parse(source)) == [
+        ("multinomial", "f"), ("multinomial", None), ("state", "g"), ("state", "h")]
+
+
+def test_only_draw_samples_and_only_keyed_generator_rekeys():
+    # one path for every shot: a sampler that drew its own multinomial or
+    # keyed its own Philox would escape the stream layout and the counters
+    # that the benchmark's trace takes at measurement._draw
+    found = [(what, module, function) for module in MODULES
+             for what, function in _draw_path_bypasses(_tree(module))]
+    assert found == [("multinomial", "measurement", "_draw"),
+                     ("state", "measurement", "_keyed_generator")]

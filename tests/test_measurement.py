@@ -111,8 +111,9 @@ def test_convergence_rate_one_over_sqrt_n():
 def test_azimuth_square_sampling():
     state = half_excited_x(4)
     # the middle of three azimuths over [0, pi] is pi/2
-    [mean], [err] = meas._sample_squares(obs.populations_azimuth(state, 3)[1:2],
-                                         meas.ShotConfig(n_shots=20_000, seed=8))
+    config = meas.ShotConfig(n_shots=20_000, seed=8)
+    counts = meas._draw(meas._normalized(obs.populations_azimuth(state, 3)[1:2]), config)
+    [mean], [err] = meas._sample_squares(counts, config.n_shots)
     assert mean == pytest.approx(3.0, abs=0.1)
     assert 0 < err < 0.05
 
@@ -207,6 +208,42 @@ def test_stacked_experiment_equals_the_per_setting_loop_bit_for_bit():
     assert digest.hexdigest() == "c8ad4c4f04a842914a474e4003f59862b9d4dcb3350793aaa06c144b7cc449ed"
 
 
+@settings(max_examples=40, deadline=None)
+@given(n_ions=st.sampled_from([2, 4, 6, 8]), mixed=st.booleans(),
+       shots=st.integers(10, 10**6), seed=st.integers(0, 2**63),
+       stream=st.integers(0, 2**64 - 1 - 14), state_seed=st.integers(0, 2**32 - 1))
+def test_stacked_experiment_equals_the_per_setting_loop_at_every_even_n(
+        n_ions, mixed, shots, seed, stream, state_seed):
+    rng = np.random.default_rng(state_seed)
+    vecs = rng.normal(size=(2, n_ions + 1)) + 1j * rng.normal(size=(2, n_ions + 1))
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    state = (0.6 * np.outer(vecs[0], vecs[0].conj()) + 0.4 * np.outer(vecs[1], vecs[1].conj())
+             if mixed else vecs[0])
+    config = meas.ShotConfig(n_shots=shots, seed=seed, stream=stream)
+    expected, _ = _experiment_per_setting(state, config)
+    assert _record_bits(meas.simulated_experiment(state, config)) == _record_bits(expected)
+
+
+def _recording_draws(monkeypatch):
+    """The (rows, shots of each row) of every ``_draw`` call from now on."""
+    seen, draw = [], meas._draw
+
+    def recording_draw(probabilities, config):
+        counts = draw(probabilities, config)
+        seen.append((config.stream, np.atleast_2d(counts).sum(axis=1).tolist()))
+        return counts
+
+    monkeypatch.setattr(meas, "_draw", recording_draw)
+    return seen
+
+
+def test_simulated_experiment_draws_its_settings_in_one_call(monkeypatch):
+    # x, z and the 13 azimuths are one stack, on streams 7, 8 and 9 + k
+    seen = _recording_draws(monkeypatch)
+    meas.simulated_experiment(_noisy_target(6, 0.1), meas.ShotConfig(n_shots=500, seed=5, stream=7))
+    assert seen == [(7, [500] * (2 + meas.WITNESS_AZIMUTHS))]
+
+
 def test_simulated_experiment_rejects_other_sizes():
     # an odd N has no half-excited Dicke state
     with pytest.raises(ValueError, match="N=3"):
@@ -294,18 +331,11 @@ def test_sampled_parities_are_per_phase_philox_binomials(parities, shots, seed, 
 
 
 def test_sampled_parities_draw_every_shot_through_the_sampler(monkeypatch):
-    seen = []
-    draw = meas._draw
-
-    def counting_draw(probabilities, config):
-        counts = draw(probabilities, config)
-        seen.append(int(counts.sum()))
-        return counts
-
-    monkeypatch.setattr(meas, "_draw", counting_draw)
+    # the 40 phases are one stack of 1000 shots a row, from stream 100
+    seen = _recording_draws(monkeypatch)
     parities = np.cos(2 * np.linspace(0.0, 2 * np.pi, 40, endpoint=False))
     meas.sample_parities(parities, meas.ShotConfig(n_shots=1000, seed=5))
-    assert seen == [1000] * 40
+    assert seen == [(meas.PARITY_STREAM, [1000] * 40)]
 
 
 def test_substream_checks_the_new_stream():
@@ -348,6 +378,39 @@ def test_rekeyed_sampler_equals_a_fresh_philox(draws):
             assert np.array_equal(config.generator().random(3), fresh(seed, stream).random(3))
         assert np.array_equal(meas._draw(probs, config),
                               fresh(seed, stream).multinomial(shots, probs))
+
+
+def _fresh_multinomial(seed, stream, shots, probs):
+    key = np.array([seed, stream], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).multinomial(shots, probs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.integers(2, 9).flatmap(lambda m: st.lists(
+           st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0), min_size=m, max_size=m)
+           .filter(lambda w: sum(w) > 0), min_size=1, max_size=20)),
+       shots=st.integers(1, 10**6), seed=st.integers(0, 2**64 - 1),
+       stream=st.integers(0, 2**64 - 1), at_the_last_stream=st.booleans())
+def test_a_stacked_draw_is_per_row_philox_multinomials(rows, shots, seed, stream,
+                                                        at_the_last_stream):
+    # row k draws on key (seed, stream + k) what a Philox built for that key
+    # draws, word for word; a stack may end on the last stream, 2^64 - 1
+    probs = meas._normalized(rows)
+    stream = meas.KEY_MAX - len(rows) + 1 if at_the_last_stream else stream % (
+        meas.KEY_MAX - len(rows) + 2)
+    counts = meas._draw(probs, meas.ShotConfig(n_shots=shots, seed=seed, stream=stream))
+    assert counts.shape == probs.shape and counts.dtype == np.int64
+    assert np.array_equal(counts, [_fresh_multinomial(seed, stream + k, shots, row)
+                                   for k, row in enumerate(probs)])
+
+
+def test_a_stack_past_the_last_stream_is_refused_before_any_draw(monkeypatch):
+    monkeypatch.setattr(meas, "_keyed_generator", lambda *args: pytest.fail("drew"))
+    probs = meas._normalized(np.ones((3, 2)))
+    config = meas.ShotConfig(n_shots=10, seed=1, stream=meas.KEY_MAX - 1)
+    with pytest.raises(ValueError, match=re.escape(
+            f"3 rows from stream {meas.KEY_MAX - 1} end past stream {meas.KEY_MAX}")):
+        meas._draw(probs, config)
 
 
 def test_threads_sample_the_records_of_a_sequential_run():

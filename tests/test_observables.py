@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from dickesim import certification, measurement
@@ -265,6 +267,76 @@ def test_stacked_azimuth_populations_keep_the_bits(n_ions):
                 assert np.array_equal(row, _populations_azimuth_alone(state, phi))
             assert np.array_equal(obs.azimuthal_spin(n_ions, phases),
                                   [obs.azimuthal_spin(n_ions, phi) for phi in phases])
+
+
+@pytest.mark.parametrize("n_ions", range(1, 9))
+def test_the_x_eigenbasis_is_azimuth_zero_word_for_word(n_ions):
+    # simulated_experiment reads its x populations off the scan's first row
+    basis, adjoint = obs._axis_eigenbasis(n_ions, "x")
+    for count in (1, 2, 13, 40):
+        stack, stack_adjoint = obs._azimuth_eigenbasis(n_ions, count)
+        assert stack[0].tobytes() == basis.tobytes()
+        assert stack_adjoint[0].tobytes() == adjoint.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the Hermitian part of a density matrix
+# ---------------------------------------------------------------------------
+
+def _numbers(value):
+    """Every float of a reader's output, a record's or a nested tuple's, flat."""
+    if isinstance(value, certification.CertificationRecord):
+        value = (value.witness_value, value.populations, value.f_lower, value.f_upper)
+    if isinstance(value, (tuple, list)):
+        return np.concatenate([_numbers(part) for part in value])
+    return np.ravel(np.asarray(value, dtype=float))
+
+
+# (reader of a density matrix, the ion numbers and dimension it reads)
+_DENSITY_READERS = {
+    "certify_from_state": (certification.certify_from_state, (2, 4, 6, 8), lambda n: 2**n),
+    "witness": (lambda rho: [obs.witness(rho, axes) for axes in certification.AXIS_COMPLEMENTS
+                             .values()], range(1, 9), lambda n: n + 1),
+    "direct_fidelity": (lambda rho: obs.direct_fidelity(rho, dicke_state(len(rho) - 1, 1)),
+                        range(1, 9), lambda n: n + 1),
+    "populations_along": (lambda rho: [obs.populations_along(rho, axis) for axis in obs.AXES],
+                          range(1, 9), lambda n: n + 1),
+    "populations_azimuth": (lambda rho: obs.populations_azimuth(rho, 13), range(1, 9),
+                            lambda n: n + 1),
+    "parity_curve": (lambda rho: obs.parity_curve(rho, 40), (2,), lambda n: n + 1),
+    "parity_curve full": (lambda rho: obs.parity_curve(rho, 40), (2,), lambda n: 2**n),
+    "spin_readout": (lambda rho: obs.spin_readout(rho[None]), range(1, 9), lambda n: n + 1),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(reader=st.sampled_from(sorted(_DENSITY_READERS)), data=st.data(),
+       seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-6, 1e-2, 1.0]))
+def test_every_density_matrix_reader_reads_the_hermitian_part(reader, data, seed, scale):
+    # adding an anti-Hermitian part to rho moves no output: each reader takes
+    # real parts of traces and diagonals of Hermitian products, so it reads
+    # (rho + rho^dag)/2, and no reader tests Hermiticity
+    read, ions, dim = _DENSITY_READERS[reader]
+    dim = dim(data.draw(st.sampled_from(list(ions))))
+    rng = np.random.default_rng(seed)
+    vecs = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    rho = sum(w * np.outer(v, v.conj()) for w, v in zip(rng.dirichlet(np.ones(3)), vecs))
+    square = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    skew = scale * (square - square.conj().T) / 2
+    np.testing.assert_allclose(_numbers(read(rho + skew)), _numbers(read(rho)), rtol=0, atol=1e-12)
+
+
+def test_a_one_sided_coherence_certifies_as_its_hermitian_part():
+    # rho[0, 3] without rho[3, 0] is no density matrix, but its Hermitian
+    # part, with 0.1 on both sides, is one, and it is what is certified
+    rho = np.eye(4, dtype=complex) / 4
+    rho[0, 3] = 0.2
+    hermitian = (rho + rho.conj().T) / 2
+    assert np.linalg.eigvalsh(hermitian).min() >= 0
+    np.testing.assert_allclose(_numbers(certification.certify_from_state(rho)),
+                               _numbers(certification.certify_from_state(hermitian)),
+                               rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
