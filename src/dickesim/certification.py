@@ -180,14 +180,13 @@ def _on_each_qubit(x: np.ndarray, op: np.ndarray, n_ions: int) -> np.ndarray:
 
 @constant_cache(check_n_ions)
 def _distance_keys(n_ions: int) -> np.ndarray:
-    """The bin of each float word of a C-ordered 2^N x 2^N complex matrix:
-    entry (i, j) has key 4 |i xor j| + (|i| - |j|) mod 4, with |.| the
-    Hamming weight, and its real and imaginary words go to bins 2 key and
-    2 key + 1; read-only."""
+    """The bin of each entry of a C-ordered 2^N x 2^N matrix, one intp key
+    per entry: (i, j) has key 4 |i xor j| + (|i| - |j|) mod 4, with |.| the
+    Hamming weight; read-only."""
     weights = hamming_weights(n_ions).astype(np.int16)  # int16 temporaries build it 3x faster
     index = np.arange(2**n_ions, dtype=np.int16)
     key = 4 * weights[index[:, None] ^ index] + (weights[:, None] - weights) % 4
-    return np.stack((2 * key, 2 * key + 1), axis=-1, dtype=np.intp).reshape(-1)
+    return key.astype(np.intp).reshape(-1)
 
 
 @constant_cache(check_n_ions)
@@ -206,13 +205,14 @@ def _density_populations(rho: np.ndarray, n_ions: int) -> dict[str, np.ndarray]:
     where C_a(w) sums tr(rho sigma_a^S) over the qubit sets S of size w.
     For x that is the sum of rho_ij over |i xor j| = w; sigma_y^S gives
     entry (i, j) the phase 1j^(|i| - |j|), so for y the sum is split by
-    (|i| - |j|) mod 4.  One ``np.add.at`` of rho's float words into the
-    bins of ``_distance_keys`` gives every sum, adding each word in input
-    order as ``np.bincount`` does; ``bincount`` would copy the read-only
-    table, 1 MiB at N = 8, on every call."""
-    sums = np.zeros(8 * (n_ions + 1))
-    np.add.at(sums, _distance_keys(n_ions), np.ascontiguousarray(rho).view(float).reshape(-1))
-    re, im = sums.reshape(n_ions + 1, 4, 2).transpose(2, 0, 1)
+    (|i| - |j|) mod 4.  One ``np.add.at`` of rho's complex entries into the
+    bins of ``_distance_keys`` gives every sum as one complex number: numpy
+    adds the real and imaginary parts apart, each in input order, so every
+    word is the sum that a float-word ``np.bincount`` gives, without the
+    copy of the read-only table that ``bincount`` makes on every call."""
+    sums = np.zeros((n_ions + 1, 4), dtype=complex)
+    np.add.at(sums.reshape(-1), _distance_keys(n_ions), rho.reshape(-1))
+    re, im = sums.real, sums.imag
     transform = _krawtchouk(n_ions)[::-1] / 2**n_ions  # row m is K[N - m]
     return {"x": transform @ re.sum(axis=1),
             "y": transform @ (re[:, 0] - im[:, 1] - re[:, 2] + im[:, 3]),

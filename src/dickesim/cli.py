@@ -12,7 +12,7 @@ import numpy as np
 
 from . import __version__, certification, evolution, measurement, model, observables, repro
 from .dark_state import dark_coefficients
-from .errors import NumericalError, PhysicsConfigError, TruncationWarning
+from .errors import NumericalError, TruncationWarning
 from .spin_algebra import constant_cache, half_excited_x
 
 EXIT_OK, EXIT_USAGE, EXIT_PHYSICS, EXIT_NUMERICAL = 0, 1, 2, 3
@@ -381,32 +381,17 @@ SUBCOMMANDS = (
     ("repro", "re-run the acceptance checks and print a table", cmd_repro, ()),
 )
 
-_SUBCOMMAND_NAMES = frozenset(name for name, *_ in SUBCOMMANDS)
-
 
 @constant_cache()
-def build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
-    """The dickesim parser, built once per process for each ``subcommand``:
-    argparse spends most of a light command's time building parsers, and a
-    parse keeps no state in them.  The returned parser is shared by every
-    later call with the same argument, so callers must not change it.
-
-    When ``subcommand`` names one, only its subparser is built, since a
-    parse that starts with that name visits no other.  Every other argument
-    list (help, --version, no or an unknown subcommand) needs them all.  The
-    lone subparser keeps the full choice list as its metavar, so that the
-    top-level usage in an error such as ``evolve --bogus`` still names every
-    subcommand; the full build leaves it unset, because argparse names the
-    argument after it in the errors of a missing or unknown subcommand."""
-    names = [name for name, *_ in SUBCOMMANDS]
-    only = subcommand in names
+def build_parser() -> argparse.ArgumentParser:
+    """The dickesim parser with all eight subparsers, built once per
+    process: argparse spends most of a light command's time building
+    parsers, and a parse keeps no state in them.  Every call returns the
+    same parser, so callers must not change it."""
     parser = _Parser(prog="dickesim", description=DESCRIPTION)
     parser.add_argument("--version", action="version", version=f"dickesim {__version__}")
-    metavar = {"metavar": "{" + ",".join(names) + "}"} if only else {}
-    sub = parser.add_subparsers(dest="subcommand", required=True, **metavar)
+    sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, help_text, handler, flags in SUBCOMMANDS:
-        if only and name != subcommand:
-            continue
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key-value file supplying flag defaults (flags win)")
         for flag in flags:
@@ -422,10 +407,7 @@ def _format_warning(message, category, filename, lineno, line=None) -> str:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # only a subcommand name keys its own parser, so the cache holds at most
-    # one parser per subcommand and the full one
-    first = argv[0] if argv else None
-    parser = build_parser(first if first in _SUBCOMMAND_NAMES else None)
+    parser = build_parser()
     ns = parser.parse_args(argv)
     # a library warning prints as one line; recorders such as pytest.warns
     # take the warning itself and never format it
@@ -442,7 +424,7 @@ def main(argv=None) -> int:
     except OSError as exc:  # a missing or unreadable --config/--input file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (PhysicsConfigError, ValueError, MemoryError) as exc:
+    except (ValueError, MemoryError) as exc:
         # MemoryError: a --cuts or --phases too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PHYSICS

@@ -60,10 +60,6 @@ class ShotConfig:
                              seed=whole(self.seed, "seed", 0, KEY_MAX),
                              stream=whole(self.stream, "stream", 0, KEY_MAX))
 
-    def generator(self) -> np.random.Generator:
-        key = np.array([self.seed, self.stream], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
-
     def substream(self, offset: int) -> "ShotConfig":
         """The same shots and seed on stream ``stream + offset``."""
         offset = whole(offset, "stream offset", -self.stream, KEY_MAX - self.stream)

@@ -247,9 +247,11 @@ def test_density_populations_take_any_memory_layout():
 
 
 def _density_populations_by_bincount(rho, n_ions):
-    """``cert._density_populations`` with its sums taken by ``np.bincount``,
-    which copies the read-only key table on every call."""
-    sums = np.bincount(cert._distance_keys(n_ions), minlength=8 * (n_ions + 1),
+    """``cert._density_populations`` with its sums taken by ``np.bincount``
+    over rho's float words: entry key k sends its real word to bin 2k and
+    its imaginary word to bin 2k + 1."""
+    keys = 2 * cert._distance_keys(n_ions)
+    sums = np.bincount(np.stack((keys, keys + 1), axis=-1).reshape(-1), minlength=8 * (n_ions + 1),
                        weights=np.ascontiguousarray(rho).view(float).reshape(-1))
     re, im = sums.reshape(n_ions + 1, 4, 2).transpose(2, 0, 1)
     transform = cert._krawtchouk(n_ions)[::-1] / 2**n_ions
@@ -288,7 +290,7 @@ def test_density_populations_add_each_word_as_bincount_does(n, components, seed,
 
 
 def test_density_certification_copies_no_key_table():
-    # np.bincount copied the read-only 1 MiB table of N = 8 on every call
+    # np.bincount copies its read-only key table, 512 KiB at N = 8, on every call
     rho = cert.random_mixture(2**8, 3, np.random.default_rng(8))
     cert.certify_from_state(rho)  # fills the caches
     tracemalloc.start()
@@ -306,10 +308,9 @@ def test_distance_keys_are_a_typed_read_only_table():
     assert not keys.flags.writeable
     assert keys.dtype == np.intp  # what np.add.at indexes with, uncast
     weights = hamming_weights(3)
-    for i in range(8):
-        for j in range(8):
-            key = 4 * bin(i ^ j).count("1") + (weights[i] - weights[j]) % 4
-            assert keys[2 * (8 * i + j)] == 2 * key and keys[2 * (8 * i + j) + 1] == 2 * key + 1
+    assert keys.tolist() == [4 * bin(i ^ j).count("1") + (weights[i] - weights[j]) % 4
+                             for i in range(8) for j in range(8)]  # one key per entry, C order
+    assert len(cert._distance_keys(8)) == 2**16
 
 
 def test_certify_ideal_state_tight():

@@ -683,7 +683,7 @@ def test_parity_prints_the_observables_phase_grid(capsys):
     phis = [line.split(",")[0] for line in capsys.readouterr().out.splitlines()
             if line[:1].isdigit()]
     assert phis == [str(phi) for phi in observables.parity_phases(7)]
-    assert cli.build_parser("parity").parse_args(["parity"]).phases == observables.PARITY_PHASES
+    assert cli.build_parser().parse_args(["parity"]).phases == observables.PARITY_PHASES
 
 
 def test_evolve_outside_reduced_regime_warns(capsys):
@@ -778,11 +778,6 @@ def _subcommand_choices(parser):
 def test_subcommand_table_is_the_full_parser():
     names = [name for name, *_ in cli.SUBCOMMANDS]
     assert _subcommand_choices(cli.build_parser()) == names
-    for name in names:
-        assert _subcommand_choices(cli.build_parser(name)) == [name]
-    # anything else is not a subcommand name and gets them all
-    for other in (None, "bogus", "--help", "--version"):
-        assert _subcommand_choices(cli.build_parser(other)) == names
 
 
 def test_missing_or_unknown_subcommand_errors_name_the_argument(capsys):
@@ -868,20 +863,6 @@ def _outcome(argv, capsys):
     return code, out, err
 
 
-@pytest.mark.parametrize("argv", _BUILD_EQUIVALENCE_ARGV,
-                         ids=lambda argv: " ".join(argv) or "no-arguments")
-def test_one_subcommand_build_prints_what_the_full_build_prints(argv, monkeypatch, tmp_path,
-                                                               capsys):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "override.cfg").write_text("n = 4\n")
-    one = _outcome(argv, capsys)
-    if argv[1:] == ["--help"]:
-        assert one[0] == cli.EXIT_OK
-    build = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda subcommand=None: build())
-    assert _outcome(argv, capsys) == one
-
-
 def test_warm_parsers_print_what_cold_ones_print(monkeypatch, tmp_path, capsys):
     # a parse (an error exit, --help, a --config run) leaves no state in a
     # cached parser that a later, different command reads
@@ -891,6 +872,7 @@ def test_warm_parsers_print_what_cold_ones_print(monkeypatch, tmp_path, capsys):
     for argv in _BUILD_EQUIVALENCE_ARGV:
         cli.build_parser.cache_clear()
         cold[tuple(argv)] = _outcome(argv, capsys)
+    assert all(cold[name, "--help"][0] == cli.EXIT_OK for name, *_ in cli.SUBCOMMANDS)
     cli.build_parser.cache_clear()
     for argv in [*_BUILD_EQUIVALENCE_ARGV, *reversed(_BUILD_EQUIVALENCE_ARGV)]:
         assert _outcome(argv, capsys) == cold[tuple(argv)], argv
@@ -906,8 +888,10 @@ def test_a_process_builds_each_parser_once(tmp_path, capsys):
     info = cli.build_parser.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     assert "# n = 6" in capsys.readouterr().out
-    # every other argument list shares the full parser
-    for argv in (["bogus"], [], ["--version"]):
+    # every subcommand and every other argument list shares that parser
+    for argv in ([[name, "--help"] for name, *_ in cli.SUBCOMMANDS]
+                 + [["bogus"], [], ["--version"]]):
         with pytest.raises(SystemExit):
             cli.main(argv)
-    assert cli.build_parser.cache_info().currsize == 2
+    info = cli.build_parser.cache_info()
+    assert (info.currsize, info.misses) == (1, 1)

@@ -8,7 +8,8 @@ module reads no other module's underscore names, except the two shared
 helpers of ``spin_algebra``.  Only ``observables`` builds the parity
 scan's phase grid over 2*pi.  ``cli`` declares each flag once, in
 ``FLAGS``, adds arguments to its parsers only in ``build_parser`` and
-writes a command's output only in ``_report``.  Only ``repro`` runs an
+writes a command's output only in ``_report``; ``build_parser`` takes no
+parameter, and only ``cli.main`` calls it, so a process has one parser.  Only ``repro`` runs an
 acceptance criterion, from its one list of rows.  Only
 ``evolution._integrate`` builds a ``Trajectory``: the one run path.  Only
 ``spin_algebra.half_excitation`` refuses an odd number of ions.  Only
@@ -265,6 +266,30 @@ def test_only_integrate_builds_a_trajectory():
     builders = [(module, function) for module in MODULES
                 for function in _trajectory_builders(_tree(module))]
     assert builders == [("evolution", "_integrate")]
+
+
+def _parser_builders(tree):
+    """The function around each ``build_parser(...)`` call in ``tree``, bare
+    or as an attribute."""
+    return _enclosing_functions(tree, lambda node: isinstance(node, ast.Call) and (
+        "build_parser" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))))
+
+
+def test_the_parser_build_reader_sees_each_form():
+    source = ("def f():\n    return cli.build_parser()\n"
+              "class C:\n    def g(self):\n        h = lambda: build_parser()\n"
+              "build_parser()\n")
+    assert _parser_builders(ast.parse(source)) == ["f", "g", None]
+
+
+def test_one_parser_per_process():
+    # a parser keyed on its arguments would let the cache hold several
+    (build,) = [node for node in _tree("cli").body
+                if isinstance(node, ast.FunctionDef) and node.name == "build_parser"]
+    assert ast.unparse(build.args) == ""
+    builders = [(module, function) for module in MODULES
+                for function in _parser_builders(_tree(module))]
+    assert builders == [("cli", "main")]
 
 
 _EVEN_IONS = re.compile(r"\beven\b.*\b(n_)?ions?\b")

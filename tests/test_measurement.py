@@ -15,6 +15,11 @@ from dickesim.spin_algebra import (dicke_state, half_excited_x, projections, rot
                                    symmetric_isometry)
 
 
+def _fresh(seed, stream):
+    """A Philox generator built for the key (seed, stream), at counter 0."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+
+
 def _binomial_profile_state():
     # pole state viewed along x: populations (1, 4, 6, 4, 1)/16
     return rotation_y(4, np.pi / 2) @ dicke_state(4, 0)
@@ -81,8 +86,8 @@ def test_sampled_parity_curve_refuses_phases_that_reach_the_population_stream(mo
 def test_streams_are_partitioned():
     config = meas.ShotConfig(n_shots=10, seed=4, stream=0)
     other = config.substream(1)
-    a = config.generator().random(8)
-    b = other.generator().random(8)
+    a = _fresh(config.seed, config.stream).random(8)
+    b = _fresh(other.seed, other.stream).random(8)
     assert not np.allclose(a, b)
 
 
@@ -323,9 +328,7 @@ def test_sampled_parities_are_per_phase_philox_binomials(parities, shots, seed, 
     # 100 + k; the generator is keyed here by hand, not through ShotConfig
     config = meas.ShotConfig(n_shots=shots, seed=seed, stream=stream)
     p_even = np.clip((1 + np.array(parities)) / 2, 0.0, 1.0)
-    counts = [np.random.Generator(np.random.Philox(
-        key=np.array([seed, stream + 100 + k], dtype=np.uint64))).binomial(shots, p)
-        for k, p in enumerate(p_even)]
+    counts = [_fresh(seed, stream + 100 + k).binomial(shots, p) for k, p in enumerate(p_even)]
     assert np.array_equal(meas.sample_parities(parities, config),
                           2 * np.array(counts) / shots - 1)
 
@@ -360,29 +363,16 @@ _PROBABILITIES = st.sampled_from([[0.5, 0.5], [1.0, 0.0], [0.0, 1.0], [0.0, 0.5,
 
 
 @settings(max_examples=200, deadline=None)
-@given(draws=st.lists(st.tuples(_KEYS, st.integers(1, 10**6), _PROBABILITIES, st.booleans()),
+@given(draws=st.lists(st.tuples(_KEYS, st.integers(1, 10**6), _PROBABILITIES),
                       min_size=1, max_size=50))
 def test_rekeyed_sampler_equals_a_fresh_philox(draws):
     # the per-thread generator keyed to (seed, stream) draws what a Philox
-    # built for that key draws, whatever this thread drew before it; a
-    # public config.generator() is a new generator at the start of the same
-    # stream, and drawing from it leaves the sampler's draws alone
-    def fresh(seed, stream):
-        return np.random.Generator(np.random.Philox(key=np.array([seed, stream],
-                                                                 dtype=np.uint64)))
-
-    for (seed, stream), shots, weights, public_draw in draws:
+    # built for that key draws, whatever this thread drew before it
+    for (seed, stream), shots, weights in draws:
         config = meas.ShotConfig(n_shots=shots, seed=seed, stream=stream)
         probs = meas._normalized(weights)
-        if public_draw:
-            assert np.array_equal(config.generator().random(3), fresh(seed, stream).random(3))
         assert np.array_equal(meas._draw(probs, config),
-                              fresh(seed, stream).multinomial(shots, probs))
-
-
-def _fresh_multinomial(seed, stream, shots, probs):
-    key = np.array([seed, stream], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key)).multinomial(shots, probs)
+                              _fresh(seed, stream).multinomial(shots, probs))
 
 
 @settings(max_examples=100, deadline=None)
@@ -400,7 +390,7 @@ def test_a_stacked_draw_is_per_row_philox_multinomials(rows, shots, seed, stream
         meas.KEY_MAX - len(rows) + 2)
     counts = meas._draw(probs, meas.ShotConfig(n_shots=shots, seed=seed, stream=stream))
     assert counts.shape == probs.shape and counts.dtype == np.int64
-    assert np.array_equal(counts, [_fresh_multinomial(seed, stream + k, shots, row)
+    assert np.array_equal(counts, [_fresh(seed, stream + k).multinomial(shots, row)
                                    for k, row in enumerate(probs)])
 
 
