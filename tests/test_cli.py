@@ -781,8 +781,8 @@ def test_subcommand_table_is_the_full_parser():
 
 
 def test_missing_or_unknown_subcommand_errors_name_the_argument(capsys):
-    # argparse names the argument after the subparsers' metavar, which the
-    # full build therefore leaves unset
+    # argparse names the argument after the subparsers' metavar, which
+    # build_parser therefore leaves unset
     for argv, message in ((["bogus"], "error: argument subcommand: invalid choice: 'bogus'"),
                           ([], "error: the following arguments are required: subcommand")):
         with pytest.raises(SystemExit) as excinfo:
