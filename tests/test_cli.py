@@ -863,6 +863,24 @@ def _outcome(argv, capsys):
     return code, out, err
 
 
+@pytest.mark.parametrize("argv", _BUILD_EQUIVALENCE_ARGV,
+                         ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_one_subcommand_build_prints_what_the_full_build_prints(argv, monkeypatch, tmp_path,
+                                                               capsys):
+    # a one-shot process builds the parser for its one command; it prints
+    # what this process's cached full parser prints
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps at the terminal width
+    (tmp_path / "override.cfg").write_text("n = 4\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "dickesim.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    one = (proc.returncode, proc.stdout, proc.stderr)
+    if argv[1:] == ["--help"]:
+        assert one[0] == cli.EXIT_OK
+    assert _outcome(argv, capsys) == one
+
+
 def test_warm_parsers_print_what_cold_ones_print(monkeypatch, tmp_path, capsys):
     # a parse (an error exit, --help, a --config run) leaves no state in a
     # cached parser that a later, different command reads
