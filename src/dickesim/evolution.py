@@ -30,7 +30,7 @@ import numpy as np
 
 from . import dark_state
 from .errors import NumericalError, PhysicsConfigError, ReducedModelWarning, TruncationWarning
-from .observables import NORM_TOL, READOUT_CHUNK
+from .observables import NORM_TOL
 from .spin_algebra import _frozen, collective_coupling, projections
 from .model import (
     SystemParams,
@@ -58,6 +58,10 @@ LEAK_WARN_LEVEL = 1e-3
 #: up to three such arrays alive.  Up to three value blocks are alive in a
 #: run: one in the kernel, one queued for it and one being built.
 H_BLOCK_BYTES = 1 << 20
+
+#: samples that ``Trajectory.chain_fidelities`` rotates into the chain frame
+#: at once, which bounds its memory
+READOUT_CHUNK = 128
 
 
 def tones(theta, omega_bar: float = 1.0):

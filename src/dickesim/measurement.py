@@ -134,7 +134,7 @@ def sample_parities(parities: np.ndarray, config: ShotConfig) -> np.ndarray:
     """Shot-sampled two-ion parity curve from its exact values: at phase k,
     the count of the even-parity outcome in a draw over (even, odd) on
     substream ``PARITY_STREAM`` + k: one ``_draw`` of the stack of phases."""
-    p_even = np.clip((1 + np.asarray(parities, dtype=float)) / 2, 0.0, 1.0)
+    p_even = (1 + np.asarray(parities, dtype=float)) / 2
     probs = _normalized(np.stack([p_even, 1 - p_even], axis=-1))
     return 2 * _draw(probs, config.substream(PARITY_STREAM))[:, 0] / config.n_shots - 1
 

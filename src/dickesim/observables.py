@@ -32,9 +32,6 @@ AXES = ("x", "y", "z")
 
 NORM_TOL = 1e-8
 
-#: samples that the readout stacks at once, which bounds its memory
-READOUT_CHUNK = 128
-
 #: azimuth or phase counts whose operator stacks each grid cache keeps
 GRID_CACHE_SIZE = 8
 
@@ -194,16 +191,11 @@ def spin_readout(rhos: np.ndarray) -> tuple[list[float], list[float], list[float
 
 
 def _product_traces(rhos: np.ndarray, op: np.ndarray) -> np.ndarray:
-    """Re Tr(rho op) of each matrix of a (S, d, d) stack, ``READOUT_CHUNK``
-    matrices at a time as one (k*d, d) @ (d, d) product, whose rows are those
-    of the products one matrix at a time."""
-    out = np.empty(len(rhos))
-    for start in range(0, len(rhos), READOUT_CHUNK):
-        chunk = rhos[start:start + READOUT_CHUNK]
-        product = chunk.reshape(-1, op.shape[0]) @ op
-        out[start:start + READOUT_CHUNK] = np.trace(product.reshape(chunk.shape),
-                                                    axis1=1, axis2=2).real
-    return out
+    """Re Tr(rho op) of each matrix of a (S, d, d) stack, from one
+    (S*d, d) @ (d, d) product, whose rows are those of the products one
+    matrix at a time."""
+    product = rhos.reshape(-1, op.shape[0]) @ op
+    return np.trace(product.reshape(rhos.shape), axis1=1, axis2=2).real
 
 
 # ---------------------------------------------------------------------------
@@ -285,19 +277,21 @@ def parity_curve(state: np.ndarray, n_phases: int) -> tuple[np.ndarray, np.ndarr
     exp(-i (pi/2) (Jx cos(phi) + Jy sin(phi))) at each phase phi of
     ``parity_phases(n_phases)``, and its z populations from |down,down> to
     |up,up>, both in the full two-qubit space; the input is symmetric-sector
-    (3-dim) or full two-qubit (4-dim)."""
+    (3-dim) or full two-qubit (4-dim).
+
+    Each parity has ``expectation``'s words on that phase's operator: a
+    vector's overlaps are one product of its conjugate row with the stack
+    of rotated columns, which runs vdot's own dot product, and a matrix's
+    traces sum the same four diagonal entries stacked or alone."""
     state = check_normalized(state)
     if len(state) == 3:
         iso = symmetric_isometry(2)
         state = iso @ state @ iso.conj().T if state.ndim == 2 else iso @ state
     elif len(state) != 4:
         raise ValueError("parity scan is defined for two ions only")
-    # ``expectation``'s arithmetic on each phase's operator: a vector's vdot
-    # stays one call a phase, a trace sums the same four diagonal entries
-    # stacked or alone
     ops = _parity_analysis_ops(n_phases)
     if state.ndim == 1:
-        parities = np.array([np.vdot(state, rotated).real for rotated in ops @ state])
+        parities = (state.conj() @ (ops @ state)[:, :, None])[:, 0].real
     else:
         parities = np.trace(state @ ops, axis1=1, axis2=2).real
     return parities, populations_along(state, "z")

@@ -166,11 +166,9 @@ def criterion_5() -> Row:
     x variance vanishes exactly at the midpoint and the endpoint theta = 0,
     the all-down pole, is coherent-state noise."""
     thetas = np.linspace(0.0, np.pi, 81)
-    states = []
-    for theta in thetas:
-        wr, wb = evolution.tones(theta)
-        states.append(dark_state.dark_coefficients(4, wr, wb).chain_vector if wb != 0
-                      else spin_algebra.dicke_state(4, 0))
+    _, amplitudes = dark_state.normalized_amplitudes(dark_state.closed_form_coefficients(4),
+                                                     *evolution.tones(thetas))
+    states = dark_state.chain_vector(amplitudes)
     _, var_x, var_y, var_z = observables.spin_readout(model.spin_marginals(states, 4))
     idx_min = int(np.argmin(var_x))
     idx_half = int(np.argmin(np.abs(thetas - np.pi / 2)))

@@ -865,10 +865,10 @@ def _outcome(argv, capsys):
 
 @pytest.mark.parametrize("argv", _BUILD_EQUIVALENCE_ARGV,
                          ids=lambda argv: " ".join(argv) or "no-arguments")
-def test_one_subcommand_build_prints_what_the_full_build_prints(argv, monkeypatch, tmp_path,
-                                                               capsys):
-    # a one-shot process builds the parser for its one command; it prints
-    # what this process's cached full parser prints
+def test_a_one_shot_process_prints_what_the_cached_parser_prints(argv, monkeypatch, tmp_path,
+                                                                 capsys):
+    # a fresh process builds every subparser for its one command; it prints
+    # what this process's cached parser prints
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps at the terminal width
     (tmp_path / "override.cfg").write_text("n = 4\n")

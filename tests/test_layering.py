@@ -20,6 +20,10 @@ acceptance criterion, from its one list of rows.  Only
 ``evolution._kernel`` the other.  Only ``measurement._draw`` calls
 ``.multinomial`` and only ``measurement._keyed_generator`` assigns a
 ``bit_generator.state``, so every shot is drawn on the one sampling path.
+In ``measurement`` only ``_normalized`` calls ``np.clip``, so a sampled
+probability is clipped and renormalised in one place.  Only ``evolution``
+assigns or reads ``READOUT_CHUNK``: the spin readout reads each stack in one
+call, and only the chain-frame rotation bounds its memory.
 """
 
 import ast
@@ -474,3 +478,54 @@ def test_only_draw_samples_and_only_keyed_generator_rekeys():
              for what, function in _draw_path_bypasses(_tree(module))]
     assert found == [("multinomial", "measurement", "_draw"),
                      ("state", "measurement", "_keyed_generator")]
+
+
+def _clip_callers(tree):
+    """The function around each call of ``clip`` in ``tree``: ``np.clip``,
+    a bare ``clip`` or an array's ``.clip``."""
+    return _enclosing_functions(tree, lambda node: isinstance(node, ast.Call) and "clip" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+
+
+def test_the_clip_reader_sees_each_form():
+    source = ("def f(p):\n    return np.clip(p, 0.0, None)\n"
+              "class C:\n    def g(self, p):\n        return p.clip(0.0, 1.0)\n"
+              "clip(q, 0, 1)\n"
+              "def h(p):\n    return np.clipped(p)\n")
+    assert _clip_callers(ast.parse(source)) == ["f", "g", None]
+
+
+def test_measurement_clips_only_in_normalized():
+    # a second clip before the draw would be a second place to round a
+    # probability into [0, 1]
+    assert _clip_callers(_tree("measurement")) == ["_normalized"]
+
+
+def _chunk_uses(tree):
+    """How ``tree`` names ``READOUT_CHUNK``: "assign" for each assignment
+    to it, "import" for each import of it by name and "read" for each other
+    mention, bare or as an attribute."""
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            uses += ["import" for alias in node.names if alias.name == "READOUT_CHUNK"]
+        elif isinstance(node, ast.Name) and node.id == "READOUT_CHUNK":
+            uses.append("assign" if isinstance(node.ctx, ast.Store) else "read")
+        elif isinstance(node, ast.Attribute) and node.attr == "READOUT_CHUNK":
+            uses.append("read")
+    return sorted(uses)
+
+
+def test_the_chunk_reader_sees_each_form():
+    source = ("from .observables import NORM_TOL, READOUT_CHUNK\n"
+              "READOUT_CHUNK = 128\n"
+              "def f(n):\n    return range(0, n, READOUT_CHUNK) or obs.READOUT_CHUNK\n")
+    assert _chunk_uses(ast.parse(source)) == ["assign", "import", "read", "read"]
+
+
+def test_only_evolution_owns_the_readout_chunk():
+    # the spin readout reads each stack in one call; the chain-frame
+    # rotation of ``Trajectory.chain_fidelities`` is the one bounded stack
+    uses = {module: set(_chunk_uses(_tree(module))) for module in MODULES}
+    assert {module: found for module, found in uses.items() if found} == {
+        "evolution": {"assign", "read"}}

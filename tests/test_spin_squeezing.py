@@ -1,0 +1,64 @@
+"""The paper's "spin squeezing operation" on the symmetric sector.
+
+Eliminating the chain's one-phonon sites leaves H_eff = -A^dag A / delta with
+A = Omega_b J+ + Omega_r J- = 2 (Jx - i cos(theta) Jy) at the tones of
+``evolution.tones(theta)``, so A^dag A = 4 (Jx^2 + cos^2(theta) Jy^2 +
+cos(theta) Jz).  The dark state is A's kernel, and along the ramp it is an
+intelligent spin state: Var Jx = cos^2(theta) Var Jy and Var Jx Var Jy =
+<Jz>^2 / 4.  At theta = pi/2, H_eff is one-axis twisting in Jx, whose
+Jx = 0 state Jz couples to Jx = +-1 with |<+-1|Jz|0>|^2 = N(N+2)/16.
+"""
+
+import numpy as np
+import pytest
+
+from dickesim import model
+from dickesim.dark_state import dark_coefficients
+from dickesim.evolution import tones
+from dickesim.observables import spin_readout
+from dickesim.spin_algebra import build_collective
+
+THETAS = np.linspace(0.0, np.pi, 13)
+
+
+def _lowering_mix(n_ions, theta):
+    """A = Omega_b J+ + Omega_r J- at the tones of ``theta``."""
+    omega_r, omega_b = tones(theta)
+    jp = build_collective(n_ions, "j+")
+    return omega_b * jp + omega_r * jp.conj().T
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_effective_hamiltonian_is_the_two_axis_form(n):
+    jx, jy, jz = (build_collective(n, "j" + axis) for axis in "xyz")
+    for theta in THETAS:
+        a = _lowering_mix(n, theta)
+        cos = np.cos(theta)
+        closed = 4 * (jx @ jx + cos**2 * (jy @ jy) + cos * jz)
+        assert np.max(np.abs(a.conj().T @ a - closed)) < 1e-12, theta
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_dark_state_is_the_kernel_of_the_lowering_mix(n):
+    for theta in THETAS:
+        dark = dark_coefficients(n, *tones(theta)).chain_vector
+        assert np.linalg.norm(_lowering_mix(n, theta) @ dark) <= 1e-12, theta
+
+
+@pytest.mark.parametrize("n", range(2, 21, 2))
+def test_dark_path_is_an_intelligent_spin_state(n):
+    states = [dark_coefficients(n, *tones(theta)).chain_vector for theta in THETAS]
+    mean_jz, var_x, var_y, _ = map(np.array, spin_readout(model.spin_marginals(states, n)))
+    cos2 = np.cos(THETAS) ** 2
+    assert np.max(np.abs(var_x - cos2 * var_y)) < 1e-12
+    np.testing.assert_allclose(var_x * var_y, mean_jz**2 / 4, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", range(2, 21, 2))
+def test_jz_couples_the_jx_zero_state_to_its_neighbours(n):
+    # eigh orders Jx's eigenvectors by m - N/2, so column N/2 is Jx = 0
+    basis = np.linalg.eigh(build_collective(n, "jx"))[1]
+    jz_in_x = basis.conj().T @ build_collective(n, "jz") @ basis
+    zero = n // 2
+    for neighbour in (zero - 1, zero + 1):
+        assert abs(jz_in_x[neighbour, zero]) ** 2 == pytest.approx(n * (n + 2) / 16, rel=1e-12)
