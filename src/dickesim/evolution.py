@@ -151,17 +151,15 @@ class Trajectory:
     n_steps: int = 0              # RK4 steps taken
     dt: float = 0.0               # RK4 step size
 
-    def index_of(self, t: float) -> int:
-        return int(np.argmin(np.abs(self.times - t)))
-
     def indices_of(self, times: list[float]) -> list[int]:
-        """Indices of the samples nearest each of ``times``."""
-        return [self.index_of(t) for t in times]
+        """Indices of the samples nearest each of ``times``, the first on a tie."""
+        return [int(np.argmin(np.abs(self.times - t))) for t in times]
 
     @property
     def midpoint(self) -> int:
         """Index of the sample nearest T/2."""
-        return self.index_of(self.schedule.total_time / 2)
+        [index] = self.indices_of([self.schedule.total_time / 2])
+        return index
 
     def final_state(self) -> np.ndarray:
         return self.states[-1]

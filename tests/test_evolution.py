@@ -290,6 +290,20 @@ def test_full_transfer_two_ions():
     assert traj.truncation_leak < 1e-6
 
 
+@pytest.mark.parametrize("n_ions", [2, 4, 6])
+def test_full_model_never_fills_its_odd_parity_block(n_ions):
+    # both tones change m and n by one each, so m + n keeps the parity of
+    # |D^0>|0>: every amplitude at a product state |D^m>|n> with m + n odd
+    # stays exactly zero, the block that a parity-block propagator leaves out
+    sch = evolution.PulseSchedule(total_time=10.0, omega_bar=1.0)
+    params = model.SystemParams(n_ions=n_ions, delta=20.0)
+    traj = evolution.integrate_full(sch, params)
+    m, n = np.divmod(np.arange(traj.states.shape[1]), params.n_max + 1)
+    odd = (m + n) % 2 == 1
+    assert odd.sum() == traj.states.shape[1] // 2
+    assert np.all(traj.states[:, odd] == 0)
+
+
 def test_zero_detuning_pumps_phonons():
     # with delta = 0 the phonon-number-changing transitions are resonant and
     # the state leaves the dark manifold

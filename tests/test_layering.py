@@ -23,7 +23,9 @@ acceptance criterion, from its one list of rows.  Only
 In ``measurement`` only ``_normalized`` calls ``np.clip``, so a sampled
 probability is clipped and renormalised in one place.  Only ``evolution``
 assigns or reads ``READOUT_CHUNK``: the spin readout reads each stack in one
-call, and only the chain-frame rotation bounds its memory.
+call, and only the chain-frame rotation bounds its memory.  In ``evolution``
+only ``Trajectory.indices_of`` calls ``argmin``, so a trajectory has one
+nearest-sample search.
 """
 
 import ast
@@ -480,10 +482,10 @@ def test_only_draw_samples_and_only_keyed_generator_rekeys():
                      ("state", "measurement", "_keyed_generator")]
 
 
-def _clip_callers(tree):
-    """The function around each call of ``clip`` in ``tree``: ``np.clip``,
-    a bare ``clip`` or an array's ``.clip``."""
-    return _enclosing_functions(tree, lambda node: isinstance(node, ast.Call) and "clip" in (
+def _callers(tree, name):
+    """The function around each call of ``name`` in ``tree``, such as
+    ``np.clip``, a bare ``clip`` or an array's ``.clip`` for "clip"."""
+    return _enclosing_functions(tree, lambda node: isinstance(node, ast.Call) and name in (
         getattr(node.func, "id", None), getattr(node.func, "attr", None)))
 
 
@@ -492,13 +494,13 @@ def test_the_clip_reader_sees_each_form():
               "class C:\n    def g(self, p):\n        return p.clip(0.0, 1.0)\n"
               "clip(q, 0, 1)\n"
               "def h(p):\n    return np.clipped(p)\n")
-    assert _clip_callers(ast.parse(source)) == ["f", "g", None]
+    assert _callers(ast.parse(source), "clip") == ["f", "g", None]
 
 
 def test_measurement_clips_only_in_normalized():
     # a second clip before the draw would be a second place to round a
     # probability into [0, 1]
-    assert _clip_callers(_tree("measurement")) == ["_normalized"]
+    assert _callers(_tree("measurement"), "clip") == ["_normalized"]
 
 
 def _chunk_uses(tree):
@@ -529,3 +531,11 @@ def test_only_evolution_owns_the_readout_chunk():
     uses = {module: set(_chunk_uses(_tree(module))) for module in MODULES}
     assert {module: found for module, found in uses.items() if found} == {
         "evolution": {"assign", "read"}}
+
+
+def test_a_trajectory_has_one_nearest_sample_search():
+    # the midpoint and the cuts of a truncated scan are found the same way
+    tree = _tree("evolution")
+    (trajectory,) = [node for node in tree.body
+                     if isinstance(node, ast.ClassDef) and node.name == "Trajectory"]
+    assert _callers(tree, "argmin") == _callers(trajectory, "argmin") == ["indices_of"]

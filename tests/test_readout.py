@@ -123,7 +123,7 @@ def test_dark_fidelity_series_equals_per_sample_formula(traj):
     expected = [_reference_dark_fidelity(traj, i) for i in range(len(traj.times))]
     assert np.array_equal(bits(series), bits(expected))
     # a chosen sample, as sweep reads the midpoint, takes the same path
-    index = traj.index_of(traj.schedule.total_time / 2)
+    [index] = traj.indices_of([traj.schedule.total_time / 2])
     [single] = evolution.dark_fidelity_series(traj, [index])
     assert bits([single]) == bits([expected[index]])
 

@@ -7,6 +7,8 @@ cos(theta) Jz).  The dark state is A's kernel, and along the ramp it is an
 intelligent spin state: Var Jx = cos^2(theta) Var Jy and Var Jx Var Jy =
 <Jz>^2 / 4.  At theta = pi/2, H_eff is one-axis twisting in Jx, whose
 Jx = 0 state Jz couples to Jx = +-1 with |<+-1|Jz|0>|^2 = N(N+2)/16.
+On a pure state 4 Var J_n is the quantum Fisher information along n, which
+for that state is N(N+2)/2 along y and z and 0 along x.
 """
 
 import numpy as np
@@ -16,7 +18,7 @@ from dickesim import model
 from dickesim.dark_state import dark_coefficients
 from dickesim.evolution import tones
 from dickesim.observables import spin_readout
-from dickesim.spin_algebra import build_collective
+from dickesim.spin_algebra import build_collective, half_excited_x
 
 THETAS = np.linspace(0.0, np.pi, 13)
 
@@ -62,3 +64,14 @@ def test_jz_couples_the_jx_zero_state_to_its_neighbours(n):
     zero = n // 2
     for neighbour in (zero - 1, zero + 1):
         assert abs(jz_in_x[neighbour, zero]) ** 2 == pytest.approx(n * (n + 2) / 16, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", range(2, 11, 2))
+def test_half_excited_x_state_has_the_dicke_fisher_information(n):
+    # for a pure state F_Q = 4 Var J_n; the Jx = 0 eigenstate has none along
+    # x and N(N+2)/2 along y and z, the Fisher information of D_N^{N/2}
+    psi = half_excited_x(n)
+    _, var_x, var_y, var_z = spin_readout(np.outer(psi, psi.conj())[None])
+    assert abs(var_x[0]) <= 1e-15
+    for var in (var_y[0], var_z[0]):
+        assert 4 * var == pytest.approx(n * (n + 2) / 2, rel=1e-12)
