@@ -11,7 +11,7 @@ from .certification import (
     fidelity_upper,
     propagate_uncertainty,
 )
-from .dark_state import DarkState, dark_coefficients, jx_annihilation_check, verify_dark
+from .dark_state import dark_coefficients, jx_annihilation_check, verify_dark
 from .errors import NumericalError, PhysicsConfigError, TruncationWarning
 from .evolution import (
     PulseSchedule,

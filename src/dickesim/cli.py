@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 
 from . import __version__, certification, evolution, measurement, model, observables, repro
-from .dark_state import dark_coefficients
+from .dark_state import chain_vector, dark_coefficients
 from .errors import NumericalError, TruncationWarning
 from .spin_algebra import constant_cache, half_excited_x
 
@@ -172,11 +172,11 @@ def cmd_darkstate(ns) -> int:
         omega_r, omega_b = evolution.tones(ns.theta)
     else:
         omega_r, omega_b = ns.omega_r, ns.omega_b
-    state = dark_coefficients(ns.n, omega_r, omega_b)
-    amplitudes = (state.amplitudes + 0.0).tolist()  # a vanishing amplitude prints as 0.0, not -0.0
+    norm_a, amplitudes = dark_coefficients(ns.n, omega_r, omega_b)
+    amplitudes = (amplitudes + 0.0).tolist()  # a vanishing amplitude prints as 0.0, not -0.0
     _report(ns, {
         "n": ns.n, "theta": ns.theta, "omega_r": omega_r, "omega_b": omega_b,
-        "norm_a": state.norm_a, "seed": "none",
+        "norm_a": norm_a, "seed": "none",
     }, ("excitation", "amplitude"), [(2 * i, amp) for i, amp in enumerate(amplitudes)])
     return EXIT_OK
 
@@ -222,7 +222,7 @@ def cmd_scan_noise(ns) -> int:
 
 def cmd_parity(ns) -> int:
     if ns.source == "ideal":
-        state, record = dark_coefficients(2, 1.0, 1.0).chain_vector.astype(complex), {}
+        state, record = chain_vector(dark_coefficients(2, 1.0, 1.0)[1]).astype(complex), {}
     else:
         state, record = evolution.strict_midpoint(2)
     if ns.shots is None:

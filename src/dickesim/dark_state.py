@@ -13,26 +13,10 @@ amplitudes this is the half-excited Dicke state along x, annihilated by Jx.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .spin_algebra import _frozen, build_collective, collective_coupling, half_excitation
-
-
-@dataclass(frozen=True)
-class DarkState:
-    """Normalized dark state: its normalizing constant and amplitudes."""
-
-    norm_a: float             # normalizing constant A
-    amplitudes: np.ndarray    # A * C_i * Omega_b^i * Omega_r^(N/2-i)
-
-    def __post_init__(self):
-        object.__setattr__(self, "amplitudes", _frozen(np.array(self.amplitudes, dtype=float)))
-
-    @property
-    def chain_vector(self) -> np.ndarray:
-        return chain_vector(self.amplitudes)
 
 
 def chain_vector(amplitudes: np.ndarray) -> np.ndarray:
@@ -89,8 +73,10 @@ def normalized_amplitudes(coeffs: np.ndarray, omega_r, omega_b) -> tuple[np.ndar
     return norm_a, raw / norm[:, None]
 
 
-def dark_coefficients(n_ions: int, omega_r: float, omega_b: float) -> DarkState:
-    """Closed-form dark state of the chain for given sideband amplitudes."""
+def dark_coefficients(n_ions: int, omega_r: float, omega_b: float) -> tuple[float, np.ndarray]:
+    """(A, amplitudes) of the closed-form dark state of the chain for given
+    sideband amplitudes: the one sample of ``normalized_amplitudes``, its
+    amplitudes read-only."""
     coeffs = closed_form_coefficients(n_ions)
     if not (np.isfinite(omega_r) and np.isfinite(omega_b)):
         raise ValueError("sideband amplitudes must be finite")
@@ -99,24 +85,24 @@ def dark_coefficients(n_ions: int, omega_r: float, omega_b: float) -> DarkState:
     if omega_r == 0 and omega_b == 0:
         raise ValueError("at least one sideband amplitude must be nonzero")
     norm_a, amplitudes = normalized_amplitudes(coeffs, [omega_r], [omega_b])
-    return DarkState(norm_a[0], amplitudes[0])
+    return norm_a[0], _frozen(amplitudes[0])
 
 
-def verify_dark(state: DarkState, hamiltonian: np.ndarray) -> float:
-    """Residual ||H psi|| of the dark state against a chain Hamiltonian.
+def verify_dark(vector: np.ndarray, hamiltonian: np.ndarray) -> float:
+    """Residual ||H psi|| of a dark state's ``chain_vector`` against a chain
+    Hamiltonian.
 
     Stays below 1e-10 for any valid dark state built from the same
     amplitudes, independent of the detuning.
     """
-    vec = state.chain_vector
-    if hamiltonian.shape[0] != vec.shape[0]:
+    if hamiltonian.shape[0] != vector.shape[0]:
         raise ValueError(
-            f"dimension mismatch: state {vec.shape[0]}, hamiltonian {hamiltonian.shape[0]}"
+            f"dimension mismatch: state {vector.shape[0]}, hamiltonian {hamiltonian.shape[0]}"
         )
-    return math.hypot(*np.abs(hamiltonian @ vec))  # no overflow in the squares
+    return math.hypot(*np.abs(hamiltonian @ vector))  # no overflow in the squares
 
 
 def jx_annihilation_check(n_ions: int) -> float:
     """||Jx psi_d(Omega, Omega)|| on the spin factor; contract < 1e-10."""
-    psi = dark_coefficients(n_ions, 1.0, 1.0).chain_vector
+    psi = chain_vector(dark_coefficients(n_ions, 1.0, 1.0)[1])
     return float(np.linalg.norm(build_collective(n_ions, "jx") @ psi))

@@ -22,16 +22,16 @@ own model's states out: callers never branch on the model.
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import dark_state
 from .errors import NumericalError, PhysicsConfigError, ReducedModelWarning, TruncationWarning
 from .observables import NORM_TOL
-from .spin_algebra import _frozen, collective_coupling, projections
+from .spin_algebra import _frozen, collective_coupling, constant_cache, projections
 from .model import (
     SystemParams,
     chain_frame,
@@ -354,7 +354,7 @@ _ZGEMV_SYMBOLS = (("scipy_cblas_zgemv64_", "int64_t"), ("cblas_zgemv64_", "int64
 _KERNEL_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 
-@functools.cache
+@constant_cache()
 def _kernel():
     """The C function ``rk4_block``, loaded on the first integration.
 
@@ -395,7 +395,7 @@ def _kernel():
     step.argtypes = [pointer, pointer, pointer, int64, pointer, int64, int64, int64,
                      pointer, pointer, pointer, int64, pointer, int64, int64, pointer]
     step.restype = int64
-    return functools.partial(step, ctypes.cast(getattr(blas, symbol), pointer))
+    return partial(step, ctypes.cast(getattr(blas, symbol), pointer))
 
 
 def _writable(directory) -> bool:

@@ -67,16 +67,16 @@ def criterion_1() -> Row:
     wr, wb = (w.ravel() for w in np.meshgrid(*[np.linspace(0.2, 2.0, 10)] * 2))
     for n in (2, 4, 6):
         hs = model.reduced_hamiltonian(model.SystemParams(n_ions=n, delta=7.0), wr, wb)
-        norm_a, amplitudes = dark_state.normalized_amplitudes(
+        _, amplitudes = dark_state.normalized_amplitudes(
             dark_state.closed_form_coefficients(n), wr, wb)
         worst_h = max(worst_h, *map(dark_state.verify_dark,
-                                    map(dark_state.DarkState, norm_a, amplitudes), hs))
+                                    dark_state.chain_vector(amplitudes), hs))
         worst_jx = max(worst_jx, dark_state.jx_annihilation_check(n))
-        equal = dark_state.dark_coefficients(n, 1.0, 1.0).chain_vector
+        equal = dark_state.chain_vector(dark_state.dark_coefficients(n, 1.0, 1.0)[1])
         fid = abs(np.vdot(spin_algebra.half_excited_x(n), equal)) ** 2
         worst_fid = max(worst_fid, abs(1 - fid))
-    two = dark_state.dark_coefficients(2, 1.0, 1.0).amplitudes
-    four = dark_state.dark_coefficients(4, 1.0, 1.0).amplitudes
+    two = dark_state.dark_coefficients(2, 1.0, 1.0)[1]
+    four = dark_state.dark_coefficients(4, 1.0, 1.0)[1]
     err_two = float(np.max(np.abs(two - np.array([1, -1]) / np.sqrt(2))))
     err_four = float(np.max(np.abs(
         four - np.array([np.sqrt(3 / 8), -np.sqrt(1 / 4), np.sqrt(3 / 8)])
@@ -254,7 +254,7 @@ def criterion_8() -> Row:
 def criterion_9() -> Row:
     """Two-ion parity pipeline: exact on the ideal state, >= 0.99 on the
     strict-preset midpoint."""
-    ideal = dark_state.dark_coefficients(2, 1.0, 1.0).chain_vector.astype(complex)
+    ideal = dark_state.chain_vector(dark_state.dark_coefficients(2, 1.0, 1.0)[1]).astype(complex)
     scan_ideal = observables.parity_scan(ideal)
     scan_mid = observables.parity_scan(evolution.strict_midpoint(2)[0])
     passed = (

@@ -16,8 +16,8 @@ acceptance criterion, from its one list of rows.  Only
 ``observables.NORM_TOL`` writes a tolerance on a probability.  Only
 ``spin_algebra.whole`` compares a value with its ``int()``, and only
 ``measurement.KEY_MAX`` writes the 2**64 bound of a Philox key.  Only
-``spin_algebra`` takes a ``functools`` cache, for ``constant_cache``, and
-``evolution._kernel`` the other.  Only ``measurement._draw`` calls
+``spin_algebra`` takes a ``functools`` cache, for ``constant_cache``.  Only
+``measurement._draw`` calls
 ``.multinomial`` and only ``measurement._keyed_generator`` assigns a
 ``bit_generator.state``, so every shot is drawn on the one sampling path.
 In ``measurement`` only ``_normalized`` calls ``np.clip``, so a sampled
@@ -436,13 +436,13 @@ def test_the_cache_reader_sees_each_form():
     assert _functools_cache_users(ast.parse(source)) == [None, "f", "g", "g"]
 
 
-def test_only_spin_algebra_and_the_kernel_take_a_functools_cache():
-    # every constant is cached by spin_algebra.constant_cache, which reads
-    # its counts through their rules and makes its arrays read-only; the
-    # compiled RK4 step, loaded once, is the one other cache
+def test_only_spin_algebra_takes_a_functools_cache():
+    # every constant, the compiled RK4 step too, is cached by
+    # spin_algebra.constant_cache, which reads its counts through their rules
+    # and makes its arrays read-only
     users = [(module, function) for module in MODULES
              for function in _functools_cache_users(_tree(module))]
-    assert users == [("evolution", "_kernel"), ("spin_algebra", None)]
+    assert users == [("spin_algebra", None)]
 
 
 def _draw_path_bypasses(tree):

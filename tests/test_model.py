@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dickesim import model
-from dickesim.dark_state import dark_coefficients
+from dickesim.dark_state import chain_vector, dark_coefficients
 from dickesim.errors import PhysicsConfigError
 from dickesim.spin_algebra import collective_coupling
 from oracles import bits, embed, to_chain_frame
@@ -87,7 +87,7 @@ def test_blue_off_leaves_ground_dark():
 def test_dark_vector_is_null_eigenvector():
     params = model.SystemParams(n_ions=4, delta=12.0)
     h = model.reduced_hamiltonian(params, 1.0, 1.0)
-    psi = dark_coefficients(4, 1.0, 1.0).chain_vector
+    psi = chain_vector(dark_coefficients(4, 1.0, 1.0)[1])
     assert np.linalg.norm(h @ psi) < 1e-10
 
 
@@ -197,7 +197,7 @@ def test_full_support_is_built_once_and_read_only():
 
 
 def test_embed_and_frame_round_trip():
-    chain = dark_coefficients(4, 1.0, 1.0).chain_vector
+    chain = chain_vector(dark_coefficients(4, 1.0, 1.0)[1])
     params = model.SystemParams(n_ions=4, delta=11.0)
     full = embed(chain, 4, params.n_max)
     assert np.linalg.norm(full) == pytest.approx(1.0, abs=1e-12)

@@ -9,7 +9,7 @@ from scipy.linalg import expm
 from dickesim import certification, measurement
 from dickesim import observables as obs
 from dickesim import spin_algebra as sa
-from dickesim.dark_state import dark_coefficients
+from dickesim.dark_state import chain_vector, dark_coefficients
 from dickesim.model import spin_marginals
 from dickesim.spin_algebra import (
     build_collective,
@@ -52,7 +52,7 @@ def test_moments_half_excited_x():
 
 def test_dark_state_squeezing_off_midpoint():
     theta = np.pi / 4
-    psi = dark_coefficients(4, 1 + np.cos(theta), 1 - np.cos(theta)).chain_vector
+    psi = chain_vector(dark_coefficients(4, 1 + np.cos(theta), 1 - np.cos(theta))[1])
     _, var_jx, var_jy, _ = _readout(psi)
     transverse = sorted([var_jx, var_jy])
     assert transverse[0] < 1.0      # squeezed
@@ -344,7 +344,7 @@ def test_a_one_sided_coherence_certifies_as_its_hermitian_part():
 # ---------------------------------------------------------------------------
 
 def test_parity_ideal_bell():
-    bell = dark_coefficients(2, 1.0, 1.0).chain_vector.astype(complex)
+    bell = chain_vector(dark_coefficients(2, 1.0, 1.0)[1]).astype(complex)
     scan = obs.parity_scan(bell)
     assert scan.amplitude == pytest.approx(1.0, abs=1e-10)
     assert scan.fidelity == pytest.approx(1.0, abs=1e-10)
@@ -360,7 +360,7 @@ def test_parity_product_state_at_separability_boundary():
 
 
 def test_parity_accepts_density_and_full_space():
-    bell = dark_coefficients(2, 1.0, 1.0).chain_vector.astype(complex)
+    bell = chain_vector(dark_coefficients(2, 1.0, 1.0)[1]).astype(complex)
     rho = np.outer(bell, bell.conj())
     assert obs.parity_scan(rho).fidelity == pytest.approx(1.0, abs=1e-10)
     full = symmetric_isometry(2) @ bell
@@ -414,7 +414,7 @@ def test_parity_phases_are_the_equispaced_grid():
     for count in (0, 1, 7, obs.PARITY_PHASES):
         assert np.array_equal(obs.parity_phases(count),
                               np.linspace(0.0, 2 * np.pi, count, endpoint=False))
-    bell = dark_coefficients(2, 1.0, 1.0).chain_vector.astype(complex)
+    bell = chain_vector(dark_coefficients(2, 1.0, 1.0)[1]).astype(complex)
     assert np.array_equal(obs.parity_scan(bell).phases, obs.parity_phases(obs.PARITY_PHASES))
 
 
@@ -603,7 +603,7 @@ def test_chain_marginal_blocks_parity_coherence():
 
 
 def test_chain_marginal_of_dark_state_is_pure():
-    chain = dark_coefficients(4, 1.0, 1.0).chain_vector
+    chain = chain_vector(dark_coefficients(4, 1.0, 1.0)[1])
     [rho] = spin_marginals(chain[None], 4)
     assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-12)
 
