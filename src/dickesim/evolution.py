@@ -244,8 +244,9 @@ def _rk4(h_values, support: np.ndarray, psi0: np.ndarray, total_time: float,
     sign of an underflowed zero).  The doubling stays a product with 2 + 0i:
     y + y can differ from (2 + 0j)*y in the sign of a zero.  Arrays of the
     wrong type, layout, shape or range raise ValueError in Python and never
-    reach C: the first block's with ``_check_block``, which loads the
-    kernel, and each later block's values on their own.
+    reach C: the run's fixed arrays with ``_check_block`` before any H is
+    built, and each block's values, the first included, before they are
+    queued; the kernel loads once the first block's values pass.
     """
     import queue
     import threading
@@ -259,12 +260,35 @@ def _rk4(h_values, support: np.ndarray, psi0: np.ndarray, total_time: float,
     states = np.empty((len(capture), d), dtype=complex)
     work = np.empty((5, d), dtype=complex)  # y1, y2, y3, y4 and a stage argument
     buffer = np.zeros((3, d, d), dtype=complex)  # H1, H2, H3 of the current step
+    _check_block(support, buffer, psi, states, capture)
+    # the kernel's arguments that stay fixed for the run, in rk4_block's order
+    fixed = (support.ctypes.data, len(support), buffer.ctypes.data, d, coef.ctypes.data,
+             psi.ctypes.data, work.ctypes.data, capture.ctypes.data, len(capture),
+             states.ctypes.data)
     block = max(1, H_BLOCK_BYTES // 3 // (3 * 16 * (len(support) + 1)))
     pos = 0
     if capture[pos] == 0:
         states[pos] = psi
         pos += 1
-    handoff, failure, helper = queue.Queue(maxsize=1), [], None
+    handoff, failure = queue.Queue(maxsize=1), []
+
+    def run_blocks(pos: int) -> None:
+        """The helper thread: run each block from ``handoff`` until None.  An
+        exception is kept in ``failure`` for the caller, and the blocks after
+        it are taken and dropped, so the caller never waits on a full queue."""
+        while (item := handoff.get()) is not None:
+            if failure:
+                continue
+            values, n, start = item
+            try:
+                pos = kernel(values.ctypes.data, *fixed[:3], n, min(n, stop - start),
+                             *fixed[3:7], start, *fixed[7:9], pos, fixed[9])
+            except BaseException as exc:  # raised again by the caller
+                failure.append(exc)
+
+    # a daemon, so that an interrupt that stops the handoff cannot keep the
+    # interpreter from exiting; started with the first block
+    helper = threading.Thread(target=run_blocks, args=(pos,), daemon=True)
     try:
         for start in range(0, stop, block):
             # each step's own t = step*dt, since (step + 1)*dt can differ in the
@@ -273,46 +297,20 @@ def _rk4(h_values, support: np.ndarray, psi0: np.ndarray, total_time: float,
             t = np.arange(start, min(start + block, n_steps)) * dt
             n = len(t)
             values = h_values(np.concatenate((t, t + dt / 2, t + dt)))
-            if helper is None:
-                _check_block(values, support, buffer, n, psi, states, capture)
-                fixed = (support.ctypes.data, len(support), buffer.ctypes.data)
-                tail = (d, coef.ctypes.data, psi.ctypes.data, work.ctypes.data)
-                # a daemon, so that an interrupt that stops the handoff
-                # cannot keep the interpreter from exiting
-                worker = threading.Thread(
-                    target=_run_blocks, daemon=True,
-                    args=(_kernel(), handoff, pos, capture.ctypes.data, len(capture),
-                          states.ctypes.data, failure))
-                worker.start()
-                helper = worker  # joined below only once started
-            else:
-                _check_array("value array", values, np.complex128, (3 * n, len(support) + 1))
-            handoff.put((values, (values.ctypes.data, *fixed, n, min(n, stop - start),
-                                  *tail, start)))
+            _check_array("value array", values, np.complex128, (3 * n, len(support) + 1))
+            if start == 0:
+                kernel = _kernel()
+                helper.start()
+            handoff.put((values, n, start))
             if failure:
                 break
     finally:
-        if helper is not None:
+        if helper.is_alive():
             handoff.put(None)
             helper.join()
     if failure:
         raise failure[0]
     return times, states
-
-
-def _run_blocks(step, handoff, pos: int, capture: int, n_capture: int, states: int,
-                failure: list) -> None:
-    """The helper thread of ``_rk4``: run each block taken from ``handoff``
-    through the kernel ``step`` until None arrives.  An exception is kept in
-    ``failure`` for the caller, and the blocks after it are taken and
-    dropped, so the caller never waits on a full queue."""
-    while (block := handoff.get()) is not None:
-        if failure:
-            continue
-        try:
-            pos = step(*block[1], capture, n_capture, pos, states)
-        except BaseException as exc:  # raised again by the caller
-            failure.append(exc)
 
 
 def _check_array(name: str, array, dtype, shape: tuple) -> None:
@@ -327,16 +325,14 @@ def _check_array(name: str, array, dtype, shape: tuple) -> None:
                          f"{name} of {want}, got {got}")
 
 
-def _check_block(values, support, buffer, n: int, psi: np.ndarray, states: np.ndarray,
-                 capture: np.ndarray) -> None:
-    """ValueError unless the arrays of one kernel call have the dtype, layout
-    and shape that ``rk4_block`` reads and writes through raw pointers, and
-    the support holds distinct flat indices of a d x d matrix other than 0."""
+def _check_block(support, buffer, psi: np.ndarray, states: np.ndarray, capture: np.ndarray) -> None:
+    """ValueError unless a run's fixed arrays have the dtype, layout and shape
+    that ``rk4_block`` reads and writes through raw pointers, and the support
+    holds distinct flat indices of a d x d matrix other than 0."""
     d = len(psi)
     s = len(support) if isinstance(support, np.ndarray) and support.ndim == 1 else -1
     for name, array, dtype, shape in (
         ("support", support, np.int64, (s,)),
-        ("value array", values, np.complex128, (3 * n, s + 1)),
         ("Hamiltonian buffer", buffer, np.complex128, (3, d, d)),
         ("state", psi, np.complex128, (d,)),
         ("sample array", states, np.complex128, (len(capture), d)),

@@ -367,6 +367,91 @@ def test_sandwich_holds_on_random_states(n, axis, components, target_weight, see
 
 
 @lru_cache(maxsize=None)
+def _joint_x_basis(n):
+    """Eigenvectors of (2N + 3) J^2 + J_x on the 2^N space, each labelled by
+    its (j, m) with J^2 = j(j+1) and J_x = m; the factor keeps every (j, m)
+    eigenvalue apart, so each eigenvector is one of both."""
+    jx, jy, jz = (full_space_oracle(n, kind) for kind in ("jx", "jy", "jz"))
+    j2 = jx @ jx + jy @ jy + jz @ jz
+    _, vecs = np.linalg.eigh((2 * n + 3) * j2 + jx)
+    j2s, ms = (np.real(np.sum(vecs.conj() * (op @ vecs), axis=0)) for op in (j2, jx))
+    js = np.rint((np.sqrt(1 + 4 * j2s) - 1) / 2).astype(int)
+    return vecs, list(zip(js.tolist(), np.rint(ms).astype(int).tolist()))
+
+
+def _dephased_state(n, weights):
+    """The density matrix diagonal in ``_joint_x_basis(n)`` that spreads each
+    weight q_{j,m} of ``weights`` evenly over the columns of its (j, m)."""
+    vecs, labels = _joint_x_basis(n)
+    diagonal = np.zeros(len(labels))
+    for (j, m), q in weights.items():
+        columns = [k for k, label in enumerate(labels) if label == (j, m)]
+        diagonal[columns] += q / len(columns)
+    return (vecs * diagonal) @ vecs.conj().T
+
+
+def _tight_upper(rec):
+    """min(p_0, (W - sum_{m != 0} |m| p_m) / (j_M (j_M + 1))) of a record."""
+    j_max = len(rec.populations) // 2
+    ms = np.abs(projections(2 * j_max))
+    return min(rec.populations[j_max],
+               (rec.witness_value - ms @ rec.populations) / (j_max * (j_max + 1)))
+
+
+def _vertex_weights(n, rng):
+    """The populations p_m (Dirichlet) and a share a ~ U[0, p_0] of p_0."""
+    j_max = n // 2
+    pops = rng.dirichlet(np.ones(2 * j_max + 1))
+    return j_max, pops, rng.uniform(0, pops[j_max])
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_the_lower_bound_is_attained(n):
+    # all m != 0 weight at j = j_M, and p_0 split between j_M and j_M - 1:
+    # F_lo = F there, so the paper's bound is already optimal for its data
+    rng = np.random.default_rng(2300 + n)
+    target = cert.half_excited_full(n, "x")
+    for _ in range(25):
+        j_max, pops, a = _vertex_weights(n, rng)
+        weights = {(j_max, m): p for m, p in zip(range(-j_max, j_max + 1), pops)}
+        weights.update({(j_max, 0): a, (j_max - 1, 0): pops[j_max] - a})
+        rho = _dephased_state(n, weights)
+        rec = cert.certify_from_state(rho, "x")
+        assert np.max(np.abs(rec.populations - pops)) < 1e-12
+        assert abs(obs.direct_fidelity(rho, target) - a) < 1e-12
+        assert abs(rec.f_lower - a) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_the_tight_upper_bound_is_attained(n):
+    # each m != 0 at j = |m|, and p_0 split between j_M and 0
+    rng = np.random.default_rng(2310 + n)
+    target = cert.half_excited_full(n, "x")
+    for _ in range(25):
+        j_max, pops, a = _vertex_weights(n, rng)
+        weights = {(abs(m), m): p for m, p in zip(range(-j_max, j_max + 1), pops)}
+        weights.update({(j_max, 0): a, (0, 0): pops[j_max] - a})
+        rho = _dephased_state(n, weights)
+        rec = cert.certify_from_state(rho, "x")
+        assert np.max(np.abs(rec.populations - pops)) < 1e-12
+        assert abs(obs.direct_fidelity(rho, target) - a) < 1e-12
+        assert abs(_tight_upper(rec) - a) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_the_tight_bounds_hold_on_random_mixtures(n):
+    rng = np.random.default_rng(2320 + n)
+    target = cert.half_excited_full(n, "x")
+    for _ in range(100):
+        rho = cert.random_mixture(2**n, 3, rng)
+        rec = cert.certify_from_state(rho, "x")
+        fid = obs.direct_fidelity(rho, target)
+        assert rec.f_lower - 1e-12 <= fid <= _tight_upper(rec) + 1e-12
+        if n == 2:  # both bounds are the fidelity of every two-qubit state
+            assert abs(rec.f_lower - fid) < 1e-12 and abs(_tight_upper(rec) - fid) < 1e-12
+
+
+@lru_cache(maxsize=None)
 def _eigh_projectors(n, axis):
     vals, vecs = np.linalg.eigh(full_space_oracle(n, "j" + axis))
     return np.rint(vals + n / 2).astype(int), vecs

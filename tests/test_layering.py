@@ -252,40 +252,12 @@ def _enclosing_functions(tree, matches):
     return found
 
 
-def _trajectory_builders(tree):
-    """The function around each ``Trajectory(...)`` call in ``tree``, bare
-    or as an attribute."""
-    return _enclosing_functions(tree, lambda node: isinstance(node, ast.Call) and "Trajectory" in (
-        getattr(node.func, "id", None), getattr(node.func, "attr", None)))
-
-
-def test_the_trajectory_reader_sees_each_form():
-    source = ("def f():\n    return evolution.Trajectory(t, s)\n"
-              "class C:\n    def g(self):\n        h = lambda: Trajectory(t, s)\n"
-              "Trajectory(t, s)\n")
-    assert _trajectory_builders(ast.parse(source)) == ["f", "g", None]
-
-
 def test_only_integrate_builds_a_trajectory():
     # each run is checked, planned, run and recorded on the one run path;
     # a model's integrator supplies its Hamiltonian and stable step only
     builders = [(module, function) for module in MODULES
-                for function in _trajectory_builders(_tree(module))]
+                for function in _callers(_tree(module), "Trajectory")]
     assert builders == [("evolution", "_integrate")]
-
-
-def _parser_builders(tree):
-    """The function around each ``build_parser(...)`` call in ``tree``, bare
-    or as an attribute."""
-    return _enclosing_functions(tree, lambda node: isinstance(node, ast.Call) and (
-        "build_parser" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))))
-
-
-def test_the_parser_build_reader_sees_each_form():
-    source = ("def f():\n    return cli.build_parser()\n"
-              "class C:\n    def g(self):\n        h = lambda: build_parser()\n"
-              "build_parser()\n")
-    assert _parser_builders(ast.parse(source)) == ["f", "g", None]
 
 
 def test_one_parser_per_process():
@@ -294,7 +266,7 @@ def test_one_parser_per_process():
                 if isinstance(node, ast.FunctionDef) and node.name == "build_parser"]
     assert ast.unparse(build.args) == ""
     builders = [(module, function) for module in MODULES
-                for function in _parser_builders(_tree(module))]
+                for function in _callers(_tree(module), "build_parser")]
     assert builders == [("cli", "main")]
 
 
@@ -489,12 +461,13 @@ def _callers(tree, name):
         getattr(node.func, "id", None), getattr(node.func, "attr", None)))
 
 
-def test_the_clip_reader_sees_each_form():
+def test_the_call_reader_sees_each_form():
     source = ("def f(p):\n    return np.clip(p, 0.0, None)\n"
               "class C:\n    def g(self, p):\n        return p.clip(0.0, 1.0)\n"
+              "    def k(self):\n        h = lambda p: clip(p, 0, 1)\n"
               "clip(q, 0, 1)\n"
               "def h(p):\n    return np.clipped(p)\n")
-    assert _callers(ast.parse(source), "clip") == ["f", "g", None]
+    assert _callers(ast.parse(source), "clip") == ["f", "g", "k", None]
 
 
 def test_measurement_clips_only_in_normalized():

@@ -174,11 +174,25 @@ def test_bad_arrays_never_reach_the_kernel(make, capture):
     np.zeros((3, 3, 3), dtype=complex).transpose(0, 2, 1),
 ])
 def test_bad_buffer_never_reaches_the_kernel(buffer):
-    values = np.zeros((6, len(_SUPPORT) + 1), dtype=complex)
     states = np.zeros((3, 3), dtype=complex)
     with pytest.raises(ValueError, match="buffer"):
-        evolution._check_block(values, _SUPPORT, buffer, 2, np.eye(3)[0].astype(complex),
-                               states, _STEPS)
+        evolution._check_block(_SUPPORT, buffer, np.eye(3)[0].astype(complex), states, _STEPS)
+
+
+@pytest.mark.parametrize("support, capture", [
+    (_SUPPORT[None], _STEPS),                   # 2-D support
+    (_SUPPORT, _STEPS.astype(np.int32)),        # int32 capture steps
+])
+def test_bad_run_arrays_are_refused_before_any_hamiltonian(support, capture):
+    built = []
+
+    def h_values(ts):
+        built.append(ts)
+        return np.zeros((len(ts), len(_SUPPORT) + 1), dtype=complex)
+
+    with pytest.raises(ValueError):
+        evolution._rk4(h_values, support, np.eye(3)[0], 1.0, 4, capture)
+    assert built == []
 
 
 def test_good_stack_reaches_the_kernel():
@@ -206,7 +220,7 @@ def test_kernel_refills_the_matrices_when_the_off_support_value_changes():
     for k in range(len(offs) - 2):
         values = rng.normal(size=(3, len(_SUPPORT) + 1)) + 1j * rng.normal(size=(3, len(_SUPPORT) + 1))
         values[:, -1] = offs[k:k + 3]
-        evolution._check_block(values, _SUPPORT, buffer, 1, psi, states, capture)
+        evolution._check_block(_SUPPORT, buffer, psi, states, capture)
         evolution._kernel()(values.ctypes.data, _SUPPORT.ctypes.data, len(_SUPPORT),
                             buffer.ctypes.data, 1, 1, d, coef.ctypes.data, psi.ctypes.data,
                             work.ctypes.data, 0, capture.ctypes.data, 1, 1, states.ctypes.data)
