@@ -1,12 +1,38 @@
 /* The steps of one block of fixed-step RK4, for dickesim.evolution._rk4.
  *
- * The Hamiltonians come as support values: for each matrix, its entries at
- * the s flat indices of the support, then the one value of every entry off
- * the support.  Before each step the matrices at t, t + dt/2 and t + dt are
- * written into a dense buffer of three, in the words that numpy's expansion
- * of the same values (dickesim.model.expand) gives.  A step then performs
- * the floating-point operations that numpy performs for this update, in
- * numpy's order, so every state word equals numpy's:
+ * Each step's Hamiltonians are built here from a few real coefficients per
+ * time.  hamiltonian_values writes one model's Hamiltonian at one time on
+ * the model's support, in the words that the numpy formula of
+ * dickesim.model gives for the same coefficients:
+ *
+ *   chain (kind 0), c = (Omega_r, Omega_b), parts (K_r, K_b, D), all real:
+ *       H = (Omega_r K_r + Omega_b K_b) + delta D, with imaginary part +0
+ *       (reduced_values);
+ *   full (kind 1), c = (Re p, Im p, cr, cb) with p = exp(-i delta t),
+ *       cr = Omega_r/2 and cb = Omega_b/2, parts (R, R^dag, B, B^dag), the
+ *       red and blue sideband operators and their adjoints:
+ *       H = cr (p R + p* R^dag) + cb (p* B + p B^dag)   (full_values).
+ *
+ * Each complex product is written out on doubles as numpy's multiply loop
+ * computes it, (a + bi)(c + di) = (ac - bd, ad + bc), and a real factor
+ * enters as c + 0i, as numpy promotes it.  numpy's SIMD loop may fuse one
+ * product of each pair into the sum; here every product has a real factor
+ * (an operator entry, cr or cb), whose other product is an exact zero, so
+ * fused and unfused rounding agree unless a product underflows.  C99
+ * _Complex multiplication is not used, because its inf/nan recovery
+ * (__muldc3) differs from numpy.
+ *
+ * The full model's support is grouped by the one operator that is nonzero
+ * at each entry: entries bounds[g] .. bounds[g + 1] - 1 are those of part
+ * g.  Every other operator is zero there, with the signs of its entry at
+ * (0, 0), the last of its part, so the three other terms of an entry are
+ * the same for the whole group: they are computed once per call, and each
+ * entry costs two complex products.
+ *
+ * Before each step the matrices at t, t + dt/2 and t + dt are written into
+ * a dense buffer of three.  A step then performs the floating-point
+ * operations that numpy performs for this update, in numpy's order, so
+ * every state word equals numpy's on the same matrices:
  *
  *   y1 = H1 psi,  y2 = H2 (psi + c_h y1),  y3 = H2 (psi + c_h y2),
  *   y4 = H3 (psi + c_f y3),  psi <- psi + c_s (((y1 + 2 y2) + 2 y3) + y4).
@@ -14,16 +40,11 @@
  * The matrix-vector products call the zgemv that numpy's ndarray.dot calls,
  * inside numpy's own BLAS, with the arguments that numpy passes for a
  * C-contiguous matrix: row-major, no transpose, alpha 1, beta 0 and unit
- * strides.  Each complex product c*y is written out on doubles as numpy's
- * multiply loop computes it, (cr*yr - ci*yi, cr*yi + ci*yr); C99 _Complex
- * multiplication is not used, because its inf/nan recovery (__muldc3)
- * differs from numpy.  The doubling 2 y stays a product with 2 + 0i: y + y
- * can differ from it in the sign of a zero.  Every coefficient has cr = 0
- * or 2, so cr*yr is exact and numpy's loops, fused or not, agree with
- * rounding each product.  Build with -ffp-contract=off: a contraction could
- * fuse a ci product into the sum and skip its rounding, which here can flip
- * the sign of an underflowed zero, and with any other coefficient a last
- * bit.
+ * strides.  The doubling 2 y stays a product with 2 + 0i: y + y can differ
+ * from it in the sign of a zero.  Every step coefficient has real part 0
+ * or 2, so its real product is exact.  Build with -ffp-contract=off: a
+ * contraction could fuse a product into a sum and skip its rounding, which
+ * can flip the sign of an underflowed zero, and elsewhere a last bit.
  *
  * BLAS_INT is the integer width of the zgemv symbol that the loader found.
  */
@@ -46,6 +67,81 @@ static const double ONE[2] = {1.0, 0.0};
 static const double ZERO[2] = {0.0, 0.0};
 static const double TWO[2] = {2.0, 0.0};
 
+/* out = a*b, as numpy's complex multiply loop; out may be a or b */
+static inline void mul(double *out, const double *a, const double *b)
+{
+    double re = a[0] * b[0] - a[1] * b[1];
+    double im = a[0] * b[1] + a[1] * b[0];
+    out[0] = re;
+    out[1] = im;
+}
+
+static inline void add(double *out, const double *a, const double *b)
+{
+    out[0] = a[0] + b[0];
+    out[1] = a[1] + b[1];
+}
+
+/* Write the Hamiltonian of model kind at the coefficients c: its value at
+ * support entry j to the complex number h[at[j]], and its value off the
+ * support to off.  parts holds each operator's s + 1 entries, doubles for
+ * the chain and complex numbers for the full model, and bounds its groups. */
+void hamiltonian_values(int64_t kind, const double *c, const double *parts,
+                        const int64_t *bounds, int64_t s, double delta,
+                        const int64_t *at, double *h, double *off)
+{
+    if (kind == 0) {
+        const double *kr = parts, *kb = parts + (s + 1), *dn = parts + 2 * (s + 1);
+        for (int64_t j = 0; j <= s; j++) {
+            double *v = j < s ? h + 2 * at[j] : off;
+            v[0] = (c[0] * kr[j] + c[1] * kb[j]) + delta * dn[j];
+            v[1] = 0.0;
+        }
+        return;
+    }
+    const double p[2] = {c[0], c[1]}, conj[2] = {c[0], -c[1]};
+    const double cr[2] = {c[2], 0.0}, cb[2] = {c[3], 0.0};
+    const double *phase[4] = {p, conj, conj, p}, *rate[2] = {cr, cb};
+    double zero[4][2], sum[2][2];
+    for (int g = 0; g < 4; g++)
+        mul(zero[g], phase[g], parts + 2 * (g * (s + 1) + s));
+    for (int k = 0; k < 2; k++) {
+        add(sum[k], zero[2 * k], zero[2 * k + 1]);
+        mul(sum[k], rate[k], sum[k]);
+    }
+    add(off, sum[0], sum[1]);
+    /* an entry of group g puts its own term in place of zero[g]; a sum or
+     * product of two doubles does not depend on their order, signed zeros
+     * included, so this is numpy's arithmetic for that entry */
+    for (int g = 0; g < 4; g++) {
+        const double *part = parts + 2 * g * (s + 1);
+        for (int64_t j = bounds[g]; j < bounds[g + 1]; j++) {
+            double v[2];
+            mul(v, phase[g], part + 2 * j);
+            add(v, v, zero[g ^ 1]);
+            mul(v, rate[g / 2], v);
+            add(h + 2 * at[j], v, sum[1 - g / 2]);
+        }
+    }
+}
+
+/* Write into the dd-entry matrix h the Hamiltonian at c.  The entries off
+ * the support always equal h's entry (0, 0), which is off it, so they are
+ * rewritten, and the support after them, only when the new off-support
+ * value differs from that word in any bit; a nan compares by its bits. */
+static void build(int64_t kind, const double *c, const double *parts,
+                  const int64_t *bounds, const int64_t *support, int64_t s,
+                  double delta, double *h, int64_t dd)
+{
+    double off[2];
+    hamiltonian_values(kind, c, parts, bounds, s, delta, support, h, off);
+    if (memcmp(h, off, sizeof off) != 0) {
+        for (int64_t i = 0; i < dd; i++)
+            memcpy(h + 2 * i, off, sizeof off);
+        hamiltonian_values(kind, c, parts, bounds, s, delta, support, h, off);
+    }
+}
+
 /* out = a + c*y on d complex numbers, as numpy's add(a, multiply(c, y));
  * out may be a or y */
 static void add_scaled(double *out, const double *a, const double *c,
@@ -59,49 +155,35 @@ static void add_scaled(double *out, const double *a, const double *c,
     }
 }
 
-/* Write into the dd-entry matrix h the one whose s + 1 complex values are
- * v: v[j] at the flat index support[j], and v[s] at every other entry.  The
- * entries off the support always equal h's entry (0, 0), which is off it,
- * so they are rewritten only when v[s] differs from that word in any bit;
- * a nan compares by its bits too. */
-static void expand(double *h, const double *v, const int64_t *support,
-                   int64_t s, int64_t dd)
-{
-    const double *off = v + 2 * s;
-    if (memcmp(h, off, 2 * sizeof(double)) != 0)
-        for (int64_t i = 0; i < dd; i++)
-            memcpy(h + 2 * i, off, 2 * sizeof(double));
-    for (int64_t j = 0; j < s; j++)
-        memcpy(h + 2 * support[j], v + 2 * j, 2 * sizeof(double));
-}
-
-/* Run steps start + 1 .. start + m of the block whose values hold the n
- * Hamiltonians at t, then the n at t + dt/2, then the n at t + dt, each as
- * s + 1 complex values on the support (distinct flat indices in [1, d*d)).
- * h is the buffer of three d x d complex matrices in row-major order; its
- * entries off the support must equal each matrix's (0, 0) entry, as a
- * zeroed buffer's do, and they still do on return.  coef holds c_h, c_f
- * and c_s as (re, im) pairs; work holds 5 d complex numbers.  After each
- * step whose number is capture[pos], psi is stored as row pos of states and
- * pos advances.  Returns the next capture slot. */
-int64_t rk4_block(void *zgemv_ptr, const double *values, const int64_t *support,
-                  int64_t s, double *h, int64_t n, int64_t m, int64_t d,
-                  const double *coef, double *psi, double *work, int64_t start,
-                  const int64_t *capture, int64_t n_capture, int64_t pos,
-                  double *states)
+/* Run steps start + 1 .. start + m of the block whose coefficients hold n
+ * rows at t, then n at t + dt/2, then n at t + dt, each of 2 (chain) or 4
+ * (full model) doubles.  The model is kind with its s support entries
+ * (distinct flat indices in [1, d*d)), parts, bounds and delta, as
+ * hamiltonian_values reads them.  h is the buffer of three d x d complex
+ * matrices in row-major order; its entries off the support must equal each
+ * matrix's (0, 0) entry, as a zeroed buffer's do, and they still do on
+ * return.  coef holds c_h, c_f and c_s as (re, im) pairs; work holds 5 d
+ * complex numbers.  After each step whose number is capture[pos], psi is
+ * stored as row pos of states and pos advances.  Returns the next capture
+ * slot. */
+int64_t rk4_block(void *zgemv_ptr, const double *coefs, int64_t n, int64_t m,
+                  int64_t start, int64_t pos, int64_t kind, const int64_t *support,
+                  int64_t s, const double *parts, const int64_t *bounds, double delta,
+                  double *h, int64_t d, const double *coef, double *psi, double *work,
+                  const int64_t *capture, int64_t n_capture, double *states)
 {
     zgemv_fn zgemv = (zgemv_fn)zgemv_ptr;
     const double *c_h = coef, *c_f = coef + 2, *c_s = coef + 4;
     double *y1 = work, *y2 = work + 2 * d, *y3 = work + 4 * d;
     double *y4 = work + 6 * d, *arg = work + 8 * d;
-    const int64_t size = 2 * d * d;  /* doubles per Hamiltonian */
-    const int64_t row = 2 * (s + 1); /* doubles per value row */
+    const int64_t size = 2 * d * d;       /* doubles per Hamiltonian */
+    const int64_t width = kind == 0 ? 2 : 4; /* coefficients per time */
     double *h1 = h, *h2 = h + size, *h3 = h + 2 * size;
 
     for (int64_t k = 0; k < m; k++) {
-        expand(h1, values + k * row, support, s, d * d);
-        expand(h2, values + (n + k) * row, support, s, d * d);
-        expand(h3, values + (2 * n + k) * row, support, s, d * d);
+        build(kind, coefs + k * width, parts, bounds, support, s, delta, h1, d * d);
+        build(kind, coefs + (n + k) * width, parts, bounds, support, s, delta, h2, d * d);
+        build(kind, coefs + (2 * n + k) * width, parts, bounds, support, s, delta, h3, d * d);
         zgemv(CBLAS_ROW_MAJOR, CBLAS_NO_TRANS, d, d, ONE, h1, d, psi, 1, ZERO, y1, 1);
         add_scaled(arg, psi, c_h, y1, d);
         zgemv(CBLAS_ROW_MAJOR, CBLAS_NO_TRANS, d, d, ONE, h2, d, arg, 1, ZERO, y2, 1);

@@ -6,12 +6,12 @@ tone amplitudes of ``tones``.
 
 Integration is fixed-step classical RK4 with the Hamiltonian sampled at the
 substage times; unitarity is checked after the fact, not enforced, so runs
-stay deterministic.  H(t) does not depend on the state, so each model builds
-the Hamiltonians of a block of steps at once as support values (the entries
-where some operator is nonzero, and the one value all others share), and
-the C kernel ``_rk4.c`` runs the block in one call through numpy's own
-zgemv; every state word equals that of numpy's textbook update on the dense
-matrices (see ``_rk4`` and ``_kernel``).
+stay deterministic.  H(t) does not depend on the state, so each model gives
+the few real coefficients of its Hamiltonians for a block of steps at once,
+and the C kernel ``_rk4.c`` builds each step's matrices from them on the
+model's support and runs the block in one call through numpy's own zgemv;
+every state word equals that of numpy's textbook update on the dense
+matrices of the model's numpy formula (see ``_rk4`` and ``_kernel``).
 
 Every run starts from |D^0>|0> and fails with a ``NumericalError`` once its
 norm drifts so far that the readout's ``observables.NORM_TOL`` would reject
@@ -25,6 +25,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -35,10 +36,10 @@ from .spin_algebra import _frozen, collective_coupling, constant_cache, projecti
 from .model import (
     SystemParams,
     chain_frame,
+    full_coefficients,
     full_support,
-    full_values,
+    reduced_coefficients,
     reduced_support,
-    reduced_values,
     spin_marginals,
     top_fock_populations,
 )
@@ -52,12 +53,16 @@ ADIABATICITY_WARN_BELOW = 5.0
 
 LEAK_WARN_LEVEL = 1e-3
 
-#: bytes that building one block's Hamiltonians may hold at once, which sets
-#: the steps per block: the values at t, t + dt/2 and t + dt of k steps are
-#: (3k, s+1) complex numbers, a third of this, as the full model's sum keeps
-#: up to three such arrays alive.  Up to three value blocks are alive in a
-#: run: one in the kernel, one queued for it and one being built.
-H_BLOCK_BYTES = 1 << 20
+#: bytes of one block's coefficients, which sets the steps per block: the
+#: coefficients at t, t + dt/2 and t + dt of k steps are 3k rows of 2 (chain)
+#: or 4 (full model) doubles, and computing them holds a few arrays of 3k
+#: numbers at a time.  One block is alive at a time, so a run's Hamiltonians
+#: hold well under 1 MiB whatever its length.
+H_BLOCK_BYTES = 1 << 17
+
+#: each model's number in ``_rk4.c``, its coefficients per time, and the
+#: dtype and count of its operator parts
+_FORMULAS = {"reduced": (0, 2, np.float64, 3), "full": (1, 4, np.complex128, 4)}
 
 #: samples that ``Trajectory.chain_fidelities`` rotates into the chain frame
 #: at once, which bounds its memory
@@ -201,13 +206,15 @@ class Trajectory:
                 "max_norm_drift": self.max_norm_drift, **leak}
 
 
-def _rk4(h_values, support: np.ndarray, psi0: np.ndarray, total_time: float,
-         n_steps: int, capture: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-step RK4 over the ``n_steps`` grid of [0, total_time], stopping at
-    the last captured step; ``h_values(ts)`` returns the (len(ts), s+1)
-    values of the Hamiltonians at ``ts`` on the s flat indices ``support``,
-    as ``model.expand`` reads them, and ``capture`` holds the int64 step
-    numbers to sample.
+def _rk4(tag: str, coefficients, operators: tuple, delta: float, psi0: np.ndarray,
+         total_time: float, n_steps: int, capture: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed-step RK4 of the ``tag`` model, "reduced" or "full", over the
+    ``n_steps`` grid of [0, total_time], stopping at the last captured step;
+    ``coefficients(ts)`` returns the model's (len(ts), 2 or 4) coefficients
+    at ``ts`` (``model.reduced_coefficients``, ``model.full_coefficients``),
+    ``operators`` is the model's support tuple (``model.reduced_support``,
+    ``model.full_support``), ``delta`` its detuning, and ``capture`` holds
+    the int64 step numbers to sample.
 
     With H1, H2, H3 the Hamiltonians at t, t + dt/2 and t + dt, a step is
 
@@ -223,34 +230,27 @@ def _rk4(h_values, support: np.ndarray, psi0: np.ndarray, total_time: float,
     because zgemv on a complex -i*H accumulates its products in another
     order and changes last bits.
 
-    The calling thread builds each block's values while a helper thread
-    runs the blocks before it, one call each of the C kernel ``rk4_block``
-    (``_rk4.c``, loaded by ``_kernel``), in order on the same arrays.  They
-    meet at a one-slot queue, so a block runs, one waits and one is being
-    built; the calling thread never touches the state arrays until the
-    helper is joined, so every word is that of one thread running the blocks
-    in turn.  The helper only takes a block and calls the kernel, which
-    releases the GIL: numpy's error state, warning filters and any tracing
-    stay with the caller.  An exception of either thread reaches the caller
-    after the helper is joined.
-
-    Each step expands H1, H2 and H3 into a zeroed (3, d, d) buffer in
-    ``model.expand``'s words: the support values every step, the other
-    entries only when their bits differ from the (0, 0) word.  The four
+    The calling thread computes one block's coefficients at a time and runs
+    the block in one call of the C kernel ``rk4_block`` (``_rk4.c``, loaded
+    by ``_kernel``), which releases the GIL.  For each step it builds H1, H2
+    and H3 from their coefficients into a zeroed (3, d, d) buffer, in the
+    words of ``model.expand`` of the model's numpy values: the support every
+    step, the other entries only when their bits differ from the (0, 0)
+    word.  (A product that underflows to zero can take the other sign of
+    zero than numpy's fused SIMD loop gives it; see ``_rk4.c``.)  The four
     products y = H x go through numpy's own zgemv with ``ndarray.dot``'s
     arguments; the stage arguments and the final sum round each product
     before adding it, as numpy's complex loops do, so the kernel is built
     with floating-point contraction off (a fused multiply-add can flip the
-    sign of an underflowed zero).  The doubling stays a product with 2 + 0i:
-    y + y can differ from (2 + 0j)*y in the sign of a zero.  Arrays of the
-    wrong type, layout, shape or range raise ValueError in Python and never
-    reach C: the run's fixed arrays with ``_check_block`` before any H is
-    built, and each block's values, the first included, before they are
-    queued; the kernel loads once the first block's values pass.
+    sign of an underflowed zero).  The doubling
+    stays a product with 2 + 0i: y + y can differ from (2 + 0j)*y in the
+    sign of a zero.  Arrays of the wrong type, layout, shape or range raise
+    ValueError in Python and never reach C: the run's fixed arrays with
+    ``_check_block`` before any coefficient is computed, and each block's
+    coefficients, the first included, before the kernel runs them; the
+    kernel loads once the first block's coefficients pass.
     """
-    import queue
-    import threading
-
+    kind, width, *_ = _FORMULAS[tag]
     dt = total_time / n_steps
     coef = np.array([-0.5j * dt, -1j * dt, -1j * dt / 6])  # c_h, c_f, c_s
     times = capture * dt
@@ -260,56 +260,27 @@ def _rk4(h_values, support: np.ndarray, psi0: np.ndarray, total_time: float,
     states = np.empty((len(capture), d), dtype=complex)
     work = np.empty((5, d), dtype=complex)  # y1, y2, y3, y4 and a stage argument
     buffer = np.zeros((3, d, d), dtype=complex)  # H1, H2, H3 of the current step
-    _check_block(support, buffer, psi, states, capture)
+    support, _, parts, bounds = operators
+    _check_block(tag, operators, buffer, psi, states, capture)
     # the kernel's arguments that stay fixed for the run, in rk4_block's order
-    fixed = (support.ctypes.data, len(support), buffer.ctypes.data, d, coef.ctypes.data,
-             psi.ctypes.data, work.ctypes.data, capture.ctypes.data, len(capture),
-             states.ctypes.data)
-    block = max(1, H_BLOCK_BYTES // 3 // (3 * 16 * (len(support) + 1)))
+    fixed = (kind, support.ctypes.data, len(support), parts.ctypes.data, bounds.ctypes.data,
+             delta, buffer.ctypes.data, d, coef.ctypes.data, psi.ctypes.data, work.ctypes.data,
+             capture.ctypes.data, len(capture), states.ctypes.data)
+    block = max(1, H_BLOCK_BYTES // (3 * 8 * width))
     pos = 0
     if capture[pos] == 0:
         states[pos] = psi
         pos += 1
-    handoff, failure = queue.Queue(maxsize=1), []
-
-    def run_blocks(pos: int) -> None:
-        """The helper thread: run each block from ``handoff`` until None.  An
-        exception is kept in ``failure`` for the caller, and the blocks after
-        it are taken and dropped, so the caller never waits on a full queue."""
-        while (item := handoff.get()) is not None:
-            if failure:
-                continue
-            values, n, start = item
-            try:
-                pos = kernel(values.ctypes.data, *fixed[:3], n, min(n, stop - start),
-                             *fixed[3:7], start, *fixed[7:9], pos, fixed[9])
-            except BaseException as exc:  # raised again by the caller
-                failure.append(exc)
-
-    # a daemon, so that an interrupt that stops the handoff cannot keep the
-    # interpreter from exiting; started with the first block
-    helper = threading.Thread(target=run_blocks, args=(pos,), daemon=True)
-    try:
-        for start in range(0, stop, block):
-            # each step's own t = step*dt, since (step + 1)*dt can differ in the
-            # last bit from step*dt + dt; the blocks are the whole ramp's even
-            # where a run stops early, so each H is built in the same array.
-            t = np.arange(start, min(start + block, n_steps)) * dt
-            n = len(t)
-            values = h_values(np.concatenate((t, t + dt / 2, t + dt)))
-            _check_array("value array", values, np.complex128, (3 * n, len(support) + 1))
-            if start == 0:
-                kernel = _kernel()
-                helper.start()
-            handoff.put((values, n, start))
-            if failure:
-                break
-    finally:
-        if helper.is_alive():
-            handoff.put(None)
-            helper.join()
-    if failure:
-        raise failure[0]
+    for start in range(0, stop, block):
+        # each step's own t = step*dt, since (step + 1)*dt can differ in the
+        # last bit from step*dt + dt; the blocks are the whole ramp's even
+        # where a run stops early, so each coefficient is computed in the
+        # same array
+        t = np.arange(start, min(start + block, n_steps)) * dt
+        n = len(t)
+        rows = coefficients(np.concatenate((t, t + dt / 2, t + dt)))
+        _check_array("coefficient array", rows, np.float64, (3 * n, width))
+        pos = _kernel().step(rows.ctypes.data, n, min(n, stop - start), start, pos, *fixed)
     return times, states
 
 
@@ -325,14 +296,20 @@ def _check_array(name: str, array, dtype, shape: tuple) -> None:
                          f"{name} of {want}, got {got}")
 
 
-def _check_block(support, buffer, psi: np.ndarray, states: np.ndarray, capture: np.ndarray) -> None:
+def _check_block(tag: str, operators: tuple, buffer, psi: np.ndarray, states: np.ndarray,
+                 capture: np.ndarray) -> None:
     """ValueError unless a run's fixed arrays have the dtype, layout and shape
-    that ``rk4_block`` reads and writes through raw pointers, and the support
-    holds distinct flat indices of a d x d matrix other than 0."""
+    that ``rk4_block`` reads and writes through raw pointers, the support
+    holds distinct flat indices of a d x d matrix other than 0, and the
+    bounds split it into one run of entries per operator part, in order."""
+    support, _, parts, bounds = operators
+    *_, part_type, groups = _FORMULAS[tag]
     d = len(psi)
     s = len(support) if isinstance(support, np.ndarray) and support.ndim == 1 else -1
     for name, array, dtype, shape in (
         ("support", support, np.int64, (s,)),
+        ("operator parts", parts, part_type, (groups, s + 1)),
+        ("group bounds", bounds, np.int64, (groups + 1,)),
         ("Hamiltonian buffer", buffer, np.complex128, (3, d, d)),
         ("state", psi, np.complex128, (d,)),
         ("sample array", states, np.complex128, (len(capture), d)),
@@ -342,6 +319,8 @@ def _check_block(support, buffer, psi: np.ndarray, states: np.ndarray, capture: 
     ordered = np.sort(support)  # np.unique would import numpy.ma
     if s and not (ordered[0] >= 1 and ordered[-1] < d * d and np.all(ordered[1:] > ordered[:-1])):
         raise ValueError(f"the RK4 kernel needs distinct support indices in [1, {d * d})")
+    if not (bounds[0] == 0 and bounds[-1] == s and np.all(bounds[1:] >= bounds[:-1])):
+        raise ValueError(f"the RK4 kernel needs {tag} group bounds from 0 to {s} in order")
 
 
 #: zgemv symbols that numpy's bundled BLAS may export, with their integer type
@@ -352,7 +331,9 @@ _KERNEL_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 @constant_cache()
 def _kernel():
-    """The C function ``rk4_block``, loaded on the first integration.
+    """The C functions of ``_rk4.c``, loaded on the first integration:
+    ``step``, ``rk4_block`` with numpy's zgemv bound, and ``values``, the
+    ``hamiltonian_values`` that it calls for each Hamiltonian.
 
     zgemv comes from numpy's own BLAS, through the handle of numpy's
     extension module.  The library is ``__pycache__/_rk4-<hash>.so`` beside
@@ -386,12 +367,16 @@ def _kernel():
         with tempfile.TemporaryDirectory(prefix="dickesim-") as private:
             lib = ctypes.CDLL(str(_compile(source, flags, Path(private) / library.name)))
         # the loaded library stays mapped after its directory is gone
-    step = lib.rk4_block
-    pointer, int64 = ctypes.c_void_p, ctypes.c_int64
-    step.argtypes = [pointer, pointer, pointer, int64, pointer, int64, int64, int64,
-                     pointer, pointer, pointer, int64, pointer, int64, int64, pointer]
+    step, values = lib.rk4_block, lib.hamiltonian_values
+    pointer, int64, double = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+    step.argtypes = [pointer, pointer, int64, int64, int64, int64, int64, pointer, int64,
+                     pointer, pointer, double, pointer, int64, pointer, pointer, pointer,
+                     pointer, int64, pointer]
     step.restype = int64
-    return partial(step, ctypes.cast(getattr(blas, symbol), pointer))
+    values.argtypes = [int64, pointer, pointer, pointer, int64, double, pointer, pointer, pointer]
+    values.restype = None
+    return SimpleNamespace(step=partial(step, ctypes.cast(getattr(blas, symbol), pointer)),
+                           values=values)
 
 
 def _writable(directory) -> bool:
@@ -443,8 +428,9 @@ def _compile(source, flags: list[str], library):
 
 def _plan_steps(total_time: float, dt: float, levels: int = 1) -> int:
     # steps x dimension <= 2^31 x (N + 1): 2^31 steps on the chain (under an
-    # hour at 0.8-1.5 us a step on one x86 core), 2^31/levels on the full
-    # model, whose step costs about its dimension: 5.2, 11.4, 32.4 us at d = 18, 35, 81
+    # hour at 0.3-0.9 us a step for N = 2-8 on one x86 core), 2^31/levels on
+    # the full model, whose step costs about its dimension or more, Hamiltonians
+    # built in the kernel included: 1.5, 3.3, 11.9 us at d = 18, 35, 81
     if not total_time / dt <= 2.0**31 / levels:
         of = "" if levels == 1 else f"/(n_max + 1) = 2^31/{levels}"
         raise PhysicsConfigError(f"{total_time / dt:.3g} steps exceed the limit of 2^31{of}")
@@ -463,12 +449,12 @@ def _check_norms(states: np.ndarray) -> float:
     return float(np.max(np.abs(norms - 1.0)))
 
 
-def _integrate(tag: str, h_values, support: np.ndarray, guard: float, schedule: PulseSchedule,
+def _integrate(tag: str, coefficients, operators: tuple, guard: float, schedule: PulseSchedule,
                params: SystemParams, dt: float | None,
                capture_times: list[float] | None) -> Trajectory:
     """The one run path: RK4 of the ``tag`` model, "reduced" or "full", from
-    |D^0>|0> (basis index 0 of both) under ``h_values`` on ``support`` (see
-    ``_rk4``), sampled at about 2001 steps and the steps nearest
+    |D^0>|0> (basis index 0 of both) under ``coefficients`` on ``operators``
+    (see ``_rk4``), sampled at about 2001 steps and the steps nearest
     ``capture_times``, stopped at the latest of those and recorded as a
     ``Trajectory``.  ``dt`` defaults to the model's stable step ``guard`` and
     may not exceed it.  A capture time outside [0, T] is a ValueError.
@@ -496,7 +482,8 @@ def _integrate(tag: str, h_values, support: np.ndarray, guard: float, schedule: 
     stop = max(extra, default=n_steps)
     steps = {*range(0, n_steps + 1, max(1, n_steps // 2000)), n_steps // 2, n_steps, *extra}
     capture = np.array(sorted(step for step in steps if step <= stop), dtype=np.int64)
-    times, states = _rk4(h_values, support, psi0, schedule.total_time, n_steps, capture)
+    times, states = _rk4(tag, coefficients, operators, params.delta, psi0, schedule.total_time,
+                         n_steps, capture)
     drift = _check_norms(states)
     leak = float(np.max(top_fock_populations(params, states))) if tag == "full" else 0.0
     return Trajectory(_frozen(times), _frozen(states), tag, params, schedule,
@@ -521,8 +508,8 @@ def integrate_reduced(schedule: PulseSchedule, params: SystemParams,
     rate = max(params.delta + n * schedule.omega_bar, 3 * drive)
     guard = 0.1 / rate if rate > 0 else schedule.total_time / 200
 
-    traj = _integrate("reduced", lambda ts: reduced_values(params, *schedule.amplitudes(ts)),
-                      reduced_support(n)[0], guard, schedule, params, dt, capture_times)
+    traj = _integrate("reduced", lambda ts: reduced_coefficients(*schedule.amplitudes(ts)),
+                      reduced_support(n), guard, schedule, params, dt, capture_times)
     peak = 2 * schedule.omega_bar  # the red tone at t = 0, where every run starts
     if not params.reduced_model_trusted(peak):
         warnings.warn(f"the sideband rate peaks at {peak:.3g} against delta = "
@@ -546,8 +533,8 @@ def integrate_full(schedule: PulseSchedule, params: SystemParams,
     rate = max(params.delta / 0.05, (params.delta + n * schedule.omega_bar) / 0.1, drive / 0.05)
     guard = 1.0 / rate if rate > 0 else schedule.total_time / 200
 
-    traj = _integrate("full", lambda ts: full_values(params, ts, *schedule.amplitudes(ts)),
-                      full_support(n, params.n_max)[0], guard, schedule, params, dt, capture_times)
+    traj = _integrate("full", lambda ts: full_coefficients(params, ts, *schedule.amplitudes(ts)),
+                      full_support(n, params.n_max), guard, schedule, params, dt, capture_times)
     if traj.truncation_leak > LEAK_WARN_LEVEL:
         warnings.warn(f"top Fock level reaches population {traj.truncation_leak:.2e}; "
                       "increase n_max", TruncationWarning, stacklevel=2)

@@ -22,12 +22,16 @@ them without the interaction picture's 1/2, so the chain driven at half
 the sideband rates is exactly the full model's resonant block in the
 chain's rotating frame (which meets the interaction picture at t = 0).
 
-Each model is a pair of functions: its cached support, the fixed flat
-indices where some operator is nonzero, the dimension of its space and the
-operators' entries there (``full_support``, ``reduced_support``), and its
-Hamiltonians at given times and rates on that support (``full_values``,
-``reduced_values``), which ``expand`` makes dense (``full_hamiltonian``,
-``reduced_hamiltonian``).
+Each model is three functions: its cached support, the fixed flat
+indices where some operator is nonzero, grouped by that one operator, the
+dimension of its space and the operators' entries there
+(``full_support``, ``reduced_support``); the few real coefficients of its
+Hamiltonian at each time (``full_coefficients``, ``reduced_coefficients``);
+and its Hamiltonians from those coefficients on that support
+(``full_values``, ``reduced_values``), which ``expand`` makes dense
+(``full_hamiltonian``, ``reduced_hamiltonian``).  The RK4 kernel
+``_rk4.c`` builds the same values from the same coefficients in C, in the
+same words unless a product underflows to zero.
 Only this module knows the product-space layout, the chain pairing and the
 interaction picture: ``spin_marginals``, ``chain_frame`` and
 ``top_fock_populations`` read states out through them for the integrator.
@@ -102,32 +106,46 @@ def reduced_coupling_parts(n_ions: int):
     return kr, kb, number[chain]
 
 
-def _support(ops) -> tuple[np.ndarray, int, tuple[np.ndarray, ...]]:
-    """The flat indices of the entries where any of the square matrices
-    ``ops`` is nonzero, their dimension, and each matrix's entries there and
-    then at (0, 0).  All zeros of one matrix here carry the same signs, so
-    (0, 0), off the support in both models, stands for every entry off it,
-    signed zeros included."""
-    support = np.flatnonzero(np.any([op != 0 for op in ops], axis=0))
+def _support(ops) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
+    """The flat indices of the entries where one of the square matrices
+    ``ops`` is nonzero, grouped by that matrix; their dimension; the
+    (len(ops), s+1) array of each matrix's entries there and then at (0, 0);
+    and the group bounds, ``ops[g]`` being the nonzero one at entries
+    ``bounds[g]:bounds[g + 1]``.  In both models one matrix is nonzero at
+    each entry, and all zeros of one matrix carry the same signs, so (0, 0),
+    off the support in both models, stands for every zero of a matrix, on
+    the support and off it, signed zeros included."""
+    nonzero = np.array([op.ravel() != 0 for op in ops])
+    flat = np.flatnonzero(np.any(nonzero, axis=0))
+    owner = np.argmax(nonzero[:, flat], axis=0)  # the first matrix nonzero there
+    support = flat[np.argsort(owner, kind="stable")]
+    bounds = np.searchsorted(np.sort(owner), np.arange(len(ops) + 1)).astype(np.int64)
     picked = np.append(support, 0)
-    return support, len(ops[0]), tuple(op.ravel()[picked] for op in ops)
+    return support, len(ops[0]), np.array([op.ravel()[picked] for op in ops]), bounds
 
 
 @constant_cache(check_n_ions)
 def reduced_support(n_ions: int):
-    """(support, N + 1, (K_r, K_b, D) at the support and at (0, 0)) of the
-    chain, as ``_support`` gives them for ``reduced_coupling_parts``."""
+    """(support, N + 1, (K_r, K_b, D) at the support and at (0, 0), bounds)
+    of the chain, as ``_support`` gives them for ``reduced_coupling_parts``."""
     return _support(reduced_coupling_parts(n_ions))
 
 
-def reduced_values(params: SystemParams, omega_r: np.ndarray, omega_b: np.ndarray) -> np.ndarray:
-    """The chain's H = Omega_r*K_r + Omega_b*K_b + delta*D at the k rates
-    ``omega_r``, ``omega_b``, taken only at the s entries of
-    ``reduced_support`` and then at (0, 0): a complex (k, s+1) array, the
-    one place where the chain's sum is written."""
-    *_, (kr, kb, d) = reduced_support(params.n_ions)
-    wr = np.asarray(omega_r, dtype=float)[..., None]
-    wb = np.asarray(omega_b, dtype=float)[..., None]
+def reduced_coefficients(omega_r, omega_b) -> np.ndarray:
+    """The chain's coefficients at the rates ``omega_r``, ``omega_b``: a
+    float (..., 2) array of (Omega_r, Omega_b), as ``reduced_values`` and
+    the RK4 kernel read them."""
+    rates = (np.asarray(omega_r, dtype=float), np.asarray(omega_b, dtype=float))
+    return np.stack(np.broadcast_arrays(*rates), axis=-1)
+
+
+def reduced_values(params: SystemParams, coefficients: np.ndarray) -> np.ndarray:
+    """The chain's H = Omega_r*K_r + Omega_b*K_b + delta*D at each row of
+    ``reduced_coefficients``, taken only at the s entries of
+    ``reduced_support`` and then at (0, 0): a complex (..., s+1) array, the
+    one place where the chain's sum is written in numpy."""
+    _, _, (kr, kb, d), _ = reduced_support(params.n_ions)
+    wr, wb = coefficients[..., 0, None], coefficients[..., 1, None]
     return (wr * kr + wb * kb + params.delta * d).astype(complex)
 
 
@@ -145,14 +163,15 @@ def reduced_hamiltonian(params: SystemParams, omega_r, omega_b) -> np.ndarray:
     """Rotating-frame chain Hamiltonian, real symmetric tridiagonal, at
     sideband rates ``omega_r``, ``omega_b``: scalars give one matrix, arrays
     of k rates the (k, N+1, N+1) stack."""
-    support, dimension, _ = reduced_support(params.n_ions)
-    return expand(reduced_values(params, omega_r, omega_b).real, support, dimension)
+    support, dimension, *_ = reduced_support(params.n_ions)
+    values = reduced_values(params, reduced_coefficients(omega_r, omega_b))
+    return expand(values.real, support, dimension)
 
 
 @constant_cache(check_n_ions, _check_n_max)
 def full_support(n_ions: int, n_max: int):
     """(support, (N + 1)(n_max + 1), (a J+, its adjoint, a^dag J+, its
-    adjoint) at the support and at (0, 0)) of the full model, as
+    adjoint) at the support and at (0, 0), bounds) of the full model, as
     ``_support`` gives them; an n_max below N/2 + 2 is a
     PhysicsConfigError.  All zeros of one operator carry the same signs:
     +0+0j in a J+ and a^dag J+, +0-0j in their adjoints."""
@@ -164,16 +183,24 @@ def full_support(n_ions: int, n_max: int):
     return _support((red, red.conj().T, blue, blue.conj().T))
 
 
-def full_values(params: SystemParams, t: np.ndarray, omega_r: np.ndarray,
-                omega_b: np.ndarray) -> np.ndarray:
-    """Interaction-picture H at the k times ``t`` and sideband rates
-    ``omega_r``, ``omega_b``, taken only at the s entries of ``full_support``
-    and then at (0, 0): a complex (k, s+1) array whose ``expand`` is the
-    dense sum of the four phase-scaled sideband operators, bit for bit."""
-    *_, (red, red_dag, blue, blue_dag) = full_support(params.n_ions, params.n_max)
-    phase = np.exp(-1j * params.delta * np.asarray(t, dtype=float))[..., None]
-    cr = np.asarray(omega_r, dtype=float)[..., None] / 2
-    cb = np.asarray(omega_b, dtype=float)[..., None] / 2
+def full_coefficients(params: SystemParams, t, omega_r, omega_b) -> np.ndarray:
+    """The full model's coefficients at the times ``t`` and sideband rates
+    ``omega_r``, ``omega_b``: a float (..., 4) array of the real and
+    imaginary parts of exp(-i delta t), Omega_r/2 and Omega_b/2, as
+    ``full_values`` and the RK4 kernel read them."""
+    phase = np.exp(-1j * params.delta * np.asarray(t, dtype=float))
+    rates = (np.asarray(omega_r, dtype=float) / 2, np.asarray(omega_b, dtype=float) / 2)
+    return np.stack(np.broadcast_arrays(phase.real, phase.imag, *rates), axis=-1)
+
+
+def full_values(params: SystemParams, coefficients: np.ndarray) -> np.ndarray:
+    """Interaction-picture H at each row of ``full_coefficients``, taken only
+    at the s entries of ``full_support`` and then at (0, 0): a complex
+    (..., s+1) array whose ``expand`` is the dense sum of the four
+    phase-scaled sideband operators, bit for bit."""
+    _, _, (red, red_dag, blue, blue_dag), _ = full_support(params.n_ions, params.n_max)
+    phase = np.ascontiguousarray(coefficients[..., :2]).view(complex)
+    cr, cb = coefficients[..., 2, None], coefficients[..., 3, None]
     return (
         cr * (phase * red + np.conj(phase) * red_dag)
         + cb * (np.conj(phase) * blue + phase * blue_dag)
@@ -183,8 +210,9 @@ def full_values(params: SystemParams, t: np.ndarray, omega_r: np.ndarray,
 def full_hamiltonian(params: SystemParams, t, omega_r, omega_b) -> np.ndarray:
     """Dense interaction-picture H, the ``expand`` of ``full_values``: scalars
     give one matrix, arrays of k times and rates the (k, d, d) stack."""
-    support, dimension, _ = full_support(params.n_ions, params.n_max)
-    return expand(full_values(params, t, omega_r, omega_b), support, dimension)
+    support, dimension, *_ = full_support(params.n_ions, params.n_max)
+    values = full_values(params, full_coefficients(params, t, omega_r, omega_b))
+    return expand(values, support, dimension)
 
 
 def spin_marginals(states: np.ndarray, n_ions: int, n_max: int | None = None) -> np.ndarray:

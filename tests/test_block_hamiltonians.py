@@ -1,17 +1,20 @@
 """The block-built Hamiltonians against the per-time formulas they replace.
 
-The integrator builds H(t) for many steps at once.  Its printed digits stay
-the same only if every array element equals, bit for bit, what evaluating
-the schedule and the Hamiltonian at one time gives; these properties pin
-that, signed zeros included.
+The integrator computes the coefficients of H(t) for many steps at once, and
+its C kernel builds each H from them.  Its printed digits stay the same only
+if every array element equals, bit for bit, what evaluating the schedule and
+the Hamiltonian at one time gives, and the kernel's values equal the numpy
+formula's; these properties pin that, signed zeros included.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dickesim import evolution, model
 from dickesim.spin_algebra import build_collective
+from oracles import bits
 
 
 def _reference_theta(schedule, t):
@@ -132,9 +135,9 @@ def test_support_values_expand_to_the_dense_builds(n_ions, delta, times, tone_se
     omega_r[rng.random(len(ts)) < 0.3] = 0.0
     omega_b[rng.random(len(ts)) < 0.3] = 0.0
 
-    support, dimension, _ = model.full_support(n_ions, params.n_max)
+    support, dimension, *_ = model.full_support(n_ions, params.n_max)
     assert dimension == (n_ions + 1) * (params.n_max + 1)
-    values = model.full_values(params, ts, omega_r, omega_b)
+    values = model.full_values(params, model.full_coefficients(params, ts, omega_r, omega_b))
     assert values.shape == (len(ts), len(support) + 1) and 0 not in support
     full = model.full_hamiltonian(params, ts, omega_r, omega_b)
     for i, t in enumerate(ts.tolist()):
@@ -144,9 +147,9 @@ def test_support_values_expand_to_the_dense_builds(n_ions, delta, times, tone_se
     # the chain's dense sum, as the integrator built it before it took values
     kr, kb, d = model.reduced_coupling_parts(n_ions)
     expected = omega_r[:, None, None] * kr + omega_b[:, None, None] * kb + delta * d
-    support, dimension, _ = model.reduced_support(n_ions)
+    support, dimension, *_ = model.reduced_support(n_ions)
     assert dimension == n_ions + 1
-    values = model.reduced_values(params, omega_r, omega_b)
+    values = model.reduced_values(params, model.reduced_coefficients(omega_r, omega_b))
     assert values.shape == (len(ts), len(support) + 1) and 0 not in support
     _assert_bitwise_equal(model.expand(values, support, n_ions + 1), expected.astype(complex))
     stack = model.reduced_hamiltonian(params, omega_r, omega_b)
@@ -155,3 +158,74 @@ def test_support_values_expand_to_the_dense_builds(n_ions, delta, times, tone_se
     for i in range(len(ts)):
         one = model.reduced_hamiltonian(params, float(omega_r[i]), float(omega_b[i]))
         _assert_bitwise_equal(one, expected[i])
+
+
+def _operators(tag, n_ions):
+    """The model's operators as dense matrices, in the order of its parts,
+    and its support tuple."""
+    if tag == "reduced":
+        return model.reduced_coupling_parts(n_ions), model.reduced_support(n_ions)
+    n_max = model.SystemParams(n_ions=n_ions).n_max
+    red, blue, _ = model.sideband_operators(n_ions, n_max)
+    return (red, red.conj().T, blue, blue.conj().T), model.full_support(n_ions, n_max)
+
+
+@pytest.mark.parametrize("n_ions", range(1, 9))
+@pytest.mark.parametrize("tag", ["reduced", "full"])
+def test_one_operator_is_nonzero_at_each_support_entry(tag, n_ions):
+    # the premise of the kernel's grouped formula: at each support entry one
+    # operator is nonzero, the bounds name it, and every zero of an operator
+    # has the words of its entry at (0, 0), which is off the support
+    ops, (support, dimension, parts, bounds) = _operators(tag, n_ions)
+    flat = np.array([op.ravel() for op in ops])
+    assert 0 not in support and len(set(support.tolist())) == len(support)
+    assert np.array_equal(np.sort(support), np.flatnonzero(np.any(flat != 0, axis=0)))
+    nonzero = flat[:, support] != 0
+    assert np.all(np.sum(nonzero, axis=0) == 1)
+    assert bounds[0] == 0 and bounds[-1] == len(support) and np.all(np.diff(bounds) >= 0)
+    owner = np.repeat(np.arange(len(ops)), np.diff(bounds))
+    assert np.array_equal(np.argmax(nonzero, axis=0), owner)
+    assert np.array_equal(bits(parts), bits(flat[:, np.append(support, 0)]))
+    for op, part in zip(flat, parts):
+        zeros = op[op == 0]
+        assert np.all(bits(zeros).reshape(len(zeros), -1) == bits(part[-1:]))
+
+
+# a product that underflows to zero may take the other sign of zero in
+# numpy's fused SIMD loop (see _rk4.c), so no drive scale below 1e-100 is drawn
+@settings(max_examples=60, deadline=None)
+@given(
+    n_ions=st.integers(1, 8),
+    delta=st.sampled_from([0.0, 0.5]) | st.floats(1e-100, 40.0),
+    omega_bar=st.sampled_from([0.0, 1.0]) | st.floats(1e-100, 3.0),
+    times=st.lists(st.floats(0.0, 500.0), min_size=1, max_size=8),
+    tone_seed=st.integers(0, 2**32 - 1),
+)
+def test_kernel_values_are_numpy_values_word_for_word(n_ions, delta, omega_bar, times,
+                                                      tone_seed):
+    # the values that rk4_block builds for each H, in support order and then
+    # off the support, against the model's numpy formula of the same rows
+    params = model.SystemParams(n_ions=n_ions, delta=delta)
+    ts = np.array([0.0, *times, 0.0, 500.0])
+    rng = np.random.default_rng(tone_seed)
+    omega_r = rng.uniform(0.0, 2.0, len(ts))
+    omega_b = rng.uniform(0.0, 2.0, len(ts))
+    omega_r[rng.random(len(ts)) < 0.3] = 0.0
+    omega_b[rng.random(len(ts)) < 0.3] = 0.0
+    # the last two times at the ramp's ends, where one tone is exactly zero
+    ramp = evolution.PulseSchedule(total_time=500.0, omega_bar=omega_bar)
+    omega_r[-2:], omega_b[-2:] = ramp.amplitudes(ts[-2:])
+    values = evolution._kernel().values
+    for tag, rows, numpy_values in (
+        ("reduced", model.reduced_coefficients(omega_r, omega_b), model.reduced_values),
+        ("full", model.full_coefficients(params, ts, omega_r, omega_b), model.full_values),
+    ):
+        support, _, parts, bounds = _operators(tag, n_ions)[1]
+        expected = numpy_values(params, rows)
+        at = np.arange(len(support), dtype=np.int64)
+        for row, want in zip(rows, expected):
+            out = np.full(len(support) + 1, np.nan, dtype=complex)
+            values(evolution._FORMULAS[tag][0], row.ctypes.data, parts.ctypes.data,
+                   bounds.ctypes.data, len(support), delta, at.ctypes.data, out.ctypes.data,
+                   out[-1:].ctypes.data)
+            assert np.array_equal(bits(out), bits(want)), tag

@@ -570,8 +570,8 @@ def test_step_plan_past_the_bound_exits_physics(capsys):
 
 
 def test_full_model_plan_is_bounded_by_its_step_cost(monkeypatch, capsys):
-    # 2.0e9 steps pass the chain's 2^31, but at about 32 us a full-model step
-    # at N = 8 they would run for about 19 h; the plan is refused first
+    # 2.0e9 steps pass the chain's 2^31, but at about 12 us a full-model step
+    # at N = 8 they would run for about 7 h; the plan is refused first
     def no_step(*args):
         raise AssertionError("a step was taken")
 

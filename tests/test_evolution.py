@@ -2,7 +2,6 @@ import dataclasses
 import sys
 import threading
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,12 +26,11 @@ def _tones(schedule, t):
 def _run_chain_from(psi0, schedule, params, n_steps):
     """The reduced model's RK4 from ``psi0`` over ``n_steps`` steps of the
     whole ramp: the integrator always starts from |D^0>|0>."""
-    support, *_ = model.reduced_support(params.n_ions)
+    def coefficients(ts):
+        return model.reduced_coefficients(*schedule.amplitudes(ts))
 
-    def h_values(ts):
-        return model.reduced_values(params, *schedule.amplitudes(ts))
-
-    _, states = evolution._rk4(h_values, support, np.asarray(psi0, dtype=complex),
+    _, states = evolution._rk4("reduced", coefficients, model.reduced_support(params.n_ions),
+                               params.delta, np.asarray(psi0, dtype=complex),
                                schedule.total_time, n_steps, np.array([n_steps], dtype=np.int64))
     return states[-1]
 
@@ -344,52 +342,61 @@ def test_phonon_truncation_convergence():
 
 
 # ---------------------------------------------------------------------------
-# the kernel's helper thread
+# coefficient blocks and caller threads
 # ---------------------------------------------------------------------------
-
-class _Boom(Exception):
-    pass
-
 
 def _one_step_blocks(monkeypatch, n_steps=8):
     """``_rk4``'s arguments for a two-ion chain run of ``n_steps`` steps,
-    one step a block, with an ``h_values`` that records the thread of each
-    of its calls."""
+    one step a block, with a ``coefficients`` that counts its calls."""
     monkeypatch.setattr(evolution, "H_BLOCK_BYTES", 0)
     schedule = evolution.PulseSchedule(total_time=1.0)
     params = model.SystemParams(n_ions=2, delta=20.0)
-    threads = []
+    calls = []
 
-    def h_values(ts):
-        threads.append(threading.get_ident())
-        return model.reduced_values(params, *schedule.amplitudes(ts))
+    def coefficients(ts):
+        calls.append(len(ts))
+        return model.reduced_coefficients(*schedule.amplitudes(ts))
 
     psi0 = np.eye(3, dtype=complex)[0]
     capture = np.arange(n_steps + 1, dtype=np.int64)
-    args = (model.reduced_support(2)[0], psi0, 1.0, n_steps, capture)
-    return h_values, args, threads
+    args = (model.reduced_support(2), params.delta, psi0, 1.0, n_steps, capture)
+    return coefficients, args, calls
 
 
-def test_block_handoff_keeps_every_state_word(monkeypatch):
-    # the same run in one block and in one-step blocks handed to the helper
-    h_values, args, threads = _one_step_blocks(monkeypatch)
-    _, stepwise = evolution._rk4(h_values, *args)
-    assert len(threads) == 8 and set(threads) == {threading.get_ident()}
+def test_one_step_blocks_keep_every_state_word(monkeypatch):
+    # the same run in one block and in one-step blocks
+    coefficients, args, calls = _one_step_blocks(monkeypatch)
+    _, stepwise = evolution._rk4("reduced", coefficients, *args)
+    assert calls == [3] * 8
     monkeypatch.setattr(evolution, "H_BLOCK_BYTES", 1 << 20)
-    _, whole = evolution._rk4(h_values, *args)
-    assert len(threads) == 9
+    _, whole = evolution._rk4("reduced", coefficients, *args)
+    assert calls == [3] * 8 + [24]
     assert np.array_equal(stepwise.view(np.uint64), whole.view(np.uint64))
 
 
+@pytest.mark.parametrize("integrate", [evolution.integrate_reduced, evolution.integrate_full])
+def test_a_run_builds_no_numpy_values(monkeypatch, integrate):
+    # the kernel builds every Hamiltonian from the coefficients: no (k, s+1)
+    # value array and no dense stack is made on the run path
+    def refuse(*args):
+        raise AssertionError("numpy values built during a run")
+
+    for name in ("reduced_values", "full_values", "expand"):
+        monkeypatch.setattr(model, name, refuse)
+    schedule = evolution.PulseSchedule(total_time=10.0)
+    traj = integrate(schedule, model.SystemParams(n_ions=2, delta=20.0))
+    assert traj.n_steps > 0
+
+
 def test_concurrent_runs_keep_every_state_word(monkeypatch):
-    # more integrating threads than cores, each with its own helper, and a
-    # short switch interval: each run still gives the words of a lone run
-    h_values, args, _ = _one_step_blocks(monkeypatch, n_steps=64)
-    _, alone = evolution._rk4(h_values, *args)
+    # more integrating threads than cores, and a short switch interval: each
+    # run still gives the words of a lone run
+    coefficients, args, _ = _one_step_blocks(monkeypatch, n_steps=64)
+    _, alone = evolution._rk4("reduced", coefficients, *args)
     results = [None] * 4
 
     def run(k):
-        results[k] = evolution._rk4(h_values, *args)[1]
+        results[k] = evolution._rk4("reduced", coefficients, *args)[1]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -404,35 +411,3 @@ def test_concurrent_runs_keep_every_state_word(monkeypatch):
     assert not any(caller.is_alive() for caller in callers)
     for states in results:
         assert np.array_equal(states.view(np.uint64), alone.view(np.uint64))
-
-
-def test_a_failing_second_block_of_values_reaches_the_caller(monkeypatch):
-    h_values, args, threads = _one_step_blocks(monkeypatch)
-    boom = _Boom()
-
-    def failing(ts):
-        values = h_values(ts)
-        if len(threads) == 2:
-            raise boom
-        return values
-
-    before = threading.active_count()
-    with pytest.raises(_Boom) as raised:
-        evolution._rk4(failing, *args)
-    assert raised.value is boom
-    assert threading.active_count() == before
-    assert threads == [threading.get_ident()] * 2
-
-
-def test_a_failing_second_kernel_call_reaches_the_caller(monkeypatch):
-    h_values, args, threads = _one_step_blocks(monkeypatch)
-    boom = _Boom()
-    kernel = mock.Mock(side_effect=[1, boom])
-    before = threading.active_count()
-    with mock.patch.object(evolution, "_kernel", return_value=kernel), \
-            pytest.raises(_Boom) as raised:
-        evolution._rk4(h_values, *args)
-    assert raised.value is boom
-    assert threading.active_count() == before
-    assert kernel.call_count == 2  # the blocks after the failure never run
-    assert set(threads) == {threading.get_ident()}

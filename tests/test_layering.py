@@ -25,7 +25,8 @@ probability is clipped and renormalised in one place.  Only ``evolution``
 assigns or reads ``READOUT_CHUNK``: the spin readout reads each stack in one
 call, and only the chain-frame rotation bounds its memory.  In ``evolution``
 only ``Trajectory.indices_of`` calls ``argmin``, so a trajectory has one
-nearest-sample search.
+nearest-sample search.  ``evolution`` imports no thread or queue module:
+the integrator runs each block on the calling thread.
 """
 
 import ast
@@ -115,6 +116,17 @@ def test_the_import_reader_sees_each_form():
 @pytest.mark.parametrize("module", SPIN_SECTOR)
 def test_spin_sector_modules_import_neither_model_nor_evolution(module):
     assert not _package_imports(module) & {"model", "evolution"}
+
+
+def test_the_integrator_starts_no_thread():
+    imported = set()
+    for node in ast.walk(_tree("evolution")):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
+    assert "numpy" in imported
+    assert not imported & {"threading", "_thread", "queue", "concurrent", "multiprocessing"}
 
 
 def test_model_imports_only_spin_algebra_and_errors():

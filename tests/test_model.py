@@ -182,18 +182,19 @@ def test_full_n_max_guard():
     with pytest.raises(PhysicsConfigError, match="Fock headroom"):
         model.full_support(4, 3)
     with pytest.raises(PhysicsConfigError):
-        model.full_values(model.SystemParams(n_ions=4, n_max=3), 0.0, 1.0, 1.0)
+        model.full_values(model.SystemParams(n_ions=4, n_max=3), np.array([1.0, 0.0, 0.5, 0.5]))
 
 
 def test_full_support_is_built_once_and_read_only():
-    support, dimension, parts = model.full_support(4, 6)
-    again, _, parts_again = model.full_support(4, 6)
-    assert again is support and all(a is b for a, b in zip(parts, parts_again))
+    support, dimension, parts, bounds = model.full_support(4, 6)
+    again, _, parts_again, bounds_again = model.full_support(4, 6)
+    assert again is support and parts_again is parts and bounds_again is bounds
     assert dimension == 5 * 7
-    for array in (support, *parts):
+    for array in (support, parts, bounds):
         assert not array.flags.writeable
     assert support.dtype == np.int64 and len(parts) == 4
     assert all(part.shape == (len(support) + 1,) for part in parts)
+    assert bounds.dtype == np.int64 and bounds.shape == (5,)
 
 
 def test_embed_and_frame_round_trip():

@@ -119,51 +119,65 @@ def test_commands_that_integrate_nothing_never_load_the_kernel(tmp_path):
     assert _libraries(package) == []
 
 
-_SUPPORT = np.array([1, 3, 5, 7], dtype=np.int64)  # the off-diagonal of a 3 x 3 matrix
+# a d = 3 chain on the off-diagonal: (K_r, K_b, D) there and at (0, 0), and
+# the bounds of its groups, K_r at entries 0 and 1 and K_b at 2 and 3
+_SUPPORT = np.array([1, 3, 5, 7], dtype=np.int64)
+_PARTS = np.array([[1.0, 1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0, 0.0], [0.0] * 5])
+_BOUNDS = np.array([0, 2, 4, 4], dtype=np.int64)
+_STEPS = np.array([0, 2, 4])
 
 
-def _arrays_of(make):
-    """An ``h_values`` and a support: ``make`` applied to valid values of a
-    d = 3 model and to its valid support."""
-    def h_values(ts):
-        return make(np.zeros((len(ts), len(_SUPPORT) + 1), dtype=complex), _SUPPORT)[0]
-    return h_values, make(np.zeros((3, len(_SUPPORT) + 1), dtype=complex), _SUPPORT)[1]
+def _rows(make):
+    """A ``coefficients`` that returns ``make`` of the chain's valid rows."""
+    return lambda ts: make(np.zeros((len(ts), 2)))
 
 
-def _unaligned(values):
-    raw = np.zeros(values.nbytes + 1, dtype=np.uint8)
-    out = np.ndarray(values.shape, dtype=complex, buffer=raw, offset=1)
+def _unaligned(rows):
+    raw = np.zeros(rows.nbytes + 1, dtype=np.uint8)
+    out = np.ndarray(rows.shape, dtype=rows.dtype, buffer=raw, offset=1)
     assert not out.flags.aligned
     return out
 
 
-_STEPS = np.array([0, 2, 4])
+def _run_chain(coefficients=_rows(lambda c: c), support=_SUPPORT, parts=_PARTS, bounds=_BOUNDS,
+         capture=_STEPS):
+    return evolution._rk4("reduced", coefficients, (support, 3, parts, bounds), 0.0,
+                          np.eye(3)[0], 1.0, 4, capture)
 
 
-@pytest.mark.parametrize("make, capture", [
-    (lambda v, s: (v.real, s), _STEPS),                         # float64 values
-    (lambda v, s: (v.astype(np.complex64), s), _STEPS),
-    (lambda v, s: (np.asfortranarray(v), s), _STEPS),
-    (lambda v, s: (v[:, ::-1], s), _STEPS),                     # negative stride
-    (lambda v, s: (v[:-1], s), _STEPS),                         # one Hamiltonian short
-    (lambda v, s: (v[:, :-1].copy(), s), _STEPS),               # no off-support value
-    (lambda v, s: (v.tolist(), s), _STEPS),                     # not an array
-    (lambda v, s: (v, s), _STEPS.astype(np.int32)),             # int32 capture steps
-    (lambda v, s: (_unaligned(v), s), _STEPS),
-    (lambda v, s: (v, s.astype(np.int32)), _STEPS),
-    (lambda v, s: (v, s[None]), _STEPS),                        # 2-D support
-    (lambda v, s: (v, s.tolist()), _STEPS),
-    (lambda v, s: (v, np.repeat(s, 2)[::2]), _STEPS),           # strided support
-    (lambda v, s: (v, np.array([0, 3, 5, 7])), _STEPS),         # (0, 0) holds the off value
-    (lambda v, s: (v, np.array([1, 3, 5, 9])), _STEPS),         # past the last entry
-    (lambda v, s: (v, np.array([1, 3, -5, 7])), _STEPS),
-    (lambda v, s: (v, np.array([1, 3, 3, 7])), _STEPS),         # a duplicate
+@pytest.mark.parametrize("bad", [
+    {"coefficients": _rows(lambda c: c.astype(np.float32))},
+    {"coefficients": _rows(lambda c: c.astype(complex))},
+    {"coefficients": _rows(np.asfortranarray)},
+    {"coefficients": _rows(lambda c: c[:, ::-1])},              # negative stride
+    {"coefficients": _rows(lambda c: c[:-1])},                  # one time short
+    {"coefficients": _rows(lambda c: c[:, :1].copy())},         # one coefficient short
+    {"coefficients": _rows(lambda c: np.zeros((len(c), 4)))},   # the full model's rows
+    {"coefficients": _rows(lambda c: c.tolist())},              # not an array
+    {"coefficients": _rows(_unaligned)},
+    {"capture": _STEPS.astype(np.int32)},
+    {"support": _SUPPORT.astype(np.int32)},
+    {"support": _SUPPORT[None]},                                # 2-D support
+    {"support": _SUPPORT.tolist()},
+    {"support": np.repeat(_SUPPORT, 2)[::2]},                   # strided support
+    {"support": np.array([0, 3, 5, 7])},                        # (0, 0) holds the off value
+    {"support": np.array([1, 3, 5, 9])},                        # past the last entry
+    {"support": np.array([1, 3, -5, 7])},
+    {"support": np.array([1, 3, 3, 7])},                        # a duplicate
+    {"parts": _PARTS.astype(complex)},                          # the full model's parts
+    {"parts": _PARTS[:2].copy()},                               # one operator short
+    {"parts": _PARTS[:, :-1].copy()},                           # no (0, 0) entry
+    {"parts": np.asfortranarray(_PARTS)},
+    {"bounds": np.array([0, 2, 4, 5])},                         # past the support
+    {"bounds": np.array([0, 3, 2, 4])},                         # out of order
+    {"bounds": np.array([1, 2, 4, 4])},
+    {"bounds": np.array([0, 2, 4])},                            # one group short
+    {"bounds": _BOUNDS.astype(np.int32)},
 ])
-def test_bad_arrays_never_reach_the_kernel(make, capture):
+def test_bad_arrays_never_reach_the_kernel(bad):
     kernel = mock.Mock()
-    h_values, support = _arrays_of(make)
     with mock.patch.object(evolution, "_kernel", kernel), pytest.raises(ValueError):
-        evolution._rk4(h_values, support, np.eye(3)[0], 1.0, 4, capture)
+        _run_chain(**bad)
     kernel.assert_not_called()
 
 
@@ -176,56 +190,66 @@ def test_bad_arrays_never_reach_the_kernel(make, capture):
 def test_bad_buffer_never_reaches_the_kernel(buffer):
     states = np.zeros((3, 3), dtype=complex)
     with pytest.raises(ValueError, match="buffer"):
-        evolution._check_block(_SUPPORT, buffer, np.eye(3)[0].astype(complex), states, _STEPS)
+        evolution._check_block("reduced", (_SUPPORT, 3, _PARTS, _BOUNDS), buffer,
+                               np.eye(3)[0].astype(complex), states, _STEPS)
 
 
-@pytest.mark.parametrize("support, capture", [
-    (_SUPPORT[None], _STEPS),                   # 2-D support
-    (_SUPPORT, _STEPS.astype(np.int32)),        # int32 capture steps
+@pytest.mark.parametrize("bad", [
+    {"support": _SUPPORT[None]},                # 2-D support
+    {"capture": _STEPS.astype(np.int32)},       # int32 capture steps
+    {"bounds": np.array([0, 3, 2, 4])},
 ])
-def test_bad_run_arrays_are_refused_before_any_hamiltonian(support, capture):
+def test_bad_run_arrays_are_refused_before_any_coefficient(bad):
     built = []
 
-    def h_values(ts):
+    def coefficients(ts):
         built.append(ts)
-        return np.zeros((len(ts), len(_SUPPORT) + 1), dtype=complex)
+        return np.zeros((len(ts), 2))
 
     with pytest.raises(ValueError):
-        evolution._rk4(h_values, support, np.eye(3)[0], 1.0, 4, capture)
+        _run_chain(coefficients, **bad)
     assert built == []
 
 
-def test_good_stack_reaches_the_kernel():
+def test_good_rows_reach_the_kernel():
     kernel = mock.Mock()
-    kernel.return_value.return_value = 3
+    kernel.return_value.step.return_value = 3
     with mock.patch.object(evolution, "_kernel", kernel):
-        evolution._rk4(*_arrays_of(lambda v, s: (v, s)), np.eye(3)[0], 1.0, 4, _STEPS)
-    assert kernel.return_value.call_count == 1
+        _run_chain()
+    assert kernel.return_value.step.call_count == 1
 
 
 def test_kernel_refills_the_matrices_when_the_off_support_value_changes():
-    # one step per call, each from new values whose off-support value moves
-    # through signed zeros, a nan and back; after every call the buffer must
-    # hold, word for word, numpy's expansion of that step's three matrices
+    # one step per call, each from new coefficients whose off-support value
+    # (Omega_r*1 + Omega_b*0) + 0*(-1) moves through signed zeros, a nan and
+    # back; after every call the buffer must hold, word for word, numpy's
+    # expansion of the chain's values at that step's three rows
     d = 3
     rng = np.random.default_rng(5)
-    offs = [0.0, complex(-0.0, 0.0), complex(np.nan, 1.0), 0.0, complex(0.0, -0.0),
-            complex(np.nan, 1.0), 1 + 2j, 1 + 2j, complex(-0.0, -0.0), 0.0]
+    parts = np.hstack((rng.normal(size=(3, len(_SUPPORT))), [[1.0], [0.0], [-1.0]]))
+    rates = [(0.0, 1.0), (-0.0, -1.0), (np.nan, 1.0), (0.0, 1.0), (-0.0, -1.0), (np.nan, 1.0),
+             (1.0, 2.0), (1.0, 2.0), (-0.0, -1.0), (0.0, 1.0)]
     buffer = np.zeros((3, d, d), dtype=complex)
     psi = np.zeros(d, dtype=complex)  # H psi = 0: psi stays zero whatever H holds
     work = np.empty((5, d), dtype=complex)
     coef = np.zeros(3, dtype=complex)
     capture = np.array([0], dtype=np.int64)
     states = np.empty((1, d), dtype=complex)
-    for k in range(len(offs) - 2):
-        values = rng.normal(size=(3, len(_SUPPORT) + 1)) + 1j * rng.normal(size=(3, len(_SUPPORT) + 1))
-        values[:, -1] = offs[k:k + 3]
-        evolution._check_block(_SUPPORT, buffer, psi, states, capture)
-        evolution._kernel()(values.ctypes.data, _SUPPORT.ctypes.data, len(_SUPPORT),
-                            buffer.ctypes.data, 1, 1, d, coef.ctypes.data, psi.ctypes.data,
-                            work.ctypes.data, 0, capture.ctypes.data, 1, 1, states.ctypes.data)
+    operators = (_SUPPORT, d, parts, _BOUNDS)
+    offs = set()
+    for k in range(len(rates) - 2):
+        rows = np.array(rates[k:k + 3])
+        evolution._check_block("reduced", operators, buffer, psi, states, capture)
+        evolution._kernel().step(rows.ctypes.data, 1, 1, 0, 1, 0, _SUPPORT.ctypes.data,
+                                 len(_SUPPORT), parts.ctypes.data, _BOUNDS.ctypes.data, 0.0,
+                                 buffer.ctypes.data, d, coef.ctypes.data, psi.ctypes.data,
+                                 work.ctypes.data, capture.ctypes.data, 1, states.ctypes.data)
+        wr, wb = rows[:, :1], rows[:, 1:]
+        values = (wr * parts[0] + wb * parts[1] + 0.0 * parts[2]).astype(complex)
         expected = model.expand(values, _SUPPORT, d)
         assert np.array_equal(buffer.view(np.uint64), expected.view(np.uint64)), k
+        offs.update(bytes(value) for value in values[:, -1])
+    assert len(offs) == 4  # +0, -0, a nan and 1
 
 
 def test_a_rebuild_removes_the_stale_library(tmp_path):

@@ -1,18 +1,20 @@
 """The RK4 step against the textbook update it replaces, bit for bit.
 
 ``evolution._rk4`` runs each block's steps in the compiled kernel
-``_rk4.c``, which expands each step's Hamiltonians from their support values
-into a dense buffer, calls numpy's own zgemv, writes the complex products and
-sums out on doubles, and carries the Schrodinger equation's -i in its scalar
-coefficients.  Its printed digits stay the same only if every state word
-equals the one of the plain numpy update with the slopes k = -i*(H @ psi) on
-the dense matrices; ``_reference_rk4`` expands the same values with
-``model.expand`` and keeps that update, and each run below is integrated
-through both.
+``_rk4.c``, which builds each step's Hamiltonians from the model's
+coefficients into a dense buffer, calls numpy's own zgemv, writes the
+complex products and sums out on doubles, and carries the Schrodinger
+equation's -i in its scalar coefficients.  Its printed digits stay the same
+only if every state word equals the one of the plain numpy update with the
+slopes k = -i*(H @ psi) on the dense matrices; ``_reference_rk4`` takes the
+model's numpy values (``model.reduced_values``, ``model.full_values``) of the
+same coefficients, expands them with ``model.expand`` and keeps that update,
+and each run below is integrated through both.
 
 One regime is exempt from the word-for-word check: a product such as
 s*(-i*y) that underflows to zero, below 1e-308, where the two formulas can
-give that zero opposite signs; every value still agrees (+0 == -0).  The
+give that zero opposite signs, as can a product in a Hamiltonian entry,
+which numpy's SIMD loop may fuse; every value still agrees (+0 == -0).  The
 runs here are exempt when delta or omega_bar is nonzero and below 1e-15: a
 product of at most about 15 such factors, one per coupling and RK4 stage
 between basis states, can then fall below 1e-308.
@@ -30,15 +32,16 @@ from dickesim import evolution, model
 from dickesim.errors import NumericalError
 
 
-def _reference_rk4(h_values, support, psi0, total_time, n_steps, capture):
-    """The textbook RK4 loop on dense matrices, block-built Hamiltonians and
-    capture as in ``evolution._rk4``."""
+def _reference_rk4(h_values, width, support, psi0, total_time, n_steps, capture):
+    """The textbook RK4 loop on dense matrices, with ``h_values(ts)`` the
+    numpy values at ``ts`` of a model of ``width`` coefficients per time, and
+    blocks and capture as in ``evolution._rk4``."""
     dt = total_time / n_steps
     stop = capture[-1]
     psi = psi0.astype(complex)
     states = np.empty((len(capture), len(psi0)), dtype=complex)
     times = capture * dt
-    block = max(1, evolution.H_BLOCK_BYTES // 3 // (3 * 16 * (len(support) + 1)))
+    block = max(1, evolution.H_BLOCK_BYTES // (3 * 8 * width))
     pos = 0
     if capture[pos] == 0:
         states[pos] = psi
@@ -89,12 +92,16 @@ def _assert_same_bits(model_tag, schedule, params, capture_times=None, state_see
     compared = []
     underflow = any(0 < scale < 1e-15 for scale in (params.delta, schedule.omega_bar))
 
-    def both(h_values, support, psi0, total_time, n_steps, capture):
+    def both(tag, coefficients, operators, delta, psi0, total_time, n_steps, capture):
+        assert (tag, delta) == (model_tag, params.delta)
         if state_seed is not None:
             psi0 = _initial_state(np.random.default_rng(state_seed), len(psi0))
-        times, states = step(h_values, support, psi0, total_time, n_steps, capture)
-        ref_times, ref_states = _reference_rk4(h_values, support, psi0, total_time, n_steps,
-                                               capture)
+        times, states = step(tag, coefficients, operators, delta, psi0, total_time, n_steps,
+                             capture)
+        values = model.reduced_values if tag == "reduced" else model.full_values
+        width = evolution._FORMULAS[tag][1]
+        ref_times, ref_states = _reference_rk4(lambda ts: values(params, coefficients(ts)), width,
+                                               operators[0], psi0, total_time, n_steps, capture)
         assert np.array_equal(times.view(np.uint64), ref_times.view(np.uint64))
         assert np.array_equal(states, ref_states)
         if not underflow:
@@ -163,11 +170,9 @@ def test_step_keeps_the_initial_state():
     schedule, params = evolution.adiabatic_preset("fast", 2)
     psi0 = _initial_state(np.random.default_rng(7), params.n_ions + 1)
     kept = psi0.copy()
-    support, *_ = model.reduced_support(params.n_ions)
+    def coefficients(ts):
+        return model.reduced_coefficients(*schedule.amplitudes(ts))
 
-    def h_values(ts):
-        return model.reduced_values(params, *schedule.amplitudes(ts))
-
-    evolution._rk4(h_values, support, psi0, schedule.total_time, 400,
-                   np.array([0, 10], dtype=np.int64))
+    evolution._rk4("reduced", coefficients, model.reduced_support(params.n_ions), params.delta,
+                   psi0, schedule.total_time, 400, np.array([0, 10], dtype=np.int64))
     assert np.array_equal(psi0.view(np.uint64), kept.view(np.uint64))
