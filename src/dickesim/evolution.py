@@ -60,10 +60,6 @@ LEAK_WARN_LEVEL = 1e-3
 #: hold well under 1 MiB whatever its length.
 H_BLOCK_BYTES = 1 << 17
 
-#: each model's number in ``_rk4.c``, its coefficients per time, and the
-#: dtype and count of its operator parts
-_FORMULAS = {"reduced": (0, 2, np.float64, 3), "full": (1, 4, np.complex128, 4)}
-
 #: samples that ``Trajectory.chain_fidelities`` rotates into the chain frame
 #: at once, which bounds its memory
 READOUT_CHUNK = 128
@@ -206,15 +202,15 @@ class Trajectory:
                 "max_norm_drift": self.max_norm_drift, **leak}
 
 
-def _rk4(tag: str, coefficients, operators: tuple, delta: float, psi0: np.ndarray,
-         total_time: float, n_steps: int, capture: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-step RK4 of the ``tag`` model, "reduced" or "full", over the
-    ``n_steps`` grid of [0, total_time], stopping at the last captured step;
-    ``coefficients(ts)`` returns the model's (len(ts), 2 or 4) coefficients
-    at ``ts`` (``model.reduced_coefficients``, ``model.full_coefficients``),
-    ``operators`` is the model's support tuple (``model.reduced_support``,
-    ``model.full_support``), ``delta`` its detuning, and ``capture`` holds
-    the int64 step numbers to sample.
+def _rk4(coefficients, operators: tuple, delta: float, psi0: np.ndarray, total_time: float,
+         n_steps: int, capture: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed-step RK4 of one model over the ``n_steps`` grid of
+    [0, total_time], stopping at the last captured step; ``operators`` is the
+    model's support tuple (``model.reduced_support``, ``model.full_support``),
+    whose formula gives the kernel's model number and the width of the rows
+    that ``coefficients(ts)`` returns at ``ts`` (``model.reduced_coefficients``,
+    ``model.full_coefficients``), ``delta`` is its detuning, and ``capture``
+    holds the int64 step numbers to sample.
 
     With H1, H2, H3 the Hamiltonians at t, t + dt/2 and t + dt, a step is
 
@@ -250,7 +246,6 @@ def _rk4(tag: str, coefficients, operators: tuple, delta: float, psi0: np.ndarra
     coefficients, the first included, before the kernel runs them; the
     kernel loads once the first block's coefficients pass.
     """
-    kind, width, *_ = _FORMULAS[tag]
     dt = total_time / n_steps
     coef = np.array([-0.5j * dt, -1j * dt, -1j * dt / 6])  # c_h, c_f, c_s
     times = capture * dt
@@ -260,8 +255,8 @@ def _rk4(tag: str, coefficients, operators: tuple, delta: float, psi0: np.ndarra
     states = np.empty((len(capture), d), dtype=complex)
     work = np.empty((5, d), dtype=complex)  # y1, y2, y3, y4 and a stage argument
     buffer = np.zeros((3, d, d), dtype=complex)  # H1, H2, H3 of the current step
-    support, _, parts, bounds = operators
-    _check_block(tag, operators, buffer, psi, states, capture)
+    support, _, parts, bounds, (kind, width, *_) = operators
+    _check_block(operators, buffer, psi, states, capture)
     # the kernel's arguments that stay fixed for the run, in rk4_block's order
     fixed = (kind, support.ctypes.data, len(support), parts.ctypes.data, bounds.ctypes.data,
              delta, buffer.ctypes.data, d, coef.ctypes.data, psi.ctypes.data, work.ctypes.data,
@@ -296,14 +291,14 @@ def _check_array(name: str, array, dtype, shape: tuple) -> None:
                          f"{name} of {want}, got {got}")
 
 
-def _check_block(tag: str, operators: tuple, buffer, psi: np.ndarray, states: np.ndarray,
+def _check_block(operators: tuple, buffer, psi: np.ndarray, states: np.ndarray,
                  capture: np.ndarray) -> None:
     """ValueError unless a run's fixed arrays have the dtype, layout and shape
-    that ``rk4_block`` reads and writes through raw pointers, the support
-    holds distinct flat indices of a d x d matrix other than 0, and the
-    bounds split it into one run of entries per operator part, in order."""
-    support, _, parts, bounds = operators
-    *_, part_type, groups = _FORMULAS[tag]
+    that ``rk4_block`` reads and writes through raw pointers for the formula
+    of ``operators``, the support holds distinct flat indices of a d x d
+    matrix other than 0, and the bounds split it into one run of entries per
+    operator part, in order."""
+    support, _, parts, bounds, (_, _, part_type, groups) = operators
     d = len(psi)
     s = len(support) if isinstance(support, np.ndarray) and support.ndim == 1 else -1
     for name, array, dtype, shape in (
@@ -320,7 +315,7 @@ def _check_block(tag: str, operators: tuple, buffer, psi: np.ndarray, states: np
     if s and not (ordered[0] >= 1 and ordered[-1] < d * d and np.all(ordered[1:] > ordered[:-1])):
         raise ValueError(f"the RK4 kernel needs distinct support indices in [1, {d * d})")
     if not (bounds[0] == 0 and bounds[-1] == s and np.all(bounds[1:] >= bounds[:-1])):
-        raise ValueError(f"the RK4 kernel needs {tag} group bounds from 0 to {s} in order")
+        raise ValueError(f"the RK4 kernel needs group bounds from 0 to {s} in order")
 
 
 #: zgemv symbols that numpy's bundled BLAS may export, with their integer type
@@ -482,7 +477,7 @@ def _integrate(tag: str, coefficients, operators: tuple, guard: float, schedule:
     stop = max(extra, default=n_steps)
     steps = {*range(0, n_steps + 1, max(1, n_steps // 2000)), n_steps // 2, n_steps, *extra}
     capture = np.array(sorted(step for step in steps if step <= stop), dtype=np.int64)
-    times, states = _rk4(tag, coefficients, operators, params.delta, psi0, schedule.total_time,
+    times, states = _rk4(coefficients, operators, params.delta, psi0, schedule.total_time,
                          n_steps, capture)
     drift = _check_norms(states)
     leak = float(np.max(top_fock_populations(params, states))) if tag == "full" else 0.0

@@ -24,8 +24,8 @@ chain's rotating frame (which meets the interaction picture at t = 0).
 
 Each model is three functions: its cached support, the fixed flat
 indices where some operator is nonzero, grouped by that one operator, the
-dimension of its space and the operators' entries there
-(``full_support``, ``reduced_support``); the few real coefficients of its
+dimension of its space, the operators' entries there and how the RK4 kernel
+reads them (``full_support``, ``reduced_support``); the few real coefficients of its
 Hamiltonian at each time (``full_coefficients``, ``reduced_coefficients``);
 and its Hamiltonians from those coefficients on that support
 (``full_values``, ``reduced_values``), which ``expand`` makes dense
@@ -106,29 +106,34 @@ def reduced_coupling_parts(n_ions: int):
     return kr, kb, number[chain]
 
 
-def _support(ops) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
+def _support(ops, formula: tuple) -> tuple:
     """The flat indices of the entries where one of the square matrices
     ``ops`` is nonzero, grouped by that matrix; their dimension; the
     (len(ops), s+1) array of each matrix's entries there and then at (0, 0);
-    and the group bounds, ``ops[g]`` being the nonzero one at entries
-    ``bounds[g]:bounds[g + 1]``.  In both models one matrix is nonzero at
-    each entry, and all zeros of one matrix carry the same signs, so (0, 0),
-    off the support in both models, stands for every zero of a matrix, on
-    the support and off it, signed zeros included."""
+    the group bounds, ``ops[g]`` being the nonzero one at entries
+    ``bounds[g]:bounds[g + 1]``; and ``formula``, what the RK4 kernel reads:
+    the number of the model's formula in ``_rk4.c``, its coefficients per
+    time, and the dtype and count of its operator parts.  In both models one
+    matrix is nonzero at each entry, and all zeros of one matrix carry the
+    same signs, so (0, 0), off the support in both models, stands for every
+    zero of a matrix, on the support and off it, signed zeros included."""
     nonzero = np.array([op.ravel() != 0 for op in ops])
     flat = np.flatnonzero(np.any(nonzero, axis=0))
     owner = np.argmax(nonzero[:, flat], axis=0)  # the first matrix nonzero there
     support = flat[np.argsort(owner, kind="stable")]
     bounds = np.searchsorted(np.sort(owner), np.arange(len(ops) + 1)).astype(np.int64)
     picked = np.append(support, 0)
-    return support, len(ops[0]), np.array([op.ravel()[picked] for op in ops]), bounds
+    parts = np.array([op.ravel()[picked] for op in ops])
+    return support, len(ops[0]), parts, bounds, formula
 
 
 @constant_cache(check_n_ions)
 def reduced_support(n_ions: int):
-    """(support, N + 1, (K_r, K_b, D) at the support and at (0, 0), bounds)
-    of the chain, as ``_support`` gives them for ``reduced_coupling_parts``."""
-    return _support(reduced_coupling_parts(n_ions))
+    """(support, N + 1, (K_r, K_b, D) at the support and at (0, 0), bounds,
+    formula) of the chain, as ``_support`` gives them for
+    ``reduced_coupling_parts``: kernel formula 0, 2 coefficients a time
+    (``reduced_coefficients``), 3 real parts."""
+    return _support(reduced_coupling_parts(n_ions), (0, 2, np.float64, 3))
 
 
 def reduced_coefficients(omega_r, omega_b) -> np.ndarray:
@@ -144,7 +149,7 @@ def reduced_values(params: SystemParams, coefficients: np.ndarray) -> np.ndarray
     ``reduced_coefficients``, taken only at the s entries of
     ``reduced_support`` and then at (0, 0): a complex (..., s+1) array, the
     one place where the chain's sum is written in numpy."""
-    _, _, (kr, kb, d), _ = reduced_support(params.n_ions)
+    _, _, (kr, kb, d), *_ = reduced_support(params.n_ions)
     wr, wb = coefficients[..., 0, None], coefficients[..., 1, None]
     return (wr * kr + wb * kb + params.delta * d).astype(complex)
 
@@ -171,8 +176,9 @@ def reduced_hamiltonian(params: SystemParams, omega_r, omega_b) -> np.ndarray:
 @constant_cache(check_n_ions, _check_n_max)
 def full_support(n_ions: int, n_max: int):
     """(support, (N + 1)(n_max + 1), (a J+, its adjoint, a^dag J+, its
-    adjoint) at the support and at (0, 0), bounds) of the full model, as
-    ``_support`` gives them; an n_max below N/2 + 2 is a
+    adjoint) at the support and at (0, 0), bounds, formula) of the full
+    model, as ``_support`` gives them: kernel formula 1, 4 coefficients a time
+    (``full_coefficients``), 4 complex parts; an n_max below N/2 + 2 is a
     PhysicsConfigError.  All zeros of one operator carry the same signs:
     +0+0j in a J+ and a^dag J+, +0-0j in their adjoints."""
     if n_max < n_ions / 2 + 2:
@@ -180,7 +186,7 @@ def full_support(n_ions: int, n_max: int):
             f"n_max = {n_max} leaves no Fock headroom; need n_max >= N/2 + 2 = {n_ions / 2 + 2}"
         )
     red, blue, _ = sideband_operators(n_ions, n_max)
-    return _support((red, red.conj().T, blue, blue.conj().T))
+    return _support((red, red.conj().T, blue, blue.conj().T), (1, 4, np.complex128, 4))
 
 
 def full_coefficients(params: SystemParams, t, omega_r, omega_b) -> np.ndarray:
@@ -198,7 +204,7 @@ def full_values(params: SystemParams, coefficients: np.ndarray) -> np.ndarray:
     at the s entries of ``full_support`` and then at (0, 0): a complex
     (..., s+1) array whose ``expand`` is the dense sum of the four
     phase-scaled sideband operators, bit for bit."""
-    _, _, (red, red_dag, blue, blue_dag), _ = full_support(params.n_ions, params.n_max)
+    _, _, (red, red_dag, blue, blue_dag), *_ = full_support(params.n_ions, params.n_max)
     phase = np.ascontiguousarray(coefficients[..., :2]).view(complex)
     cr, cb = coefficients[..., 2, None], coefficients[..., 3, None]
     return (

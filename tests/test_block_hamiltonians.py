@@ -9,7 +9,7 @@ formula's; these properties pin that, signed zeros included.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dickesim import evolution, model
@@ -176,7 +176,7 @@ def test_one_operator_is_nonzero_at_each_support_entry(tag, n_ions):
     # the premise of the kernel's grouped formula: at each support entry one
     # operator is nonzero, the bounds name it, and every zero of an operator
     # has the words of its entry at (0, 0), which is off the support
-    ops, (support, dimension, parts, bounds) = _operators(tag, n_ions)
+    ops, (support, dimension, parts, bounds, _) = _operators(tag, n_ions)
     flat = np.array([op.ravel() for op in ops])
     assert 0 not in support and len(set(support.tolist())) == len(support)
     assert np.array_equal(np.sort(support), np.flatnonzero(np.any(flat != 0, axis=0)))
@@ -191,8 +191,37 @@ def test_one_operator_is_nonzero_at_each_support_entry(tag, n_ions):
         assert np.all(bits(zeros).reshape(len(zeros), -1) == bits(part[-1:]))
 
 
+def _kernel_and_numpy_values(n_ions, delta, ts, omega_r, omega_b):
+    """(tag, kernel values, numpy values) of each H at the times ``ts`` and
+    tones: the values that rk4_block builds, in support order and then off
+    the support, and the model's numpy formula of the same rows."""
+    params = model.SystemParams(n_ions=n_ions, delta=delta)
+    values = evolution._kernel().values
+    for tag, rows, numpy_values in (
+        ("reduced", model.reduced_coefficients(omega_r, omega_b), model.reduced_values),
+        ("full", model.full_coefficients(params, ts, omega_r, omega_b), model.full_values),
+    ):
+        support, _, parts, bounds, (kind, *_) = _operators(tag, n_ions)[1]
+        expected = numpy_values(params, rows)
+        at = np.arange(len(support), dtype=np.int64)
+        for row, want in zip(rows, expected):
+            out = np.full(len(support) + 1, np.nan, dtype=complex)
+            values(kind, row.ctypes.data, parts.ctypes.data, bounds.ctypes.data, len(support),
+                   delta, at.ctypes.data, out.ctypes.data, out[-1:].ctypes.data)
+            yield tag, out, want
+
+
+def _tones(rng, size, scale):
+    """Random tones up to 2*scale, about 30 % of each exactly zero."""
+    omega_r, omega_b = scale * rng.uniform(0.0, 2.0, (2, size))
+    omega_r[rng.random(size) < 0.3] = 0.0
+    omega_b[rng.random(size) < 0.3] = 0.0
+    return omega_r, omega_b
+
+
 # a product that underflows to zero may take the other sign of zero in
-# numpy's fused SIMD loop (see _rk4.c), so no drive scale below 1e-100 is drawn
+# numpy's fused SIMD loop (see _rk4.c), so no drive scale below 1e-100 is
+# drawn here; the next test pins what happens below
 @settings(max_examples=60, deadline=None)
 @given(
     n_ions=st.integers(1, 8),
@@ -203,29 +232,41 @@ def test_one_operator_is_nonzero_at_each_support_entry(tag, n_ions):
 )
 def test_kernel_values_are_numpy_values_word_for_word(n_ions, delta, omega_bar, times,
                                                       tone_seed):
-    # the values that rk4_block builds for each H, in support order and then
-    # off the support, against the model's numpy formula of the same rows
-    params = model.SystemParams(n_ions=n_ions, delta=delta)
     ts = np.array([0.0, *times, 0.0, 500.0])
-    rng = np.random.default_rng(tone_seed)
-    omega_r = rng.uniform(0.0, 2.0, len(ts))
-    omega_b = rng.uniform(0.0, 2.0, len(ts))
-    omega_r[rng.random(len(ts)) < 0.3] = 0.0
-    omega_b[rng.random(len(ts)) < 0.3] = 0.0
+    omega_r, omega_b = _tones(np.random.default_rng(tone_seed), len(ts), 1.0)
     # the last two times at the ramp's ends, where one tone is exactly zero
     ramp = evolution.PulseSchedule(total_time=500.0, omega_bar=omega_bar)
     omega_r[-2:], omega_b[-2:] = ramp.amplitudes(ts[-2:])
-    values = evolution._kernel().values
-    for tag, rows, numpy_values in (
-        ("reduced", model.reduced_coefficients(omega_r, omega_b), model.reduced_values),
-        ("full", model.full_coefficients(params, ts, omega_r, omega_b), model.full_values),
-    ):
-        support, _, parts, bounds = _operators(tag, n_ions)[1]
-        expected = numpy_values(params, rows)
-        at = np.arange(len(support), dtype=np.int64)
-        for row, want in zip(rows, expected):
-            out = np.full(len(support) + 1, np.nan, dtype=complex)
-            values(evolution._FORMULAS[tag][0], row.ctypes.data, parts.ctypes.data,
-                   bounds.ctypes.data, len(support), delta, at.ctypes.data, out.ctypes.data,
-                   out[-1:].ctypes.data)
-            assert np.array_equal(bits(out), bits(want)), tag
+    for tag, out, want in _kernel_and_numpy_values(n_ions, delta, ts, omega_r, omega_b):
+        assert np.array_equal(bits(out), bits(want)), tag
+
+
+_SUBNORMAL = [0.0, 5e-324, 1e-323, 2e-323, 7e-323, 1e-320, 1e-310, 3e-308]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_ions=st.integers(1, 8),
+    delta=st.sampled_from([*_SUBNORMAL, 0.5, 20.0]) | st.floats(0.0, 1e-300),
+    scale=st.sampled_from([*_SUBNORMAL, 1.0]) | st.floats(0.0, 1e-300),
+    times=st.lists(st.sampled_from([*_SUBNORMAL, 1.0]) | st.floats(0.0, 500.0),
+                   min_size=1, max_size=8),
+    tone_seed=st.integers(0, 2**32 - 1),
+)
+# on an x86 CPU with AVX-512, ten of this example's words differ
+@example(n_ions=2, delta=20.0, scale=1e-323, times=[87.41776894881181], tone_seed=1)
+def test_kernel_values_differ_from_numpy_only_in_the_sign_of_an_underflowed_zero(
+        n_ions, delta, scale, times, tone_seed):
+    # with delta*t, a tone or a product of them below about 1e-300, a product
+    # can underflow to zero, and numpy's SIMD loop, which may fuse one
+    # product of each pair, can give that zero the other sign: every value
+    # still equals numpy's, and any word that differs is a zero in both
+    ts = np.array([0.0, *times])
+    omega_r, omega_b = _tones(np.random.default_rng(tone_seed), len(ts), scale)
+    for tag, out, want in _kernel_and_numpy_values(n_ions, delta, ts, omega_r, omega_b):
+        assert np.array_equal(out, want), tag
+        words, numpy_words = out.view(float), want.view(float)
+        differ = bits(words) != bits(numpy_words)
+        assert np.all(words[differ] == 0) and np.all(numpy_words[differ] == 0), tag
+        if tag == "reduced":  # the chain's sums are real: no product is fused
+            assert not np.any(differ)

@@ -29,9 +29,9 @@ def _run_chain_from(psi0, schedule, params, n_steps):
     def coefficients(ts):
         return model.reduced_coefficients(*schedule.amplitudes(ts))
 
-    _, states = evolution._rk4("reduced", coefficients, model.reduced_support(params.n_ions),
-                               params.delta, np.asarray(psi0, dtype=complex),
-                               schedule.total_time, n_steps, np.array([n_steps], dtype=np.int64))
+    _, states = evolution._rk4(coefficients, model.reduced_support(params.n_ions), params.delta,
+                               np.asarray(psi0, dtype=complex), schedule.total_time, n_steps,
+                               np.array([n_steps], dtype=np.int64))
     return states[-1]
 
 
@@ -366,10 +366,10 @@ def _one_step_blocks(monkeypatch, n_steps=8):
 def test_one_step_blocks_keep_every_state_word(monkeypatch):
     # the same run in one block and in one-step blocks
     coefficients, args, calls = _one_step_blocks(monkeypatch)
-    _, stepwise = evolution._rk4("reduced", coefficients, *args)
+    _, stepwise = evolution._rk4(coefficients, *args)
     assert calls == [3] * 8
     monkeypatch.setattr(evolution, "H_BLOCK_BYTES", 1 << 20)
-    _, whole = evolution._rk4("reduced", coefficients, *args)
+    _, whole = evolution._rk4(coefficients, *args)
     assert calls == [3] * 8 + [24]
     assert np.array_equal(stepwise.view(np.uint64), whole.view(np.uint64))
 
@@ -392,11 +392,11 @@ def test_concurrent_runs_keep_every_state_word(monkeypatch):
     # more integrating threads than cores, and a short switch interval: each
     # run still gives the words of a lone run
     coefficients, args, _ = _one_step_blocks(monkeypatch, n_steps=64)
-    _, alone = evolution._rk4("reduced", coefficients, *args)
+    _, alone = evolution._rk4(coefficients, *args)
     results = [None] * 4
 
     def run(k):
-        results[k] = evolution._rk4("reduced", coefficients, *args)[1]
+        results[k] = evolution._rk4(coefficients, *args)[1]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

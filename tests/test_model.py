@@ -186,10 +186,11 @@ def test_full_n_max_guard():
 
 
 def test_full_support_is_built_once_and_read_only():
-    support, dimension, parts, bounds = model.full_support(4, 6)
-    again, _, parts_again, bounds_again = model.full_support(4, 6)
+    support, dimension, parts, bounds, formula = model.full_support(4, 6)
+    again, _, parts_again, bounds_again, _ = model.full_support(4, 6)
     assert again is support and parts_again is parts and bounds_again is bounds
     assert dimension == 5 * 7
+    assert formula == (1, 4, parts.dtype, len(parts))  # what the RK4 kernel reads
     for array in (support, parts, bounds):
         assert not array.flags.writeable
     assert support.dtype == np.int64 and len(parts) == 4

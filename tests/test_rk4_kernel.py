@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from dickesim import evolution, model
+from oracles import bits
 
 PACKAGE = Path(evolution.__file__).parent
 EVOLVE = ["-m", "dickesim.cli", "evolve", "--n", "2", "--eta-omega-t", "40"]
@@ -119,11 +120,13 @@ def test_commands_that_integrate_nothing_never_load_the_kernel(tmp_path):
     assert _libraries(package) == []
 
 
-# a d = 3 chain on the off-diagonal: (K_r, K_b, D) there and at (0, 0), and
-# the bounds of its groups, K_r at entries 0 and 1 and K_b at 2 and 3
+# a d = 3 chain on the off-diagonal: (K_r, K_b, D) there and at (0, 0), the
+# bounds of its groups, K_r at entries 0 and 1 and K_b at 2 and 3, and the
+# chain's kernel formula: number 0, 2 coefficients a time, 3 real parts
 _SUPPORT = np.array([1, 3, 5, 7], dtype=np.int64)
 _PARTS = np.array([[1.0, 1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0, 0.0], [0.0] * 5])
 _BOUNDS = np.array([0, 2, 4, 4], dtype=np.int64)
+_CHAIN = model.reduced_support(2)[-1]
 _STEPS = np.array([0, 2, 4])
 
 
@@ -140,8 +143,8 @@ def _unaligned(rows):
 
 
 def _run_chain(coefficients=_rows(lambda c: c), support=_SUPPORT, parts=_PARTS, bounds=_BOUNDS,
-         capture=_STEPS):
-    return evolution._rk4("reduced", coefficients, (support, 3, parts, bounds), 0.0,
+               formula=_CHAIN, capture=_STEPS):
+    return evolution._rk4(coefficients, (support, 3, parts, bounds, formula), 0.0,
                           np.eye(3)[0], 1.0, 4, capture)
 
 
@@ -168,6 +171,7 @@ def _run_chain(coefficients=_rows(lambda c: c), support=_SUPPORT, parts=_PARTS, 
     {"parts": _PARTS[:2].copy()},                               # one operator short
     {"parts": _PARTS[:, :-1].copy()},                           # no (0, 0) entry
     {"parts": np.asfortranarray(_PARTS)},
+    {"formula": model.full_support(2, 3)[-1]},                  # the full model's formula
     {"bounds": np.array([0, 2, 4, 5])},                         # past the support
     {"bounds": np.array([0, 3, 2, 4])},                         # out of order
     {"bounds": np.array([1, 2, 4, 4])},
@@ -190,7 +194,7 @@ def test_bad_arrays_never_reach_the_kernel(bad):
 def test_bad_buffer_never_reaches_the_kernel(buffer):
     states = np.zeros((3, 3), dtype=complex)
     with pytest.raises(ValueError, match="buffer"):
-        evolution._check_block("reduced", (_SUPPORT, 3, _PARTS, _BOUNDS), buffer,
+        evolution._check_block((_SUPPORT, 3, _PARTS, _BOUNDS, _CHAIN), buffer,
                                np.eye(3)[0].astype(complex), states, _STEPS)
 
 
@@ -219,37 +223,89 @@ def test_good_rows_reach_the_kernel():
     assert kernel.return_value.step.call_count == 1
 
 
-def test_kernel_refills_the_matrices_when_the_off_support_value_changes():
-    # one step per call, each from new coefficients whose off-support value
-    # (Omega_r*1 + Omega_b*0) + 0*(-1) moves through signed zeros, a nan and
-    # back; after every call the buffer must hold, word for word, numpy's
-    # expansion of the chain's values at that step's three rows
-    d = 3
-    rng = np.random.default_rng(5)
-    parts = np.hstack((rng.normal(size=(3, len(_SUPPORT))), [[1.0], [0.0], [-1.0]]))
-    rates = [(0.0, 1.0), (-0.0, -1.0), (np.nan, 1.0), (0.0, 1.0), (-0.0, -1.0), (np.nan, 1.0),
-             (1.0, 2.0), (1.0, 2.0), (-0.0, -1.0), (0.0, 1.0)]
-    buffer = np.zeros((3, d, d), dtype=complex)
-    psi = np.zeros(d, dtype=complex)  # H psi = 0: psi stays zero whatever H holds
+def _one_step(operators, delta, rows, buffer):
+    """One kernel step on ``operators`` from the three coefficient ``rows``
+    at t, t + dt/2 and t + dt; the state is zero, and H psi = 0 keeps it
+    zero whatever H holds, so the step only writes ``buffer``."""
+    support, d, parts, bounds, (kind, *_) = operators
+    psi = np.zeros(d, dtype=complex)
     work = np.empty((5, d), dtype=complex)
     coef = np.zeros(3, dtype=complex)
     capture = np.array([0], dtype=np.int64)
     states = np.empty((1, d), dtype=complex)
-    operators = (_SUPPORT, d, parts, _BOUNDS)
-    offs = set()
-    for k in range(len(rates) - 2):
-        rows = np.array(rates[k:k + 3])
-        evolution._check_block("reduced", operators, buffer, psi, states, capture)
-        evolution._kernel().step(rows.ctypes.data, 1, 1, 0, 1, 0, _SUPPORT.ctypes.data,
-                                 len(_SUPPORT), parts.ctypes.data, _BOUNDS.ctypes.data, 0.0,
-                                 buffer.ctypes.data, d, coef.ctypes.data, psi.ctypes.data,
-                                 work.ctypes.data, capture.ctypes.data, 1, states.ctypes.data)
+    evolution._check_block(operators, buffer, psi, states, capture)
+    evolution._kernel().step(rows.ctypes.data, 1, 1, 0, 1, kind, support.ctypes.data,
+                             len(support), parts.ctypes.data, bounds.ctypes.data, delta,
+                             buffer.ctypes.data, d, coef.ctypes.data, psi.ctypes.data,
+                             work.ctypes.data, capture.ctypes.data, 1, states.ctypes.data)
+
+
+def _chain_case():
+    # random parts with (1, 0, -1) at (0, 0), so that the off-support value
+    # (Omega_r*1 + Omega_b*0) + 0*(-1) moves through +0, -0, a nan and 1
+    rng = np.random.default_rng(5)
+    parts = np.hstack((rng.normal(size=(3, len(_SUPPORT))), [[1.0], [0.0], [-1.0]]))
+    operators = (_SUPPORT, 3, parts, _BOUNDS, _CHAIN)
+    rates = [(0.0, 1.0), (-0.0, -1.0), (np.nan, 1.0), (1.0, 2.0)]
+
+    def values(rows):
         wr, wb = rows[:, :1], rows[:, 1:]
-        values = (wr * parts[0] + wb * parts[1] + 0.0 * parts[2]).astype(complex)
-        expected = model.expand(values, _SUPPORT, d)
+        return (wr * parts[0] + wb * parts[1] + 0.0 * parts[2]).astype(complex)
+
+    return operators, 0.0, np.array(rates), values
+
+
+def _full_case():
+    # N = 1 with n_max = 3 (d = 8); from tones (2, 2), (-2, -2), (2, nan)
+    # and (2, inf) at times whose delta*t lies in four quadrants, the
+    # off-support value is +0+0j, -0+0j, nan+nanj and -nan-nanj, the four
+    # words that full_values gives there for rows of +-1, +-0, nan and +-inf
+    params = model.SystemParams(n_ions=1, delta=0.7, n_max=3)
+    t = np.array([2.8, 0.3, 5.1, 7.6])
+    with np.errstate(invalid="ignore"):
+        rows = model.full_coefficients(params, t, np.array([2.0, -2.0, 2.0, 2.0]),
+                                       np.array([2.0, -2.0, np.nan, np.inf]))
+    operators = model.full_support(params.n_ions, params.n_max)
+
+    def values(rows):
+        with np.errstate(invalid="ignore"):
+            return model.full_values(params, rows)
+
+    return operators, params.delta, rows, values
+
+
+@pytest.mark.parametrize("case", [_chain_case, _full_case])
+def test_kernel_refills_the_matrices_when_the_off_support_value_changes(case):
+    # one step per call, each from new coefficients whose off-support value
+    # moves through four words and back; after every call the buffer must
+    # hold, word for word, numpy's expansion of the model's values at that
+    # step's three rows
+    operators, delta, options, values = case()
+    support, d, *_ = operators
+    buffer = np.zeros((3, d, d), dtype=complex)
+    offs = set()
+    order = [0, 1, 2, 0, 1, 3, 3, 2, 1, 0]
+    for k in range(len(order) - 2):
+        rows = np.ascontiguousarray(options[order[k:k + 3]])
+        _one_step(operators, delta, rows, buffer)
+        expected = model.expand(values(rows), support, d)
         assert np.array_equal(buffer.view(np.uint64), expected.view(np.uint64)), k
-        offs.update(bytes(value) for value in values[:, -1])
-    assert len(offs) == 4  # +0, -0, a nan and 1
+        offs.update(bytes(value) for value in values(rows)[:, -1])
+    assert len(offs) == 4
+
+    # a buffer whose off-support entries differ from the new off-support
+    # value in the imaginary word alone is refilled too: all its entries
+    # equal its (0, 0) entry, as rk4_block requires
+    for option in range(len(options)):
+        rows = np.ascontiguousarray(options[[option] * 3])
+        off = values(rows)[0, -1]
+        stale = complex(off.real, -0.0 if off.imag == 0 else 1.0)
+        assert (bits([off.real, stale.real]) == bits([off.real] * 2)).all()
+        assert bits([off.imag]) != bits([stale.imag])
+        buffer[...] = stale
+        _one_step(operators, delta, rows, buffer)
+        expected = model.expand(values(rows), support, d)
+        assert np.array_equal(buffer.view(np.uint64), expected.view(np.uint64)), option
 
 
 def test_a_rebuild_removes_the_stale_library(tmp_path):

@@ -92,14 +92,18 @@ def _assert_same_bits(model_tag, schedule, params, capture_times=None, state_see
     compared = []
     underflow = any(0 < scale < 1e-15 for scale in (params.delta, schedule.omega_bar))
 
-    def both(tag, coefficients, operators, delta, psi0, total_time, n_steps, capture):
-        assert (tag, delta) == (model_tag, params.delta)
+    if model_tag == "reduced":
+        values, model_operators = model.reduced_values, model.reduced_support(params.n_ions)
+    else:
+        values, model_operators = model.full_values, model.full_support(params.n_ions,
+                                                                         params.n_max)
+
+    def both(coefficients, operators, delta, psi0, total_time, n_steps, capture):
+        assert operators is model_operators and delta == params.delta
         if state_seed is not None:
             psi0 = _initial_state(np.random.default_rng(state_seed), len(psi0))
-        times, states = step(tag, coefficients, operators, delta, psi0, total_time, n_steps,
-                             capture)
-        values = model.reduced_values if tag == "reduced" else model.full_values
-        width = evolution._FORMULAS[tag][1]
+        times, states = step(coefficients, operators, delta, psi0, total_time, n_steps, capture)
+        width = operators[-1][1]  # coefficients per time
         ref_times, ref_states = _reference_rk4(lambda ts: values(params, coefficients(ts)), width,
                                                operators[0], psi0, total_time, n_steps, capture)
         assert np.array_equal(times.view(np.uint64), ref_times.view(np.uint64))
@@ -173,6 +177,6 @@ def test_step_keeps_the_initial_state():
     def coefficients(ts):
         return model.reduced_coefficients(*schedule.amplitudes(ts))
 
-    evolution._rk4("reduced", coefficients, model.reduced_support(params.n_ions), params.delta,
-                   psi0, schedule.total_time, 400, np.array([0, 10], dtype=np.int64))
+    evolution._rk4(coefficients, model.reduced_support(params.n_ions), params.delta, psi0,
+                   schedule.total_time, 400, np.array([0, 10], dtype=np.int64))
     assert np.array_equal(psi0.view(np.uint64), kept.view(np.uint64))
