@@ -2,16 +2,16 @@
  *
  * Each step's Hamiltonians are built here from a few real coefficients per
  * time.  hamiltonian_values writes one model's Hamiltonian at one time on
- * the model's support, in the words that the numpy formula of
- * dickesim.model gives for the same coefficients:
+ * the model's support, in the words of the model's dense builder in
+ * dickesim.model at the same coefficients, its numpy formula:
  *
  *   chain (kind 0), c = (Omega_r, Omega_b), parts (K_r, K_b, D), all real:
  *       H = (Omega_r K_r + Omega_b K_b) + delta D, with imaginary part +0
- *       (reduced_values);
+ *       (reduced_hamiltonian);
  *   full (kind 1), c = (Re p, Im p, cr, cb) with p = exp(-i delta t),
  *       cr = Omega_r/2 and cb = Omega_b/2, parts (R, R^dag, B, B^dag), the
  *       red and blue sideband operators and their adjoints:
- *       H = cr (p R + p* R^dag) + cb (p* B + p B^dag)   (full_values).
+ *       H = cr (p R + p* R^dag) + cb (p* B + p B^dag)   (full_hamiltonian).
  *
  * Each complex product is written out on doubles as numpy's multiply loop
  * computes it, (a + bi)(c + di) = (ac - bd, ad + bc), and a real factor

@@ -10,8 +10,9 @@ stay deterministic.  H(t) does not depend on the state, so each model gives
 the few real coefficients of its Hamiltonians for a block of steps at once,
 and the C kernel ``_rk4.c`` builds each step's matrices from them on the
 model's support and runs the block in one call through numpy's own zgemv;
-every state word equals that of numpy's textbook update on the dense
-matrices of the model's numpy formula (see ``_rk4`` and ``_kernel``).
+every state word equals that of numpy's textbook update on the matrices of
+the model's dense builder, ``model.reduced_hamiltonian`` or
+``model.full_hamiltonian`` (see ``_rk4`` and ``_kernel``).
 
 Every run starts from |D^0>|0> and fails with a ``NumericalError`` once its
 norm drifts so far that the readout's ``observables.NORM_TOL`` would reject
@@ -61,7 +62,7 @@ LEAK_WARN_LEVEL = 1e-3
 H_BLOCK_BYTES = 1 << 17
 
 #: samples that ``Trajectory.chain_fidelities`` rotates into the chain frame
-#: at once, which bounds its memory
+#: and ``_check_norms`` squares at once, which bounds their memory
 READOUT_CHUNK = 128
 
 
@@ -230,10 +231,11 @@ def _rk4(coefficients, operators: tuple, delta: float, psi0: np.ndarray, total_t
     the block in one call of the C kernel ``rk4_block`` (``_rk4.c``, loaded
     by ``_kernel``), which releases the GIL.  For each step it builds H1, H2
     and H3 from their coefficients into a zeroed (3, d, d) buffer, in the
-    words of ``model.expand`` of the model's numpy values: the support every
-    step, the other entries only when their bits differ from the (0, 0)
-    word.  (A product that underflows to zero can take the other sign of
-    zero than numpy's fused SIMD loop gives it; see ``_rk4.c``.)  The four
+    words of the model's dense builder (``model.reduced_hamiltonian``,
+    ``model.full_hamiltonian``) at the same rows: the support every step,
+    the other entries only when their bits differ from the (0, 0) word.  (A
+    product that underflows to zero can take the other sign of zero than
+    numpy's fused SIMD loop gives it; see ``_rk4.c``.)  The four
     products y = H x go through numpy's own zgemv with ``ndarray.dot``'s
     arguments; the stage arguments and the final sum round each product
     before adding it, as numpy's complex loops do, so the kernel is built
@@ -436,8 +438,14 @@ def _plan_steps(total_time: float, dt: float, levels: int = 1) -> int:
 def _check_norms(states: np.ndarray) -> float:
     """Largest norm drift |‖psi‖ - 1| of the samples; a NumericalError where
     a sample's |psi|^2, the trace that the readout checks, is further than
-    ``observables.NORM_TOL`` from 1, a step-size failure reported here."""
-    norms = np.linalg.norm(states, axis=1)
+    ``observables.NORM_TOL`` from 1, a step-size failure reported here.  The
+    norms are ``np.linalg.norm(states, axis=1)``'s own expression, taken
+    ``READOUT_CHUNK`` samples at a time, so no temporary spans the run."""
+    norms = np.empty(len(states))
+    for start in range(0, len(states), READOUT_CHUNK):
+        chunk = slice(start, start + READOUT_CHUNK)
+        x = states[chunk]
+        norms[chunk] = np.sqrt(np.add.reduce((x.conj() * x).real, axis=1))
     off = float(np.max(np.abs(norms**2 - 1.0)))
     if not off <= NORM_TOL:  # a nan drift fails too
         raise NumericalError(f"|psi|^2 drift {off:.3e} exceeds {NORM_TOL:.0e}; reduce the step size")
@@ -517,9 +525,9 @@ def integrate_reduced(schedule: PulseSchedule, params: SystemParams,
 def integrate_full(schedule: PulseSchedule, params: SystemParams,
                    dt: float | None = None,
                    capture_times: list[float] | None = None) -> Trajectory:
-    """Integrate the spin-phonon model ``full_values`` as ``integrate_reduced``
-    does the chain; a TruncationWarning when the top Fock level's population
-    exceeds 1e-3."""
+    """Integrate the spin-phonon model ``model.full_hamiltonian`` as
+    ``integrate_reduced`` does the chain; a TruncationWarning when the top
+    Fock level's population exceeds 1e-3."""
     n = params.n_ions
     # |a J+| = sqrt(n_max) * max R_k; the bound counts Fock levels that a
     # run seldom fills, so dt*drive <= 0.05 suffices

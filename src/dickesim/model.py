@@ -22,16 +22,17 @@ them without the interaction picture's 1/2, so the chain driven at half
 the sideband rates is exactly the full model's resonant block in the
 chain's rotating frame (which meets the interaction picture at t = 0).
 
-Each model is three functions: its cached support, the fixed flat
-indices where some operator is nonzero, grouped by that one operator, the
-dimension of its space, the operators' entries there and how the RK4 kernel
-reads them (``full_support``, ``reduced_support``); the few real coefficients of its
-Hamiltonian at each time (``full_coefficients``, ``reduced_coefficients``);
-and its Hamiltonians from those coefficients on that support
-(``full_values``, ``reduced_values``), which ``expand`` makes dense
-(``full_hamiltonian``, ``reduced_hamiltonian``).  The RK4 kernel
-``_rk4.c`` builds the same values from the same coefficients in C, in the
-same words unless a product underflows to zero.
+Each model is a dense builder and the two functions that the RK4 kernel
+reads: its dense Hamiltonian, a sum of constant operators
+(``full_hamiltonian``, ``reduced_hamiltonian``); its cached support, the
+fixed flat indices where some operator is nonzero, grouped by that one
+operator, the dimension of its space, the operators' entries there and how
+the kernel reads them (``full_support``, ``reduced_support``); and the few
+real coefficients of its Hamiltonian at each time (``full_coefficients``,
+``reduced_coefficients``).  The kernel ``_rk4.c`` builds each
+Hamiltonian's entries from those coefficients in C, in the words of the
+dense builder unless a product underflows to zero, or a nan tone meets an
+inf tone, where numpy gives a nan's sign by the entry's position.
 Only this module knows the product-space layout, the chain pairing and the
 interaction picture: ``spin_marginals``, ``chain_frame`` and
 ``top_fock_populations`` read states out through them for the integrator.
@@ -138,39 +139,31 @@ def reduced_support(n_ions: int):
 
 def reduced_coefficients(omega_r, omega_b) -> np.ndarray:
     """The chain's coefficients at the rates ``omega_r``, ``omega_b``: a
-    float (..., 2) array of (Omega_r, Omega_b), as ``reduced_values`` and
-    the RK4 kernel read them."""
+    float (..., 2) array of (Omega_r, Omega_b), as ``reduced_hamiltonian``
+    and the RK4 kernel read them."""
     rates = (np.asarray(omega_r, dtype=float), np.asarray(omega_b, dtype=float))
     return np.stack(np.broadcast_arrays(*rates), axis=-1)
 
 
-def reduced_values(params: SystemParams, coefficients: np.ndarray) -> np.ndarray:
-    """The chain's H = Omega_r*K_r + Omega_b*K_b + delta*D at each row of
-    ``reduced_coefficients``, taken only at the s entries of
-    ``reduced_support`` and then at (0, 0): a complex (..., s+1) array, the
-    one place where the chain's sum is written in numpy."""
-    _, _, (kr, kb, d), *_ = reduced_support(params.n_ions)
-    wr, wb = coefficients[..., 0, None], coefficients[..., 1, None]
-    return (wr * kr + wb * kb + params.delta * d).astype(complex)
-
-
-def expand(values: np.ndarray, support: np.ndarray, dimension: int) -> np.ndarray:
-    """Dense (..., d, d) matrices from their (..., s+1) ``values``: the s
-    entries at the flat indices ``support``, and the last value everywhere
-    else.  The RK4 kernel expands the same values in C."""
-    h = np.empty(values.shape[:-1] + (dimension * dimension,), dtype=values.dtype)
-    h[...] = values[..., -1:]
-    h[..., support] = values[..., :-1]
-    return h.reshape(values.shape[:-1] + (dimension, dimension))
-
-
 def reduced_hamiltonian(params: SystemParams, omega_r, omega_b) -> np.ndarray:
-    """Rotating-frame chain Hamiltonian, real symmetric tridiagonal, at
-    sideband rates ``omega_r``, ``omega_b``: scalars give one matrix, arrays
-    of k rates the (k, N+1, N+1) stack."""
-    support, dimension, *_ = reduced_support(params.n_ions)
-    values = reduced_values(params, reduced_coefficients(omega_r, omega_b))
-    return expand(values.real, support, dimension)
+    """Rotating-frame chain Hamiltonian Omega_r*K_r + Omega_b*K_b + delta*D,
+    real symmetric tridiagonal, at sideband rates ``omega_r``, ``omega_b``:
+    scalars give one matrix, arrays of k rates the (k, N+1, N+1) stack."""
+    kr, kb, d = reduced_coupling_parts(params.n_ions)
+    rows = reduced_coefficients(omega_r, omega_b)
+    wr, wb = rows[..., 0, None, None], rows[..., 1, None, None]
+    return wr * kr + wb * kb + params.delta * d
+
+
+def _full_operators(n_ions: int, n_max: int) -> tuple:
+    """(a J+, its adjoint, a^dag J+, its adjoint), dense, C-contiguous and
+    built anew on each call; an n_max below N/2 + 2 is a PhysicsConfigError."""
+    if n_max < n_ions / 2 + 2:
+        raise PhysicsConfigError(
+            f"n_max = {n_max} leaves no Fock headroom; need n_max >= N/2 + 2 = {n_ions / 2 + 2}"
+        )
+    red, blue, _ = sideband_operators(n_ions, n_max)
+    return red, np.ascontiguousarray(red.conj().T), blue, np.ascontiguousarray(blue.conj().T)
 
 
 @constant_cache(check_n_ions, _check_n_max)
@@ -181,44 +174,32 @@ def full_support(n_ions: int, n_max: int):
     (``full_coefficients``), 4 complex parts; an n_max below N/2 + 2 is a
     PhysicsConfigError.  All zeros of one operator carry the same signs:
     +0+0j in a J+ and a^dag J+, +0-0j in their adjoints."""
-    if n_max < n_ions / 2 + 2:
-        raise PhysicsConfigError(
-            f"n_max = {n_max} leaves no Fock headroom; need n_max >= N/2 + 2 = {n_ions / 2 + 2}"
-        )
-    red, blue, _ = sideband_operators(n_ions, n_max)
-    return _support((red, red.conj().T, blue, blue.conj().T), (1, 4, np.complex128, 4))
+    return _support(_full_operators(n_ions, n_max), (1, 4, np.complex128, 4))
 
 
 def full_coefficients(params: SystemParams, t, omega_r, omega_b) -> np.ndarray:
     """The full model's coefficients at the times ``t`` and sideband rates
     ``omega_r``, ``omega_b``: a float (..., 4) array of the real and
     imaginary parts of exp(-i delta t), Omega_r/2 and Omega_b/2, as
-    ``full_values`` and the RK4 kernel read them."""
+    ``full_hamiltonian`` and the RK4 kernel read them."""
     phase = np.exp(-1j * params.delta * np.asarray(t, dtype=float))
     rates = (np.asarray(omega_r, dtype=float) / 2, np.asarray(omega_b, dtype=float) / 2)
     return np.stack(np.broadcast_arrays(phase.real, phase.imag, *rates), axis=-1)
 
 
-def full_values(params: SystemParams, coefficients: np.ndarray) -> np.ndarray:
-    """Interaction-picture H at each row of ``full_coefficients``, taken only
-    at the s entries of ``full_support`` and then at (0, 0): a complex
-    (..., s+1) array whose ``expand`` is the dense sum of the four
-    phase-scaled sideband operators, bit for bit."""
-    _, _, (red, red_dag, blue, blue_dag), *_ = full_support(params.n_ions, params.n_max)
-    phase = np.ascontiguousarray(coefficients[..., :2]).view(complex)
-    cr, cb = coefficients[..., 2, None], coefficients[..., 3, None]
+def full_hamiltonian(params: SystemParams, t, omega_r, omega_b) -> np.ndarray:
+    """Dense interaction-picture H = cr (p R + p* R^dag) + cb (p* B + p B^dag)
+    with (Re p, Im p, cr, cb) the row of ``full_coefficients`` and R, B the
+    red and blue sideband operators: scalars give one matrix, arrays of k
+    times and rates the (k, d, d) stack."""
+    red, red_dag, blue, blue_dag = _full_operators(params.n_ions, params.n_max)
+    rows = full_coefficients(params, t, omega_r, omega_b)
+    phase = np.ascontiguousarray(rows[..., :2]).view(complex)[..., None]
+    cr, cb = rows[..., 2, None, None], rows[..., 3, None, None]
     return (
         cr * (phase * red + np.conj(phase) * red_dag)
         + cb * (np.conj(phase) * blue + phase * blue_dag)
     )
-
-
-def full_hamiltonian(params: SystemParams, t, omega_r, omega_b) -> np.ndarray:
-    """Dense interaction-picture H, the ``expand`` of ``full_values``: scalars
-    give one matrix, arrays of k times and rates the (k, d, d) stack."""
-    support, dimension, *_ = full_support(params.n_ions, params.n_max)
-    values = full_values(params, full_coefficients(params, t, omega_r, omega_b))
-    return expand(values, support, dimension)
 
 
 def spin_marginals(states: np.ndarray, n_ions: int, n_max: int | None = None) -> np.ndarray:

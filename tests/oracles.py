@@ -13,6 +13,17 @@ def bits(values) -> np.ndarray:
     return np.ascontiguousarray(values).view(np.uint64)
 
 
+def dense_from_support(values, support, dimension) -> np.ndarray:
+    """Dense (..., d, d) matrices from their (..., s+1) ``values``: the s
+    entries at the flat indices ``support`` and the last value everywhere
+    else, the matrices that the RK4 kernel builds from those values."""
+    values = np.asarray(values)
+    h = np.empty(values.shape[:-1] + (dimension * dimension,), dtype=values.dtype)
+    h[...] = values[..., -1:]
+    h[..., support] = values[..., :-1]
+    return h.reshape(values.shape[:-1] + (dimension, dimension))
+
+
 def embed(chain_vec, n_ions, n_max):
     """A chain vector lifted onto the product space at its paired phonon numbers."""
     full = np.zeros((n_ions + 1) * (n_max + 1), dtype=complex)

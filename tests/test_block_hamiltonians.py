@@ -3,8 +3,9 @@
 The integrator computes the coefficients of H(t) for many steps at once, and
 its C kernel builds each H from them.  Its printed digits stay the same only
 if every array element equals, bit for bit, what evaluating the schedule and
-the Hamiltonian at one time gives, and the kernel's values equal the numpy
-formula's; these properties pin that, signed zeros included.
+the Hamiltonian at one time gives, and the kernel's values equal the entries
+of the model's dense builder, its numpy formula; these properties pin that,
+signed zeros included.
 """
 
 import numpy as np
@@ -117,47 +118,58 @@ def test_full_hamiltonian_stack_equals_dense_sum(n_ions, delta, times, tone_seed
         _assert_bitwise_equal(one, expected)
 
 
+_EDGE_TONES = [0.0, -0.0, np.nan, np.inf, 1e-320, 5e-324, 1.0, 2.0]
+
+
+def _assert_same_words(a, b, nan_sign_free=False):
+    """Word-for-word equality; with ``nan_sign_free``, an entry that is nan
+    in both may differ in its sign bit."""
+    words_a, words_b = (np.asarray(x, dtype=complex).view(float) for x in (a, b))
+    differ = bits(words_a) != bits(words_b)
+    if nan_sign_free:
+        differ &= ~(np.isnan(words_a) & np.isnan(words_b))
+    assert not np.any(differ)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n_ions=st.integers(1, 8),
-    delta=st.sampled_from([0.0, 0.5]) | st.floats(0.0, 40.0),
-    times=st.lists(st.floats(0.0, 500.0), min_size=1, max_size=8),
+    delta=st.sampled_from([0.0, 0.5, 20.0]) | st.floats(0.0, 40.0),
+    times=st.lists(st.sampled_from([0.0, 5e-324, 1e-320]) | st.floats(0.0, 500.0),
+                   min_size=1, max_size=8),
     tone_seed=st.integers(0, 2**32 - 1),
+    edge=st.booleans(),
 )
-def test_support_values_expand_to_the_dense_builds(n_ions, delta, times, tone_seed):
-    # the integrator hands the kernel only the support values; expanded, they
-    # must give today's dense matrices word for word, signed zeros included
+def test_dense_builders_are_the_dense_sums(n_ions, delta, times, tone_seed, edge):
+    # each builder is its sum of constant operators, stack and scalar call
+    # alike, at t = 0, at +-0, nan, inf and subnormal tones too.  Where a nan
+    # tone meets an inf tone, two nans of opposite signs meet in one sum, and
+    # numpy's loops pick either by the entry's position: those entries need
+    # only be nan
     params = model.SystemParams(n_ions=n_ions, delta=delta)
     ts = np.array([0.0, *times])
     rng = np.random.default_rng(tone_seed)
-    omega_r = rng.uniform(0.0, 2.0, len(ts))
-    omega_b = rng.uniform(0.0, 2.0, len(ts))
-    omega_r[rng.random(len(ts)) < 0.3] = 0.0
-    omega_b[rng.random(len(ts)) < 0.3] = 0.0
+    omega_r, omega_b = _tones(rng, len(ts), 1.0)
+    if edge:
+        omega_r, omega_b = rng.choice(_EDGE_TONES, (2, len(ts)))
+    two_nans = (np.isnan(omega_r) & np.isinf(omega_b)) | (np.isinf(omega_r) & np.isnan(omega_b))
 
-    support, dimension, *_ = model.full_support(n_ions, params.n_max)
-    assert dimension == (n_ions + 1) * (params.n_max + 1)
-    values = model.full_values(params, model.full_coefficients(params, ts, omega_r, omega_b))
-    assert values.shape == (len(ts), len(support) + 1) and 0 not in support
-    full = model.full_hamiltonian(params, ts, omega_r, omega_b)
-    for i, t in enumerate(ts.tolist()):
-        _assert_bitwise_equal(full[i], _reference_full(params, t, float(omega_r[i]),
-                                                       float(omega_b[i])))
-
-    # the chain's dense sum, as the integrator built it before it took values
     kr, kb, d = model.reduced_coupling_parts(n_ions)
-    expected = omega_r[:, None, None] * kr + omega_b[:, None, None] * kb + delta * d
-    support, dimension, *_ = model.reduced_support(n_ions)
-    assert dimension == n_ions + 1
-    values = model.reduced_values(params, model.reduced_coefficients(omega_r, omega_b))
-    assert values.shape == (len(ts), len(support) + 1) and 0 not in support
-    _assert_bitwise_equal(model.expand(values, support, n_ions + 1), expected.astype(complex))
-    stack = model.reduced_hamiltonian(params, omega_r, omega_b)
-    _assert_bitwise_equal(stack, expected)
-    assert stack.flags.c_contiguous  # BLAS rounds products with a strided view differently
-    for i in range(len(ts)):
-        one = model.reduced_hamiltonian(params, float(omega_r[i]), float(omega_b[i]))
-        _assert_bitwise_equal(one, expected[i])
+    with np.errstate(all="ignore"):
+        full = model.full_hamiltonian(params, ts, omega_r, omega_b)
+        chain = model.reduced_hamiltonian(params, omega_r, omega_b)
+        expected = omega_r[:, None, None] * kr + omega_b[:, None, None] * kb + delta * d
+        assert full.shape == (len(ts), *[(n_ions + 1) * (params.n_max + 1)] * 2)
+        assert chain.dtype == np.float64 and chain.shape == (len(ts), n_ions + 1, n_ions + 1)
+        # BLAS rounds products with a strided view differently
+        assert full.flags.c_contiguous and chain.flags.c_contiguous
+        _assert_same_words(chain, expected)
+        for i, t in enumerate(ts.tolist()):
+            wr, wb = float(omega_r[i]), float(omega_b[i])
+            dense = _reference_full(params, t, wr, wb)
+            _assert_same_words(full[i], dense, two_nans[i])
+            _assert_same_words(model.full_hamiltonian(params, t, wr, wb), dense, two_nans[i])
+            _assert_same_words(model.reduced_hamiltonian(params, wr, wb), expected[i], two_nans[i])
 
 
 def _operators(tag, n_ions):
@@ -194,15 +206,18 @@ def test_one_operator_is_nonzero_at_each_support_entry(tag, n_ions):
 def _kernel_and_numpy_values(n_ions, delta, ts, omega_r, omega_b):
     """(tag, kernel values, numpy values) of each H at the times ``ts`` and
     tones: the values that rk4_block builds, in support order and then off
-    the support, and the model's numpy formula of the same rows."""
+    the support, and the entries of the model's dense builder there."""
     params = model.SystemParams(n_ions=n_ions, delta=delta)
     values = evolution._kernel().values
-    for tag, rows, numpy_values in (
-        ("reduced", model.reduced_coefficients(omega_r, omega_b), model.reduced_values),
-        ("full", model.full_coefficients(params, ts, omega_r, omega_b), model.full_values),
+    for tag, rows, dense in (
+        ("reduced", model.reduced_coefficients(omega_r, omega_b),
+         model.reduced_hamiltonian(params, omega_r, omega_b)),
+        ("full", model.full_coefficients(params, ts, omega_r, omega_b),
+         model.full_hamiltonian(params, ts, omega_r, omega_b)),
     ):
         support, _, parts, bounds, (kind, *_) = _operators(tag, n_ions)[1]
-        expected = numpy_values(params, rows)
+        expected = np.ascontiguousarray(dense.reshape(len(ts), -1)[:, np.append(support, 0)],
+                                        dtype=complex)
         at = np.arange(len(support), dtype=np.int64)
         for row, want in zip(rows, expected):
             out = np.full(len(support) + 1, np.nan, dtype=complex)

@@ -172,3 +172,22 @@ def test_kernel_is_one_dimensional():
         assert kernel.shape[1] == 1
         overlap = abs(np.vdot(kernel[:, 0], chain_vector(dark_coefficients(n, 0.8, 1.3)[1])))
         assert overlap == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("n_ions", [2, 4, 6, 8, 10])
+def test_dark_state_is_the_jz_squeezed_jx_null_state(n_ions):
+    # the dark state is exp(r Jz)|Jx = 0>, normalised, with
+    # r = ln tan(theta/2) = ln(Omega_b/Omega_r)/2 at the mixing angle theta
+    m = np.arange(n_ions)
+    lower = np.diag(np.sqrt((n_ions - m) * (m + 1.0)), -1)  # J+ on the Dicke levels
+    values, vectors = np.linalg.eigh((lower + lower.T) / 2)
+    null = vectors[:, np.argmin(np.abs(values))]
+    jz = np.arange(n_ions + 1) - n_ions / 2
+    for theta in np.linspace(0.05, np.pi - 0.05, 41):
+        omega_r, omega_b = 1 + np.cos(theta), 1 - np.cos(theta)
+        r = np.log(np.tan(theta / 2))
+        assert r == pytest.approx(np.log(omega_b / omega_r) / 2, abs=1e-12)
+        squeezed = np.exp(r * jz) * null
+        squeezed /= np.linalg.norm(squeezed)
+        _, amplitudes = dark_coefficients(n_ions, omega_r, omega_b)
+        assert 1 - abs(np.vdot(squeezed, chain_vector(amplitudes))) ** 2 <= 1e-12

@@ -160,6 +160,21 @@ def test_nan_sample_fails_norm_check():
         evolution._check_norms(np.array([[1, 0, 0], [np.nan, 1, 0]], dtype=complex))
 
 
+def test_chunked_norms_are_the_linalg_norms():
+    # _check_norms squares READOUT_CHUNK samples at a time; its drift is
+    # that of np.linalg.norm's words on the whole stack
+    rng = np.random.default_rng(3)
+    size = 2 * evolution.READOUT_CHUNK + 5
+    states = rng.normal(size=(size, 7)) + 1j * rng.normal(size=(size, 7))
+    states /= np.linalg.norm(states, axis=1)[:, None]
+    states[size // 2] *= 1 + 1e-10  # the drift sits past the first chunk
+    norms = np.linalg.norm(states, axis=1)
+    assert evolution._check_norms(states) == float(np.max(np.abs(norms - 1.0))) > 0
+    states[-1, 3] = np.nan
+    with pytest.raises(NumericalError, match="drift nan"):
+        evolution._check_norms(states)
+
+
 def test_norm_preservation():
     sch, params = evolution.adiabatic_preset("fast", 4)
     traj = evolution.integrate_reduced(sch, params)
@@ -376,12 +391,12 @@ def test_one_step_blocks_keep_every_state_word(monkeypatch):
 
 @pytest.mark.parametrize("integrate", [evolution.integrate_reduced, evolution.integrate_full])
 def test_a_run_builds_no_numpy_values(monkeypatch, integrate):
-    # the kernel builds every Hamiltonian from the coefficients: no (k, s+1)
-    # value array and no dense stack is made on the run path
+    # the kernel builds every Hamiltonian from the coefficients: no dense
+    # stack is made on the run path
     def refuse(*args):
-        raise AssertionError("numpy values built during a run")
+        raise AssertionError("a dense Hamiltonian built during a run")
 
-    for name in ("reduced_values", "full_values", "expand"):
+    for name in ("reduced_hamiltonian", "full_hamiltonian"):
         monkeypatch.setattr(model, name, refuse)
     schedule = evolution.PulseSchedule(total_time=10.0)
     traj = integrate(schedule, model.SystemParams(n_ions=2, delta=20.0))

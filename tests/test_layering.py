@@ -1,7 +1,9 @@
 """The package's layers, read from its source with ``ast``.
 
 Only ``model`` knows the spin-phonon product space: its layout, the chain
-pairing and the interaction picture.  The spin-sector modules import
+pairing and the interaction picture; only it builds a dense Hamiltonian,
+one numpy sum of its dense operators, and no module expands support values
+or, in the integrator, names a dense builder.  The spin-sector modules import
 neither ``model`` nor the integrator, and ``model`` builds on the spin
 algebra alone.  ``cli`` is the top: no package module imports it.  A
 module reads no other module's underscore names, except the two shared
@@ -137,8 +139,24 @@ def test_observables_names_no_phonon_truncation():
     assert "n_max" not in _identifiers("observables")
 
 
-def test_only_model_expands_the_full_hamiltonian():
-    assert [module for module in MODULES if "expand" in _identifiers(module)] == ["model"]
+def _defined(module):
+    """The names of the functions and classes that ``module`` defines."""
+    return {node.name for node in ast.walk(_tree(module))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
+def test_only_model_builds_a_dense_hamiltonian():
+    # each Hamiltonian is one numpy sum of the dense operators in ``model``,
+    # and the kernel its one other formula: no module expands support
+    # values, and the integrator names no dense builder
+    assert [module for module in MODULES if "expand" in _defined(module)] == []
+    builders = {module: sorted(name for name in _defined(module) if name.endswith("_hamiltonian"))
+                for module in MODULES}
+    assert {module: names for module, names in builders.items() if names} == {
+        "model": ["full_hamiltonian", "reduced_hamiltonian"]}
+    operators = ("sideband_operators", "reduced_coupling_parts")
+    assert [module for module in MODULES if set(operators) & _identifiers(module)] == ["model"]
+    assert not {"full_hamiltonian", "reduced_hamiltonian"} & _identifiers("evolution")
 
 
 def test_no_package_module_imports_the_cli():

@@ -182,7 +182,7 @@ def test_full_n_max_guard():
     with pytest.raises(PhysicsConfigError, match="Fock headroom"):
         model.full_support(4, 3)
     with pytest.raises(PhysicsConfigError):
-        model.full_values(model.SystemParams(n_ions=4, n_max=3), np.array([1.0, 0.0, 0.5, 0.5]))
+        model.full_hamiltonian(model.SystemParams(n_ions=4, n_max=3), 0.0, 1.0, 1.0)
 
 
 def test_full_support_is_built_once_and_read_only():

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from dickesim import evolution, model
-from oracles import bits
+from oracles import bits, dense_from_support
 
 PACKAGE = Path(evolution.__file__).parent
 EVOLVE = ["-m", "dickesim.cli", "evolve", "--n", "2", "--eta-omega-t", "40"]
@@ -246,51 +246,53 @@ def _chain_case():
     rng = np.random.default_rng(5)
     parts = np.hstack((rng.normal(size=(3, len(_SUPPORT))), [[1.0], [0.0], [-1.0]]))
     operators = (_SUPPORT, 3, parts, _BOUNDS, _CHAIN)
-    rates = [(0.0, 1.0), (-0.0, -1.0), (np.nan, 1.0), (1.0, 2.0)]
+    rates = np.array([(0.0, 1.0), (-0.0, -1.0), (np.nan, 1.0), (1.0, 2.0)])
 
-    def values(rows):
-        wr, wb = rows[:, :1], rows[:, 1:]
-        return (wr * parts[0] + wb * parts[1] + 0.0 * parts[2]).astype(complex)
+    def dense(options):
+        wr, wb = rates[options, :1], rates[options, 1:]
+        values = (wr * parts[0] + wb * parts[1] + 0.0 * parts[2]).astype(complex)
+        return dense_from_support(values, _SUPPORT, 3)
 
-    return operators, 0.0, np.array(rates), values
+    return operators, 0.0, rates, dense
 
 
 def _full_case():
     # N = 1 with n_max = 3 (d = 8); from tones (2, 2), (-2, -2), (2, nan)
     # and (2, inf) at times whose delta*t lies in four quadrants, the
     # off-support value is +0+0j, -0+0j, nan+nanj and -nan-nanj, the four
-    # words that full_values gives there for rows of +-1, +-0, nan and +-inf
+    # words that full_hamiltonian gives there for rows of +-1, +-0, nan and
+    # +-inf
     params = model.SystemParams(n_ions=1, delta=0.7, n_max=3)
     t = np.array([2.8, 0.3, 5.1, 7.6])
+    omega_r, omega_b = np.array([2.0, -2.0, 2.0, 2.0]), np.array([2.0, -2.0, np.nan, np.inf])
     with np.errstate(invalid="ignore"):
-        rows = model.full_coefficients(params, t, np.array([2.0, -2.0, 2.0, 2.0]),
-                                       np.array([2.0, -2.0, np.nan, np.inf]))
+        rows = model.full_coefficients(params, t, omega_r, omega_b)
     operators = model.full_support(params.n_ions, params.n_max)
 
-    def values(rows):
+    def dense(options):
         with np.errstate(invalid="ignore"):
-            return model.full_values(params, rows)
+            return model.full_hamiltonian(params, t[options], omega_r[options], omega_b[options])
 
-    return operators, params.delta, rows, values
+    return operators, params.delta, rows, dense
 
 
 @pytest.mark.parametrize("case", [_chain_case, _full_case])
 def test_kernel_refills_the_matrices_when_the_off_support_value_changes(case):
     # one step per call, each from new coefficients whose off-support value
     # moves through four words and back; after every call the buffer must
-    # hold, word for word, numpy's expansion of the model's values at that
-    # step's three rows
-    operators, delta, options, values = case()
-    support, d, *_ = operators
+    # hold, word for word, the model's dense matrices at that step's three
+    # rows
+    operators, delta, options, dense = case()
+    _, d, *_ = operators
     buffer = np.zeros((3, d, d), dtype=complex)
     offs = set()
     order = [0, 1, 2, 0, 1, 3, 3, 2, 1, 0]
     for k in range(len(order) - 2):
         rows = np.ascontiguousarray(options[order[k:k + 3]])
         _one_step(operators, delta, rows, buffer)
-        expected = model.expand(values(rows), support, d)
+        expected = dense(order[k:k + 3])
         assert np.array_equal(buffer.view(np.uint64), expected.view(np.uint64)), k
-        offs.update(bytes(value) for value in values(rows)[:, -1])
+        offs.update(bytes(value) for value in expected[:, 0, 0])
     assert len(offs) == 4
 
     # a buffer whose off-support entries differ from the new off-support
@@ -298,13 +300,13 @@ def test_kernel_refills_the_matrices_when_the_off_support_value_changes(case):
     # equal its (0, 0) entry, as rk4_block requires
     for option in range(len(options)):
         rows = np.ascontiguousarray(options[[option] * 3])
-        off = values(rows)[0, -1]
+        expected = dense([option] * 3)
+        off = expected[0, 0, 0]
         stale = complex(off.real, -0.0 if off.imag == 0 else 1.0)
         assert (bits([off.real, stale.real]) == bits([off.real] * 2)).all()
         assert bits([off.imag]) != bits([stale.imag])
         buffer[...] = stale
         _one_step(operators, delta, rows, buffer)
-        expected = model.expand(values(rows), support, d)
         assert np.array_equal(buffer.view(np.uint64), expected.view(np.uint64)), option
 
 

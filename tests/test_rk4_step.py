@@ -6,10 +6,10 @@ coefficients into a dense buffer, calls numpy's own zgemv, writes the
 complex products and sums out on doubles, and carries the Schrodinger
 equation's -i in its scalar coefficients.  Its printed digits stay the same
 only if every state word equals the one of the plain numpy update with the
-slopes k = -i*(H @ psi) on the dense matrices; ``_reference_rk4`` takes the
-model's numpy values (``model.reduced_values``, ``model.full_values``) of the
-same coefficients, expands them with ``model.expand`` and keeps that update,
-and each run below is integrated through both.
+slopes k = -i*(H @ psi) on the dense matrices; ``_reference_rk4`` takes them
+from the model's dense builder (``model.reduced_hamiltonian``,
+``model.full_hamiltonian``) at the same times and keeps that update, and each
+run below is integrated through both.
 
 One regime is exempt from the word-for-word check: a product such as
 s*(-i*y) that underflows to zero, below 1e-308, where the two formulas can
@@ -31,34 +31,36 @@ from hypothesis import strategies as st
 from dickesim import evolution, model
 from dickesim.errors import NumericalError
 
+_STEPS_PER_STACK = 64
 
-def _reference_rk4(h_values, width, support, psi0, total_time, n_steps, capture):
-    """The textbook RK4 loop on dense matrices, with ``h_values(ts)`` the
-    numpy values at ``ts`` of a model of ``width`` coefficients per time, and
-    blocks and capture as in ``evolution._rk4``."""
+
+def _reference_rk4(hamiltonians, psi0, total_time, n_steps, capture):
+    """The textbook RK4 loop on dense matrices, with ``hamiltonians(ts)`` the
+    dense stack at the times ``ts``, and capture as in ``evolution._rk4``.
+    Each step's t is its own step*dt, as there.  The matrices are built
+    ``_STEPS_PER_STACK`` steps at a time, which bounds their memory; every
+    time's matrix has the same words in any stack."""
     dt = total_time / n_steps
     stop = capture[-1]
     psi = psi0.astype(complex)
     states = np.empty((len(capture), len(psi0)), dtype=complex)
     times = capture * dt
-    block = max(1, evolution.H_BLOCK_BYTES // (3 * 8 * width))
     pos = 0
     if capture[pos] == 0:
         states[pos] = psi
         pos += 1
-    for start in range(0, stop, block):
-        t = np.arange(start, min(start + block, n_steps)) * dt
-        n = len(t)
-        values = h_values(np.concatenate((t, t + dt / 2, t + dt)))
-        stack = model.expand(values, support, len(psi0))
-        for j in range(min(n, stop - start)):
-            h1, h2, h3 = stack[j], stack[n + j], stack[2 * n + j]
+    for first in range(0, stop, _STEPS_PER_STACK):
+        t = np.arange(first, min(first + _STEPS_PER_STACK, stop)) * dt
+        m = len(t)
+        stack = np.asarray(hamiltonians(np.concatenate((t, t + dt / 2, t + dt))), dtype=complex)
+        for j in range(m):
+            h1, h2, h3 = stack[j], stack[m + j], stack[2 * m + j]
             k1 = -1j * (h1 @ psi)
             k2 = -1j * (h2 @ (psi + (dt / 2) * k1))
             k3 = -1j * (h2 @ (psi + (dt / 2) * k2))
             k4 = -1j * (h3 @ (psi + dt * k3))
             psi = psi + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-            if pos < len(capture) and capture[pos] == start + j + 1:
+            if pos < len(capture) and capture[pos] == first + j + 1:
                 states[pos] = psi
                 pos += 1
     return times, states
@@ -93,19 +95,22 @@ def _assert_same_bits(model_tag, schedule, params, capture_times=None, state_see
     underflow = any(0 < scale < 1e-15 for scale in (params.delta, schedule.omega_bar))
 
     if model_tag == "reduced":
-        values, model_operators = model.reduced_values, model.reduced_support(params.n_ions)
+        model_operators = model.reduced_support(params.n_ions)
+
+        def hamiltonians(ts):
+            return model.reduced_hamiltonian(params, *schedule.amplitudes(ts))
     else:
-        values, model_operators = model.full_values, model.full_support(params.n_ions,
-                                                                         params.n_max)
+        model_operators = model.full_support(params.n_ions, params.n_max)
+
+        def hamiltonians(ts):
+            return model.full_hamiltonian(params, ts, *schedule.amplitudes(ts))
 
     def both(coefficients, operators, delta, psi0, total_time, n_steps, capture):
         assert operators is model_operators and delta == params.delta
         if state_seed is not None:
             psi0 = _initial_state(np.random.default_rng(state_seed), len(psi0))
         times, states = step(coefficients, operators, delta, psi0, total_time, n_steps, capture)
-        width = operators[-1][1]  # coefficients per time
-        ref_times, ref_states = _reference_rk4(lambda ts: values(params, coefficients(ts)), width,
-                                               operators[0], psi0, total_time, n_steps, capture)
+        ref_times, ref_states = _reference_rk4(hamiltonians, psi0, total_time, n_steps, capture)
         assert np.array_equal(times.view(np.uint64), ref_times.view(np.uint64))
         assert np.array_equal(states, ref_states)
         if not underflow:
