@@ -185,7 +185,7 @@ def cmd_evolve(ns) -> int:
     schedule, params = _build_run(ns)
     traj = _integrate(ns, schedule, params)
     dark_fid = evolution.dark_fidelity_series(traj).tolist()
-    spin = observables.spin_readout(traj.spin_marginals())
+    spin = traj.spin_readout()
     rows = list(zip(traj.times.tolist(), *spin, dark_fid))
     _report(ns, {
         "n": ns.n, "model": ns.model, "schedule": schedule.shape,
@@ -210,7 +210,7 @@ def cmd_scan_noise(ns) -> int:
     cut_times = np.linspace(0.0, schedule.total_time, ns.cuts).tolist()
     traj = _integrate(ns, schedule, params, capture_times=cut_times)
     cuts = traj.indices_of(cut_times)
-    _, *variances = observables.spin_readout(traj.spin_marginals(cuts))
+    _, *variances = traj.spin_readout(cuts)
     _report(ns, {
         "n": ns.n, "model": ns.model, "preset": ns.adiabatic_preset,
         "total_time": schedule.total_time, "delta": params.delta,

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import dark_state
 from .errors import NumericalError, PhysicsConfigError, ReducedModelWarning, TruncationWarning
-from .observables import NORM_TOL
+from .observables import NORM_TOL, spin_readout
 from .spin_algebra import _frozen, collective_coupling, constant_cache, projections
 from .model import (
     SystemParams,
@@ -61,8 +61,9 @@ LEAK_WARN_LEVEL = 1e-3
 #: hold well under 1 MiB whatever its length.
 H_BLOCK_BYTES = 1 << 17
 
-#: samples that ``Trajectory.chain_fidelities`` rotates into the chain frame
-#: and ``_check_norms`` squares at once, which bounds their memory
+#: samples that ``Trajectory.chain_fidelities`` rotates into the chain frame,
+#: ``Trajectory.spin_readout`` reads out and ``_check_norms`` squares at
+#: once, which bounds their memory
 READOUT_CHUNK = 128
 
 
@@ -166,12 +167,25 @@ class Trajectory:
     def final_state(self) -> np.ndarray:
         return self.states[-1]
 
-    def spin_marginals(self, indices: list[int] | None = None) -> np.ndarray:
-        """(S, N+1, N+1) spin marginals of every sample, or of the samples
-        at ``indices``; the phonon factor of the full model is traced out."""
-        states = self.states if indices is None else self.states[indices]
+    def spin_marginals(self, indices) -> np.ndarray:
+        """(S, N+1, N+1) spin marginals of the samples at ``indices``; the
+        phonon factor of the full model is traced out."""
         n_max = self.params.n_max if self.model_tag == "full" else None
-        return spin_marginals(states, self.params.n_ions, n_max)
+        return spin_marginals(self.states[indices], self.params.n_ions, n_max)
+
+    def spin_readout(self, indices=None) -> tuple[list[float], ...]:
+        """``observables.spin_readout`` columns (<Jz>, Var(Jx), Var(Jy),
+        Var(Jz)) of every sample, or of the samples at ``indices`` in the
+        order given, read ``READOUT_CHUNK`` samples at a time, so no stack
+        spans the run.  Each sample gets the words it gets alone: the
+        readout's stacked products give each row a one-matrix product's."""
+        indices = range(len(self.times)) if indices is None else indices
+        columns = ([], [], [], [])
+        for start in range(0, len(indices), READOUT_CHUNK):
+            chunk = spin_readout(self.spin_marginals(indices[start:start + READOUT_CHUNK]))
+            for column, part in zip(columns, chunk):
+                column += part
+        return columns
 
     def chain_fidelities(self, indices, chain_vectors) -> np.ndarray:
         """|<v_k|psi_k>|^2 of the sample at ``indices[k]`` with the chain

@@ -215,7 +215,8 @@ def spin_marginals(states: np.ndarray, n_ions: int, n_max: int | None = None) ->
         return mats @ mats.conj().transpose(0, 2, 1)
     parity = np.arange(n_ions + 1) % 2
     rhos = states[:, :, None] * states.conj()[:, None, :]
-    return rhos * (parity[:, None] == parity[None, :])
+    rhos *= parity[:, None] == parity[None, :]  # in place: one stack, not two
+    return rhos
 
 
 def chain_frame(params: SystemParams, states: np.ndarray, times: np.ndarray,

@@ -24,8 +24,10 @@ acceptance criterion, from its one list of rows.  Only
 ``bit_generator.state``, so every shot is drawn on the one sampling path.
 In ``measurement`` only ``_normalized`` calls ``np.clip``, so a sampled
 probability is clipped and renormalised in one place.  Only ``evolution``
-assigns or reads ``READOUT_CHUNK``: the spin readout reads each stack in one
-call, and only the chain-frame rotation bounds its memory.  In ``evolution``
+assigns or reads ``READOUT_CHUNK``: the trajectory's readouts (the chain
+fidelities, the spin moments) and the norm gate read that many samples at
+a time, and the modules they call take a stack of whatever size their caller
+hands them.  In ``evolution``
 only ``Trajectory.indices_of`` calls ``argmin``, so a trajectory has one
 nearest-sample search.  ``evolution`` imports no thread or queue module:
 the integrator runs each block on the calling thread.
@@ -529,8 +531,8 @@ def test_the_chunk_reader_sees_each_form():
 
 
 def test_only_evolution_owns_the_readout_chunk():
-    # the spin readout reads each stack in one call; the chain-frame
-    # rotation of ``Trajectory.chain_fidelities`` is the one bounded stack
+    # the readouts of a trajectory bound their stacks in ``evolution``;
+    # ``model`` and ``observables`` read whatever stack they are handed
     uses = {module: set(_chunk_uses(_tree(module))) for module in MODULES}
     assert {module: found for module, found in uses.items() if found} == {
         "evolution": {"assign", "read"}}

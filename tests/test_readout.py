@@ -1,17 +1,21 @@
 """The whole-trajectory readout against the per-sample formulas it replaces,
-and runs stopped at a cut against the same step of the whole ramp.
+runs stopped at a cut against the same step of the whole ramp, and the
+readout's memory: no call reads more than ``READOUT_CHUNK`` samples.
 
 ``evolve`` prints every sample of a trajectory with ``str(v)``, so its
 digits stay the same only if the stacked readout gives, bit for bit, what
 the per-sample formulas kept here give one sample at a time.
 """
 
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dickesim import evolution, model, observables
+from dickesim import cli, evolution, model, observables
 from dickesim.spin_algebra import build_collective, collective_coupling
 from oracles import bits, embed, to_chain_frame
 
@@ -74,7 +78,7 @@ def _reference_dark_fidelity(traj, index):
 # ---------------------------------------------------------------------------
 
 @st.composite
-def _trajectories(draw):
+def _trajectories(draw, sample_counts=st.integers(1, 60)):
     model_tag = draw(st.sampled_from(["reduced", "full"]))
     n = draw(st.integers(1, 8))
     params = model.SystemParams(n_ions=n, delta=draw(st.floats(0.0, 40.0)))
@@ -86,7 +90,7 @@ def _trajectories(draw):
     )
     dim = n + 1 if model_tag == "reduced" else (n + 1) * (params.n_max + 1)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n_samples = draw(st.integers(1, 60))
+    n_samples = draw(sample_counts)
     states = rng.normal(size=(n_samples, dim)) + 1j * rng.normal(size=(n_samples, dim))
     # integrated states keep exact zeros where the drive has not reached
     states[rng.random(states.shape) < 0.3] = 0.0
@@ -104,7 +108,7 @@ def _trajectories(draw):
 @settings(max_examples=150, deadline=None)
 @given(_trajectories())
 def test_stacked_spin_readout_equals_per_sample_formulas(traj):
-    rhos = traj.spin_marginals()
+    rhos = traj.spin_marginals(range(len(traj.times)))
     columns = observables.spin_readout(rhos)
     for i, psi in enumerate(traj.states):
         rho = _reference_marginal(psi, traj.model_tag, traj.params)
@@ -147,6 +151,25 @@ def test_chain_fidelities_equal_per_sample_overlaps(traj, seed):
     assert np.array_equal(bits(traj.chain_fidelities(indices, vectors)), bits(expected))
 
 
+@settings(max_examples=60, deadline=None)
+@given(_trajectories(st.sampled_from([1, 127, 128, 129, 257, 300])), st.integers(0, 2**32 - 1))
+def test_chunked_spin_readout_equals_one_stack(traj, seed):
+    # evolve reads every sample; scan-noise reads its cuts in order, one
+    # sample repeated where cuts share it; any order and repeats may come
+    n_samples = len(traj.times)
+    rng = np.random.default_rng(seed)
+    cut_times = np.linspace(0.0, traj.schedule.total_time, n_samples + 3).tolist()
+    for indices in (None, traj.indices_of(cut_times), rng.permutation(n_samples),
+                    rng.integers(0, n_samples, n_samples + 2)):
+        stack = traj.spin_marginals(range(n_samples) if indices is None else indices)
+        expected = observables.spin_readout(stack)
+        columns = traj.spin_readout(indices)
+        assert len(columns) == 4
+        for column, want in zip(columns, expected):
+            assert all(type(value) is float for value in column)
+            assert np.array_equal(bits(column), bits(want))
+
+
 # ---------------------------------------------------------------------------
 # whole trajectories, as evolve reads them
 # ---------------------------------------------------------------------------
@@ -185,7 +208,7 @@ def test_whole_trajectory_readout_equals_per_sample_formulas(full_size_runs, whi
         expected.append(abs(np.vdot(vec, state)) ** 2)
     assert np.array_equal(bits(traj.chain_fidelities(indices, vectors)), bits(expected))
 
-    rhos = traj.spin_marginals()
+    rhos = traj.spin_marginals(range(len(traj.times)))
     columns = observables.spin_readout(rhos)
     expected = [_reference_spin_columns(_reference_marginal(psi, traj.model_tag, traj.params))
                 for psi in traj.states]
@@ -231,3 +254,53 @@ def test_run_stopped_at_a_cut_equals_the_whole_ramp(model_tag, n, total_time, sh
     assert stopped.times[nearest] == whole.times[index]
     assert np.array_equal(stopped.states[nearest].view(np.uint64),
                           whole.states[index].view(np.uint64))
+
+
+# ---------------------------------------------------------------------------
+# memory: no whole-run marginal stack
+# ---------------------------------------------------------------------------
+
+def _spy_on_stack_sizes(monkeypatch):
+    """Sample counts of every ``model.spin_marginals`` and
+    ``observables.spin_readout`` call, wherever a package module binds them."""
+    seen = {}
+    for name, original in (("spin_marginals", model.spin_marginals),
+                           ("spin_readout", observables.spin_readout)):
+        def spy(stack, *args, _name=name, _original=original):
+            seen[_name].append(len(stack))
+            return _original(stack, *args)
+
+        seen[name] = []
+        for module_name, module in list(sys.modules.items()):
+            if (module_name.split(".")[0] == "dickesim"
+                    and getattr(module, name, None) is original):
+                monkeypatch.setattr(module, name, spy)
+    return seen
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--n", "4", "--eta-omega-t", "5"],
+    ["evolve", "--model", "full", "--n", "2", "--eta-omega-t", "5"],
+    ["scan-noise", "--n", "4", "--eta-omega-t", "5", "--cuts", "401"],
+], ids=["evolve-reduced", "evolve-full", "scan-noise"])
+def test_cli_readout_reads_at_most_a_chunk_of_samples(argv, monkeypatch, tmp_path):
+    seen = _spy_on_stack_sizes(monkeypatch)
+    out = tmp_path / "out.csv"
+    assert cli.main([*argv, "--output", str(out)]) == 0
+    n_rows = sum(not line.startswith("#") for line in out.read_text().splitlines()) - 1
+    assert n_rows > evolution.READOUT_CHUNK
+    assert sum(seen["spin_readout"]) == sum(seen["spin_marginals"]) == n_rows
+    assert max(seen["spin_marginals"] + seen["spin_readout"]) <= evolution.READOUT_CHUNK
+
+
+def test_evolve_traced_peak_holds_no_whole_run_stack(tmp_path):
+    # at N = 20 one (S, N+1, N+1) complex stack of the run's 2,001 samples
+    # is 14 MB; the samples themselves are 0.7 MB
+    tracemalloc.start()
+    try:
+        assert cli.main(["evolve", "--n", "20", "--eta-omega-t", "5",
+                         "--output", str(tmp_path / "run.csv")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
