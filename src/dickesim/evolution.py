@@ -33,7 +33,8 @@ import numpy as np
 from . import dark_state
 from .errors import NumericalError, PhysicsConfigError, ReducedModelWarning, TruncationWarning
 from .observables import NORM_TOL, spin_readout
-from .spin_algebra import _frozen, collective_coupling, constant_cache, projections
+from .spin_algebra import (_frozen, _replace_file, collective_coupling, constant_cache,
+                           projections)
 from .model import (
     SystemParams,
     chain_frame,
@@ -118,8 +119,12 @@ def adiabatic_preset(name: str, n_ions: int):
         dark state to >= 0.99 midpoint fidelity for N <= 6 (the acceptance
         setting).
     fast:   same detuning ratio at eta*omega_bar*T = 40; quick demo runs,
-        visibly incomplete transfer (the two-photon gap ~ (eta*omega_bar)^2
-        / delta is too slow for this ramp time).
+        visibly incomplete transfer: the linear ramp is too fast for the
+        chain's exact midpoint gap sqrt(delta^2/4 + 4*(eta*omega_bar)^2) -
+        delta/2, 0.198039 at delta = 20*eta*omega_bar (leading term
+        4*(eta*omega_bar)^2 / delta).  The gap itself is no limit: a shaped
+        theta(t) with the same peak drive and T passes (ROADMAP items 13 and
+        29).
     paper:  experimental scale, peak per-tone sideband rate 2*pi*14 kHz and
         340 us ramp (about 4.8 peak-tone cycles); a realism preset, not an
         adiabatic-limit one.
@@ -155,8 +160,17 @@ class Trajectory:
     dt: float = 0.0               # RK4 step size
 
     def indices_of(self, times: list[float]) -> list[int]:
-        """Indices of the samples nearest each of ``times``, the first on a tie."""
-        return [int(np.argmin(np.abs(self.times - t))) for t in times]
+        """Indices of the samples nearest each of ``times``, the first on a tie.
+
+        One ``np.searchsorted`` on the increasing sample times finds each
+        time's first sample at or after it, and the nearer of that sample and
+        the one before it wins, by the distance |sample - time| that an
+        ``argmin`` over every sample would compare."""
+        cuts = np.asarray(times, dtype=float)
+        after = np.minimum(np.searchsorted(self.times, cuts), len(self.times) - 1)
+        before = np.maximum(after - 1, 0)
+        nearer_before = np.abs(self.times[before] - cuts) <= np.abs(self.times[after] - cuts)
+        return np.where(nearer_before, before, after).tolist()
 
     @property
     def midpoint(self) -> int:
@@ -355,7 +369,6 @@ def _kernel():
     """
     import ctypes
     import hashlib
-    import tempfile
     from pathlib import Path
 
     from numpy._core import _multiarray_umath
@@ -370,14 +383,7 @@ def _kernel():
     flags = [*_KERNEL_FLAGS, f"-DBLAS_INT={blas_int}"]
     key = b"\0".join([source.read_bytes(), *(f.encode() for f in flags), symbol.encode()])
     library = source.with_name("__pycache__") / f"_rk4-{hashlib.sha256(key).hexdigest()[:16]}.so"
-    if library.exists() or _writable(library.parent):
-        if not library.exists():
-            _compile(source, flags, library)
-        lib = ctypes.CDLL(str(library))
-    else:
-        with tempfile.TemporaryDirectory(prefix="dickesim-") as private:
-            lib = ctypes.CDLL(str(_compile(source, flags, Path(private) / library.name)))
-        # the loaded library stays mapped after its directory is gone
+    lib = ctypes.CDLL(str(library)) if library.exists() else _compile(source, flags, library)
     step, values = lib.rk4_block, lib.hamiltonian_values
     pointer, int64, double = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     step.argtypes = [pointer, pointer, int64, int64, int64, int64, int64, pointer, int64,
@@ -390,34 +396,24 @@ def _kernel():
                            values=values)
 
 
-def _writable(directory) -> bool:
-    """Whether a file can be created in ``directory``, made if missing."""
-    import tempfile
-
-    try:
-        directory.mkdir(exist_ok=True)
-        with tempfile.TemporaryFile(dir=directory):
-            return True
-    except OSError:
-        return False
-
-
 def _compile(source, flags: list[str], library):
-    """Compile ``source`` with ``cc`` into ``library`` through a temporary
-    file and an atomic rename, so that processes building at once each load
-    a whole library, then remove the other ``_rk4-*.so`` files there where
-    possible (a process that loaded one keeps it mapped); OSError with the
-    compiler's stderr on one line if cc fails or is missing."""
+    """Compile ``source`` with ``cc`` into ``library`` and load it.  The file
+    is written by ``spin_algebra._replace_file`` with mode 0755, so that
+    processes building at once each load a whole library, and the other
+    ``_rk4-*.so`` files there are then removed where possible (a process that
+    loaded one keeps it mapped).  Where no file can be created beside
+    ``library``, it is built into this process's own temporary directory,
+    which is gone once the library is loaded.  OSError with the compiler's
+    stderr on one line if cc fails or is missing."""
     import contextlib
-    import os
+    import ctypes
     import subprocess
     import tempfile
+    from pathlib import Path
 
-    fd, tmp = tempfile.mkstemp(prefix=library.stem + "-", suffix=".tmp", dir=library.parent)
-    os.close(fd)
-    try:
+    def build(out):
         try:
-            proc = subprocess.run(["cc", *flags, "-o", tmp, str(source)],
+            proc = subprocess.run(["cc", *flags, "-o", out, str(source)],
                                   capture_output=True, text=True)
         except OSError as exc:
             raise OSError(f"cannot build the RK4 kernel: no C compiler cc ({exc})") from None
@@ -425,16 +421,18 @@ def _compile(source, flags: list[str], library):
             stderr = " | ".join(line.strip() for line in proc.stderr.splitlines() if line.strip())
             raise OSError(f"cannot build the RK4 kernel: cc exited with status "
                           f"{proc.returncode}: {stderr}")
-        os.chmod(tmp, 0o755)  # mkstemp's 0600 would keep other users from loading it
-        os.replace(tmp, library)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-    for stale in library.parent.glob("_rk4-*.so"):
-        if stale != library:
-            with contextlib.suppress(OSError):
-                stale.unlink()
-    return library
+
+    if _replace_file(library, build, 0o755):
+        for stale in library.parent.glob("_rk4-*.so"):
+            if stale != library:
+                with contextlib.suppress(OSError):
+                    stale.unlink()
+        return ctypes.CDLL(str(library))
+    with tempfile.TemporaryDirectory(prefix="dickesim-") as private:
+        copy = Path(private) / library.name
+        _replace_file(copy, build, 0o755)
+        # the loaded library stays mapped after its directory is gone
+        return ctypes.CDLL(str(copy))
 
 
 def _plan_steps(total_time: float, dt: float, levels: int = 1) -> int:

@@ -22,8 +22,9 @@ from functools import partial
 
 import numpy as np
 
-from .spin_algebra import (_expm, build_collective, check_n_ions, constant_cache, full_space_oracle,
-                           hamming_weights, projections, symmetric_isometry, whole)
+from .spin_algebra import (_stored_expm, build_collective, check_n_ions, constant_cache,
+                           full_space_oracle, hamming_weights, projections, symmetric_isometry,
+                           whole)
 
 #: witness value above which a four-ion state is genuinely four-partite entangled
 WITNESS_THRESHOLD_FOUR_ION = 5.23
@@ -264,11 +265,12 @@ def parity_phases(n_phases: int) -> np.ndarray:
 @constant_cache(_check_n_phases, maxsize=GRID_CACHE_SIZE)
 def _parity_analysis_ops(n_phases: int) -> np.ndarray:
     """Read-only stack of pulse^dag Pi pulse, one for each phase of
-    ``parity_phases(n_phases)``."""
+    ``parity_phases(n_phases)``; the pulses come from
+    ``spin_algebra._stored_expm``."""
     phases = parity_phases(n_phases)
     jx, jy, parity_op = _two_ion_analysis_ops()
     cos, sin = np.cos(phases)[:, None, None], np.sin(phases)[:, None, None]
-    pulses = _expm(-1j * (np.pi / 2) * (cos * jx + sin * jy))
+    pulses = _stored_expm(-1j * (np.pi / 2) * (cos * jx + sin * jy))
     return pulses.conj().transpose(0, 2, 1) @ parity_op @ pulses
 
 

@@ -7,12 +7,16 @@ fail by design, once, for the CLI `repro` subcommand and the test suite.
 Criterion 3 (and the witness follow-up in criterion 6) is evaluated twice:
 once at the corrected strict-adiabatic preset, where the required transfer
 quality holds, and once at the originally stated demo-speed settings
-(eta*omega_bar*T = 40 at delta = 20*eta*omega_bar).  The stated settings
-cannot reach the required fidelity in this model: the transfer bottleneck is
-the second-order two-photon gap ~ (eta*omega_bar)^2 / delta, which those
-numbers make about eight times too slow for the ramp.  The stated-settings
-rows are therefore reported as documented shortfalls with their measured
-values, not silently retuned.
+(eta*omega_bar*T = 40 at delta = 20*eta*omega_bar).  The linear ramp cannot
+reach the required fidelity at the stated settings: it is too fast for the
+chain's exact midpoint gap sqrt(delta^2/4 + 4*(eta*omega_bar)^2) - delta/2,
+0.198039 at delta = 20*eta*omega_bar, whose leading term is
+4*(eta*omega_bar)^2 / delta.  The gap itself is no limit: a shaped theta(t)
+with the same peak drive and ramp time passes both gates (ROADMAP items 13
+and 29).  The stated-settings rows are therefore reported as documented
+shortfalls of the linear ramp with their measured values, not silently
+retuned; the reason that row 3s prints keeps its older leading-order
+wording until one of ROADMAP items 13, 7 and 29 rewrites it.
 """
 
 from __future__ import annotations

@@ -18,6 +18,8 @@ first-principles sum of single-site Pauli operators.
 
 from __future__ import annotations
 
+import contextlib
+import os
 from functools import lru_cache, wraps
 from math import comb, inf
 
@@ -27,6 +29,10 @@ import numpy as np
 FULL_SPACE_MAX_IONS = 10
 
 COLLECTIVE_KINDS = ("j+", "jx", "jy", "jz")
+
+#: directory of ``_stored_expm``'s arrays, the one where ``evolution._kernel``
+#: keeps the compiled RK4 kernel
+_EXPM_STORE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "__pycache__")
 
 
 def _frozen(value):
@@ -134,11 +140,100 @@ def _expm(generators: np.ndarray) -> np.ndarray:
     the first call, not at module level: ``scipy.linalg`` is the largest
     import of a ``dickesim`` process, and only the Jy rotation and the
     parity scan use it, so the commands that never exponentiate a matrix
-    start without it.
+    start without it.  The two constant rotations call it through
+    ``_stored_expm``, so after the first process only ``rotation_y``'s
+    callers import scipy.
     """
     from scipy.linalg import expm
 
     return expm(generators)
+
+
+def _replace_file(path, write, mode: int) -> bool:
+    """Write the file ``path`` whole or not at all: ``write(tmp)`` fills a
+    temporary file in its directory, made if missing, which then gets
+    ``mode`` (mkstemp's 0600 would keep other users from reading it) and
+    replaces ``path`` in one atomic rename, so processes writing at once
+    each leave a whole file.  False, with nothing written, where no file can
+    be created there; an error of ``write`` removes the temporary file and
+    propagates."""
+    import tempfile
+
+    directory, name = os.path.split(os.fspath(path))
+    try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=os.path.splitext(name)[0] + "-", suffix=".tmp",
+                                   dir=directory)
+    except OSError:
+        return False
+    os.close(fd)
+    try:
+        write(tmp)
+        os.chmod(tmp, mode)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return True
+
+
+def _expm_key(generators: np.ndarray) -> str:
+    """SHA-256 of what fixes ``_expm(generators)``'s words: the generators'
+    bytes, shape and dtype, numpy's version, the installed scipy's
+    ``version.py``, found without importing scipy, and the CPU features that
+    numpy reports, by which scipy's BLAS picks its kernels."""
+    import hashlib
+    from importlib.util import find_spec
+
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    scipy = find_spec("scipy")
+    version = b""
+    if scipy is not None:
+        with open(os.path.join(os.path.dirname(scipy.origin), "version.py"), "rb") as file:
+            version = file.read()
+    features = ",".join(sorted(name for name, on in __cpu_features__.items() if on))
+    digest = hashlib.sha256()
+    for part in (generators.tobytes(), str(generators.shape).encode(),
+                 generators.dtype.str.encode(), np.__version__.encode(), version,
+                 features.encode()):
+        digest.update(len(part).to_bytes(8, "little") + part)
+    return digest.hexdigest()[:32]
+
+
+def _stored_expm(generators: np.ndarray) -> np.ndarray:
+    """``_expm(generators)``, word for word, kept in ``_EXPM_STORE`` as
+    ``expm-<key>.npy`` under ``_expm_key``, so that only the first process
+    to exponentiate these generators imports scipy.
+
+    For the package's constant rotations only: the Jy(pi/2) pulse of
+    ``half_excited_x`` and the parity scan's analysis pulses.  A hit is a
+    complex128 array of the generators' shape; a missing, unreadable,
+    truncated or foreign file is a miss, which computes with ``_expm`` and
+    writes the file through ``_replace_file`` (mode 0644), so processes
+    filling one store at once each read a whole array.  Where the store
+    cannot be written, a miss computes and writes nothing.  An upgraded
+    numpy or scipy changes the key and leaves the old files behind, a few KB
+    each and harmless.  The rotations without scipy of ROADMAP item 6
+    delete the store along with scipy.
+    """
+    path = None
+    with contextlib.suppress(OSError, ValueError, EOFError):
+        path = os.path.join(_EXPM_STORE, f"expm-{_expm_key(generators)}.npy")
+        with open(path, "rb") as file:
+            stored = np.lib.format.read_array(file, allow_pickle=False)
+        if stored.dtype == np.complex128 and stored.shape == generators.shape:
+            return stored
+    result = _expm(generators)
+
+    def save(tmp):
+        with open(tmp, "wb") as file:
+            np.save(file, result, allow_pickle=False)
+
+    if path is not None:
+        with contextlib.suppress(OSError):
+            _replace_file(path, save, 0o644)
+    return result
 
 
 def rotation_y(n_ions: int, angle: float) -> np.ndarray:
@@ -164,7 +259,9 @@ def dicke_state(n_ions: int, m: int) -> np.ndarray:
 def half_excited_x(n_ions: int) -> np.ndarray:
     """Half-excited Dicke state along x, Ry(pi/2)|m = N/2>, cached and read-only."""
     half = half_excitation(n_ions)
-    return rotation_y(n_ions, np.pi / 2) @ dicke_state(n_ions, half)
+    # rotation_y(n_ions, np.pi / 2)'s generators, exponentiated once for every process
+    pulse = _stored_expm(-1j * (np.pi / 2) * build_collective(n_ions, "jy"))
+    return pulse @ dicke_state(n_ions, half)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dickesim import evolution, model, repro
 from dickesim.dark_state import chain_vector, dark_coefficients
@@ -274,6 +276,43 @@ def test_midpoint_is_the_half_ramp_step_on_whole_and_stopped_runs():
     assert stopped.midpoint == len(stopped.times) - 1
     assert stopped.times[stopped.midpoint] == whole.times[whole.midpoint]
     assert np.array_equal(stopped.states[stopped.midpoint], whole.states[whole.midpoint])
+
+
+def _sampled_at(times):
+    """A trajectory of the sample times ``times`` and no other content."""
+    schedule = evolution.PulseSchedule(total_time=max(float(times[-1]), 1.0))
+    return evolution.Trajectory(times, np.zeros((len(times), 2), dtype=complex), "reduced",
+                                model.SystemParams(n_ions=1, delta=20.0), schedule)
+
+
+@st.composite
+def _sample_times_and_cuts(draw):
+    """Increasing sample times step*dt, as a run's capture grid gives them,
+    and cuts among them: exact midpoints, both endpoints, the samples
+    themselves, points in and just past the span, each maybe repeated."""
+    steps = sorted(draw(st.sets(st.integers(0, 10**6), min_size=1, max_size=60)))
+    dt = draw(st.floats(1e-6, 10.0))
+    times = np.array(steps) * dt
+    mids = (times[:-1] + times[1:]) / 2
+    pool = [*times[[0, -1]], *times, *mids]
+    span = st.floats(float(times[0]) - dt, float(times[-1]) + dt)
+    cuts = draw(st.lists(st.one_of(st.sampled_from(pool), span), max_size=40))
+    return times, cuts + draw(st.lists(st.sampled_from(cuts or pool), max_size=10))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sample_times_and_cuts())
+def test_nearest_samples_are_the_per_cut_argmin(times_and_cuts):
+    times, cuts = times_and_cuts
+    expected = [int(np.argmin(np.abs(times - t))) for t in cuts]
+    assert _sampled_at(times).indices_of(cuts) == expected
+
+
+def test_a_midpoint_cut_takes_the_earlier_sample():
+    traj = _sampled_at(np.array([0.0, 1.0, 2.0, 4.0]))
+    assert traj.indices_of([0.5, 1.5, 3.0, -1.0, 9.0, 0.0, 4.0, 3.0]) == [0, 1, 2, 0, 3, 0, 3, 2]
+    assert traj.indices_of([]) == []
+    assert _sampled_at(np.array([0.0])).indices_of([0.0, 2.0]) == [0, 0]
 
 
 def test_truncated_scan_rejects_out_of_range():

@@ -6,8 +6,9 @@ one numpy sum of its dense operators, and no module expands support values
 or, in the integrator, names a dense builder.  The spin-sector modules import
 neither ``model`` nor the integrator, and ``model`` builds on the spin
 algebra alone.  ``cli`` is the top: no package module imports it.  A
-module reads no other module's underscore names, except the two shared
-helpers of ``spin_algebra``.  Only ``observables`` builds the parity
+module reads no other module's underscore names, except the three shared
+helpers of ``spin_algebra``: ``_frozen``, ``_stored_expm`` and
+``_replace_file``.  Only ``observables`` builds the parity
 scan's phase grid over 2*pi.  ``cli`` declares each flag once, in
 ``FLAGS``, adds arguments to its parsers only in ``build_parser`` and
 writes a command's output only in ``_report``; ``build_parser`` takes no
@@ -27,8 +28,8 @@ probability is clipped and renormalised in one place.  Only ``evolution``
 assigns or reads ``READOUT_CHUNK``: the trajectory's readouts (the chain
 fidelities, the spin moments) and the norm gate read that many samples at
 a time, and the modules they call take a stack of whatever size their caller
-hands them.  In ``evolution``
-only ``Trajectory.indices_of`` calls ``argmin``, so a trajectory has one
+hands them.  In ``evolution`` only ``Trajectory.indices_of`` calls
+``searchsorted`` and nothing calls ``argmin``, so a trajectory has one
 nearest-sample search.  ``evolution`` imports no thread or queue module:
 the integrator runs each block on the calling thread.
 """
@@ -43,7 +44,8 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dickesim"
 TESTS = Path(__file__).resolve().parent
 SPIN_SECTOR = ("observables", "certification", "measurement", "dark_state")
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
-SHARED_PRIVATE = {("spin_algebra", "_frozen"), ("spin_algebra", "_expm")}
+SHARED_PRIVATE = {("spin_algebra", "_frozen"), ("spin_algebra", "_stored_expm"),
+                  ("spin_algebra", "_replace_file")}
 
 
 def _tree(module):
@@ -543,4 +545,6 @@ def test_a_trajectory_has_one_nearest_sample_search():
     tree = _tree("evolution")
     (trajectory,) = [node for node in tree.body
                      if isinstance(node, ast.ClassDef) and node.name == "Trajectory"]
-    assert _callers(tree, "argmin") == _callers(trajectory, "argmin") == ["indices_of"]
+    assert _callers(tree, "searchsorted") == _callers(trajectory, "searchsorted") == [
+        "indices_of"]
+    assert _callers(tree, "argmin") == []
