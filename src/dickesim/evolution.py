@@ -23,6 +23,7 @@ own model's states out: callers never branch on the model.
 
 from __future__ import annotations
 
+import contextlib
 import warnings
 from dataclasses import dataclass
 from functools import partial
@@ -33,8 +34,7 @@ import numpy as np
 from . import dark_state
 from .errors import NumericalError, PhysicsConfigError, ReducedModelWarning, TruncationWarning
 from .observables import NORM_TOL, spin_readout
-from .spin_algebra import (_frozen, _replace_file, collective_coupling, constant_cache,
-                           projections)
+from .spin_algebra import _frozen, _stored, collective_coupling, constant_cache, projections
 from .model import (
     SystemParams,
     chain_frame,
@@ -361,14 +361,14 @@ def _kernel():
     ``hamiltonian_values`` that it calls for each Hamiltonian.
 
     zgemv comes from numpy's own BLAS, through the handle of numpy's
-    extension module.  The library is ``__pycache__/_rk4-<hash>.so`` beside
-    this file, the hash covering the C source, compiler flags and zgemv
-    symbol; ``cc`` compiles a missing one, into this process's own temporary
-    directory where ``__pycache__`` cannot be written.  Failures raise
+    extension module.  The library is ``_rk4-<key>.so`` in
+    ``spin_algebra._stored``'s store, keyed on the C source, compiler flags
+    and zgemv symbol: ``cc`` compiles a missing or spoiled one (mode 0755),
+    and a build then removes the other ``_rk4-*.so`` files beside it where
+    possible (a process that loaded one keeps it mapped).  Failures raise
     OSError with a one-line message.
     """
     import ctypes
-    import hashlib
     from pathlib import Path
 
     from numpy._core import _multiarray_umath
@@ -381,9 +381,29 @@ def _kernel():
                       + ", ".join(name for name, _ in _ZGEMV_SYMBOLS))
     source = Path(__file__).with_name("_rk4.c")
     flags = [*_KERNEL_FLAGS, f"-DBLAS_INT={blas_int}"]
-    key = b"\0".join([source.read_bytes(), *(f.encode() for f in flags), symbol.encode()])
-    library = source.with_name("__pycache__") / f"_rk4-{hashlib.sha256(key).hexdigest()[:16]}.so"
-    lib = ctypes.CDLL(str(library)) if library.exists() else _compile(source, flags, library)
+    built = []
+
+    def build(out):
+        import subprocess
+        try:
+            proc = subprocess.run(["cc", *flags, "-o", out, str(source)],
+                                  capture_output=True, text=True)
+        except OSError as exc:
+            raise OSError(f"cannot build the RK4 kernel: no C compiler cc ({exc})") from None
+        if proc.returncode != 0:
+            stderr = " | ".join(line.strip() for line in proc.stderr.splitlines() if line.strip())
+            raise OSError(f"cannot build the RK4 kernel: cc exited with status "
+                          f"{proc.returncode}: {stderr}")
+        built.append(out)
+
+    key = [source.read_bytes(), *(flag.encode() for flag in flags), symbol.encode()]
+    lib = _stored("_rk4-{}.so", key, build, ctypes.CDLL, 0o755)
+    if built:  # after the rename, so that no first run removes the file another is loading
+        library = Path(lib._name)
+        for stale in library.parent.glob("_rk4-*.so"):
+            if stale != library:
+                with contextlib.suppress(OSError):
+                    stale.unlink()
     step, values = lib.rk4_block, lib.hamiltonian_values
     pointer, int64, double = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     step.argtypes = [pointer, pointer, int64, int64, int64, int64, int64, pointer, int64,
@@ -394,45 +414,6 @@ def _kernel():
     values.restype = None
     return SimpleNamespace(step=partial(step, ctypes.cast(getattr(blas, symbol), pointer)),
                            values=values)
-
-
-def _compile(source, flags: list[str], library):
-    """Compile ``source`` with ``cc`` into ``library`` and load it.  The file
-    is written by ``spin_algebra._replace_file`` with mode 0755, so that
-    processes building at once each load a whole library, and the other
-    ``_rk4-*.so`` files there are then removed where possible (a process that
-    loaded one keeps it mapped).  Where no file can be created beside
-    ``library``, it is built into this process's own temporary directory,
-    which is gone once the library is loaded.  OSError with the compiler's
-    stderr on one line if cc fails or is missing."""
-    import contextlib
-    import ctypes
-    import subprocess
-    import tempfile
-    from pathlib import Path
-
-    def build(out):
-        try:
-            proc = subprocess.run(["cc", *flags, "-o", out, str(source)],
-                                  capture_output=True, text=True)
-        except OSError as exc:
-            raise OSError(f"cannot build the RK4 kernel: no C compiler cc ({exc})") from None
-        if proc.returncode != 0:
-            stderr = " | ".join(line.strip() for line in proc.stderr.splitlines() if line.strip())
-            raise OSError(f"cannot build the RK4 kernel: cc exited with status "
-                          f"{proc.returncode}: {stderr}")
-
-    if _replace_file(library, build, 0o755):
-        for stale in library.parent.glob("_rk4-*.so"):
-            if stale != library:
-                with contextlib.suppress(OSError):
-                    stale.unlink()
-        return ctypes.CDLL(str(library))
-    with tempfile.TemporaryDirectory(prefix="dickesim-") as private:
-        copy = Path(private) / library.name
-        _replace_file(copy, build, 0o755)
-        # the loaded library stays mapped after its directory is gone
-        return ctypes.CDLL(str(copy))
 
 
 def _plan_steps(total_time: float, dt: float, levels: int = 1) -> int:

@@ -30,9 +30,8 @@ FULL_SPACE_MAX_IONS = 10
 
 COLLECTIVE_KINDS = ("j+", "jx", "jy", "jz")
 
-#: directory of ``_stored_expm``'s arrays, the one where ``evolution._kernel``
-#: keeps the compiled RK4 kernel
-_EXPM_STORE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "__pycache__")
+#: directory of ``_stored``'s files: the compiled RK4 kernel and the constant exponentials
+_STORE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "__pycache__")
 
 
 def _frozen(value):
@@ -149,91 +148,95 @@ def _expm(generators: np.ndarray) -> np.ndarray:
     return expm(generators)
 
 
-def _replace_file(path, write, mode: int) -> bool:
-    """Write the file ``path`` whole or not at all: ``write(tmp)`` fills a
-    temporary file in its directory, made if missing, which then gets
-    ``mode`` (mkstemp's 0600 would keep other users from reading it) and
-    replaces ``path`` in one atomic rename, so processes writing at once
-    each leave a whole file.  False, with nothing written, where no file can
-    be created there; an error of ``write`` removes the temporary file and
-    propagates."""
+def _stored(name: str, key_parts, make, load, mode: int):
+    """``load(path)`` of the package's derived file ``path`` in ``_STORE``:
+    ``name`` with its ``{}`` filled by a SHA-256 over the length-prefixed
+    byte strings ``key_parts``.  The one store of the package, for the
+    compiled RK4 kernel and the constant exponentials.
+
+    A missing file, or one that ``load`` refuses with OSError, ValueError or
+    EOFError, is a miss: ``make(tmp)`` fills a temporary file in ``_STORE``,
+    made if missing, which then gets ``mode`` (mkstemp's 0600 would keep
+    other users from reading it) and replaces ``path`` in one atomic rename,
+    so processes filling one store at once each load a whole file; then
+    ``load`` reads it.  Where ``_STORE`` cannot be written, the file is made
+    and loaded in this process's own temporary directory, which is then
+    removed.  An error of ``make`` removes its temporary file and
+    propagates.  Files of keys no longer asked for stay behind.
+    """
+    import hashlib
+
+    digest = hashlib.sha256()
+    for part in key_parts:
+        digest.update(len(part).to_bytes(8, "little") + part)
+    path = os.path.join(_STORE, name.format(digest.hexdigest()[:32]))
+    with contextlib.suppress(OSError, ValueError, EOFError):
+        return load(path)
     import tempfile
 
-    directory, name = os.path.split(os.fspath(path))
+    prefix = os.path.splitext(os.path.basename(path))[0] + "-"
     try:
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(prefix=os.path.splitext(name)[0] + "-", suffix=".tmp",
-                                   dir=directory)
+        os.makedirs(_STORE, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=prefix, suffix=".tmp", dir=_STORE)
     except OSError:
-        return False
+        with tempfile.TemporaryDirectory(prefix="dickesim-") as private:
+            path = os.path.join(private, os.path.basename(path))
+            make(path)
+            return load(path)  # a loaded library stays mapped once its directory is gone
     os.close(fd)
     try:
-        write(tmp)
+        make(tmp)
         os.chmod(tmp, mode)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-    return True
+    return load(path)
 
 
-def _expm_key(generators: np.ndarray) -> str:
-    """SHA-256 of what fixes ``_expm(generators)``'s words: the generators'
-    bytes, shape and dtype, numpy's version, the installed scipy's
-    ``version.py``, found without importing scipy, and the CPU features that
-    numpy reports, by which scipy's BLAS picks its kernels."""
-    import hashlib
+def _stored_expm(generators: np.ndarray) -> np.ndarray:
+    """``_expm(generators)``, word for word, kept by ``_stored`` as
+    ``expm-<key>.npy`` (mode 0644), so that only the first process to
+    exponentiate these generators imports scipy.
+
+    For the package's constant rotations only: the Jy(pi/2) pulse of
+    ``half_excited_x`` and the parity scan's analysis pulses.  The key
+    covers what fixes the words: the generators' bytes, shape and dtype,
+    numpy's version, the installed scipy's ``version.py``, found without
+    importing scipy, and the CPU features that numpy reports, by which
+    scipy's BLAS picks its kernels.  A file that holds no array of the
+    generators' dtype and shape is a miss.  Where the key cannot be read or
+    no file can be made, it computes and stores nothing.  An upgraded numpy
+    or scipy changes the key; the old files stay, a few KB each.  The
+    rotations without scipy of ROADMAP item 6 delete this function along
+    with scipy.
+    """
     from importlib.util import find_spec
 
     from numpy._core._multiarray_umath import __cpu_features__
 
-    scipy = find_spec("scipy")
-    version = b""
-    if scipy is not None:
-        with open(os.path.join(os.path.dirname(scipy.origin), "version.py"), "rb") as file:
-            version = file.read()
-    features = ",".join(sorted(name for name, on in __cpu_features__.items() if on))
-    digest = hashlib.sha256()
-    for part in (generators.tobytes(), str(generators.shape).encode(),
-                 generators.dtype.str.encode(), np.__version__.encode(), version,
-                 features.encode()):
-        digest.update(len(part).to_bytes(8, "little") + part)
-    return digest.hexdigest()[:32]
-
-
-def _stored_expm(generators: np.ndarray) -> np.ndarray:
-    """``_expm(generators)``, word for word, kept in ``_EXPM_STORE`` as
-    ``expm-<key>.npy`` under ``_expm_key``, so that only the first process
-    to exponentiate these generators imports scipy.
-
-    For the package's constant rotations only: the Jy(pi/2) pulse of
-    ``half_excited_x`` and the parity scan's analysis pulses.  A hit is a
-    complex128 array of the generators' shape; a missing, unreadable,
-    truncated or foreign file is a miss, which computes with ``_expm`` and
-    writes the file through ``_replace_file`` (mode 0644), so processes
-    filling one store at once each read a whole array.  Where the store
-    cannot be written, a miss computes and writes nothing.  An upgraded
-    numpy or scipy changes the key and leaves the old files behind, a few KB
-    each and harmless.  The rotations without scipy of ROADMAP item 6
-    delete the store along with scipy.
-    """
-    path = None
-    with contextlib.suppress(OSError, ValueError, EOFError):
-        path = os.path.join(_EXPM_STORE, f"expm-{_expm_key(generators)}.npy")
-        with open(path, "rb") as file:
-            stored = np.lib.format.read_array(file, allow_pickle=False)
-        if stored.dtype == np.complex128 and stored.shape == generators.shape:
-            return stored
-    result = _expm(generators)
-
     def save(tmp):
         with open(tmp, "wb") as file:
-            np.save(file, result, allow_pickle=False)
+            np.save(file, _expm(generators), allow_pickle=False)
 
-    if path is not None:
-        with contextlib.suppress(OSError):
-            _replace_file(path, save, 0o644)
-    return result
+    def load(path):
+        with open(path, "rb") as file:
+            stored = np.lib.format.read_array(file, allow_pickle=False)
+        if stored.dtype != generators.dtype or stored.shape != generators.shape:
+            raise ValueError(f"{path} holds a {stored.dtype} array of shape {stored.shape}")
+        return stored
+
+    with contextlib.suppress(OSError):
+        scipy = find_spec("scipy")
+        version = b""
+        if scipy is not None:
+            with open(os.path.join(os.path.dirname(scipy.origin), "version.py"), "rb") as file:
+                version = file.read()
+        features = ",".join(sorted(name for name, on in __cpu_features__.items() if on))
+        return _stored("expm-{}.npy", (generators.tobytes(), str(generators.shape).encode(),
+                                       generators.dtype.str.encode(), np.__version__.encode(),
+                                       version, features.encode()), save, load, 0o644)
+    return _expm(generators)
 
 
 def rotation_y(n_ions: int, angle: float) -> np.ndarray:

@@ -1,7 +1,5 @@
 import argparse
-import os
 import subprocess
-import sys
 import warnings
 from pathlib import Path
 
@@ -218,7 +216,7 @@ def test_parity_fits_its_curve_once(shots, monkeypatch, capsys):
     assert len(calls) == 1
 
 
-def test_parity_sampled_byte_identical(tmp_path, capsys):
+def test_parity_sampled_byte_identical(tmp_path, capsys, fresh_cli):
     # measurement._draw re-keys one generator per thread before every draw,
     # so no call draws from what an earlier call left: a second call in this
     # interpreter and a call in a fresh one print the same bytes
@@ -228,9 +226,8 @@ def test_parity_sampled_byte_identical(tmp_path, capsys):
     summary = capsys.readouterr().out
     assert cli.main(args + ["--output", str(b)]) == 0
     assert capsys.readouterr().out == summary
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "dickesim.cli", *args, "--output", str(fresh)],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = subprocess.run([*fresh_cli, *args, "--output", str(fresh)],
+                          capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, summary, "")
     assert a.read_bytes() == b.read_bytes() == fresh.read_bytes()
 
@@ -662,12 +659,10 @@ def test_drift_past_the_readout_tolerance_is_a_numerical_failure(argv, capsys):
      "2*delta > 10*max(Omega_r, Omega_b) to neglect the off-resonant transitions that the "
      "full model keeps\n"),
 ], ids=["short-ramp", "small-detuning"])
-def test_a_library_warning_prints_one_line(argv, err, tmp_path):
+def test_a_library_warning_prints_one_line(argv, err, tmp_path, fresh_cli):
     # not Python's file:line header and echoed source line
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "dickesim.cli", *argv,
-                           "--output", str(tmp_path / "out.csv")],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = subprocess.run([*fresh_cli, *argv, "--output", str(tmp_path / "out.csv")],
+                          capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, err)
 
 
@@ -729,13 +724,11 @@ def test_repro_prints_a_failing_dark_state_row(monkeypatch, capsys):
     assert capsys.readouterr().out.startswith("criterion   1  dark-state algebra  FAIL\n")
 
 
-def test_closed_stdout_exits_quietly():
+def test_closed_stdout_exits_quietly(fresh_cli):
     # `dickesim evolve ... | head -1`: the reader closes the pipe after one
     # line, long before the ~250 kB of CSV are written
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "dickesim.cli", "evolve", "--n", "2", "--eta-omega-t", "40"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc = subprocess.Popen([*fresh_cli, "evolve", "--n", "2", "--eta-omega-t", "40"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     assert proc.stdout.readline().startswith(b"# dickesim ")
     proc.stdout.close()
     assert proc.wait(timeout=60) == cli.EXIT_CLOSED_STDOUT == 141
@@ -743,7 +736,7 @@ def test_closed_stdout_exits_quietly():
     proc.stderr.close()
 
 
-def test_commands_that_never_exponentiate_start_without_scipy(tmp_path):
+def test_commands_that_never_exponentiate_start_without_scipy(tmp_path, fresh_python):
     # only the matrix exponential (parity, witness --source ideal, repro)
     # needs scipy.linalg; every other command must run without loading it
     cfg = Path(__file__).resolve().parents[1] / "data" / "paper_fourion.cfg"
@@ -764,9 +757,7 @@ def test_commands_that_never_exponentiate_start_without_scipy(tmp_path):
         "    assert cli.main(argv + ['--output', out]) == 0, argv",
         "    assert 'scipy.linalg' not in sys.modules, argv",
     ])
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, timeout=120)
+    proc = subprocess.run(fresh_python(script), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -866,15 +857,13 @@ def _outcome(argv, capsys):
 @pytest.mark.parametrize("argv", _BUILD_EQUIVALENCE_ARGV,
                          ids=lambda argv: " ".join(argv) or "no-arguments")
 def test_a_one_shot_process_prints_what_the_cached_parser_prints(argv, monkeypatch, tmp_path,
-                                                                 capsys):
+                                                                 capsys, fresh_cli):
     # a fresh process builds every subparser for its one command; it prints
     # what this process's cached parser prints
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps at the terminal width
     (tmp_path / "override.cfg").write_text("n = 4\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "dickesim.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = subprocess.run([*fresh_cli, *argv], capture_output=True, text=True, timeout=60)
     one = (proc.returncode, proc.stdout, proc.stderr)
     if argv[1:] == ["--help"]:
         assert one[0] == cli.EXIT_OK

@@ -7,8 +7,11 @@ or, in the integrator, names a dense builder.  The spin-sector modules import
 neither ``model`` nor the integrator, and ``model`` builds on the spin
 algebra alone.  ``cli`` is the top: no package module imports it.  A
 module reads no other module's underscore names, except the three shared
-helpers of ``spin_algebra``: ``_frozen``, ``_stored_expm`` and
-``_replace_file``.  Only ``observables`` builds the parity
+helpers of ``spin_algebra``: ``_frozen``, ``_stored_expm`` and ``_stored``.
+Only ``spin_algebra`` names the store of derived files, ``__pycache__``,
+and only ``_stored`` hashes a key and writes a file there, so the compiled
+kernel and the stored exponentials share one key rule and one miss rule.
+Only ``observables`` builds the parity
 scan's phase grid over 2*pi.  ``cli`` declares each flag once, in
 ``FLAGS``, adds arguments to its parsers only in ``build_parser`` and
 writes a command's output only in ``_report``; ``build_parser`` takes no
@@ -45,7 +48,7 @@ TESTS = Path(__file__).resolve().parent
 SPIN_SECTOR = ("observables", "certification", "measurement", "dark_state")
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
 SHARED_PRIVATE = {("spin_algebra", "_frozen"), ("spin_algebra", "_stored_expm"),
-                  ("spin_algebra", "_replace_file")}
+                  ("spin_algebra", "_stored")}
 
 
 def _tree(module):
@@ -548,3 +551,13 @@ def test_a_trajectory_has_one_nearest_sample_search():
     assert _callers(tree, "searchsorted") == _callers(trajectory, "searchsorted") == [
         "indices_of"]
     assert _callers(tree, "argmin") == []
+
+
+def test_the_package_has_one_store():
+    names = {module for module in MODULES for node in ast.walk(_tree(module))
+             if isinstance(node, ast.Constant) and node.value == "__pycache__"}
+    assert names == {"spin_algebra"}
+    for call in ("sha256", "mkstemp"):
+        callers = {module: _callers(_tree(module), call) for module in MODULES}
+        assert {module: found for module, found in callers.items() if found} == {
+            "spin_algebra": ["_stored"]}, call

@@ -1,8 +1,10 @@
-"""How the compiled RK4 kernel is built, cached, loaded and guarded.
+"""How the compiled RK4 kernel is built, loaded and guarded.
 
 Each process test runs a copy of the package from ``tmp_path``, so that it
-starts on an empty ``__pycache__``; the kernel's arithmetic is checked bit
-for bit in ``test_rk4_step.py``.
+starts on an empty ``__pycache__``, the store of ``spin_algebra._stored``;
+``test_store.py`` runs the cases that the kernel's library shares with the
+stored exponentials.  The kernel's arithmetic is checked bit for bit in
+``test_rk4_step.py``.
 """
 
 import os
@@ -48,33 +50,6 @@ def _run(args, env):
     return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=120)
 
 
-def test_second_interpreter_loads_the_cached_library(tmp_path):
-    package, env = _copy(tmp_path)
-    first = _run(EVOLVE, env)
-    assert first.returncode == 0, first.stderr
-    [library] = _libraries(package)
-    built = library.stat()
-    # with no compiler on PATH, a second build would fail the run
-    second = _run(EVOLVE, dict(env, PATH=str(_no_compiler(tmp_path))))
-    assert second.returncode == 0, second.stderr
-    assert second.stdout == first.stdout
-    assert _libraries(package) == [library]
-    kept = library.stat()
-    assert (kept.st_ino, kept.st_mtime_ns) == (built.st_ino, built.st_mtime_ns)
-
-
-def test_two_first_runs_at_once_build_one_library(tmp_path):
-    package, env = _copy(tmp_path)
-    procs = [subprocess.Popen([sys.executable, *EVOLVE], stdout=subprocess.PIPE,
-                              stderr=subprocess.PIPE, env=env) for _ in range(2)]
-    outputs = [proc.communicate(timeout=120) for proc in procs]
-    assert [proc.returncode for proc in procs] == [0, 0], [err for _, err in outputs]
-    assert outputs[0][0] == outputs[1][0]
-    # the temporary files were renamed or removed: one whole library is left
-    [library] = _libraries(package)
-    assert library.suffix == ".so"
-
-
 def test_missing_compiler_is_one_line_and_exit_1(tmp_path):
     package, env = _copy(tmp_path, path=_no_compiler(tmp_path))
     proc = _run(EVOLVE, env)
@@ -83,20 +58,6 @@ def test_missing_compiler_is_one_line_and_exit_1(tmp_path):
     assert stderr.count("\n") == 1 and "Traceback" not in stderr
     assert stderr.startswith("error: cannot build the RK4 kernel: no C compiler cc")
     assert _libraries(package) == []
-
-
-def test_unwritable_cache_builds_a_private_copy(tmp_path):
-    package, env = _copy(tmp_path)
-    reference = _run(EVOLVE, env)
-    assert reference.returncode == 0, reference.stderr
-    shutil.rmtree(package / "__pycache__")
-    (package / "__pycache__").write_text("")  # a file: no directory can be made there
-    scratch = tmp_path / "tmp"
-    scratch.mkdir()
-    proc = _run(EVOLVE, dict(env, TMPDIR=str(scratch)))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == reference.stdout
-    assert list(scratch.iterdir()) == []  # the private directory is removed after loading
 
 
 def test_commands_that_integrate_nothing_never_load_the_kernel(tmp_path):
